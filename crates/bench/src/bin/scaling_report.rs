@@ -1,205 +1,58 @@
-//! Regenerate the paper-style scaling report: per-level comm breakdowns
-//! over the NSU3D CPU counts, the fabric comparison, and measured
-//! (traced-runtime) per-level message attribution plus chaos overhead.
+//! Regenerate the paper's evaluation tables. The only binary of this
+//! crate: it reports; `bench_e2e` (root package) is what times.
 //!
 //! Usage:
-//!   scaling_report [--measured] [--paper-scale] [--fabric] [--kernels] [--database] [--json PATH]
+//!   scaling_report [SECTION...] [--measured] [--paper-scale] [--fabric]
+//!                  [--kernels] [--database] [--json PATH]
 //!
-//! `--measured` re-derives the workload profile from live solver runs;
-//! `--paper-scale` appends real event-executor runs at the paper's rank
-//! counts (512/1024/2016 cooperative rank tasks on this machine);
-//! `--fabric` appends the discrete-event fabric comparison: traced halo
-//! traffic replayed through the contended Columbia topologies, emergent
-//! makespans against the analytic closed form;
-//! `--kernels` appends the deterministic kernel-roofline table: software
-//! FLOP counts and parity digests of the SoA/SIMD batch kernels with the
-//! machine model's predicted sustained rate per working-set size;
-//! `--database` appends the deterministic database-server storm section:
-//! seeded cold/hot query storms with service counters and response
-//! digests, plus the closed quarantine-refinement loop;
-//! `--json PATH` additionally writes the full report as deterministic JSON
-//! (two runs with the same seed are byte-identical).
+//! With no positional `SECTION` it prints the base report — per-level
+//! comm breakdowns over the NSU3D CPU counts, the fabric comparison, and
+//! measured (traced-runtime) per-level message attribution plus chaos
+//! overhead — followed by the appendices the flags select (see
+//! `columbia_bench::report`). Positional sections regenerate one figure
+//! each instead: `fig14a fig14b fig15 … fig22`, `headline_metrics`,
+//! `ablation_{cycles,lines,partition,rcm,sfc}`, with the flags the
+//! figures always took (`--measured` re-derives the workload profile from
+//! live solver runs; fig15 `--thread-parallel`; fig14a `--points N
+//! --cycles N --cycle-v`).
+//!
+//! `--json PATH` additionally writes everything that was rendered as
+//! deterministic JSON (for the model and counter sections two runs with
+//! the same seed are byte-identical).
 
-use columbia_bench::report::{
-    fabric_contention_section, kernel_roofline_section, paper_scale_section, per_level_table,
-    scaling_report, MeasuredSpec, FABRIC_RANK_COUNTS, PAPER_WORLD_SIZES,
-};
-use columbia_machine::{MachineConfig, NSU3D_CPU_COUNTS};
-use columbia_rt::trace::ClockMode;
+use columbia_bench::report::{base_report, SCHEMA};
+use columbia_bench::sections::{section, Opts, SECTIONS};
 use columbia_rt::Json;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper_scale = args.iter().any(|a| a == "--paper-scale");
-    let fabric = args.iter().any(|a| a == "--fabric");
-    let kernels = args.iter().any(|a| a == "--kernels");
-    let database = args.iter().any(|a| a == "--database");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json requires a path").clone());
+    let opts = Opts(std::env::args().skip(1).collect());
+    let positional = opts.positional();
+    if let Some(unknown) = positional.iter().find(|name| section(name).is_none()) {
+        let names: Vec<&str> = SECTIONS.iter().map(|s| s.token).collect();
+        eprintln!("unknown section {unknown:?}; sections: {}", names.join(" "));
+        std::process::exit(2);
+    }
 
-    let profile = columbia_bench::nsu3d_profile(columbia_bench::use_measured());
-    let machine = MachineConfig::columbia_vortex();
-    let spec = MeasuredSpec::default();
-
-    columbia_bench::header(
-        "scaling report",
-        "per-level comm fractions, fabric comparison, chaos overhead",
-    );
-    let mut report = scaling_report(
-        &profile,
-        &machine,
-        &NSU3D_CPU_COUNTS,
-        &spec,
-        ClockMode::Logical,
-    );
-    println!("profile: {}", profile.name);
-    println!();
-    print!("{}", per_level_table(&report));
-    println!();
-    println!(
-        "shape check: coarse-level comm fraction grows monotonically with CPUs \
-         (the paper's coarse-grid communication wall)"
-    );
-
-    if paper_scale {
-        let section = paper_scale_section(&PAPER_WORLD_SIZES);
-        if let Json::Arr(rows) = &section {
+    let mut report = if positional.is_empty() {
+        let base = base_report(&opts);
+        print!("{}", base.text);
+        base.json
+    } else {
+        Json::obj([("schema", Json::Str(SCHEMA.into()))])
+    };
+    let mut printed = positional.is_empty();
+    for s in SECTIONS.iter().filter(|s| opts.flag(s.token)) {
+        if printed {
             println!();
-            println!("paper-scale worlds (event executor, real rank programs):");
-            for row in rows {
-                let get_u = |k: &str| match row.get(k) {
-                    Some(Json::UInt(n)) => *n,
-                    _ => 0,
-                };
-                println!(
-                    "  {:>5} ranks: {:>9} payload bytes, {} cycles, max degree {}",
-                    get_u("ranks"),
-                    get_u("total_bytes"),
-                    get_u("cycles"),
-                    get_u("max_degree"),
-                );
-            }
         }
-        if let Json::Obj(fields) = &mut report {
-            fields.push(("paper_scale".into(), section));
-        }
+        printed = true;
+        let rendered = (s.run)(&opts);
+        print!("{}", rendered.text);
+        report.set(s.key, rendered.json);
     }
 
-    if fabric {
-        let section = fabric_contention_section(&FABRIC_RANK_COUNTS);
-        if let Json::Arr(rows) = &section {
-            println!();
-            println!("contended fabric replay (traced halo traffic, round-robin arbiter):");
-            for row in rows {
-                let num = |k: &str, f: &str| match row.get(k).and_then(|r| r.get(f)) {
-                    Some(Json::Num(x)) => *x,
-                    _ => f64::NAN,
-                };
-                let slow = |k: &str| match row.get(k) {
-                    Some(Json::Num(x)) => *x,
-                    _ => f64::NAN,
-                };
-                let ranks = match row.get("ranks") {
-                    Some(Json::UInt(n)) => *n,
-                    _ => 0,
-                };
-                println!(
-                    "  {:>3} ranks: IB {:>9.1}us vs NL {:>8.1}us -> slowdown {:>5.2}x \
-                     (analytic {:>4.2}x)",
-                    ranks,
-                    1e6 * num("infiniband", "contended_s"),
-                    1e6 * num("numalink", "contended_s"),
-                    slow("ib_slowdown"),
-                    slow("analytic_ib_slowdown"),
-                );
-            }
-        }
-        if let Json::Obj(fields) = &mut report {
-            fields.push(("fabric_contention".into(), section));
-        }
-    }
-
-    if kernels {
-        let section = kernel_roofline_section();
-        if let Json::Arr(rows) = &section {
-            println!();
-            println!("kernel roofline (deterministic: flops, parity digests, predicted rate):");
-            println!(
-                "  {:<16} {:>9} {:>12} {:>12} {:>10}  digest",
-                "kernel", "size", "ws_bytes", "flops/pass", "pred GF/s"
-            );
-            for row in rows {
-                let get_u = |k: &str| match row.get(k) {
-                    Some(Json::UInt(n)) => *n,
-                    _ => 0,
-                };
-                let pred = match row.get("predicted_gflops") {
-                    Some(Json::Num(x)) => *x,
-                    _ => f64::NAN,
-                };
-                let name = match row.get("kernel") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => String::new(),
-                };
-                let digest = match row.get("digest") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => String::new(),
-                };
-                println!(
-                    "  {:<16} {:>9} {:>12} {:>12} {:>10.3}  {}",
-                    name,
-                    get_u("size"),
-                    get_u("working_set_bytes"),
-                    get_u("flops_per_pass"),
-                    pred,
-                    digest,
-                );
-            }
-        }
-        if let Json::Obj(fields) = &mut report {
-            fields.push(("kernel_roofline".into(), section));
-        }
-    }
-
-    if database {
-        let section = columbia_bench::database::database_storm_section();
-        println!();
-        println!("database-server storms (deterministic: counters, response digests):");
-        for storm in ["cold", "hot"] {
-            let stat = |k: &str| match section
-                .get(storm)
-                .and_then(|s| s.get("stats"))
-                .and_then(|s| s.get(k))
-            {
-                Some(Json::UInt(n)) => *n,
-                _ => 0,
-            };
-            let digest = match section.get(storm).and_then(|s| s.get("digest")) {
-                Some(Json::Str(s)) => s.clone(),
-                _ => String::new(),
-            };
-            println!(
-                "  {storm:<5}: {:>6} queries, {:>6} cache hits, {:>6} dedup hits, digest {digest}",
-                stat("queries"),
-                stat("cache_hits"),
-                stat("dedup_hits"),
-            );
-        }
-        if let Some(Json::Arr(rounds)) = section.get("refinement").and_then(|r| r.get("rounds")) {
-            println!(
-                "  refinement loop: {} round(s) to a hole-free table",
-                rounds.len()
-            );
-        }
-        if let Json::Obj(fields) = &mut report {
-            fields.push(("database_storm".into(), section));
-        }
-    }
-
-    if let Some(path) = json_path {
-        std::fs::write(&path, report.render_pretty()).expect("write report");
+    if let Some(path) = opts.value("--json") {
+        std::fs::write(path, report.render_pretty()).expect("write report");
         println!("wrote {path}");
     }
 }

@@ -1,13 +1,15 @@
-//! Database-server storm benchmark: seeded query storms against a filled
+//! Database-server storms: seeded query storms against a filled
 //! aero-database served by `columbia_core::server::DatabaseServer`, with a
 //! closed refinement loop over an injected-hole table.
 //!
-//! Everything in [`database_storm_section`] is deterministic — synthetic
+//! Everything in [`database_storm`] is deterministic — synthetic
 //! tables, seeded storms, typed policies resolved without the environment —
-//! so the section is byte-identical across runs and machines; that is the
-//! `bench_database --stable` CI smoke check. Wall-clock throughput lives
-//! only in the measured section of the `bench_database` binary.
+//! so the section is byte-identical across runs and machines (CI's
+//! `scaling_report --database` double run). Wall-clock throughput of the
+//! same table and storms is `bench_e2e`'s `db_serve_hot`/`db_serve_cold`.
 
+use crate::sections::{Opts, Rendered};
+use crate::table::line;
 use columbia_core::{
     digest_responses, AeroDatabase, CaseStatus, DatabaseEntry, DatabaseServer, Fallback,
     LookupError, Query, Response, ServePolicy,
@@ -214,8 +216,8 @@ fn stats_json(server: &DatabaseServer) -> Json {
 /// analytic truth stands in for a converged [`columbia_core::DatabaseFill`]
 /// re-run; every third node fails its first re-run to exercise re-queue),
 /// repeated until the table is hole-free and the storm digest matches the
-/// clean table's answers for the same stream.
-pub fn database_storm_section() -> Json {
+/// clean table's answers for the same stream. This is `--database`.
+pub fn database_storm(_: &Opts) -> Rendered {
     let entries = synthetic_entries();
     let db = AeroDatabase::from_entries(&entries).expect("synthetic fill is clean");
     let n = STORM_BATCHES * BATCH_LEN;
@@ -283,7 +285,8 @@ pub fn database_storm_section() -> Json {
         "refined table must answer exactly like a never-holed one"
     );
 
-    Json::obj([
+    let nrounds = rounds.len();
+    let json = Json::obj([
         (
             "grid",
             Json::arr([DB_SHAPE.0, DB_SHAPE.1, DB_SHAPE.2].map(|x| Json::UInt(x as u64))),
@@ -321,7 +324,19 @@ pub fn database_storm_section() -> Json {
                 ("stats", stats_json(&server)),
             ]),
         ),
-    ])
+    ]);
+    let mut text =
+        String::from("database-server storms (deterministic: counters, response digests):\n");
+    for storm in ["cold", "hot"] {
+        text += &format!("  {storm:<5}: ");
+        text += &line(
+            "{stats.queries:>6} queries, {stats.cache_hits:>6} cache hits, \
+             {stats.dedup_hits:>6} dedup hits, digest {digest}\n",
+            json.get(storm).expect("storm section present"),
+        );
+    }
+    text += &format!("  refinement loop: {nrounds} round(s) to a hole-free table\n");
+    Rendered { json, text }
 }
 
 #[cfg(test)]
@@ -330,8 +345,8 @@ mod tests {
 
     #[test]
     fn storm_section_is_deterministic_and_converges() {
-        let a = database_storm_section().render_pretty();
-        let b = database_storm_section().render_pretty();
+        let a = database_storm(&Opts::default()).json.render_pretty();
+        let b = database_storm(&Opts::default()).json.render_pretty();
         assert_eq!(a, b, "storm section must be byte-stable");
         assert!(a.contains("matches_clean_table"));
     }

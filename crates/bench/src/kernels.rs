@@ -1,5 +1,5 @@
-//! Shared infrastructure for the kernel microbenchmarks: the SoA/SIMD
-//! batch kernels of `columbia_linalg::soa` against their scalar
+//! Input sets and runners for the `--kernels` roofline section: the
+//! SoA/SIMD batch kernels of `columbia_linalg::soa` against their scalar
 //! references, at several working-set sizes spanning the
 //! `columbia-machine` cache model's L3 crossover.
 //!
@@ -12,25 +12,19 @@
 //! * **rk_axpy** — 5-wide state AXPY, the Cart3D Runge-Kutta stage
 //!   update (`EulerLevel::apply_stage`);
 //! * **resident_sweep6** — full `RansLevel::smooth_sweep` passes on a
-//!   wing mesh, plane-resident state against a convert-at-boundary
-//!   baseline that round-trips `u` through AoS around every sweep (the
-//!   storage layout the plane-resident migration replaced). Here the
-//!   "scalar" column is the conversion baseline and "simd" is the
-//!   resident path; both run the same batched kernels, so the speedup
-//!   isolates the storage layout.
+//!   wing mesh with plane-resident state.
 //!
 //! Every scalar/batch runner pair is bit-identical by construction (the
 //! batch kernels replay the scalar operation order per lane), so the
-//! deterministic section of `bench_kernels` pins FNV digests of both
-//! outputs and asserts they match; wall-clock comparisons ride in the
-//! `measured` section on exactly the same data.
+//! section pins FNV digests of both outputs and asserts they match. How
+//! fast the kernels run in the solvers is `bench_e2e`'s business.
 
-use columbia_linalg::soa::{vec_batch_zero, SoaStates};
+use columbia_linalg::soa::vec_batch_zero;
 use columbia_linalg::{flops, BlockBatch, BlockMat, BlockTridiag, TridiagBatch, LANES};
 use columbia_machine::MachineConfig;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_rans::level::SolverParams;
-use columbia_rans::state::{State, NVARS};
+use columbia_rans::state::NVARS;
 use columbia_rans::RansLevel;
 use columbia_rt::env::KernelKind;
 use columbia_rt::{derive_seed, Pcg32};
@@ -54,14 +48,9 @@ pub const AXPY_SIZES: [usize; 3] = [4096, 65536, 1_048_576];
 
 /// FNV-1a over the raw bits of a state array; the parity digest.
 pub fn digest_states<const N: usize>(xs: &[[f64; N]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for row in xs {
-        for &v in row {
-            h ^= v.to_bits();
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    xs.iter().flatten().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Roofline-predicted sustained GFLOP/s of one Columbia CPU at the given
@@ -141,11 +130,6 @@ pub fn point_lu_simd(set: &PointSet, out: &mut [[f64; NB]]) {
         }
         c += nl;
     }
-}
-
-/// Nominal FLOPs per pass over `n` points (factorise + solve each).
-pub fn point_lu_pass_flops(n: usize) -> u64 {
-    n as u64 * (flops::lu_flops(NB as u64) + flops::solve_flops(NB as u64))
 }
 
 // ---------------------------------------------------------------------------
@@ -266,18 +250,10 @@ pub fn line_tridiag_simd(
     }
 }
 
-/// Digest of a per-line solution set.
+/// Digest of a per-line solution set: [`digest_states`] of the lines laid
+/// end to end.
 pub fn digest_lines(out: &[Vec<[f64; NB]>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for line in out {
-        for row in line {
-            for &v in row {
-                h ^= v.to_bits();
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+    digest_states(&out.concat())
 }
 
 // ---------------------------------------------------------------------------
@@ -323,11 +299,6 @@ pub fn axpy_simd(a: f64, x: &[[f64; NVARS5]], y: &mut [[f64; NVARS5]]) {
     columbia_linalg::vecops::axpy(a, x, y);
 }
 
-/// Nominal FLOPs per pass over `n` cells.
-pub fn axpy_pass_flops(n: usize) -> u64 {
-    flops::axpy_flops((n * NVARS5) as u64)
-}
-
 // ---------------------------------------------------------------------------
 // resident_sweep6
 // ---------------------------------------------------------------------------
@@ -336,12 +307,11 @@ pub fn axpy_pass_flops(n: usize) -> u64 {
 /// size and one at the paper's per-CPU working set (~100k vertices,
 /// tens of MB of level state — well past the L3 crossover).
 pub const SWEEP_POINTS: [usize; 2] = [8_000, 100_000];
-/// Smoothing sweeps per timed pass.
+/// Smoothing sweeps per pass.
 pub const SWEEP_PASSES: usize = 2;
 
 /// A freshly initialised RANS level on the jitter-free wing mesh, batched
-/// kernel path. Both sweep variants run on levels built exactly like
-/// this, so the comparison isolates the storage layout.
+/// kernel path.
 pub fn sweep_level(target_points: usize) -> RansLevel {
     let mesh = wing_mesh(&WingMeshSpec {
         jitter: 0.0,
@@ -357,8 +327,8 @@ pub fn sweep_level(target_points: usize) -> RansLevel {
     lvl
 }
 
-/// Rewind a level to its post-construction state so every timed pass
-/// starts from identical inputs (and identical FP history).
+/// Rewind a level to its post-construction state so every pass starts
+/// from identical inputs (and identical FP history).
 pub fn sweep_reset(lvl: &mut RansLevel) {
     let fs = lvl.fs;
     lvl.u.fill_with(&fs);
@@ -372,31 +342,6 @@ pub fn sweep_reset(lvl: &mut RansLevel) {
 pub fn sweep_resident(lvl: &mut RansLevel) {
     for _ in 0..SWEEP_PASSES {
         lvl.smooth_sweep();
-    }
-}
-
-/// Convert-at-boundary baseline: the pre-migration layout kept solver
-/// state in AoS between phases, so every batched kernel and every ghost
-/// exchange converted on entry and exit. Modelled here by round-tripping
-/// `u`, the gradients and the residual through AoS buffers at each phase
-/// boundary of the sweep — the same sweeps (round-trips are bit-exact),
-/// plus the conversion tax the resident layout removed.
-pub fn sweep_convert_at_boundary(
-    lvl: &mut RansLevel,
-    u_aos: &mut Vec<State>,
-    res_aos: &mut Vec<State>,
-) {
-    for _ in 0..SWEEP_PASSES {
-        lvl.u = SoaStates::from_aos(u_aos);
-        lvl.compute_residual();
-        let grad_aos = lvl.grad_mut().to_aos();
-        *lvl.grad_mut() = SoaStates::from_aos(&grad_aos);
-        *res_aos = lvl.res.to_aos();
-        lvl.res = SoaStates::from_aos(res_aos);
-        lvl.assemble_diagonal();
-        lvl.solve_implicit();
-        *u_aos = lvl.u.to_aos();
-        *res_aos = lvl.res.to_aos();
     }
 }
 
@@ -433,7 +378,8 @@ mod tests {
             point_lu_simd(&set, &mut b);
             let fb = flops::take();
             assert_eq!(digest_states(&a), digest_states(&b));
-            assert_eq!(fa, point_lu_pass_flops(n));
+            let nominal = flops::lu_flops(NB as u64) + flops::solve_flops(NB as u64);
+            assert_eq!(fa, n as u64 * nominal);
             // The batch counts padding lanes in the final partial batch.
             assert!(fb >= fa, "{fb} < {fa}");
         }
@@ -460,21 +406,6 @@ mod tests {
         axpy_scalar(0.37, &set.x, &mut a);
         axpy_simd(0.37, &set.x, &mut b);
         assert_eq!(digest_states(&a), digest_states(&b));
-    }
-
-    #[test]
-    fn sweep_variants_are_bit_identical() {
-        let mut lvl = sweep_level(900);
-        sweep_reset(&mut lvl);
-        sweep_resident(&mut lvl);
-        let resident_u = digest_states(&lvl.u.to_aos());
-        let resident_res = digest_states(&lvl.res.to_aos());
-        sweep_reset(&mut lvl);
-        let mut u_aos = lvl.u.to_aos();
-        let mut res_aos = lvl.res.to_aos();
-        sweep_convert_at_boundary(&mut lvl, &mut u_aos, &mut res_aos);
-        assert_eq!(resident_u, digest_states(&u_aos));
-        assert_eq!(resident_res, digest_states(&res_aos));
     }
 
     #[test]

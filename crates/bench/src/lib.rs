@@ -1,9 +1,14 @@
-//! Shared infrastructure for the figure-regeneration binaries.
+//! The reporting half of the repo's one measurement path: `bench_e2e`
+//! (root package of its own) times, `scaling_report` — this crate's only
+//! binary — reports.
 //!
-//! Each `fig*` binary regenerates one figure of the paper's evaluation
-//! section: it prints the same series the figure plots, a `paper:` row of
-//! the published values where the paper states them, and (where relevant)
-//! the shape checks EXPERIMENTS.md tracks.
+//! Every table the paper's evaluation section plots is a *section* of
+//! `scaling_report`, one entry of [`sections::SECTIONS`]: positional names
+//! (`fig14a` … `fig22`, `headline_metrics`, `ablation_*`) regenerate one
+//! figure each, the `--paper-scale/--fabric/--kernels/--database` flags
+//! append a deterministic section to the base report. A section builds its
+//! JSON once, renders its text from it through [`table::rows`], and `main`
+//! prints; `--json PATH` writes everything that was rendered.
 //!
 //! Workload profiles come in two flavours selected on the command line:
 //!
@@ -16,18 +21,16 @@
 //!   paper size.
 
 pub mod database;
+pub mod figures;
 pub mod kernels;
 pub mod report;
+pub mod sections;
+pub mod table;
 
 use columbia_machine::{paper_cart3d_25m, paper_nsu3d_72m, CycleProfile};
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::{RansSolver, SolverParams};
-
-/// Parse the common `--measured` flag.
-pub fn use_measured() -> bool {
-    std::env::args().any(|a| a == "--measured")
-}
 
 /// The NSU3D-style workload profile.
 pub fn nsu3d_profile(measured: bool) -> CycleProfile {
@@ -56,29 +59,35 @@ pub fn nsu3d_profile(measured: bool) -> CycleProfile {
     )
 }
 
-/// The Cart3D-style workload profile.
-pub fn cart3d_profile(measured: bool) -> CycleProfile {
-    if !measured {
-        return paper_cart3d_25m();
-    }
-    use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, TriMesh};
-    use columbia_euler::{EulerParams, EulerSolver};
-    use columbia_sfc::CurveKind;
+/// The adapted octree (levels 4-6) around the small body of revolution
+/// the measured Cart3D profile and the SFC ablation both mesh.
+pub fn cart3d_body_octree() -> (columbia_cartesian::Octree, columbia_cartesian::Geometry) {
+    use columbia_cartesian::{build_octree, CutCellConfig, Geometry, TriMesh};
     let prof: Vec<(f64, f64)> = (0..=14)
         .map(|i| {
             let t = std::f64::consts::PI * i as f64 / 14.0;
             (-0.3 * t.cos(), 0.3 * t.sin())
         })
         .collect();
-    let geom = columbia_cartesian::Geometry::new(&[TriMesh::body_of_revolution(&prof, 16)]);
+    let geom = Geometry::new(&[TriMesh::body_of_revolution(&prof, 16)]);
     let config = CutCellConfig {
         min_level: 4,
         max_level: 6,
         origin: columbia_mesh::Vec3::new(-1.0, -1.0, -1.0),
         size: 2.0,
     };
-    let tree = build_octree(&geom, &config);
-    let mesh = extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1);
+    (build_octree(&geom, &config), geom)
+}
+
+/// The Cart3D-style workload profile.
+pub fn cart3d_profile(measured: bool) -> CycleProfile {
+    if !measured {
+        return paper_cart3d_25m();
+    }
+    use columbia_euler::{EulerParams, EulerSolver};
+    let (tree, geom) = cart3d_body_octree();
+    let mesh =
+        columbia_cartesian::extract_mesh(&tree, &geom, columbia_sfc::CurveKind::Hilbert, 0.1);
     let mut solver = EulerSolver::new(mesh, EulerParams::default());
     solver.solve(&CycleParams::default(), 0.0, 2);
     columbia_euler::measure_profile(
@@ -91,35 +100,10 @@ pub fn cart3d_profile(measured: bool) -> CycleProfile {
     )
 }
 
-/// Print the standard NUMAlink-vs-InfiniBand x 1-2-OMP-threads speedup
-/// table for one multigrid truncation of a profile (the common layout of
-/// Figures 16, 17 and 18).
-pub fn fabric_comparison_table(profile: &CycleProfile, cpu_counts: &[usize]) {
-    use columbia_core::PerformanceStudy;
-    use columbia_machine::{Fabric, RunConfig};
-    let study = PerformanceStudy::new(profile.clone(), cpu_counts);
-    let rows = vec![
-        study.series("NUMAlink: 1 OMP thread", |n| {
-            RunConfig::mpi(n, Fabric::NumaLink4)
-        }),
-        study.series("NUMAlink: 2 OMP threads", |n| {
-            RunConfig::hybrid(n, Fabric::NumaLink4, 2)
-        }),
-        study.series("InfiniBand: 1 OMP thread", |n| {
-            RunConfig::mpi(n, Fabric::InfiniBand)
-        }),
-        study.series("InfiniBand: 2 OMP threads", |n| {
-            RunConfig::hybrid(n, Fabric::InfiniBand, 2)
-        }),
-    ];
-    print!("{}", PerformanceStudy::format_table(&rows, cpu_counts));
-}
-
-/// Print a standard figure header.
-pub fn header(fig: &str, what: &str) {
-    println!("==========================================================================");
-    println!("{fig} — {what}");
-    println!("==========================================================================");
+/// A standard figure header.
+pub fn header(fig: &str, what: &str) -> String {
+    let bar = "=".repeat(74);
+    format!("{bar}\n{fig} — {what}\n{bar}\n")
 }
 
 #[cfg(test)]

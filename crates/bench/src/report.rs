@@ -1,8 +1,8 @@
 //! Deterministic scaling reports: the paper's per-level breakdown tables
 //! as machine-checkable JSON.
 //!
-//! Three sections, mirroring how the paper argues (Tables 3-5, Figures
-//! 16-19):
+//! The base report has three parts, mirroring how the paper argues
+//! (Tables 3-5, Figures 16-19):
 //!
 //! * **model** — [`simulate_cycle`] per-level compute/comm breakdowns over
 //!   the requested CPU counts; the coarse-grid communication wall shows up
@@ -13,11 +13,18 @@
 //!   solver: per-level message attribution from [`RankTrace`] ledgers and
 //!   chaos (fault-injection) overhead against the clean control arm.
 //!
+//! The `--paper-scale`, `--fabric`, `--kernels` and `--database` sections
+//! ([`paper_scale_section`], [`fabric_contention_section`],
+//! [`kernel_roofline`], [`crate::database::database_storm`]) append to it.
+//!
 //! Determinism contract: every number in the report derives from either a
 //! pure machine-model function or a monotone event counter (plus integer
 //! ratios thereof), so two runs with the same seed render *byte-identical*
-//! JSON. This is asserted by `tests/trace_report.rs`.
+//! JSON. This is asserted by `tests/trace_report.rs`. Wall-clock numbers
+//! live in `bench_e2e` only.
 
+use crate::sections::{Opts, Rendered};
+use crate::table::{line, rows};
 use columbia_comm::workload::HaloWorkload;
 use columbia_comm::{flows_from_traces, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
 use columbia_machine::{
@@ -167,6 +174,14 @@ fn aggregate_levels(traces: &[RankTrace]) -> BTreeMap<usize, (u64, u64)> {
     agg
 }
 
+fn level_row(level: usize, msgs: u64, bytes: u64) -> Json {
+    Json::obj([
+        ("level", Json::UInt(level as u64)),
+        ("sends", Json::UInt(msgs)),
+        ("send_bytes", Json::UInt(bytes)),
+    ])
+}
+
 /// Per-level message attribution measured from a real traced multigrid
 /// solve: the runtime counterpart of the model's per-level table.
 pub fn measured_levels_section(spec: &MeasuredSpec) -> Json {
@@ -181,15 +196,12 @@ pub fn measured_levels_section(spec: &MeasuredSpec) -> Json {
     let agg = aggregate_levels(&traces);
     let total_msgs: u64 = agg.values().map(|&(m, _)| m).sum();
     let levels = Json::arr(agg.iter().map(|(&l, &(msgs, bytes))| {
-        Json::obj([
-            ("level", Json::UInt(l as u64)),
-            ("sends", Json::UInt(msgs)),
-            ("send_bytes", Json::UInt(bytes)),
-            (
-                "msg_fraction",
-                Json::Num(msgs as f64 / total_msgs.max(1) as f64),
-            ),
-        ])
+        let mut row = level_row(l, msgs, bytes);
+        row.set(
+            "msg_fraction",
+            Json::Num(msgs as f64 / total_msgs.max(1) as f64),
+        );
+        row
     }));
     Json::obj([
         ("ranks", Json::UInt(spec.nparts as u64)),
@@ -256,15 +268,15 @@ pub const FABRIC_RANK_COUNTS: [usize; 4] = [2, 4, 8, 16];
 /// `analytic_ib_slowdown` from 8 ranks on: queueing on the shared
 /// HCA-pool uplinks, not a fitted curve. Every number derives from the
 /// deterministic simulator over deterministic traces, so the section is
-/// byte-stable across runs.
-pub fn fabric_contention_section(rank_counts: &[usize]) -> Json {
+/// byte-stable across runs. This is `--fabric` at [`FABRIC_RANK_COUNTS`].
+pub fn fabric_contention_section(rank_counts: &[usize]) -> Rendered {
     let spec = HaloWorkload {
         points_per_rank: 64,
         levels: 3,
         cycles: 2,
     };
     let ctx = ExecContext::default().with_executor(Executor::Events);
-    Json::arr(rank_counts.iter().map(|&n| {
+    let json = Json::arr(rank_counts.iter().map(|&n| {
         let report = spec.run(n, &ctx);
         let flows = flows_from_traces(&report.traces);
         let nodes = if n >= 2 { 2 } else { 1 };
@@ -312,7 +324,16 @@ pub fn fabric_contention_section(rank_counts: &[usize]) -> Json {
                 ]),
             ),
         ])
-    }))
+    }));
+    let text =
+        String::from("contended fabric replay (traced halo traffic, round-robin arbiter):\n")
+            + &rows(
+                "  {ranks:>3} ranks: IB {infiniband.contended_s:>9.1*1e6}us vs NL \
+                 {numalink.contended_s:>8.1*1e6}us -> slowdown {ib_slowdown:>5.2}x \
+                 (analytic {analytic_ib_slowdown:>4.2}x)",
+                &json,
+            );
+    Rendered { json, text }
 }
 
 /// World sizes of the paper-scale section: the fig14–fig22 rank counts
@@ -325,20 +346,14 @@ pub const PAPER_WORLD_SIZES: [usize; 3] = [512, 1024, 2016];
 /// barriers, per-level attribution) with one cooperative task per rank.
 /// Residual bits are recorded verbatim, so the section doubles as a
 /// cross-run (and cross-executor) bit-identity pin inside the report
-/// artifact itself.
-pub fn paper_scale_section(sizes: &[usize]) -> Json {
+/// artifact itself. This is `--paper-scale` at [`PAPER_WORLD_SIZES`].
+pub fn paper_scale_section(sizes: &[usize]) -> Rendered {
     let spec = HaloWorkload::paper_default();
     let ctx = ExecContext::default().with_executor(Executor::Events);
-    Json::arr(sizes.iter().map(|&n| {
+    let json = Json::arr(sizes.iter().map(|&n| {
         let report = spec.run(n, &ctx);
         let agg = aggregate_levels(&report.traces);
-        let levels = Json::arr(agg.iter().map(|(&l, &(msgs, bytes))| {
-            Json::obj([
-                ("level", Json::UInt(l as u64)),
-                ("sends", Json::UInt(msgs)),
-                ("send_bytes", Json::UInt(bytes)),
-            ])
-        }));
+        let levels = Json::arr(agg.iter().map(|(&l, &(m, b))| level_row(l, m, b)));
         Json::obj([
             ("ranks", Json::UInt(n as u64)),
             ("executor", Json::Str("events".into())),
@@ -357,27 +372,29 @@ pub fn paper_scale_section(sizes: &[usize]) -> Json {
             ("max_degree", Json::UInt(report.summary.max_degree as u64)),
             ("levels", levels),
         ])
-    }))
+    }));
+    let text = String::from("paper-scale worlds (event executor, real rank programs):\n")
+        + &rows(
+            "  {ranks:>5} ranks: {total_bytes:>9} payload bytes, {cycles} cycles, \
+             max degree {max_degree}",
+            &json,
+        );
+    Rendered { json, text }
 }
 
-/// Assemble the full scaling report.
-///
-/// `mode` is recorded in the header: [`ClockMode::Logical`] is the
-/// byte-reproducible test mode; [`ClockMode::Wall`] marks a report whose
-/// traced runs also carried wall-clock spans (not byte-comparable).
 /// Deterministic kernel-roofline section: one pass of each SoA/SIMD
 /// kernel at each working-set size, reporting software FLOP counts,
 /// parity digests (scalar and batch outputs — equal by construction),
 /// and the machine model's roofline-predicted sustained GFLOP/s. No
 /// wall-clock numbers, so the section is byte-stable across runs; the
-/// achieved-rate comparison lives in `bench_kernels`.
-pub fn kernel_roofline_section() -> Json {
+/// achieved rate is `bench_e2e`'s `linalg.gflops` row. This is `--kernels`.
+pub fn kernel_roofline(_: &Opts) -> Rendered {
     use crate::kernels::{self, LINE_LEN, NB};
     use columbia_linalg::{flops, BlockTridiag, TridiagBatch};
     let seed = 0xC01D_B10C;
-    let mut rows = Vec::new();
+    let mut data = Vec::new();
     let mut push = |kernel: &str, size: usize, ws: u64, fl: u64, digest: u64| {
-        rows.push(Json::obj([
+        data.push(Json::obj([
             ("kernel", Json::Str(kernel.into())),
             ("size", Json::UInt(size as u64)),
             ("working_set_bytes", Json::UInt(ws)),
@@ -398,14 +415,9 @@ pub fn kernel_roofline_section() -> Json {
         let fl = flops::take();
         kernels::point_lu_simd(&set, &mut b);
         flops::take();
-        assert_eq!(kernels::digest_states(&a), kernels::digest_states(&b));
-        push(
-            "point_lu6",
-            n,
-            set.working_set_bytes(),
-            fl,
-            kernels::digest_states(&a),
-        );
+        let digest = kernels::digest_states(&a);
+        assert_eq!(digest, kernels::digest_states(&b));
+        push("point_lu6", n, set.working_set_bytes(), fl, digest);
     }
     for &nlines in &kernels::LINE_COUNTS {
         let set = kernels::line_set(nlines, seed);
@@ -418,14 +430,9 @@ pub fn kernel_roofline_section() -> Json {
         let fl = flops::take();
         kernels::line_tridiag_simd(&set, &mut bc, &mut b);
         flops::take();
-        assert_eq!(kernels::digest_lines(&a), kernels::digest_lines(&b));
-        push(
-            "line_tridiag6",
-            nlines,
-            set.working_set_bytes(),
-            fl,
-            kernels::digest_lines(&a),
-        );
+        let digest = kernels::digest_lines(&a);
+        assert_eq!(digest, kernels::digest_lines(&b));
+        push("line_tridiag6", nlines, set.working_set_bytes(), fl, digest);
     }
     for &n in &kernels::AXPY_SIZES {
         let set = kernels::axpy_set(n, seed);
@@ -436,14 +443,9 @@ pub fn kernel_roofline_section() -> Json {
         let fl = flops::take();
         kernels::axpy_simd(0.37, &set.x, &mut b);
         flops::take();
-        assert_eq!(kernels::digest_states(&a), kernels::digest_states(&b));
-        push(
-            "rk_axpy",
-            n,
-            set.working_set_bytes(),
-            fl,
-            kernels::digest_states(&a),
-        );
+        let digest = kernels::digest_states(&a);
+        assert_eq!(digest, kernels::digest_states(&b));
+        push("rk_axpy", n, set.working_set_bytes(), fl, digest);
     }
     for &target in &kernels::SWEEP_POINTS {
         let mut lvl = kernels::sweep_level(target);
@@ -451,18 +453,28 @@ pub fn kernel_roofline_section() -> Json {
         let ws = kernels::sweep_working_set_bytes(&lvl);
         let fl = kernels::sweep_pass_flops(&mut lvl);
         let digest = kernels::digest_states(&lvl.u.to_aos());
-        // Replay the convert-at-boundary baseline from the same reset
-        // state: the layouts must land on identical bits.
-        kernels::sweep_reset(&mut lvl);
-        let mut u_aos = lvl.u.to_aos();
-        let mut res_aos = lvl.res.to_aos();
-        kernels::sweep_convert_at_boundary(&mut lvl, &mut u_aos, &mut res_aos);
-        assert_eq!(digest, kernels::digest_states(&u_aos));
         push("resident_sweep6", n, ws, fl, digest);
     }
-    Json::Arr(rows)
+    let json = Json::Arr(data);
+    let text = String::from(
+        "kernel roofline (deterministic: flops, parity digests, predicted rate):\n  \
+         kernel                size     ws_bytes   flops/pass  pred GF/s  digest\n",
+    ) + &rows(
+        "  {kernel:<16} {size:>9} {working_set_bytes:>12} {flops_per_pass:>12} \
+         {predicted_gflops:>10.3}  {digest}",
+        &json,
+    );
+    Rendered { json, text }
 }
 
+/// Schema tag every `--json` report opens with.
+pub const SCHEMA: &str = "columbia-scaling-report/1";
+
+/// Assemble the base scaling report.
+///
+/// `mode` is recorded in the header: [`ClockMode::Logical`] is the
+/// byte-reproducible test mode; [`ClockMode::Wall`] marks a report whose
+/// traced runs also carried wall-clock spans (not byte-comparable).
 pub fn scaling_report(
     profile: &CycleProfile,
     machine: &MachineConfig,
@@ -471,7 +483,7 @@ pub fn scaling_report(
     mode: ClockMode,
 ) -> Json {
     Json::obj([
-        ("schema", Json::Str("columbia-scaling-report/1".into())),
+        ("schema", Json::Str(SCHEMA.into())),
         ("clock", Json::Str(mode.label().into())),
         ("profile", Json::Str(profile.name.clone())),
         (
@@ -492,51 +504,51 @@ pub fn per_level_table(report: &Json) -> String {
         Some(Json::Arr(rows)) => rows,
         _ => return String::from("(no model section)\n"),
     };
-    let nlev = rows
-        .iter()
-        .filter_map(|r| match r.get("levels") {
-            Some(Json::Arr(ls)) => Some(ls.len()),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut out = String::new();
-    out.push_str(&format!("{:>6}  {:>9}  {:>7}", "CPUs", "cycle(s)", "comm%"));
+    fn levels(r: &Json) -> &[Json] {
+        match r.get("levels") {
+            Some(Json::Arr(ls)) => ls,
+            _ => &[],
+        }
+    }
+    let nlev = rows.iter().map(|r| levels(r).len()).max().unwrap_or(0);
+    let mut out = format!("{:>6}  {:>9}  {:>7}", "CPUs", "cycle(s)", "comm%");
     for l in 0..nlev {
-        out.push_str(&format!("  {:>7}", format!("L{l}%")));
+        out += &format!("  {:>7}", format!("L{l}%"));
     }
     out.push('\n');
-    let pct = |j: Option<&Json>| match j {
-        Some(Json::Num(x)) => format!("{:.1}", 100.0 * x),
-        _ => String::from("-"),
-    };
     for r in rows {
-        let ncpus = match r.get("ncpus") {
-            Some(Json::UInt(n)) => *n,
-            _ => continue,
-        };
-        if let Some(Json::Str(e)) = r.get("error") {
-            out.push_str(&format!("{ncpus:>6}  infeasible: {e}\n"));
+        if r.get("error").is_some() {
+            out += &line("{ncpus:>6}  infeasible: {error}\n", r);
             continue;
         }
-        let secs = match r.get("seconds") {
-            Some(Json::Num(s)) => format!("{s:.3}"),
-            _ => String::from("-"),
-        };
-        out.push_str(&format!(
-            "{:>6}  {:>9}  {:>7}",
-            ncpus,
-            secs,
-            pct(r.get("comm_fraction"))
-        ));
-        if let Some(Json::Arr(levels)) = r.get("levels") {
-            for lv in levels {
-                out.push_str(&format!("  {:>7}", pct(lv.get("comm_fraction"))));
-            }
+        out += &line("{ncpus:>6}  {seconds:>9.3}  {comm_fraction:>7.1*100}", r);
+        for lv in levels(r) {
+            out += &line("  {comm_fraction:>7.1*100}", lv);
         }
         out.push('\n');
     }
     out
+}
+
+/// The base report: model and fabric breakdowns over the NSU3D CPU counts
+/// plus the traced-runtime sections at [`MeasuredSpec::default`].
+pub fn base_report(o: &Opts) -> Rendered {
+    let profile = crate::nsu3d_profile(o.flag("--measured"));
+    let json = scaling_report(
+        &profile,
+        &MachineConfig::columbia_vortex(),
+        &columbia_machine::NSU3D_CPU_COUNTS,
+        &MeasuredSpec::default(),
+        ClockMode::Logical,
+    );
+    let text = crate::header(
+        "scaling report",
+        "per-level comm fractions, fabric comparison, chaos overhead",
+    ) + &format!("profile: {}\n\n", profile.name)
+        + &per_level_table(&json)
+        + "\nshape check: coarse-level comm fraction grows monotonically with CPUs \
+           (the paper's coarse-grid communication wall)\n";
+    Rendered { json, text }
 }
 
 #[cfg(test)]
@@ -601,8 +613,8 @@ mod tests {
         // Small world sizes: the section's *shape* and byte-stability are
         // what's pinned here; the real 512/1024/2016 runs happen in CI's
         // scaling-report artifact and the paper_scale test.
-        let a = paper_scale_section(&[4, 9]);
-        let b = paper_scale_section(&[4, 9]);
+        let a = paper_scale_section(&[4, 9]).json;
+        let b = paper_scale_section(&[4, 9]).json;
         assert_eq!(a.render(), b.render(), "section must be byte-stable");
         let rows = match &a {
             Json::Arr(rows) => rows,
@@ -625,8 +637,8 @@ mod tests {
 
     #[test]
     fn fabric_contention_section_is_deterministic_and_emergent_at_8_ranks() {
-        let a = fabric_contention_section(&[2, 8]);
-        let b = fabric_contention_section(&[2, 8]);
+        let a = fabric_contention_section(&[2, 8]).json;
+        let b = fabric_contention_section(&[2, 8]).json;
         assert_eq!(a.render(), b.render(), "section must be byte-stable");
         let rows = match &a {
             Json::Arr(rows) => rows,

@@ -1,0 +1,90 @@
+//! The model-only sections of `scaling_report` render, byte for byte, what
+//! the per-figure binaries they replaced printed. The digests are FNV-1a
+//! over the stdout of `cargo run --bin figNN` (paper profile, no flags) at
+//! the last commit that had those binaries.
+
+use columbia_bench::sections::{section, Opts, SECTIONS};
+
+const STDOUT_DIGESTS: [(&str, u64); 10] = [
+    ("fig14b", 0x84352c637ce7b845),
+    ("fig15", 0x6a8bd25f53b4701d),
+    ("fig16", 0xda156cb1afe353df),
+    ("fig17", 0x616904fc36581b1f),
+    ("fig18", 0xeceea963b07724c4),
+    ("fig19", 0x2e2a0ca6b6b0fa53),
+    ("fig20", 0xf79b06b87dc9fe6d),
+    ("fig21", 0x6bf3eb0cfe1d65b3),
+    ("fig22", 0x83a7e5be4e1f8515),
+    ("headline_metrics", 0x9f9c32ce4f5a19dc),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn model_sections_render_the_retired_binaries_stdout() {
+    for (name, digest) in STDOUT_DIGESTS {
+        let rendered = (section(name).expect("section exists").run)(&Opts::default());
+        assert_eq!(
+            fnv1a(rendered.text.as_bytes()),
+            digest,
+            "{name} no longer renders its pinned text:\n{}",
+            rendered.text
+        );
+    }
+}
+
+#[test]
+fn every_retired_binary_name_is_a_section_with_a_unique_key() {
+    for name in [
+        "fig14a",
+        "fig14b",
+        "fig15",
+        "fig16",
+        "fig17",
+        "fig18",
+        "fig19",
+        "fig20",
+        "fig21",
+        "fig22",
+        "headline_metrics",
+        "ablation_cycles",
+        "ablation_lines",
+        "ablation_partition",
+        "ablation_rcm",
+        "ablation_sfc",
+        "--paper-scale",
+        "--fabric",
+        "--kernels",
+        "--database",
+    ] {
+        assert!(section(name).is_some(), "{name} is not a section");
+    }
+    let mut keys: Vec<&str> = SECTIONS.iter().map(|s| s.key).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), SECTIONS.len());
+}
+
+#[test]
+fn positional_arguments_skip_flags_and_their_values() {
+    let opts = Opts(
+        [
+            "fig16",
+            "--json",
+            "out.json",
+            "--measured",
+            "fig14a",
+            "--points",
+            "9",
+        ]
+        .map(String::from)
+        .to_vec(),
+    );
+    assert_eq!(opts.positional(), ["fig16", "fig14a"]);
+    assert_eq!(opts.value("--points"), Some("9"));
+    assert!(opts.flag("--measured") && !opts.flag("--fabric"));
+}

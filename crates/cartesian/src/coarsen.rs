@@ -157,7 +157,11 @@ pub fn coarsen_mesh(fine: &CartMesh) -> Coarsening {
         b: u32::MAX,
         normal,
     }));
-    faces.sort_unstable_by_key(|f| (f.a, f.b));
+    // Hash-iteration order is arbitrary, so sort on a total key: the
+    // boundary faces of one cell all share `(a, u32::MAX)` and are told
+    // apart by their direction (normals are axis-aligned, so the summed
+    // normal still points along the direction it was accumulated under).
+    faces.sort_unstable_by_key(|f| (f.a, f.b, dominant_direction(f.normal)));
 
     let coarse = CartMesh {
         centers,
@@ -330,6 +334,27 @@ mod tests {
         assert_eq!(c2.coarse.ncells(), 8);
         let c3 = coarsen_mesh(&c2.coarse);
         assert_eq!(c3.coarse.ncells(), 1);
+    }
+
+    #[test]
+    fn coarsening_twice_gives_identical_face_lists() {
+        // Cells on the domain boundary carry up to three far-field faces
+        // that tie on `(a, u32::MAX)`; their order must not depend on
+        // hash-iteration order.
+        let m = sphere_mesh(5);
+        let a = coarsen_mesh(&m).coarse;
+        let b = coarsen_mesh(&m).coarse;
+        assert_eq!(a.faces.len(), b.faces.len());
+        for (i, (fa, fb)) in a.faces.iter().zip(&b.faces).enumerate() {
+            assert_eq!((fa.a, fa.b), (fb.a, fb.b), "face {i} endpoints");
+            for (x, y) in [
+                (fa.normal.x, fb.normal.x),
+                (fa.normal.y, fb.normal.y),
+                (fa.normal.z, fb.normal.z),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "face {i} normal");
+            }
+        }
     }
 
     #[test]

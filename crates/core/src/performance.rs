@@ -88,8 +88,8 @@ impl PerformanceStudy {
             .collect()
     }
 
-    /// Format a set of rows as an aligned text table (figure binaries
-    /// print these).
+    /// Format a set of rows as an aligned text table (the figure
+    /// sections of `scaling_report` print these).
     pub fn format_table(rows: &[StudyRow], cpu_counts: &[usize]) -> String {
         let mut s = String::new();
         s.push_str(&format!("{:<34}", "series \\ CPUs"));

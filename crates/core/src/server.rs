@@ -401,7 +401,7 @@ impl DatabaseServer {
     /// raw bit patterns — in a trajectory-dwell storm the overwhelming
     /// majority of queries resolve to one multiply-mix hash, one probe and
     /// a 64-byte copy, which is where the hot-storm throughput of
-    /// `bench_database` comes from.
+    /// `bench_e2e`'s `db_serve_hot` comes from.
     pub fn serve_batch(&mut self, queries: &[Query]) -> Vec<Result<Response, LookupError>> {
         let cap = (2 * queries.len().max(1)).next_power_of_two();
         if self.memo.len() < cap {
@@ -766,7 +766,7 @@ impl DatabaseServer {
 }
 
 /// FNV-1a over the raw bits of a response stream — the replay parity
-/// digest used by the server tests and `bench_database`.
+/// digest used by the server tests and `scaling_report --database`.
 pub fn digest_responses(responses: &[Result<Response, LookupError>]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |x: u64| {

@@ -3,7 +3,7 @@
 use crate::state::{flux, pressure, rusanov, spectral_radius, wall_flux, State5, GAMMA, NVARS5};
 use columbia_cartesian::CartMesh;
 use columbia_linalg::soa::{SoaStates, LANES};
-use columbia_rt::env::{self, KernelKind};
+use columbia_rt::env::KernelKind;
 
 /// Jameson-style five-stage Runge-Kutta coefficients.
 pub const RK5: [f64; 5] = [0.25, 1.0 / 6.0, 0.375, 0.5, 1.0];
@@ -48,10 +48,10 @@ pub struct EulerLevel {
     pub flops: u64,
     /// Ownership mask (ghosts are inactive in the parallel solver).
     pub active: Vec<bool>,
-    /// Dense-kernel path for the RK stage updates. Resolved from
-    /// `COLUMBIA_KERNELS` at construction (default [`KernelKind::Simd`]);
-    /// both paths are bit-identical (`tests/kernel_parity.rs`), the field
-    /// is public so harnesses can pin one explicitly.
+    /// Dense-kernel path for the RK stage updates, [`KernelKind::Simd`]
+    /// at construction; both paths are bit-identical
+    /// (`tests/kernel_parity.rs`), the field is public so harnesses can
+    /// pin one explicitly.
     pub kernel: KernelKind,
 }
 
@@ -74,7 +74,7 @@ impl EulerLevel {
             to_coarse: None,
             flops: 0,
             active: vec![true; n],
-            kernel: env::kernels().unwrap_or(KernelKind::Simd),
+            kernel: KernelKind::Simd,
             mesh,
         }
     }

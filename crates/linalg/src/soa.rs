@@ -34,7 +34,7 @@
 //! with exact `u64`-bit comparisons, which is what lets the solvers switch
 //! the default kernel path to the batched kernels while keeping every
 //! FNV-1a golden unchanged (the scalar path remains as the reference
-//! oracle behind `COLUMBIA_KERNELS=scalar`).
+//! oracle, selected in code with `KernelKind::Scalar`).
 //!
 //! # Singular lanes
 //!

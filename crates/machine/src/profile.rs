@@ -95,7 +95,7 @@ impl CycleProfile {
             .sum()
     }
 
-    /// Consistency checks used by tests and the figure binaries.
+    /// Consistency checks used by tests and the figure sections.
     pub fn validate(&self) -> Result<(), String> {
         if self.levels.is_empty() {
             return Err("no levels".into());

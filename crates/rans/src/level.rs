@@ -8,7 +8,7 @@
 //! physics (Rusanov fluxes, Jacobians) gathers the two endpoint blocks in
 //! component order — bit-identical to the historical AoS access — so every
 //! digest pinned against the AoS goldens still holds, on either kernel
-//! path (`COLUMBIA_KERNELS=scalar` keeps the one-block-at-a-time oracle by
+//! path (`KernelKind::Scalar` keeps the one-block-at-a-time oracle by
 //! materialising AoS views lazily per edge/vertex).
 
 use crate::flops::{self, FlopCounter};
@@ -19,7 +19,7 @@ use crate::state::{
 use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, VecBatch, LANES};
 use columbia_linalg::{BlockMat, BlockTridiag};
 use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
-use columbia_rt::env::{self, KernelKind};
+use columbia_rt::env::KernelKind;
 
 /// Edges per cache block of the plane-major Green-Gauss sweep: the
 /// gathered per-edge average-velocity and normal scratch (48 bytes/edge,
@@ -53,8 +53,8 @@ pub struct SolverParams {
     pub line_threshold: f64,
     /// Free-stream turbulence variable as a multiple of laminar viscosity.
     pub nu_t_inf_ratio: f64,
-    /// Dense-kernel path: `None` defers to `COLUMBIA_KERNELS`, falling
-    /// back to the lane-interleaved SIMD batches ([`KernelKind::Simd`]).
+    /// Dense-kernel path: `None` selects the lane-interleaved SIMD
+    /// batches ([`KernelKind::Simd`]).
     /// Both paths are bit-identical (pinned by `tests/kernel_parity.rs`);
     /// [`KernelKind::Scalar`] keeps the one-block-at-a-time oracle.
     pub kernel: Option<KernelKind>,
@@ -247,7 +247,7 @@ pub struct RansLevel {
     lamsum: Vec<f64>,
     tridiag: BlockTridiag<NVARS>,
     line_x: Vec<State>,
-    /// Resolved dense-kernel path (params override, else env, else SIMD).
+    /// Resolved dense-kernel path (params override, else SIMD).
     pub kernel: KernelKind,
     /// Line indices grouped by (length, index): equal-length lines are
     /// adjacent so the SIMD path can solve up to [`LANES`] of them in
@@ -322,10 +322,7 @@ impl RansLevel {
         let fs = params.freestream();
         let mut line_order: Vec<u32> = (0..lines.len() as u32).collect();
         line_order.sort_by_key(|&i| (lines[i as usize].len(), i));
-        let kernel = params
-            .kernel
-            .or_else(env::kernels)
-            .unwrap_or(KernelKind::Simd);
+        let kernel = params.kernel.unwrap_or(KernelKind::Simd);
         let mut u = SoaStates::zeros(n);
         u.fill_with(&fs);
         let mut restricted_u = SoaStates::zeros(n);

@@ -9,11 +9,9 @@
 //! | `COLUMBIA_FAULT_SEED`     | decimal or `0x`-hex u64  | `0xC01D_FA17`| CI fault matrix, `tests/fault_injection.rs`|
 //! | `COLUMBIA_FAULT_SEVERITY` | `mild` \| `severe`       | `mild`       | CI fault matrix, `tests/fault_injection.rs`|
 //! | `COLUMBIA_SLOW_TESTS`     | set and not `"0"` ⇒ on   | off          | 8-rank parity widths, paper-scale variants |
-//! | `COLUMBIA_BENCH_QUICK`    | set ⇒ on                 | off          | [`crate::bench`] CI smoke mode             |
 //! | `COLUMBIA_PT_REPLAY`      | decimal or `0x`-hex u64  | unset        | [`crate::props`] single-case replay        |
 //! | `COLUMBIA_EXECUTOR`       | `threads` \| `events`    | unset        | `run_world` backend (CI executor matrix)   |
 //! | `COLUMBIA_FABRIC`         | `analytic` \| `contention` | unset      | interconnect delivery model (CI fabric matrix) |
-//! | `COLUMBIA_KERNELS`        | `scalar` \| `simd`       | unset        | dense-kernel path over the plane-resident state (batched sweeps vs scalar oracle; storage layout unchanged) |
 //! | `COLUMBIA_DB_CACHE`       | decimal or `0x`-hex usize | unset       | database-server hot-region cache capacity (cells) |
 //! | `COLUMBIA_DB_FALLBACK`    | `strict` \| `nearest`    | unset        | database-server degraded-answer policy for quarantine holes |
 //! | `COLUMBIA_DB_REFINE`      | decimal or `0x`-hex usize | unset       | database-server refinement re-runs per pump     |
@@ -123,12 +121,6 @@ pub fn slow_tests() -> bool {
     parse_flag(std::env::var("COLUMBIA_SLOW_TESTS").ok().as_deref())
 }
 
-/// `COLUMBIA_BENCH_QUICK`: one short sample per benchmark (CI smoke mode;
-/// presence enables).
-pub fn bench_quick() -> bool {
-    std::env::var_os("COLUMBIA_BENCH_QUICK").is_some()
-}
-
 /// `COLUMBIA_PT_REPLAY`: replay one property-test case from this seed.
 pub fn pt_replay() -> Option<u64> {
     std::env::var("COLUMBIA_PT_REPLAY")
@@ -223,47 +215,20 @@ pub fn try_fabric() -> Result<Option<FabricKind>, EnvError> {
     parse_fabric(std::env::var("COLUMBIA_FABRIC").ok().as_deref())
 }
 
-/// The dense-kernel path selected by `COLUMBIA_KERNELS`.
+/// The dense-kernel path of the solvers, chosen in code
+/// (`SolverParams::kernel`, `EulerLevel::kernel`).
 ///
-/// `Simd` (the default the solvers pick when the knob is unset) runs the
-/// lane-interleaved batched kernels in `columbia_linalg::soa`; `Scalar`
-/// runs the classic one-block-at-a-time kernels and serves as the
-/// bit-identity reference oracle. The two paths produce bit-identical
-/// states, residuals and FLOP counts — pinned by `tests/kernel_parity.rs`
-/// — so flipping this knob must never change a golden.
+/// `Simd` (the solvers' default) runs the lane-interleaved batched
+/// kernels in `columbia_linalg::soa`; `Scalar` runs the classic
+/// one-block-at-a-time kernels and serves as the bit-identity reference
+/// oracle. The two paths produce bit-identical states, residuals and FLOP
+/// counts — pinned by `tests/kernel_parity.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
     /// One-block-at-a-time reference kernels (the oracle path).
     Scalar,
     /// Lane-interleaved SoA batch kernels (the default path).
     Simd,
-}
-
-/// Parse a `COLUMBIA_KERNELS` value; `None` means unset (caller default).
-/// Malformed values yield the typed [`EnvError`], never a panic.
-pub fn parse_kernels(v: Option<&str>) -> Result<Option<KernelKind>, EnvError> {
-    match v.map(str::trim) {
-        None => Ok(None),
-        Some("scalar") => Ok(Some(KernelKind::Scalar)),
-        Some("simd") => Ok(Some(KernelKind::Simd)),
-        Some(_) => Err(EnvError {
-            var: "COLUMBIA_KERNELS",
-            value: v.unwrap_or_default().to_string(),
-            expected: "scalar|simd",
-        }),
-    }
-}
-
-/// `COLUMBIA_KERNELS` for this run; `None` when unset (the solvers pick
-/// their default, currently [`KernelKind::Simd`]).
-pub fn kernels() -> Option<KernelKind> {
-    try_kernels().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`kernels`]: the typed [`EnvError`] instead of a
-/// panic on a malformed value.
-pub fn try_kernels() -> Result<Option<KernelKind>, EnvError> {
-    parse_kernels(std::env::var("COLUMBIA_KERNELS").ok().as_deref())
 }
 
 /// Parse a usize count in the knob grammar: decimal, or hex with a
@@ -412,27 +377,6 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "COLUMBIA_FABRIC: bad value \"quantum\" (use analytic|contention)"
-        );
-    }
-
-    #[test]
-    fn kernels_grammar_is_scalar_simd_with_unset_passthrough() {
-        assert_eq!(parse_kernels(None), Ok(None));
-        assert_eq!(parse_kernels(Some("scalar")), Ok(Some(KernelKind::Scalar)));
-        assert_eq!(parse_kernels(Some(" simd ")), Ok(Some(KernelKind::Simd)));
-        assert!(parse_kernels(Some("avx512")).is_err());
-        assert!(parse_kernels(Some("")).is_err());
-    }
-
-    #[test]
-    fn malformed_kernels_yields_the_typed_error_not_a_panic() {
-        let err = parse_kernels(Some("avx512")).unwrap_err();
-        assert_eq!(err.var, "COLUMBIA_KERNELS");
-        assert_eq!(err.value, "avx512");
-        assert_eq!(err.expected, "scalar|simd");
-        assert_eq!(
-            err.to_string(),
-            "COLUMBIA_KERNELS: bad value \"avx512\" (use scalar|simd)"
         );
     }
 

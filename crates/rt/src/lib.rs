@@ -3,7 +3,7 @@
 //! The reproduction's tier-1 contract is a fully *hermetic* build:
 //! `cargo build --release --offline && cargo test -q --offline` with no
 //! crates-io dependency anywhere in the graph, and bit-identical results
-//! across consecutive runs. This crate supplies the four pieces of
+//! across consecutive runs. This crate supplies the three pieces of
 //! infrastructure that previously pulled in external crates:
 //!
 //! * [`rng`] — SplitMix64-seeded PCG32 with the `seed_from_u64` /
@@ -14,8 +14,6 @@
 //! * [`props`] — a deterministic property-testing harness with seeded case
 //!   generation, fixed case counts and failure-seed replay (replaces
 //!   `proptest`);
-//! * [`bench`] — a micro-benchmark timing harness for the
-//!   `harness = false` bench targets (replaces `criterion`);
 //! * [`fault`] — seeded, stateless fault schedules (message drop /
 //!   duplicate / delay / reorder, barrier stalls, database-case
 //!   poisoning) that the comm runtime injects deterministically;
@@ -26,15 +24,14 @@
 //! * [`json`] — a byte-stable JSON writer for trace and scaling reports
 //!   (replaces `serde_json` where a repo would normally reach for it);
 //! * [`env`] — typed, unit-tested parsing of every `COLUMBIA_*`
-//!   environment knob (seeds, severities, slow-test and quick-bench
-//!   flags, executor backend), so no harness hand-rolls `std::env::var`;
+//!   environment knob (seeds, severities, the slow-test flag, executor
+//!   backend), so no harness hand-rolls `std::env::var`;
 //! * [`timeq`] — the deterministic `(time, key, seq)` discrete-event
 //!   queue that drives the cooperative event executor (ranks as resumable
 //!   tasks instead of free-running OS threads).
 //!
 //! Everything here is plain `std`; the crate must never grow a dependency.
 
-pub mod bench;
 pub mod channel;
 pub mod env;
 pub mod fault;

@@ -5,7 +5,7 @@
 //! actually uses: seeding from a `u64`, uniform ranges, and Fisher-Yates
 //! shuffling. Every generator in the repo (mesh jitter, matching order,
 //! property-test cases) threads an explicit `u64` seed through this type,
-//! so two runs of any test or figure binary are bit-identical.
+//! so two runs of any test or figure section are bit-identical.
 
 use std::ops::{Range, RangeInclusive};
 

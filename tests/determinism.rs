@@ -181,12 +181,9 @@ fn rans_parallel_matches_serial_under_zero_fault_plan() {
 }
 
 /// Same contract for the Cartesian Euler solver at every parity width.
-#[test]
-fn euler_parallel_matches_serial_under_zero_fault_plan() {
+/// A small cut-cell mesh around a body of revolution (levels 3-4).
+fn cut_cell_mesh() -> columbia_cartesian::CartMesh {
     use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
-    use columbia_euler::level::EulerLevel;
-    use columbia_euler::parallel::run_parallel_smoothing;
-    use columbia_euler::state::{freestream5, NVARS5};
     use columbia_mesh::Vec3;
     use columbia_sfc::CurveKind;
 
@@ -204,7 +201,16 @@ fn euler_parallel_matches_serial_under_zero_fault_plan() {
         size: 2.0,
     };
     let tree = build_octree(&geom, &config);
-    let mesh = extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1);
+    extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1)
+}
+
+#[test]
+fn euler_parallel_matches_serial_under_zero_fault_plan() {
+    use columbia_euler::level::EulerLevel;
+    use columbia_euler::parallel::run_parallel_smoothing;
+    use columbia_euler::state::{freestream5, NVARS5};
+
+    let mesh = cut_cell_mesh();
 
     let fs = freestream5(0.5, 0.0, 0.0);
     let mut serial = EulerLevel::new(mesh.clone(), fs, 1.5);
@@ -227,6 +233,24 @@ fn euler_parallel_matches_serial_under_zero_fault_plan() {
         assert!((rms - serial_rms).abs() < 1e-10 * (1.0 + serial_rms));
         assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
     }
+}
+
+/// Two multigrid Euler solves of one cut-cell case agree to the last bit:
+/// the SFC-coarsened hierarchy (and with it every coarse-level flux sum)
+/// must not depend on hash-iteration order.
+#[test]
+fn euler_multigrid_solve_is_bit_identical_across_runs() {
+    use columbia_euler::{EulerParams, EulerSolver};
+    use columbia_mg::CycleParams;
+
+    let mesh = cut_cell_mesh();
+    let run = || {
+        let mut solver = EulerSolver::new(mesh.clone(), EulerParams::default());
+        assert!(solver.levels.len() > 1, "case must exercise coarse levels");
+        let h = solver.solve(&CycleParams::default(), 0.0, 4);
+        h.residuals.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(run(), run());
 }
 
 columbia_rt::props! {
