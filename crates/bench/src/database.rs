@@ -3,7 +3,7 @@
 //! closed refinement loop over an injected-hole table.
 //!
 //! Everything in [`database_storm`] is deterministic — synthetic
-//! tables, seeded storms, typed policies resolved without the environment —
+//! tables, seeded storms, policies fixed in code ([`storm_policy`]) —
 //! so the section is byte-identical across runs and machines (CI's
 //! `scaling_report --database` double run). Wall-clock throughput of the
 //! same table and storms is `bench_e2e`'s `db_serve_hot`/`db_serve_cold`.
@@ -19,9 +19,9 @@ use columbia_mesh::Vec3;
 use columbia_rt::{derive_seed, Json, Pcg32};
 
 /// Grid shape `(nd, nm, na)` of the synthetic database. Sized so the
-/// flattened tables (~7.8 MB) dwarf the last-level cache: an uncached
-/// trilinear lookup pays 16 scattered table reads, which is exactly the
-/// cost the server's hot-region cache and batch dedup amortise away.
+/// flattened tables (~7.8 MB) dwarf the last-level cache: a trilinear
+/// lookup pays 16 scattered table reads, which is the cost the server's
+/// batch dedup saves on every repeated query.
 pub const DB_SHAPE: (usize, usize, usize) = (17, 97, 49);
 
 /// Base seed for every storm (query streams derive sub-seeds from it).
@@ -119,8 +119,8 @@ pub fn poison_entries(entries: &mut [DatabaseEntry], nholes: usize, seed: u64) -
     holes
 }
 
-/// Envelope-wide storm: every query lands somewhere new (worst case for
-/// the cache, the baseline for the hot-storm speedup).
+/// Envelope-wide storm: every query lands somewhere new, so every answer
+/// is a table lookup (nothing for the batch dedup to collapse).
 pub fn cold_queries(n: usize, seed: u64) -> Vec<Query> {
     let (ds, ms, aas) = storm_axes();
     let mut rng = Pcg32::seed_from_u64(derive_seed(seed, 0xC01D));
@@ -139,8 +139,7 @@ pub fn cold_queries(n: usize, seed: u64) -> Vec<Query> {
 /// Dwell storm: `n` samples drawn from [`HOT_DISTINCT`] fixed flight
 /// conditions across the envelope — the access pattern of a batch of
 /// concurrent trajectories / Monte Carlo particles, where each batch
-/// repeats a small distinct query set the server's cache and dedup
-/// collapse.
+/// repeats a small distinct query set the server's dedup collapses.
 pub fn hot_queries(n: usize, seed: u64) -> Vec<Query> {
     let distinct = cold_queries(HOT_DISTINCT, derive_seed(seed, 0x407));
     let mut rng = Pcg32::seed_from_u64(derive_seed(seed, 0x408));
@@ -187,12 +186,11 @@ pub fn serve_storm(
     out
 }
 
-/// The strict, environment-independent policy every storm runs under.
+/// The policy every storm runs under (refinement budget 4).
 pub fn storm_policy(fallback: Fallback) -> ServePolicy {
     ServePolicy {
-        cache_capacity: Some(512),
         fallback,
-        refine_budget: Some(4),
+        refine_budget: 4,
     }
 }
 
@@ -200,10 +198,7 @@ fn stats_json(server: &DatabaseServer) -> Json {
     let s = server.stats();
     Json::obj([
         ("queries", Json::UInt(s.queries)),
-        ("cache_hits", Json::UInt(s.cache_hits)),
-        ("cache_misses", Json::UInt(s.cache_misses)),
         ("dedup_hits", Json::UInt(s.dedup_hits)),
-        ("evictions", Json::UInt(s.evictions)),
         ("degraded", Json::UInt(s.degraded)),
         ("errors", Json::UInt(s.errors)),
         ("refined", Json::UInt(s.refined)),
@@ -330,8 +325,7 @@ pub fn database_storm(_: &Opts) -> Rendered {
     for storm in ["cold", "hot"] {
         text += &format!("  {storm:<5}: ");
         text += &line(
-            "{stats.queries:>6} queries, {stats.cache_hits:>6} cache hits, \
-             {stats.dedup_hits:>6} dedup hits, digest {digest}\n",
+            "{stats.queries:>6} queries, {stats.dedup_hits:>6} dedup hits, digest {digest}\n",
             json.get(storm).expect("storm section present"),
         );
     }
@@ -352,15 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn hot_storm_is_dominated_by_dedup_and_cache_hits() {
+    fn hot_storm_is_dominated_by_dedup() {
         let db = AeroDatabase::from_entries(&synthetic_entries()).unwrap();
         let mut server = DatabaseServer::new(db, &storm_policy(Fallback::Strict));
         let responses = serve_storm(&mut server, &hot_queries(4 * BATCH_LEN, STORM_SEED));
         assert!(responses.iter().all(|r| r.is_ok()));
         let s = server.stats();
-        // Each batch answers at most HOT_DISTINCT queries outside the memo,
-        // and the distinct set spans a few cells, so real gathers are rare.
+        // Each batch answers at most HOT_DISTINCT queries outside the memo.
         assert!(s.dedup_hits >= s.queries * 9 / 10, "{s:?}");
-        assert!(s.cache_misses < 64, "{s:?}");
+        assert!(s.cache_misses <= 4 * HOT_DISTINCT as u64, "{s:?}");
     }
 }

@@ -4,6 +4,7 @@
 //! the last commit that had those binaries.
 
 use columbia_bench::sections::{section, Opts, SECTIONS};
+use columbia_bench::table::{line, rows};
 
 const STDOUT_DIGESTS: [(&str, u64); 10] = [
     ("fig14b", 0x84352c637ce7b845),
@@ -35,6 +36,32 @@ fn model_sections_render_the_retired_binaries_stdout() {
             rendered.text
         );
     }
+}
+
+/// Response digests and refinement rounds of `scaling_report --database
+/// --json` at 412d4dd, the last commit whose server had a cell cache: the
+/// answers may not move when the serving path does.
+#[test]
+fn database_storm_answers_are_pinned() {
+    let json = (section("--database").expect("section exists").run)(&Opts::default()).json;
+    assert_eq!(
+        line("{cold.digest} {hot.digest}", &json),
+        "ae39e1a0829f0eb8 48d30982b3f94822"
+    );
+    let refinement = json.get("refinement").expect("refinement object");
+    assert_eq!(
+        rows(
+            "{degraded} {holes} {digest}",
+            refinement.get("rounds").expect("rounds")
+        ),
+        "4096 12 5cca83d98af5adca\n\
+         3004 9 ddce556f7a803443\n\
+         1957 6 4677992361547329\n\
+         1281 4 46c2114d36d0c908\n\
+         629 2 911bae6dcc80ccd4\n\
+         0 0 81420012c541853e\n"
+    );
+    assert_eq!(line("{matches_clean_table}", refinement), "true");
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! For each partition, edges straddling two partitions are assigned to one
 //! side, and a **ghost vertex** mirrors the off-partition endpoint. During a
 //! residual evaluation fluxes accumulate at ghosts and are sent back to be
-//! **added** at the owning vertex ([`ExchangePlan::exchange_add`]); updated
-//! state is then **copied** owner → ghost ([`ExchangePlan::exchange_copy`]).
-//! All values destined for one peer travel in a single packed buffer.
+//! **added** at the owning vertex ([`ExchangePlan::exchange_add_field`]);
+//! updated state is then **copied** owner → ghost
+//! ([`ExchangePlan::exchange_copy_field`]). All values destined for one
+//! peer travel in a single packed buffer.
 //!
 //! The exchanges are allocation-free in the steady state: each plan lazily
 //! compiles a [`PackedSchedule`] — contiguous pack/unpack index tables with
@@ -13,8 +14,8 @@
 //! with a capacity request of `width * max(send entries, recv entries)` per
 //! peer, so both directions of a peer pair ping-pong the same buffer and
 //! the pool reaches a zero-miss fixed point after one warm-up cycle.
-//! [`ExchangePlan::exchange_add2`] coalesces two fields into one message
-//! per peer (the paper's "fewer larger messages").
+//! [`ExchangePlan::exchange_add2_field`] coalesces two fields into one
+//! message per peer (the paper's "fewer larger messages").
 //!
 //! Fields are addressed through the [`HaloField`] trait, so the same
 //! compiled schedule packs AoS block slices (`[[f64; N]]`), scalar planes
@@ -265,14 +266,9 @@ impl ExchangePlan {
 
     /// Copy owner values out to ghosts: pack `data[send_idx]`, send one
     /// buffer per peer, unpack into `data[recv_idx]` (overwrite).
-    /// Payloads come from (and return to) the rank's buffer pool.
-    pub fn exchange_copy<const N: usize>(&self, rank: &mut Rank, tag: u64, data: &mut [[f64; N]]) {
-        self.exchange_copy_field(rank, tag, data);
-    }
-
-    /// Layout-generic owner-to-ghost copy; see
-    /// [`ExchangePlan::exchange_copy`]. Wire bytes, peer order, and pooled
-    /// buffer sizing are identical for every [`HaloField`] layout.
+    /// Payloads come from (and return to) the rank's buffer pool. Wire
+    /// bytes, peer order, and pooled buffer sizing are identical for every
+    /// [`HaloField`] layout.
     pub fn exchange_copy_field<F: HaloField + ?Sized>(
         &self,
         rank: &mut Rank,
@@ -304,12 +300,6 @@ impl ExchangePlan {
     /// The ghosts are zeroed after packing so repeated accumulation passes
     /// stay consistent. Payloads come from (and return to) the rank's
     /// buffer pool.
-    pub fn exchange_add<const N: usize>(&self, rank: &mut Rank, tag: u64, data: &mut [[f64; N]]) {
-        self.exchange_add_field(rank, tag, data);
-    }
-
-    /// Layout-generic ghost-to-owner accumulation; see
-    /// [`ExchangePlan::exchange_add`].
     pub fn exchange_add_field<F: HaloField + ?Sized>(
         &self,
         rank: &mut Rank,
@@ -341,23 +331,12 @@ impl ExchangePlan {
     /// field `a` (width `A`) and field `b` (width `B`) interleaved per
     /// entry — `A + B` values per exchanged vertex — halving the
     /// per-sweep message count relative to two back-to-back
-    /// [`ExchangePlan::exchange_add`] calls. Peers are walked in the same
-    /// sorted order as the per-field path, so per-slot addition order —
-    /// and therefore every bit of the result — is identical.
-    pub fn exchange_add2<const A: usize, const B: usize>(
-        &self,
-        rank: &mut Rank,
-        tag: u64,
-        a: &mut [[f64; A]],
-        b: &mut [[f64; B]],
-    ) {
-        self.exchange_add2_field(rank, tag, a, b);
-    }
-
-    /// Layout-generic coalesced two-field accumulation; see
-    /// [`ExchangePlan::exchange_add2`]. The two fields may use different
-    /// [`HaloField`] layouts (e.g. plane-resident state riding with an AoS
-    /// scratch block) — the interleaved wire format is unchanged.
+    /// [`ExchangePlan::exchange_add_field`] calls. Peers are walked in the
+    /// same sorted order as the per-field path, so per-slot addition order
+    /// — and therefore every bit of the result — is identical. The two
+    /// fields may use different [`HaloField`] layouts (e.g. plane-resident
+    /// state riding with an AoS scratch block) — the interleaved wire
+    /// format is unchanged.
     pub fn exchange_add2_field<FA: HaloField + ?Sized, FB: HaloField + ?Sized>(
         &self,
         rank: &mut Rank,
@@ -387,56 +366,6 @@ impl ExchangePlan {
                 let base = k * w;
                 a.add_entry(i as usize, &buf[base..base + wa]);
                 b.add_entry(i as usize, &buf[base + wa..base + w]);
-            }
-            rank.recycle(pr.peer, buf);
-        }
-    }
-
-    /// Coalesced two-field copy: one message per peer carries field `a`
-    /// (width `A`) and field `b` (width `B`) interleaved per entry.
-    /// Copies are owner-to-ghost overwrites, so any two fields exchanged
-    /// back to back without intervening compute may ride together; the
-    /// result is bit-identical to two separate
-    /// [`ExchangePlan::exchange_copy`] calls.
-    pub fn exchange_copy2<const A: usize, const B: usize>(
-        &self,
-        rank: &mut Rank,
-        tag: u64,
-        a: &mut [[f64; A]],
-        b: &mut [[f64; B]],
-    ) {
-        self.exchange_copy2_field(rank, tag, a, b);
-    }
-
-    /// Layout-generic coalesced two-field copy; see
-    /// [`ExchangePlan::exchange_copy2`].
-    pub fn exchange_copy2_field<FA: HaloField + ?Sized, FB: HaloField + ?Sized>(
-        &self,
-        rank: &mut Rank,
-        tag: u64,
-        a: &mut FA,
-        b: &mut FB,
-    ) {
-        let (wa, wb) = (FA::WIDTH, FB::WIDTH);
-        let w = wa + wb;
-        let sched = self.compiled();
-        for pr in &sched.send {
-            let mut buf = rank.buffer(pr.peer, w * pr.max_n as usize);
-            for &i in &sched.send_idx[pr.start as usize..pr.end as usize] {
-                a.pack_entry(i as usize, &mut buf);
-                b.pack_entry(i as usize, &mut buf);
-            }
-            rank.send(pr.peer, tag, buf);
-            rank.record_coalesced(2);
-        }
-        for pr in &sched.recv {
-            let idx = &sched.recv_idx[pr.start as usize..pr.end as usize];
-            let buf = rank.recv(pr.peer, tag);
-            check_len(rank, pr.peer, tag, idx.len(), w, buf.len());
-            for (k, &i) in idx.iter().enumerate() {
-                let base = k * w;
-                a.set_entry(i as usize, &buf[base..base + wa]);
-                b.set_entry(i as usize, &buf[base + wa..base + w]);
             }
             rank.recycle(pr.peer, buf);
         }
@@ -671,7 +600,7 @@ mod tests {
                     }
                 })
                 .collect();
-            d.plans[p].exchange_copy(rank, 1, &mut data);
+            d.plans[p].exchange_copy_field(rank, 1, &mut data[..]);
             data
         });
         for (p, data) in results.iter().enumerate() {
@@ -690,7 +619,7 @@ mod tests {
             let n = d.local_to_global[p].len();
             // Every local slot (owned and ghost) holds 1.0.
             let mut data = vec![[1.0f64; 1]; n];
-            d.plans[p].exchange_add(rank, 2, &mut data);
+            d.plans[p].exchange_add_field(rank, 2, &mut data[..]);
             data
         });
         // Global vertices 1, 2, 3, 4 are each ghosted by exactly one other
@@ -744,7 +673,7 @@ mod tests {
                         .iter()
                         .map(|&g| [seed[g as usize % 16]])
                         .collect();
-                    d2.plans[p].exchange_add(rank, 5, &mut data);
+                    d2.plans[p].exchange_add_field(rank, 5, &mut data[..]);
                     // Owned sums only; ghosts are zeroed by the exchange.
                     data[..d2.n_owned[p]].iter().map(|x| x[0]).sum::<f64>()
                         + data[d2.n_owned[p]..].iter().map(|x| x[0]).sum::<f64>()
@@ -764,9 +693,9 @@ mod tests {
                         .iter()
                         .map(|&g| [g as f64, -(g as f64)])
                         .collect();
-                    d.plans[p].exchange_copy(rank, 6, &mut data);
+                    d.plans[p].exchange_copy_field(rank, 6, &mut data[..]);
                     let snap = data.clone();
-                    d.plans[p].exchange_copy(rank, 7, &mut data);
+                    d.plans[p].exchange_copy_field(rank, 7, &mut data[..]);
                     snap == data
                 });
                 assert!(results.iter().all(|&ok| ok));
@@ -823,7 +752,7 @@ mod tests {
                 acc[la as usize][0] += b as f64;
                 acc[lb as usize][0] += a as f64;
             }
-            d2.plans[p].exchange_add(rank, 9, &mut acc);
+            d2.plans[p].exchange_add_field(rank, 9, &mut acc[..]);
             acc
         });
         for (p, res) in results.iter().enumerate() {

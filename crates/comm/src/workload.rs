@@ -179,7 +179,7 @@ fn smooth(rank: &mut crate::runtime::Rank, plan: &ExchangePlan, grid: &mut [[f64
         grid[0] = grid[m];
         grid[m + 1] = grid[1];
     } else {
-        plan.exchange_copy::<1>(rank, tag, grid);
+        plan.exchange_copy_field(rank, tag, grid);
     }
     let old: Vec<f64> = grid.iter().map(|v| v[0]).collect();
     for i in 1..=m {

@@ -376,7 +376,7 @@ impl AeroDatabase {
              hole(s); use lookup_checked",
             self.nholes
         );
-        match self.interpolate(deflection, mach, alpha, false) {
+        match self.lookup_checked(deflection, mach, alpha) {
             Ok(fm) => fm,
             Err(e) => panic!("lookup failed on a hole-free table: {e}"),
         }
@@ -391,16 +391,6 @@ impl AeroDatabase {
         mach: f64,
         alpha: f64,
     ) -> Result<(Vec3, Vec3), LookupError> {
-        self.interpolate(deflection, mach, alpha, true)
-    }
-
-    fn interpolate(
-        &self,
-        deflection: f64,
-        mach: f64,
-        alpha: f64,
-        checked: bool,
-    ) -> Result<(Vec3, Vec3), LookupError> {
         if !(deflection.is_finite() && mach.is_finite() && alpha.is_finite()) {
             return Err(LookupError::NonFiniteQuery {
                 deflection,
@@ -408,20 +398,33 @@ impl AeroDatabase {
                 alpha,
             });
         }
-        let (id, td) = Self::bracket(&self.deflections, deflection);
-        let (im, tm) = Self::bracket(&self.machs, mach);
-        let (ia, ta) = Self::bracket(&self.alphas, alpha);
-        let nm = self.machs.len();
-        let na = self.alphas.len();
-        let idx = |d: usize, m: usize, a: usize| d * nm * na + m * na + a;
-        let mut f = Vec3::ZERO;
-        let mut mo = Vec3::ZERO;
-        let mut holes = 0usize;
+        self.blend(self.cell(deflection, mach, alpha))
+            .map_err(|holes| LookupError::QuarantinedRegion {
+                deflection,
+                mach,
+                alpha,
+                holes,
+            })
+    }
+
+    /// Walk the trilinear stencil of a bracketed `cell` (see
+    /// [`Self::cell`]): `visit(node, weight, quarantined)` for each
+    /// participating corner, in `(dd, dm, da)` order, `node` being the flat
+    /// index `(d * nm + m) * na + a`.
+    ///
+    /// This is the one place the participation rule is written: the upper
+    /// corner on an axis is skipped when its weight is zero (an edge or
+    /// single-breakpoint cell has no upper node to read), the lower corner
+    /// never is — so a hole at a zero-weight *lower* corner still blocks.
+    #[inline]
+    pub fn stencil(&self, cell: [(usize, f64); 3], mut visit: impl FnMut(usize, f64, bool)) {
+        let [(id, td), (im, tm), (ia, ta)] = cell;
+        let (nd, nm, na) = self.shape();
         for (dd, wd) in [(0usize, 1.0 - td), (1, td)] {
             if wd == 0.0 && dd == 1 {
                 continue;
             }
-            let d = (id + dd).min(self.deflections.len() - 1);
+            let d = (id + dd).min(nd - 1);
             for (dm, wm) in [(0usize, 1.0 - tm), (1, tm)] {
                 if wm == 0.0 && dm == 1 {
                     continue;
@@ -432,24 +435,30 @@ impl AeroDatabase {
                         continue;
                     }
                     let a = (ia + da).min(na - 1);
-                    let n = idx(d, m, a);
-                    if checked && self.quarantined[n] {
-                        holes += 1;
-                        continue;
-                    }
-                    let w = wd * wm * wa;
-                    f += self.force[n] * w;
-                    mo += self.moment[n] * w;
+                    let n = (d * nm + m) * na + a;
+                    visit(n, wd * wm * wa, self.quarantined[n]);
                 }
             }
         }
+    }
+
+    /// Blend the loads over a bracketed `cell`'s stencil, or report how
+    /// many quarantined nodes it touches.
+    #[inline]
+    pub fn blend(&self, cell: [(usize, f64); 3]) -> Result<(Vec3, Vec3), usize> {
+        let mut f = Vec3::ZERO;
+        let mut mo = Vec3::ZERO;
+        let mut holes = 0usize;
+        self.stencil(cell, |n, w, quarantined| {
+            if quarantined {
+                holes += 1;
+            } else {
+                f += self.force[n] * w;
+                mo += self.moment[n] * w;
+            }
+        });
         if holes > 0 {
-            return Err(LookupError::QuarantinedRegion {
-                deflection,
-                mach,
-                alpha,
-                holes,
-            });
+            return Err(holes);
         }
         Ok((f, mo))
     }
@@ -470,9 +479,10 @@ impl AeroDatabase {
     }
 
     /// Bracket a flight condition on all three axes:
-    /// `[(id, td), (im, tm), (ia, ta)]`. The cell identity is what
-    /// `columbia_core::server::DatabaseServer` keys its hot-region cache
-    /// on.
+    /// `[(id, td), (im, tm), (ia, ta)]` — cell index and interpolation
+    /// weight per axis, out-of-range inputs clamped. The input of
+    /// [`Self::stencil`] and [`Self::blend`]; the cell indices are what
+    /// `columbia_core::server::DatabaseServer` tallies query density by.
     pub fn cell(&self, deflection: f64, mach: f64, alpha: f64) -> [(usize, f64); 3] {
         [
             Self::bracket(&self.deflections, deflection),

@@ -30,6 +30,5 @@ pub use flight::{AeroDatabase, LookupError, RigidState, SixDof, TableError};
 pub use optimize::{golden_section, trim_bisection, Optimum};
 pub use performance::{PerformanceStudy, StudyRow};
 pub use server::{
-    digest_responses, DatabaseServer, Fallback, FallbackKind, Query, Response, ServePolicy,
-    ServerStats,
+    digest_responses, DatabaseServer, Fallback, Query, Response, ServePolicy, ServerStats,
 };

@@ -3,37 +3,67 @@
 //!
 //! The paper's digital-flight workflow queries a filled database millions of
 //! times — 6-DOF integrations, trim sweeps, G&C Monte Carlo — and those
-//! query streams are heavily clustered: a trajectory dwells in a handful of
-//! interpolation cells for thousands of consecutive steps. [`DatabaseServer`]
-//! exploits that structure:
+//! query streams are heavily clustered: a trajectory dwells at a handful of
+//! conditions for thousands of consecutive steps. [`DatabaseServer`] is
+//! three things in front of an [`AeroDatabase`], which does all the
+//! interpolation itself ([`AeroDatabase::cell`] + [`AeroDatabase::blend`]):
 //!
-//! * **hot-region cache** — an O(1) LRU of gathered interpolation cells
-//!   (the 8 corner loads + quarantine bits), keyed by cell index, so a
-//!   cache hit replaces three binary searches and 16 scattered table reads
-//!   with one hash probe and a register-resident blend;
 //! * **batch dedup** — identical queries inside one [`Self::serve_batch`]
 //!   call (bit-exact coordinates) are answered once and copied;
 //! * **quarantine policy** — a query whose stencil touches a masked hole is
 //!   a typed [`LookupError::QuarantinedRegion`] under the strict policy, or
 //!   a nearest-valid-node answer flagged [`Response::degraded`] under the
-//!   opt-in [`FallbackKind::Nearest`] policy — never a silent blend of
+//!   opt-in [`Fallback::Nearest`] policy — never a silent blend of
 //!   placeholder loads;
 //! * **refinement queue** — blocked queries enqueue their hole nodes;
 //!   [`Self::drain_refinement`] schedules them by observed query density so
 //!   an incremental [`DatabaseFill::rerun`] ([`Self::refine_with`]) repairs
 //!   the holes that actually gate the query stream first.
 //!
-//! Every path is deterministic: the cache, dedup memo, fallback search and
+//! There is no cell cache: the table is a dense in-memory array, and
+//! `bench_e2e` measured a copy of it in front of it as a loss (DESIGN.md
+//! §15).
+//!
+//! Every path is deterministic: the dedup memo, fallback search and
 //! refinement order depend only on the query stream and the table, so a
 //! replayed storm is bit-identical (pinned by `tests/database_server.rs`).
-
-use std::collections::HashMap;
 
 use crate::database::{DatabaseFill, ExecContext};
 use crate::flight::{AeroDatabase, LookupError};
 use columbia_mesh::Vec3;
 
-pub use columbia_exec::{Fallback, FallbackKind, ServePolicy};
+/// Degraded-answer policy of a [`DatabaseServer`] facing quarantine holes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Fallback {
+    /// A query whose interpolation stencil touches a quarantined node is a
+    /// typed error ([`LookupError::QuarantinedRegion`]). The safe default:
+    /// no answer is better than a placeholder-blended one.
+    #[default]
+    Strict,
+    /// Answer from the nearest valid grid node, with the response
+    /// explicitly flagged degraded. Opt-in, for consumers (e.g. a
+    /// virtual-flight sweep) that prefer a marked approximation over a hole
+    /// while the refinement queue re-runs the case.
+    Nearest,
+}
+
+/// Query-serving policy of a [`DatabaseServer`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ServePolicy {
+    /// Degraded-answer policy for quarantine holes.
+    pub fallback: Fallback,
+    /// Hole nodes handed out per [`DatabaseServer::drain_refinement`].
+    pub refine_budget: usize,
+}
+
+impl Default for ServePolicy {
+    fn default() -> Self {
+        ServePolicy {
+            fallback: Fallback::Strict,
+            refine_budget: 4,
+        }
+    }
+}
 
 /// One interpolation query: a flight condition in table coordinates.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -60,7 +90,7 @@ pub struct Response {
     pub force: Vec3,
     pub moment: Vec3,
     /// `true` when the interpolation stencil touched quarantine holes and
-    /// the configured [`FallbackKind::Nearest`] policy answered from the
+    /// the configured [`Fallback::Nearest`] policy answered from the
     /// nearest valid grid node instead. Strict-policy answers are never
     /// degraded (blocked queries error instead).
     pub degraded: bool,
@@ -71,14 +101,17 @@ pub struct Response {
 pub struct ServerStats {
     /// Queries served (including errors).
     pub queries: u64,
-    /// Answers assembled from a cached cell gather.
+    /// Always 0 (the server has no cache). Declared only until a
+    /// `benchmark` PR retires `bench_e2e`'s `core.server.hit_ratio`.
     pub cache_hits: u64,
-    /// Answers that had to gather a cell from the table.
+    /// Answers computed from the table (every finite query that is not a
+    /// dedup copy).
     pub cache_misses: u64,
     /// Answers copied from an identical earlier query in the same batch
-    /// (these touch neither the cache nor the table).
+    /// (these never touch the table).
     pub dedup_hits: u64,
-    /// Cells evicted from the hot-region cache.
+    /// Always 0, kept like `cache_hits` until `bench_e2e`'s
+    /// `core.server.evictions_per_query` is retired.
     pub evictions: u64,
     /// Degraded (nearest-valid-node) answers.
     pub degraded: u64,
@@ -88,253 +121,14 @@ pub struct ServerStats {
     pub refined: u64,
 }
 
-/// A gathered interpolation cell: the 8 corner loads in `dd<<2 | dm<<1 | da`
-/// order (clamped on degenerate axes) plus the corner quarantine bits.
-#[derive(Clone, Copy)]
-struct CachedCell {
-    force: [Vec3; 8],
-    moment: [Vec3; 8],
-    holes: u8,
-}
-
-/// Multiply-xor finalizer for cell keys (splitmix64's mixing rounds).
-#[inline]
-fn mix_key(key: u64) -> u64 {
-    let mut h = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
-const FREE: u32 = u32::MAX;
-
-/// Open-addressing `cell key -> LRU slot` index with linear probing and
-/// backward-shift deletion — the per-query map probe is one multiply mix
-/// and (at the fixed <= 25% load factor) almost always one slot read.
-struct CellMap {
-    mask: usize,
-    slots: Vec<(u64, u32)>,
-}
-
-impl CellMap {
-    fn new(capacity: usize) -> Self {
-        let n = (4 * capacity.max(2)).next_power_of_two();
-        CellMap {
-            mask: n - 1,
-            slots: vec![(0, FREE); n],
-        }
-    }
-
-    fn find(&self, key: u64) -> Option<usize> {
-        let mut i = mix_key(key) as usize & self.mask;
-        loop {
-            let (k, v) = self.slots[i & self.mask];
-            if v == FREE {
-                return None;
-            }
-            if k == key {
-                return Some(i & self.mask);
-            }
-            i += 1;
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<u32> {
-        self.find(key).map(|i| self.slots[i].1)
-    }
-
-    /// Insert or overwrite.
-    fn set(&mut self, key: u64, val: u32) {
-        let mut i = mix_key(key) as usize & self.mask;
-        loop {
-            let (k, v) = self.slots[i & self.mask];
-            if v == FREE || k == key {
-                self.slots[i & self.mask] = (key, val);
-                return;
-            }
-            i += 1;
-        }
-    }
-
-    /// Remove `key`, compacting the probe chain behind it (backward-shift
-    /// deletion keeps `find` tombstone-free).
-    fn remove(&mut self, key: u64) -> Option<u32> {
-        let mut i = self.find(key)?;
-        let val = self.slots[i].1;
-        let mut j = i;
-        'fill: loop {
-            self.slots[i] = (0, FREE);
-            loop {
-                j = (j + 1) & self.mask;
-                let (k, v) = self.slots[j];
-                if v == FREE {
-                    break 'fill;
-                }
-                // `k` may slide back into the emptied slot only if its home
-                // position is cyclically outside (i, j].
-                let home = mix_key(k) as usize & self.mask;
-                if j.wrapping_sub(home) & self.mask >= j.wrapping_sub(i) & self.mask {
-                    self.slots[i] = (k, v);
-                    i = j;
-                    continue 'fill;
-                }
-            }
-        }
-        Some(val)
-    }
-}
-
-/// Intrusive doubly-linked LRU slot.
-struct Slot {
-    key: u64,
-    cell: CachedCell,
-    /// Queries served out of this slot since it was last folded into the
-    /// server's density map — the hot-region signal for refinement.
-    heat: u64,
-    prev: usize,
-    next: usize,
-}
-
-const NIL: usize = usize::MAX;
-
-/// O(1) LRU of gathered cells: [`CellMap`] key -> slot index, slots
-/// threaded on an intrusive most-recent-first list.
-struct LruCache {
-    capacity: usize,
-    map: CellMap,
-    slots: Vec<Slot>,
-    head: usize,
-    tail: usize,
-}
-
-impl LruCache {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        LruCache {
-            capacity,
-            map: CellMap::new(capacity),
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slots[i].prev = NIL;
-        self.slots[i].next = self.head;
-        match self.head {
-            NIL => self.tail = i,
-            h => self.slots[h].prev = i,
-        }
-        self.head = i;
-    }
-
-    /// Look up and touch (move to front, bump heat). Returns a copy of
-    /// the cell.
-    fn get(&mut self, key: u64) -> Option<CachedCell> {
-        let i = self.map.get(key)? as usize;
-        self.slots[i].heat += 1;
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-        Some(self.slots[i].cell)
-    }
-
-    /// Insert a fresh cell, evicting the least-recently-used slot when at
-    /// capacity. Returns the evicted `(key, heat)` for density folding.
-    fn insert(&mut self, key: u64, cell: CachedCell) -> Option<(u64, u64)> {
-        debug_assert!(self.map.get(key).is_none(), "insert after miss only");
-        if self.slots.len() < self.capacity {
-            let i = self.slots.len();
-            self.slots.push(Slot {
-                key,
-                cell,
-                heat: 1,
-                prev: NIL,
-                next: NIL,
-            });
-            self.map.set(key, i as u32);
-            self.push_front(i);
-            return None;
-        }
-        // Reuse the tail slot.
-        let i = self.tail;
-        self.unlink(i);
-        let evicted = (self.slots[i].key, self.slots[i].heat);
-        self.map.remove(self.slots[i].key);
-        self.slots[i].key = key;
-        self.slots[i].cell = cell;
-        self.slots[i].heat = 1;
-        self.map.set(key, i as u32);
-        self.push_front(i);
-        Some(evicted)
-    }
-
-    /// Drop a key if present (refinement invalidation), returning its
-    /// accumulated heat.
-    fn remove(&mut self, key: u64) -> Option<(u64, u64)> {
-        let i = self.map.remove(key)? as usize;
-        self.unlink(i);
-        let heat = self.slots[i].heat;
-        // Swap-remove the slot vector, fixing the moved slot's links.
-        let last = self.slots.len() - 1;
-        self.slots.swap(i, last);
-        self.slots.pop();
-        if i < last {
-            self.map.set(self.slots[i].key, i as u32);
-            let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-            match prev {
-                NIL => self.head = i,
-                p => self.slots[p].next = i,
-            }
-            match next {
-                NIL => self.tail = i,
-                n => self.slots[n].prev = i,
-            }
-        }
-        Some((key, heat))
-    }
-
-    /// Fold every live slot's heat into `density` and reset the counters.
-    fn fold_heat(&mut self, density: &mut HashMap<u64, u64>) {
-        for slot in &mut self.slots {
-            if slot.heat > 0 {
-                *density.entry(slot.key).or_insert(0) += slot.heat;
-                slot.heat = 0;
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-}
-
 /// The database server. See the module docs for the architecture.
 pub struct DatabaseServer {
     db: AeroDatabase,
-    cache: LruCache,
-    /// Quarantine policy and refinement budget, resolved once at
-    /// construction so a replayed storm cannot be perturbed by mid-run
-    /// environment changes.
-    fallback: FallbackKind,
-    refine_budget: usize,
-    /// Query count per cell key — the density signal that orders the
-    /// refinement queue.
-    density: HashMap<u64, u64>,
+    policy: ServePolicy,
+    /// Queries answered from the table per interpolation cell, indexed by
+    /// [`Self::key_of`] — the density signal that orders the refinement
+    /// queue.
+    density: Vec<u64>,
     /// Hole nodes awaiting refinement, in first-blocked order.
     pending: Vec<usize>,
     /// Persistent batch-dedup memo: `(query bits, answer index, epoch)`
@@ -347,15 +141,13 @@ pub struct DatabaseServer {
 }
 
 impl DatabaseServer {
-    /// Serve `db` under `policy`. `Auto` fields resolve through the typed
-    /// `COLUMBIA_DB_*` environment knobs exactly once, here.
+    /// Serve `db` under `policy`.
     pub fn new(db: AeroDatabase, policy: &ServePolicy) -> Self {
+        let (nd, nm, na) = db.shape();
         DatabaseServer {
-            cache: LruCache::new(policy.resolve_cache_capacity()),
-            fallback: policy.fallback.resolve(),
-            refine_budget: policy.resolve_refine_budget(),
+            policy: *policy,
+            density: vec![0; nd * nm * na],
             db,
-            density: HashMap::new(),
             pending: Vec::new(),
             memo: Vec::new(),
             epoch: 0,
@@ -373,24 +165,15 @@ impl DatabaseServer {
         self.stats
     }
 
-    /// Resolved quarantine policy.
-    pub fn fallback(&self) -> FallbackKind {
-        self.fallback
-    }
-
-    /// Cells currently resident in the hot-region cache.
-    pub fn cached_cells(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Hole nodes currently queued for refinement.
     pub fn pending_refinements(&self) -> usize {
         self.pending.len()
     }
 
-    fn key_of(&self, id: usize, im: usize, ia: usize) -> u64 {
+    /// Flat index of the cell (equally: of the node) at `(id, im, ia)`.
+    fn key_of(&self, id: usize, im: usize, ia: usize) -> usize {
         let (_, nm, na) = self.db.shape();
-        ((id * nm + im) * na + ia) as u64
+        (id * nm + im) * na + ia
     }
 
     /// Serve one batch. Responses are positionally aligned with `queries`;
@@ -492,71 +275,36 @@ impl DatabaseServer {
                 alpha: q.alpha,
             });
         }
-        let [(id, td), (im, tm), (ia, ta)] = self.db.cell(q.deflection, q.mach, q.alpha);
-        let key = self.key_of(id, im, ia);
-        // Query density is tallied as per-slot heat (folded into `density`
-        // on eviction/removal/drain), not a map update per query.
-        let cell = match self.cache.get(key) {
-            Some(c) => {
-                self.stats.cache_hits += 1;
-                c
-            }
-            None => {
-                self.stats.cache_misses += 1;
-                let c = self.gather(id, im, ia);
-                if let Some((old_key, heat)) = self.cache.insert(key, c) {
-                    self.stats.evictions += 1;
-                    *self.density.entry(old_key).or_insert(0) += heat;
-                }
-                c
-            }
-        };
-        // Blend the 8 corners. A corner participates under exactly the
-        // stencil-visit rule of `AeroDatabase::lookup_checked`: the upper
-        // offset on an axis is skipped when its weight is zero, the lower
-        // offset never is — so a hole at a zero-weight *lower* corner still
-        // blocks, matching the table's typed semantics bit for bit.
-        let mut force = Vec3::ZERO;
-        let mut moment = Vec3::ZERO;
-        let mut holes = 0usize;
-        for (corner, w) in Self::stencil(td, tm, ta) {
-            if cell.holes >> corner & 1 == 1 {
-                holes += 1;
-                continue;
-            }
-            force += cell.force[corner as usize] * w;
-            moment += cell.moment[corner as usize] * w;
-        }
-        if holes == 0 {
-            return Ok(Response {
-                force,
-                moment,
-                degraded: false,
-            });
-        }
-        // Blocked: enqueue every hole node under the stencil, then apply
-        // the degraded-answer policy.
-        self.enqueue_holes(id, im, ia, td, tm, ta);
-        match self.fallback {
-            FallbackKind::Strict => {
-                self.stats.errors += 1;
-                Err(LookupError::QuarantinedRegion {
-                    deflection: q.deflection,
-                    mach: q.mach,
-                    alpha: q.alpha,
-                    holes,
+        let cell = self.db.cell(q.deflection, q.mach, q.alpha);
+        let key = self.key_of(cell[0].0, cell[1].0, cell[2].0);
+        self.density[key] += 1;
+        self.stats.cache_misses += 1;
+        let holes = match self.db.blend(cell) {
+            Ok((force, moment)) => {
+                return Ok(Response {
+                    force,
+                    moment,
+                    degraded: false,
                 })
             }
-            FallbackKind::Nearest => {
-                let (d, m, a) = self.nearest_valid(id, im, ia, td, tm, ta).ok_or({
-                    // Every node is a hole: nothing valid to degrade to.
-                    LookupError::QuarantinedRegion {
-                        deflection: q.deflection,
-                        mach: q.mach,
-                        alpha: q.alpha,
-                        holes,
-                    }
-                })?;
+            Err(holes) => holes,
+        };
+        // Blocked: enqueue every hole node under the stencil, then apply
+        // the degraded-answer policy.
+        let pending = &mut self.pending;
+        self.db.stencil(cell, |node, _, quarantined| {
+            if quarantined && !pending.contains(&node) {
+                pending.push(node);
+            }
+        });
+        let fallback = match self.policy.fallback {
+            Fallback::Strict => None,
+            // `None` here too when every node is a hole: nothing valid to
+            // degrade to.
+            Fallback::Nearest => self.nearest_valid(cell),
+        };
+        match fallback {
+            Some((d, m, a)) => {
                 self.stats.degraded += 1;
                 let (force, moment) = self.db.node(d, m, a);
                 Ok(Response {
@@ -565,62 +313,14 @@ impl DatabaseServer {
                     degraded: true,
                 })
             }
-        }
-    }
-
-    /// The visited stencil corners and weights for cell weights
-    /// `(td, tm, ta)`, in `dd<<2 | dm<<1 | da` order. Mirrors the loop
-    /// structure (and skip rule) of `AeroDatabase::lookup_checked`.
-    fn stencil(td: f64, tm: f64, ta: f64) -> impl Iterator<Item = (u8, f64)> {
-        let axes = [td, tm, ta];
-        (0u8..8).filter_map(move |corner| {
-            let mut w = 1.0;
-            for (axis, &t) in axes.iter().enumerate() {
-                let upper = corner >> (2 - axis) & 1 == 1;
-                let wt = if upper { t } else { 1.0 - t };
-                if upper && wt == 0.0 {
-                    return None;
-                }
-                w *= wt;
-            }
-            Some((corner, w))
-        })
-    }
-
-    /// Gather one interpolation cell from the table (16 scattered reads).
-    fn gather(&self, id: usize, im: usize, ia: usize) -> CachedCell {
-        let (nd, nm, na) = self.db.shape();
-        let mut cell = CachedCell {
-            force: [Vec3::ZERO; 8],
-            moment: [Vec3::ZERO; 8],
-            holes: 0,
-        };
-        for corner in 0u8..8 {
-            let d = (id + (corner >> 2 & 1) as usize).min(nd - 1);
-            let m = (im + (corner >> 1 & 1) as usize).min(nm - 1);
-            let a = (ia + (corner & 1) as usize).min(na - 1);
-            let (f, mo) = self.db.node(d, m, a);
-            cell.force[corner as usize] = f;
-            cell.moment[corner as usize] = mo;
-            if self.db.node_quarantined(d, m, a) {
-                cell.holes |= 1 << corner;
-            }
-        }
-        cell
-    }
-
-    /// Queue every hole node under the visited stencil (deduplicated).
-    fn enqueue_holes(&mut self, id: usize, im: usize, ia: usize, td: f64, tm: f64, ta: f64) {
-        let (nd, nm, na) = self.db.shape();
-        for (corner, _) in Self::stencil(td, tm, ta) {
-            let d = (id + (corner >> 2 & 1) as usize).min(nd - 1);
-            let m = (im + (corner >> 1 & 1) as usize).min(nm - 1);
-            let a = (ia + (corner & 1) as usize).min(na - 1);
-            if self.db.node_quarantined(d, m, a) {
-                let node = (d * nm + m) * na + a;
-                if !self.pending.contains(&node) {
-                    self.pending.push(node);
-                }
+            None => {
+                self.stats.errors += 1;
+                Err(LookupError::QuarantinedRegion {
+                    deflection: q.deflection,
+                    mach: q.mach,
+                    alpha: q.alpha,
+                    holes,
+                })
             }
         }
     }
@@ -629,15 +329,8 @@ impl DatabaseServer {
     /// Chebyshev shells in index space around the query's nearest node.
     /// Within a shell, ties break in (d, m, a) node order — fully
     /// deterministic.
-    fn nearest_valid(
-        &self,
-        id: usize,
-        im: usize,
-        ia: usize,
-        td: f64,
-        tm: f64,
-        ta: f64,
-    ) -> Option<(usize, usize, usize)> {
+    fn nearest_valid(&self, cell: [(usize, f64); 3]) -> Option<(usize, usize, usize)> {
+        let [(id, td), (im, tm), (ia, ta)] = cell;
         let (nd, nm, na) = self.db.shape();
         let near = |i: usize, t: f64, n: usize| -> isize {
             (if t > 0.5 { (i + 1).min(n - 1) } else { i }) as isize
@@ -668,13 +361,10 @@ impl DatabaseServer {
     /// their incident cells (descending), ties by node index (ascending).
     /// Returns grid coordinates ready to hand to [`DatabaseFill::rerun`].
     pub fn drain_refinement(&mut self) -> Vec<(usize, usize, usize)> {
-        let budget = self.refine_budget.min(self.pending.len());
+        let budget = self.policy.refine_budget.min(self.pending.len());
         if budget == 0 {
             return Vec::new();
         }
-        // Pull live cache heat into the density map so the ranking sees
-        // the full query history.
-        self.cache.fold_heat(&mut self.density);
         let (_, nm, na) = self.db.shape();
         let heat = |node: usize| -> u64 {
             let (d, m, a) = (node / (nm * na), (node / na) % nm, node % na);
@@ -684,8 +374,7 @@ impl DatabaseServer {
             for dd in d.saturating_sub(1)..=d {
                 for dm in m.saturating_sub(1)..=m {
                     for da in a.saturating_sub(1)..=a {
-                        let key = ((dd * nm + dm) * na + da) as u64;
-                        h += self.density.get(&key).copied().unwrap_or(0);
+                        h += self.density[self.key_of(dd, dm, da)];
                     }
                 }
             }
@@ -700,9 +389,8 @@ impl DatabaseServer {
             .collect()
     }
 
-    /// Land a converged re-run at hole node `(d, m, a)`: repairs the table
-    /// and invalidates every cached cell whose stencil could touch the
-    /// node. Returns `false` (no change) if the node was not a hole.
+    /// Land a converged re-run at hole node `(d, m, a)`: repairs the
+    /// table. Returns `false` (no change) if the node was not a hole.
     pub fn apply_refinement(
         &mut self,
         d: usize,
@@ -711,22 +399,9 @@ impl DatabaseServer {
         force: Vec3,
         moment: Vec3,
     ) -> bool {
-        if !self.db.fill_node(d, m, a, force, moment) {
-            return false;
-        }
-        self.stats.refined += 1;
-        let (_, nm, na) = self.db.shape();
-        for dd in d.saturating_sub(1)..=d {
-            for dm in m.saturating_sub(1)..=m {
-                for da in a.saturating_sub(1)..=a {
-                    if let Some((key, heat)) = self.cache.remove(((dd * nm + dm) * na + da) as u64)
-                    {
-                        *self.density.entry(key).or_insert(0) += heat;
-                    }
-                }
-            }
-        }
-        true
+        let repaired = self.db.fill_node(d, m, a, force, moment);
+        self.stats.refined += repaired as u64;
+        repaired
     }
 
     /// Closed-loop refinement: drain the hottest queued holes and re-run
@@ -804,7 +479,7 @@ pub fn digest_responses(responses: &[Result<Response, LookupError>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use columbia_exec::Fallback;
+    use crate::database::{CaseStatus, DatabaseEntry};
 
     /// A synthetic hole-free table with a smooth analytic field.
     fn table(nd: usize, nm: usize, na: usize) -> AeroDatabase {
@@ -827,18 +502,10 @@ mod tests {
         AeroDatabase::from_axes(ds, ms, aas, force, moment).unwrap()
     }
 
-    fn strict_policy(cache: usize) -> ServePolicy {
-        ServePolicy {
-            cache_capacity: Some(cache),
-            fallback: Fallback::Strict,
-            refine_budget: Some(4),
-        }
-    }
-
     #[test]
     fn served_answers_match_direct_lookup_exactly() {
         let db = table(3, 5, 4);
-        let mut server = DatabaseServer::new(db.clone(), &strict_policy(8));
+        let mut server = DatabaseServer::new(db.clone(), &ServePolicy::default());
         let queries: Vec<Query> = (0..200)
             .map(|i| {
                 let t = i as f64 / 199.0;
@@ -859,10 +526,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_capacity_one_still_answers_transparently_and_evicts() {
+    fn alternating_cells_answer_like_the_direct_lookup() {
         let db = table(3, 4, 3);
-        let mut server = DatabaseServer::new(db.clone(), &strict_policy(1));
-        // Alternate between two distinct cells so every probe misses.
+        let mut server = DatabaseServer::new(db.clone(), &ServePolicy::default());
         let qs = [
             Query {
                 deflection: 0.0,
@@ -883,16 +549,13 @@ mod tests {
             }
         }
         let s = server.stats();
-        assert_eq!(s.cache_hits, 0, "{s:?}");
-        assert_eq!(s.cache_misses, 10, "{s:?}");
-        assert_eq!(s.evictions, 9, "{s:?}");
-        assert_eq!(server.cached_cells(), 1);
+        assert_eq!((s.queries, s.cache_misses, s.dedup_hits), (10, 10, 0));
     }
 
     #[test]
     fn batch_dedup_answers_identical_queries_once() {
         let db = table(3, 4, 3);
-        let mut server = DatabaseServer::new(db, &strict_policy(8));
+        let mut server = DatabaseServer::new(db, &ServePolicy::default());
         let q = Query {
             deflection: 0.1,
             mach: 1.7,
@@ -904,14 +567,13 @@ mod tests {
         let s = server.stats();
         assert_eq!(s.queries, 100);
         assert_eq!(s.dedup_hits, 99);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_hits, 0, "dedup must bypass the cache entirely");
+        assert_eq!(s.cache_misses, 1, "dedup copies never touch the table");
     }
 
     #[test]
     fn non_finite_queries_are_typed_errors_and_counted() {
         let db = table(2, 2, 2);
-        let mut server = DatabaseServer::new(db, &strict_policy(4));
+        let mut server = DatabaseServer::new(db, &ServePolicy::default());
         let r = server.serve_one(Query {
             deflection: f64::NAN,
             mach: 1.0,
@@ -919,5 +581,48 @@ mod tests {
         });
         assert!(matches!(r, Err(LookupError::NonFiniteQuery { .. })));
         assert_eq!(server.stats().errors, 1);
+    }
+
+    /// Regression: with every node quarantined `Fallback::Nearest` has
+    /// nothing to degrade to; that error used to leave `serve_one` without
+    /// being counted, so a batch of 10 reported `errors == 9`.
+    #[test]
+    fn nearest_fallback_with_no_valid_node_counts_every_error() {
+        let mut entries = Vec::new();
+        for d in [-0.1, 0.1] {
+            for m in [1.0, 2.0] {
+                for a in [0.0, 0.05] {
+                    entries.push(DatabaseEntry {
+                        deflection: d,
+                        mach: m,
+                        alpha: a,
+                        beta: 0.0,
+                        forces: Default::default(),
+                        orders: 0.0,
+                        status: CaseStatus::Quarantined {
+                            attempts: 3,
+                            reason: "injected".into(),
+                        },
+                    });
+                }
+            }
+        }
+        let db = AeroDatabase::from_entries_masked(&entries).unwrap();
+        let policy = ServePolicy {
+            fallback: Fallback::Nearest,
+            ..ServePolicy::default()
+        };
+        let mut server = DatabaseServer::new(db, &policy);
+        let q = Query {
+            deflection: 0.0,
+            mach: 1.5,
+            alpha: 0.02,
+        };
+        let rs = server.serve_batch(&[q; 10]);
+        assert!(rs
+            .iter()
+            .all(|r| matches!(r, Err(LookupError::QuarantinedRegion { holes: 8, .. }))));
+        let s = server.stats();
+        assert_eq!((s.queries, s.errors, s.degraded), (10, 10, 0), "{s:?}");
     }
 }

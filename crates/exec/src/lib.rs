@@ -35,7 +35,7 @@ use columbia_rt::fault::{CasePlan, FaultPlan};
 use columbia_rt::trace::{Trace, Tracer};
 use std::sync::Arc;
 
-pub use columbia_rt::env::{ExecutorKind, FabricKind, FallbackKind};
+pub use columbia_rt::env::{ExecutorKind, FabricKind};
 
 /// Which `run_world` backend hosts the rank bodies.
 ///
@@ -160,82 +160,6 @@ impl Default for FillPolicy {
     }
 }
 
-/// Degraded-answer policy of a database server facing quarantine holes.
-///
-/// * [`Fallback::Strict`] — a query whose interpolation stencil touches a
-///   quarantined node is a typed error (`LookupError::QuarantinedRegion`).
-///   The safe default: no answer is better than a placeholder-blended one.
-/// * [`Fallback::Nearest`] — answer from the nearest valid grid node, with
-///   the response explicitly flagged degraded. Opt-in, for consumers (e.g.
-///   a virtual-flight sweep) that prefer a marked approximation over a
-///   hole while the refinement queue re-runs the case.
-/// * [`Fallback::Auto`] (the default) — consult the typed
-///   `COLUMBIA_DB_FALLBACK` env knob (`strict` | `nearest`), falling back
-///   to `Strict` when unset.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Fallback {
-    /// Resolve from `COLUMBIA_DB_FALLBACK`, default [`Fallback::Strict`].
-    #[default]
-    Auto,
-    /// Hole-touching queries are typed errors.
-    Strict,
-    /// Answer from the nearest valid node, flagged degraded.
-    Nearest,
-}
-
-impl Fallback {
-    /// The concrete policy this selection denotes, consulting the
-    /// environment only for [`Fallback::Auto`].
-    pub fn resolve(self) -> FallbackKind {
-        match self {
-            Fallback::Strict => FallbackKind::Strict,
-            Fallback::Nearest => FallbackKind::Nearest,
-            Fallback::Auto => columbia_rt::env::db_fallback().unwrap_or(FallbackKind::Strict),
-        }
-    }
-}
-
-/// Query-serving policy of a `DatabaseServer`: hot-region cache capacity,
-/// degraded-answer policy, and the refinement budget per pump. `None`
-/// capacities defer to the `COLUMBIA_DB_*` env knobs, then to the
-/// defaults, so one binary serves laptop and CI configurations without
-/// recompiling.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServePolicy {
-    /// Hot-region cache capacity in cells; `None` → `COLUMBIA_DB_CACHE`,
-    /// default [`ServePolicy::DEFAULT_CACHE`].
-    pub cache_capacity: Option<usize>,
-    /// Degraded-answer policy for quarantine holes.
-    pub fallback: Fallback,
-    /// Refinement re-runs per `refine_with` pump; `None` →
-    /// `COLUMBIA_DB_REFINE`, default [`ServePolicy::DEFAULT_REFINE`].
-    pub refine_budget: Option<usize>,
-}
-
-impl ServePolicy {
-    /// Default hot-region cache capacity (cells).
-    pub const DEFAULT_CACHE: usize = 512;
-    /// Default refinement re-runs per pump.
-    pub const DEFAULT_REFINE: usize = 4;
-
-    /// The concrete cache capacity (at least 1), consulting
-    /// `COLUMBIA_DB_CACHE` only when unset here.
-    pub fn resolve_cache_capacity(&self) -> usize {
-        self.cache_capacity
-            .or_else(columbia_rt::env::db_cache)
-            .unwrap_or(Self::DEFAULT_CACHE)
-            .max(1)
-    }
-
-    /// The concrete per-pump refinement budget, consulting
-    /// `COLUMBIA_DB_REFINE` only when unset here.
-    pub fn resolve_refine_budget(&self) -> usize {
-        self.refine_budget
-            .or_else(columbia_rt::env::db_refine)
-            .unwrap_or(Self::DEFAULT_REFINE)
-    }
-}
-
 /// The execution regime of one driver run: optional fault plan, optional
 /// trace sink, buffer-pool and database-fill policies.
 ///
@@ -261,7 +185,6 @@ pub struct ExecContext {
     faults: Option<Arc<FaultPlan>>,
     pool: PoolPolicy,
     fill: FillPolicy,
-    serve: ServePolicy,
     tracer: Tracer,
     executor: Executor,
     fabric: FabricModel,
@@ -310,12 +233,6 @@ impl ExecContext {
         self
     }
 
-    /// Set the database-server query-serving policy.
-    pub fn with_serve(mut self, serve: ServePolicy) -> Self {
-        self.serve = serve;
-        self
-    }
-
     /// Select the `run_world` backend (thread-per-rank vs cooperative
     /// event executor). The default, [`Executor::Auto`], defers to the
     /// `COLUMBIA_EXECUTOR` env knob.
@@ -350,11 +267,6 @@ impl ExecContext {
     /// The database-fill policy.
     pub fn fill(&self) -> &FillPolicy {
         &self.fill
-    }
-
-    /// The database-server query-serving policy.
-    pub fn serve(&self) -> &ServePolicy {
-        &self.serve
     }
 
     /// The selected `run_world` backend (unresolved; call
@@ -400,7 +312,6 @@ mod tests {
         assert!(ctx.pool().enabled);
         assert_eq!(ctx.fill().max_attempts, 3);
         assert!(ctx.fill().chaos.is_none());
-        assert_eq!(ctx.serve(), &ServePolicy::default());
         assert!(!ctx.tracing_enabled());
         // Recording into the disabled sink is a no-op, not an error.
         ctx.tracer().scoped(SpanKey::new("x"), |t| t.add("n", 1));
@@ -454,32 +365,6 @@ mod tests {
         assert_eq!(ctx.fabric_model(), FabricModel::Contention);
         // Auto defers to COLUMBIA_FABRIC, whose grammar is pinned in
         // columbia_rt::env (again no env mutation here).
-    }
-
-    #[test]
-    fn serve_policy_resolves_explicit_values_without_the_environment() {
-        // Explicit selections never touch the environment.
-        assert_eq!(Fallback::Strict.resolve(), FallbackKind::Strict);
-        assert_eq!(Fallback::Nearest.resolve(), FallbackKind::Nearest);
-        let policy = ServePolicy {
-            cache_capacity: Some(64),
-            fallback: Fallback::Nearest,
-            refine_budget: Some(2),
-        };
-        assert_eq!(policy.resolve_cache_capacity(), 64);
-        assert_eq!(policy.resolve_refine_budget(), 2);
-        // A zero capacity is clamped: an LRU of zero cells cannot serve.
-        let zero = ServePolicy {
-            cache_capacity: Some(0),
-            ..ServePolicy::default()
-        };
-        assert_eq!(zero.resolve_cache_capacity(), 1);
-        let mut ctx = ExecContext::default().with_serve(policy.clone());
-        assert_eq!(ctx.serve(), &policy);
-        // Auto defers to COLUMBIA_DB_FALLBACK / COLUMBIA_DB_CACHE /
-        // COLUMBIA_DB_REFINE, whose grammar is pinned in columbia_rt::env
-        // (no env mutation here — tests must not race over process state).
-        let _ = ctx.tracer();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! 1. gradient accumulation → add ghosts to owners → copy back,
 //! 2. flux + implicit-diagonal accumulation → one **coalesced** add per
 //!    peer carrying ghost residuals and diagonal blocks together
-//!    (`ExchangePlan::exchange_add2`) → copy diagonal blocks back,
+//!    (`ExchangePlan::exchange_add2_field`) → copy diagonal blocks back,
 //! 3. local line/point solves (lines are rank-local by construction),
 //! 4. state update → copy owners to ghosts.
 //!

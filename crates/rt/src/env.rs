@@ -11,10 +11,11 @@
 //! | `COLUMBIA_SLOW_TESTS`     | set and not `"0"` ⇒ on   | off          | 8-rank parity widths, paper-scale variants |
 //! | `COLUMBIA_PT_REPLAY`      | decimal or `0x`-hex u64  | unset        | [`crate::props`] single-case replay        |
 //! | `COLUMBIA_EXECUTOR`       | `threads` \| `events`    | unset        | `run_world` backend (CI executor matrix)   |
-//! | `COLUMBIA_FABRIC`         | `analytic` \| `contention` | unset      | interconnect delivery model (CI fabric matrix) |
-//! | `COLUMBIA_DB_CACHE`       | decimal or `0x`-hex usize | unset       | database-server hot-region cache capacity (cells) |
-//! | `COLUMBIA_DB_FALLBACK`    | `strict` \| `nearest`    | unset        | database-server degraded-answer policy for quarantine holes |
-//! | `COLUMBIA_DB_REFINE`      | decimal or `0x`-hex usize | unset       | database-server refinement re-runs per pump     |
+//! | `COLUMBIA_FABRIC`         | `analytic` \| `contention` | unset      | event executor's interconnect delivery model |
+//!
+//! [`KNOBS`] lists the same six names; `tests/hermetic.rs` fails if the
+//! repository mentions a `COLUMBIA_*` name outside it or stops mentioning
+//! one inside it.
 //!
 //! The parsers are split into pure `parse_*` functions (unit-testable
 //! without touching process state) and thin `std::env` wrappers, so the
@@ -51,6 +52,16 @@ impl std::fmt::Display for EnvError {
 }
 
 impl std::error::Error for EnvError {}
+
+/// Every `COLUMBIA_*` knob the workspace reads (the module table).
+pub const KNOBS: [&str; 6] = [
+    "COLUMBIA_FAULT_SEED",
+    "COLUMBIA_FAULT_SEVERITY",
+    "COLUMBIA_SLOW_TESTS",
+    "COLUMBIA_PT_REPLAY",
+    "COLUMBIA_EXECUTOR",
+    "COLUMBIA_FABRIC",
+];
 
 /// Fault seed used when `COLUMBIA_FAULT_SEED` is unset.
 pub const DEFAULT_FAULT_SEED: u64 = 0xC01D_FA17;
@@ -231,73 +242,6 @@ pub enum KernelKind {
     Simd,
 }
 
-/// Parse a usize count in the knob grammar: decimal, or hex with a
-/// `0x`/`0X` prefix, `_` separators allowed (same grammar as
-/// [`parse_seed`], narrowed to `usize`).
-pub fn parse_count(s: &str) -> Result<usize, String> {
-    let n = parse_seed(s)?;
-    usize::try_from(n).map_err(|_| format!("count {n} exceeds usize"))
-}
-
-/// The database server's degraded-answer policy for quarantine holes,
-/// selected by `COLUMBIA_DB_FALLBACK`.
-///
-/// `Strict` (the default the server picks when the knob is unset) turns
-/// every hole-touching query into a typed `LookupError::QuarantinedRegion`;
-/// `Nearest` answers from the nearest valid grid node instead, with the
-/// response explicitly flagged degraded. Degradation is opt-in: the server
-/// never silently substitutes a neighbouring value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FallbackKind {
-    /// Hole-touching queries are typed errors (the default).
-    Strict,
-    /// Answer from the nearest valid node, flagged `degraded`.
-    Nearest,
-}
-
-/// Parse a `COLUMBIA_DB_FALLBACK` value; `None` means unset (caller
-/// default). Malformed values yield the typed [`EnvError`], never a panic.
-pub fn parse_db_fallback(v: Option<&str>) -> Result<Option<FallbackKind>, EnvError> {
-    match v.map(str::trim) {
-        None => Ok(None),
-        Some("strict") => Ok(Some(FallbackKind::Strict)),
-        Some("nearest") => Ok(Some(FallbackKind::Nearest)),
-        Some(_) => Err(EnvError {
-            var: "COLUMBIA_DB_FALLBACK",
-            value: v.unwrap_or_default().to_string(),
-            expected: "strict|nearest",
-        }),
-    }
-}
-
-/// `COLUMBIA_DB_FALLBACK` for this run; `None` when unset (the server
-/// picks its default, currently [`FallbackKind::Strict`]).
-pub fn db_fallback() -> Option<FallbackKind> {
-    try_db_fallback().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`db_fallback`]: the typed [`EnvError`] instead of a
-/// panic on a malformed value.
-pub fn try_db_fallback() -> Result<Option<FallbackKind>, EnvError> {
-    parse_db_fallback(std::env::var("COLUMBIA_DB_FALLBACK").ok().as_deref())
-}
-
-/// `COLUMBIA_DB_CACHE`: database-server hot-region cache capacity in
-/// cells; `None` when unset (the server picks its default).
-pub fn db_cache() -> Option<usize> {
-    std::env::var("COLUMBIA_DB_CACHE")
-        .ok()
-        .map(|s| parse_count(&s).expect("COLUMBIA_DB_CACHE"))
-}
-
-/// `COLUMBIA_DB_REFINE`: database-server refinement re-runs per pump;
-/// `None` when unset (the server picks its default).
-pub fn db_refine() -> Option<usize> {
-    std::env::var("COLUMBIA_DB_REFINE")
-        .ok()
-        .map(|s| parse_count(&s).expect("COLUMBIA_DB_REFINE"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,37 +322,6 @@ mod tests {
             err.to_string(),
             "COLUMBIA_FABRIC: bad value \"quantum\" (use analytic|contention)"
         );
-    }
-
-    #[test]
-    fn db_fallback_grammar_is_strict_nearest_with_unset_passthrough() {
-        assert_eq!(parse_db_fallback(None), Ok(None));
-        assert_eq!(
-            parse_db_fallback(Some("strict")),
-            Ok(Some(FallbackKind::Strict))
-        );
-        assert_eq!(
-            parse_db_fallback(Some(" nearest ")),
-            Ok(Some(FallbackKind::Nearest))
-        );
-        assert!(parse_db_fallback(Some("optimistic")).is_err());
-        assert!(parse_db_fallback(Some("")).is_err());
-        let err = parse_db_fallback(Some("optimistic")).unwrap_err();
-        assert_eq!(err.var, "COLUMBIA_DB_FALLBACK");
-        assert_eq!(err.expected, "strict|nearest");
-        assert_eq!(
-            err.to_string(),
-            "COLUMBIA_DB_FALLBACK: bad value \"optimistic\" (use strict|nearest)"
-        );
-    }
-
-    #[test]
-    fn count_grammar_matches_the_seed_grammar_narrowed_to_usize() {
-        assert_eq!(parse_count("512"), Ok(512));
-        assert_eq!(parse_count(" 0x100 "), Ok(256));
-        assert_eq!(parse_count("1_024"), Ok(1024));
-        assert!(parse_count("banana").is_err());
-        assert!(parse_count("").is_err());
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Property suite for the aero-database lookup path (satellite of the
-//! quarantine-safe server PR): random tables and random queries pin the
-//! interpolation invariants the server's cached gather relies on —
+//! Property suite for the aero-database lookup path: random tables and
+//! random queries pin the interpolation invariants the server relies on —
 //! bracket weights in `[0, 1]`, convexity of the blend (answers bounded
-//! by the stencil's corner values), edge clamping, and bit-exact
-//! server/table agreement.
+//! by the stencil's corner values), edge clamping, bit-exact server/table
+//! agreement, and the quarantine policy on randomly holed tables.
 
-use columbia_core::{AeroDatabase, DatabaseServer, Fallback, Query, ServePolicy};
+use columbia_bench::database::poison_entries;
+use columbia_core::{
+    AeroDatabase, CaseStatus, DatabaseEntry, DatabaseServer, Fallback, LookupError, Query,
+    ServePolicy,
+};
+use columbia_euler::Forces;
 use columbia_mesh::Vec3;
 use columbia_rt::rng::Pcg32;
 
@@ -56,6 +60,37 @@ fn random_query(rng: &mut Pcg32, db: &AeroDatabase) -> (f64, f64, f64) {
         rng.gen_range(lo - pad..=hi + pad)
     };
     (sample(ds, rng), sample(ms, rng), sample(aas, rng))
+}
+
+/// `random_db` with a random number of its nodes quarantined: none, all,
+/// or anything in between.
+fn random_masked_db(rng: &mut Pcg32) -> AeroDatabase {
+    let db = random_db(rng);
+    let (ds, ms, aas) = db.axes();
+    let mut entries = Vec::new();
+    for (d, &deflection) in ds.iter().enumerate() {
+        for (m, &mach) in ms.iter().enumerate() {
+            for (a, &alpha) in aas.iter().enumerate() {
+                let (force, moment) = db.node(d, m, a);
+                entries.push(DatabaseEntry {
+                    deflection,
+                    mach,
+                    alpha,
+                    beta: 0.0,
+                    forces: Forces { force, moment },
+                    orders: 6.0,
+                    status: CaseStatus::Converged,
+                });
+            }
+        }
+    }
+    let nholes = match rng.gen_range(0u32..4) {
+        0 => 0,
+        1 => entries.len(),
+        _ => rng.gen_range(0..entries.len() + 1),
+    };
+    poison_entries(&mut entries, nholes, rng.next_u64());
+    AeroDatabase::from_entries_masked(&entries).expect("masked build admits holes")
 }
 
 columbia_rt::props! {
@@ -132,30 +167,102 @@ columbia_rt::props! {
     }
 
     /// The server is transparent on clean tables: served answers equal the
-    /// direct table lookup bit for bit, for every cache capacity.
+    /// direct table lookup bit for bit.
     fn prop_server_matches_table_bitwise(seed in 0u64..u64::MAX) {
         let mut rng = Pcg32::seed_from_u64(seed);
         let db = random_db(&mut rng);
         let queries: Vec<Query> = (0..48)
             .map(|_| random_query(&mut rng, &db).into())
             .collect();
-        for capacity in [1usize, 3, 64] {
-            let policy = ServePolicy {
-                cache_capacity: Some(capacity),
-                fallback: Fallback::Strict,
-                refine_budget: None,
-            };
-            let mut server = DatabaseServer::new(db.clone(), &policy);
-            for (q, r) in queries.iter().zip(server.serve_batch(&queries)) {
-                let (force, moment) = db.lookup(q.deflection, q.mach, q.alpha);
-                let r = r.expect("clean table never errors");
-                assert!(!r.degraded);
-                assert_eq!(
-                    (r.force, r.moment),
-                    (force, moment),
-                    "seed {seed}: capacity {capacity} diverged from the table"
-                );
+        let mut server = DatabaseServer::new(db.clone(), &ServePolicy::default());
+        for (q, r) in queries.iter().zip(server.serve_batch(&queries)) {
+            let (force, moment) = db.lookup(q.deflection, q.mach, q.alpha);
+            let r = r.expect("clean table never errors");
+            assert!(!r.degraded);
+            assert_eq!(
+                (r.force, r.moment),
+                (force, moment),
+                "seed {seed}: server diverged from the table"
+            );
+        }
+    }
+
+    /// On holed tables the server is *right*, not merely stable: whatever
+    /// the mask, the queries and the policy, a batch never panics, clean
+    /// answers are the table's, blocked ones follow the policy, and the
+    /// counters add up to the responses.
+    fn prop_server_is_right_on_holed_tables(seed in 0u64..u64::MAX) {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let db = random_masked_db(&mut rng);
+        let (nd, nm, na) = db.shape();
+        let mut distinct: Vec<Query> = (0..24)
+            .map(|_| random_query(&mut rng, &db).into())
+            .collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut q = distinct[rng.gen_range(0usize..24)];
+            match rng.gen_range(0u32..3) {
+                0 => q.deflection = bad,
+                1 => q.mach = bad,
+                _ => q.alpha = bad,
             }
+            distinct.push(q);
+        }
+        // A batch with duplicates: the dedup copies must be counted too.
+        let batch: Vec<Query> = (0..96)
+            .map(|_| distinct[rng.gen_range(0..distinct.len())])
+            .collect();
+        for fallback in [Fallback::Strict, Fallback::Nearest] {
+            let policy = ServePolicy { fallback, ..ServePolicy::default() };
+            let mut server = DatabaseServer::new(db.clone(), &policy);
+            let responses = server.serve_batch(&batch);
+            let (mut degraded, mut errors) = (0u64, 0u64);
+            for (q, r) in batch.iter().zip(&responses) {
+                let direct = db.lookup_checked(q.deflection, q.mach, q.alpha);
+                match (r, direct) {
+                    (Ok(resp), Ok(loads)) => {
+                        assert!(!resp.degraded, "seed {seed}: clean answer flagged at {q:?}");
+                        assert_eq!((resp.force, resp.moment), loads, "seed {seed}: {q:?}");
+                    }
+                    (Ok(resp), Err(LookupError::QuarantinedRegion { .. })) => {
+                        degraded += 1;
+                        assert!(
+                            fallback == Fallback::Nearest && resp.degraded,
+                            "seed {seed}: {fallback:?} answered the blocked {q:?} with {resp:?}"
+                        );
+                        let from_valid_node = (0..nd * nm * na).any(|n| {
+                            let (d, m, a) = (n / (nm * na), (n / na) % nm, n % na);
+                            !db.node_quarantined(d, m, a)
+                                && db.node(d, m, a) == (resp.force, resp.moment)
+                        });
+                        assert!(from_valid_node, "seed {seed}: {resp:?} is no valid node's load");
+                    }
+                    (
+                        Err(LookupError::QuarantinedRegion { holes, .. }),
+                        Err(LookupError::QuarantinedRegion { holes: want, .. }),
+                    ) => {
+                        errors += 1;
+                        assert_eq!(*holes, want, "seed {seed}: hole count at {q:?}");
+                        // Nearest errors only with no valid node to degrade to.
+                        assert!(
+                            fallback == Fallback::Strict || db.holes() == nd * nm * na,
+                            "seed {seed}: Nearest refused {q:?} with valid nodes left"
+                        );
+                    }
+                    (
+                        Err(LookupError::NonFiniteQuery { .. }),
+                        Err(LookupError::NonFiniteQuery { .. }),
+                    ) => errors += 1,
+                    (r, direct) => panic!(
+                        "seed {seed}: {fallback:?} served {r:?} where the table says {direct:?}"
+                    ),
+                }
+            }
+            let stats = server.stats();
+            assert_eq!(
+                (stats.queries, stats.degraded, stats.errors),
+                (batch.len() as u64, degraded, errors),
+                "seed {seed}: {fallback:?} counters disagree with the responses: {stats:?}"
+            );
         }
     }
 }

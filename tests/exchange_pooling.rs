@@ -5,7 +5,7 @@
 //! — recycled allocations, one coalesced message per peer — but never a
 //! single bit of *what* arrives. These tests pin both properties:
 //!
-//! * pooled `exchange_copy`/`exchange_add`/`exchange_add2` produce results
+//! * pooled `exchange_{copy,add,add2}_field` produce results
 //!   bit-identical to the seed `_ref` paths for random decompositions at
 //!   2/4/8 ranks, with and without an active fault plan;
 //! * after one warm-up cycle the pool-miss counter stays at zero — the
@@ -83,10 +83,11 @@ fn exchange_workload(
     for c in 0..cycles as u64 {
         let base = 10 * c;
         if pooled {
-            plan.exchange_add::<3>(rank, base, &mut a);
-            plan.exchange_copy::<3>(rank, base + 1, &mut a);
-            plan.exchange_add2::<3, 2>(rank, base + 2, &mut a, &mut b);
-            plan.exchange_copy2::<3, 2>(rank, base + 3, &mut a, &mut b);
+            plan.exchange_add_field(rank, base, &mut a[..]);
+            plan.exchange_copy_field(rank, base + 1, &mut a[..]);
+            plan.exchange_add2_field(rank, base + 2, &mut a[..], &mut b[..]);
+            plan.exchange_copy_field(rank, base + 3, &mut a[..]);
+            plan.exchange_copy_field(rank, base + 4, &mut b[..]);
         } else {
             plan.exchange_add_ref::<3>(rank, base, &mut a);
             plan.exchange_copy_ref::<3>(rank, base + 1, &mut a);
@@ -161,10 +162,10 @@ fn pool_misses_stop_after_first_cycle_in_mixed_workload() {
         let mut stats_per_cycle = Vec::new();
         for c in 0..5u64 {
             let base = 10 * c;
-            plan.exchange_add::<3>(rank, base, &mut a);
-            plan.exchange_copy::<3>(rank, base + 1, &mut a);
-            plan.exchange_add2::<3, 2>(rank, base + 2, &mut a, &mut b);
-            plan.exchange_copy::<2>(rank, base + 3, &mut b);
+            plan.exchange_add_field(rank, base, &mut a[..]);
+            plan.exchange_copy_field(rank, base + 1, &mut a[..]);
+            plan.exchange_add2_field(rank, base + 2, &mut a[..], &mut b[..]);
+            plan.exchange_copy_field(rank, base + 3, &mut b[..]);
             stats_per_cycle.push(rank.take_stats());
         }
         stats_per_cycle

@@ -2,7 +2,11 @@
 //! in the workspace graph. Everything resolves to in-tree path crates, so
 //! `cargo build --offline` works on a machine that has never seen a
 //! crates.io index.
+//!
+//! The `COLUMBIA_*` environment surface is closed the same way: the names
+//! the repository mentions are exactly `columbia_rt::env::KNOBS`.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
 
@@ -68,5 +72,51 @@ fn cargo_tree_resolves_offline_to_path_crates_only() {
     assert!(
         crates_seen >= 12,
         "cargo tree listed only {crates_seen} crate lines:\n{tree}"
+    );
+}
+
+/// Collect every `COLUMBIA_[A-Z_]+` token under `path` (a file, or a
+/// directory walked recursively) into `found`.
+fn scan_knobs(path: &Path, found: &mut BTreeSet<String>) {
+    if path.is_dir() {
+        for entry in std::fs::read_dir(path).expect("readable directory") {
+            scan_knobs(&entry.expect("readable entry").path(), found);
+        }
+        return;
+    }
+    let bytes = std::fs::read(path).expect("readable file");
+    let text = String::from_utf8_lossy(&bytes);
+    for (at, prefix) in text.match_indices("COLUMBIA_") {
+        let suffix: String = text[at + prefix.len()..]
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+            .collect();
+        // A bare `COLUMBIA_` (as in "the `COLUMBIA_*` knobs") names nothing.
+        if !suffix.is_empty() {
+            found.insert(format!("{prefix}{suffix}"));
+        }
+    }
+}
+
+#[test]
+fn every_knob_the_repository_mentions_is_in_the_env_table_and_vice_versa() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = BTreeSet::new();
+    for part in [
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        ".github",
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+    ] {
+        scan_knobs(&root.join(part), &mut found);
+    }
+    let table: BTreeSet<String> = columbia_rt::env::KNOBS.map(String::from).into();
+    assert_eq!(
+        found, table,
+        "code, CI and docs must name exactly the knobs of columbia_rt::env::KNOBS"
     );
 }
