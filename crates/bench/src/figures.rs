@@ -6,11 +6,11 @@
 
 use crate::sections::{Opts, Rendered};
 use crate::table::{line, rows};
-use crate::{cart3d_profile, header, nsu3d_profile};
-use columbia_core::{PerformanceStudy, StudyRow};
+use crate::{cart3d_profile, header, mach_half, nsu3d_profile, wing};
 use columbia_machine::{
-    cart3d_node_span, ib_rank_limit, simulate_cycle, CycleProfile, Fabric, MachineConfig,
-    ProgModel, RunConfig, ScalingPoint, CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
+    cart3d_node_span, fabric_thread_matrix, ib_rank_limit, relative_efficiency, series,
+    simulate_cycle, CycleProfile, Fabric, MachineConfig, ProgModel, RunConfig, ScalingPoint,
+    StudyRow, CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
 };
 use columbia_mesh::{wing_mesh, UnstructuredMesh, WingMeshSpec};
 use columbia_mg::{CycleParams, CycleType};
@@ -59,19 +59,23 @@ fn by_cpus(series: &[StudyRow]) -> Json {
     }))
 }
 
-/// The jitter-free benchmark wing every live-solver section runs on.
-fn wing(points: usize) -> UnstructuredMesh {
-    wing_mesh(&WingMeshSpec {
-        jitter: 0.0,
-        ..WingMeshSpec::with_target_points(points)
-    })
-}
-
-fn mach_half() -> SolverParams {
-    SolverParams {
-        mach: 0.5,
-        ..Default::default()
+/// The speedup table of Figures 16-19 (and `examples/scaling_study`): one
+/// line per series, one column per CPU count, `-` where infeasible.
+pub fn speedup_table(series: &[StudyRow], cpu_counts: &[usize]) -> String {
+    let mut head = format!("{:<34}", "series \\ CPUs");
+    let mut template = String::from("{series:<34}");
+    for n in cpu_counts {
+        head += &format!("{n:>10}");
+        template += &format!("{{{n}:>10.0}}");
     }
+    let table = Json::arr(series.iter().map(|row| {
+        let mut line = Json::obj([("series", string(&row.label))]);
+        for p in &row.points {
+            line.set(p.ncpus.to_string(), p.speedup.map_or(Json::Null, num));
+        }
+        line
+    }));
+    head + "\n" + &rows(&template, &table)
 }
 
 /// Figure 14(a): NSU3D multigrid convergence with 4, 5 and 6 levels
@@ -169,6 +173,7 @@ pub fn fig14a(o: &Opts) -> Rendered {
 /// 2008 CPUs.
 pub fn fig14b(o: &Opts) -> Rendered {
     let profile6 = nsu3d_profile(o.flag("--measured"));
+    let vortex = MachineConfig::columbia_vortex();
     let series = [
         ("single grid", profile6.truncated(1, true)),
         ("4-level multigrid", profile6.truncated(4, true)),
@@ -176,8 +181,9 @@ pub fn fig14b(o: &Opts) -> Rendered {
         ("6-level multigrid", profile6.clone()),
     ]
     .map(|(name, p)| {
-        let study = PerformanceStudy::new(p, &NSU3D_CPU_COUNTS);
-        series_json(&study.series(name, |n| RunConfig::mpi(n, Fabric::NumaLink4)))
+        series_json(&series(name, &p, &vortex, &NSU3D_CPU_COUNTS, |n| {
+            RunConfig::mpi(n, Fabric::NumaLink4)
+        }))
     });
 
     let mut text = header(
@@ -216,12 +222,13 @@ pub fn fig15(o: &Opts) -> Rendered {
         "relative efficiency at 128 CPUs over 4 nodes: fabric x OpenMP threads",
     );
     let thread_parallel = o.flag("--thread-parallel");
-    let mut study = PerformanceStudy::new(nsu3d_profile(o.flag("--measured")), &[128]);
+    let profile = nsu3d_profile(o.flag("--measured"));
+    let mut machine = MachineConfig::columbia_vortex();
     if thread_parallel {
         // Ablation: the thread-parallel MPI strategy the paper rejected —
         // MPI calls lock and serialise at the thread level, modelled as a
         // much steeper hybrid penalty.
-        study.machine.omp_penalty_coeff = 0.10;
+        machine.omp_penalty_coeff = 0.10;
         text += "(ablation: thread-parallel MPI communication strategy)\n\n";
     }
     let baseline = RunConfig::mpi(128, Fabric::NumaLink4).spread_over(4);
@@ -238,14 +245,12 @@ pub fn fig15(o: &Opts) -> Rendered {
             ));
         }
     }
-    let eff = Json::arr(
-        study
-            .relative_efficiency(128, baseline, &cases)
-            .into_iter()
-            .map(|(label, e)| {
-                Json::obj([("configuration", string(label)), ("efficiency", num(e))])
-            }),
-    );
+    let eff = relative_efficiency(&profile, &machine, &baseline, &cases)
+        .expect("128 pure-MPI NUMAlink CPUs over 4 nodes are feasible");
+    let eff =
+        Json::arr(eff.into_iter().map(|(label, e)| {
+            Json::obj([("configuration", string(label)), ("efficiency", num(e))])
+        }));
     text += "configuration                 efficiency\n";
     text += &rows("{configuration:<28}{efficiency:>11.1*100}%", &eff);
     text += "\npaper: NUMAlink 100 / 98.4 / 87.2 %; InfiniBand 95.7% pure MPI,\n\
@@ -326,16 +331,18 @@ pub fn fabric_figure(number: usize, o: &Opts) -> Rendered {
             text.push('\n');
         }
         let title = format!("Figure {number}({letter})");
-        let series = PerformanceStudy::new(transform(&base), &NSU3D_CPU_COUNTS)
-            .fabric_thread_matrix(
-                &[
-                    (Fabric::NumaLink4, "NUMAlink"),
-                    (Fabric::InfiniBand, "InfiniBand"),
-                ],
-                &[1, 2],
-            );
+        let series = fabric_thread_matrix(
+            &transform(&base),
+            &MachineConfig::columbia_vortex(),
+            &NSU3D_CPU_COUNTS,
+            &[
+                (Fabric::NumaLink4, "NUMAlink"),
+                (Fabric::InfiniBand, "InfiniBand"),
+            ],
+            &[1, 2],
+        );
         text += &header(&title, what);
-        text += &PerformanceStudy::format_table(&series, &NSU3D_CPU_COUNTS);
+        text += &speedup_table(&series, &NSU3D_CPU_COUNTS);
         json.push(Json::obj([
             ("panel", Json::Str(title)),
             ("series", Json::arr(series.iter().map(series_json))),
@@ -355,13 +362,14 @@ pub fn fabric_figure(number: usize, o: &Opts) -> Rendered {
 /// beyond a 128-CPU double cabinet); ~0.75 TFLOP/s at 496 CPUs
 /// (>1.5 GFLOP/s per CPU).
 pub fn fig20(o: &Opts) -> Rendered {
-    let study = PerformanceStudy::new(
-        cart3d_profile(o.flag("--measured")),
-        &[32, 64, 96, 128, 192, 256, 384, 504],
-    );
+    let profile = cart3d_profile(o.flag("--measured"));
+    let vortex = MachineConfig::columbia_vortex();
+    let cpus = [32, 64, 96, 128, 192, 256, 384, 504];
     let data = by_cpus(&[
-        study.series("mpi", |n| RunConfig::mpi(n, Fabric::NumaLink4)),
-        study.series("omp", |ncpus| RunConfig {
+        series("mpi", &profile, &vortex, &cpus, |n| {
+            RunConfig::mpi(n, Fabric::NumaLink4)
+        }),
+        series("omp", &profile, &vortex, &cpus, |ncpus| RunConfig {
             ncpus,
             fabric: Fabric::NumaLink4,
             model: ProgModel::PureOpenMp,
@@ -369,7 +377,7 @@ pub fn fig20(o: &Opts) -> Rendered {
         }),
     ]);
     let mut text = header("Figure 20(b)", "Cart3D OpenMP vs MPI on one Columbia node");
-    text += &format!("workload: {}\n\n", study.profile.name);
+    text += &format!("workload: {}\n\n", profile.name);
     text += "CPUs         MPI speedup   OMP speedup   MPI TFLOP/s   OMP TFLOP/s\n";
     text += &rows(
         "{ncpus:<10}{mpi.speedup:>14.0}{omp.speedup:>14.0}{mpi.tflops:>14.2}{omp.tflops:>14.2}",
@@ -377,13 +385,17 @@ pub fn fig20(o: &Opts) -> Rendered {
     );
     text += "\npaper: ~0.75 TFLOP/s at 496 CPUs; OpenMP slope break at 128 CPUs\n\
             (coarse-mode pointer dereferencing), MPI unaffected.\n";
-    let json = Json::obj([("workload", string(&study.profile.name)), ("rows", data)]);
+    let json = Json::obj([("workload", string(&profile.name)), ("rows", data)]);
     Rendered { json, text }
 }
 
-/// A pure-MPI Cart3D run spread over the node span the paper used.
-fn cart3d_run(n: usize, fabric: Fabric) -> RunConfig {
-    RunConfig::mpi(n, fabric).spread_over(cart3d_node_span(n))
+/// A pure-MPI Cart3D series over the paper's CPU counts, each run spread
+/// over the node span the paper used.
+fn cart3d_series(label: &str, profile: &CycleProfile, fabric: Fabric) -> StudyRow {
+    let vortex = MachineConfig::columbia_vortex();
+    series(label, profile, &vortex, &CART3D_CPU_COUNTS, |n| {
+        RunConfig::mpi(n, fabric).spread_over(cart3d_node_span(n))
+    })
 }
 
 /// Figure 21: Cart3D parallel speedup across the full 4-node NUMAlink
@@ -396,10 +408,8 @@ fn cart3d_run(n: usize, fabric: Fabric) -> RunConfig {
 /// 2.4 TFLOP/s.
 pub fn fig21(o: &Opts) -> Rendered {
     let p = cart3d_profile(o.flag("--measured"));
-    let series = [("sg", p.truncated(1, true)), ("mg", p)].map(|(label, p)| {
-        PerformanceStudy::new(p, &CART3D_CPU_COUNTS)
-            .series(label, |n| cart3d_run(n, Fabric::NumaLink4))
-    });
+    let series = [("sg", p.truncated(1, true)), ("mg", p)]
+        .map(|(label, p)| cart3d_series(label, &p, Fabric::NumaLink4));
     let json = by_cpus(&series);
     let mut text = header(
         "Figure 21",
@@ -422,11 +432,11 @@ pub fn fig21(o: &Opts) -> Rendered {
 /// case actually UNDER-performing the 496-CPU single-node case; a further
 /// drop across 4 nodes; InfiniBand cannot exceed 1524 MPI ranks (eq. 1).
 pub fn fig22(o: &Opts) -> Rendered {
-    let study = PerformanceStudy::new(cart3d_profile(o.flag("--measured")), &CART3D_CPU_COUNTS);
+    let p = cart3d_profile(o.flag("--measured"));
     // Beyond the 1524-rank IB limit the run is infeasible: `null`, "-".
     let mut json = by_cpus(&[
-        study.series("numalink", |n| cart3d_run(n, Fabric::NumaLink4)),
-        study.series("infiniband", |n| cart3d_run(n, Fabric::InfiniBand)),
+        cart3d_series("numalink", &p, Fabric::NumaLink4),
+        cart3d_series("infiniband", &p, Fabric::InfiniBand),
     ]);
     if let Json::Arr(rows) = &mut json {
         for (row, &n) in rows.iter_mut().zip(&CART3D_CPU_COUNTS) {

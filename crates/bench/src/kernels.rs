@@ -20,9 +20,8 @@
 //! fast the kernels run in the solvers is `bench_e2e`'s business.
 
 use columbia_linalg::soa::vec_batch_zero;
-use columbia_linalg::{flops, BlockBatch, BlockMat, BlockTridiag, TridiagBatch, LANES};
+use columbia_linalg::{BlockBatch, BlockMat, BlockTridiag, TridiagBatch, LANES};
 use columbia_machine::MachineConfig;
-use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_rans::level::SolverParams;
 use columbia_rans::state::NVARS;
 use columbia_rans::RansLevel;
@@ -120,9 +119,9 @@ pub fn point_lu_simd(set: &PointSet, out: &mut [[f64; NB]]) {
                 row[l] = v;
             }
         }
-        let lu = batch.lu(nl);
+        let lu = batch.lu();
         assert!(lu.all_ok(nl), "dominant block must factorise");
-        let x = lu.solve(&rhs, nl);
+        let x = lu.solve(&rhs);
         for l in 0..nl {
             for k in 0..NB {
                 out[c + l][k] = x[k][l];
@@ -290,7 +289,6 @@ pub fn axpy_scalar(a: f64, x: &[[f64; NVARS5]], y: &mut [[f64; NVARS5]]) {
             yi[k] += a * xi[k];
         }
     }
-    flops::add(flops::axpy_flops((x.len() * NVARS5) as u64));
 }
 
 /// Chunked path: `vecops::axpy` over the flattened planes. Element-wise,
@@ -313,16 +311,11 @@ pub const SWEEP_PASSES: usize = 2;
 /// A freshly initialised RANS level on the jitter-free wing mesh, batched
 /// kernel path.
 pub fn sweep_level(target_points: usize) -> RansLevel {
-    let mesh = wing_mesh(&WingMeshSpec {
-        jitter: 0.0,
-        ..WingMeshSpec::with_target_points(target_points)
-    });
     let params = SolverParams {
-        mach: 0.5,
         kernel: Some(KernelKind::Simd),
-        ..Default::default()
+        ..crate::mach_half()
     };
-    let mut lvl = RansLevel::new(mesh, params);
+    let mut lvl = RansLevel::new(crate::wing(target_points), params);
     lvl.apply_bcs();
     lvl
 }
@@ -367,21 +360,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn point_lu_paths_are_bit_identical_and_flop_matched() {
+    fn point_lu_paths_are_bit_identical() {
         for &n in &[7usize, 64] {
             let set = point_set(n, 42);
             let mut a = vec![[0.0; NB]; n];
             let mut b = vec![[0.0; NB]; n];
-            flops::take();
             point_lu_scalar(&set, &mut a);
-            let fa = flops::take();
             point_lu_simd(&set, &mut b);
-            let fb = flops::take();
             assert_eq!(digest_states(&a), digest_states(&b));
-            let nominal = flops::lu_flops(NB as u64) + flops::solve_flops(NB as u64);
-            assert_eq!(fa, n as u64 * nominal);
-            // The batch counts padding lanes in the final partial batch.
-            assert!(fb >= fa, "{fb} < {fa}");
         }
     }
 

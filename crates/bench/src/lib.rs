@@ -27,25 +27,34 @@ pub mod report;
 pub mod sections;
 pub mod table;
 
+use columbia_comm::ExecContext;
 use columbia_machine::{paper_cart3d_25m, paper_nsu3d_72m, CycleProfile};
-use columbia_mesh::{wing_mesh, WingMeshSpec};
+use columbia_mesh::{wing_mesh, UnstructuredMesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::{RansSolver, SolverParams};
+
+/// The jitter-free benchmark wing every live-solver section runs on.
+pub fn wing(points: usize) -> UnstructuredMesh {
+    wing_mesh(&WingMeshSpec {
+        jitter: 0.0,
+        ..WingMeshSpec::with_target_points(points)
+    })
+}
+
+/// The benchmark flow condition: Mach 0.5, everything else default.
+pub fn mach_half() -> SolverParams {
+    SolverParams {
+        mach: 0.5,
+        ..Default::default()
+    }
+}
 
 /// The NSU3D-style workload profile.
 pub fn nsu3d_profile(measured: bool) -> CycleProfile {
     if !measured {
         return paper_nsu3d_72m();
     }
-    let mesh = wing_mesh(&WingMeshSpec {
-        jitter: 0.0,
-        ..WingMeshSpec::with_target_points(20_000)
-    });
-    let params = SolverParams {
-        mach: 0.5,
-        ..Default::default()
-    };
-    let mut solver = RansSolver::new(mesh, params, 6);
+    let mut solver = RansSolver::new(wing(20_000), mach_half(), 6);
     // Settle the state so the FLOP measurement reflects working conditions.
     solver.solve(&CycleParams::default(), 0.0, 3);
     columbia_rans::measure_profile(
@@ -55,7 +64,7 @@ pub fn nsu3d_profile(measured: bool) -> CycleProfile {
         16,
         72.0e6,
         "NSU3D 72M-pt (measured, rescaled)",
-        &mut columbia_comm::ExecContext::default(),
+        &mut ExecContext::default(),
     )
 }
 
@@ -97,6 +106,7 @@ pub fn cart3d_profile(measured: bool) -> CycleProfile {
         16,
         25.0e6,
         "Cart3D 25M-cell (measured, rescaled)",
+        &mut ExecContext::default(),
     )
 }
 

@@ -25,16 +25,16 @@
 
 use crate::sections::{Opts, Rendered};
 use crate::table::{line, rows};
+use crate::{mach_half, wing};
 use columbia_comm::workload::HaloWorkload;
 use columbia_comm::{flows_from_traces, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
 use columbia_machine::{
     analytic_makespan, makespan, simulate, simulate_cycle, Arbiter, CycleProfile, Fabric,
     MachineConfig, RunConfig, Topology,
 };
-use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::parallel::run_parallel_smoothing;
-use columbia_rans::{ParallelMg, SolverParams};
+use columbia_rans::ParallelMg;
 use columbia_rt::trace::ClockMode;
 use columbia_rt::Json;
 use std::collections::BTreeMap;
@@ -69,20 +69,6 @@ impl Default for MeasuredSpec {
             seed: 42,
         }
     }
-}
-
-fn solver_params() -> SolverParams {
-    SolverParams {
-        mach: 0.5,
-        ..Default::default()
-    }
-}
-
-fn report_mesh(points: usize) -> columbia_mesh::UnstructuredMesh {
-    wing_mesh(&WingMeshSpec {
-        jitter: 0.0,
-        ..WingMeshSpec::with_target_points(points)
-    })
 }
 
 /// Per-level compute/comm breakdown of `profile` on `machine` across
@@ -185,8 +171,8 @@ fn level_row(level: usize, msgs: u64, bytes: u64) -> Json {
 /// Per-level message attribution measured from a real traced multigrid
 /// solve: the runtime counterpart of the model's per-level table.
 pub fn measured_levels_section(spec: &MeasuredSpec) -> Json {
-    let mesh = report_mesh(spec.points);
-    let pmg = ParallelMg::new(&mesh, solver_params(), spec.nparts, spec.nlevels);
+    let mesh = wing(spec.points);
+    let pmg = ParallelMg::new(&mesh, mach_half(), spec.nparts, spec.nlevels);
     let (history, traces) = pmg.solve(
         &CycleParams::default(),
         4.0,
@@ -216,11 +202,11 @@ pub fn measured_levels_section(spec: &MeasuredSpec) -> Json {
 /// a monotone event counter from the deterministic fault schedule, so the
 /// section is byte-stable across runs with the same seed.
 pub fn chaos_section(spec: &MeasuredSpec) -> Json {
-    let mesh = report_mesh(spec.points);
+    let mesh = wing(spec.points);
     let arm = |plan: Option<Arc<FaultPlan>>| {
         let mut ctx = ExecContext::default().with_faults(plan);
         let (_, _, traces) =
-            run_parallel_smoothing(&mesh, solver_params(), spec.nparts, spec.sweeps, &mut ctx);
+            run_parallel_smoothing(&mesh, mach_half(), spec.nparts, spec.sweeps, &mut ctx);
         let mut total = columbia_comm::CommStats::default();
         for t in &traces {
             total.merge(&t.stats);
@@ -383,7 +369,8 @@ pub fn paper_scale_section(sizes: &[usize]) -> Rendered {
 }
 
 /// Deterministic kernel-roofline section: one pass of each SoA/SIMD
-/// kernel at each working-set size, reporting software FLOP counts,
+/// kernel at each working-set size, reporting closed-form FLOP counts
+/// (`columbia_linalg::flops`; the sweep's from the level's own counter),
 /// parity digests (scalar and batch outputs — equal by construction),
 /// and the machine model's roofline-predicted sustained GFLOP/s. No
 /// wall-clock numbers, so the section is byte-stable across runs; the
@@ -410,11 +397,9 @@ pub fn kernel_roofline(_: &Opts) -> Rendered {
         let set = kernels::point_set(n, seed);
         let mut a = vec![[0.0; NB]; n];
         let mut b = vec![[0.0; NB]; n];
-        flops::take();
         kernels::point_lu_scalar(&set, &mut a);
-        let fl = flops::take();
         kernels::point_lu_simd(&set, &mut b);
-        flops::take();
+        let fl = n as u64 * (flops::lu_flops(NB as u64) + flops::solve_flops(NB as u64));
         let digest = kernels::digest_states(&a);
         assert_eq!(digest, kernels::digest_states(&b));
         push("point_lu6", n, set.working_set_bytes(), fl, digest);
@@ -425,11 +410,9 @@ pub fn kernel_roofline(_: &Opts) -> Rendered {
         let mut b = vec![vec![[0.0; NB]; LINE_LEN]; nlines];
         let mut sc = BlockTridiag::new();
         let mut bc = TridiagBatch::new();
-        flops::take();
         kernels::line_tridiag_scalar(&set, &mut sc, &mut a);
-        let fl = flops::take();
         kernels::line_tridiag_simd(&set, &mut bc, &mut b);
-        flops::take();
+        let fl = nlines as u64 * flops::tridiag_solve_flops(NB as u64, LINE_LEN as u64);
         let digest = kernels::digest_lines(&a);
         assert_eq!(digest, kernels::digest_lines(&b));
         push("line_tridiag6", nlines, set.working_set_bytes(), fl, digest);
@@ -438,11 +421,9 @@ pub fn kernel_roofline(_: &Opts) -> Rendered {
         let set = kernels::axpy_set(n, seed);
         let mut a = set.y0.clone();
         let mut b = set.y0.clone();
-        flops::take();
         kernels::axpy_scalar(0.37, &set.x, &mut a);
-        let fl = flops::take();
         kernels::axpy_simd(0.37, &set.x, &mut b);
-        flops::take();
+        let fl = flops::axpy_flops((n * kernels::NVARS5) as u64);
         let digest = kernels::digest_states(&a);
         assert_eq!(digest, kernels::digest_states(&b));
         push("rk_axpy", n, set.working_set_bytes(), fl, digest);

@@ -35,7 +35,7 @@ mod sched;
 pub mod stats;
 pub mod workload;
 
-pub use columbia_exec::{ExecContext, Executor, ExecutorKind, FabricKind, FabricModel, PoolPolicy};
+pub use columbia_exec::{ExecContext, Executor, ExecutorKind, FabricModel, PoolPolicy};
 pub use columbia_rt::fault::{FaultConfig, FaultPlan, MessageAction};
 pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField, PackedSchedule, PeerRange};
 pub use fabric::{flows_from_traces, FabricClock};

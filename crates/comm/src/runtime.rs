@@ -49,7 +49,7 @@
 use crate::fabric::FabricClock;
 use crate::sched::EventSched;
 use crate::stats::CommStats;
-use columbia_exec::{ExecContext, ExecutorKind, FabricKind};
+use columbia_exec::{ExecContext, ExecutorKind, FabricModel};
 use columbia_rt::channel::{unbounded, Receiver, Sender, TryRecvError};
 use columbia_rt::fault::{FaultPlan, MessageAction};
 use columbia_rt::trace::{SpanKey, Tracer};
@@ -834,9 +834,9 @@ where
         // the analytic report path either way.
         ExecutorKind::Threads => run_world_threads(nranks, plan, pool_on, body),
         ExecutorKind::Events => {
-            let fabric = match ctx.fabric_model().resolve() {
-                FabricKind::Analytic => None,
-                FabricKind::Contention => Some(FabricClock::columbia_default(nranks)),
+            let fabric = match ctx.fabric_model() {
+                FabricModel::Analytic => None,
+                FabricModel::Contention => Some(FabricClock::columbia_default(nranks)),
             };
             run_world_events(nranks, plan, pool_on, fabric, body)
         }

@@ -8,17 +8,16 @@
 //!   used to sweep the entire flight envelope;
 //! * [`DatabaseFill`] — the automated parameter-study driver that fills
 //!   aero-performance databases over configuration-space (control-surface
-//!   deflections) x wind-space (Mach, alpha, sideslip) grids;
-//! * [`PerformanceStudy`] — the Columbia scaling-study driver that replays
-//!   measured cycle workloads through the machine model to regenerate the
-//!   paper's scalability figures.
+//!   deflections) x wind-space (Mach, alpha, sideslip) grids.
+//!
+//! The Columbia scaling study that replays measured cycle workloads through
+//! the machine model is `columbia_machine::scaling`.
 
 pub mod analysis;
 pub mod cart_analysis;
 pub mod database;
 pub mod flight;
 pub mod optimize;
-pub mod performance;
 pub mod server;
 
 pub use analysis::{FlowAnalysis, FlowReport};
@@ -28,7 +27,6 @@ pub use database::{
 };
 pub use flight::{AeroDatabase, LookupError, RigidState, SixDof, TableError};
 pub use optimize::{golden_section, trim_bisection, Optimum};
-pub use performance::{PerformanceStudy, StudyRow};
 pub use server::{
     digest_responses, DatabaseServer, Fallback, Query, Response, ServePolicy, ServerStats,
 };

@@ -1,27 +1,18 @@
 //! Measured Cart3D workload profiles for the Columbia machine model.
 //!
 //! Mirrors `columbia_rans::profile` for the cell-centred solver: FLOPs per
-//! cell per visit from instrumented cycles, SFC-partition surface laws
+//! cell per visit from instrumented cycles, SFC-partition ghost surfaces
 //! measured from real decompositions, and inter-grid locality from the
-//! natural (same-curve) overlap of independently partitioned levels.
+//! natural (same-curve) overlap of independently partitioned levels —
+//! fitted and assembled by `columbia_machine::profile`.
 
 use crate::solver::EulerSolver;
 use crate::state::NVARS5;
 use columbia_cartesian::{partition_cells, CartMesh};
-use columbia_machine::{CycleProfile, IntergridProfile, LevelProfile};
-use columbia_mg::{CycleParams, CycleType};
-
-/// Measured SFC-partition surface law (ghost cells per partition vs cells
-/// per partition).
-#[derive(Clone, Copy, Debug)]
-pub struct SfcSurfaceLaw {
-    /// Prefactor.
-    pub coeff: f64,
-    /// Exponent.
-    pub exponent: f64,
-    /// Largest partition-graph degree observed.
-    pub max_degree: f64,
-}
+use columbia_comm::ExecContext;
+use columbia_machine::profile::{CodeConstants, SurfaceLaw, CART3D_PAPER};
+use columbia_machine::CycleProfile;
+use columbia_mg::{level_visits, CycleParams};
 
 /// Ghosts per partition for an SFC decomposition of `mesh` into `p` parts.
 pub fn measure_ghosts(mesh: &CartMesh, p: usize) -> (f64, usize) {
@@ -60,46 +51,13 @@ pub fn measure_ghosts(mesh: &CartMesh, p: usize) -> (f64, usize) {
     (mean, max_degree)
 }
 
-/// Fit the surface law over several partition counts.
-pub fn fit_sfc_surface_law(mesh: &CartMesh, parts: &[usize]) -> SfcSurfaceLaw {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    let mut max_degree = 0usize;
-    for &p in parts {
-        if p < 2 || p * 4 > mesh.ncells() {
-            continue;
-        }
-        let (g, d) = measure_ghosts(mesh, p);
-        if g > 0.0 {
-            xs.push((mesh.ncells() as f64 / p as f64).ln());
-            ys.push(g.ln());
-        }
-        max_degree = max_degree.max(d);
-    }
-    if xs.len() < 2 {
-        return SfcSurfaceLaw {
-            coeff: 5.0,
-            exponent: 2.0 / 3.0,
-            max_degree: (max_degree as f64).max(14.0),
-        };
-    }
-    let n = xs.len() as f64;
-    let sx: f64 = xs.iter().sum();
-    let sy: f64 = ys.iter().sum();
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
-    let denom = n * sxx - sx * sx;
-    let (coeff, exponent) = if denom.abs() < 1e-12 {
-        (5.0, 2.0 / 3.0)
-    } else {
-        let e = ((n * sxy - sx * sy) / denom).clamp(0.3, 1.0);
-        (((sy - e * sx) / n).exp(), e)
-    };
-    SfcSurfaceLaw {
-        coeff,
-        exponent,
-        max_degree: (max_degree as f64).max(1.0),
-    }
+/// Fit the SFC-partition surface law of `mesh` over the partition counts
+/// `parts`; the fallback is Cart3D's canonical `5 q^(2/3)`, degree 14.
+pub fn fit_surface_law(mesh: &CartMesh, parts: &[usize]) -> SurfaceLaw {
+    let canonical = CART3D_PAPER.canonical_law();
+    SurfaceLaw::fit(mesh.ncells(), parts, &canonical, |p| {
+        measure_ghosts(mesh, p)
+    })
 }
 
 /// Fraction of fine cells whose SFC-partition owner differs between the
@@ -125,7 +83,9 @@ pub fn measure_intergrid_nonlocal(
 }
 
 /// Measure a full Cart3D cycle profile, rescaled so the fine level has
-/// `target_cells` (the paper's 25M-cell SSLV benchmark).
+/// `target_cells` (the paper's 25M-cell SSLV benchmark). With tracing
+/// enabled on `ctx`, the fit provenance and per-level FLOP counts are
+/// recorded under a `profile_measure` span.
 pub fn measure_profile(
     solver: &mut EulerSolver,
     cycle: &CycleParams,
@@ -133,70 +93,39 @@ pub fn measure_profile(
     match_parts: usize,
     target_cells: f64,
     name: &str,
+    ctx: &mut ExecContext,
 ) -> CycleProfile {
     solver.take_flops();
     solver.cycle(cycle);
-    let nlev = solver.nlevels();
-    let visits: Vec<f64> = (0..nlev)
-        .map(|l| match cycle.cycle {
-            CycleType::V => 1.0,
-            CycleType::W => (1usize << l) as f64,
+    let law = fit_surface_law(&solver.levels[0].mesh, parts);
+    let nonlocal: Vec<f64> = solver
+        .levels
+        .windows(2)
+        .map(|w| {
+            let map = w[0].to_coarse.as_ref().expect("no map");
+            measure_intergrid_nonlocal(&w[0].mesh, &w[1].mesh, map, match_parts).max(0.02)
         })
         .collect();
-    let flops = solver.level_flops();
-    let law = fit_sfc_surface_law(&solver.levels[0].mesh, parts);
-    let scale = target_cells / solver.levels[0].ncells() as f64;
-    // RK5: 5 state copies + 5 residual adds + 5 lam adds per step; sweeps
-    // from the cycle parameters.
     let sweeps = (cycle.pre_sweeps + cycle.post_sweeps) as f64 / 2.0 + 1.0;
-    let exchanges_per_visit = 15.0 * sweeps;
-    // Working set: u, u0, forcing, restricted, res (5x40B) + lam + mesh.
-    let state_bytes = (5 * NVARS5 * 8 + 8 + 100) as f64;
-
-    let levels: Vec<LevelProfile> = (0..nlev)
-        .map(|l| LevelProfile {
-            name: format!("level {l}"),
-            points: solver.levels[l].ncells() as f64 * scale,
-            flops_per_point: flops[l] as f64 / (solver.levels[l].ncells() as f64 * visits[l]),
-            state_bytes_per_point: state_bytes,
-            exchange_bytes_per_entry: (NVARS5 * 8) as f64,
-            exchanges_per_visit,
-            surface_coeff: law.coeff,
-            surface_exponent: law.exponent,
-            max_degree: law.max_degree.max(14.0),
-            visits: visits[l],
-            // Cart3D's tuned cell-centred kernels: >1.5 GFLOP/s per CPU,
-            // already cache-blocked (near-ideal rather than superlinear
-            // scaling).
-            rate_scale: 1.10,
-            cache_fraction: 0.2,
-        })
-        .collect();
-
-    let intergrid: Vec<IntergridProfile> = (0..nlev - 1)
-        .map(|l| {
-            let map = solver.levels[l].to_coarse.as_ref().unwrap();
-            let nl = measure_intergrid_nonlocal(
-                &solver.levels[l].mesh,
-                &solver.levels[l + 1].mesh,
-                map,
-                match_parts,
-            );
-            IntergridProfile {
-                bytes_per_fine_point: 60.0,
-                transfers_per_cycle: visits[l + 1],
-                nonlocal_fraction: nl.max(0.02),
-                max_degree: law.max_degree.max(15.0),
-                fine_points: solver.levels[l].ncells() as f64 * scale,
-            }
-        })
-        .collect();
-
-    CycleProfile {
-        name: name.to_string(),
-        levels,
-        intergrid,
-    }
+    let code = CodeConstants {
+        // Working set: u, u0, forcing, restricted, res (5x40B) + lam + mesh.
+        state_bytes_per_point: (5 * NVARS5 * 8 + 8 + 100) as f64,
+        // RK5: 5 state copies + 5 residual adds + 5 lam adds per step.
+        exchanges_per_visit: 15.0 * sweeps,
+        intergrid_bytes_per_fine_point: 60.0,
+        ..CART3D_PAPER
+    };
+    CycleProfile::measured(
+        ctx.tracer(),
+        name,
+        &code,
+        &solver.level_sizes(),
+        &solver.level_flops(),
+        &level_visits(solver.nlevels(), cycle.cycle),
+        &law,
+        &nonlocal,
+        target_cells,
+    )
 }
 
 #[cfg(test)]
@@ -204,6 +133,7 @@ mod tests {
     use super::*;
     use crate::solver::EulerParams;
     use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
+    use columbia_machine::profile::FitFallback;
     use columbia_mesh::Vec3;
     use columbia_sfc::CurveKind;
 
@@ -229,13 +159,48 @@ mod tests {
     #[test]
     fn sfc_surface_law_is_sublinear() {
         let s = sphere_solver(5);
-        let law = fit_sfc_surface_law(&s.levels[0].mesh, &[4, 8, 16, 32]);
+        let law = fit_surface_law(&s.levels[0].mesh, &[4, 8, 16, 32]);
         assert!(
             (0.3..=1.0).contains(&law.exponent),
             "exponent {}",
             law.exponent
         );
         assert!(law.coeff > 0.1);
+        assert_eq!(law.provenance.samples_used, 4);
+        assert_eq!(law.provenance.fallback, None);
+    }
+
+    #[test]
+    fn fit_provenance_reports_skips_and_fallback() {
+        // Oversized part counts are skipped (p * 4 > ncells) and the fit
+        // falls back to Cart3D's canonical law, saying why.
+        let s = sphere_solver(4);
+        let mesh = &s.levels[0].mesh;
+        let n = mesh.ncells();
+        let law = fit_surface_law(mesh, &[n, 2 * n]);
+        assert_eq!(law.provenance.parts_requested, 2);
+        assert_eq!(law.provenance.parts_skipped_small, 2);
+        assert_eq!(law.provenance.samples_used, 0);
+        assert_eq!(law.provenance.fallback, Some(FitFallback::TooFewSamples));
+        assert_eq!((law.coeff, law.max_degree), (5.0, 14.0));
+    }
+
+    #[test]
+    fn measure_profile_records_fit_provenance() {
+        let mut s = sphere_solver(4);
+        let mut ctx = ExecContext::traced();
+        let cycle = CycleParams::default();
+        measure_profile(&mut s, &cycle, &[4, 8, 16], 8, 25.0e6, "traced", &mut ctx);
+        let trace = ctx.finish_trace();
+        let span = trace.find("profile_measure").expect("profile span");
+        let fit = span
+            .children
+            .iter()
+            .find(|c| c.key.name == "surface_fit")
+            .expect("surface_fit child span");
+        assert_eq!(fit.counters.get("fit.parts_requested"), Some(&3));
+        assert_eq!(fit.counters.get("fit.fallback.none"), Some(&1));
+        assert!(span.counters.get("profile.flops").copied().unwrap_or(0) > 0);
     }
 
     #[test]
@@ -258,6 +223,7 @@ mod tests {
             8,
             25.0e6,
             "measured Cart3D",
+            &mut ExecContext::default(),
         );
         p.validate().unwrap();
         assert!((p.levels[0].points - 25.0e6).abs() / 25.0e6 < 1e-9);

@@ -35,7 +35,7 @@ use columbia_rt::fault::{CasePlan, FaultPlan};
 use columbia_rt::trace::{Trace, Tracer};
 use std::sync::Arc;
 
-pub use columbia_rt::env::{ExecutorKind, FabricKind};
+pub use columbia_rt::env::ExecutorKind;
 
 /// Which `run_world` backend hosts the rank bodies.
 ///
@@ -78,9 +78,10 @@ impl Executor {
 /// Which interconnect delivery model shapes the event executor's virtual
 /// time.
 ///
-/// * [`FabricModel::Analytic`] — the seed behaviour: message wakeups cost
-///   one virtual tick, delivery cost lives only in the closed-form curves
-///   of `columbia_machine::interconnect`. The reference oracle.
+/// * [`FabricModel::Analytic`] (the default) — the seed behaviour: message
+///   wakeups cost one virtual tick, delivery cost lives only in the
+///   closed-form curves of `columbia_machine::interconnect`. The reference
+///   oracle.
 /// * [`FabricModel::Contention`] — the event backend routes every
 ///   cross-rank message through the discrete-event link/arbiter model
 ///   (`columbia_machine::contention`), so wakeup delays carry emergent
@@ -88,30 +89,16 @@ impl Executor {
 ///   comm protocol is interleaving-invariant — only the virtual-time
 ///   schedule moves. The thread backend has no virtual clock and ignores
 ///   the selection.
-/// * [`FabricModel::Auto`] (the default) — consult the typed
-///   `COLUMBIA_FABRIC` env knob (`analytic` | `contention`), falling back
-///   to `Analytic` when unset.
+///
+/// Chosen in code only ([`ExecContext::with_fabric_model`]); there is no
+/// environment knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FabricModel {
-    /// Resolve from `COLUMBIA_FABRIC`, default [`FabricModel::Analytic`].
-    #[default]
-    Auto,
     /// Closed-form delivery cost (seed behaviour, reference oracle).
+    #[default]
     Analytic,
     /// Discrete-event contention model on the event executor.
     Contention,
-}
-
-impl FabricModel {
-    /// The concrete model this selection denotes, consulting the
-    /// environment only for [`FabricModel::Auto`].
-    pub fn resolve(self) -> FabricKind {
-        match self {
-            FabricModel::Analytic => FabricKind::Analytic,
-            FabricModel::Contention => FabricKind::Contention,
-            FabricModel::Auto => columbia_rt::env::fabric().unwrap_or(FabricKind::Analytic),
-        }
-    }
 }
 
 /// Halo buffer-pool policy of the comm runtime.
@@ -242,8 +229,7 @@ impl ExecContext {
     }
 
     /// Select the interconnect delivery model for the event executor's
-    /// virtual time. The default, [`FabricModel::Auto`], defers to the
-    /// `COLUMBIA_FABRIC` env knob.
+    /// virtual time (default [`FabricModel::Analytic`]).
     pub fn with_fabric_model(mut self, fabric: FabricModel) -> Self {
         self.fabric = fabric;
         self
@@ -275,8 +261,7 @@ impl ExecContext {
         self.executor
     }
 
-    /// The selected interconnect delivery model (unresolved; call
-    /// [`FabricModel::resolve`] for the concrete kind).
+    /// The selected interconnect delivery model.
     pub fn fabric_model(&self) -> FabricModel {
         self.fabric
     }
@@ -356,15 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn fabric_selection_resolves_explicitly_without_the_environment() {
-        assert_eq!(FabricModel::Analytic.resolve(), FabricKind::Analytic);
-        assert_eq!(FabricModel::Contention.resolve(), FabricKind::Contention);
+    fn fabric_model_defaults_to_analytic_and_is_set_in_code() {
         let ctx = ExecContext::default();
-        assert_eq!(ctx.fabric_model(), FabricModel::Auto);
+        assert_eq!(ctx.fabric_model(), FabricModel::Analytic);
         let ctx = ctx.with_fabric_model(FabricModel::Contention);
         assert_eq!(ctx.fabric_model(), FabricModel::Contention);
-        // Auto defers to COLUMBIA_FABRIC, whose grammar is pinned in
-        // columbia_rt::env (again no env mutation here).
     }
 
     #[test]

@@ -136,7 +136,6 @@ impl<const N: usize> BlockMat<N> {
     /// Matrix-vector product `y = A x`.
     #[inline]
     pub fn mul_vec(&self, x: &[f64; N]) -> [f64; N] {
-        crate::flops::add(crate::flops::matvec_flops(N as u64));
         let mut y = [0.0; N];
         for r in 0..N {
             let mut s = 0.0;
@@ -151,7 +150,6 @@ impl<const N: usize> BlockMat<N> {
     /// `y -= A x`, fused to avoid a temporary in the tridiagonal sweeps.
     #[inline]
     pub fn mul_vec_sub(&self, x: &[f64; N], y: &mut [f64; N]) {
-        crate::flops::add(crate::flops::matvec_flops(N as u64));
         for r in 0..N {
             let mut s = 0.0;
             for c in 0..N {
@@ -183,7 +181,6 @@ impl<const N: usize> BlockMat<N> {
     /// (`1e-300`), which in the solvers indicates a catastrophically bad
     /// Jacobian (e.g. vacuum state).
     pub fn lu(&self) -> Result<BlockLu<N>, LinalgError> {
-        crate::flops::add(crate::flops::lu_flops(N as u64));
         let mut lu = self.a;
         let mut piv = [0usize; N];
         for (i, p) in piv.iter_mut().enumerate() {
@@ -298,7 +295,6 @@ impl<const N: usize> Mul for BlockMat<N> {
     type Output = Self;
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        crate::flops::add(crate::flops::matmul_flops(N as u64));
         let mut out = Self::zero();
         for r in 0..N {
             for k in 0..N {
@@ -339,7 +335,6 @@ impl<const N: usize> BlockLu<N> {
     /// Solve `A x = b` using the stored factorisation.
     #[inline]
     pub fn solve(&self, b: &[f64; N]) -> [f64; N] {
-        crate::flops::add(crate::flops::solve_flops(N as u64));
         // Apply the row permutation while loading b.
         let mut x = [0.0; N];
         for r in 0..N {

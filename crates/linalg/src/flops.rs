@@ -1,45 +1,13 @@
-//! Ambient software FLOP accounting for the dense kernels.
+//! Closed-form FLOP counts of the dense kernels.
 //!
 //! The paper measures FLOP rates with the Itanium2 hardware counters
-//! (`pfmon`); the reproduction counts in software. The dense kernels —
-//! block LU factorise/solve, matrix products, the batched SoA kernels in
-//! [`crate::soa`], and the vector AXPYs — bump a thread-local counter
-//! with *exact* operation counts (a MADD counts 2, a division or
-//! reciprocal counts 1, comparisons and `abs` count 0, matching the
-//! paper's counting of arithmetic retired). A benchmark brackets a kernel
-//! invocation with [`take`] and divides by wall time for an achieved
-//! FLOP/s figure directly comparable to the `columbia-machine` roofline
-//! (`MachineConfig::effective_rate`).
-//!
-//! Only the factorise/solve/matvec/matmul/axpy kernels count — the ones
-//! the roofline bench measures. The O(N²) element-wise helpers
-//! (`AddAssign`, scalar scaling, `add_diagonal`) do not, so assembly-heavy
-//! code does not pay a counter bump per edge.
-//!
-//! The counter is thread-local: each rank thread accounts its own kernel
-//! work, and single-threaded benches see exactly the FLOPs they issued.
-
-use std::cell::Cell;
-
-thread_local! {
-    static KERNEL_FLOPS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Add `n` FLOPs to this thread's kernel counter.
-#[inline]
-pub fn add(n: u64) {
-    KERNEL_FLOPS.with(|c| c.set(c.get() + n));
-}
-
-/// This thread's accumulated kernel FLOPs.
-pub fn total() -> u64 {
-    KERNEL_FLOPS.with(|c| c.get())
-}
-
-/// Read and reset this thread's kernel counter.
-pub fn take() -> u64 {
-    KERNEL_FLOPS.with(|c| c.replace(0))
-}
+//! (`pfmon`); the reproduction counts in software. For the dense kernels —
+//! block LU factorise/solve, matrix products, their batched forms in
+//! [`crate::soa`], the vector AXPYs — the count is a closed form of the
+//! block size alone (a MADD counts 2, a division or reciprocal 1,
+//! comparisons and `abs` 0, matching the paper's counting of arithmetic
+//! retired), so the kernels themselves count nothing at run time: the
+//! `--kernels` roofline section evaluates these functions.
 
 /// Exact FLOPs of one partially pivoted `n x n` LU factorisation: per
 /// elimination column `k`, one reciprocal, `n-1-k` multiplier products,
@@ -78,6 +46,19 @@ pub const fn matvec_flops(n: u64) -> u64 {
     2 * n * n
 }
 
+/// Exact FLOPs of one block-tridiagonal (block Thomas) solve of `len >= 1`
+/// rows of `n x n` blocks: every row factorises its diagonal block and
+/// solves for its right-hand side; every row but the last (and the first
+/// always) solves for its modified upper block; every row after the first
+/// pays a block product and a matvec in the forward elimination and a
+/// matvec in the back substitution.
+pub const fn tridiag_solve_flops(n: u64, len: u64) -> u64 {
+    let upper_solves = if len > 1 { len - 1 } else { 1 };
+    len * (lu_flops(n) + solve_flops(n))
+        + upper_solves * solve_mat_flops(n)
+        + (len - 1) * (matmul_flops(n) + 2 * matvec_flops(n))
+}
+
 /// FLOPs of `y += a x` over `len` scalars.
 pub const fn axpy_flops(len: u64) -> u64 {
     2 * len
@@ -86,18 +67,6 @@ pub const fn axpy_flops(len: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates_and_takes() {
-        let before = take();
-        add(100);
-        add(50);
-        assert_eq!(total(), 150);
-        assert_eq!(take(), 150);
-        assert_eq!(total(), 0);
-        // Restore whatever the surrounding test harness had accumulated.
-        add(before);
-    }
 
     #[test]
     fn formulas_match_hand_counts() {
@@ -111,5 +80,22 @@ mod tests {
         assert_eq!(matmul_flops(6), 432);
         assert_eq!(matvec_flops(6), 72);
         assert_eq!(axpy_flops(10), 20);
+    }
+
+    /// The counts the thread-local counter this module used to hold read
+    /// off one pass of each `scaling_report --kernels` kernel.
+    #[test]
+    fn closed_forms_reproduce_the_counted_kernel_passes() {
+        // point_lu6, 512 points: one factorisation + one solve each.
+        assert_eq!(512 * (lu_flops(6) + solve_flops(6)), 100_864);
+        // line_tridiag6, 16 lines x 32 rows.
+        assert_eq!(16 * tridiag_solve_flops(6, 32), 582_976);
+        // rk_axpy, 4096 cells x 5 variables.
+        assert_eq!(axpy_flops(4096 * 5), 40_960);
+        // A one-row line is a dense solve plus the unused upper-block solve.
+        assert_eq!(
+            tridiag_solve_flops(6, 1),
+            lu_flops(6) + solve_flops(6) + solve_mat_flops(6)
+        );
     }
 }

@@ -47,7 +47,6 @@
 //! scalar paths do with `Err` results.
 
 use crate::block::BlockMat;
-use crate::flops;
 
 /// Number of interleaved lanes per batch. Four `f64` lanes are 32 bytes —
 /// half a cache line per element group, and wide enough to cover SSE2
@@ -133,13 +132,10 @@ impl<const N: usize> BlockBatch<N> {
 
     /// Batched LU factorisation with per-lane partial pivoting.
     ///
-    /// `nlanes` is the number of live lanes, used only for FLOP
-    /// accounting (padding lanes do useless work that should not inflate
-    /// the achieved-FLOP/s figures). Per lane the pivot search, row swap
-    /// and elimination replicate [`BlockMat::lu`] operation-for-operation;
-    /// see the module docs for the singular-lane convention.
-    pub fn lu(&self, nlanes: usize) -> BlockLuBatch<N> {
-        flops::add(nlanes as u64 * flops::lu_flops(N as u64));
+    /// Per lane the pivot search, row swap and elimination replicate
+    /// [`BlockMat::lu`] operation-for-operation; see the module docs for
+    /// the singular-lane convention.
+    pub fn lu(&self) -> BlockLuBatch<N> {
         let mut lu = self.a;
         let mut piv = [[0usize; N]; LANES];
         for lane in piv.iter_mut() {
@@ -204,9 +200,8 @@ impl<const N: usize> BlockBatch<N> {
     ///
     /// Accumulates the full product row into a temporary (ascending `k`,
     /// matching the scalar matmul's order) and subtracts once, exactly as
-    /// the scalar `dmod -= li * uprev` does. `nlanes` counts FLOPs.
-    pub fn mul_sub_assign(&mut self, a: &BlockBatch<N>, b: &BlockBatch<N>, nlanes: usize) {
-        flops::add(nlanes as u64 * flops::matmul_flops(N as u64));
+    /// the scalar `dmod -= li * uprev` does.
+    pub fn mul_sub_assign(&mut self, a: &BlockBatch<N>, b: &BlockBatch<N>) {
         for r in 0..N {
             let mut acc = [[0.0; LANES]; N];
             for k in 0..N {
@@ -226,8 +221,7 @@ impl<const N: usize> BlockBatch<N> {
 
     /// Per-lane matrix-vector product `y = A x` (accumulate order as
     /// [`BlockMat::mul_vec`]).
-    pub fn mul_vec(&self, x: &VecBatch<N>, nlanes: usize) -> VecBatch<N> {
-        flops::add(nlanes as u64 * flops::matvec_flops(N as u64));
+    pub fn mul_vec(&self, x: &VecBatch<N>) -> VecBatch<N> {
         let mut y = vec_batch_zero();
         for r in 0..N {
             let mut s = [0.0; LANES];
@@ -243,8 +237,7 @@ impl<const N: usize> BlockBatch<N> {
 
     /// Per-lane fused `y -= A x` (accumulate-then-subtract, as
     /// [`BlockMat::mul_vec_sub`]).
-    pub fn mul_vec_sub(&self, x: &VecBatch<N>, y: &mut VecBatch<N>, nlanes: usize) {
-        flops::add(nlanes as u64 * flops::matvec_flops(N as u64));
+    pub fn mul_vec_sub(&self, x: &VecBatch<N>, y: &mut VecBatch<N>) {
         for r in 0..N {
             let mut s = [0.0; LANES];
             for c in 0..N {
@@ -282,9 +275,8 @@ impl<const N: usize> BlockLuBatch<N> {
     }
 
     /// Per-lane triangular solve, operation-for-operation identical to
-    /// [`crate::block::BlockLu::solve`]. `nlanes` counts FLOPs.
-    pub fn solve(&self, b: &VecBatch<N>, nlanes: usize) -> VecBatch<N> {
-        flops::add(nlanes as u64 * flops::solve_flops(N as u64));
+    /// [`crate::block::BlockLu::solve`].
+    pub fn solve(&self, b: &VecBatch<N>) -> VecBatch<N> {
         let mut x = vec_batch_zero();
         // Apply each lane's row permutation while loading b.
         for r in 0..N {
@@ -318,9 +310,8 @@ impl<const N: usize> BlockLuBatch<N> {
     }
 
     /// Per-lane block right-hand-side solve, column-wise as
-    /// [`crate::block::BlockLu::solve_mat`]. FLOPs count via the inner
-    /// [`Self::solve`] calls.
-    pub fn solve_mat(&self, b: &BlockBatch<N>, nlanes: usize) -> BlockBatch<N> {
+    /// [`crate::block::BlockLu::solve_mat`].
+    pub fn solve_mat(&self, b: &BlockBatch<N>) -> BlockBatch<N> {
         let mut out = BlockBatch::zero();
         for c in 0..N {
             let mut col = vec_batch_zero();
@@ -329,7 +320,7 @@ impl<const N: usize> BlockLuBatch<N> {
                     col[r][l] = b.a[r][c][l];
                 }
             }
-            let x = self.solve(&col, nlanes);
+            let x = self.solve(&col);
             for r in 0..N {
                 for l in 0..LANES {
                     out.a[r][c][l] = x[r][l];
@@ -437,7 +428,6 @@ impl<const N: usize> TridiagBatch<N> {
         if n == 0 {
             return ok;
         }
-        let nl = self.nlanes;
         self.upper_mod.clear();
         self.upper_mod.resize(n, BlockBatch::zero());
         self.y.clear();
@@ -447,20 +437,20 @@ impl<const N: usize> TridiagBatch<N> {
         //   U'_i = D'^-1_i U_i
         //   D'_i = D_i - L_i U'_{i-1}
         //   b'_i = b_i - L_i y_{i-1};  y_i = D'^-1_i b'_i
-        let lu0 = self.diag[0].lu(nl);
+        let lu0 = self.diag[0].lu();
         and_flags(&mut ok, lu0.ok());
-        self.upper_mod[0] = lu0.solve_mat(&self.upper[0], nl);
-        self.y[0] = lu0.solve(&self.rhs[0], nl);
+        self.upper_mod[0] = lu0.solve_mat(&self.upper[0]);
+        self.y[0] = lu0.solve(&self.rhs[0]);
         for i in 1..n {
             let mut dmod = self.diag[i];
-            dmod.mul_sub_assign(&self.lower[i], &self.upper_mod[i - 1], nl);
-            let lui = dmod.lu(nl);
+            dmod.mul_sub_assign(&self.lower[i], &self.upper_mod[i - 1]);
+            let lui = dmod.lu();
             and_flags(&mut ok, lui.ok());
             let mut b = self.rhs[i];
-            self.lower[i].mul_vec_sub(&self.y[i - 1], &mut b, nl);
-            self.y[i] = lui.solve(&b, nl);
+            self.lower[i].mul_vec_sub(&self.y[i - 1], &mut b);
+            self.y[i] = lui.solve(&b);
             if i + 1 < n {
-                self.upper_mod[i] = lui.solve_mat(&self.upper[i], nl);
+                self.upper_mod[i] = lui.solve_mat(&self.upper[i]);
             }
         }
 
@@ -468,7 +458,7 @@ impl<const N: usize> TridiagBatch<N> {
         out[n - 1] = self.y[n - 1];
         for i in (0..n - 1).rev() {
             let mut x = self.y[i];
-            let corr = self.upper_mod[i].mul_vec(&out[i + 1], nl);
+            let corr = self.upper_mod[i].mul_vec(&out[i + 1]);
             for k in 0..N {
                 for l in 0..LANES {
                     x[k][l] -= corr[k][l];
@@ -748,9 +738,9 @@ mod tests {
                 rhs[r][l] = b[r];
             }
         }
-        let lu = batch.lu(LANES);
+        let lu = batch.lu();
         assert!(lu.all_ok(LANES));
-        let x = lu.solve(&rhs, LANES);
+        let x = lu.solve(&rhs);
         for l in 0..LANES {
             let xs = mats[l].lu().unwrap().solve(&rhs_scalar[l]);
             let mut xb = [0.0; 6];
@@ -769,7 +759,7 @@ mod tests {
         m0.set(2, 0, 5.0); // forces pivot row 2 in lane 0
         let m1 = BlockMat::<3>::from_fn(|r, c| if r == c { 3.0 } else { 0.2 });
         let batch = BlockBatch::from_lanes(&[m0, m1]);
-        let lu = batch.lu(2);
+        let lu = batch.lu();
         assert!(lu.all_ok(2));
         let b = [1.0, 2.0, 3.0];
         let mut rb = vec_batch_zero::<3>();
@@ -778,7 +768,7 @@ mod tests {
                 rb[r][l] = b[r];
             }
         }
-        let x = lu.solve(&rb, 2);
+        let x = lu.solve(&rb);
         for (l, m) in [m0, m1].iter().enumerate() {
             let xs = m.lu().unwrap().solve(&b);
             for r in 0..3 {
@@ -798,7 +788,7 @@ mod tests {
         let bad = BlockMat::<4>::from_fn(|r, c| if c == 1 { 0.0 } else { (r + c) as f64 + 1.0 });
         assert!(matches!(bad.lu(), Err(LinalgError::Singular { .. })));
         let batch = BlockBatch::from_lanes(&[good, bad]);
-        let lu = batch.lu(2);
+        let lu = batch.lu();
         assert!(lu.ok()[0] && !lu.ok()[1]);
         let b = [1.0, -2.0, 3.0, -4.0];
         let mut rb = vec_batch_zero::<4>();
@@ -806,7 +796,7 @@ mod tests {
             rb[r][0] = b[r];
             rb[r][1] = b[r];
         }
-        let x = lu.solve(&rb, 2);
+        let x = lu.solve(&rb);
         let xs = good.lu().unwrap().solve(&b);
         for r in 0..4 {
             assert_eq!(xs[r].to_bits(), x[r][0].to_bits(), "good lane polluted");

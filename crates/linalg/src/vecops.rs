@@ -2,16 +2,13 @@
 //!
 //! Flow states are stored as structure-of-blocks: a `Vec<[f64; N]>` with one
 //! block per grid point / cell. These helpers implement the handful of BLAS-1
-//! style operations the multigrid drivers need, plus FLOP accounting used by
-//! the performance instrumentation (the paper measures FLOP rates through
-//! Itanium hardware counters; we count in software).
+//! style operations the multigrid drivers need.
 
 /// `y += a * x` over flat scalar slices, processed in unrolled chunks of
 /// [`crate::soa::LANES`]. AXPY is element-wise, so chunking cannot change
 /// a single bit of the result — there is no scalar/SIMD fork to oracle.
 pub fn axpy_flat(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    crate::flops::add(crate::flops::axpy_flops(x.len() as u64));
     const LANES: usize = crate::soa::LANES;
     let mut yc = y.chunks_exact_mut(LANES);
     let mut xc = x.chunks_exact(LANES);
@@ -104,16 +101,6 @@ mod tests {
                 assert_eq!(u.to_bits(), v.to_bits(), "n={n}");
             }
         }
-    }
-
-    #[test]
-    fn axpy_counts_flops() {
-        let before = crate::flops::take();
-        let x = vec![[1.0; 3]; 10];
-        let mut y = vec![[0.0; 3]; 10];
-        axpy(1.5, &x, &mut y);
-        assert_eq!(crate::flops::take(), 60);
-        crate::flops::add(before);
     }
 
     #[test]

@@ -43,5 +43,6 @@ pub use model::{simulate_cycle, CycleBreakdown, RunConfig};
 pub use profile::{paper_cart3d_25m, paper_nsu3d_72m};
 pub use profile::{CycleProfile, IntergridProfile, LevelProfile};
 pub use scaling::{
-    cart3d_node_span, speedup_series, ScalingPoint, CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
+    cart3d_node_span, fabric_thread_matrix, relative_efficiency, series, speedup_series,
+    ScalingPoint, StudyRow, CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
 };

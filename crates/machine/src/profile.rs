@@ -1,11 +1,14 @@
 //! Workload profiles: what a multigrid cycle *is*, measured by the solvers.
 //!
 //! The solver crates run real partitioning experiments on real (smaller)
-//! meshes, measure per-level work and communication-surface statistics, fit
-//! the surface-to-volume law, and package everything into a [`CycleProfile`]
-//! that this crate prices at paper scale. FLOP counts come from software
-//! FLOP accounting in the solver kernels (the paper used Itanium `pfmon`
-//! hardware counters).
+//! meshes and hand the samples to this module, the one road from a
+//! measured cycle to a paper-scale workload: [`SurfaceLaw::fit`] regresses
+//! the surface-to-volume law and [`CycleProfile::build`] packages it with
+//! the per-level work into the [`CycleProfile`] this crate prices. FLOP
+//! counts come from software FLOP accounting in the solver kernels (the
+//! paper used Itanium `pfmon` hardware counters).
+
+use columbia_rt::trace::{SpanKey, Tracer};
 
 /// Per-multigrid-level workload description.
 #[derive(Clone, Debug)]
@@ -86,7 +89,127 @@ pub struct CycleProfile {
     pub intergrid: Vec<IntergridProfile>,
 }
 
+/// Visits per level in one cycle, finest first: a W-cycle visits level
+/// `l` `2^l` times, a V-cycle every level once. (`columbia_mg::level_visits`
+/// is the solvers' copy of this rule; this crate cannot depend on `mg`.)
+pub fn cycle_visits(nlevels: usize, w_cycle: bool) -> Vec<usize> {
+    (0..nlevels)
+        .map(|l| if w_cycle { 1usize << l } else { 1 })
+        .collect()
+}
+
+/// What is fixed per code (NSU3D / Cart3D) rather than measured per level.
+#[derive(Clone, Copy, Debug)]
+pub struct CodeConstants {
+    /// [`LevelProfile::state_bytes_per_point`].
+    pub state_bytes_per_point: f64,
+    /// [`LevelProfile::exchange_bytes_per_entry`].
+    pub exchange_bytes_per_entry: f64,
+    /// [`LevelProfile::exchanges_per_visit`].
+    pub exchanges_per_visit: f64,
+    /// Prefactor `c` of the code's canonical surface law `c q^(2/3)`.
+    pub canonical_coeff: f64,
+    /// Floor on the communication-graph degree of a level (the asymptotic
+    /// degree of the paper's fine grids); the inter-grid graph has one
+    /// peer more (paper: 18 and 19).
+    pub min_degree: f64,
+    /// [`IntergridProfile::bytes_per_fine_point`].
+    pub intergrid_bytes_per_fine_point: f64,
+    /// [`LevelProfile::rate_scale`].
+    pub rate_scale: f64,
+    /// [`LevelProfile::cache_fraction`].
+    pub cache_fraction: f64,
+}
+
+impl CodeConstants {
+    /// The code's canonical 3-D law, the fallback of [`SurfaceLaw::fit`].
+    pub fn canonical_law(&self) -> SurfaceLaw {
+        SurfaceLaw {
+            coeff: self.canonical_coeff,
+            exponent: 2.0 / 3.0,
+            max_degree: self.min_degree,
+            provenance: FitProvenance::default(),
+        }
+    }
+}
+
 impl CycleProfile {
+    /// The one constructor. `levels[l]` is `(carriers, FLOPs per carrier
+    /// per visit)` of level `l` as measured, `visits[l]` its visits per
+    /// cycle, `nonlocal[l]` the non-local fraction of the transfers
+    /// between levels `l` and `l + 1`. Level sizes are rescaled so the
+    /// finest has `target_points`, preserving the coarsening ratios.
+    pub fn build(
+        name: &str,
+        code: &CodeConstants,
+        levels: &[(f64, f64)],
+        visits: &[usize],
+        law: &SurfaceLaw,
+        nonlocal: &[f64],
+        target_points: f64,
+    ) -> CycleProfile {
+        assert_eq!(levels.len(), visits.len());
+        assert_eq!(nonlocal.len() + 1, levels.len());
+        let scale = target_points / levels[0].0;
+        let max_degree = law.max_degree.max(code.min_degree);
+        let level = |l: usize| LevelProfile {
+            name: format!("level {l}"),
+            points: levels[l].0 * scale,
+            flops_per_point: levels[l].1,
+            state_bytes_per_point: code.state_bytes_per_point,
+            exchange_bytes_per_entry: code.exchange_bytes_per_entry,
+            exchanges_per_visit: code.exchanges_per_visit,
+            surface_coeff: law.coeff,
+            surface_exponent: law.exponent,
+            max_degree,
+            visits: visits[l] as f64,
+            rate_scale: code.rate_scale,
+            cache_fraction: code.cache_fraction,
+        };
+        let transfer = |l: usize| IntergridProfile {
+            bytes_per_fine_point: code.intergrid_bytes_per_fine_point,
+            transfers_per_cycle: visits[l + 1] as f64,
+            nonlocal_fraction: nonlocal[l],
+            max_degree: max_degree + 1.0,
+            fine_points: levels[l].0 * scale,
+        };
+        CycleProfile {
+            name: name.to_string(),
+            levels: (0..levels.len()).map(level).collect(),
+            intergrid: (0..nonlocal.len()).map(transfer).collect(),
+        }
+    }
+
+    /// [`CycleProfile::build`] from one instrumented cycle: level `l` has
+    /// `carriers[l]` points and executed `flops[l]` FLOPs in it. The
+    /// per-level counts and the fit provenance of `law` are recorded on
+    /// `tracer` under a `profile_measure` span instead of dropped.
+    #[allow(clippy::too_many_arguments)]
+    pub fn measured(
+        tracer: &mut Tracer,
+        name: &str,
+        code: &CodeConstants,
+        carriers: &[usize],
+        flops: &[u64],
+        visits: &[usize],
+        law: &SurfaceLaw,
+        nonlocal: &[f64],
+        target_points: f64,
+    ) -> CycleProfile {
+        tracer.begin(SpanKey::new("profile_measure"));
+        let mut levels = Vec::with_capacity(carriers.len());
+        for (l, (&n, &f)) in carriers.iter().zip(flops).enumerate() {
+            let per_visit = f as f64 / (n as f64 * visits[l] as f64);
+            tracer.add("profile.flops", f);
+            tracer.gauge(&format!("profile.flops_per_point.level{l}"), per_visit);
+            levels.push((n as f64, per_visit));
+        }
+        law.record_to(tracer, 0);
+        tracer.add("profile.levels", levels.len() as u64);
+        tracer.end();
+        Self::build(name, code, &levels, visits, law, nonlocal, target_points)
+    }
+
     /// Total FLOPs of one full cycle.
     pub fn total_flops(&self) -> f64 {
         self.levels
@@ -116,20 +239,16 @@ impl CycleProfile {
 
     /// Keep only the finest `nlevels` levels (used to sweep 1..6-level
     /// multigrid variants from one measured 6-level profile), recomputing
-    /// W-cycle visit counts.
+    /// the visit counts.
     pub fn truncated(&self, nlevels: usize, w_cycle: bool) -> CycleProfile {
         assert!(nlevels >= 1 && nlevels <= self.levels.len());
         let mut levels = self.levels[..nlevels].to_vec();
-        for (l, lev) in levels.iter_mut().enumerate() {
-            lev.visits = if w_cycle { (1usize << l) as f64 } else { 1.0 };
-        }
         let mut intergrid = self.intergrid[..nlevels - 1].to_vec();
-        for (l, ig) in intergrid.iter_mut().enumerate() {
-            ig.transfers_per_cycle = if w_cycle {
-                (1usize << (l + 1)) as f64
-            } else {
-                1.0
-            };
+        for (l, &v) in cycle_visits(nlevels, w_cycle).iter().enumerate() {
+            levels[l].visits = v as f64;
+            if l > 0 {
+                intergrid[l - 1].transfers_per_cycle = v as f64;
+            }
         }
         CycleProfile {
             name: format!("{} [{} levels]", self.name, nlevels),
@@ -151,6 +270,175 @@ impl CycleProfile {
     }
 }
 
+/// Surface-law fit: `ghosts_per_part = coeff * q^exponent`.
+#[derive(Clone, Debug)]
+pub struct SurfaceLaw {
+    /// Prefactor.
+    pub coeff: f64,
+    /// Exponent (~2/3 in 3-D).
+    pub exponent: f64,
+    /// Largest communication degree observed while fitting.
+    pub max_degree: f64,
+    /// How the fit was obtained (samples used, skips, fallback reason).
+    pub provenance: FitProvenance,
+}
+
+/// Provenance of a [`SurfaceLaw`] fit: which of the requested part counts
+/// actually contributed regression points, and why the fit fell back to the
+/// canonical law if it did.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FitProvenance {
+    /// Part counts the caller asked for.
+    pub parts_requested: usize,
+    /// Part counts skipped because the level is too small
+    /// (`p < 2` or `p * 4 > carriers`).
+    pub parts_skipped_small: usize,
+    /// Partitions that produced no ghosts and so contributed nothing to
+    /// the regression.
+    pub parts_zero_ghosts: usize,
+    /// Regression points actually used.
+    pub samples_used: usize,
+    /// `None` for a genuine least-squares fit; otherwise the reason the
+    /// canonical law was substituted.
+    pub fallback: Option<FitFallback>,
+}
+
+/// Reason a surface-law fit fell back to the code's canonical law.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FitFallback {
+    /// Fewer than two usable regression points survived the skips.
+    TooFewSamples,
+    /// The regression matrix was singular (all samples at one abscissa).
+    DegenerateRegression,
+}
+
+impl FitFallback {
+    /// Stable label used in trace counters and reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            FitFallback::TooFewSamples => "too_few_samples",
+            FitFallback::DegenerateRegression => "degenerate_regression",
+        }
+    }
+}
+
+impl SurfaceLaw {
+    /// Fit the ghost-surface law of a level of `carriers` points:
+    /// `sample(p)` partitions it into `p` parts the code's own way and
+    /// returns `(mean ghosts per part, largest communication degree)`;
+    /// `ln(ghosts)` is regressed on `ln(carriers / p)` over `parts`. Part
+    /// counts the level is too small for are skipped unsampled, and with
+    /// fewer than two usable points, or all at one abscissa, the result is
+    /// `canonical` (with the reason in the provenance).
+    pub fn fit(
+        carriers: usize,
+        parts: &[usize],
+        canonical: &SurfaceLaw,
+        mut sample: impl FnMut(usize) -> (f64, usize),
+    ) -> SurfaceLaw {
+        let mut provenance = FitProvenance {
+            parts_requested: parts.len(),
+            ..FitProvenance::default()
+        };
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let mut max_degree = 0.0f64;
+        for &p in parts {
+            if p < 2 || p * 4 > carriers {
+                provenance.parts_skipped_small += 1;
+                continue;
+            }
+            let (ghosts, degree) = sample(p);
+            if ghosts > 0.0 {
+                xs.push((carriers as f64 / p as f64).ln());
+                ys.push(ghosts.ln());
+            } else {
+                provenance.parts_zero_ghosts += 1;
+            }
+            max_degree = max_degree.max(degree as f64);
+        }
+        provenance.samples_used = xs.len();
+        // Least squares on ln y = ln c + e ln x.
+        let n = xs.len() as f64;
+        let sx: f64 = xs.iter().sum();
+        let sy: f64 = ys.iter().sum();
+        let sxx: f64 = xs.iter().map(|x| x * x).sum();
+        let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
+        let denom = n * sxx - sx * sx;
+        provenance.fallback = if xs.len() < 2 {
+            Some(FitFallback::TooFewSamples)
+        } else if denom.abs() < 1e-12 {
+            Some(FitFallback::DegenerateRegression)
+        } else {
+            None
+        };
+        if provenance.fallback.is_some() {
+            return SurfaceLaw {
+                max_degree: max_degree.max(canonical.max_degree),
+                provenance,
+                ..*canonical
+            };
+        }
+        // Clamp the slope to the physical range first, then take the
+        // intercept for the clamped slope, so the law still passes through
+        // the sample centroid.
+        let exponent = ((n * sxy - sx * sy) / denom).clamp(0.3, 1.0);
+        SurfaceLaw {
+            coeff: ((sy - exponent * sx) / n).exp(),
+            exponent,
+            max_degree: max_degree.max(1.0),
+            provenance,
+        }
+    }
+
+    /// Record the fit on `tracer` as a `surface_fit` span for `level`, so
+    /// skipped part counts and fallbacks are visible instead of silently
+    /// discarded.
+    pub fn record_to(&self, tracer: &mut Tracer, level: usize) {
+        let p = &self.provenance;
+        tracer.begin(SpanKey::new("surface_fit").level(level));
+        tracer.add("fit.parts_requested", p.parts_requested as u64);
+        tracer.add("fit.parts_skipped_small", p.parts_skipped_small as u64);
+        tracer.add("fit.parts_zero_ghosts", p.parts_zero_ghosts as u64);
+        tracer.add("fit.samples_used", p.samples_used as u64);
+        let outcome = p.fallback.map_or("none", |f| f.label());
+        tracer.add(&format!("fit.fallback.{outcome}"), 1);
+        tracer.gauge("fit.coeff", self.coeff);
+        tracer.gauge("fit.exponent", self.exponent);
+        tracer.gauge("fit.max_degree", self.max_degree);
+        tracer.end();
+    }
+}
+
+/// NSU3D's constants at paper scale: 6 unknowns per point, fine
+/// communication-graph degree 18 (inter-grid 19), memory-bound edge
+/// kernels.
+pub const NSU3D_PAPER: CodeConstants = CodeConstants {
+    state_bytes_per_point: 500.0,
+    exchange_bytes_per_entry: 48.0,
+    exchanges_per_visit: 8.0,
+    canonical_coeff: 6.0,
+    min_degree: 18.0,
+    intergrid_bytes_per_fine_point: 48.0,
+    rate_scale: 1.0,
+    cache_fraction: 1.0,
+};
+
+/// Cart3D's constants at paper scale: 5 unknowns per cell; tuned
+/// cell-centred kernels, >1.5 GFLOP/s per CPU and already cache-blocked
+/// (near-ideal rather than superlinear scaling).
+pub const CART3D_PAPER: CodeConstants = CodeConstants {
+    state_bytes_per_point: 320.0,
+    exchange_bytes_per_entry: 40.0,
+    // RK5: each of ~3 sweeps per visit exchanges state + residual
+    // + time-step accumulators per stage.
+    exchanges_per_visit: 16.0,
+    canonical_coeff: 5.0,
+    min_degree: 14.0,
+    intergrid_bytes_per_fine_point: 40.0,
+    rate_scale: 1.10,
+    cache_fraction: 0.2,
+};
+
 /// The paper's 72M-point NSU3D six-level W-cycle workload, with constants
 /// consistent with the published measurements (31.3 s/cycle at 128 CPUs,
 /// 1.95 s at 2008, ~2.8 TFLOP/s, coarsest level of 8188 vertices, fine
@@ -160,38 +448,15 @@ impl CycleProfile {
 /// binaries.
 pub fn paper_nsu3d_72m() -> CycleProfile {
     let sizes = [72.0e6, 9.6e6, 1.28e6, 0.17e6, 2.3e4, 8188.0];
-    let levels = sizes
-        .iter()
-        .enumerate()
-        .map(|(l, &pts)| LevelProfile {
-            name: format!("level {l}"),
-            points: pts,
-            flops_per_point: 56_700.0,
-            state_bytes_per_point: 500.0,
-            exchange_bytes_per_entry: 48.0,
-            exchanges_per_visit: 8.0,
-            surface_coeff: 6.0,
-            surface_exponent: 2.0 / 3.0,
-            max_degree: 18.0,
-            visits: (1usize << l) as f64,
-            rate_scale: 1.0,
-            cache_fraction: 1.0,
-        })
-        .collect::<Vec<_>>();
-    let intergrid = (0..sizes.len() - 1)
-        .map(|l| IntergridProfile {
-            bytes_per_fine_point: 48.0,
-            transfers_per_cycle: (1usize << (l + 1)) as f64,
-            nonlocal_fraction: 0.4,
-            max_degree: 19.0,
-            fine_points: sizes[l],
-        })
-        .collect();
-    CycleProfile {
-        name: "NSU3D 72M-point 6-level W-cycle".into(),
-        levels,
-        intergrid,
-    }
+    CycleProfile::build(
+        "NSU3D 72M-point 6-level W-cycle",
+        &NSU3D_PAPER,
+        &sizes.map(|n| (n, 56_700.0)),
+        &cycle_visits(sizes.len(), true),
+        &NSU3D_PAPER.canonical_law(),
+        &[0.4; 5],
+        sizes[0],
+    )
 }
 
 /// The paper's 25M-cell Cart3D SSLV four-level W-cycle workload
@@ -199,40 +464,15 @@ pub fn paper_nsu3d_72m() -> CycleProfile {
 /// ~32000 cells, ~2.4 TFLOP/s at 2016 CPUs on NUMAlink).
 pub fn paper_cart3d_25m() -> CycleProfile {
     let sizes = [25.0e6, 3.3e6, 0.44e6, 3.2e4];
-    let levels = sizes
-        .iter()
-        .enumerate()
-        .map(|(l, &pts)| LevelProfile {
-            name: format!("level {l}"),
-            points: pts,
-            flops_per_point: 29_000.0,
-            state_bytes_per_point: 320.0,
-            exchange_bytes_per_entry: 40.0,
-            // RK5: each of ~3 sweeps per visit exchanges state + residual
-            // + time-step accumulators per stage.
-            exchanges_per_visit: 16.0,
-            surface_coeff: 5.0,
-            surface_exponent: 2.0 / 3.0,
-            max_degree: 14.0,
-            visits: (1usize << l) as f64,
-            rate_scale: 1.10,
-            cache_fraction: 0.2,
-        })
-        .collect::<Vec<_>>();
-    let intergrid = (0..sizes.len() - 1)
-        .map(|l| IntergridProfile {
-            bytes_per_fine_point: 40.0,
-            transfers_per_cycle: (1usize << (l + 1)) as f64,
-            nonlocal_fraction: 0.3,
-            max_degree: 15.0,
-            fine_points: sizes[l],
-        })
-        .collect();
-    CycleProfile {
-        name: "Cart3D SSLV 25M-cell 4-level W-cycle".into(),
-        levels,
-        intergrid,
-    }
+    CycleProfile::build(
+        "Cart3D SSLV 25M-cell 4-level W-cycle",
+        &CART3D_PAPER,
+        &sizes.map(|n| (n, 29_000.0)),
+        &cycle_visits(sizes.len(), true),
+        &CART3D_PAPER.canonical_law(),
+        &[0.3; 3],
+        sizes[0],
+    )
 }
 
 #[cfg(test)]
@@ -240,40 +480,87 @@ mod tests {
     use super::*;
 
     fn demo_profile(nlevels: usize) -> CycleProfile {
-        let mut levels = Vec::new();
-        let mut intergrid = Vec::new();
-        let mut pts = 1.0e6;
-        for l in 0..nlevels {
-            levels.push(LevelProfile {
-                name: format!("L{l}"),
-                points: pts,
-                flops_per_point: 1.0e4,
-                state_bytes_per_point: 500.0,
-                exchange_bytes_per_entry: 48.0,
-                exchanges_per_visit: 4.0,
-                surface_coeff: 6.0,
-                surface_exponent: 2.0 / 3.0,
-                max_degree: 18.0,
-                visits: (1usize << l) as f64,
-                rate_scale: 1.0,
-                cache_fraction: 1.0,
-            });
-            if l + 1 < nlevels {
-                intergrid.push(IntergridProfile {
-                    bytes_per_fine_point: 48.0,
-                    transfers_per_cycle: (1usize << (l + 1)) as f64,
-                    nonlocal_fraction: 0.4,
-                    max_degree: 19.0,
-                    fine_points: pts,
-                });
+        let code = CodeConstants {
+            exchanges_per_visit: 4.0,
+            ..NSU3D_PAPER
+        };
+        let levels: Vec<(f64, f64)> = (0..nlevels)
+            .map(|l| (1.0e6 / 7.5f64.powi(l as i32), 1.0e4))
+            .collect();
+        CycleProfile::build(
+            "demo",
+            &code,
+            &levels,
+            &cycle_visits(nlevels, true),
+            &code.canonical_law(),
+            &vec![0.4; nlevels - 1],
+            1.0e6,
+        )
+    }
+
+    /// A level of 4096 carriers whose `p`-way partitions have exactly
+    /// `coeff * q^exponent` ghosts per part, `q = 4096 / p`.
+    fn fit_exact(parts: &[usize], canonical: &SurfaceLaw, coeff: f64, exponent: f64) -> SurfaceLaw {
+        SurfaceLaw::fit(4096, parts, canonical, |p| {
+            (coeff * (4096.0 / p as f64).powf(exponent), 7)
+        })
+    }
+
+    #[test]
+    fn healthy_fit_recovers_the_law_and_reports_no_fallback() {
+        let law = fit_exact(&[4, 8, 16, 32], &NSU3D_PAPER.canonical_law(), 3.0, 0.6);
+        assert!((law.coeff - 3.0).abs() < 1e-9 && (law.exponent - 0.6).abs() < 1e-12);
+        assert_eq!(law.max_degree, 7.0);
+        assert_eq!(law.provenance.samples_used, 4);
+        assert_eq!(law.provenance.fallback, None);
+    }
+
+    #[test]
+    fn clamped_slope_keeps_the_law_through_the_sample_centroid() {
+        // Three samples exactly on y = 2 q^1.4: the slope clamps to 1.0 and
+        // the intercept must be refitted for the clamped slope, not kept
+        // from the raw one.
+        let parts = [4usize, 8, 16];
+        let law = fit_exact(&parts, &NSU3D_PAPER.canonical_law(), 2.0, 1.4);
+        let ln_q = parts.map(|p| (4096.0 / p as f64).ln());
+        let mean_x = ln_q.iter().sum::<f64>() / 3.0;
+        let mean_y = ln_q.iter().map(|x| 2f64.ln() + 1.4 * x).sum::<f64>() / 3.0;
+        assert_eq!(law.exponent, 1.0);
+        let expect = (mean_y - 1.0 * mean_x).exp();
+        assert!((law.coeff / expect - 1.0).abs() < 1e-12, "{}", law.coeff);
+        // The raw slope's intercept would be the line's own 2.0; through
+        // the centroid (q = 512) at slope 1 it is 2 * 512^0.4 = 24.25.
+        assert!((law.coeff - 24.25).abs() < 0.01, "{}", law.coeff);
+    }
+
+    #[test]
+    fn fallbacks_return_the_passed_canonical_law_with_the_reason() {
+        for code in [NSU3D_PAPER, CART3D_PAPER] {
+            let canonical = code.canonical_law();
+            // 2048 and 4096 parts of 4096 carriers are too small to sample;
+            // one usable count is one point short of a regression.
+            let few = fit_exact(&[8, 2048, 4096], &canonical, 3.0, 0.6);
+            assert_eq!(few.provenance.parts_requested, 3);
+            assert_eq!(few.provenance.parts_skipped_small, 2);
+            assert_eq!(few.provenance.samples_used, 1);
+            assert_eq!(few.provenance.fallback, Some(FitFallback::TooFewSamples));
+            // The same part count twice: two samples at one abscissa.
+            let flat = fit_exact(&[8, 8], &canonical, 3.0, 0.6);
+            assert_eq!(flat.provenance.samples_used, 2);
+            assert_eq!(
+                flat.provenance.fallback,
+                Some(FitFallback::DegenerateRegression)
+            );
+            for law in [few, flat] {
+                assert_eq!(law.coeff, code.canonical_coeff);
+                assert_eq!(law.exponent, 2.0 / 3.0);
+                assert_eq!(law.max_degree, code.min_degree);
             }
-            pts /= 7.5;
         }
-        CycleProfile {
-            name: "demo".into(),
-            levels,
-            intergrid,
-        }
+        // Partitions without ghosts contribute nothing.
+        let none = SurfaceLaw::fit(4096, &[4, 8], &NSU3D_PAPER.canonical_law(), |_| (0.0, 0));
+        assert_eq!(none.provenance.parts_zero_ghosts, 2);
+        assert_eq!(none.provenance.fallback, Some(FitFallback::TooFewSamples));
     }
 
     #[test]

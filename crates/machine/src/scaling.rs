@@ -1,6 +1,10 @@
-//! Speedup-series generation for the figure harnesses.
+//! The scaling-study driver: a workload profile priced over CPU counts in
+//! the study shapes the paper's evaluation section uses — speedup against
+//! CPU count for a fabric / programming-model family, and relative
+//! efficiency at a fixed CPU count.
 
 use crate::columbia::MachineConfig;
+use crate::interconnect::Fabric;
 use crate::model::{simulate_cycle, RunConfig, SimError};
 use crate::profile::CycleProfile;
 
@@ -59,6 +63,69 @@ pub fn speedup_series(
     points
 }
 
+/// One labelled series of a study table.
+#[derive(Clone, Debug)]
+pub struct StudyRow {
+    /// Series label ("NUMAlink, 1 OMP thread").
+    pub label: String,
+    /// Scaling points over the CPU counts.
+    pub points: Vec<ScalingPoint>,
+}
+
+/// [`speedup_series`] under a label.
+pub fn series(
+    label: &str,
+    profile: &CycleProfile,
+    machine: &MachineConfig,
+    cpu_counts: &[usize],
+    make_run: impl Fn(usize) -> RunConfig,
+) -> StudyRow {
+    StudyRow {
+        label: label.to_string(),
+        points: speedup_series(profile, machine, cpu_counts, make_run),
+    }
+}
+
+/// One series per fabric x OpenMP thread count (the paper's Figures 16-18
+/// series families).
+pub fn fabric_thread_matrix(
+    profile: &CycleProfile,
+    machine: &MachineConfig,
+    cpu_counts: &[usize],
+    fabrics: &[(Fabric, &str)],
+    threads: &[usize],
+) -> Vec<StudyRow> {
+    let mut rows = Vec::new();
+    for &(fabric, fname) in fabrics {
+        for &t in threads {
+            let label = format!("{fname}: {t} OMP thread{}", if t == 1 { "" } else { "s" });
+            rows.push(series(&label, profile, machine, cpu_counts, |n| {
+                RunConfig::hybrid(n, fabric, t)
+            }));
+        }
+    }
+    rows
+}
+
+/// Efficiency of each of `cases` relative to the `baseline` run (Figure 15:
+/// 128 CPUs, NUMAlink pure MPI = 1.0). An infeasible case is `NaN`; an
+/// infeasible baseline is the error.
+pub fn relative_efficiency(
+    profile: &CycleProfile,
+    machine: &MachineConfig,
+    baseline: &RunConfig,
+    cases: &[(String, RunConfig)],
+) -> Result<Vec<(String, f64)>, SimError> {
+    let base = simulate_cycle(profile, machine, baseline)?.seconds;
+    Ok(cases
+        .iter()
+        .map(|(label, run)| {
+            let eff = simulate_cycle(profile, machine, run).map_or(f64::NAN, |b| base / b.seconds);
+            (label.clone(), eff)
+        })
+        .collect())
+}
+
 /// Standard CPU counts of the paper's NSU3D studies.
 pub const NSU3D_CPU_COUNTS: [usize; 5] = [128, 256, 502, 1004, 2008];
 
@@ -80,7 +147,6 @@ pub fn cart3d_node_span(ncpus: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interconnect::Fabric;
     use crate::profile::paper_nsu3d_72m as nsu3d_72m_profile;
 
     #[test]
@@ -108,5 +174,80 @@ mod tests {
         assert!(pts[0].speedup.is_some());
         assert!(pts[1].speedup.is_none());
         assert!(pts[1].error.is_some());
+    }
+
+    #[test]
+    fn numalink_series_is_superlinear() {
+        let m = MachineConfig::columbia_vortex();
+        let row = series(
+            "NUMAlink",
+            &nsu3d_72m_profile(),
+            &m,
+            &NSU3D_CPU_COUNTS,
+            |n| RunConfig::mpi(n, Fabric::NumaLink4),
+        );
+        let last = row.points.last().unwrap();
+        assert!(last.speedup.unwrap() > last.ncpus as f64);
+    }
+
+    #[test]
+    fn matrix_produces_all_series() {
+        let rows = fabric_thread_matrix(
+            &nsu3d_72m_profile(),
+            &MachineConfig::columbia_vortex(),
+            &NSU3D_CPU_COUNTS,
+            &[
+                (Fabric::NumaLink4, "NUMAlink"),
+                (Fabric::InfiniBand, "InfiniBand"),
+            ],
+            &[1, 2],
+        );
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows[0].label, "NUMAlink: 1 OMP thread");
+        assert_eq!(rows[3].label, "InfiniBand: 2 OMP threads");
+        // IB pure MPI at 2008 must be marked infeasible.
+        assert!(rows[2].points.last().unwrap().speedup.is_none());
+    }
+
+    #[test]
+    fn relative_efficiency_matches_figure15_shape() {
+        let base = RunConfig::mpi(128, Fabric::NumaLink4);
+        let cases = vec![
+            (
+                "NUMAlink 2 threads".to_string(),
+                RunConfig::hybrid(128, Fabric::NumaLink4, 2),
+            ),
+            (
+                "NUMAlink 4 threads".to_string(),
+                RunConfig::hybrid(128, Fabric::NumaLink4, 4),
+            ),
+            (
+                "InfiniBand 1 thread".to_string(),
+                RunConfig::mpi(128, Fabric::InfiniBand),
+            ),
+        ];
+        let m = MachineConfig::columbia_vortex();
+        let eff = relative_efficiency(&nsu3d_72m_profile(), &m, &base, &cases).unwrap();
+        // Paper: 98.4%, 87.2%, ~95.7%.
+        assert!((eff[0].1 - 0.984).abs() < 0.03, "{:?}", eff);
+        assert!((eff[1].1 - 0.872).abs() < 0.04, "{:?}", eff);
+        assert!(eff[2].1 > 0.90 && eff[2].1 <= 1.001, "{:?}", eff);
+    }
+
+    #[test]
+    fn infeasible_baseline_is_a_typed_error_and_infeasible_cases_are_nan() {
+        let (p, m) = (nsu3d_72m_profile(), MachineConfig::columbia_vortex());
+        // 2008 pure-MPI ranks exceed the InfiniBand connection limit.
+        let over = RunConfig::mpi(2008, Fabric::InfiniBand);
+        let ok = RunConfig::mpi(2008, Fabric::NumaLink4);
+        let cases = [("over".to_string(), over), ("ok".to_string(), ok)];
+        let err = relative_efficiency(&p, &m, &over, &cases).unwrap_err();
+        assert!(
+            matches!(err, SimError::IbRankLimit { ranks: 2008, .. }),
+            "{err:?}"
+        );
+        let eff = relative_efficiency(&p, &m, &ok, &cases).unwrap();
+        assert!(eff[0].1.is_nan());
+        assert_eq!(eff[1].1, 1.0);
     }
 }

@@ -791,7 +791,6 @@ impl RansLevel {
     }
 
     fn flush_point_batch(&mut self, vs: &[usize]) {
-        let nl = vs.len();
         let mut mats = BlockBatch::<NVARS>::identity();
         let mut rhs = vec_batch_zero::<NVARS>();
         for (l, &v) in vs.iter().enumerate() {
@@ -801,8 +800,8 @@ impl RansLevel {
                 row[l] = r[k];
             }
         }
-        let lu = mats.lu(nl);
-        let du = lu.solve(&rhs, nl);
+        let lu = mats.lu();
+        let du = lu.solve(&rhs);
         for (l, &v) in vs.iter().enumerate() {
             if lu.ok()[l] {
                 for (k, row) in du.iter().enumerate() {

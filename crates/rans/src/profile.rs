@@ -4,180 +4,31 @@
 //! visit, the ghost-surface scaling law, communication-graph degrees, and
 //! inter-grid transfer locality. All of these are *measured* here on real
 //! meshes — by running instrumented cycles and by partitioning the actual
-//! level graphs at several CPU counts — then extrapolated to the paper's
-//! 72M-point problem through the fitted surface law.
+//! level graphs at several CPU counts — then handed to
+//! `columbia_machine::profile`, which fits the surface law and extrapolates
+//! to the paper's 72M-point problem.
 
+use crate::parallel::partition_mesh_line_aware;
 use crate::solver::RansSolver;
 use crate::state::NVARS;
 use columbia_comm::ExecContext;
-use columbia_machine::{CycleProfile, IntergridProfile, LevelProfile};
-use columbia_mg::{CycleParams, CycleType};
-use columbia_partition::{
-    contract_lines, expand_line_partition, match_levels, partition_graph, PartitionConfig,
-    PartitionQuality,
-};
-use columbia_rt::trace::{SpanKey, Tracer};
-
-/// Surface-law fit: `ghosts_per_part = coeff * q^exponent`.
-#[derive(Clone, Debug)]
-pub struct SurfaceLaw {
-    /// Prefactor.
-    pub coeff: f64,
-    /// Exponent (~2/3 in 3-D).
-    pub exponent: f64,
-    /// Largest communication degree observed while fitting.
-    pub max_degree: f64,
-    /// How the fit was obtained (samples used, skips, fallback reason).
-    pub provenance: FitProvenance,
-}
-
-/// Provenance of a [`SurfaceLaw`] fit: which of the requested part counts
-/// actually contributed regression points, and why the fit fell back to the
-/// canonical law if it did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FitProvenance {
-    /// Part counts the caller asked for.
-    pub parts_requested: usize,
-    /// Part counts skipped because the level is too small
-    /// (`p < 2` or `p * 4 > nvertices`).
-    pub parts_skipped_small: usize,
-    /// Partitions that produced no ghost vertices and so contributed
-    /// nothing to the regression.
-    pub parts_zero_ghosts: usize,
-    /// Regression points actually used.
-    pub samples_used: usize,
-    /// `None` for a genuine least-squares fit; otherwise the reason the
-    /// canonical 3-D law was substituted.
-    pub fallback: Option<FitFallback>,
-}
-
-/// Reason a surface-law fit fell back to the canonical `6 q^(2/3)` law.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FitFallback {
-    /// Fewer than two usable regression points survived the skips.
-    TooFewSamples,
-    /// The regression matrix was singular (all samples at one abscissa).
-    DegenerateRegression,
-}
-
-impl FitFallback {
-    /// Stable label used in trace counters and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FitFallback::TooFewSamples => "too_few_samples",
-            FitFallback::DegenerateRegression => "degenerate_regression",
-        }
-    }
-}
-
-impl FitProvenance {
-    /// Record the fit outcome on `tracer` as a `surface_fit` span for
-    /// `level`, so skipped part counts and fallbacks are visible instead of
-    /// silently discarded.
-    pub fn record_to(&self, tracer: &mut Tracer, level: usize, law: &SurfaceLaw) {
-        tracer.begin(SpanKey::new("surface_fit").level(level));
-        tracer.add("fit.parts_requested", self.parts_requested as u64);
-        tracer.add("fit.parts_skipped_small", self.parts_skipped_small as u64);
-        tracer.add("fit.parts_zero_ghosts", self.parts_zero_ghosts as u64);
-        tracer.add("fit.samples_used", self.samples_used as u64);
-        match self.fallback {
-            None => tracer.add("fit.fallback.none", 1),
-            Some(f) => {
-                let name = match f {
-                    FitFallback::TooFewSamples => "fit.fallback.too_few_samples",
-                    FitFallback::DegenerateRegression => "fit.fallback.degenerate_regression",
-                };
-                tracer.add(name, 1);
-            }
-        }
-        tracer.gauge("fit.coeff", law.coeff);
-        tracer.gauge("fit.exponent", law.exponent);
-        tracer.gauge("fit.max_degree", law.max_degree);
-        tracer.end();
-    }
-}
+use columbia_machine::profile::{CodeConstants, SurfaceLaw, NSU3D_PAPER};
+use columbia_machine::CycleProfile;
+use columbia_mg::{level_visits, CycleParams};
+use columbia_partition::{match_levels, partition_graph, PartitionConfig, PartitionQuality};
 
 /// Fit the ghost-surface law of a mesh level by partitioning its
-/// (line-contracted) graph at each count in `parts` and regressing
-/// `log(mean ghosts)` on `log(mean points)`.
+/// (line-contracted) graph at each count in `parts`; the fallback is
+/// NSU3D's canonical `6 q^(2/3)`, degree 18.
 pub fn fit_surface_law(solver: &RansSolver, level: usize, parts: &[usize]) -> SurfaceLaw {
     let lvl = &solver.levels[level];
     let graph = lvl.mesh.dual_graph();
-    let cover = line_cover(lvl);
-    let lc = contract_lines(&graph, &cover);
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    let mut max_degree = 0.0f64;
-    let mut prov = FitProvenance {
-        parts_requested: parts.len(),
-        ..FitProvenance::default()
-    };
-    for &p in parts {
-        if p < 2 || p * 4 > lvl.nvertices() {
-            prov.parts_skipped_small += 1;
-            continue;
-        }
-        let lp = partition_graph(&lc.contracted, p, &PartitionConfig::default());
-        let part = expand_line_partition(&lc.cmap, &lp);
+    let canonical = NSU3D_PAPER.canonical_law();
+    SurfaceLaw::fit(lvl.nvertices(), parts, &canonical, |p| {
+        let part = partition_mesh_line_aware(&lvl.mesh, p, lvl.params.line_threshold);
         let q = PartitionQuality::measure(&graph, &part, p);
-        let mean_pts = lvl.nvertices() as f64 / p as f64;
-        let mean_ghosts = q.mean_ghosts();
-        if mean_ghosts > 0.0 {
-            xs.push(mean_pts.ln());
-            ys.push(mean_ghosts.ln());
-        } else {
-            prov.parts_zero_ghosts += 1;
-        }
-        max_degree = max_degree.max(q.max_comm_degree() as f64);
-    }
-    prov.samples_used = xs.len();
-    if xs.len() < 2 {
-        // Too small to fit: fall back to the canonical 3-D law.
-        prov.fallback = Some(FitFallback::TooFewSamples);
-        return SurfaceLaw {
-            coeff: 6.0,
-            exponent: 2.0 / 3.0,
-            max_degree: max_degree.max(18.0),
-            provenance: prov,
-        };
-    }
-    // Least squares on ln y = ln c + e ln x.
-    let n = xs.len() as f64;
-    let sx: f64 = xs.iter().sum();
-    let sy: f64 = ys.iter().sum();
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
-    let denom = n * sxx - sx * sx;
-    let (coeff, exponent) = if denom.abs() < 1e-12 {
-        prov.fallback = Some(FitFallback::DegenerateRegression);
-        (6.0, 2.0 / 3.0)
-    } else {
-        let e = (n * sxy - sx * sy) / denom;
-        let lnc = (sy - e * sx) / n;
-        (lnc.exp(), e.clamp(0.3, 1.0))
-    };
-    SurfaceLaw {
-        coeff,
-        exponent,
-        max_degree: max_degree.max(1.0),
-        provenance: prov,
-    }
-}
-
-fn line_cover(lvl: &crate::level::RansLevel) -> Vec<Vec<u32>> {
-    let mut covered = vec![false; lvl.nvertices()];
-    let mut cover = lvl.lines.clone();
-    for line in &cover {
-        for &v in line {
-            covered[v as usize] = true;
-        }
-    }
-    for v in 0..lvl.nvertices() {
-        if !covered[v] {
-            cover.push(vec![v as u32]);
-        }
-    }
-    cover
+        (q.mean_ghosts(), q.max_comm_degree())
+    })
 }
 
 /// Measure the non-local fraction of inter-grid transfers between level
@@ -194,24 +45,21 @@ pub fn measure_intergrid_nonlocal(solver: &RansSolver, level: usize, p: usize) -
     let fine_part = partition_graph(&fine.mesh.dual_graph(), p, &cfg);
     let coarse_part = partition_graph(&coarse.mesh.dual_graph(), p, &cfg);
     let w = vec![1.0; fine.nvertices()];
-    let (matched, aligned) = match_levels(&fine_part, map, &coarse_part, p, &w);
-    let _ = matched;
+    let (_, aligned) = match_levels(&fine_part, map, &coarse_part, p, &w);
     1.0 - aligned
 }
 
 /// Measure a full [`CycleProfile`] from an instrumented solver.
 ///
-/// * Runs one W-cycle with FLOP counters to get per-level FLOPs/point/visit.
+/// * Runs one cycle with FLOP counters to get per-level FLOPs/point/visit.
 /// * Fits the ghost-surface law on the finest level (`parts` samples) and
-///   reuses its exponent for coarser levels (same mesh family) with
-///   per-level degree measurements.
+///   reuses it for coarser levels (same mesh family).
 /// * Measures inter-grid non-locality with `match_parts`-way partitions.
 /// * Rescales the level sizes so the finest level has `target_points`
 ///   (the paper's 72M), preserving the measured coarsening ratios.
 ///
 /// With tracing enabled on `ctx`, the fit provenance and per-level FLOP
 /// counts are recorded under a `profile_measure` span instead of dropped.
-#[allow(clippy::too_many_arguments)]
 pub fn measure_profile(
     solver: &mut RansSolver,
     cycle: &CycleParams,
@@ -221,88 +69,44 @@ pub fn measure_profile(
     name: &str,
     ctx: &mut ExecContext,
 ) -> CycleProfile {
-    let tracer = ctx.tracer();
-    tracer.begin(SpanKey::new("profile_measure"));
-    // FLOP measurement over one cycle.
-    for lvl in solver.levels.iter_mut() {
-        lvl.flops.take();
-    }
+    solver.take_flops();
     solver.cycle(cycle);
-    let nlev = solver.nlevels();
-    let visits: Vec<f64> = (0..nlev)
-        .map(|l| match cycle.cycle {
-            CycleType::V => 1.0,
-            CycleType::W => (1usize << l) as f64,
-        })
-        .collect();
-    let flops_per_point: Vec<f64> = (0..nlev)
-        .map(|l| {
-            let f = solver.levels[l].flops.total() as f64;
-            f / (solver.levels[l].nvertices() as f64 * visits[l])
-        })
-        .collect();
-
-    for (l, f) in flops_per_point.iter().enumerate() {
-        tracer.add("profile.flops", solver.levels[l].flops.total());
-        tracer.gauge(&format!("profile.flops_per_point.level{l}"), *f);
-    }
-
     let law = fit_surface_law(solver, 0, parts);
-    law.provenance.record_to(tracer, 0, &law);
-    let scale = target_points / solver.levels[0].nvertices() as f64;
-
-    // Exchanges per visit: each smoothing sweep needs gradient add+copy,
-    // residual add, diagonal add, state copy = 5; plus the residual
-    // assembly for the transfer. Derived from the cycle parameters.
+    let nonlocal: Vec<f64> = (0..solver.nlevels() - 1)
+        .map(|l| measure_intergrid_nonlocal(solver, l, match_parts).max(0.05))
+        .collect();
     let sweeps = (cycle.pre_sweeps + cycle.post_sweeps) as f64 / 2.0 + 1.0;
-    let exchanges_per_visit = 5.0 * sweeps + 2.0;
-
-    // Working set per point: 4 state-sized arrays + gradients + diagonal
-    // blocks + mesh metrics (edges amortised per vertex).
-    let state_bytes = (4 * NVARS * 8 + 72 + 296 + 200) as f64;
-
-    let levels: Vec<LevelProfile> = (0..nlev)
-        .map(|l| LevelProfile {
-            name: format!("level {l}"),
-            points: solver.levels[l].nvertices() as f64 * scale,
-            flops_per_point: flops_per_point[l],
-            state_bytes_per_point: state_bytes,
-            exchange_bytes_per_entry: (NVARS * 8) as f64,
-            exchanges_per_visit,
-            surface_coeff: law.coeff,
-            surface_exponent: law.exponent,
-            max_degree: law.max_degree.max(18.0),
-            visits: visits[l],
-            rate_scale: 1.0,
-            cache_fraction: 1.0,
-        })
-        .collect();
-
-    let intergrid: Vec<IntergridProfile> = (0..nlev - 1)
-        .map(|l| IntergridProfile {
-            // Restriction ships state+residual (13 doubles), prolongation
-            // ships the correction (6): ~ (13 + 6) * 8 / 2 per transfer.
-            bytes_per_fine_point: 76.0,
-            transfers_per_cycle: visits[l + 1],
-            nonlocal_fraction: measure_intergrid_nonlocal(solver, l, match_parts).max(0.05),
-            max_degree: (law.max_degree + 1.0).max(19.0),
-            fine_points: solver.levels[l].nvertices() as f64 * scale,
-        })
-        .collect();
-
-    tracer.add("profile.levels", nlev as u64);
-    tracer.end();
-    CycleProfile {
-        name: name.to_string(),
-        levels,
-        intergrid,
-    }
+    let code = CodeConstants {
+        // Working set per point: 4 state-sized arrays + gradients + diagonal
+        // blocks + mesh metrics (edges amortised per vertex).
+        state_bytes_per_point: (4 * NVARS * 8 + 72 + 296 + 200) as f64,
+        // Each smoothing sweep needs gradient add+copy, residual add,
+        // diagonal add, state copy = 5; plus the residual assembly for the
+        // transfer.
+        exchanges_per_visit: 5.0 * sweeps + 2.0,
+        // Restriction ships state+residual (13 doubles), prolongation
+        // ships the correction (6): ~ (13 + 6) * 8 / 2 per transfer.
+        intergrid_bytes_per_fine_point: 76.0,
+        ..NSU3D_PAPER
+    };
+    CycleProfile::measured(
+        ctx.tracer(),
+        name,
+        &code,
+        &solver.level_sizes(),
+        &solver.level_flops(),
+        &level_visits(solver.nlevels(), cycle.cycle),
+        &law,
+        &nonlocal,
+        target_points,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::SolverParams;
+    use columbia_machine::profile::FitFallback;
     use columbia_mesh::{wing_mesh, WingMeshSpec};
 
     fn solver(points: usize, levels: usize) -> RansSolver {

@@ -11,26 +11,25 @@
 //! | `COLUMBIA_SLOW_TESTS`     | set and not `"0"` ⇒ on   | off          | 8-rank parity widths, paper-scale variants |
 //! | `COLUMBIA_PT_REPLAY`      | decimal or `0x`-hex u64  | unset        | [`crate::props`] single-case replay        |
 //! | `COLUMBIA_EXECUTOR`       | `threads` \| `events`    | unset        | `run_world` backend (CI executor matrix)   |
-//! | `COLUMBIA_FABRIC`         | `analytic` \| `contention` | unset      | event executor's interconnect delivery model |
 //!
-//! [`KNOBS`] lists the same six names; `tests/hermetic.rs` fails if the
+//! [`KNOBS`] lists the same five names; `tests/hermetic.rs` fails if the
 //! repository mentions a `COLUMBIA_*` name outside it or stops mentioning
 //! one inside it.
 //!
 //! The parsers are split into pure `parse_*` functions (unit-testable
 //! without touching process state) and thin `std::env` wrappers, so the
 //! grammar is pinned by tests that never race over environment variables.
-//! Enum-valued knobs (`COLUMBIA_EXECUTOR`, `COLUMBIA_FABRIC`) report a
-//! typed [`EnvError`] carrying the variable name, the offending value and
-//! the accepted grammar, so harnesses can render or match on the failure
-//! instead of catching a panic.
+//! The enum-valued knob (`COLUMBIA_EXECUTOR`) reports a typed [`EnvError`]
+//! carrying the variable name, the offending value and the accepted
+//! grammar, so harnesses can render or match on the failure instead of
+//! catching a panic.
 
 use crate::fault::FaultConfig;
 
 /// A malformed `COLUMBIA_*` environment value: which variable, what it
-/// held, and the grammar it violated. Returned by the enum-knob parsers
-/// ([`parse_executor`], [`parse_fabric`]) so callers get a matchable error
-/// instead of a formatted panic.
+/// held, and the grammar it violated. Returned by the enum-knob parser
+/// ([`parse_executor`]) so callers get a matchable error instead of a
+/// formatted panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EnvError {
     /// The environment variable the value came from.
@@ -54,13 +53,12 @@ impl std::fmt::Display for EnvError {
 impl std::error::Error for EnvError {}
 
 /// Every `COLUMBIA_*` knob the workspace reads (the module table).
-pub const KNOBS: [&str; 6] = [
+pub const KNOBS: [&str; 5] = [
     "COLUMBIA_FAULT_SEED",
     "COLUMBIA_FAULT_SEVERITY",
     "COLUMBIA_SLOW_TESTS",
     "COLUMBIA_PT_REPLAY",
     "COLUMBIA_EXECUTOR",
-    "COLUMBIA_FABRIC",
 ];
 
 /// Fault seed used when `COLUMBIA_FAULT_SEED` is unset.
@@ -181,51 +179,6 @@ pub fn try_executor() -> Result<Option<ExecutorKind>, EnvError> {
     parse_executor(std::env::var("COLUMBIA_EXECUTOR").ok().as_deref())
 }
 
-/// The interconnect delivery model selected by `COLUMBIA_FABRIC`.
-///
-/// `Analytic` is the seed behaviour and the reference oracle: delivery
-/// cost comes from the closed-form latency/bandwidth curves in
-/// `columbia_machine::interconnect`. `Contention` routes every event-
-/// executor message through the discrete-event link/arbiter model in
-/// `columbia_machine::contention`, so queueing delay is emergent. Payload
-/// bits, `CommStats` and traces are identical either way (the model only
-/// reshapes the virtual-time schedule) — pinned by
-/// `tests/fabric_contention.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FabricKind {
-    /// Closed-form latency/bandwidth delivery cost (the default).
-    Analytic,
-    /// Discrete-event link/arbiter/backpressure delivery cost.
-    Contention,
-}
-
-/// Parse a `COLUMBIA_FABRIC` value; `None` means unset (caller default).
-/// Malformed values yield the typed [`EnvError`], never a panic.
-pub fn parse_fabric(v: Option<&str>) -> Result<Option<FabricKind>, EnvError> {
-    match v.map(str::trim) {
-        None => Ok(None),
-        Some("analytic") => Ok(Some(FabricKind::Analytic)),
-        Some("contention") => Ok(Some(FabricKind::Contention)),
-        Some(_) => Err(EnvError {
-            var: "COLUMBIA_FABRIC",
-            value: v.unwrap_or_default().to_string(),
-            expected: "analytic|contention",
-        }),
-    }
-}
-
-/// `COLUMBIA_FABRIC` for this run; `None` when unset (the context picks
-/// its default, currently [`FabricKind::Analytic`]).
-pub fn fabric() -> Option<FabricKind> {
-    try_fabric().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`fabric`]: the typed [`EnvError`] instead of a panic
-/// on a malformed value.
-pub fn try_fabric() -> Result<Option<FabricKind>, EnvError> {
-    parse_fabric(std::env::var("COLUMBIA_FABRIC").ok().as_deref())
-}
-
 /// The dense-kernel path of the solvers, chosen in code
 /// (`SolverParams::kernel`, `EulerLevel::kernel`).
 ///
@@ -295,33 +248,6 @@ mod tests {
         // The raw (pre-trim) value is preserved for faithful reporting.
         let err = parse_executor(Some(" evnets ")).unwrap_err();
         assert_eq!(err.value, " evnets ");
-    }
-
-    #[test]
-    fn fabric_grammar_is_analytic_contention_with_unset_passthrough() {
-        assert_eq!(parse_fabric(None), Ok(None));
-        assert_eq!(
-            parse_fabric(Some("analytic")),
-            Ok(Some(FabricKind::Analytic))
-        );
-        assert_eq!(
-            parse_fabric(Some(" contention ")),
-            Ok(Some(FabricKind::Contention))
-        );
-        assert!(parse_fabric(Some("quantum")).is_err());
-        assert!(parse_fabric(Some("")).is_err());
-    }
-
-    #[test]
-    fn malformed_fabric_yields_the_typed_error_not_a_panic() {
-        let err = parse_fabric(Some("quantum")).unwrap_err();
-        assert_eq!(err.var, "COLUMBIA_FABRIC");
-        assert_eq!(err.value, "quantum");
-        assert_eq!(err.expected, "analytic|contention");
-        assert_eq!(
-            err.to_string(),
-            "COLUMBIA_FABRIC: bad value \"quantum\" (use analytic|contention)"
-        );
     }
 
     #[test]

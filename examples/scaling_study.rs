@@ -1,53 +1,49 @@
 //! The headline Columbia scaling study in one binary (condensed Figures
-//! 14(b) + 16(b) + 21): measured/calibrated workloads replayed through the
-//! machine model over both fabrics and both codes.
+//! 14(b) + 16(b) + 21): the calibrated workloads priced by the study
+//! driver of `columbia_machine::scaling` over both fabrics and both codes.
 //!
 //! ```text
 //! cargo run --release --example scaling_study
 //! ```
 
-use columbia_core::PerformanceStudy;
+use columbia_bench::figures::speedup_table;
 use columbia_machine::{
-    paper_cart3d_25m, paper_nsu3d_72m, Fabric, RunConfig, CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
+    paper_cart3d_25m, paper_nsu3d_72m, series, Fabric, MachineConfig, RunConfig, CART3D_CPU_COUNTS,
+    NSU3D_CPU_COUNTS,
 };
 
 fn main() {
+    let vortex = MachineConfig::columbia_vortex();
     println!("== NSU3D 72M-point 6-level W-cycle ==");
-    let study = PerformanceStudy::new(paper_nsu3d_72m(), &NSU3D_CPU_COUNTS);
-    let rows = vec![
-        study.series("NUMAlink, pure MPI", |n| {
-            RunConfig::mpi(n, Fabric::NumaLink4)
-        }),
-        study.series("NUMAlink, 2 OMP threads", |n| {
-            RunConfig::hybrid(n, Fabric::NumaLink4, 2)
-        }),
-        study.series("InfiniBand, 2 OMP threads", |n| {
-            RunConfig::hybrid(n, Fabric::InfiniBand, 2)
-        }),
-    ];
-    print!(
-        "{}",
-        PerformanceStudy::format_table(&rows, &NSU3D_CPU_COUNTS)
-    );
+    let nsu3d = paper_nsu3d_72m();
+    let rows = [
+        ("NUMAlink, pure MPI", Fabric::NumaLink4, 1),
+        ("NUMAlink, 2 OMP threads", Fabric::NumaLink4, 2),
+        ("InfiniBand, 2 OMP threads", Fabric::InfiniBand, 2),
+    ]
+    .map(|(label, fabric, threads)| {
+        series(label, &nsu3d, &vortex, &NSU3D_CPU_COUNTS, |n| {
+            RunConfig::hybrid(n, fabric, threads)
+        })
+    });
+    print!("{}", speedup_table(&rows, &NSU3D_CPU_COUNTS));
     println!(
         "paper: NUMAlink superlinear (2044 at 2008 CPUs); InfiniBand multigrid\n\
          collapses at high CPU counts.\n"
     );
 
     println!("== Cart3D 25M-cell SSLV 4-level W-cycle ==");
-    let study = PerformanceStudy::new(paper_cart3d_25m(), &CART3D_CPU_COUNTS);
-    let rows = vec![
-        study.series("NUMAlink, pure MPI", |n| {
-            RunConfig::mpi(n, Fabric::NumaLink4)
-        }),
-        study.series("InfiniBand, pure MPI", |n| {
-            RunConfig::mpi(n, Fabric::InfiniBand)
-        }),
-    ];
-    print!(
-        "{}",
-        PerformanceStudy::format_table(&rows, &CART3D_CPU_COUNTS)
-    );
+    let cart3d = paper_cart3d_25m();
+    let rows = [
+        ("NUMAlink, pure MPI", Fabric::NumaLink4),
+        ("InfiniBand, pure MPI", Fabric::InfiniBand),
+    ]
+    .map(|(label, fabric)| {
+        series(label, &cart3d, &vortex, &CART3D_CPU_COUNTS, |n| {
+            RunConfig::mpi(n, fabric)
+        })
+    });
+    print!("{}", speedup_table(&rows, &CART3D_CPU_COUNTS));
     println!(
         "paper: ~1585 at 2016 CPUs on NUMAlink; InfiniBand dips crossing the\n\
          2-node boundary at 508 CPUs and stops at the 1524-rank limit.\n"

@@ -84,8 +84,8 @@ fn lu_parity_prop<const N: usize>(seed: u64) {
                     b[k][l] = rhs[l][k];
                 }
             }
-            let blu = batch.lu(LANES);
-            let x = blu.solve(&b, LANES);
+            let blu = batch.lu();
+            let x = blu.solve(&b);
             for l in 0..LANES {
                 match mats[l].lu() {
                     Ok(slu) => {
@@ -124,7 +124,7 @@ fn singular_lane_is_flagged_without_poisoning_its_neighbours() {
         mats[2].set(1, c, v);
     }
     let batch = BlockBatch::from_lanes(&mats);
-    let blu = batch.lu(LANES);
+    let blu = batch.lu();
     assert!(!blu.ok()[2]);
     for l in [0usize, 1, 3] {
         assert!(blu.ok()[l]);
@@ -133,7 +133,7 @@ fn singular_lane_is_flagged_without_poisoning_its_neighbours() {
         for k in 0..6 {
             b[k][l] = rhs[k];
         }
-        let x = blu.solve(&b, LANES);
+        let x = blu.solve(&b);
         let sx = mats[l].lu().unwrap().solve(&rhs);
         for k in 0..6 {
             assert_eq!(sx[k].to_bits(), x[k][l].to_bits());
