@@ -338,12 +338,13 @@ pub fn sweep_resident(lvl: &mut RansLevel) {
     }
 }
 
-/// Bytes one smoothing sweep touches: the four state fields + gradients
-/// + diagonal blocks + lamsum per vertex, plus the edge list.
+/// Bytes one smoothing sweep touches: per vertex the four state fields,
+/// the gradients, the 8-word primitive cache, the diagonal block and
+/// lamsum; plus the edge list.
 pub fn sweep_working_set_bytes(lvl: &RansLevel) -> u64 {
     let nv = lvl.mesh.nvertices() as u64;
     let ne = lvl.mesh.nedges() as u64;
-    nv * ((4 * NVARS as u64 + 9 + NVARS as u64 * NVARS as u64 + 1) * 8) + ne * 40
+    nv * ((4 * NVARS as u64 + 9 + 8 + NVARS as u64 * NVARS as u64 + 1) * 8) + ne * 40
 }
 
 /// Nominal FLOPs of one resident pass, measured off the level's own

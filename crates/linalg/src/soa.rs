@@ -107,6 +107,12 @@ impl<const N: usize> BlockBatch<N> {
         }
     }
 
+    /// Set element `(r, c)` of lane `l`.
+    #[inline(always)]
+    pub fn set(&mut self, r: usize, c: usize, l: usize, v: f64) {
+        self.a[r][c][l] = v;
+    }
+
     /// Gather lane `l` back into a scalar block.
     #[inline]
     pub fn lane(&self, l: usize) -> BlockMat<N> {
@@ -404,6 +410,14 @@ impl<const N: usize> TridiagBatch<N> {
     /// Set the super-diagonal block of row `i`, lane `l` (couples to `i+1`).
     pub fn set_upper(&mut self, i: usize, l: usize, m: &BlockMat<N>) {
         self.upper[i].set_lane(l, m);
+    }
+
+    /// The two blocks line edge `i` couples through — `(upper_i,
+    /// lower_{i+1})` — for entry-wise assembly straight into a lane
+    /// ([`BlockBatch::set`]), with no scalar-block round trip.
+    #[inline]
+    pub fn couplings_mut(&mut self, i: usize) -> (&mut BlockBatch<N>, &mut BlockBatch<N>) {
+        (&mut self.upper[i], &mut self.lower[i + 1])
     }
 
     /// Set the right-hand side of row `i`, lane `l`.

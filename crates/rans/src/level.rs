@@ -5,17 +5,17 @@
 //! Green-Gauss gradient accumulators live in [`SoaStates`] component
 //! planes, and the residual/gradient sweeps stream over cache-sized plane
 //! chunks ([`EDGE_BLOCK`] edges / [`VBLOCK`] vertices per block). Per-edge
-//! physics (Rusanov fluxes, Jacobians) gathers the two endpoint blocks in
-//! component order — bit-identical to the historical AoS access — so every
-//! digest pinned against the AoS goldens still holds, on either kernel
-//! path (`KernelKind::Scalar` keeps the one-block-at-a-time oracle by
-//! materialising AoS views lazily per edge/vertex).
+//! physics (Rusanov fluxes, Jacobians) reads the endpoints' primitives
+//! from a per-vertex cache that [`RansLevel::begin_residual`] refreshes
+//! from `u` (see [`crate::prim`]) and gathers the conservative blocks in
+//! component order — bit-identical to the historical per-edge AoS
+//! evaluation — so every digest pinned against the AoS goldens still
+//! holds, on either kernel path (`KernelKind::Scalar` keeps the
+//! one-block-at-a-time LU/tridiagonal oracle).
 
 use crate::flops::{self, FlopCounter};
-use crate::state::{
-    self, flux_jacobian, freestream, fv1, pressure, rusanov, sa, spectral_radius, velocity, State,
-    GAMMA, NVARS,
-};
+use crate::prim::{half_jacobian_shifted, prim_of, vel, EdgeScalars, Prim};
+use crate::state::{freestream, sa, State, GAMMA, NVARS};
 use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, VecBatch, LANES};
 use columbia_linalg::{BlockMat, BlockTridiag};
 use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
@@ -92,47 +92,35 @@ impl SolverParams {
     }
 }
 
-/// Effective edge viscosity (laminar + mean turbulent eddy viscosity)
-/// from the two gathered endpoint states.
-#[inline]
-fn mu_eff(mu: f64, ua: &State, ub: &State) -> f64 {
-    let mt = |uv: &State| {
-        let nt = state::nu_tilde(uv).max(0.0);
-        uv[0] * nt * fv1(nt, mu / uv[0])
-    };
-    mu + 0.5 * (mt(ua) + mt(ub))
-}
-
-/// Off-diagonal Jacobian blocks for line edge `i` (joining `line[i]` to
-/// `line[i+1]`): the `(upper_i, lower_{i+1})` pair. Shared by the scalar
-/// and the batched line solvers so the assembly arithmetic is one piece
-/// of code; a free function so the callers can hold disjoint borrows of
-/// the level's other fields (no `mem::take` dance).
+/// Off-diagonal Jacobian blocks for the line edge `le` joining `vi` to
+/// the next line vertex `vj`: the entries of the `(upper_i, lower_{i+1})`
+/// pair go to the `upper` and `lower` sinks. Shared by the scalar and the
+/// batched line solvers so the assembly arithmetic is one piece of code;
+/// a free function so the callers can hold disjoint borrows of the
+/// level's other fields. Lines are vertex-disjoint, so the cached
+/// sweep-start primitives and `rho` of `vi`/`vj` are still current when
+/// their line is assembled.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn line_edge_blocks(
     mesh: &UnstructuredMesh,
-    u: &SoaStates<NVARS>,
+    prim: &[Prim],
+    rho: &[f64],
     mu: f64,
-    line: &[u32],
-    i: usize,
-    ei: u32,
-    sign: f64,
-) -> (BlockMat<NVARS>, BlockMat<NVARS>) {
+    (vi, vj): (usize, usize),
+    (ei, sign): (u32, f64),
+    upper: impl FnMut(usize, usize, f64),
+    lower: impl FnMut(usize, usize, f64),
+) {
     let e = &mesh.edges[ei as usize];
-    let s = e.normal * sign; // oriented line[i] -> line[i+1]
-    let (vi, vj) = (line[i] as usize, line[i + 1] as usize);
-    let ui = u.get(vi);
-    let uj = u.get(vj);
-    let lam = spectral_radius(&ui, s).max(spectral_radius(&uj, s));
-    let coef = e.normal.norm() / e.length;
-    let me = mu_eff(mu, &ui, &uj);
-    let visc = me * coef / ui[0].min(uj[0]);
+    let s = e.normal * sign; // oriented vi -> vj
+    let (pi, pj) = (&prim[vi], &prim[vj]);
+    let es = EdgeScalars::new(pi, pj, s, e.length, mu);
+    let d = 0.5 * es.lam + es.visc(rho[vi], rho[vj]);
     // dN_i/du_j = 0.5 A(u_j, S_out) - (0.5 lam + visc) I.
-    let mut upper = flux_jacobian(&uj, s) * 0.5;
-    upper.add_diagonal(-(0.5 * lam + visc));
+    half_jacobian_shifted(pj, s, -d, upper);
     // dN_{i+1}/du_i with outward normal -S.
-    let mut lower = flux_jacobian(&ui, -s) * 0.5;
-    lower.add_diagonal(-(0.5 * lam + visc));
-    (upper, lower)
+    half_jacobian_shifted(pi, -s, -d, lower);
 }
 
 /// Solve the block-tridiagonal system along one line and update. All
@@ -140,6 +128,7 @@ fn line_edge_blocks(
 #[allow(clippy::too_many_arguments)]
 fn solve_line_scalar(
     mesh: &UnstructuredMesh,
+    prim: &[Prim],
     mu: f64,
     u: &mut SoaStates<NVARS>,
     diag: &[BlockMat<NVARS>],
@@ -156,8 +145,11 @@ fn solve_line_scalar(
         *tridiag.diag_mut(i) = diag[v as usize];
         *tridiag.rhs_mut(i) = res.get(v as usize);
     }
-    for (i, &(ei, sign)) in les.iter().enumerate() {
-        let (upper, lower) = line_edge_blocks(mesh, u, mu, line, i, ei, sign);
+    for (i, &le) in les.iter().enumerate() {
+        let ends = (line[i] as usize, line[i + 1] as usize);
+        let (mut upper, mut lower) = (BlockMat::zero(), BlockMat::zero());
+        let (up, lo) = (|r, c, v| upper.set(r, c, v), |r, c, v| lower.set(r, c, v));
+        line_edge_blocks(mesh, prim, u.plane(0), mu, ends, le, up, lo);
         *tridiag.upper_mut(i) = upper;
         *tridiag.lower_mut(i + 1) = lower;
     }
@@ -178,6 +170,7 @@ fn solve_line_scalar(
 #[allow(clippy::too_many_arguments)]
 fn solve_line_batch(
     mesh: &UnstructuredMesh,
+    prim: &[Prim],
     mu: f64,
     u: &mut SoaStates<NVARS>,
     diag: &[BlockMat<NVARS>],
@@ -199,10 +192,14 @@ fn solve_line_batch(
             tb.set_diag(i, l, &diag[v as usize]);
             tb.set_rhs(i, l, &res.get(v as usize));
         }
-        for (i, &(ei, sign)) in les.iter().enumerate() {
-            let (upper, lower) = line_edge_blocks(mesh, u, mu, line, i, ei, sign);
-            tb.set_upper(i, l, &upper);
-            tb.set_lower(i + 1, l, &lower);
+        for (i, &le) in les.iter().enumerate() {
+            let ends = (line[i] as usize, line[i + 1] as usize);
+            let (upper, lower) = tb.couplings_mut(i);
+            let (up, lo) = (
+                |r, c, v| upper.set(r, c, l, v),
+                |r, c, v| lower.set(r, c, l, v),
+            );
+            line_edge_blocks(mesh, prim, u.plane(0), mu, ends, le, up, lo);
         }
     }
     line_x_batch.clear();
@@ -243,6 +240,12 @@ pub struct RansLevel {
     /// Green-Gauss velocity-gradient accumulators (nine planes,
     /// row-major `3 i + j` = `d v_i / d x_j`).
     grad: SoaStates<9>,
+    /// Per-vertex primitive cache (64 B/vertex), valid from
+    /// [`Self::begin_residual`] until `u` is next written; every edge
+    /// kernel reads it instead of re-deriving primitives per edge.
+    prim: Vec<Prim>,
+    /// Rotating vertex of the debug cache-freshness check.
+    probe: usize,
     diag: Vec<BlockMat<NVARS>>,
     lamsum: Vec<f64>,
     tridiag: BlockTridiag<NVARS>,
@@ -267,6 +270,9 @@ pub struct RansLevel {
     /// (36 Jacobian entries + lamsum per vertex); level-owned so the
     /// parallel sweep's coalesced exchange is allocation-free.
     pub(crate) diag_pack: Vec<[f64; 37]>,
+    /// Restriction accumulators `[sum vol u, sum r]` of this level as the
+    /// *coarse* side of a transfer; sized on first use, then reused.
+    pub(crate) restrict_acc: Vec<[State; 2]>,
     /// Solver parameters.
     pub params: SolverParams,
     /// Free-stream state (BC and initialisation).
@@ -295,6 +301,8 @@ impl RansLevel {
     /// domain-decomposed solver passes the restriction of the *global*
     /// lines so every rank smooths exactly what the serial solver would).
     pub fn with_lines(mesh: UnstructuredMesh, params: SolverParams, lines: Vec<Vec<u32>>) -> Self {
+        // A line needs an edge: empty and one-vertex "lines" are point solves.
+        let lines: Vec<_> = lines.into_iter().filter(|l| l.len() >= 2).collect();
         let n = mesh.nvertices();
         let mut in_line = vec![false; n];
         for line in &lines {
@@ -340,6 +348,8 @@ impl RansLevel {
             restricted_u,
             res: SoaStates::zeros(n),
             grad: SoaStates::zeros(n),
+            prim: vec![[0.0; 8]; n],
+            probe: 0,
             diag: vec![BlockMat::zero(); n],
             lamsum: vec![0.0; n],
             tridiag: BlockTridiag::new(),
@@ -348,6 +358,7 @@ impl RansLevel {
             edge_nrm: vec![[0.0; 3]; EDGE_BLOCK],
             vol_inv: vec![0.0; VBLOCK],
             diag_pack: vec![[0.0; 37]; n],
+            restrict_acc: Vec::new(),
             cfl_now: params.cfl_start.min(params.cfl),
             params,
             fs,
@@ -383,10 +394,34 @@ impl RansLevel {
         self.finalize_residual();
     }
 
-    /// Phase 1: clear the residual and gradient accumulators.
+    /// Phase 1: clear the residual and gradient accumulators and refresh
+    /// the primitive cache from `u`. Contract: every other phase up to and
+    /// including the line assembly of [`Self::solve_implicit`] reads the
+    /// cache, so `u` must not be written between this call and them.
     pub fn begin_residual(&mut self) {
         self.res.fill_zero();
         self.grad.fill_zero();
+        let mu = self.params.mu_laminar();
+        for (v, p) in self.prim.iter_mut().enumerate() {
+            *p = prim_of(&self.u.get(v), mu);
+        }
+    }
+
+    /// Debug builds re-derive one cache entry per reader kernel (rotating
+    /// over the vertices) and compare bits, so a write to `u` after
+    /// [`Self::begin_residual`] trips here instead of smoothing with
+    /// stale primitives.
+    fn debug_assert_cache_fresh(&mut self) {
+        if cfg!(debug_assertions) && !self.prim.is_empty() {
+            let v = (self.probe + 1) % self.prim.len();
+            self.probe = v;
+            let fresh = prim_of(&self.u.get(v), self.params.mu_laminar());
+            let stale = fresh.map(f64::to_bits) != self.prim[v].map(f64::to_bits);
+            assert!(
+                !stale,
+                "primitive cache of vertex {v} is stale: u written after begin_residual"
+            );
+        }
     }
 
     /// Phase 2: accumulate raw Green-Gauss velocity-gradient sums
@@ -400,9 +435,10 @@ impl RansLevel {
     /// exactly once, so the result is bit-identical to the scalar
     /// edge-at-a-time oracle.
     pub fn accumulate_gradients(&mut self) {
+        self.debug_assert_cache_fresh();
         let Self {
             mesh,
-            u,
+            prim,
             grad,
             edge_avg,
             edge_nrm,
@@ -414,9 +450,7 @@ impl RansLevel {
             KernelKind::Scalar => {
                 for e in &mesh.edges {
                     let (a, b) = (e.a as usize, e.b as usize);
-                    let va = velocity(&u.get(a));
-                    let vb = velocity(&u.get(b));
-                    let avg = (va + vb) * 0.5;
+                    let avg = (vel(&prim[a]) + vel(&prim[b])) * 0.5;
                     let s = e.normal;
                     let comp = [avg.x, avg.y, avg.z];
                     let sv = [s.x, s.y, s.z];
@@ -432,9 +466,7 @@ impl RansLevel {
             KernelKind::Simd => {
                 for chunk in mesh.edges.chunks(EDGE_BLOCK) {
                     for (t, e) in chunk.iter().enumerate() {
-                        let va = velocity(&u.get(e.a as usize));
-                        let vb = velocity(&u.get(e.b as usize));
-                        let avg = (va + vb) * 0.5;
+                        let avg = (vel(&prim[e.a as usize]) + vel(&prim[e.b as usize])) * 0.5;
                         edge_avg[t] = [avg.x, avg.y, avg.z];
                         edge_nrm[t] = [e.normal.x, e.normal.y, e.normal.z];
                     }
@@ -501,12 +533,15 @@ impl RansLevel {
     }
 
     /// Phase 4: accumulate convective and diffusive edge fluxes into
-    /// `res = -N` (flux part). Endpoint states are gathered per edge;
-    /// residual updates scatter straight into the component planes.
+    /// `res = -N` (flux part). Endpoint states are gathered per edge, their
+    /// primitives read from the cache; residual updates scatter straight
+    /// into the component planes.
     pub fn accumulate_fluxes(&mut self) {
+        self.debug_assert_cache_fresh();
         let Self {
             mesh,
             u,
+            prim,
             res,
             params,
             flops: fc,
@@ -516,37 +551,21 @@ impl RansLevel {
         let mut rp = res.planes_mut();
         for e in &mesh.edges {
             let (a, b) = (e.a as usize, e.b as usize);
-            let s = e.normal;
-            let ua = u.get(a);
-            let ub = u.get(b);
-            let f = rusanov(&ua, &ub, s);
+            let (ua, ub) = (u.get(a), u.get(b));
+            let (pa, pb) = (&prim[a], &prim[b]);
+            let es = EdgeScalars::new(pa, pb, e.normal, e.length, mu);
+            let (f, d) = es.fluxes((pa, &ua), (pb, &ub), e.normal, mu);
             for (k, rk) in rp.iter_mut().enumerate() {
                 // res = -N: flux out of a decreases res[a].
                 rk[a] -= f[k];
                 rk[b] += f[k];
             }
-            // Edge-based diffusion (viscous + turbulence transport).
-            let coef = e.normal.norm() / e.length;
-            let me = mu_eff(mu, &ua, &ub);
-            let va = velocity(&ua);
-            let vb = velocity(&ub);
-            let dv = vb - va;
-            let dvc = [dv.x, dv.y, dv.z];
-            for k in 0..3 {
-                let d = me * coef * dvc[k];
-                // Diffusive flux out of a is -me*coef*(v_b - v_a): N[a] -= d.
-                rp[1 + k][a] += d;
-                rp[1 + k][b] -= d;
+            // Edge-based diffusion (viscous + turbulence transport): the
+            // diffusive flux out of a is -d, so N[a] -= d.
+            for (k, rk) in rp[1..].iter_mut().enumerate() {
+                rk[a] += d[k];
+                rk[b] -= d[k];
             }
-            let ha = (ua[4] + pressure(&ua)) / ua[0];
-            let hb = (ub[4] + pressure(&ub)) / ub[0];
-            let de = me * coef * (hb - ha);
-            rp[4][a] += de;
-            rp[4][b] -= de;
-            let mt = mu + 0.5 * (ua[5].max(0.0) + ub[5].max(0.0));
-            let dn = mt / sa::SIGMA * coef * (ub[5] / ub[0] - ua[5] / ua[0]);
-            rp[5][a] += dn;
-            rp[5][b] -= dn;
         }
         fc.add(mesh.nedges() as u64 * (flops::FLUX + flops::VISCOUS));
     }
@@ -720,13 +739,14 @@ impl RansLevel {
                     diag,
                     res,
                     u,
+                    prim,
                     params,
                     flops: fc,
                     ..
                 } = self;
                 let mu = params.mu_laminar();
                 for (line, les) in lines.iter().zip(line_edges.iter()) {
-                    solve_line_scalar(mesh, mu, u, diag, res, tridiag, line_x, fc, line, les);
+                    solve_line_scalar(mesh, prim, mu, u, diag, res, tridiag, line_x, fc, line, les);
                 }
                 self.solve_points_scalar();
             }
@@ -828,6 +848,7 @@ impl RansLevel {
             diag,
             res,
             u,
+            prim,
             params,
             flops: fc,
             ..
@@ -845,6 +866,7 @@ impl RansLevel {
             }
             solve_line_batch(
                 mesh,
+                prim,
                 mu,
                 u,
                 diag,
@@ -867,11 +889,16 @@ impl RansLevel {
         self.finalize_diagonal();
     }
 
-    /// Diagonal phase 1: per-edge Jacobian contributions.
+    /// Diagonal phase 1: per-edge Jacobian contributions, accumulated
+    /// entry by entry. The seven structural zeros of `A` off the diagonal
+    /// are never touched: `diag[v]` is zeroed here and those entries would
+    /// only ever receive `+0.0`.
     pub fn accumulate_diagonal(&mut self) {
+        self.debug_assert_cache_fresh();
         let Self {
             mesh,
             u,
+            prim,
             diag,
             lamsum,
             params,
@@ -884,25 +911,22 @@ impl RansLevel {
             lamsum[v] = 0.0;
         }
         let mu = params.mu_laminar();
+        let rho = u.plane(0);
         for e in &mesh.edges {
             let (a, b) = (e.a as usize, e.b as usize);
             let s = e.normal;
-            let ua = u.get(a);
-            let ub = u.get(b);
-            let lam = spectral_radius(&ua, s).max(spectral_radius(&ub, s));
-            let coef = e.normal.norm() / e.length;
-            let me = mu_eff(mu, &ua, &ub);
-            let visc = me * coef / ua[0].min(ub[0]);
+            let (pa, pb) = (&prim[a], &prim[b]);
+            let es = EdgeScalars::new(pa, pb, s, e.length, mu);
+            let visc = es.visc(rho[a], rho[b]);
+            let d = 0.5 * es.lam + visc;
             // Row a: +0.5 A(u_a, S) + (0.5 lam + visc) I.
-            let mut ja = flux_jacobian(&ua, s) * 0.5;
-            ja.add_diagonal(0.5 * lam + visc);
-            diag[a] += ja;
+            let da = &mut diag[a];
+            half_jacobian_shifted(pa, s, d, |r, c, v| *da.get_mut(r, c) += v);
             // Row b: outward normal is -S.
-            let mut jb = flux_jacobian(&ub, -s) * 0.5;
-            jb.add_diagonal(0.5 * lam + visc);
-            diag[b] += jb;
-            lamsum[a] += lam + visc;
-            lamsum[b] += lam + visc;
+            let db = &mut diag[b];
+            half_jacobian_shifted(pb, -s, d, |r, c, v| *db.get_mut(r, c) += v);
+            lamsum[a] += es.lam + visc;
+            lamsum[b] += es.lam + visc;
         }
         fc.add(mesh.nedges() as u64 * flops::JACOBIAN_EDGE);
     }
@@ -967,7 +991,11 @@ impl RansLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use columbia_mesh::{isotropic_box_mesh, wing_mesh, WingMeshSpec};
+    use crate::state::{
+        flux_jacobian, fv1, nu_tilde, pressure, rusanov, spectral_radius, velocity,
+    };
+    use columbia_mesh::{isotropic_box_mesh, wing_mesh, Edge, Vec3, WingMeshSpec};
+    use columbia_rt::props::array;
 
     fn small_wing() -> RansLevel {
         let spec = WingMeshSpec {
@@ -1121,5 +1149,219 @@ mod tests {
                 );
             }
         }
+    }
+    /// The uncached per-edge formulation the kernels evaluated before the
+    /// primitive cache, written against the public `state.rs` definitions:
+    /// the oracle of the bitwise suite below.
+    struct EdgeOracle {
+        lam: f64,
+        visc: f64,
+        flux: State,
+        diffusion: [f64; NVARS - 1],
+        grad: [f64; 9],
+    }
+
+    fn edge_oracle(ua: &State, ub: &State, s: Vec3, length: f64, mu: f64) -> EdgeOracle {
+        let mt = |uv: &State| {
+            let nt = nu_tilde(uv).max(0.0);
+            uv[0] * nt * fv1(nt, mu / uv[0])
+        };
+        let me = mu + 0.5 * (mt(ua) + mt(ub));
+        let coef = s.norm() / length;
+        let dv = velocity(ub) - velocity(ua);
+        let ha = (ua[4] + pressure(ua)) / ua[0];
+        let hb = (ub[4] + pressure(ub)) / ub[0];
+        let mtr = mu + 0.5 * (ua[5].max(0.0) + ub[5].max(0.0));
+        let avg = (velocity(ua) + velocity(ub)) * 0.5;
+        let (comp, sv) = ([avg.x, avg.y, avg.z], [s.x, s.y, s.z]);
+        EdgeOracle {
+            lam: spectral_radius(ua, s).max(spectral_radius(ub, s)),
+            visc: me * coef / ua[0].min(ub[0]),
+            flux: rusanov(ua, ub, s),
+            diffusion: [
+                me * coef * dv.x,
+                me * coef * dv.y,
+                me * coef * dv.z,
+                me * coef * (hb - ha),
+                mtr / sa::SIGMA * coef * (ub[5] / ub[0] - ua[5] / ua[0]),
+            ],
+            grad: std::array::from_fn(|k| comp[k / 3] * sv[k % 3]),
+        }
+    }
+
+    /// `0.5 A(u, s) + d I` as the dense temporaries used to build it.
+    fn shifted_half_jacobian(u: &State, s: Vec3, d: f64) -> BlockMat<NVARS> {
+        let mut j = flux_jacobian(u, s) * 0.5;
+        j.add_diagonal(d);
+        j
+    }
+
+    fn block_bits(m: &BlockMat<NVARS>) -> Vec<u64> {
+        (0..NVARS * NVARS)
+            .map(|i| m.get(i / NVARS, i % NVARS).to_bits())
+            .collect()
+    }
+
+    /// A physical conservative state from `(rho, velocity, p, nu_tilde)`;
+    /// `wall` zeroes momentum and the turbulence variable as `apply_bcs` does.
+    fn state_from(rho: f64, v: [f64; 3], p: f64, nt: f64, wall: bool) -> State {
+        let v = if wall { [0.0; 3] } else { v };
+        let q2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
+        let e = p / (GAMMA - 1.0) + 0.5 * rho * q2;
+        let rnt = if wall { 0.0 } else { rho * nt };
+        [rho, rho * v[0], rho * v[1], rho * v[2], e, rnt]
+    }
+
+    /// One interior edge `0 -> 1`, carrying the line `[0, 1]` or `[1, 0]`.
+    fn one_edge_level(s: Vec3, length: f64, reversed: bool, kernel: KernelKind) -> RansLevel {
+        let mesh = UnstructuredMesh {
+            points: vec![Vec3::ZERO, Vec3::new(length, 0.0, 0.0)],
+            edges: vec![Edge {
+                a: 0,
+                b: 1,
+                normal: s,
+                length,
+            }],
+            volumes: vec![1.0, 1.0],
+            bc: vec![BoundaryKind::Interior; 2],
+            wall_distance: vec![0.5, 0.5],
+        };
+        let params = SolverParams {
+            kernel: Some(kernel),
+            ..Default::default()
+        };
+        let line = if reversed { vec![1, 0] } else { vec![0, 1] };
+        RansLevel::with_lines(mesh, params, vec![line])
+    }
+
+    columbia_rt::props! {
+        /// Every output of the cached edge kernels — Rusanov flux, the five
+        /// diffusion terms, `lam`, `visc`, the gradient products, all 36
+        /// entries of both diagonal contributions and of the line's
+        /// `(upper, lower)` pair — equals the uncached `state.rs`
+        /// formulation bit for bit, on either kernel path.
+        fn prop_cached_edge_kernels_match_state_oracle_bits(
+            ends in array::<_, 2>((0.3f64..3.0, array::<_, 3>(-1.5f64..1.5), 0.05f64..3.0, -2e-4f64..1e-3)),
+            s in array::<_, 3>(-1.0f64..1.0),
+            length in 1e-3f64..1.0,
+            pick in 0u32..128,
+        ) {
+            // `pick` bits: wall state at a / b, zero component of S (3 =
+            // none), line orientation, kernel path.
+            let mut sv = s;
+            if pick & 3 < 3 {
+                sv[(pick & 3) as usize] = 0.0;
+            }
+            let s = Vec3::new(sv[0], sv[1], sv[2] + if sv == [0.0; 3] { 0.5 } else { 0.0 });
+            let [ua, ub] = [0, 1].map(|i| {
+                let (rho, v, p, nt) = ends[i];
+                state_from(rho, v, p, nt, pick >> (2 + i) & 1 == 1)
+            });
+            let reversed = pick >> 4 & 1 == 1;
+            let kernel = if pick >> 5 & 1 == 1 { KernelKind::Scalar } else { KernelKind::Simd };
+            let mut lvl = one_edge_level(s, length, reversed, kernel);
+            let mu = lvl.params.mu_laminar();
+            lvl.u.set(0, &ua);
+            lvl.u.set(1, &ub);
+            lvl.begin_residual();
+            lvl.accumulate_gradients();
+            lvl.accumulate_fluxes();
+            lvl.accumulate_diagonal();
+
+            let want = edge_oracle(&ua, &ub, s, length, mu);
+            let es = EdgeScalars::new(&lvl.prim[0], &lvl.prim[1], s, length, mu);
+            assert_eq!(es.lam.to_bits(), want.lam.to_bits(), "lam");
+            assert_eq!(es.visc(ua[0], ub[0]).to_bits(), want.visc.to_bits(), "visc");
+            let (flux, diff) = es.fluxes((&lvl.prim[0], &ua), (&lvl.prim[1], &ub), s, mu);
+            assert_eq!(flux.map(f64::to_bits), want.flux.map(f64::to_bits), "rusanov");
+            assert_eq!(diff.map(f64::to_bits), want.diffusion.map(f64::to_bits), "diffusion");
+
+            // The kernels' own accumulators (each starts at +0.0).
+            for k in 0..NVARS {
+                let d = if k == 0 { 0.0 } else { want.diffusion[k - 1] };
+                let (ra, rb) = (0.0 - want.flux[k], 0.0 + want.flux[k]);
+                let (ra, rb) = if k == 0 { (ra, rb) } else { (ra + d, rb - d) };
+                assert_eq!(lvl.res.at(k, 0).to_bits(), ra.to_bits(), "res[a][{k}]");
+                assert_eq!(lvl.res.at(k, 1).to_bits(), rb.to_bits(), "res[b][{k}]");
+            }
+            for k in 0..9 {
+                assert_eq!(lvl.grad.at(k, 0).to_bits(), (0.0 + want.grad[k]).to_bits(), "grad {k}");
+                assert_eq!(lvl.grad.at(k, 1).to_bits(), (0.0 - want.grad[k]).to_bits(), "grad {k}");
+            }
+            let d = 0.5 * want.lam + want.visc;
+            let mut ja = BlockMat::zero();
+            ja += shifted_half_jacobian(&ua, s, d);
+            let mut jb = BlockMat::zero();
+            jb += shifted_half_jacobian(&ub, -s, d);
+            assert_eq!(block_bits(&lvl.diag[0]), block_bits(&ja), "diag[a]");
+            assert_eq!(block_bits(&lvl.diag[1]), block_bits(&jb), "diag[b]");
+            for v in 0..2 {
+                assert_eq!(lvl.lamsum[v].to_bits(), (0.0 + (want.lam + want.visc)).to_bits());
+            }
+
+            // Line couplings, oriented line[0] -> line[1].
+            let (vi, vj) = (lvl.lines[0][0] as usize, lvl.lines[0][1] as usize);
+            let le = lvl.line_edges[0][0];
+            let so = s * le.1;
+            let (ui, uj) = (lvl.u.get(vi), lvl.u.get(vj));
+            let lam = spectral_radius(&ui, so).max(spectral_radius(&uj, so));
+            let (mut upper, mut lower) = (BlockMat::zero(), BlockMat::zero());
+            line_edge_blocks(
+                &lvl.mesh, &lvl.prim, lvl.u.plane(0), mu, (vi, vj), le,
+                |r, c, v| upper.set(r, c, v),
+                |r, c, v| lower.set(r, c, v),
+            );
+            let shift = -(0.5 * lam + want.visc);
+            assert_eq!(block_bits(&upper), block_bits(&shifted_half_jacobian(&uj, so, shift)), "upper");
+            assert_eq!(block_bits(&lower), block_bits(&shifted_half_jacobian(&ui, -so, shift)), "lower");
+        }
+    }
+
+    #[test]
+    fn cache_entry_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<Prim>(), 64);
+    }
+
+    /// The sparse diagonal accumulate rests on this: the seven structural
+    /// zeros of `A` off the diagonal stay `+0.0` in every `diag[v]`.
+    #[test]
+    fn structural_zeros_of_the_diagonal_stay_positive_zero() {
+        let mut lvl = small_wing();
+        lvl.apply_bcs();
+        for _ in 0..3 {
+            lvl.smooth_sweep();
+        }
+        lvl.begin_residual();
+        lvl.accumulate_diagonal();
+        for (v, d) in lvl.diag.iter().enumerate() {
+            for (r, c) in [(0, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 4)] {
+                assert_eq!(d.get(r, c).to_bits(), 0, "diag[{v}]({r},{c})");
+            }
+            assert!(d.get(0, 1) != 0.0 || d.get(0, 2) != 0.0 || d.get(0, 3) != 0.0);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale")]
+    fn writing_u_after_begin_residual_trips_the_freshness_check() {
+        let mut lvl = small_wing();
+        lvl.begin_residual();
+        for v in 0..lvl.nvertices() {
+            *lvl.u.at_mut(0, v) *= 1.01;
+        }
+        lvl.accumulate_diagonal();
+    }
+
+    /// `with_lines` is public: lines without an edge are dropped on entry
+    /// instead of underflowing `len() - 1`.
+    #[test]
+    fn with_lines_drops_empty_and_single_vertex_lines() {
+        let lvl = one_edge_level(Vec3::new(1.0, 0.0, 0.0), 1.0, false, KernelKind::Simd);
+        let (mesh, params) = (lvl.mesh.clone(), lvl.params);
+        let mut lvl = RansLevel::with_lines(mesh, params, vec![vec![], vec![1], vec![0, 1]]);
+        assert_eq!(lvl.lines, vec![vec![0, 1]]);
+        lvl.smooth_sweep();
+        assert!(lvl.u.to_aos().iter().flatten().all(|x| x.is_finite()));
     }
 }

@@ -31,6 +31,7 @@ pub mod flops;
 pub mod level;
 pub mod parallel;
 pub mod parallel_mg;
+mod prim;
 pub mod profile;
 pub mod solver;
 pub mod state;

@@ -22,7 +22,9 @@
 
 use crate::level::{RansLevel, SolverParams};
 use crate::state::{State, NVARS};
-use columbia_comm::{decompose, run_world, Decomposition, ExecContext, Rank, RankTrace};
+use columbia_comm::{
+    decompose, run_world, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
+};
 use columbia_mesh::{extract_lines, Edge, UnstructuredMesh};
 use columbia_partition::{contract_lines, expand_line_partition, partition_graph, PartitionConfig};
 use columbia_rt::trace::SpanKey;
@@ -173,24 +175,34 @@ pub fn parallel_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut
     plan.exchange_copy_field(rank, 15, &mut lvl.u);
 }
 
-/// Parallel residual norm (collective).
+/// `RansLevel::compute_residual` with ghost exchanges on tags `tag`,
+/// `tag + 1`, `tag + 2`: complete at owners on return. `begin_residual`
+/// comes first, so the primitive cache is fresh for both edge kernels.
+pub(crate) fn exchange_residual(
+    lvl: &mut RansLevel,
+    plan: &ExchangePlan,
+    rank: &mut Rank,
+    tag: u64,
+) {
+    lvl.begin_residual();
+    lvl.accumulate_gradients();
+    plan.exchange_add_field(rank, tag, lvl.grad_mut());
+    lvl.finalize_gradients();
+    plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
+    lvl.accumulate_fluxes();
+    plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
+    lvl.finalize_residual();
+}
+
+/// Parallel residual norm (collective), exchanging on `tag..tag + 3`.
 pub fn parallel_residual_rms(
     local: &mut LocalLevel,
     decomp: &Decomposition,
     rank: &mut Rank,
+    tag: u64,
 ) -> f64 {
-    let p = rank.rank();
-    let plan = &decomp.plans[p];
-    let lvl = &mut local.level;
-    lvl.begin_residual();
-    lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, 20, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, 21, lvl.grad_mut());
-    lvl.accumulate_fluxes();
-    plan.exchange_add_field(rank, 22, &mut lvl.res);
-    lvl.finalize_residual();
-    let (ss, cnt) = lvl.residual_sumsq();
+    exchange_residual(&mut local.level, &decomp.plans[rank.rank()], rank, tag);
+    let (ss, cnt) = local.level.residual_sumsq();
     let gss = rank.allreduce_sum(ss);
     let gcnt = rank.allreduce_sum(cnt as f64);
     if gcnt == 0.0 {
@@ -238,7 +250,7 @@ pub fn run_parallel_smoothing(
         for _ in 0..sweeps {
             parallel_sweep(&mut local, &decomp, rank);
         }
-        let rms = parallel_residual_rms(&mut local, &decomp, rank);
+        let rms = parallel_residual_rms(&mut local, &decomp, rank, 20);
         let owned_u: Vec<(u32, State)> = (0..local.n_owned)
             .map(|i| (local.local_to_global[i], local.level.u.get(i)))
             .collect();

@@ -13,10 +13,13 @@
 //! flow over its local sub-levels; transfers and norms are collectives.
 
 use crate::level::{RansLevel, SolverParams};
-use crate::parallel::{build_local_levels, parallel_sweep, partition_mesh_line_aware, LocalLevel};
-use crate::state::{pressure, NVARS};
+use crate::parallel::{
+    build_local_levels, exchange_residual, parallel_residual_rms, parallel_sweep,
+    partition_mesh_line_aware, LocalLevel,
+};
+use crate::state::NVARS;
 use columbia_comm::{run_world, Decomposition, ExecContext, Rank, RankTrace};
-use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
+use columbia_mesh::{agglomerate_hierarchy, UnstructuredMesh};
 use columbia_mg::{ConvergenceHistory, CycleParams, CycleType};
 use columbia_partition::match_levels;
 use columbia_rt::trace::SpanKey;
@@ -253,16 +256,14 @@ impl ParallelMg {
             }
             let mut history = ConvergenceHistory::default();
             rank.enter_level(0);
-            history
-                .residuals
-                .push(level_residual_rms(&mut levels[0], &decomps[0], rank, 900));
+            let r0 = parallel_residual_rms(&mut levels[0], &decomps[0], rank, 900);
+            history.residuals.push(r0);
             rank.exit_level();
             for _cycle in 0..max_cycles {
                 mg_recurse(&mut levels, decomps, transfers, cp, 0, rank);
                 rank.enter_level(0);
-                history
-                    .residuals
-                    .push(level_residual_rms(&mut levels[0], &decomps[0], rank, 901));
+                let r = parallel_residual_rms(&mut levels[0], &decomps[0], rank, 901);
+                history.residuals.push(r);
                 rank.exit_level();
             }
             // No take_stats: the teardown sink hands the whole ledger back.
@@ -282,33 +283,6 @@ impl ParallelMg {
             }
         });
         (history, traces)
-    }
-}
-
-/// Residual RMS of one level (collective).
-fn level_residual_rms(
-    local: &mut LocalLevel,
-    decomp: &Decomposition,
-    rank: &mut Rank,
-    tag: u64,
-) -> f64 {
-    let plan = &decomp.plans[rank.rank()];
-    let lvl = &mut local.level;
-    lvl.begin_residual();
-    lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, tag, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
-    lvl.accumulate_fluxes();
-    plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
-    lvl.finalize_residual();
-    let (ss, cnt) = lvl.residual_sumsq();
-    let gss = rank.allreduce_sum(ss);
-    let gcnt = rank.allreduce_sum(cnt as f64);
-    if gcnt == 0.0 {
-        0.0
-    } else {
-        (gss / gcnt).sqrt()
     }
 }
 
@@ -370,29 +344,18 @@ fn parallel_restrict(
     let tag = 300 + 10 * l as u64;
 
     // Fine residual (complete at owners).
-    {
-        let fine = &mut levels[l];
-        let plan = &decomps[l].plans[p];
-        let lvl = &mut fine.level;
-        lvl.begin_residual();
-        lvl.accumulate_gradients();
-        plan.exchange_add_field(rank, tag, lvl.grad_mut());
-        lvl.finalize_gradients();
-        plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
-        lvl.accumulate_fluxes();
-        plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
-        lvl.finalize_residual();
-    }
+    exchange_residual(&mut levels[l].level, &decomps[l].plans[p], rank, tag);
 
     let (fine_slice, coarse_slice) = levels.split_at_mut(l + 1);
     let fine = &fine_slice[l];
     let coarse = &mut coarse_slice[0];
     let sched = &transfers[l];
 
-    // Accumulators over the coarse rank's local vertices.
+    // Accumulators `[vol * u, r]` over the coarse rank's local vertices:
+    // coarse-level-owned scratch, so steady-state cycles allocate nothing.
     let nc = coarse.level.nvertices();
-    let mut acc_u = vec![[0.0f64; NVARS]; nc];
-    let mut acc_r = vec![[0.0f64; NVARS]; nc];
+    coarse.level.restrict_acc.clear();
+    coarse.level.restrict_acc.resize(nc, [[0.0; NVARS]; 2]);
 
     // Send packed (vol*u, r, vol) per remote coarse rank. Payloads come
     // from the rank's pool, sized for the wider (restrict) direction so
@@ -418,9 +381,10 @@ fn parallel_restrict(
         let v = pr.fine_local as usize;
         let c = pr.coarse_local as usize;
         let vol = fine.level.mesh.volumes[v];
+        let [acc_u, acc_r] = &mut coarse.level.restrict_acc[c];
         for k in 0..NVARS {
-            acc_u[c][k] += vol * fine.level.u.at(k, v);
-            acc_r[c][k] += fine.level.res.at(k, v);
+            acc_u[k] += vol * fine.level.u.at(k, v);
+            acc_r[k] += fine.level.res.at(k, v);
         }
     }
     // Receive remote contributions.
@@ -434,10 +398,10 @@ fn parallel_restrict(
         );
         for (i, &cl) in targets.iter().enumerate() {
             let base = i * RESTRICT_WIDTH;
-            let c = cl as usize;
+            let [acc_u, acc_r] = &mut coarse.level.restrict_acc[cl as usize];
             for k in 0..NVARS {
-                acc_u[c][k] += buf[base + k];
-                acc_r[c][k] += buf[base + NVARS + k];
+                acc_u[k] += buf[base + k];
+                acc_r[k] += buf[base + NVARS + k];
             }
         }
         rank.recycle(*peer, buf);
@@ -451,7 +415,7 @@ fn parallel_restrict(
         }
         let iv = 1.0 / coarse.level.mesh.volumes[c];
         for k in 0..NVARS {
-            *coarse.level.u.at_mut(k, c) = acc_u[c][k] * iv;
+            *coarse.level.u.at_mut(k, c) = coarse.level.restrict_acc[c][0][k] * iv;
         }
     }
     coarse.level.apply_bcs();
@@ -465,20 +429,11 @@ fn parallel_restrict(
     // FAS forcing: f_c = N_c(u_hat) + R(r_f) — compute N_c with zero
     // forcing via the parallel residual phases.
     coarse.level.forcing.fill_zero();
-    {
-        let lvl = &mut coarse.level;
-        lvl.begin_residual();
-        lvl.accumulate_gradients();
-        plan_c.exchange_add_field(rank, tag + 5, lvl.grad_mut());
-        lvl.finalize_gradients();
-        plan_c.exchange_copy_field(rank, tag + 6, lvl.grad_mut());
-        lvl.accumulate_fluxes();
-        plan_c.exchange_add_field(rank, tag + 7, &mut lvl.res);
-        lvl.finalize_residual();
-    }
+    exchange_residual(&mut coarse.level, plan_c, rank, tag + 5);
     for c in 0..nc {
         for k in 0..NVARS {
-            *coarse.level.forcing.at_mut(k, c) = -coarse.level.res.at(k, c) + acc_r[c][k];
+            *coarse.level.forcing.at_mut(k, c) =
+                -coarse.level.res.at(k, c) + coarse.level.restrict_acc[c][1][k];
         }
     }
 }
@@ -499,15 +454,6 @@ fn parallel_prolong(
     let coarse = &coarse_slice[0];
     let sched = &transfers[l];
 
-    // Corrections per coarse vertex.
-    let corr_of = |c: usize| -> [f64; NVARS] {
-        let mut out = [0.0; NVARS];
-        for k in 0..NVARS {
-            out[k] = coarse.level.u.at(k, c) - coarse.level.restricted_u.at(k, c);
-        }
-        out
-    };
-
     // Remote: the coarse side sends one 6-vector per fine vertex in the
     // agreed order (reverse direction of the restriction lists). The
     // pooled request is sized for the wider restrict direction so the
@@ -515,42 +461,13 @@ fn parallel_prolong(
     for (peer, targets) in &sched.recvs[p] {
         let mut buf = rank.buffer(*peer, RESTRICT_WIDTH.max(NVARS) * targets.len());
         for &cl in targets {
-            let corr = corr_of(cl as usize);
-            buf.extend_from_slice(&corr);
+            buf.extend_from_slice(&coarse.level.correction(cl as usize));
         }
         rank.send(*peer, tag, buf);
     }
-    let relax = fine.level.params.prolong_relax;
-    let apply = |lvl: &mut RansLevel, v: usize, corr: &[f64; NVARS]| {
-        if lvl.mesh.bc[v] == BoundaryKind::FarField {
-            return;
-        }
-        let mut scaled = [0.0; NVARS];
-        for k in 0..NVARS {
-            scaled[k] = relax * corr[k];
-        }
-        let uv = lvl.u.get(v);
-        let mut alpha = 1.0;
-        for _ in 0..6 {
-            let mut trial = uv;
-            for k in 0..NVARS {
-                trial[k] += alpha * scaled[k];
-            }
-            let rho_ok = trial[0] > 0.5 * uv[0] && trial[0] < 2.0 * uv[0];
-            let p_old = pressure(&uv);
-            let p_new = pressure(&trial);
-            if rho_ok && p_new > 0.5 * p_old && p_new < 2.0 * p_old {
-                break;
-            }
-            alpha *= 0.5;
-        }
-        for k in 0..NVARS {
-            *lvl.u.at_mut(k, v) += alpha * scaled[k];
-        }
-    };
     for pr in &sched.local[p] {
-        let corr = corr_of(pr.coarse_local as usize);
-        apply(&mut fine.level, pr.fine_local as usize, &corr);
+        let corr = coarse.level.correction(pr.coarse_local as usize);
+        fine.level.apply_correction(pr.fine_local as usize, &corr);
     }
     for (peer, pairs) in &sched.sends[p] {
         let buf = rank.recv(*peer, tag);
@@ -560,9 +477,8 @@ fn parallel_prolong(
             "rank {p}: prolongation buffer size mismatch from peer {peer} on tag {tag}"
         );
         for (i, pr) in pairs.iter().enumerate() {
-            let mut corr = [0.0; NVARS];
-            corr.copy_from_slice(&buf[i * NVARS..(i + 1) * NVARS]);
-            apply(&mut fine.level, pr.fine_local as usize, &corr);
+            let corr = std::array::from_fn(|k| buf[i * NVARS + k]);
+            fine.level.apply_correction(pr.fine_local as usize, &corr);
         }
         rank.recycle(*peer, buf);
     }

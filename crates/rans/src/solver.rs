@@ -2,7 +2,7 @@
 
 use crate::level::RansLevel;
 pub use crate::level::SolverParams;
-use crate::state::NVARS;
+use crate::state::{pressure, State, NVARS};
 use columbia_comm::ExecContext;
 use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
 use columbia_mg::{fas_cycle, solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
@@ -19,26 +19,26 @@ impl MultigridLevel for RansLevel {
     }
 
     fn restrict_into(&mut self, coarse: &mut Self) {
+        self.compute_residual();
         let map = self
             .to_coarse
-            .clone()
+            .as_ref()
             .expect("level has no coarse map; cannot restrict");
-        self.compute_residual();
         let nc = coarse.nvertices();
-        let mut acc = vec![[0.0f64; NVARS]; nc];
-        let mut racc = vec![[0.0f64; NVARS]; nc];
+        coarse.restrict_acc.clear();
+        coarse.restrict_acc.resize(nc, [[0.0; NVARS]; 2]);
         for (v, &c) in map.iter().enumerate() {
             let vol = self.mesh.volumes[v];
-            let c = c as usize;
+            let [acc, racc] = &mut coarse.restrict_acc[c as usize];
             for k in 0..NVARS {
-                acc[c][k] += vol * self.u.at(k, v);
-                racc[c][k] += self.res.at(k, v);
+                acc[k] += vol * self.u.at(k, v);
+                racc[k] += self.res.at(k, v);
             }
         }
         for c in 0..nc {
             let iv = 1.0 / coarse.mesh.volumes[c];
             for k in 0..NVARS {
-                *coarse.u.at_mut(k, c) = acc[c][k] * iv;
+                *coarse.u.at_mut(k, c) = coarse.restrict_acc[c][0][k] * iv;
             }
         }
         // The coarse state must satisfy the same strong BCs, and the stored
@@ -51,49 +51,52 @@ impl MultigridLevel for RansLevel {
         coarse.compute_residual(); // res = -N_c(u_hat) (BC rows zeroed)
         for c in 0..nc {
             for k in 0..NVARS {
-                *coarse.forcing.at_mut(k, c) = -coarse.res.at(k, c) + racc[c][k];
+                *coarse.forcing.at_mut(k, c) = -coarse.res.at(k, c) + coarse.restrict_acc[c][1][k];
             }
         }
     }
 
     fn prolong_from(&mut self, coarse: &Self) {
-        let map = self
-            .to_coarse
-            .as_ref()
-            .expect("level has no coarse map; cannot prolongate");
-        let relax = self.params.prolong_relax;
-        for (v, &c) in map.iter().enumerate() {
-            if self.mesh.bc[v] == BoundaryKind::FarField {
-                continue;
-            }
-            let c = c as usize;
-            let mut corr = [0.0f64; NVARS];
-            for k in 0..NVARS {
-                corr[k] = relax * (coarse.u.at(k, c) - coarse.restricted_u.at(k, c));
-            }
-            // Positivity backtracking: halve the correction until density
-            // and pressure stay within a factor of 2 of the current state.
-            let uv = self.u.get(v);
-            let mut alpha = 1.0;
-            for _ in 0..6 {
-                let mut trial = uv;
-                for k in 0..NVARS {
-                    trial[k] += alpha * corr[k];
-                }
-                let rho_ok = trial[0] > 0.5 * uv[0] && trial[0] < 2.0 * uv[0];
-                let p_old = crate::state::pressure(&uv);
-                let p_new = crate::state::pressure(&trial);
-                let p_ok = p_new > 0.5 * p_old && p_new < 2.0 * p_old;
-                if rho_ok && p_ok {
-                    break;
-                }
-                alpha *= 0.5;
-            }
-            for k in 0..NVARS {
-                *self.u.at_mut(k, v) += alpha * corr[k];
-            }
+        for v in 0..self.nvertices() {
+            let map = self.to_coarse.as_ref();
+            let c = map.expect("level has no coarse map; cannot prolongate")[v] as usize;
+            self.apply_correction(v, &coarse.correction(c));
         }
         self.apply_bcs();
+    }
+}
+
+impl RansLevel {
+    /// Coarse-grid correction carried by vertex `c`: state minus the state
+    /// stored at restriction time.
+    pub(crate) fn correction(&self, c: usize) -> State {
+        std::array::from_fn(|k| self.u.at(k, c) - self.restricted_u.at(k, c))
+    }
+
+    /// Add the coarse-grid correction `corr` (damped by `prolong_relax`)
+    /// to vertex `v`, with positivity backtracking: halve the step until
+    /// density and pressure stay within a factor of 2 of the current state.
+    #[inline]
+    pub(crate) fn apply_correction(&mut self, v: usize, corr: &State) {
+        if self.mesh.bc[v] == BoundaryKind::FarField {
+            return;
+        }
+        let scaled = corr.map(|c| self.params.prolong_relax * c);
+        let uv = self.u.get(v);
+        let p_old = pressure(&uv);
+        let mut alpha = 1.0;
+        for _ in 0..6 {
+            let trial: State = std::array::from_fn(|k| uv[k] + alpha * scaled[k]);
+            let rho_ok = trial[0] > 0.5 * uv[0] && trial[0] < 2.0 * uv[0];
+            let p_new = pressure(&trial);
+            if rho_ok && p_new > 0.5 * p_old && p_new < 2.0 * p_old {
+                break;
+            }
+            alpha *= 0.5;
+        }
+        for k in 0..NVARS {
+            *self.u.at_mut(k, v) += alpha * scaled[k];
+        }
     }
 }
 
@@ -112,10 +115,10 @@ impl RansSolver {
         let steps = agglomerate_hierarchy(&mesh, nlevels, 10);
         let mut levels = Vec::with_capacity(steps.len() + 1);
         let mut fine = RansLevel::new(mesh, params);
-        for step in &steps {
-            fine.to_coarse = Some(step.fine_to_coarse.clone());
+        for step in steps {
+            fine.to_coarse = Some(step.fine_to_coarse);
             levels.push(fine);
-            fine = RansLevel::new(step.coarse.clone(), params);
+            fine = RansLevel::new(step.coarse, params);
         }
         levels.push(fine);
         let mut solver = RansSolver { levels };

@@ -16,8 +16,9 @@ use columbia_euler::EulerLevel;
 use columbia_linalg::soa::vec_batch_zero;
 use columbia_linalg::{BlockBatch, BlockMat, LinalgError, LANES};
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
+use columbia_mg::{fas_cycle, CycleParams, MultigridLevel};
 use columbia_rans::level::SolverParams;
-use columbia_rans::RansLevel;
+use columbia_rans::{RansLevel, RansSolver};
 use columbia_rt::env::KernelKind;
 use columbia_rt::Pcg32;
 use columbia_sfc::CurveKind;
@@ -230,6 +231,63 @@ fn steady_state_smoothing_sweeps_allocate_nothing() {
         assert_eq!(
             delta, 0,
             "steady-state smooth_sweep hit the allocator {delta} times ({kernel:?})"
+        );
+    }
+}
+
+/// A level with nothing to do: what `fas_cycle` itself costs.
+struct IdleLevel;
+
+impl MultigridLevel for IdleLevel {
+    fn smooth(&mut self, _sweeps: usize) {}
+    fn residual_norm(&mut self) -> f64 {
+        0.0
+    }
+    fn restrict_into(&mut self, _coarse: &mut Self) {}
+    fn prolong_from(&mut self, _coarse: &Self) {}
+}
+
+/// The same contract one layer up: after a warm-up cycle has sized the
+/// restriction accumulators (coarse-level-owned scratch: no per-call
+/// vectors, no clone of the fine-to-coarse map), the levels of a full
+/// `RansSolver::cycle` — smoothing, restriction, prolongation — allocate
+/// nothing. The driver's own traffic (`fas_cycle` names a span per level
+/// visit whether or not the tracer records) is measured on idle levels
+/// and is all that may remain.
+#[test]
+fn steady_state_multigrid_cycle_allocates_nothing() {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
+        let (driver, delta) = std::thread::spawn(move || {
+            let mesh = wing_mesh(&WingMeshSpec {
+                jitter: 0.0,
+                ..WingMeshSpec::with_target_points(2000)
+            });
+            let params = SolverParams {
+                mach: 0.5,
+                kernel: Some(kernel),
+                ..Default::default()
+            };
+            let mut solver = RansSolver::new(mesh, params, 3);
+            assert_eq!(solver.nlevels(), 3);
+            let cp = CycleParams::default();
+            solver.cycle(&cp);
+            let before = alloc_calls_on_this_thread();
+            fas_cycle(
+                &mut [IdleLevel, IdleLevel, IdleLevel],
+                &cp,
+                &mut ExecContext::default(),
+            );
+            let driver = alloc_calls_on_this_thread() - before;
+            solver.cycle(&cp);
+            (driver, alloc_calls_on_this_thread() - before - driver)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            delta,
+            driver,
+            "steady-state RansSolver::cycle levels hit the allocator {} times ({kernel:?})",
+            delta.abs_diff(driver)
         );
     }
 }
