@@ -4,9 +4,11 @@
 //! Cartesian meshes produced by `columbia-cartesian`:
 //!
 //! * cell-centred finite volume, five unknowns per cell;
-//! * Rusanov upwind fluxes across axis-aligned faces; wall pressure flux
-//!   through each cut cell's embedded-boundary closure vector; far-field
-//!   characteristic state at domain boundary faces;
+//! * first-order Rusanov upwind fluxes across the faces (axis-aligned on
+//!   the finest level; a coarse face is the sum of the fine normals it
+//!   agglomerates and is not); pressure-only wall flux through each cut
+//!   cell's embedded-boundary closure vector; far-field characteristic
+//!   state at domain boundary faces;
 //! * five-stage Runge-Kutta smoothing with local time stepping;
 //! * FAS multigrid over the single-pass SFC-coarsened hierarchy (W-cycles
 //!   preferred, as in the paper);
@@ -18,6 +20,7 @@
 
 pub mod level;
 pub mod parallel;
+mod prim;
 pub mod profile;
 pub mod solver;
 pub mod state;

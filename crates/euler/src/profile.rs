@@ -108,7 +108,7 @@ pub fn measure_profile(
         .collect();
     let sweeps = (cycle.pre_sweeps + cycle.post_sweeps) as f64 / 2.0 + 1.0;
     let code = CodeConstants {
-        // Working set: u, u0, forcing, restricted, res (5x40B) + lam + mesh.
+        // Working set: u, u0, forcing, res, primitive cache (5x40B) + lam + mesh.
         state_bytes_per_point: (5 * NVARS5 * 8 + 8 + 100) as f64,
         // RK5: 5 state copies + 5 residual adds + 5 lam adds per step.
         exchanges_per_visit: 15.0 * sweeps,

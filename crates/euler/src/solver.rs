@@ -1,9 +1,10 @@
 //! Multigrid driver, hierarchy construction and force integration.
 
-use crate::level::EulerLevel;
+use crate::level::{guard, EulerLevel};
 use crate::state::{freestream5, pressure, State5, NVARS5};
 use columbia_cartesian::{coarsen_hierarchy, CartMesh};
 use columbia_comm::ExecContext;
+use columbia_linalg::soa::SoaStates;
 use columbia_mesh::Vec3;
 use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
 
@@ -56,52 +57,62 @@ impl MultigridLevel for EulerLevel {
     }
 
     fn restrict_into(&mut self, coarse: &mut Self) {
+        self.compute_residual();
         let map = self
             .to_coarse
-            .clone()
+            .as_ref()
             .expect("level has no coarse map; cannot restrict");
-        self.compute_residual();
         let nc = coarse.ncells();
-        let mut acc = vec![[0.0f64; NVARS5]; nc];
-        let mut racc = vec![[0.0f64; NVARS5]; nc];
+        coarse.restrict_acc.clear();
+        coarse.restrict_acc.resize(nc, [[0.0; NVARS5]; 2]);
         for (c, &g) in map.iter().enumerate() {
             let vol = self.mesh.volumes[c];
-            let g = g as usize;
+            let [acc, racc] = &mut coarse.restrict_acc[g as usize];
             for k in 0..NVARS5 {
-                acc[g][k] += vol * self.u.at(k, c);
-                racc[g][k] += self.res.at(k, c);
+                acc[k] += vol * self.u.at(k, c);
+                racc[k] += self.res.at(k, c);
             }
         }
         for g in 0..nc {
             let iv = 1.0 / coarse.mesh.volumes[g];
             for k in 0..NVARS5 {
-                *coarse.u.at_mut(k, g) = acc[g][k] * iv;
+                *coarse.u.at_mut(k, g) = coarse.restrict_acc[g][0][k] * iv;
             }
             coarse.guard_state(g);
+        }
+        if coarse.restricted_u.len() != nc {
+            coarse.restricted_u = SoaStates::zeros(nc);
         }
         coarse.restricted_u.copy_from(&coarse.u);
         coarse.forcing.fill_zero();
         coarse.compute_residual(); // res = -N_c(u_hat)
         for g in 0..nc {
             for k in 0..NVARS5 {
-                *coarse.forcing.at_mut(k, g) = -coarse.res.at(k, g) + racc[g][k];
+                *coarse.forcing.at_mut(k, g) = -coarse.res.at(k, g) + coarse.restrict_acc[g][1][k];
             }
         }
     }
 
     fn prolong_from(&mut self, coarse: &Self) {
-        let map = self
-            .to_coarse
-            .clone()
+        let Self {
+            to_coarse,
+            u,
+            guard_trips,
+            prolong_relax: relax,
+            ..
+        } = self;
+        let map = to_coarse
+            .as_ref()
             .expect("level has no coarse map; cannot prolongate");
-        let relax = self.prolong_relax;
+        let mut trips = 0;
         for (c, &g) in map.iter().enumerate() {
             let g = g as usize;
             for k in 0..NVARS5 {
-                *self.u.at_mut(k, c) += relax * (coarse.u.at(k, g) - coarse.restricted_u.at(k, g));
+                *u.at_mut(k, c) += *relax * (coarse.u.at(k, g) - coarse.restricted_u.at(k, g));
             }
-            self.guard_state(c);
+            trips += u64::from(guard(u, c));
         }
+        *guard_trips += trips;
     }
 }
 
@@ -120,10 +131,10 @@ impl EulerSolver {
         let steps = coarsen_hierarchy(&mesh, params.nlevels, 8);
         let mut levels = Vec::with_capacity(steps.len() + 1);
         let mut fine = EulerLevel::new(mesh, fs, params.cfl);
-        for step in &steps {
-            fine.to_coarse = Some(step.fine_to_coarse.clone());
+        for step in steps {
+            fine.to_coarse = Some(step.fine_to_coarse);
             levels.push(fine);
-            fine = EulerLevel::new(step.coarse.clone(), fs, params.cfl);
+            fine = EulerLevel::new(step.coarse, fs, params.cfl);
         }
         levels.push(fine);
         EulerSolver { levels, params }
@@ -188,6 +199,16 @@ impl EulerSolver {
             l.flops = 0;
         }
         t
+    }
+
+    /// Take and reset the positivity-guard trips of every level: the
+    /// [`EulerLevel::guard_state`] calls that altered a state since the
+    /// last take. Zero on a run that stayed inside the guard's envelope.
+    pub fn guard_trips(&mut self) -> u64 {
+        self.levels
+            .iter_mut()
+            .map(|l| std::mem::take(&mut l.guard_trips))
+            .sum()
     }
 
     /// FLOPs per level since last reset (not reset).

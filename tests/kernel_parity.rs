@@ -9,10 +9,10 @@
 //! path) keeps holding verbatim.
 
 use columbia_bench::kernels::{self, digest_states};
-use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
+use columbia_cartesian::{build_octree, extract_mesh, CartMesh, CutCellConfig, Geometry, TriMesh};
 use columbia_comm::ExecContext;
 use columbia_euler::state::freestream5;
-use columbia_euler::EulerLevel;
+use columbia_euler::{EulerLevel, EulerParams, EulerSolver};
 use columbia_linalg::soa::vec_batch_zero;
 use columbia_linalg::{BlockBatch, BlockMat, LinalgError, LANES};
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
@@ -269,17 +269,7 @@ fn steady_state_multigrid_cycle_allocates_nothing() {
             };
             let mut solver = RansSolver::new(mesh, params, 3);
             assert_eq!(solver.nlevels(), 3);
-            let cp = CycleParams::default();
-            solver.cycle(&cp);
-            let before = alloc_calls_on_this_thread();
-            fas_cycle(
-                &mut [IdleLevel, IdleLevel, IdleLevel],
-                &cp,
-                &mut ExecContext::default(),
-            );
-            let driver = alloc_calls_on_this_thread() - before;
-            solver.cycle(&cp);
-            (driver, alloc_calls_on_this_thread() - before - driver)
+            warm_cycle_allocations::<3>(|cp| solver.cycle(cp))
         })
         .join()
         .unwrap();
@@ -292,7 +282,23 @@ fn steady_state_multigrid_cycle_allocates_nothing() {
     }
 }
 
-fn euler_level(kernel: KernelKind) -> EulerLevel {
+/// Allocator calls on this thread of `fas_cycle` over `N` idle levels (the
+/// driver's own) and of one `cycle` after a warm-up `cycle`.
+fn warm_cycle_allocations<const N: usize>(mut cycle: impl FnMut(&CycleParams)) -> (u64, u64) {
+    let cp = CycleParams::default();
+    cycle(&cp);
+    let before = alloc_calls_on_this_thread();
+    fas_cycle(
+        &mut std::array::from_fn::<_, N, _>(|_| IdleLevel),
+        &cp,
+        &mut ExecContext::default(),
+    );
+    let driver = alloc_calls_on_this_thread() - before;
+    cycle(&cp);
+    (driver, alloc_calls_on_this_thread() - before - driver)
+}
+
+fn sphere_mesh(max_level: u32) -> CartMesh {
     let prof: Vec<(f64, f64)> = (0..=12)
         .map(|i| {
             let t = std::f64::consts::PI * i as f64 / 12.0;
@@ -302,15 +308,45 @@ fn euler_level(kernel: KernelKind) -> EulerLevel {
     let geom = Geometry::new(&[TriMesh::body_of_revolution(&prof, 12)]);
     let config = CutCellConfig {
         min_level: 3,
-        max_level: 4,
+        max_level,
         origin: Vec3::new(-1.0, -1.0, -1.0),
         size: 2.0,
     };
     let tree = build_octree(&geom, &config);
-    let mesh = extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1);
-    let mut lvl = EulerLevel::new(mesh, freestream5(0.8, 0.05, 0.0), 1.5);
+    extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1)
+}
+
+fn euler_level(kernel: KernelKind) -> EulerLevel {
+    let mut lvl = EulerLevel::new(sphere_mesh(4), freestream5(0.8, 0.05, 0.0), 1.5);
     lvl.kernel = kernel;
     lvl
+}
+
+/// The Cart3D side of the same contract: after a warm-up cycle has sized
+/// each coarse level's restriction accumulators and restricted state, the
+/// levels of a full `EulerSolver::cycle` — RK smoothing with the per-cell
+/// primitive cache, restriction, prolongation — allocate nothing (no
+/// clone of the fine-to-coarse map, no per-call accumulators).
+#[test]
+fn steady_state_euler_cycle_allocates_nothing() {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
+        let (driver, delta) = std::thread::spawn(move || {
+            let mut solver = EulerSolver::new(sphere_mesh(6), EulerParams::default());
+            assert_eq!(solver.nlevels(), 4);
+            for lvl in &mut solver.levels {
+                lvl.kernel = kernel;
+            }
+            warm_cycle_allocations::<4>(|cp| solver.cycle(cp))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            delta,
+            driver,
+            "steady-state EulerSolver::cycle levels hit the allocator {} times ({kernel:?})",
+            delta.abs_diff(driver)
+        );
+    }
 }
 
 #[test]
