@@ -8,17 +8,17 @@
 //! ([`ExchangePlan::exchange_copy_field`]). All values destined for one
 //! peer travel in a single packed buffer.
 //!
-//! The exchanges are allocation-free in the steady state: each plan lazily
-//! compiles a [`PackedSchedule`] — contiguous pack/unpack index tables with
-//! per-peer ranges — and payloads are checked out of the rank's buffer pool
-//! with a capacity request of `width * max(send entries, recv entries)` per
-//! peer, so both directions of a peer pair ping-pong the same buffer and
+//! The exchanges are allocation-free in the steady state: a plan is two
+//! contiguous pack/unpack index tables with per-peer ranges, built once by
+//! [`ExchangePlan::new`], and payloads are checked out of the rank's buffer
+//! pool with a capacity request of `width * max(send entries, recv entries)`
+//! per peer, so both directions of a peer pair ping-pong the same buffer and
 //! the pool reaches a zero-miss fixed point after one warm-up cycle.
 //! [`ExchangePlan::exchange_add2_field`] coalesces two fields into one
 //! message per peer (the paper's "fewer larger messages").
 //!
 //! Fields are addressed through the [`HaloField`] trait, so the same
-//! compiled schedule packs AoS block slices (`[[f64; N]]`), scalar planes
+//! schedule packs AoS block slices (`[[f64; N]]`), scalar planes
 //! (`[f64]`), and plane-resident [`SoaStates`] storage without an AoS
 //! round-trip: the wire format (entry-major, `WIDTH` values per exchanged
 //! vertex in component order) and the pooled-buffer sizing are identical
@@ -27,8 +27,7 @@
 
 use crate::runtime::Rank;
 use columbia_linalg::SoaStates;
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
 
 /// A field the packed halo exchange can pack and unpack entry by entry,
 /// independent of its memory layout. `WIDTH` values travel per exchanged
@@ -137,110 +136,39 @@ impl<const N: usize> HaloField for SoaStates<N> {
     }
 }
 
-/// Packed ghost-exchange schedule for one partition.
-pub struct ExchangePlan {
-    /// Per peer: `(peer, owned local indices whose values this partition
-    /// sends)`. Sorted by peer; index lists sorted by global id on both
-    /// sides so buffers line up.
-    pub sends: Vec<(usize, Vec<u32>)>,
-    /// Per peer: `(peer, ghost local indices this partition receives into)`.
-    pub recvs: Vec<(usize, Vec<u32>)>,
-    /// Lazily compiled flat pack/unpack tables (built once per plan; a
-    /// clone recompiles on first use).
-    compiled: OnceLock<PackedSchedule>,
-}
-
-impl Clone for ExchangePlan {
-    fn clone(&self) -> Self {
-        ExchangePlan {
-            sends: self.sends.clone(),
-            recvs: self.recvs.clone(),
-            compiled: OnceLock::new(),
-        }
-    }
-}
-
-impl Default for ExchangePlan {
-    fn default() -> Self {
-        ExchangePlan {
-            sends: Vec::new(),
-            recvs: Vec::new(),
-            compiled: OnceLock::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for ExchangePlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExchangePlan")
-            .field("sends", &self.sends)
-            .field("recvs", &self.recvs)
-            .finish()
-    }
-}
-
-/// One peer's contiguous slice of a [`PackedSchedule`] direction.
+/// One peer's contiguous slice of a direction's flat index table.
 #[derive(Clone, Copy, Debug)]
-pub struct PeerRange {
-    /// Peer partition.
-    pub peer: usize,
-    /// Start of this peer's indices in the flat table.
-    pub start: u32,
-    /// One past the end of this peer's indices.
-    pub end: u32,
+struct PeerRange {
+    peer: usize,
+    start: u32,
+    end: u32,
     /// `max(send entries, recv entries)` for this peer: the pooled
     /// payload request is `width * max_n`, identical in both directions,
     /// so one recycled buffer serves the whole peer pair.
-    pub max_n: u32,
+    max_n: u32,
 }
 
-/// Flat pack/unpack tables compiled once from an [`ExchangePlan`]: the
-/// per-peer index lists flattened into two contiguous arrays with
-/// `(peer, range)` descriptors, walked without pointer chasing on every
-/// exchange.
-#[derive(Clone, Debug, Default)]
-pub struct PackedSchedule {
-    /// Per send peer, in plan order.
-    pub send: Vec<PeerRange>,
-    /// All send indices, peers back to back.
-    pub send_idx: Vec<u32>,
-    /// Per recv peer, in plan order.
-    pub recv: Vec<PeerRange>,
-    /// All recv indices, peers back to back.
-    pub recv_idx: Vec<u32>,
-}
-
-impl PackedSchedule {
-    fn compile(sends: &[(usize, Vec<u32>)], recvs: &[(usize, Vec<u32>)]) -> Self {
-        let mut entries: HashMap<usize, u32> = HashMap::new();
-        for (peer, idx) in sends.iter().chain(recvs) {
-            let e = entries.entry(*peer).or_insert(0);
-            *e = (*e).max(idx.len() as u32);
-        }
-        let flatten = |lists: &[(usize, Vec<u32>)]| {
-            let mut ranges = Vec::with_capacity(lists.len());
-            let mut flat = Vec::with_capacity(lists.iter().map(|(_, v)| v.len()).sum());
-            for (peer, idx) in lists {
-                let start = flat.len() as u32;
-                flat.extend_from_slice(idx);
-                ranges.push(PeerRange {
-                    peer: *peer,
-                    start,
-                    end: flat.len() as u32,
-                    max_n: entries[peer],
-                });
-            }
-            (ranges, flat)
-        };
-        let (send, send_idx) = flatten(sends);
-        let (recv, recv_idx) = flatten(recvs);
-        PackedSchedule {
-            send,
-            send_idx,
-            recv,
-            recv_idx,
-        }
+impl PeerRange {
+    #[inline]
+    fn of<'a>(&self, idx: &'a [u32]) -> &'a [u32] {
+        &idx[self.start as usize..self.end as usize]
     }
+}
+
+/// Packed ghost-exchange schedule for one partition: per direction, the
+/// per-peer index lists flattened into one contiguous array with `(peer,
+/// range)` descriptors, walked without pointer chasing on every exchange.
+#[derive(Clone, Debug, Default)]
+pub struct ExchangePlan {
+    /// Per send peer, ascending by peer.
+    send: Vec<PeerRange>,
+    /// Owned local indices whose values this partition sends, peers back
+    /// to back; sorted by global id on both sides so buffers line up.
+    send_idx: Vec<u32>,
+    /// Per recv peer, ascending by peer.
+    recv: Vec<PeerRange>,
+    /// Ghost local indices this partition receives into, peers back to back.
+    recv_idx: Vec<u32>,
 }
 
 /// Diagnose a halo-exchange framing error with everything a chaos-run
@@ -258,10 +186,50 @@ fn check_len(rank: &Rank, peer: usize, tag: u64, entries: usize, width: usize, g
 }
 
 impl ExchangePlan {
-    /// The flat pack/unpack tables, compiled on first use.
-    pub fn compiled(&self) -> &PackedSchedule {
-        self.compiled
-            .get_or_init(|| PackedSchedule::compile(&self.sends, &self.recvs))
+    /// Build the schedule from per-peer `(peer, local indices)` lists — the
+    /// owned indices to send and the ghost indices to receive into — put
+    /// into ascending peer order (each peer at most once per direction).
+    pub fn new(mut sends: Vec<(usize, Vec<u32>)>, mut recvs: Vec<(usize, Vec<u32>)>) -> Self {
+        sends.sort_by_key(|(peer, _)| *peer);
+        recvs.sort_by_key(|(peer, _)| *peer);
+        let mut max_n: BTreeMap<usize, u32> = BTreeMap::new();
+        for (peer, idx) in sends.iter().chain(&recvs) {
+            let e = max_n.entry(*peer).or_insert(0);
+            *e = (*e).max(idx.len() as u32);
+        }
+        let flatten = |lists: Vec<(usize, Vec<u32>)>| {
+            let mut ranges = Vec::with_capacity(lists.len());
+            let mut flat = Vec::with_capacity(lists.iter().map(|(_, v)| v.len()).sum());
+            for (peer, idx) in lists {
+                let start = flat.len() as u32;
+                flat.extend_from_slice(&idx);
+                ranges.push(PeerRange {
+                    peer,
+                    start,
+                    end: flat.len() as u32,
+                    max_n: max_n[&peer],
+                });
+            }
+            (ranges, flat)
+        };
+        let (send, send_idx) = flatten(sends);
+        let (recv, recv_idx) = flatten(recvs);
+        ExchangePlan {
+            send,
+            send_idx,
+            recv,
+            recv_idx,
+        }
+    }
+
+    /// Per send peer, ascending: `(peer, owned local indices sent to it)`.
+    pub fn send_peers(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.send.iter().map(|pr| (pr.peer, pr.of(&self.send_idx)))
+    }
+
+    /// Per recv peer, ascending: `(peer, ghost local indices it fills)`.
+    pub fn recv_peers(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.recv.iter().map(|pr| (pr.peer, pr.of(&self.recv_idx)))
     }
 
     /// Copy owner values out to ghosts: pack `data[send_idx]`, send one
@@ -276,16 +244,15 @@ impl ExchangePlan {
         data: &mut F,
     ) {
         let w = F::WIDTH;
-        let sched = self.compiled();
-        for pr in &sched.send {
+        for pr in &self.send {
             let mut buf = rank.buffer(pr.peer, w * pr.max_n as usize);
-            for &i in &sched.send_idx[pr.start as usize..pr.end as usize] {
+            for &i in pr.of(&self.send_idx) {
                 data.pack_entry(i as usize, &mut buf);
             }
             rank.send(pr.peer, tag, buf);
         }
-        for pr in &sched.recv {
-            let idx = &sched.recv_idx[pr.start as usize..pr.end as usize];
+        for pr in &self.recv {
+            let idx = pr.of(&self.recv_idx);
             let buf = rank.recv(pr.peer, tag);
             check_len(rank, pr.peer, tag, idx.len(), w, buf.len());
             for (k, &i) in idx.iter().enumerate() {
@@ -307,17 +274,16 @@ impl ExchangePlan {
         data: &mut F,
     ) {
         let w = F::WIDTH;
-        let sched = self.compiled();
-        for pr in &sched.recv {
+        for pr in &self.recv {
             let mut buf = rank.buffer(pr.peer, w * pr.max_n as usize);
-            for &i in &sched.recv_idx[pr.start as usize..pr.end as usize] {
+            for &i in pr.of(&self.recv_idx) {
                 data.pack_entry(i as usize, &mut buf);
                 data.zero_entry(i as usize);
             }
             rank.send(pr.peer, tag, buf);
         }
-        for pr in &sched.send {
-            let idx = &sched.send_idx[pr.start as usize..pr.end as usize];
+        for pr in &self.send {
+            let idx = pr.of(&self.send_idx);
             let buf = rank.recv(pr.peer, tag);
             check_len(rank, pr.peer, tag, idx.len(), w, buf.len());
             for (k, &i) in idx.iter().enumerate() {
@@ -346,10 +312,9 @@ impl ExchangePlan {
     ) {
         let (wa, wb) = (FA::WIDTH, FB::WIDTH);
         let w = wa + wb;
-        let sched = self.compiled();
-        for pr in &sched.recv {
+        for pr in &self.recv {
             let mut buf = rank.buffer(pr.peer, w * pr.max_n as usize);
-            for &i in &sched.recv_idx[pr.start as usize..pr.end as usize] {
+            for &i in pr.of(&self.recv_idx) {
                 a.pack_entry(i as usize, &mut buf);
                 b.pack_entry(i as usize, &mut buf);
                 a.zero_entry(i as usize);
@@ -358,8 +323,8 @@ impl ExchangePlan {
             rank.send(pr.peer, tag, buf);
             rank.record_coalesced(2);
         }
-        for pr in &sched.send {
-            let idx = &sched.send_idx[pr.start as usize..pr.end as usize];
+        for pr in &self.send {
+            let idx = pr.of(&self.send_idx);
             let buf = rank.recv(pr.peer, tag);
             check_len(rank, pr.peer, tag, idx.len(), w, buf.len());
             for (k, &i) in idx.iter().enumerate() {
@@ -371,63 +336,9 @@ impl ExchangePlan {
         }
     }
 
-    /// The seed (pre-pool) copy path: fresh allocation per peer, no pool
-    /// interaction. Kept as the reference the pooled-equivalence property
-    /// suite and the exchange bench compare against.
-    pub fn exchange_copy_ref<const N: usize>(
-        &self,
-        rank: &mut Rank,
-        tag: u64,
-        data: &mut [[f64; N]],
-    ) {
-        for (peer, idx) in &self.sends {
-            let mut buf = Vec::with_capacity(idx.len() * N);
-            for &i in idx {
-                buf.extend_from_slice(&data[i as usize]);
-            }
-            rank.send(*peer, tag, buf);
-        }
-        for (peer, idx) in &self.recvs {
-            let buf = rank.recv(*peer, tag);
-            check_len(rank, *peer, tag, idx.len(), N, buf.len());
-            for (k, &i) in idx.iter().enumerate() {
-                let row = &mut data[i as usize];
-                row.copy_from_slice(&buf[k * N..(k + 1) * N]);
-            }
-        }
-    }
-
-    /// The seed (pre-pool) accumulate path; see
-    /// [`ExchangePlan::exchange_copy_ref`].
-    pub fn exchange_add_ref<const N: usize>(
-        &self,
-        rank: &mut Rank,
-        tag: u64,
-        data: &mut [[f64; N]],
-    ) {
-        for (peer, idx) in &self.recvs {
-            let mut buf = Vec::with_capacity(idx.len() * N);
-            for &i in idx {
-                buf.extend_from_slice(&data[i as usize]);
-                data[i as usize] = [0.0; N];
-            }
-            rank.send(*peer, tag, buf);
-        }
-        for (peer, idx) in &self.sends {
-            let buf = rank.recv(*peer, tag);
-            check_len(rank, *peer, tag, idx.len(), N, buf.len());
-            for (k, &i) in idx.iter().enumerate() {
-                let row = &mut data[i as usize];
-                for c in 0..N {
-                    row[c] += buf[k * N + c];
-                }
-            }
-        }
-    }
-
     /// Number of peer partitions.
     pub fn degree(&self) -> usize {
-        self.sends.len().max(self.recvs.len())
+        self.send.len().max(self.recv.len())
     }
 }
 
@@ -468,6 +379,10 @@ impl Decomposition {
 /// Ghosts of partition `p` are all off-partition endpoints of edges with one
 /// endpoint in `p`. Send/recv lists are ordered by global vertex id, so both
 /// sides of every peer pair agree on buffer layout without negotiation.
+///
+/// # Panics
+/// If `part` does not have one entry per vertex, assigns a vertex to a
+/// partition `>= nparts`, or an edge names a vertex `>= nvertices`.
 pub fn decompose(
     nvertices: usize,
     part: &[u32],
@@ -475,7 +390,22 @@ pub fn decompose(
     edges: &[(u32, u32)],
 ) -> Decomposition {
     assert_eq!(part.len(), nvertices);
-    // Owned lists.
+    if let Some(v) = part.iter().position(|&p| p as usize >= nparts) {
+        panic!(
+            "vertex {v} is assigned to partition {}, but there are only {nparts} partitions",
+            part[v]
+        );
+    }
+    if let Some(e) = edges
+        .iter()
+        .position(|&(a, b)| a.max(b) as usize >= nvertices)
+    {
+        panic!(
+            "edge {e} = {:?} names a vertex outside 0..{nvertices}",
+            edges[e]
+        );
+    }
+    // Owned lists (ascending by construction).
     let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nparts];
     for v in 0..nvertices as u32 {
         owned[part[v as usize] as usize].push(v);
@@ -495,56 +425,43 @@ pub fn decompose(
         g.dedup();
     }
 
-    // Local numbering: owned (sorted) then ghosts (sorted).
-    let mut local_to_global = Vec::with_capacity(nparts);
-    let mut n_owned = Vec::with_capacity(nparts);
-    for p in 0..nparts {
-        let mut l2g = owned[p].clone(); // already ascending
-        n_owned.push(l2g.len());
-        l2g.extend_from_slice(&ghosts[p]);
-        local_to_global.push(l2g);
-    }
-
     // Exchange plans: partition p receives ghost g from part[g]; the owner
-    // sends it. Group by peer.
-    let mut plans: Vec<ExchangePlan> = vec![ExchangePlan::default(); nparts];
-    // For quick local lookup build per-part hash of global→local.
-    let g2l: Vec<HashMap<u32, u32>> = local_to_global
-        .iter()
-        .map(|l2g| {
-            l2g.iter()
-                .enumerate()
-                .map(|(i, &g)| (g, i as u32))
-                .collect()
-        })
-        .collect();
+    // sends it. Local numbering is owned (sorted) then ghosts (sorted), so
+    // ghost k of p is local `owned[p].len() + k` and an owner's local index
+    // is the vertex's position in its ascending owned list.
+    let mut sends: Vec<Vec<(usize, Vec<u32>)>> = vec![Vec::new(); nparts];
+    let mut recvs = sends.clone();
     for p in 0..nparts {
-        // recvs: my ghosts grouped by owner, in global-id order.
-        let mut by_owner: HashMap<usize, (Vec<u32>, Vec<u32>)> = HashMap::new();
-        for &g in &ghosts[p] {
+        // My ghosts grouped by owner, in global-id order.
+        let mut by_owner: BTreeMap<usize, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
+        for (k, &g) in ghosts[p].iter().enumerate() {
             let owner = part[g as usize] as usize;
+            let at_owner = owned[owner]
+                .binary_search(&g)
+                .expect("owner lists its vertex");
             let e = by_owner.entry(owner).or_default();
-            e.0.push(g2l[p][&g]); // my ghost local index
-            e.1.push(g2l[owner][&g]); // owner's local index (owned section)
+            e.0.push((owned[p].len() + k) as u32);
+            e.1.push(at_owner as u32);
         }
-        let mut owners: Vec<usize> = by_owner.keys().copied().collect();
-        owners.sort_unstable();
-        for o in owners {
-            let (recv_idx, send_idx) = by_owner.remove(&o).unwrap();
-            plans[p].recvs.push((o, recv_idx));
-            plans[o].sends.push((p, send_idx));
+        for (owner, (recv_idx, send_idx)) in by_owner {
+            recvs[p].push((owner, recv_idx));
+            sends[owner].push((p, send_idx));
         }
-    }
-    // Deterministic peer order.
-    for plan in plans.iter_mut() {
-        plan.sends.sort_by_key(|(p, _)| *p);
-        plan.recvs.sort_by_key(|(p, _)| *p);
     }
 
+    let n_owned = owned.iter().map(Vec::len).collect();
+    let mut local_to_global = owned;
+    for (l2g, g) in local_to_global.iter_mut().zip(&ghosts) {
+        l2g.extend_from_slice(g);
+    }
     Decomposition {
         local_to_global,
         n_owned,
-        plans,
+        plans: sends
+            .into_iter()
+            .zip(recvs)
+            .map(|(s, r)| ExchangePlan::new(s, r))
+            .collect(),
         part: part.to_vec(),
     }
 }
@@ -575,11 +492,22 @@ mod tests {
         let d = chain_decomp();
         // Partition 0 sends vertex 1 to partition 1 and receives vertex 2.
         let p0 = &d.plans[0];
-        assert_eq!(p0.sends.len(), 1);
-        assert_eq!(p0.sends[0].0, 1);
-        assert_eq!(p0.recvs[0].0, 1);
+        assert_eq!(p0.send_peers().collect::<Vec<_>>(), [(1, &[1u32][..])]);
+        assert_eq!(p0.recv_peers().collect::<Vec<_>>(), [(1, &[2u32][..])]);
         let p1 = &d.plans[1];
         assert_eq!(p1.degree(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 3 is assigned to partition 7, but there are only 3")]
+    fn partition_id_out_of_range_names_the_vertex() {
+        decompose(6, &[0, 0, 1, 7, 2, 2], 3, &[(0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge 1 = (4, 6) names a vertex outside 0..6")]
+    fn edge_endpoint_out_of_range_names_the_edge() {
+        decompose(6, &[0, 0, 1, 1, 2, 2], 3, &[(0, 1), (4, 6)]);
     }
 
     #[test]
@@ -647,6 +575,53 @@ mod tests {
 
     mod proptests {
         use super::*;
+
+        columbia_rt::props! {
+            /// On random partitions of random graphs, what `p` receives
+            /// from `q` is what `q` sends to `p`: the same global ids in
+            /// ascending order, owned by `q`, ghosts at `p` — and every
+            /// ghost of `p` is received exactly once.
+            fn prop_plans_pair_up_by_global_id(
+                n in 1usize..60,
+                nparts in 1usize..9,
+                raw_part in columbia_rt::props::vec(0u32..64, 60..61),
+                raw_edges in columbia_rt::props::vec((0u32..4096, 0u32..4096), 0..200),
+            ) {
+                let part: Vec<u32> = raw_part[..n].iter().map(|p| p % nparts as u32).collect();
+                let edges: Vec<(u32, u32)> = raw_edges
+                    .iter()
+                    .map(|&(a, b)| (a % n as u32, b % n as u32))
+                    .collect();
+                let d = decompose(n, &part, nparts, &edges);
+                let globals = |p: usize, idx: &[u32]| -> Vec<u32> {
+                    idx.iter().map(|&i| d.local_to_global[p][i as usize]).collect()
+                };
+                for p in 0..nparts {
+                    let mut received = 0;
+                    for (q, idx) in d.plans[p].recv_peers() {
+                        let g = globals(p, idx);
+                        assert!(g.windows(2).all(|w| w[0] < w[1]), "ascending global ids");
+                        assert!(idx.iter().all(|&i| i as usize >= d.n_owned[p]));
+                        assert!(g.iter().all(|&v| part[v as usize] as usize == q));
+                        let (_, back) = d.plans[q]
+                            .send_peers()
+                            .find(|(peer, _)| *peer == p)
+                            .expect("the owner sends what the ghost side receives");
+                        assert!(back.iter().all(|&i| (i as usize) < d.n_owned[q]));
+                        assert_eq!(globals(q, back), g);
+                        received += idx.len();
+                    }
+                    assert_eq!(received, d.local_to_global[p].len() - d.n_owned[p]);
+                    let sent: usize = d.plans[p].send_peers().map(|(_, i)| i.len()).sum();
+                    let wanted: usize = (0..nparts)
+                        .flat_map(|q| d.plans[q].recv_peers())
+                        .filter(|(peer, _)| *peer == p)
+                        .map(|(_, i)| i.len())
+                        .sum();
+                    assert_eq!(sent, wanted, "no send without a matching receive");
+                }
+            }
+        }
 
         columbia_rt::props! {
             config: columbia_rt::props::Config::with_cases(16);

@@ -73,8 +73,8 @@ impl HybridLayout {
         let mut bytes = vec![std::collections::BTreeMap::<usize, u64>::new(); self.nranks];
         for (p, plan) in decomp.plans.iter().enumerate() {
             let rp = self.part_to_rank[p];
-            for (peer_part, idx) in &plan.sends {
-                let rq = self.part_to_rank[*peer_part];
+            for (peer_part, idx) in plan.send_peers() {
+                let rq = self.part_to_rank[peer_part];
                 if rq == rp {
                     continue; // shared memory copy
                 }
@@ -135,9 +135,9 @@ impl HybridLayout {
         let mut total = 0usize;
         for (p, plan) in decomp.plans.iter().enumerate() {
             let rp = self.part_to_rank[p];
-            for (peer_part, idx) in &plan.sends {
+            for (peer_part, idx) in plan.send_peers() {
                 total += idx.len();
-                if self.part_to_rank[*peer_part] == rp {
+                if self.part_to_rank[peer_part] == rp {
                     intra += idx.len();
                 }
             }

@@ -3,8 +3,8 @@
 //! The Rust ecosystem has no production MPI, and the reproduction does not
 //! need a network: it needs the *communication pattern*. This crate runs
 //! each "MPI rank" as an OS thread exchanging typed, packed messages over
-//! `columbia-rt` MPMC channels, exactly mirroring NSU3D's strategy
-//! (paper §III):
+//! `std::sync::mpsc` channels (one mailbox per rank), exactly mirroring
+//! NSU3D's strategy (paper §III):
 //!
 //! * ghost values for a given peer are packed into **one buffer per peer**
 //!   ("fewer larger messages ... reducing latency overheads");
@@ -19,13 +19,12 @@
 //! rank, intra-rank exchanges become shared-memory copies, and inter-rank
 //! messages from all threads of a rank pair are aggregated into a single
 //! master-thread message.
-
+//!
 //! [`runtime`] injects deterministic faults on demand: a seeded
-//! [`FaultPlan`] decides per message occurrence whether it is dropped
-//! (bounded retry-with-timeout), duplicated (sequence-number dedup),
-//! delayed/reordered (flush-on-block sender queues) or whether a rank
-//! stalls at a barrier — with the schedule, solver results and
-//! [`CommStats`] traces bit-identical across runs for a fixed seed.
+//! [`FaultPlan`] decides per message occurrence whether it is dropped,
+//! duplicated, delayed or reordered, and per barrier whether a rank stalls
+//! (its module doc has the protocol) — with the schedule, solver results
+//! and [`CommStats`] traces bit-identical across runs for a fixed seed.
 
 pub mod exchange;
 pub mod fabric;
@@ -37,7 +36,7 @@ pub mod workload;
 
 pub use columbia_exec::{ExecContext, Executor, ExecutorKind, FabricModel, PoolPolicy};
 pub use columbia_rt::fault::{FaultConfig, FaultPlan, MessageAction};
-pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField, PackedSchedule, PeerRange};
+pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField};
 pub use fabric::{flows_from_traces, FabricClock};
 pub use hybrid::HybridLayout;
 pub use runtime::{run_ranks, run_world, Rank, RankTrace};

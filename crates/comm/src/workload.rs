@@ -199,28 +199,23 @@ fn ring_plan(r: usize, n: usize, m: usize) -> ExchangePlan {
     }
     let left = (r + n - 1) % n;
     let right = (r + 1) % n;
-    let mut plan = ExchangePlan::default();
+    let m = m as u32;
     if left == right {
         // Two-rank ring: one peer owns both ghosts. Global order of our
         // boundary cells is (first, last); of our ghosts it is
         // (right ghost, left ghost) for rank 0 and the reverse for rank 1.
-        let sends = vec![1u32, m as u32];
         let recvs = if r == 0 {
-            vec![m as u32 + 1, 0]
+            vec![m + 1, 0]
         } else {
-            vec![0, m as u32 + 1]
+            vec![0, m + 1]
         };
-        plan.sends.push((left, sends));
-        plan.recvs.push((left, recvs));
+        ExchangePlan::new(vec![(left, vec![1, m])], vec![(left, recvs)])
     } else {
-        let mut sends = vec![(left, vec![1u32]), (right, vec![m as u32])];
-        let mut recvs = vec![(left, vec![0u32]), (right, vec![m as u32 + 1])];
-        sends.sort_by_key(|(p, _)| *p);
-        recvs.sort_by_key(|(p, _)| *p);
-        plan.sends = sends;
-        plan.recvs = recvs;
+        ExchangePlan::new(
+            vec![(left, vec![1]), (right, vec![m])],
+            vec![(left, vec![0]), (right, vec![m + 1])],
+        )
     }
-    plan
 }
 
 #[cfg(test)]

@@ -3,14 +3,13 @@
 //! The reproduction's tier-1 contract is a fully *hermetic* build:
 //! `cargo build --release --offline && cargo test -q --offline` with no
 //! crates-io dependency anywhere in the graph, and bit-identical results
-//! across consecutive runs. This crate supplies the three pieces of
-//! infrastructure that previously pulled in external crates:
+//! across consecutive runs. This crate supplies the infrastructure that
+//! would otherwise pull in external crates (message channels need none:
+//! the comm runtime uses `std::sync::mpsc`):
 //!
 //! * [`rng`] — SplitMix64-seeded PCG32 with the `seed_from_u64` /
 //!   `gen_range` / `shuffle` surface the mesh generator, partitioner and
 //!   tests use (replaces `rand`);
-//! * [`channel`] — unbounded MPMC channels over `Mutex`/`Condvar` for the
-//!   ranks-as-threads comm runtime (replaces `crossbeam::channel`);
 //! * [`props`] — a deterministic property-testing harness with seeded case
 //!   generation, fixed case counts and failure-seed replay (replaces
 //!   `proptest`);
@@ -32,7 +31,6 @@
 //!
 //! Everything here is plain `std`; the crate must never grow a dependency.
 
-pub mod channel;
 pub mod env;
 pub mod fault;
 pub mod json;

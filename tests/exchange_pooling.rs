@@ -14,7 +14,8 @@
 //!   multigrid cycles.
 
 use columbia_comm::{
-    decompose, run_ranks, run_world, Decomposition, ExecContext, FaultConfig, FaultPlan, Rank,
+    decompose, run_ranks, run_world, Decomposition, ExchangePlan, ExecContext, FaultConfig,
+    FaultPlan, Rank,
 };
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
@@ -69,6 +70,52 @@ fn seed_fields(decomp: &Decomposition, p: usize) -> (Vec<[f64; 3]>, Vec<[f64; 2]
     (a, b)
 }
 
+/// The seed (pre-pool) copy path, kept as the reference: one fresh
+/// allocation per peer, no pool interaction, no flat-table walk.
+fn exchange_copy_ref<const N: usize>(
+    plan: &ExchangePlan,
+    rank: &mut Rank,
+    tag: u64,
+    data: &mut [[f64; N]],
+) {
+    for (peer, idx) in plan.send_peers() {
+        let buf = idx.iter().flat_map(|&i| data[i as usize]).collect();
+        rank.send(peer, tag, buf);
+    }
+    for (peer, idx) in plan.recv_peers() {
+        let buf = rank.recv(peer, tag);
+        assert_eq!(buf.len(), idx.len() * N, "framing from peer {peer}");
+        for (k, &i) in idx.iter().enumerate() {
+            data[i as usize].copy_from_slice(&buf[k * N..(k + 1) * N]);
+        }
+    }
+}
+
+/// The seed (pre-pool) accumulate path; see [`exchange_copy_ref`].
+fn exchange_add_ref<const N: usize>(
+    plan: &ExchangePlan,
+    rank: &mut Rank,
+    tag: u64,
+    data: &mut [[f64; N]],
+) {
+    for (peer, idx) in plan.recv_peers() {
+        let buf = idx.iter().flat_map(|&i| data[i as usize]).collect();
+        for &i in idx {
+            data[i as usize] = [0.0; N];
+        }
+        rank.send(peer, tag, buf);
+    }
+    for (peer, idx) in plan.send_peers() {
+        let buf = rank.recv(peer, tag);
+        assert_eq!(buf.len(), idx.len() * N, "framing from peer {peer}");
+        for (k, &i) in idx.iter().enumerate() {
+            for c in 0..N {
+                data[i as usize][c] += buf[k * N + c];
+            }
+        }
+    }
+}
+
 /// Three cycles of mixed adds/copies over both fields; `pooled` selects
 /// the pooled/coalesced path or the seed `_ref` per-field path.
 fn exchange_workload(
@@ -89,12 +136,12 @@ fn exchange_workload(
             plan.exchange_copy_field(rank, base + 3, &mut a[..]);
             plan.exchange_copy_field(rank, base + 4, &mut b[..]);
         } else {
-            plan.exchange_add_ref::<3>(rank, base, &mut a);
-            plan.exchange_copy_ref::<3>(rank, base + 1, &mut a);
-            plan.exchange_add_ref::<3>(rank, base + 2, &mut a);
-            plan.exchange_add_ref::<2>(rank, base + 4, &mut b);
-            plan.exchange_copy_ref::<3>(rank, base + 5, &mut a);
-            plan.exchange_copy_ref::<2>(rank, base + 3, &mut b);
+            exchange_add_ref(plan, rank, base, &mut a);
+            exchange_copy_ref(plan, rank, base + 1, &mut a);
+            exchange_add_ref(plan, rank, base + 2, &mut a);
+            exchange_add_ref(plan, rank, base + 4, &mut b);
+            exchange_copy_ref(plan, rank, base + 5, &mut a);
+            exchange_copy_ref(plan, rank, base + 3, &mut b);
         }
     }
     let mut bits = Vec::with_capacity(a.len() * 5);
