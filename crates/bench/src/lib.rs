@@ -20,6 +20,8 @@
 //!   ghost-surface laws, measured inter-grid locality, then rescaled to
 //!   paper size.
 
+#![forbid(unsafe_code)]
+
 pub mod database;
 pub mod figures;
 pub mod kernels;

@@ -16,6 +16,7 @@
 //!    collection, ratios > 7 in refined regions) and **partitioning**
 //!    (weighted curve splitting, cut cells weighted 2.1x) ([`coarsen`]).
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

@@ -26,6 +26,8 @@
 //! (its module doc has the protocol) — with the schedule, solver results
 //! and [`CommStats`] traces bit-identical across runs for a fixed seed.
 
+#![forbid(unsafe_code)]
+
 pub mod exchange;
 pub mod fabric;
 pub mod hybrid;

@@ -25,9 +25,10 @@
 //! state: `wire` (sequence-numbered streams, epochs, the injected-delay
 //! queue), `pool` (recycled payload buffers per `(peer, capacity)`),
 //! `ledger` (total and per-level [`CommStats`]) and `wait` (how a rank
-//! blocks, how a world starts and ends — the only layer that knows which
-//! executor runs). `rank` holds the operations written on top of them;
-//! this file, the composition and the one launcher.
+//! blocks, how a world starts and ends, which CPU its carriers run on —
+//! the only layer that knows which executor runs). `rank` holds the
+//! operations written on top of them; this file, the composition and the
+//! one launcher.
 
 mod ledger;
 mod pool;
@@ -141,6 +142,20 @@ where
     F: Fn(&mut Rank) -> T + Sync,
 {
     assert!(nranks > 0);
+    launch(WaitBackend::for_world(nranks, ctx), nranks, ctx, body)
+}
+
+/// [`run_world`] on an already-built wait backend.
+fn launch<T, F>(
+    world: WaitBackend,
+    nranks: usize,
+    ctx: &ExecContext,
+    body: F,
+) -> (Vec<T>, Vec<RankTrace>)
+where
+    T: Send,
+    F: Fn(&mut Rank) -> T + Sync,
+{
     let plan = ctx.clone_faults();
     let pool_on = ctx.pool().enabled;
     if let Some(p) = &plan {
@@ -151,7 +166,6 @@ where
             p.nranks()
         );
     }
-    let world = WaitBackend::for_world(nranks, ctx);
     // One mailbox per rank: everyone holds a sender to each, the owner the receiver.
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..nranks).map(|_| channel()).unzip();
     let body = &body;

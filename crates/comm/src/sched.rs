@@ -24,9 +24,15 @@
 //! A rank that panics poisons the world: every parked task is woken to
 //! unwind, and `run_world` re-reports the *first* panic (deterministic —
 //! only one rank runs at a time) prefixed with its rank id.
+//!
+//! A hand-off is one `grant` and one `wait_turn`, both on the next rank's
+//! own gate: the world `state` lock decides *who* is next and is never
+//! taken by the rank that wakes. Where the kernel runs the woken carrier
+//! is `runtime::wait`'s business (it keeps a world on one CPU).
 
 use crate::fabric::FabricClock;
 use columbia_rt::timeq::TimeQueue;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// What a rank task is doing, from the scheduler's point of view.
@@ -73,6 +79,8 @@ struct SchedState {
 pub(crate) struct EventSched {
     state: Mutex<SchedState>,
     gates: Vec<Gate>,
+    /// `state.poisoned.is_some()`, readable without the world lock.
+    poisoned: AtomicBool,
 }
 
 impl EventSched {
@@ -100,6 +108,7 @@ impl EventSched {
                     cv: Condvar::new(),
                 })
                 .collect(),
+            poisoned: AtomicBool::new(false),
         }
     }
 
@@ -130,10 +139,10 @@ impl EventSched {
         }
         *open = false;
         drop(open);
-        let st = self.state.lock().expect("scheduler poisoned");
-        if let Some((pr, _)) = &st.poisoned {
-            let pr = *pr;
-            drop(st);
+        // Acquire pairs with `poison_locked`'s Release store, which precedes
+        // the `grant` that opened this gate.
+        if self.poisoned.load(Ordering::Acquire) {
+            let (pr, _) = self.first_panic().expect("flag set with the record");
             panic!("world poisoned by rank {pr}");
         }
     }
@@ -251,6 +260,7 @@ impl EventSched {
         if st.poisoned.is_none() {
             st.poisoned = Some((rank, msg.to_string()));
         }
+        self.poisoned.store(true, Ordering::Release);
         if st.status[rank] != RankStatus::Done {
             st.status[rank] = RankStatus::Done;
             st.live -= 1;

@@ -13,6 +13,8 @@
 //! The Columbia scaling study that replays measured cycle workloads through
 //! the machine model is `columbia_machine::scaling`.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cart_analysis;
 pub mod database;

@@ -15,6 +15,7 @@
 //! * SFC domain decomposition with packed ghost exchanges;
 //! * surface force/moment integration for the aero-database fills of §IV.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

@@ -31,6 +31,8 @@
 //! capabilities: results, `CommStats` counters and rendered trace JSON are
 //! pure functions of (inputs, seeds, nranks) — never of thread timing.
 
+#![forbid(unsafe_code)]
+
 use columbia_rt::fault::{CasePlan, FaultPlan};
 use columbia_rt::trace::{Trace, Tracer};
 use std::sync::Arc;

@@ -16,6 +16,7 @@
 //! caller-provided scratch storage so it can be reused across the thousands
 //! of lines in a mesh.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

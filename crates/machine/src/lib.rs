@@ -21,6 +21,7 @@
 //! paper's published hardware parameters and composes everything into
 //! wall-clock-per-cycle predictions at 32-4016 CPUs.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

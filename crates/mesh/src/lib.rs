@@ -18,6 +18,7 @@
 //! agglomeration), [`rcm`] (reverse Cuthill-McKee cache reordering), and
 //! [`geom`] (vector/triangle primitives shared with the Cartesian crate).
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

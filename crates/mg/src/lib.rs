@@ -19,6 +19,8 @@
 //! default context's tracer is disabled and every recording call is a
 //! no-op — one code path, zero overhead when off.
 
+#![forbid(unsafe_code)]
+
 use columbia_exec::ExecContext;
 use columbia_rt::trace::{SpanKey, Tracer};
 

@@ -17,6 +17,8 @@
 //! partitions the coarsest graph ([`initial`]), and boundary
 //! Fiduccia-Mattheyses passes refine the projection back up ([`refine`]).
 
+#![forbid(unsafe_code)]
+
 pub mod coarsen;
 pub mod graph;
 pub mod initial;

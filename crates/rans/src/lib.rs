@@ -24,6 +24,7 @@
 //! all parallel machinery — the subjects of the paper's study — are
 //! preserved.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

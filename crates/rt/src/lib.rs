@@ -27,10 +27,18 @@
 //!   backend), so no harness hand-rolls `std::env::var`;
 //! * [`timeq`] — the deterministic `(time, key, seq)` discrete-event
 //!   queue that drives the cooperative event executor (ranks as resumable
-//!   tasks instead of free-running OS threads).
+//!   tasks instead of free-running OS threads);
+//! * [`affinity`] — the calling thread's current CPU and a one-CPU pin,
+//!   which keep an event world's carriers together (Linux; else no-ops).
 //!
-//! Everything here is plain `std`; the crate must never grow a dependency.
+//! Everything here is plain `std` plus two libc symbols `std` already links
+//! (`affinity`, the one module allowed `unsafe`); the crate must never grow
+//! a dependency.
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
+pub mod affinity;
 pub mod env;
 pub mod fault;
 pub mod json;

@@ -300,7 +300,7 @@ impl Tracer {
         }
     }
 
-    /// Run a closure inside a span (exception-unsafe by design: a panic
+    /// Run a closure inside a span (not panic-safe, by design: a panic
     /// inside `f` aborts the trace along with the run).
     pub fn scoped<T>(&mut self, key: SpanKey, f: impl FnOnce(&mut Tracer) -> T) -> T {
         self.begin(key);

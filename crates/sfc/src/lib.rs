@@ -16,6 +16,7 @@
 //! Keys are 63-bit: 21 bits per axis, supporting up to 2^21 cells per axis
 //! (far beyond the 14 refinement levels used for the SSLV mesh).
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the stencil/block structure of the kernels
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 

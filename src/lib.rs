@@ -23,6 +23,8 @@
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for paper-vs-measured results on every figure.
 
+#![forbid(unsafe_code)]
+
 pub use columbia_cartesian as cartesian;
 pub use columbia_comm as comm;
 pub use columbia_core as core;
