@@ -8,11 +8,10 @@
 //! corner+center containment sampling and the 2.1x partitioning weight the
 //! paper uses for the SSLV example.
 
-use crate::octree::{CellAddr, LeafKind, Octree};
+use crate::octree::{find_face_neighbor, LeafKind, Octree};
 use crate::tri::Geometry;
 use columbia_mesh::Vec3;
 use columbia_sfc::CurveKind;
-use std::collections::HashMap;
 
 /// Flow-cell classification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +102,12 @@ impl CartMesh {
             if !f.normal.norm().is_finite() || f.normal.norm() == 0.0 {
                 return Err("degenerate face normal".into());
             }
+            // Every cell, coarse ones included, is an octree node, and two
+            // disjoint boxes share at most one plane.
+            let v = f.normal;
+            if [v.x, v.y, v.z].iter().filter(|&&c| c != 0.0).count() != 1 {
+                return Err(format!("face normal {v:?} is not axis-aligned"));
+            }
         }
         for (i, &v) in self.volumes.iter().enumerate() {
             if !(v > 0.0) {
@@ -163,10 +168,10 @@ pub fn extract_mesh(
     }
     flow.sort_unstable();
 
-    // Map leaf index -> flow cell index.
-    let mut cell_of_leaf: HashMap<u32, u32> = HashMap::new();
+    // Map leaf index -> flow cell index (`u32::MAX`: Inside, no cell).
+    let mut cell_of_leaf = vec![u32::MAX; tree.leaves.len()];
     for (ci, (_, li)) in flow.iter().enumerate() {
-        cell_of_leaf.insert(*li, ci as u32);
+        cell_of_leaf[*li as usize] = ci as u32;
     }
 
     let n = flow.len();
@@ -179,8 +184,8 @@ pub fn extract_mesh(
     let mut coords = Vec::with_capacity(n);
     for (key, li) in &flow {
         let (a, k) = tree.leaves[*li as usize];
-        let h = tree.cell_size(a.level);
-        let c = tree.center(&a);
+        let h = tree.config.cell_size(a.level);
+        let c = tree.config.center(&a);
         let full_vol = h * h * h;
         let (kind, vol, w) = match k {
             LeafKind::Cut => {
@@ -205,8 +210,8 @@ pub fn extract_mesh(
     // by the owner logic below, so each face is built exactly once.
     let mut faces: Vec<CartFace> = Vec::new();
     for (ci, (_, li)) in flow.iter().enumerate() {
-        let (a, _) = tree.leaves[*li as usize];
-        let h = tree.cell_size(a.level);
+        let (a, my_kind) = tree.leaves[*li as usize];
+        let h = tree.config.cell_size(a.level);
         let area = h * h;
         for axis in 0..3 {
             let axis_vec = match axis {
@@ -216,73 +221,48 @@ pub fn extract_mesh(
             };
             for dir in [1i32, -1] {
                 let nvec = axis_vec * dir as f64;
-                match a.neighbor(axis, dir) {
-                    None => {
-                        // Domain boundary: far-field face.
-                        faces.push(CartFace {
-                            a: ci as u32,
-                            b: u32::MAX,
-                            normal: nvec * area,
-                        });
-                    }
-                    Some(nb) => {
-                        // Find the covering leaf (same level or coarser).
-                        let mut cur = nb;
-                        let mut found: Option<(CellAddr, u32)> = None;
-                        loop {
-                            if let Some(&leaf_i) = tree.index.get(&cur) {
-                                found = Some((tree.leaves[leaf_i as usize].0, leaf_i));
-                                break;
-                            }
-                            if cur.level == 0 {
-                                break;
-                            }
-                            cur = cur.parent();
-                        }
-                        match found {
-                            Some((na, leaf_i)) => {
-                                let nk = tree.leaves[leaf_i as usize].1;
-                                if nk == LeafKind::Inside {
-                                    continue; // covered by the wall closure
-                                }
-                                let nci = match cell_of_leaf.get(&leaf_i) {
-                                    Some(&c) => c,
-                                    None => continue,
-                                };
-                                // Thin-body guard: a face between two cut
-                                // cells can lie inside the solid (bodies
-                                // thinner than two cells leave no Inside
-                                // cells at all); such faces carry no flow
-                                // and are closed by the wall instead.
-                                let my_kind = tree.leaves[*li as usize].1;
-                                if my_kind == LeafKind::Cut && nk == LeafKind::Cut {
-                                    let fc = tree.center(&a) + nvec * (0.5 * h);
-                                    if geom.contains(fc) {
-                                        continue;
-                                    }
-                                }
-                                // Create once: same level -> only dir=+1;
-                                // finer side creates when neighbour coarser.
-                                let create = if na.level == a.level {
-                                    dir == 1
-                                } else {
-                                    na.level < a.level // I'm finer: I create
-                                };
-                                if create {
-                                    faces.push(CartFace {
-                                        a: ci as u32,
-                                        b: nci,
-                                        normal: nvec * area,
-                                    });
-                                }
-                            }
-                            None => {
-                                // Neighbour region is subdivided finer: the
-                                // finer cells create these faces.
-                            }
-                        }
-                    }
+                if a.neighbor(axis, dir).is_none() {
+                    // Domain boundary: far-field face.
+                    faces.push(CartFace {
+                        a: ci as u32,
+                        b: u32::MAX,
+                        normal: nvec * area,
+                    });
+                    continue;
                 }
+                // The covering leaf (same level or coarser); where the
+                // neighbour region is subdivided finer, the finer cells
+                // create these faces.
+                let Some(leaf_i) = find_face_neighbor(&tree.index, &a, axis, dir) else {
+                    continue;
+                };
+                let (na, nk) = tree.leaves[leaf_i as usize];
+                // Create once: same level -> only dir=+1; finer side
+                // creates when neighbour coarser. An Inside neighbour is
+                // covered by the wall closure.
+                let create = if na.level == a.level {
+                    dir == 1
+                } else {
+                    na.level < a.level
+                };
+                if !create || nk == LeafKind::Inside {
+                    continue;
+                }
+                // Thin-body guard: a face between two cut cells can lie
+                // inside the solid (bodies thinner than two cells leave no
+                // Inside cells at all); such faces carry no flow and are
+                // closed by the wall instead.
+                if my_kind == LeafKind::Cut
+                    && nk == LeafKind::Cut
+                    && geom.contains(tree.config.center(&a) + nvec * (0.5 * h))
+                {
+                    continue;
+                }
+                faces.push(CartFace {
+                    a: ci as u32,
+                    b: cell_of_leaf[leaf_i as usize],
+                    normal: nvec * area,
+                });
             }
         }
     }
@@ -323,26 +303,15 @@ pub fn extract_mesh(
 }
 
 /// Fraction of a cut cell in the flow, from 9-point containment sampling
-/// (8 corners + center).
+/// (8 corners + center), cast in one BVH traversal.
 fn flow_fraction(geom: &Geometry, center: Vec3, h: f64) -> f64 {
-    let mut outside = 0;
-    let mut total = 0;
-    for dz in [-0.5, 0.5] {
-        for dy in [-0.5, 0.5] {
-            for dx in [-0.5, 0.5] {
-                let p = center + Vec3::new(dx * h, dy * h, dz * h) * 0.999;
-                if !geom.contains(p) {
-                    outside += 1;
-                }
-                total += 1;
-            }
-        }
+    let mut points = [center; 9];
+    for (k, p) in points[1..].iter_mut().enumerate() {
+        let d = |bit: usize| if k >> bit & 1 == 1 { 0.5 } else { -0.5 };
+        *p = center + Vec3::new(d(0) * h, d(1) * h, d(2) * h) * 0.999;
     }
-    if !geom.contains(center) {
-        outside += 1;
-    }
-    total += 1;
-    outside as f64 / total as f64
+    let inside = geom.contains_near(center, 0.5 * h, points);
+    inside.iter().filter(|&&i| !i).count() as f64 / 9.0
 }
 
 #[cfg(test)]
@@ -376,6 +345,13 @@ mod tests {
         m.validate().unwrap();
         assert!(m.ncells() > 500);
         assert!(m.ncut() > 50);
+    }
+
+    #[test]
+    fn validate_rejects_a_face_that_is_not_axis_aligned() {
+        let (mut m, _) = sphere_mesh(3);
+        m.faces[0].normal = Vec3::new(0.5, 0.0, -0.5);
+        assert!(m.validate().unwrap_err().contains("axis-aligned"));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::tri::Geometry;
 use columbia_mesh::Vec3;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Octree build parameters.
 #[derive(Clone, Copy, Debug)]
@@ -38,6 +39,22 @@ impl CutCellConfig {
             size,
         }
     }
+
+    /// Physical cell size at `level`.
+    pub fn cell_size(&self, level: u32) -> f64 {
+        self.size / (1u64 << level) as f64
+    }
+
+    /// Physical center of a cell.
+    pub fn center(&self, a: &CellAddr) -> Vec3 {
+        let h = self.cell_size(a.level);
+        self.origin
+            + Vec3::new(
+                (a.ix as f64 + 0.5) * h,
+                (a.iy as f64 + 0.5) * h,
+                (a.iz as f64 + 0.5) * h,
+            )
+    }
 }
 
 /// Leaf classification.
@@ -52,7 +69,7 @@ pub enum LeafKind {
 }
 
 /// Integer cell address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellAddr {
     /// Refinement level (0 = root).
     pub level: u32,
@@ -110,6 +127,43 @@ impl CellAddr {
     }
 }
 
+impl Hash for CellAddr {
+    /// One word, distinct for every address up to level 20: a marker bit
+    /// above the `3 * level` coordinate bits.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let l = self.level;
+        h.write_u64(
+            1u64.wrapping_shl(3 * l)
+                | (self.ix as u64) << (2 * l)
+                | (self.iy as u64) << l
+                | self.iz as u64,
+        );
+    }
+}
+
+/// Folded-multiply hash of a [`CellAddr`]'s one word. Deterministic; no
+/// map's iteration order is ever observed.
+#[derive(Default)]
+pub struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a CellAddr hashes as one u64")
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        let m = k as u128 * 0x9E37_79B9_7F4A_7C15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Leaf lookup: address → index into [`Octree::leaves`].
+pub type LeafIndex = HashMap<CellAddr, u32, BuildHasherDefault<CellHasher>>;
+
 /// The built octree: a set of classified leaves.
 #[derive(Clone, Debug)]
 pub struct Octree {
@@ -117,27 +171,11 @@ pub struct Octree {
     pub config: CutCellConfig,
     /// Leaves with classification.
     pub leaves: Vec<(CellAddr, LeafKind)>,
-    /// Leaf lookup (address → index into `leaves`).
-    pub index: HashMap<CellAddr, u32>,
+    /// Leaf lookup.
+    pub index: LeafIndex,
 }
 
 impl Octree {
-    /// Physical cell size at `level`.
-    pub fn cell_size(&self, level: u32) -> f64 {
-        self.config.size / (1u64 << level) as f64
-    }
-
-    /// Physical center of a cell.
-    pub fn center(&self, a: &CellAddr) -> Vec3 {
-        let h = self.cell_size(a.level);
-        self.config.origin
-            + Vec3::new(
-                (a.ix as f64 + 0.5) * h,
-                (a.iy as f64 + 0.5) * h,
-                (a.iz as f64 + 0.5) * h,
-            )
-    }
-
     /// Number of leaves of each kind: (cut, inside, outside).
     pub fn counts(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);
@@ -170,14 +208,10 @@ impl Octree {
 }
 
 /// Find the leaf covering the same-or-coarser neighbour of `a` in the given
-/// direction (used for balance checks; fine neighbours are found from the
-/// other side).
-pub fn find_face_neighbor(
-    index: &HashMap<CellAddr, u32>,
-    a: &CellAddr,
-    axis: usize,
-    dir: i32,
-) -> Option<u32> {
+/// direction: the neighbour itself or its nearest leaf ancestor. `None` at
+/// the domain boundary and where the neighbour's region is subdivided
+/// finer (fine neighbours are found from the other side).
+pub fn find_face_neighbor(index: &LeafIndex, a: &CellAddr, axis: usize, dir: i32) -> Option<u32> {
     let mut n = a.neighbor(axis, dir)?;
     loop {
         if let Some(&i) = index.get(&n) {
@@ -194,71 +228,51 @@ pub fn find_face_neighbor(
 pub fn build_octree(geom: &Geometry, config: &CutCellConfig) -> Octree {
     assert!(config.max_level >= config.min_level);
     assert!(config.max_level <= 20, "address space is 21 bits/axis");
-    // Recursive refinement from the root.
-    let mut intersecting: Vec<CellAddr> = vec![CellAddr {
+    let cut = |a: &CellAddr| {
+        let h = config.cell_size(a.level) * 0.5;
+        geom.intersects_box(config.center(a), Vec3::new(h, h, h))
+    };
+    // Recursive refinement from the root. Every cell's cut flag is
+    // evaluated once and travels with it into `leaves`.
+    let root = CellAddr {
         level: 0,
         ix: 0,
         iy: 0,
         iz: 0,
-    }];
-    let mut leaves: Vec<CellAddr> = Vec::new();
-    let half_of = |a: &CellAddr| {
-        let h = config.size / (1u64 << a.level) as f64 * 0.5;
-        Vec3::new(h, h, h)
     };
-    let center_of = |a: &CellAddr| {
-        let h = config.size / (1u64 << a.level) as f64;
-        config.origin
-            + Vec3::new(
-                (a.ix as f64 + 0.5) * h,
-                (a.iy as f64 + 0.5) * h,
-                (a.iz as f64 + 0.5) * h,
-            )
-    };
-    while let Some(a) = intersecting.pop() {
-        let cut = geom.intersects_box(center_of(&a), half_of(&a));
-        let must_refine = a.level < config.min_level || (cut && a.level < config.max_level);
-        if must_refine {
+    let mut intersecting = vec![(root, cut(&root))];
+    let mut leaves: Vec<(CellAddr, Option<bool>)> = Vec::new();
+    while let Some((a, a_cut)) = intersecting.pop() {
+        if a.level < config.min_level || (a_cut && a.level < config.max_level) {
             for ch in a.children() {
-                if a.level + 1 < config.min_level
-                    || geom.intersects_box(center_of(&ch), half_of(&ch))
-                {
-                    intersecting.push(ch);
+                let ch_cut = cut(&ch);
+                if a.level + 1 < config.min_level || ch_cut {
+                    intersecting.push((ch, ch_cut));
                 } else {
-                    leaves.push(ch);
+                    leaves.push((ch, Some(false)));
                 }
             }
         } else {
-            leaves.push(a);
+            leaves.push((a, Some(a_cut)));
         }
     }
 
     // 2:1 balance: split any leaf whose face neighbour is 2+ levels finer.
-    let mut index: HashMap<CellAddr, u32> = HashMap::new();
-    for (i, a) in leaves.iter().enumerate() {
+    let mut index = LeafIndex::default();
+    for (i, (a, _)) in leaves.iter().enumerate() {
         index.insert(*a, i as u32);
     }
     loop {
         let mut to_split: Vec<CellAddr> = Vec::new();
-        for a in leaves.iter() {
+        for (a, _) in &leaves {
             // A coarse neighbour more than one level up must split.
             for axis in 0..3 {
                 for dir in [-1, 1] {
-                    let mut n = match a.neighbor(axis, dir) {
-                        Some(n) => n,
-                        None => continue,
-                    };
-                    loop {
-                        if index.contains_key(&n) {
-                            if a.level > n.level + 1 {
-                                to_split.push(n);
-                            }
-                            break;
+                    if let Some(n) = find_face_neighbor(&index, a, axis, dir) {
+                        let n = leaves[n as usize].0;
+                        if a.level > n.level + 1 {
+                            to_split.push(n);
                         }
-                        if n.level == 0 {
-                            break;
-                        }
-                        n = n.parent();
                     }
                 }
             }
@@ -270,42 +284,37 @@ pub fn build_octree(geom: &Geometry, config: &CutCellConfig) -> Octree {
         }
         for a in to_split {
             if let Some(i) = index.remove(&a) {
-                // Replace leaf i by its 8 children.
-                let last = leaves.len() - 1;
-                leaves.swap(i as usize, last);
-                if (i as usize) < last {
-                    index.insert(leaves[i as usize], i);
+                // Replace leaf i by its 8 children, whose cut flags are
+                // not known yet.
+                leaves.swap_remove(i as usize);
+                if (i as usize) < leaves.len() {
+                    index.insert(leaves[i as usize].0, i);
                 }
-                leaves.pop();
                 for ch in a.children() {
                     index.insert(ch, leaves.len() as u32);
-                    leaves.push(ch);
+                    leaves.push((ch, None));
                 }
             }
         }
     }
 
-    // Classification.
-    let classified: Vec<(CellAddr, LeafKind)> = leaves
-        .iter()
-        .map(|a| {
-            let kind = if geom.intersects_box(center_of(a), half_of(a)) {
+    // Classification keeps leaf order, so `index` stays valid.
+    let leaves = leaves
+        .into_iter()
+        .map(|(a, a_cut)| {
+            let kind = if a_cut.unwrap_or_else(|| cut(&a)) {
                 LeafKind::Cut
-            } else if geom.contains(center_of(a)) {
+            } else if geom.contains(config.center(&a)) {
                 LeafKind::Inside
             } else {
                 LeafKind::Outside
             };
-            (*a, kind)
+            (a, kind)
         })
         .collect();
-    let mut index = HashMap::new();
-    for (i, (a, _)) in classified.iter().enumerate() {
-        index.insert(*a, i as u32);
-    }
     Octree {
         config: *config,
-        leaves: classified,
+        leaves,
         index,
     }
 }
@@ -357,7 +366,7 @@ mod tests {
         let total: f64 = tree
             .leaves
             .iter()
-            .map(|(a, _)| tree.cell_size(a.level).powi(3))
+            .map(|(a, _)| tree.config.cell_size(a.level).powi(3))
             .sum();
         let root = config().size.powi(3);
         assert!((total - root).abs() < 1e-9 * root, "{total} vs {root}");
@@ -369,7 +378,7 @@ mod tests {
         let tree = build_octree(&g, &config());
         for (a, k) in &tree.leaves {
             if *k == LeafKind::Inside {
-                let c = tree.center(a);
+                let c = tree.config.center(a);
                 assert!(c.norm() < 0.3 + 1e-9, "inside cell at {c:?}");
             }
         }

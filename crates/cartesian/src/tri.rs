@@ -7,7 +7,9 @@
 //! component count, surface area distribution, thin gaps between bodies,
 //! and control-surface deflection as a geometry transform.
 
+use columbia_mesh::geom::RayTerms;
 use columbia_mesh::{Aabb, Triangle, Vec3};
+use std::ops::Range;
 
 /// A triangulated surface (one watertight component).
 #[derive(Clone, Debug, Default)]
@@ -220,6 +222,15 @@ pub struct Geometry {
 }
 
 impl Geometry {
+    /// The containment ray: `(0.531241, 0.7090023, 0.4642441).normalized()`,
+    /// an irrational-ish direction robust against axis-aligned
+    /// coincidences. All three components are positive.
+    pub const CONTAINS_DIR: Vec3 = Vec3 {
+        x: 0.5311284536232699,
+        y: 0.7088520938977633,
+        z: 0.4641457472912043,
+    };
+
     /// Build from components (each should be watertight individually).
     pub fn new(components: &[TriMesh]) -> Geometry {
         let surface = TriMesh::merge(components);
@@ -229,14 +240,26 @@ impl Geometry {
 
     /// Does any triangle intersect the axis-aligned box?
     pub fn intersects_box(&self, center: Vec3, half: Vec3) -> bool {
-        self.bvh.intersects_box(&self.surface, center, half)
+        self.bvh.intersects_box(center, half)
     }
 
-    /// Is `p` inside the solid? Ray-parity with a fixed irrational-ish
-    /// direction (robust against axis-aligned coincidences).
+    /// Is `p` inside the solid? Parity of the crossings along
+    /// [`Geometry::CONTAINS_DIR`].
     pub fn contains(&self, p: Vec3) -> bool {
-        let dir = Vec3::new(0.531241, 0.7090023, 0.4642441).normalized();
-        self.bvh.ray_crossings(&self.surface, p, dir) % 2 == 1
+        self.contains_near(p, 0.0, [p])[0]
+    }
+
+    /// [`Geometry::contains`] for each of `points`, all within `reach` of
+    /// `center` on every axis, in one BVH traversal.
+    pub(crate) fn contains_near<const N: usize>(
+        &self,
+        center: Vec3,
+        reach: f64,
+        points: [Vec3; N],
+    ) -> [bool; N] {
+        self.bvh
+            .ray_crossings(center, reach, &points)
+            .map(|c| c % 2 == 1)
     }
 
     /// Bounding box of the geometry.
@@ -245,12 +268,19 @@ impl Geometry {
     }
 }
 
-/// Flat median-split BVH over triangles.
+/// Flat median-split BVH over triangles. Node boxes are grown by a slack
+/// that dwarfs both how far outside its triangle a hit accepted within
+/// `Triangle::ray_hit`'s `EPS` can lie and the rounding of
+/// `Triangle::overlaps_box`, so culling drops no triangle either test
+/// accepts (nearly ray-parallel slivers aside): queries equal brute force
+/// over all triangles, whatever the tree's shape or traversal order.
 #[derive(Clone, Debug)]
 pub struct Bvh {
     nodes: Vec<BvhNode>,
-    /// Triangle indices, leaf ranges index into this.
-    order: Vec<u32>,
+    /// The triangles in leaf order; leaf ranges index into this.
+    tris: Vec<Triangle>,
+    /// Their terms along [`Geometry::CONTAINS_DIR`] (`None`: parallel).
+    rays: Vec<Option<RayTerms>>,
 }
 
 #[derive(Clone, Debug)]
@@ -264,72 +294,104 @@ struct BvhNode {
 }
 
 const BVH_LEAF_SIZE: usize = 8;
+/// Node-box slack relative to the box's largest coordinate magnitude.
+const BVH_SLACK: f64 = 1e-9;
+/// Traversal stack depth: a median split halves every range, so 64 covers
+/// any triangle count that fits in memory.
+const BVH_STACK: usize = 64;
 
 impl Bvh {
     /// Build over a triangle mesh.
     pub fn build(mesh: &TriMesh) -> Bvh {
         let n = mesh.ntris();
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let centroids: Vec<Vec3> = (0..n).map(|i| mesh.triangle(i).centroid()).collect();
-        let boxes: Vec<Aabb> = (0..n).map(|i| mesh.triangle(i).aabb()).collect();
+        let tris: Vec<Triangle> = (0..n).map(|i| mesh.triangle(i)).collect();
+        let centroids: Vec<Vec3> = tris.iter().map(Triangle::centroid).collect();
+        let boxes: Vec<Aabb> = tris.iter().map(Triangle::aabb).collect();
+        // An empty mesh gets one leaf with an empty box.
         let mut nodes = Vec::new();
-        if n == 0 {
-            nodes.push(BvhNode {
-                bb: Aabb::new(Vec3::ZERO, Vec3::ZERO),
-                a: 0,
-                b: 0,
-                leaf: true,
-            });
-            return Bvh { nodes, order };
-        }
         build_node(&mut nodes, &mut order, 0, n, &centroids, &boxes);
-        Bvh { nodes, order }
+        let tris: Vec<Triangle> = order.iter().map(|&t| tris[t as usize]).collect();
+        let rays = tris
+            .iter()
+            .map(|t| t.ray_terms(Geometry::CONTAINS_DIR))
+            .collect();
+        Bvh { nodes, tris, rays }
     }
 
     /// Any triangle overlapping the box?
-    pub fn intersects_box(&self, mesh: &TriMesh, center: Vec3, half: Vec3) -> bool {
+    pub fn intersects_box(&self, center: Vec3, half: Vec3) -> bool {
         let query = Aabb::new(center - half, center + half);
-        let mut stack = vec![0usize];
-        while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni];
-            if !node.bb.overlaps(&query) {
-                continue;
-            }
-            if node.leaf {
-                for &t in &self.order[node.a as usize..node.b as usize] {
-                    if mesh.triangle(t as usize).overlaps_box(center, half) {
-                        return true;
-                    }
-                }
-            } else {
-                stack.push(node.a as usize);
-                stack.push(node.b as usize);
-            }
-        }
-        false
+        let mut hit = false;
+        self.walk(
+            |bb| bb.overlaps(&query),
+            |leaf| {
+                hit = self.tris[leaf].iter().any(|t| t.overlaps_box(center, half));
+                hit
+            },
+        );
+        hit
     }
 
-    /// Count ray crossings (for inside/outside parity).
-    pub fn ray_crossings(&self, mesh: &TriMesh, origin: Vec3, dir: Vec3) -> usize {
-        let mut count = 0;
-        let mut stack = vec![0usize];
-        while let Some(ni) = stack.pop() {
-            let node = &self.nodes[ni];
-            if !ray_hits_aabb(origin, dir, &node.bb) {
+    /// Crossings of the rays along [`Geometry::CONTAINS_DIR`] from each of
+    /// `points`, all within `reach` of `center` on every axis. A node opens
+    /// when the ray from `center` meets its box grown by `reach` — which
+    /// the ray from any of the points needs — and every triangle of an
+    /// opened leaf is tested exactly against every ray.
+    pub fn ray_crossings<const N: usize>(
+        &self,
+        center: Vec3,
+        reach: f64,
+        points: &[Vec3; N],
+    ) -> [u32; N] {
+        let dir = Geometry::CONTAINS_DIR;
+        let inv = Vec3::new(1.0 / dir.x, 1.0 / dir.y, 1.0 / dir.z);
+        let mut count = [0; N];
+        // Slab test; `dir > 0` on every axis, so a box is entered at `lo`.
+        let open = |bb: &Aabb| {
+            let (lo, hi) = (bb.lo - center, bb.hi - center);
+            let tmin = ((lo.x - reach) * inv.x)
+                .max((lo.y - reach) * inv.y)
+                .max((lo.z - reach) * inv.z)
+                .max(0.0);
+            let tmax = ((hi.x + reach) * inv.x)
+                .min((hi.y + reach) * inv.y)
+                .min((hi.z + reach) * inv.z);
+            tmin <= tmax
+        };
+        self.walk(open, |leaf| {
+            for ray in self.rays[leaf].iter().flatten() {
+                for (c, &p) in count.iter_mut().zip(points) {
+                    *c += ray.hit(p, dir).is_some() as u32;
+                }
+            }
+            false
+        });
+        count
+    }
+
+    /// Depth-first over the leaves whose box, and every ancestor's, passes
+    /// `open`; `leaf` gets each one's triangle range and stops the walk by
+    /// returning true.
+    fn walk(&self, open: impl Fn(&Aabb) -> bool, mut leaf: impl FnMut(Range<usize>) -> bool) {
+        let mut stack = [0u32; BVH_STACK];
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let node = &self.nodes[stack[top] as usize];
+            if !open(&node.bb) {
                 continue;
             }
             if node.leaf {
-                for &t in &self.order[node.a as usize..node.b as usize] {
-                    if mesh.triangle(t as usize).ray_hit(origin, dir).is_some() {
-                        count += 1;
-                    }
+                if leaf(node.a as usize..node.b as usize) {
+                    return;
                 }
             } else {
-                stack.push(node.a as usize);
-                stack.push(node.b as usize);
+                stack[top] = node.a;
+                stack[top + 1] = node.b;
+                top += 2;
             }
         }
-        count
     }
 }
 
@@ -346,8 +408,10 @@ fn build_node(
         bb.merge(&boxes[t as usize]);
     }
     let idx = nodes.len() as u32;
+    let r = bb.hi.max(-bb.lo);
+    let s = BVH_SLACK * (1.0 + r.x.max(r.y).max(r.z));
     nodes.push(BvhNode {
-        bb,
+        bb: Aabb::new(bb.lo - Vec3::new(s, s, s), bb.hi + Vec3::new(s, s, s)),
         a: start as u32,
         b: end as u32,
         leaf: true,
@@ -368,8 +432,7 @@ fn build_node(
     order[start..end].select_nth_unstable_by(mid - start, |&a, &b| {
         centroids[a as usize]
             .get(axis)
-            .partial_cmp(&centroids[b as usize].get(axis))
-            .unwrap()
+            .total_cmp(&centroids[b as usize].get(axis))
     });
     let left = build_node(nodes, order, start, mid, centroids, boxes);
     let right = build_node(nodes, order, mid, end, centroids, boxes);
@@ -377,34 +440,6 @@ fn build_node(
     nodes[idx as usize].b = right;
     nodes[idx as usize].leaf = false;
     idx
-}
-
-fn ray_hits_aabb(origin: Vec3, dir: Vec3, bb: &Aabb) -> bool {
-    let mut tmin = 0.0f64;
-    let mut tmax = f64::INFINITY;
-    for axis in 0..3 {
-        let o = origin.get(axis);
-        let d = dir.get(axis);
-        let (lo, hi) = (bb.lo.get(axis), bb.hi.get(axis));
-        if d.abs() < 1e-300 {
-            if o < lo || o > hi {
-                return false;
-            }
-        } else {
-            let inv = 1.0 / d;
-            let (t0, t1) = if inv >= 0.0 {
-                ((lo - o) * inv, (hi - o) * inv)
-            } else {
-                ((hi - o) * inv, (lo - o) * inv)
-            };
-            tmin = tmin.max(t0);
-            tmax = tmax.min(t1);
-            if tmin > tmax {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Build the synthetic Space Shuttle Launch Vehicle stack: orbiter-like
@@ -534,6 +569,23 @@ mod tests {
             let brute = (0..g.surface.ntris()).any(|i| g.surface.triangle(i).overlaps_box(c, half));
             assert_eq!(g.intersects_box(c, half), brute, "at {c:?} h={h}");
         }
+    }
+
+    #[test]
+    fn contains_dir_is_the_normalised_literal() {
+        let d = Vec3::new(0.531241, 0.7090023, 0.4642441).normalized();
+        assert_eq!(Geometry::CONTAINS_DIR, d);
+    }
+
+    #[test]
+    fn nan_vertex_builds_and_queries_without_panic() {
+        // 12 + 12 triangles: the BVH splits, comparing NaN centroids.
+        let mut c = TriMesh::cuboid(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
+        c.vertices[3] = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
+        let g = Geometry::new(&[c, TriMesh::wing(1.0, 0.1, 2.0)]);
+        assert!(!g.contains(Vec3::new(5.0, 5.0, 5.0)));
+        g.contains(Vec3::new(0.5, 0.5, 0.5));
+        assert!(g.intersects_box(Vec3::new(0.5, 0.0, 1.0), Vec3::new(0.1, 0.1, 0.1)));
     }
 
     #[test]

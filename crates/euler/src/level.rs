@@ -552,7 +552,8 @@ mod tests {
         /// far-field face and wall closure, over near-vacuum densities,
         /// negative pressures (where `sound_speed`'s floor decides `c`),
         /// supersonic and reversed normal velocities, area vectors with
-        /// zero components and summed (non-axis-aligned) coarse normals.
+        /// zero components, axis-aligned ones (every mesh face, coarse
+        /// levels included) and general ones.
         fn prop_cached_face_loops_match_state_oracle_bits(
             cells in array::<_, 2>((1e-3f64..3.0, array::<_, 3>(-3.0f64..3.0), -0.2f64..2.0)),
             vecs in array::<_, 3>(array::<_, 3>(-1.0f64..1.0)),

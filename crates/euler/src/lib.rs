@@ -5,10 +5,10 @@
 //!
 //! * cell-centred finite volume, five unknowns per cell;
 //! * first-order Rusanov upwind fluxes across the faces (axis-aligned on
-//!   the finest level; a coarse face is the sum of the fine normals it
-//!   agglomerates and is not); pressure-only wall flux through each cut
-//!   cell's embedded-boundary closure vector; far-field characteristic
-//!   state at domain boundary faces;
+//!   every level: a coarse face sums the fine normals it agglomerates, and
+//!   two coarse cells, octree nodes both, meet in one plane); pressure-only
+//!   wall flux through each cut cell's embedded-boundary closure vector;
+//!   far-field characteristic state at domain boundary faces;
 //! * five-stage Runge-Kutta smoothing with local time stepping;
 //! * FAS multigrid over the single-pass SFC-coarsened hierarchy (W-cycles
 //!   preferred, as in the paper);

@@ -295,28 +295,61 @@ impl Triangle {
     }
 
     /// Möller-Trumbore ray/triangle intersection. Returns the ray parameter
-    /// `t >= 0` of the hit, if any. `eps` guards degenerate triangles.
+    /// `t >= 0` of the hit, if any. `EPS` guards degenerate triangles.
     pub fn ray_hit(&self, origin: Vec3, dir: Vec3) -> Option<f64> {
-        const EPS: f64 = 1e-12;
+        self.ray_terms(dir)?.hit(origin, dir)
+    }
+
+    /// The part of [`Triangle::ray_hit`] that does not depend on the ray
+    /// origin; `None` when the ray runs parallel to the triangle.
+    pub fn ray_terms(&self, dir: Vec3) -> Option<RayTerms> {
         let e1 = self.b - self.a;
         let e2 = self.c - self.a;
         let p = dir.cross(e2);
         let det = e1.dot(p);
-        if det.abs() < EPS {
+        if det.abs() < RAY_EPS {
             return None;
         }
-        let inv = 1.0 / det;
+        Some(RayTerms {
+            a: self.a,
+            e1,
+            e2,
+            p,
+            inv: 1.0 / det,
+        })
+    }
+}
+
+const RAY_EPS: f64 = 1e-12;
+
+/// A triangle's Möller-Trumbore terms for one fixed ray direction, so a
+/// cast from another origin along it only pays for the origin-dependent
+/// half of [`Triangle::ray_hit`].
+#[derive(Clone, Copy, Debug)]
+pub struct RayTerms {
+    a: Vec3,
+    e1: Vec3,
+    e2: Vec3,
+    p: Vec3,
+    inv: f64,
+}
+
+impl RayTerms {
+    /// The ray parameter `t >= 0` of the hit from `origin` along the `dir`
+    /// these terms were made for, if any.
+    #[inline]
+    pub fn hit(&self, origin: Vec3, dir: Vec3) -> Option<f64> {
         let t0 = origin - self.a;
-        let u = t0.dot(p) * inv;
-        if !(-EPS..=1.0 + EPS).contains(&u) {
+        let u = t0.dot(self.p) * self.inv;
+        if !(-RAY_EPS..=1.0 + RAY_EPS).contains(&u) {
             return None;
         }
-        let q = t0.cross(e1);
-        let v = dir.dot(q) * inv;
-        if v < -EPS || u + v > 1.0 + EPS {
+        let q = t0.cross(self.e1);
+        let v = dir.dot(q) * self.inv;
+        if v < -RAY_EPS || u + v > 1.0 + RAY_EPS {
             return None;
         }
-        let t = e2.dot(q) * inv;
+        let t = self.e2.dot(q) * self.inv;
         if t >= 0.0 {
             Some(t)
         } else {
