@@ -5,6 +5,7 @@
 
 use columbia_bench::sections::{section, Opts, SECTIONS};
 use columbia_bench::table::{line, rows};
+use columbia_rt::fnv;
 
 const STDOUT_DIGESTS: [(&str, u64); 10] = [
     ("fig14b", 0x84352c637ce7b845),
@@ -19,18 +20,12 @@ const STDOUT_DIGESTS: [(&str, u64); 10] = [
     ("headline_metrics", 0x9f9c32ce4f5a19dc),
 ];
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn model_sections_render_the_retired_binaries_stdout() {
     for (name, digest) in STDOUT_DIGESTS {
         let rendered = (section(name).expect("section exists").run)(&Opts::default());
         assert_eq!(
-            fnv1a(rendered.text.as_bytes()),
+            fnv::bytes(fnv::OFFSET, rendered.text.as_bytes()),
             digest,
             "{name} no longer renders its pinned text:\n{}",
             rendered.text

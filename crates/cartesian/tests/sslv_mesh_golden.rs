@@ -12,44 +12,38 @@ use columbia_cartesian::{
     CutCellConfig,
 };
 use columbia_mesh::Vec3;
+use columbia_rt::fnv;
 use columbia_sfc::CurveKind;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv(h: u64, x: u64) -> u64 {
-    x.to_le_bytes()
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
 fn fnv_vec(h: u64, v: Vec3) -> u64 {
-    [v.x, v.y, v.z].iter().fold(h, |h, c| fnv(h, c.to_bits()))
+    [v.x, v.y, v.z]
+        .iter()
+        .fold(h, |h, c| fnv::word(h, c.to_bits()))
 }
 
 fn faces_digest(mut h: u64, mesh: &CartMesh) -> u64 {
-    h = fnv(h, mesh.faces.len() as u64);
+    h = fnv::word(h, mesh.faces.len() as u64);
     for f in &mesh.faces {
-        h = fnv(h, f.a as u64);
-        h = fnv(h, f.b as u64);
+        h = fnv::word(h, f.a as u64);
+        h = fnv::word(h, f.b as u64);
         h = fnv_vec(h, f.normal);
     }
     h
 }
 
 fn mesh_digest(mesh: &CartMesh, hierarchy: &[Coarsening]) -> u64 {
-    let mut h = fnv(FNV_OFFSET, mesh.ncells() as u64);
-    h = fnv(h, mesh.max_level as u64);
+    let mut h = fnv::word(fnv::OFFSET, mesh.ncells() as u64);
+    h = fnv::word(h, mesh.max_level as u64);
     for i in 0..mesh.ncells() {
         h = fnv_vec(h, mesh.centers[i]);
-        h = fnv(h, mesh.volumes[i].to_bits());
-        h = fnv(h, (mesh.kinds[i] == CellKind::Cut) as u64);
-        h = fnv(h, mesh.weights[i].to_bits());
+        h = fnv::word(h, mesh.volumes[i].to_bits());
+        h = fnv::word(h, (mesh.kinds[i] == CellKind::Cut) as u64);
+        h = fnv::word(h, mesh.weights[i].to_bits());
         h = fnv_vec(h, mesh.wall_normal[i]);
-        h = fnv(h, mesh.sfc_keys[i]);
-        h = fnv(h, mesh.levels[i] as u64);
+        h = fnv::word(h, mesh.sfc_keys[i]);
+        h = fnv::word(h, mesh.levels[i] as u64);
         for c in mesh.coords[i] {
-            h = fnv(h, c as u64);
+            h = fnv::word(h, c as u64);
         }
     }
     h = faces_digest(h, mesh);

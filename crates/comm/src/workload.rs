@@ -10,7 +10,7 @@
 //! barrier per cycle. Every comm primitive the production drivers use is
 //! on the hot path, at any world size, with O(points) work per rank —
 //! which is what lets the event executor host the paper's 2016-rank world
-//! on one machine (`COLUMBIA_SLOW_TESTS` smoke test, and the
+//! on one machine (`tests/paper_scale.rs`, and the
 //! `scaling_report --paper-scale` section).
 //!
 //! Determinism: initial data is a pure hash of the global cell id, the

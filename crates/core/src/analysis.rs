@@ -1,7 +1,7 @@
 //! High-fidelity (NSU3D-style) single-point analysis.
 
-use columbia_mesh::{wing_mesh, UnstructuredMesh, WingMeshSpec};
-use columbia_mg::{ConvergenceHistory, CycleParams, CycleType};
+use columbia_mesh::{wing_mesh, WingMeshSpec};
+use columbia_mg::{ConvergenceHistory, CycleParams};
 use columbia_rans::{RansSolver, SolverParams};
 
 /// A configured high-fidelity analysis.
@@ -21,8 +21,6 @@ pub struct FlowAnalysis {
     params: SolverParams,
     spec: WingMeshSpec,
     nlevels: usize,
-    cycle: CycleParams,
-    mesh: Option<UnstructuredMesh>,
 }
 
 impl Default for FlowAnalysis {
@@ -46,8 +44,6 @@ impl FlowAnalysis {
                 ..WingMeshSpec::with_target_points(5_000)
             },
             nlevels: 5,
-            cycle: CycleParams::default(),
-            mesh: None,
         }
     }
 
@@ -78,34 +74,21 @@ impl FlowAnalysis {
         self
     }
 
-    /// Supply an explicit mesh instead of the synthetic wing.
-    pub fn with_mesh(mut self, mesh: UnstructuredMesh) -> Self {
-        self.mesh = Some(mesh);
-        self
-    }
-
     /// Number of agglomerated multigrid levels.
     pub fn multigrid_levels(mut self, n: usize) -> Self {
         self.nlevels = n.max(1);
         self
     }
 
-    /// Select V- or W-cycles (the paper uses W exclusively for NSU3D).
-    pub fn cycle_type(mut self, t: CycleType) -> Self {
-        self.cycle.cycle = t;
-        self
-    }
-
     /// Build the solver without running (for custom drivers).
     pub fn build(&self) -> RansSolver {
-        let mesh = self.mesh.clone().unwrap_or_else(|| wing_mesh(&self.spec));
-        RansSolver::new(mesh, self.params, self.nlevels)
+        RansSolver::new(wing_mesh(&self.spec), self.params, self.nlevels)
     }
 
     /// Run up to `max_cycles` multigrid cycles.
     pub fn run(&self, max_cycles: usize) -> FlowReport {
         let mut solver = self.build();
-        let history = solver.solve(&self.cycle, 1e-13, max_cycles);
+        let history = solver.solve(&CycleParams::default(), 1e-13, max_cycles);
         let flops = solver.take_flops();
         FlowReport {
             history,

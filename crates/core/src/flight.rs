@@ -463,11 +463,6 @@ impl AeroDatabase {
         Ok((f, mo))
     }
 
-    /// Grid extents (useful for choosing initial conditions).
-    pub fn mach_range(&self) -> (f64, f64) {
-        (self.machs[0], *self.machs.last().unwrap())
-    }
-
     /// Axis lengths `(nd, nm, na)`.
     pub fn shape(&self) -> (usize, usize, usize) {
         (self.deflections.len(), self.machs.len(), self.alphas.len())

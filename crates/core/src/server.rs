@@ -31,6 +31,7 @@
 use crate::database::{DatabaseFill, ExecContext};
 use crate::flight::{AeroDatabase, LookupError};
 use columbia_mesh::Vec3;
+use columbia_rt::fnv;
 
 /// Degraded-answer policy of a [`DatabaseServer`] facing quarantine holes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -443,13 +444,8 @@ impl DatabaseServer {
 /// FNV-1a over the raw bits of a response stream — the replay parity
 /// digest used by the server tests and `scaling_report --database`.
 pub fn digest_responses(responses: &[Result<Response, LookupError>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = fnv::OFFSET;
+    let mut eat = |x: u64| h = fnv::word(h, x);
     for r in responses {
         match r {
             Ok(resp) => {

@@ -1,7 +1,7 @@
 //! One multigrid level: cut-cell mesh + state + residual + RK smoother.
 
 use crate::prim::{self, prim_of, Prim};
-use crate::state::{flux, pressure, State5, GAMMA, NVARS5};
+use crate::state::{pressure, State5, GAMMA, NVARS5};
 use columbia_cartesian::CartMesh;
 use columbia_linalg::soa::{SoaStates, LANES};
 use columbia_rt::env::KernelKind;
@@ -322,11 +322,6 @@ impl EulerLevel {
         let rms = self.residual_rms();
         self.u = saved;
         rms
-    }
-
-    /// Flux of the free stream through area `s` (test helper).
-    pub fn fs_flux(&self, s: columbia_mesh::Vec3) -> State5 {
-        flux(&self.fs, s)
     }
 
     /// Surface pressure force vector (sum of p * wall closure).

@@ -159,17 +159,6 @@ impl<const N: usize> BlockMat<N> {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        let mut s = 0.0;
-        for r in 0..N {
-            for c in 0..N {
-                s += self.a[r][c] * self.a[r][c];
-            }
-        }
-        s.sqrt()
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Self {
         Self::from_fn(|r, c| self.a[c][r])

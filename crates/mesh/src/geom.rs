@@ -168,10 +168,6 @@ impl Aabb {
         (self.lo + self.hi) * 0.5
     }
 
-    pub fn half_extent(&self) -> Vec3 {
-        (self.hi - self.lo) * 0.5
-    }
-
     /// Box-box overlap (closed bounds).
     pub fn overlaps(&self, o: &Aabb) -> bool {
         self.lo.x <= o.hi.x

@@ -26,11 +26,6 @@ impl LineSet {
         self.lines.len()
     }
 
-    /// Number of vertices covered by multi-vertex lines.
-    pub fn covered_vertices(&self) -> usize {
-        self.lines.iter().map(|l| l.len()).sum()
-    }
-
     /// A complete vertex cover: the extracted lines plus singleton "lines"
     /// for all remaining vertices. This is the input shape expected by
     /// [`columbia_partition::contract_lines`].

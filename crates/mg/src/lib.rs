@@ -16,8 +16,8 @@
 //! structure into its trace sink: one span per cycle, one child span per
 //! level *visit* (so a W-cycle's `2^l` coarse revisits are individually
 //! visible), with sweep counts as counters and residuals as gauges. The
-//! default context's tracer is disabled and every recording call is a
-//! no-op — one code path, zero overhead when off.
+//! default context's tracer is disabled: span keys are built only when it
+//! records, so a cycle costs no allocation when tracing is off.
 
 #![forbid(unsafe_code)]
 
@@ -85,7 +85,8 @@ impl Default for CycleParams {
 /// When `ctx` carries an enabled tracer, the cycle structure is recorded:
 /// a `mg_level` span per level *visit* (coarse W-cycle revisits appear
 /// individually), `smooth_sweeps` / `restrictions` / `prolongations`
-/// counters on each. The default context records nothing at no cost.
+/// counters on each. The default context records nothing and allocates
+/// nothing.
 pub fn fas_cycle<L: MultigridLevel>(levels: &mut [L], params: &CycleParams, ctx: &mut ExecContext) {
     assert!(!levels.is_empty());
     cycle_recursive(levels, params, ctx.tracer(), 0);
@@ -98,15 +99,15 @@ fn cycle_recursive<L: MultigridLevel>(
     depth: usize,
 ) {
     if levels.len() == 1 {
-        tracer.scoped(SpanKey::new("mg_level").level(depth), |t| {
-            levels[0].smooth(params.coarse_sweeps);
-            t.add("smooth_sweeps", params.coarse_sweeps as u64);
-        });
+        begin_visit(tracer, depth);
+        levels[0].smooth(params.coarse_sweeps);
+        tracer.add("smooth_sweeps", params.coarse_sweeps as u64);
+        tracer.end();
         return;
     }
     let (fine_slice, rest) = levels.split_at_mut(1);
     let fine = &mut fine_slice[0];
-    tracer.begin(SpanKey::new("mg_level").level(depth));
+    begin_visit(tracer, depth);
     fine.smooth(params.pre_sweeps);
     tracer.add("smooth_sweeps", params.pre_sweeps as u64);
     fine.restrict_into(&mut rest[0]);
@@ -119,12 +120,20 @@ fn cycle_recursive<L: MultigridLevel>(
     for _ in 0..visits {
         cycle_recursive(rest, params, tracer, depth + 1);
     }
-    tracer.scoped(SpanKey::new("mg_level").level(depth), |t| {
-        fine.prolong_from(&rest[0]);
-        t.add("prolongations", 1);
-        fine.smooth(params.post_sweeps);
-        t.add("smooth_sweeps", params.post_sweeps as u64);
-    });
+    begin_visit(tracer, depth);
+    fine.prolong_from(&rest[0]);
+    tracer.add("prolongations", 1);
+    fine.smooth(params.post_sweeps);
+    tracer.add("smooth_sweeps", params.post_sweeps as u64);
+    tracer.end();
+}
+
+/// Open the `mg_level` span of one visit to level `depth`. The key owns a
+/// `String`, so it is built only when the tracer records.
+fn begin_visit(tracer: &mut Tracer, depth: usize) {
+    if tracer.is_enabled() {
+        tracer.begin(SpanKey::new("mg_level").level(depth));
+    }
 }
 
 /// Convergence history of a multigrid solve.
@@ -181,7 +190,9 @@ pub fn solve_to_tolerance<L: MultigridLevel>(
         if *history.residuals.last().unwrap() <= tol {
             break;
         }
-        ctx.tracer().begin(SpanKey::new("cycle").cycle(i));
+        if ctx.tracing_enabled() {
+            ctx.tracer().begin(SpanKey::new("cycle").cycle(i));
+        }
         fas_cycle(levels, params, ctx);
         let r = levels[0].residual_norm();
         let tracer = ctx.tracer();

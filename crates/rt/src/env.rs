@@ -6,13 +6,10 @@
 //!
 //! | Variable                  | Grammar                  | Default      | Consumers                                  |
 //! |---------------------------|--------------------------|--------------|--------------------------------------------|
-//! | `COLUMBIA_FAULT_SEED`     | decimal or `0x`-hex u64  | `0xC01D_FA17`| CI fault matrix, `tests/fault_injection.rs`|
-//! | `COLUMBIA_FAULT_SEVERITY` | `mild` \| `severe`       | `mild`       | CI fault matrix, `tests/fault_injection.rs`|
-//! | `COLUMBIA_SLOW_TESTS`     | set and not `"0"` ⇒ on   | off          | 8-rank parity widths, paper-scale variants |
 //! | `COLUMBIA_PT_REPLAY`      | decimal or `0x`-hex u64  | unset        | [`crate::props`] single-case replay        |
 //! | `COLUMBIA_EXECUTOR`       | `threads` \| `events`    | unset        | `run_world` backend (CI executor matrix)   |
 //!
-//! [`KNOBS`] lists the same five names; `tests/hermetic.rs` fails if the
+//! [`KNOBS`] lists the same two names; `tests/hermetic.rs` fails if the
 //! repository mentions a `COLUMBIA_*` name outside it or stops mentioning
 //! one inside it.
 //!
@@ -23,8 +20,6 @@
 //! carrying the variable name, the offending value and the accepted
 //! grammar, so harnesses can render or match on the failure instead of
 //! catching a panic.
-
-use crate::fault::FaultConfig;
 
 /// A malformed `COLUMBIA_*` environment value: which variable, what it
 /// held, and the grammar it violated. Returned by the enum-knob parser
@@ -53,16 +48,7 @@ impl std::fmt::Display for EnvError {
 impl std::error::Error for EnvError {}
 
 /// Every `COLUMBIA_*` knob the workspace reads (the module table).
-pub const KNOBS: [&str; 5] = [
-    "COLUMBIA_FAULT_SEED",
-    "COLUMBIA_FAULT_SEVERITY",
-    "COLUMBIA_SLOW_TESTS",
-    "COLUMBIA_PT_REPLAY",
-    "COLUMBIA_EXECUTOR",
-];
-
-/// Fault seed used when `COLUMBIA_FAULT_SEED` is unset.
-pub const DEFAULT_FAULT_SEED: u64 = 0xC01D_FA17;
+pub const KNOBS: [&str; 2] = ["COLUMBIA_PT_REPLAY", "COLUMBIA_EXECUTOR"];
 
 /// Parse a u64 seed in the knob grammar: decimal, or hex with a `0x`/`0X`
 /// prefix. Surrounding whitespace is ignored.
@@ -76,58 +62,6 @@ pub fn parse_seed(s: &str) -> Result<u64, String> {
             .parse()
             .map_err(|e| format!("bad seed {s:?}: {e}"))
     }
-}
-
-/// Chaos severity selected by `COLUMBIA_FAULT_SEVERITY`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    Mild,
-    Severe,
-}
-
-impl Severity {
-    /// The matching comm-layer fault profile.
-    pub fn config(self) -> FaultConfig {
-        match self {
-            Severity::Mild => FaultConfig::mild(),
-            Severity::Severe => FaultConfig::severe(),
-        }
-    }
-}
-
-/// Parse a `COLUMBIA_FAULT_SEVERITY` value; `None` means unset.
-pub fn parse_severity(v: Option<&str>) -> Result<Severity, String> {
-    match v.map(str::trim) {
-        None | Some("mild") => Ok(Severity::Mild),
-        Some("severe") => Ok(Severity::Severe),
-        Some(other) => Err(format!("bad severity {other:?} (use mild|severe)")),
-    }
-}
-
-/// Boolean knob: set and not literally `"0"`.
-pub fn parse_flag(v: Option<&str>) -> bool {
-    v.is_some_and(|v| v.trim() != "0")
-}
-
-/// `COLUMBIA_FAULT_SEED` for this run (CI fault-matrix seed), or
-/// [`DEFAULT_FAULT_SEED`].
-pub fn fault_seed() -> u64 {
-    match std::env::var("COLUMBIA_FAULT_SEED") {
-        Ok(s) => parse_seed(&s).expect("COLUMBIA_FAULT_SEED"),
-        Err(_) => DEFAULT_FAULT_SEED,
-    }
-}
-
-/// `COLUMBIA_FAULT_SEVERITY` for this run, default [`Severity::Mild`].
-pub fn fault_severity() -> Severity {
-    parse_severity(std::env::var("COLUMBIA_FAULT_SEVERITY").ok().as_deref())
-        .expect("COLUMBIA_FAULT_SEVERITY")
-}
-
-/// `COLUMBIA_SLOW_TESTS`: opt in to the slow, wide test variants (set in
-/// CI; any value but `"0"` enables).
-pub fn slow_tests() -> bool {
-    parse_flag(std::env::var("COLUMBIA_SLOW_TESTS").ok().as_deref())
 }
 
 /// `COLUMBIA_PT_REPLAY`: replay one property-test case from this seed.
@@ -211,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_grammar_is_mild_severe_with_mild_default() {
-        assert_eq!(parse_severity(None), Ok(Severity::Mild));
-        assert_eq!(parse_severity(Some("mild")), Ok(Severity::Mild));
-        assert_eq!(parse_severity(Some(" severe ")), Ok(Severity::Severe));
-        assert!(parse_severity(Some("apocalyptic")).is_err());
-        assert_eq!(Severity::Severe.config(), FaultConfig::severe());
-        assert_eq!(Severity::Mild.config(), FaultConfig::mild());
-    }
-
-    #[test]
     fn executor_grammar_is_threads_events_with_unset_passthrough() {
         assert_eq!(parse_executor(None), Ok(None));
         assert_eq!(
@@ -248,14 +172,5 @@ mod tests {
         // The raw (pre-trim) value is preserved for faithful reporting.
         let err = parse_executor(Some(" evnets ")).unwrap_err();
         assert_eq!(err.value, " evnets ");
-    }
-
-    #[test]
-    fn flag_grammar_treats_only_zero_as_off() {
-        assert!(!parse_flag(None));
-        assert!(!parse_flag(Some("0")));
-        assert!(parse_flag(Some("1")));
-        assert!(parse_flag(Some("yes")));
-        assert!(parse_flag(Some("")));
     }
 }

@@ -23,8 +23,10 @@
 //! * [`json`] — a byte-stable JSON writer for trace and scaling reports
 //!   (replaces `serde_json` where a repo would normally reach for it);
 //! * [`env`] — typed, unit-tested parsing of every `COLUMBIA_*`
-//!   environment knob (seeds, severities, the slow-test flag, executor
+//!   environment knob (the property-test replay seed and the executor
 //!   backend), so no harness hand-rolls `std::env::var`;
+//! * [`fnv`] — byte-wise FNV-1a 64, the digest of the bit-identity
+//!   goldens and of the database server's response replay;
 //! * [`timeq`] — the deterministic `(time, key, seq)` discrete-event
 //!   queue that drives the cooperative event executor (ranks as resumable
 //!   tasks instead of free-running OS threads);
@@ -41,6 +43,7 @@
 pub mod affinity;
 pub mod env;
 pub mod fault;
+pub mod fnv;
 pub mod json;
 pub mod props;
 pub mod rng;

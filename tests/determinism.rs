@@ -4,25 +4,16 @@
 //! the same binary — or the same run on another machine — produce identical
 //! artifacts. These tests lock that in at the public-API level: same seed
 //! means identical output down to the last bit, different seed means a
-//! different (but equally valid) artifact.
+//! different (but equally valid) artifact. The parallel-equals-serial
+//! checks run at 2, 4 and 8 ranks in every `cargo test`.
 
 use columbia_comm::{run_world, ExecContext, FaultConfig, FaultPlan};
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_partition::{graph::grid_graph, partition_graph, PartitionConfig};
 use std::sync::Arc;
 
-/// Decomposition widths for the serial-parity tests: 2 and 4 ranks always,
-/// 8 ranks only under `COLUMBIA_SLOW_TESTS=1` (set in CI) — the widest
-/// world triples the thread pressure on a small test machine without
-/// exercising any new code path.
-fn parity_widths() -> &'static [usize] {
-    let slow = columbia_rt::env::slow_tests();
-    if slow {
-        &[2, 4, 8]
-    } else {
-        &[2, 4]
-    }
-}
+/// Decomposition widths for the serial-parity tests.
+const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
 
 fn mesh_fingerprint(m: &columbia_mesh::UnstructuredMesh) -> Vec<u64> {
     // Bit-exact digest: every coordinate, volume and wall distance as raw
@@ -124,7 +115,7 @@ fn kway_partition_seed_changes_the_matching_order() {
 }
 
 /// Parallel RANS under an explicit zero-fault plan matches the serial
-/// kernel at every [`parity_widths`] rank count — the fault plumbing adds
+/// kernel at every [`PARITY_WIDTHS`] rank count — the fault plumbing adds
 /// nothing when every rate is zero, at any decomposition width.
 #[test]
 fn rans_parallel_matches_serial_under_zero_fault_plan() {
@@ -151,7 +142,7 @@ fn rans_parallel_matches_serial_under_zero_fault_plan() {
     }
     let serial_rms = serial.residual_rms();
 
-    for &nparts in parity_widths() {
+    for nparts in PARITY_WIDTHS {
         let plan = Arc::new(FaultPlan::fault_free(nparts));
         let (u, rms, traces) =
             run_parallel_smoothing(&m, params, nparts, 3, &mut ExecContext::faulty(plan));
@@ -219,7 +210,7 @@ fn euler_parallel_matches_serial_under_zero_fault_plan() {
     }
     let serial_rms = serial.residual_rms();
 
-    for &nparts in parity_widths() {
+    for nparts in PARITY_WIDTHS {
         let plan = Arc::new(FaultPlan::fault_free(nparts));
         let (u, rms, traces) =
             run_parallel_smoothing(&mesh, fs, 1.5, nparts, 3, &mut ExecContext::faulty(plan));

@@ -1,4 +1,8 @@
 //! Cross-crate integration: the full NSU3D-style pipeline.
+//!
+//! Convergence and W-versus-V run at 3–4k points in every `cargo test`.
+//! Their 8k-point variants take ~30 s in a debug build, so they are
+//! `#[ignore]`d; CI's executor legs run them with `-- --include-ignored`.
 
 use columbia_comm::HybridLayout;
 use columbia_mesh::{extract_lines, wing_mesh, WingMeshSpec};
@@ -15,20 +19,8 @@ fn params() -> SolverParams {
     }
 }
 
-/// `COLUMBIA_SLOW_TESTS=1` (set in CI) runs the paper-scale variants; the
-/// default keeps the suite fast on a laptop without losing coverage of any
-/// code path — only mesh size and cycle counts shrink.
-fn slow_tests() -> bool {
-    columbia_rt::env::slow_tests()
-}
-
-#[test]
-fn mesh_to_converged_multigrid_solution() {
-    let (points, max_cycles) = if slow_tests() {
-        (8_000, 50)
-    } else {
-        (4_000, 40)
-    };
+/// Mesh, agglomerate and converge the wing at `points` vertices.
+fn converges_to_4_orders(points: usize, max_cycles: usize) {
     let mesh = wing_mesh(&WingMeshSpec {
         jitter: 0.0,
         ..WingMeshSpec::with_target_points(points)
@@ -46,14 +38,12 @@ fn mesh_to_converged_multigrid_solution() {
     assert!(sizes[0] / sizes[sizes.len() - 1] > 50);
 }
 
-#[test]
-fn w_cycle_beats_v_cycle_on_larger_mesh() {
-    let points = if slow_tests() { 8_000 } else { 3_000 };
+/// `cycles` W-cycles reduce the residual at least as far as V-cycles.
+fn w_cycle_beats_v_cycle(points: usize, cycles: usize) {
     let mesh = wing_mesh(&WingMeshSpec {
         jitter: 0.0,
         ..WingMeshSpec::with_target_points(points)
     });
-    let cycles = if slow_tests() { 15 } else { 10 };
     let mut v = RansSolver::new(mesh.clone(), params(), 4);
     let mut w = RansSolver::new(mesh, params(), 4);
     let hv = v.solve(
@@ -80,6 +70,28 @@ fn w_cycle_beats_v_cycle_on_larger_mesh() {
         hw.orders_reduced(),
         hv.orders_reduced()
     );
+}
+
+#[test]
+fn mesh_to_converged_multigrid_solution() {
+    converges_to_4_orders(4_000, 40);
+}
+
+#[test]
+fn w_cycle_beats_v_cycle_on_larger_mesh() {
+    w_cycle_beats_v_cycle(3_000, 10);
+}
+
+#[test]
+#[ignore = "8k points; run with --include-ignored"]
+fn mesh_to_converged_multigrid_solution_at_8k_points() {
+    converges_to_4_orders(8_000, 50);
+}
+
+#[test]
+#[ignore = "8k points; run with --include-ignored"]
+fn w_cycle_beats_v_cycle_at_8k_points() {
+    w_cycle_beats_v_cycle(8_000, 15);
 }
 
 #[test]

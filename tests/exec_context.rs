@@ -9,7 +9,7 @@
 //! without fault plans, with and without tracing.
 
 use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
-use columbia_comm::{CommStats, ExecContext, FaultConfig, FaultPlan, PoolPolicy, RankTrace};
+use columbia_comm::{ExecContext, FaultConfig, FaultPlan, PoolPolicy, RankTrace};
 use columbia_core::{CartAnalysis, CaseStatus, DatabaseFill, DatabaseSpec, FillPolicy};
 use columbia_euler::state::freestream5;
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
@@ -17,55 +17,16 @@ use columbia_mg::{solve_to_tolerance, CycleParams, CycleType, MultigridLevel};
 use columbia_rans::level::SolverParams;
 use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rt::fault::CasePlan;
+use columbia_rt::fnv;
 use columbia_sfc::CurveKind;
 use std::sync::Arc;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+mod common;
+use common::{digest_f64s, digest_stats};
 
-fn fnv_u64(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_bytes(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn digest_f64s<'a>(vals: impl Iterator<Item = &'a f64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for v in vals {
-        h = fnv_u64(h, v.to_bits());
-    }
-    h
-}
-
-fn digest_stats(stats: &[CommStats]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for s in stats {
-        for (name, v) in s.counter_pairs() {
-            h = fnv_bytes(h, name.as_bytes());
-            h = fnv_u64(h, v);
-        }
-        for (peer, msgs, bytes) in s.peers() {
-            h = fnv_u64(h, peer as u64);
-            h = fnv_u64(h, msgs);
-            h = fnv_u64(h, bytes);
-        }
-    }
-    h
-}
-
-fn digest_traces(traces: &[RankTrace]) -> u64 {
+/// The run's total `CommStats` per rank (the per-level ledgers are not
+/// hashed; the parity suites' `digest_trace_ledgers` adds them).
+fn digest_trace_totals(traces: &[RankTrace]) -> u64 {
     digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>())
 }
 
@@ -293,7 +254,7 @@ fn rans_unified_driver_matches_pre_refactor_goldens() {
         );
         assert_eq!(rms.to_bits(), grms, "RANS {nparts} {regime}: rms bits");
         assert_eq!(
-            digest_traces(&traces),
+            digest_trace_totals(&traces),
             gstats,
             "RANS {nparts} {regime}: stats digest"
         );
@@ -320,7 +281,7 @@ fn euler_unified_driver_matches_pre_refactor_goldens() {
         );
         assert_eq!(rms.to_bits(), grms, "EULER {nparts} {regime}: rms bits");
         assert_eq!(
-            digest_traces(&traces),
+            digest_trace_totals(&traces),
             gstats,
             "EULER {nparts} {regime}: stats digest"
         );
@@ -341,7 +302,7 @@ fn rans_trace_json_matches_pre_refactor_goldens() {
         let json = ctx.finish_trace().to_json().render();
         assert_eq!(json.len(), glen, "RANS trace {regime}: JSON length");
         assert_eq!(
-            fnv_bytes(FNV_OFFSET, json.as_bytes()),
+            fnv::bytes(fnv::OFFSET, json.as_bytes()),
             gdigest,
             "RANS trace {regime}: JSON digest"
         );
@@ -363,7 +324,7 @@ fn euler_trace_json_matches_pre_refactor_goldens() {
         let json = ctx.finish_trace().to_json().render();
         assert_eq!(json.len(), glen, "EULER trace {regime}: JSON length");
         assert_eq!(
-            fnv_bytes(FNV_OFFSET, json.as_bytes()),
+            fnv::bytes(fnv::OFFSET, json.as_bytes()),
             gdigest,
             "EULER trace {regime}: JSON digest"
         );
@@ -389,7 +350,7 @@ fn parallel_mg_unified_solve_matches_pre_refactor_goldens() {
     let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
     let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ExecContext::default());
     assert_eq!(digest_f64s(h.residuals.iter()), PMG_HIST_GOLDEN);
-    assert_eq!(digest_traces(&traces), PMG_STATS_GOLDEN);
+    assert_eq!(digest_trace_totals(&traces), PMG_STATS_GOLDEN);
 
     // Traced context: same history and stats, byte-stable trace JSON.
     let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
@@ -397,9 +358,9 @@ fn parallel_mg_unified_solve_matches_pre_refactor_goldens() {
     let (ht, tt) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ctx);
     let json = ctx.finish_trace().to_json().render();
     assert_eq!(digest_f64s(ht.residuals.iter()), PMG_HIST_GOLDEN);
-    assert_eq!(digest_traces(&tt), PMG_STATS_GOLDEN);
+    assert_eq!(digest_trace_totals(&tt), PMG_STATS_GOLDEN);
     assert_eq!(json.len(), PMG_TRACE_GOLDEN.1);
-    assert_eq!(fnv_bytes(FNV_OFFSET, json.as_bytes()), PMG_TRACE_GOLDEN.0);
+    assert_eq!(fnv::bytes(fnv::OFFSET, json.as_bytes()), PMG_TRACE_GOLDEN.0);
 }
 
 #[test]

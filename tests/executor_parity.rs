@@ -5,77 +5,37 @@
 //! bits, `CommStats` counters and trace JSON as the kernel-scheduled
 //! thread backend, because the comm protocol makes all three functions of
 //! the logical program order, never of the interleaving. These tests pin
-//! that claim with FNV-1a digests at 2/4 ranks (8 under
-//! `COLUMBIA_SLOW_TESTS`), clean and under seeded fault-plan chaos.
+//! that claim with FNV-1a digests at 2/4/8 ranks, clean and under seeded
+//! fault-plan chaos.
 
 use columbia_comm::workload::HaloWorkload;
-use columbia_comm::{
-    run_world, CommStats, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace,
-};
+use columbia_comm::{run_world, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_rans::level::SolverParams;
+use columbia_rt::fnv;
 use std::sync::Arc;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+mod common;
+use common::{digest_f64s, digest_stats};
 
-fn fnv_u64(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn digest_f64s<'a>(vals: impl Iterator<Item = &'a f64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for v in vals {
-        h = fnv_u64(h, v.to_bits());
-    }
-    h
-}
-
-fn digest_stats(stats: &[CommStats]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for s in stats {
-        for (name, v) in s.counter_pairs() {
-            for b in name.as_bytes() {
-                h ^= *b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h = fnv_u64(h, v);
-        }
-        for (peer, msgs, bytes) in s.peers() {
-            h = fnv_u64(h, peer as u64);
-            h = fnv_u64(h, msgs);
-            h = fnv_u64(h, bytes);
-        }
-    }
-    h
-}
-
-fn digest_traces(traces: &[RankTrace]) -> u64 {
+/// The run's total `CommStats` per rank, then every rank's per-level
+/// ledger.
+fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
     let mut h = digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>());
     for t in traces {
         for (&level, s) in &t.per_level {
-            h = fnv_u64(h, level as u64);
-            h = fnv_u64(h, digest_stats(std::slice::from_ref(s)));
+            h = fnv::word(h, level as u64);
+            h = fnv::word(h, digest_stats(std::slice::from_ref(s)));
         }
     }
     h
 }
 
-/// 2 and 4 ranks always; 8 only under `COLUMBIA_SLOW_TESTS` (CI).
-fn parity_widths() -> &'static [usize] {
-    if columbia_rt::env::slow_tests() {
-        &[2, 4, 8]
-    } else {
-        &[2, 4]
-    }
-}
+/// The world sizes every parity test covers.
+const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
 
-/// The four chaos seeds of the fault matrix leg.
+/// Four fixed seeds for the severe fault profile; the comm-chaos test runs
+/// all of them, the other tests one each.
 const CHAOS_SEEDS: [u64; 4] = [0xC0FFEE, 1, 0xBADC0DE, 0x5EED_2016];
 
 fn rans_mesh() -> columbia_mesh::UnstructuredMesh {
@@ -120,7 +80,7 @@ fn chaos_world(
 
 #[test]
 fn chaos_comm_parity_clean_and_over_four_seeds() {
-    for &n in parity_widths() {
+    for n in PARITY_WIDTHS {
         let mut plans: Vec<Option<Arc<FaultPlan>>> = vec![None];
         for seed in CHAOS_SEEDS {
             plans.push(Some(Arc::new(FaultPlan::new(
@@ -142,8 +102,8 @@ fn chaos_comm_parity_clean_and_over_four_seeds() {
                 "payload digest diverged at n={n} ({label})"
             );
             assert_eq!(
-                digest_traces(&tt),
-                digest_traces(&et),
+                digest_trace_ledgers(&tt),
+                digest_trace_ledgers(&et),
                 "CommStats digest diverged at n={n} ({label})"
             );
         }
@@ -157,7 +117,7 @@ fn rans_solver_parity_across_executors() {
         mach: 0.5,
         ..Default::default()
     };
-    for &n in parity_widths() {
+    for n in PARITY_WIDTHS {
         for plan in [
             None,
             Some(Arc::new(FaultPlan::new(
@@ -181,8 +141,8 @@ fn rans_solver_parity_across_executors() {
             );
             assert_eq!(trms.to_bits(), erms.to_bits(), "RANS rms diverged at n={n}");
             assert_eq!(
-                digest_traces(&tt),
-                digest_traces(&et),
+                digest_trace_ledgers(&tt),
+                digest_trace_ledgers(&et),
                 "RANS stats digest diverged at n={n}"
             );
         }
@@ -220,7 +180,7 @@ fn event_executor_double_run_is_bit_identical() {
     // The CI executor-matrix leg re-runs the suite twice under
     // COLUMBIA_EXECUTOR=events; this is the in-tree pin of the same
     // property on the chaos workload.
-    for &n in parity_widths() {
+    for n in PARITY_WIDTHS {
         let plan = Some(Arc::new(FaultPlan::new(
             CHAOS_SEEDS[2],
             n,
@@ -240,7 +200,7 @@ fn multigrid_workload_parity_includes_per_level_ledgers() {
         levels: 3,
         cycles: 2,
     };
-    for &n in parity_widths() {
+    for n in PARITY_WIDTHS {
         let t = spec.run(n, &ExecContext::default().with_executor(Executor::Threads));
         let e = spec.run(n, &ExecContext::default().with_executor(Executor::Events));
         assert_eq!(
@@ -249,8 +209,8 @@ fn multigrid_workload_parity_includes_per_level_ledgers() {
             "residual history diverged at n={n}"
         );
         assert_eq!(
-            digest_traces(&t.traces),
-            digest_traces(&e.traces),
+            digest_trace_ledgers(&t.traces),
+            digest_trace_ledgers(&e.traces),
             "per-level ledgers diverged at n={n}"
         );
     }

@@ -11,8 +11,8 @@
 //!    FIFO per `(src, dst)`, and added traffic never speeds the base
 //!    traffic up (per-packet in the synchronous round-robin regime,
 //!    makespan-of-base under any arbiter on a shared link);
-//! 3. **Determinism** — double runs are bit-identical under the four
-//!    chaos seeds of the fault matrix;
+//! 3. **Determinism** — double runs are bit-identical under four fixed
+//!    chaos seeds;
 //! 4. **Executor integration** — selecting the contention regime reshapes
 //!    only the event executor's virtual clock: payloads, `CommStats` and
 //!    traces stay bit-identical to the analytic regime, and the emergent
@@ -20,77 +20,42 @@
 //!    halo traffic.
 
 use columbia_comm::workload::HaloWorkload;
-use columbia_comm::{flows_from_traces, CommStats, ExecContext, Executor, FabricModel, RankTrace};
+use columbia_comm::{flows_from_traces, ExecContext, Executor, FabricModel, RankTrace};
 use columbia_machine::{
     analytic_makespan, makespan, simulate, Arbiter, Delivery, Fabric, LinkSpec, Packet, Topology,
 };
-use columbia_rt::Pcg32;
+use columbia_rt::{fnv, Pcg32};
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_u64(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn digest_f64s<'a>(vals: impl Iterator<Item = &'a f64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for v in vals {
-        h = fnv_u64(h, v.to_bits());
-    }
-    h
-}
+mod common;
+use common::{digest_f64s, digest_stats};
 
 fn digest_deliveries(deliveries: &[Delivery]) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = fnv::OFFSET;
     for d in deliveries {
-        h = fnv_u64(h, d.packet.src as u64);
-        h = fnv_u64(h, d.packet.dst as u64);
-        h = fnv_u64(h, d.packet.bytes);
-        h = fnv_u64(h, d.packet.inject_s.to_bits());
-        h = fnv_u64(h, d.deliver_s.to_bits());
-        h = fnv_u64(h, d.order as u64);
+        h = fnv::word(h, d.packet.src as u64);
+        h = fnv::word(h, d.packet.dst as u64);
+        h = fnv::word(h, d.packet.bytes);
+        h = fnv::word(h, d.packet.inject_s.to_bits());
+        h = fnv::word(h, d.deliver_s.to_bits());
+        h = fnv::word(h, d.order as u64);
     }
     h
 }
 
-fn digest_stats(stats: &[CommStats]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for s in stats {
-        for (name, v) in s.counter_pairs() {
-            for b in name.as_bytes() {
-                h ^= *b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h = fnv_u64(h, v);
-        }
-        for (peer, msgs, bytes) in s.peers() {
-            h = fnv_u64(h, peer as u64);
-            h = fnv_u64(h, msgs);
-            h = fnv_u64(h, bytes);
-        }
-    }
-    h
-}
-
-fn digest_traces(traces: &[RankTrace]) -> u64 {
+/// The run's total `CommStats` per rank, then every rank's per-level
+/// ledger.
+fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
     let mut h = digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>());
     for t in traces {
         for (&level, s) in &t.per_level {
-            h = fnv_u64(h, level as u64);
-            h = fnv_u64(h, digest_stats(std::slice::from_ref(s)));
+            h = fnv::word(h, level as u64);
+            h = fnv::word(h, digest_stats(std::slice::from_ref(s)));
         }
     }
     h
 }
 
-/// The four chaos seeds of the fault matrix leg (same set as
-/// `tests/executor_parity.rs`).
+/// Four fixed chaos seeds (the set `tests/executor_parity.rs` uses).
 const CHAOS_SEEDS: [u64; 4] = [0xC0FFEE, 1, 0xBADC0DE, 0x5EED_2016];
 
 const ALL_FABRICS: [Fabric; 3] = [Fabric::NumaLink4, Fabric::InfiniBand, Fabric::TenGigE];
@@ -422,14 +387,8 @@ fn simulator_double_run_is_bit_identical_under_chaos_seeds() {
 // 4. Executor integration: the contention regime reshapes only the clock.
 // ---------------------------------------------------------------------------
 
-/// 2 and 4 ranks always; 8 only under `COLUMBIA_SLOW_TESTS` (CI).
-fn parity_widths() -> &'static [usize] {
-    if columbia_rt::env::slow_tests() {
-        &[2, 4, 8]
-    } else {
-        &[2, 4]
-    }
-}
+/// The world sizes every integration test covers.
+const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
 
 /// Selecting `FabricModel::Contention` must not change a single payload,
 /// counter or ledger bit — only the event executor's virtual wakeup
@@ -441,7 +400,7 @@ fn contention_regime_is_payload_identical_to_analytic() {
         levels: 3,
         cycles: 2,
     };
-    for &n in parity_widths() {
+    for n in PARITY_WIDTHS {
         for exec in [Executor::Events, Executor::Threads] {
             let analytic = spec.run(n, &ExecContext::default().with_executor(exec));
             let contended = spec.run(
@@ -456,8 +415,8 @@ fn contention_regime_is_payload_identical_to_analytic() {
                 "residual history diverged under contention ({exec:?}, n={n})"
             );
             assert_eq!(
-                digest_traces(&analytic.traces),
-                digest_traces(&contended.traces),
+                digest_trace_ledgers(&analytic.traces),
+                digest_trace_ledgers(&contended.traces),
                 "ledgers diverged under contention ({exec:?}, n={n})"
             );
         }
@@ -479,7 +438,7 @@ fn contention_regime_double_run_is_bit_identical() {
             .with_executor(Executor::Events)
             .with_fabric_model(FabricModel::Contention)
     };
-    for &n in parity_widths() {
+    for n in PARITY_WIDTHS {
         let a = spec.run(n, &ctx());
         let b = spec.run(n, &ctx());
         assert_eq!(
@@ -488,8 +447,8 @@ fn contention_regime_double_run_is_bit_identical() {
             "contention double run diverged at n={n}"
         );
         assert_eq!(
-            digest_traces(&a.traces),
-            digest_traces(&b.traces),
+            digest_trace_ledgers(&a.traces),
+            digest_trace_ledgers(&b.traces),
             "contention double-run ledgers diverged at n={n}"
         );
     }

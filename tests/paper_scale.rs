@@ -2,10 +2,10 @@
 //!
 //! The paper's headline runs use 502–2016 CPUs of the Columbia machine;
 //! the event executor's job is to host those rank counts *as real rank
-//! programs* (not analytic models) on one development machine. The
-//! always-on test runs a 512-rank multigrid world; the full 2016-rank
-//! configuration — the paper's largest NSU3D run — is gated behind
-//! `COLUMBIA_SLOW_TESTS` with a wall-clock sanity bound.
+//! programs* (not analytic models) on one development machine. Both
+//! worlds run in every `cargo test`: a 512-rank multigrid world, and the
+//! full 2016-rank configuration (the paper's largest NSU3D run) twice,
+//! under a wall-clock sanity bound.
 
 use columbia_comm::workload::HaloWorkload;
 use columbia_comm::{ExecContext, Executor};
@@ -46,10 +46,6 @@ fn event_executor_hosts_a_512_rank_world() {
 
 #[test]
 fn event_executor_hosts_the_2016_rank_paper_world() {
-    if !columbia_rt::env::slow_tests() {
-        eprintln!("skipping 2016-rank world (set COLUMBIA_SLOW_TESTS=1)");
-        return;
-    }
     let start = Instant::now();
     let report = run_world_of(2016, HaloWorkload::smoke());
     let elapsed = start.elapsed();
