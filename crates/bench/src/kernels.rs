@@ -112,16 +112,15 @@ pub fn point_lu_simd(set: &PointSet, out: &mut [[f64; NB]]) {
     let mut c = 0;
     while c < n {
         let nl = LANES.min(n - c);
-        let batch = BlockBatch::from_lanes(&set.blocks[c..c + nl]);
-        let mut rhs = vec_batch_zero::<NB>();
+        let mut batch = BlockBatch::from_lanes(&set.blocks[c..c + nl]);
+        let mut x = vec_batch_zero::<NB>();
         for (l, r) in set.rhs[c..c + nl].iter().enumerate() {
-            for (row, &v) in rhs.iter_mut().zip(r.iter()) {
+            for (row, &v) in x.iter_mut().zip(r.iter()) {
                 row[l] = v;
             }
         }
-        let lu = batch.lu();
-        assert!(lu.all_ok(nl), "dominant block must factorise");
-        let x = lu.solve(&rhs);
+        let ok = batch.lu_solve(&mut x);
+        assert!(ok[..nl].iter().all(|&o| o), "dominant block must factorise");
         for l in 0..nl {
             for k in 0..NB {
                 out[c + l][k] = x[k][l];
@@ -210,8 +209,9 @@ pub fn line_tridiag_scalar(
     }
 }
 
-/// Batched path: [`LANES`] lines solved lane-parallel per Thomas sweep.
-/// Bit-identical to the scalar path per lane.
+/// Batched path: [`LANES`] lines solved lane-parallel per streamed
+/// Thomas sweep, each row written as the sweep reaches it. Bit-identical
+/// to the scalar path per lane.
 pub fn line_tridiag_simd(
     set: &LineSet,
     scratch: &mut TridiagBatch<NB>,
@@ -222,21 +222,19 @@ pub fn line_tridiag_simd(
     let mut c = 0;
     while c < nlines {
         let nl = LANES.min(nlines - c);
-        scratch.reset(LINE_LEN, nl);
-        for l in 0..nl {
-            let line = c + l;
-            for i in 0..LINE_LEN {
-                scratch.set_diag(i, l, &set.diag[line][i]);
-                scratch.set_rhs(i, l, &set.rhs[line][i]);
-                if i > 0 {
-                    scratch.set_lower(i, l, &set.lower[line][i]);
+        let ok = scratch.solve(&mut x, |i, row| {
+            for l in 0..nl {
+                let line = c + l;
+                row.diag.set_lane(l, &set.diag[line][i]);
+                for (k, &v) in set.rhs[line][i].iter().enumerate() {
+                    row.rhs[k][l] = v;
                 }
                 if i + 1 < LINE_LEN {
-                    scratch.set_upper(i, l, &set.upper[line][i]);
+                    row.upper.set_lane(l, &set.upper[line][i]);
+                    row.next_lower.set_lane(l, &set.lower[line][i + 1]);
                 }
             }
-        }
-        let ok = scratch.solve_into(&mut x);
+        });
         assert!(ok.iter().take(nl).all(|&o| o), "dominant line must solve");
         for l in 0..nl {
             for i in 0..LINE_LEN {

@@ -27,5 +27,5 @@ pub mod tridiag;
 pub mod vecops;
 
 pub use block::{BlockLu, BlockMat, LinalgError};
-pub use soa::{BlockBatch, BlockLuBatch, SoaStates, TridiagBatch, VecBatch, LANES};
+pub use soa::{BlockBatch, SoaStates, TridiagBatch, VecBatch, LANES};
 pub use tridiag::BlockTridiag;

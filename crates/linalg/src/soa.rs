@@ -20,15 +20,23 @@
 //!
 //! - no cross-lane arithmetic, no reassociation, no FMA contraction;
 //! - pivot selection replicates the scalar search (strict `>`, ties keep
-//!   the earlier row) independently per lane;
+//!   the earlier row) independently per lane, with the lanes searched in
+//!   parallel;
 //! - accumulate-then-subtract sequences (`mul_vec_sub`, the forward
 //!   elimination update) keep the scalar's grouping;
-//! - the scalar matmul's zero-multiplier skip is *not* replicated: the
-//!   batch accumulates every term. For finite inputs this is bit-identical
-//!   (the accumulator starts at `+0.0` and adding a `±0.0` product never
-//!   changes it), so the contract holds on finite data; lanes that have
-//!   already been flagged singular are exempt (their output is garbage and
-//!   must be discarded).
+//! - the forward substitution is fused into the factorisation: the
+//!   right-hand sides ride through each lane's row swaps and take each
+//!   multiplier as it is formed, so every entry receives the scalar
+//!   solve's updates, with the same operands, in the same order;
+//! - the scalar matmul's zero-multiplier skip is replicated where it is
+//!   free: the forward elimination update skips a multiplier that is zero
+//!   in *every* lane. A lane whose multiplier is zero while another's is
+//!   not accumulates a `±0.0` product instead of skipping it, which is
+//!   bit-identical when the other factor is finite: the accumulator
+//!   starts at `+0.0`, a sum that starts there can never become `-0.0`
+//!   (exact cancellation rounds to `+0.0`), and adding `±0.0` to anything
+//!   else leaves it unchanged. Lanes already flagged singular are exempt
+//!   (their output is garbage and must be discarded).
 //!
 //! `tests/kernel_parity.rs` and the unit tests below pin this contract
 //! with exact `u64`-bit comparisons, which is what lets the solvers switch
@@ -39,12 +47,12 @@
 //! # Singular lanes
 //!
 //! The scalar LU returns `Err` at the first vanishing pivot. A batch
-//! cannot early-return one lane, so [`BlockBatch::lu`] flags the lane in
-//! [`BlockLuBatch::ok`], replaces the offending pivot with `1.0` to keep
-//! the lane's arithmetic finite (protecting the *other* lanes from NaN
-//! contamination is automatic — lanes never mix), and carries on. Callers
-//! must discard flagged lanes, which is precisely what the solvers'
-//! scalar paths do with `Err` results.
+//! cannot early-return one lane, so the batched factorisation flags the
+//! lane in the returned `ok` flags, replaces the offending pivot with
+//! `1.0` to keep the lane's arithmetic finite (protecting the *other*
+//! lanes from NaN contamination is automatic — lanes never mix), and
+//! carries on. Callers must discard flagged lanes, which is precisely
+//! what the solvers' scalar paths do with `Err` results.
 
 use crate::block::BlockMat;
 
@@ -136,69 +144,120 @@ impl<const N: usize> BlockBatch<N> {
         self.a[r][c][l]
     }
 
-    /// Batched LU factorisation with per-lane partial pivoting.
-    ///
-    /// Per lane the pivot search, row swap and elimination replicate
-    /// [`BlockMat::lu`] operation-for-operation; see the module docs for
-    /// the singular-lane convention.
-    pub fn lu(&self) -> BlockLuBatch<N> {
-        let mut lu = self.a;
-        let mut piv = [[0usize; N]; LANES];
-        for lane in piv.iter_mut() {
-            for (i, p) in lane.iter_mut().enumerate() {
-                *p = i;
-            }
-        }
+    /// Factorise in place and overwrite `rhs` with the solution of
+    /// `A x = rhs`, per lane — the point-implicit solve. Returns per-lane
+    /// success flags: where [`BlockMat::lu`] returns `Err` the lane comes
+    /// back `false` and its `rhs` is garbage the caller must discard.
+    /// Per lane, bit-identical to `BlockMat::lu` followed by
+    /// [`crate::block::BlockLu::solve`].
+    pub fn lu_solve(&mut self, rhs: &mut VecBatch<N>) -> [bool; LANES] {
         let mut ok = [true; LANES];
+        self.factor_solve::<0>(&mut [[]; N], rhs, &mut ok);
+        ok
+    }
+
+    /// The one batched LU: factorise `self` in place with per-lane partial
+    /// pivoting and solve it for the `M` columns of `cols` and for `rhs`,
+    /// overwriting both. Each lane's pivot search, row swap and
+    /// elimination replicate [`BlockMat::lu`]; the forward substitution of
+    /// [`crate::block::BlockLu::solve`] runs inside the elimination (see
+    /// the module docs), and the back substitution sweeps all `M + 1`
+    /// columns at once. Lanes that hit a vanishing pivot are cleared in
+    /// `ok`.
+    fn factor_solve<const M: usize>(
+        &mut self,
+        cols: &mut [[[f64; LANES]; M]; N],
+        rhs: &mut VecBatch<N>,
+        ok: &mut [bool; LANES],
+    ) {
+        let a = &mut self.a;
         for k in 0..N {
-            // Pivot search and swap are inherently per-lane (data-dependent
-            // row exchange); the scalar search is replicated exactly:
-            // strict `>` keeps the earliest maximal row.
+            let mut pmax = [0.0f64; LANES];
+            let mut pk = [k; LANES];
             for l in 0..LANES {
-                let mut pk = k;
-                let mut pmax = lu[k][k][l].abs();
-                for r in (k + 1)..N {
-                    let v = lu[r][k][l].abs();
-                    if v > pmax {
-                        pmax = v;
-                        pk = r;
+                pmax[l] = a[k][k][l].abs();
+            }
+            for r in (k + 1)..N {
+                for l in 0..LANES {
+                    let v = a[r][k][l].abs();
+                    if v > pmax[l] {
+                        pmax[l] = v;
+                        pk[l] = r;
                     }
                 }
-                if pmax < 1e-300 {
+            }
+            for l in 0..LANES {
+                let p = pk[l];
+                if pmax[l] < 1e-300 {
                     // Scalar path would return Err here; neutralise the
                     // lane with a unit pivot and let the caller discard it.
                     ok[l] = false;
-                    lu[k][k][l] = 1.0;
-                    continue;
-                }
-                if pk != k {
+                    a[k][k][l] = 1.0;
+                } else if p != k {
                     for c in 0..N {
-                        let t = lu[k][c][l];
-                        lu[k][c][l] = lu[pk][c][l];
-                        lu[pk][c][l] = t;
+                        let t = a[k][c][l];
+                        a[k][c][l] = a[p][c][l];
+                        a[p][c][l] = t;
                     }
-                    piv[l].swap(k, pk);
+                    for c in 0..M {
+                        let t = cols[k][c][l];
+                        cols[k][c][l] = cols[p][c][l];
+                        cols[p][c][l] = t;
+                    }
+                    let t = rhs[k][l];
+                    rhs[k][l] = rhs[p][l];
+                    rhs[p][l] = t;
                 }
             }
-            // Lane-parallel elimination: the inner loops run over lanes.
             let mut inv_pivot = [0.0; LANES];
             for l in 0..LANES {
-                inv_pivot[l] = 1.0 / lu[k][k][l];
+                inv_pivot[l] = 1.0 / a[k][k][l];
             }
             for r in (k + 1)..N {
                 let mut m = [0.0; LANES];
                 for l in 0..LANES {
-                    m[l] = lu[r][k][l] * inv_pivot[l];
-                    lu[r][k][l] = m[l];
+                    m[l] = a[r][k][l] * inv_pivot[l];
+                    a[r][k][l] = m[l];
                 }
                 for c in (k + 1)..N {
                     for l in 0..LANES {
-                        lu[r][c][l] -= m[l] * lu[k][c][l];
+                        a[r][c][l] -= m[l] * a[k][c][l];
                     }
+                }
+                for c in 0..M {
+                    for l in 0..LANES {
+                        cols[r][c][l] -= m[l] * cols[k][c][l];
+                    }
+                }
+                for l in 0..LANES {
+                    rhs[r][l] -= m[l] * rhs[k][l];
                 }
             }
         }
-        BlockLuBatch { lu, piv, ok }
+        // Backward substitution (the final division matches the scalar
+        // `s / lu[r][r]` — no reciprocal strength reduction).
+        for r in (0..N).rev() {
+            for c in (r + 1)..N {
+                let u = a[r][c];
+                for j in 0..M {
+                    for l in 0..LANES {
+                        cols[r][j][l] -= u[l] * cols[c][j][l];
+                    }
+                }
+                for l in 0..LANES {
+                    rhs[r][l] -= u[l] * rhs[c][l];
+                }
+            }
+            let d = a[r][r];
+            for j in 0..M {
+                for l in 0..LANES {
+                    cols[r][j][l] /= d[l];
+                }
+            }
+            for l in 0..LANES {
+                rhs[r][l] /= d[l];
+            }
+        }
     }
 
     /// `self -= a * b` per lane — the forward-elimination update
@@ -206,14 +265,19 @@ impl<const N: usize> BlockBatch<N> {
     ///
     /// Accumulates the full product row into a temporary (ascending `k`,
     /// matching the scalar matmul's order) and subtracts once, exactly as
-    /// the scalar `dmod -= li * uprev` does.
-    pub fn mul_sub_assign(&mut self, a: &BlockBatch<N>, b: &BlockBatch<N>) {
+    /// the scalar `dmod -= li * uprev` does. A multiplier `a[r][k]` that
+    /// is zero in every lane is skipped, as the scalar matmul skips it.
+    fn mul_sub_assign(&mut self, a: &BlockBatch<N>, b: &BlockBatch<N>) {
         for r in 0..N {
             let mut acc = [[0.0; LANES]; N];
             for k in 0..N {
+                let v = a.a[r][k];
+                if v.iter().all(|&x| x == 0.0) {
+                    continue;
+                }
                 for c in 0..N {
                     for l in 0..LANES {
-                        acc[c][l] += a.a[r][k][l] * b.a[k][c][l];
+                        acc[c][l] += v[l] * b.a[k][c][l];
                     }
                 }
             }
@@ -258,236 +322,110 @@ impl<const N: usize> BlockBatch<N> {
     }
 }
 
-/// Batched LU factorisation: per-lane factors, permutations and success
-/// flags. Lanes with `ok[l] == false` hold garbage that the caller must
-/// discard (the scalar path's `Err`).
-#[derive(Clone, Copy, Debug)]
-pub struct BlockLuBatch<const N: usize> {
-    lu: [[[f64; LANES]; N]; N],
-    piv: [[usize; N]; LANES],
-    ok: [bool; LANES],
+/// Row `i` of a streamed [`TridiagBatch::solve`], as its row closure sees
+/// it: every lane arrives as a padding row (identity diagonal, zero RHS,
+/// zero couplings) and the closure overwrites the lanes whose line has a
+/// row `i`. On a line's last row it leaves the couplings alone.
+pub struct BatchRow<'a, const N: usize> {
+    /// Diagonal block `D_i`.
+    pub diag: &'a mut BlockBatch<N>,
+    /// Right-hand side `b_i`.
+    pub rhs: &'a mut VecBatch<N>,
+    /// Super-diagonal block `U_i` (couples row `i` to `i + 1`).
+    pub upper: &'a mut BlockBatch<N>,
+    /// Sub-diagonal block `L_{i+1}` of the next row (couples `i + 1` to
+    /// `i`).
+    pub next_lower: &'a mut BlockBatch<N>,
 }
 
-impl<const N: usize> BlockLuBatch<N> {
-    /// Per-lane success flags.
-    #[inline]
-    pub fn ok(&self) -> &[bool; LANES] {
-        &self.ok
-    }
-
-    /// True when every live lane factorised successfully.
-    pub fn all_ok(&self, nlanes: usize) -> bool {
-        self.ok[..nlanes].iter().all(|&b| b)
-    }
-
-    /// Per-lane triangular solve, operation-for-operation identical to
-    /// [`crate::block::BlockLu::solve`].
-    pub fn solve(&self, b: &VecBatch<N>) -> VecBatch<N> {
-        let mut x = vec_batch_zero();
-        // Apply each lane's row permutation while loading b.
-        for r in 0..N {
-            for l in 0..LANES {
-                x[r][l] = b[self.piv[l][r]][l];
-            }
-        }
-        // Forward substitution, unit lower triangle. The scalar kernel
-        // accumulates `s = x[r]; s -= ...; x[r] = s`; successive in-place
-        // subtractions are the same operation sequence.
-        for r in 1..N {
-            for c in 0..r {
-                for l in 0..LANES {
-                    x[r][l] -= self.lu[r][c][l] * x[c][l];
-                }
-            }
-        }
-        // Backward substitution (the final division matches the scalar
-        // `s / lu[r][r]` — no reciprocal strength reduction).
-        for r in (0..N).rev() {
-            for c in (r + 1)..N {
-                for l in 0..LANES {
-                    x[r][l] -= self.lu[r][c][l] * x[c][l];
-                }
-            }
-            for l in 0..LANES {
-                x[r][l] /= self.lu[r][r][l];
-            }
-        }
-        x
-    }
-
-    /// Per-lane block right-hand-side solve, column-wise as
-    /// [`crate::block::BlockLu::solve_mat`].
-    pub fn solve_mat(&self, b: &BlockBatch<N>) -> BlockBatch<N> {
-        let mut out = BlockBatch::zero();
-        for c in 0..N {
-            let mut col = vec_batch_zero();
-            for r in 0..N {
-                for l in 0..LANES {
-                    col[r][l] = b.a[r][c][l];
-                }
-            }
-            let x = self.solve(&col);
-            for r in 0..N {
-                for l in 0..LANES {
-                    out.a[r][c][l] = x[r][l];
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Batched block-tridiagonal system: `LANES` equal-length lines solved in
-/// lockstep, mirroring [`crate::tridiag::BlockTridiag`] per lane.
+/// Batched block-tridiagonal solve: up to `LANES` lines in lockstep, each
+/// lane bit-identical to [`crate::tridiag::BlockTridiag::solve_into`].
 ///
-/// Implicit lines are vertex-disjoint, so solving several at once (and in
-/// any order) is bit-safe; the solver groups lines of equal length into
-/// batches — NSU3D's classic vectorisation strategy, here realised with
-/// lane interleaving. Padding lanes (beyond `nlanes`) carry identity
-/// diagonals and zero RHS so they factorise trivially and are ignored.
+/// The system is *streamed*: a row closure writes row `i`'s blocks just
+/// before row `i` is eliminated, and only `U'_i` (here) and `y_i` (in the
+/// caller's output) are kept for the back substitution. Implicit lines
+/// are vertex-disjoint, so solving several at once, in any order, is
+/// bit-safe — NSU3D's vectorisation strategy, here realised with lane
+/// interleaving.
+///
+/// **Padding.** Lines of different lengths share a batch, aligned at row
+/// 0. A lane whose line ends at row `m` keeps its padding rows from `m`
+/// on: identity diagonal, zero couplings, zero RHS. Its last real row
+/// solves `U'_{m-1} = D'^{-1} 0`, finite signed zeros; each padding row
+/// then eliminates to exactly `y = +0` and `U' = +0` and back-substitutes
+/// to `x = +0`; so the last real row gets `x = y - U'_{m-1} (+0) =
+/// y - (+0) = y`, the scalar's `x_{m-1} = y_{m-1}` bit for bit (for
+/// finite data). Lanes beyond the caller's lines are all padding.
 #[derive(Clone, Debug, Default)]
 pub struct TridiagBatch<const N: usize> {
-    lower: Vec<BlockBatch<N>>,
-    diag: Vec<BlockBatch<N>>,
+    /// `U'_i` per row: grown to the longest batch seen, never cleared.
     upper: Vec<BlockBatch<N>>,
-    rhs: Vec<VecBatch<N>>,
-    // Scratch for the factorisation.
-    upper_mod: Vec<BlockBatch<N>>,
-    y: Vec<VecBatch<N>>,
-    nlanes: usize,
 }
 
 impl<const N: usize> TridiagBatch<N> {
-    /// Create an empty system.
+    /// Create an empty solver.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Reset to `n` block rows with `nlanes` live lanes. Diagonals start
-    /// as identity in every lane (live lanes are overwritten row by row;
-    /// padding lanes must stay non-singular), couplings and RHS as zero.
-    pub fn reset(&mut self, n: usize, nlanes: usize) {
-        assert!(
-            (1..=LANES).contains(&nlanes),
-            "nlanes must be in 1..={LANES}"
-        );
-        self.lower.clear();
-        self.diag.clear();
-        self.upper.clear();
-        self.rhs.clear();
-        self.lower.resize(n, BlockBatch::zero());
-        self.diag.resize(n, BlockBatch::identity());
-        self.upper.resize(n, BlockBatch::zero());
-        self.rhs.resize(n, vec_batch_zero());
-        self.nlanes = nlanes;
-    }
-
-    /// Number of block rows.
-    pub fn len(&self) -> usize {
-        self.diag.len()
-    }
-
-    /// True when the system has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.diag.is_empty()
-    }
-
-    /// Number of live lanes.
-    pub fn nlanes(&self) -> usize {
-        self.nlanes
-    }
-
-    /// Set the diagonal block of row `i`, lane `l`.
-    pub fn set_diag(&mut self, i: usize, l: usize, m: &BlockMat<N>) {
-        self.diag[i].set_lane(l, m);
-    }
-
-    /// Set the sub-diagonal block of row `i`, lane `l` (couples to `i-1`).
-    pub fn set_lower(&mut self, i: usize, l: usize, m: &BlockMat<N>) {
-        self.lower[i].set_lane(l, m);
-    }
-
-    /// Set the super-diagonal block of row `i`, lane `l` (couples to `i+1`).
-    pub fn set_upper(&mut self, i: usize, l: usize, m: &BlockMat<N>) {
-        self.upper[i].set_lane(l, m);
-    }
-
-    /// The two blocks line edge `i` couples through — `(upper_i,
-    /// lower_{i+1})` — for entry-wise assembly straight into a lane
-    /// ([`BlockBatch::set`]), with no scalar-block round trip.
-    #[inline]
-    pub fn couplings_mut(&mut self, i: usize) -> (&mut BlockBatch<N>, &mut BlockBatch<N>) {
-        (&mut self.upper[i], &mut self.lower[i + 1])
-    }
-
-    /// Set the right-hand side of row `i`, lane `l`.
-    pub fn set_rhs(&mut self, i: usize, l: usize, b: &[f64; N]) {
-        for r in 0..N {
-            self.rhs[i][r][l] = b[r];
-        }
-    }
-
-    /// Solve all lanes, writing lane-interleaved solutions through `out`.
+    /// Solve one batch of `out.len()` rows, writing lane-interleaved
+    /// solutions through `out`. `row(i, ..)` fills row `i` (see
+    /// [`BatchRow`]) and is called once per row, in order.
     ///
-    /// Returns per-lane success flags: where the scalar
-    /// [`crate::tridiag::BlockTridiag::solve_into`] returns `Err` (leaving
-    /// the line un-updated), the corresponding lane comes back `false` and
-    /// its output is garbage the caller must discard. The forward
-    /// elimination and back substitution replicate the scalar kernel's
-    /// operation order per lane; see the module docs.
-    pub fn solve_into(&mut self, out: &mut [VecBatch<N>]) -> [bool; LANES] {
-        let n = self.len();
-        assert_eq!(out.len(), n, "output slice length mismatch");
+    /// Returns per-lane success flags: where the scalar solve returns
+    /// `Err` (leaving the line un-updated), the lane comes back `false`
+    /// and its output is garbage the caller must discard.
+    pub fn solve(
+        &mut self,
+        out: &mut [VecBatch<N>],
+        mut row: impl FnMut(usize, BatchRow<'_, N>),
+    ) -> [bool; LANES] {
+        let n = out.len();
         let mut ok = [true; LANES];
-        if n == 0 {
-            return ok;
+        if self.upper.len() < n {
+            self.upper.resize(n, BlockBatch::zero());
         }
-        self.upper_mod.clear();
-        self.upper_mod.resize(n, BlockBatch::zero());
-        self.y.clear();
-        self.y.resize(n, vec_batch_zero());
-
+        let (mut lower, mut next_lower) = (BlockBatch::zero(), BlockBatch::zero());
         // Forward elimination (per lane):
-        //   U'_i = D'^-1_i U_i
-        //   D'_i = D_i - L_i U'_{i-1}
-        //   b'_i = b_i - L_i y_{i-1};  y_i = D'^-1_i b'_i
-        let lu0 = self.diag[0].lu();
-        and_flags(&mut ok, lu0.ok());
-        self.upper_mod[0] = lu0.solve_mat(&self.upper[0]);
-        self.y[0] = lu0.solve(&self.rhs[0]);
-        for i in 1..n {
-            let mut dmod = self.diag[i];
-            dmod.mul_sub_assign(&self.lower[i], &self.upper_mod[i - 1]);
-            let lui = dmod.lu();
-            and_flags(&mut ok, lui.ok());
-            let mut b = self.rhs[i];
-            self.lower[i].mul_vec_sub(&self.y[i - 1], &mut b);
-            self.y[i] = lui.solve(&b);
-            if i + 1 < n {
-                self.upper_mod[i] = lui.solve_mat(&self.upper[i]);
+        //   D'_i = D_i - L_i U'_{i-1};  b'_i = b_i - L_i y_{i-1}
+        //   U'_i = D'^-1_i U_i;         y_i = D'^-1_i b'_i
+        for i in 0..n {
+            let (done, rest) = self.upper.split_at_mut(i);
+            let (ys, y) = out.split_at_mut(i);
+            let (upper, y) = (&mut rest[0], &mut y[0]);
+            let mut diag = BlockBatch::identity();
+            *upper = BlockBatch::zero();
+            *y = vec_batch_zero();
+            row(
+                i,
+                BatchRow {
+                    diag: &mut diag,
+                    rhs: y,
+                    upper,
+                    next_lower: &mut next_lower,
+                },
+            );
+            if i > 0 {
+                diag.mul_sub_assign(&lower, &done[i - 1]);
+                lower.mul_vec_sub(&ys[i - 1], y);
             }
+            if i + 1 < n {
+                diag.factor_solve(&mut upper.a, y, &mut ok);
+            } else {
+                diag.factor_solve::<0>(&mut [[]; N], y, &mut ok);
+            }
+            lower = std::mem::take(&mut next_lower);
         }
-
         // Back substitution: x_n = y_n; x_i = y_i - U'_i x_{i+1}
-        out[n - 1] = self.y[n - 1];
-        for i in (0..n - 1).rev() {
-            let mut x = self.y[i];
-            let corr = self.upper_mod[i].mul_vec(&out[i + 1]);
-            for k in 0..N {
+        for i in (0..n.saturating_sub(1)).rev() {
+            let corr = self.upper[i].mul_vec(&out[i + 1]);
+            for (x, c) in out[i].iter_mut().zip(&corr) {
                 for l in 0..LANES {
-                    x[k][l] -= corr[k][l];
+                    x[l] -= c[l];
                 }
             }
-            out[i] = x;
         }
         ok
-    }
-}
-
-#[inline]
-fn and_flags(acc: &mut [bool; LANES], flags: &[bool; LANES]) {
-    for l in 0..LANES {
-        acc[l] &= flags[l];
     }
 }
 
@@ -727,6 +665,17 @@ mod tests {
         assert_eq!(b.lane(2), m);
     }
 
+    /// Interleave per-lane right-hand sides.
+    fn rhs_batch<const N: usize>(rhs: &[[f64; N]]) -> VecBatch<N> {
+        let mut out = vec_batch_zero();
+        for (l, b) in rhs.iter().enumerate() {
+            for r in 0..N {
+                out[r][l] = b[r];
+            }
+        }
+        out
+    }
+
     #[test]
     fn batched_lu_solve_is_bit_identical_per_lane() {
         let mats: Vec<BlockMat<6>> = (0..LANES as u64)
@@ -737,30 +686,14 @@ mod tests {
             })
             .collect();
         let rhs_scalar: Vec<[f64; 6]> = (0..LANES)
-            .map(|l| {
-                let mut b = [0.0; 6];
-                for (k, v) in b.iter_mut().enumerate() {
-                    *v = (l as f64 + 1.0) * 0.37 - k as f64;
-                }
-                b
-            })
+            .map(|l| std::array::from_fn(|k| (l as f64 + 1.0) * 0.37 - k as f64))
             .collect();
-        let batch = BlockBatch::from_lanes(&mats);
-        let mut rhs = vec_batch_zero::<6>();
-        for (l, b) in rhs_scalar.iter().enumerate() {
-            for r in 0..6 {
-                rhs[r][l] = b[r];
-            }
-        }
-        let lu = batch.lu();
-        assert!(lu.all_ok(LANES));
-        let x = lu.solve(&rhs);
+        let mut x = rhs_batch(&rhs_scalar);
+        let ok = BlockBatch::from_lanes(&mats).lu_solve(&mut x);
+        assert_eq!(ok, [true; LANES]);
         for l in 0..LANES {
             let xs = mats[l].lu().unwrap().solve(&rhs_scalar[l]);
-            let mut xb = [0.0; 6];
-            for r in 0..6 {
-                xb[r] = x[r][l];
-            }
+            let xb: [f64; 6] = std::array::from_fn(|r| x[r][l]);
             assert_eq!(bits(&xs), bits(&xb), "lane {l} diverged");
         }
     }
@@ -772,17 +705,10 @@ mod tests {
         m0.set(0, 0, 1e-8);
         m0.set(2, 0, 5.0); // forces pivot row 2 in lane 0
         let m1 = BlockMat::<3>::from_fn(|r, c| if r == c { 3.0 } else { 0.2 });
-        let batch = BlockBatch::from_lanes(&[m0, m1]);
-        let lu = batch.lu();
-        assert!(lu.all_ok(2));
         let b = [1.0, 2.0, 3.0];
-        let mut rb = vec_batch_zero::<3>();
-        for l in 0..2 {
-            for r in 0..3 {
-                rb[r][l] = b[r];
-            }
-        }
-        let x = lu.solve(&rb);
+        let mut x = rhs_batch(&[b, b]);
+        let ok = BlockBatch::from_lanes(&[m0, m1]).lu_solve(&mut x);
+        assert!(ok[0] && ok[1]);
         for (l, m) in [m0, m1].iter().enumerate() {
             let xs = m.lu().unwrap().solve(&b);
             for r in 0..3 {
@@ -801,16 +727,10 @@ mod tests {
         // Column 1 identically zero => singular at elimination column 1.
         let bad = BlockMat::<4>::from_fn(|r, c| if c == 1 { 0.0 } else { (r + c) as f64 + 1.0 });
         assert!(matches!(bad.lu(), Err(LinalgError::Singular { .. })));
-        let batch = BlockBatch::from_lanes(&[good, bad]);
-        let lu = batch.lu();
-        assert!(lu.ok()[0] && !lu.ok()[1]);
         let b = [1.0, -2.0, 3.0, -4.0];
-        let mut rb = vec_batch_zero::<4>();
-        for r in 0..4 {
-            rb[r][0] = b[r];
-            rb[r][1] = b[r];
-        }
-        let x = lu.solve(&rb);
+        let mut x = rhs_batch(&[b, b]);
+        let ok = BlockBatch::from_lanes(&[good, bad]).lu_solve(&mut x);
+        assert!(ok[0] && !ok[1]);
         let xs = good.lu().unwrap().solve(&b);
         for r in 0..4 {
             assert_eq!(xs[r].to_bits(), x[r][0].to_bits(), "good lane polluted");
@@ -818,48 +738,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tridiag_batch_matches_scalar_bitwise() {
-        let n = 9;
-        let nlanes = 3; // deliberately under-full: padding lane in play
-        let mut scalar = BlockTridiag::<4>::new();
-        let mut batch = TridiagBatch::<4>::new();
-        batch.reset(n, nlanes);
-        let mut scalar_x: Vec<Vec<[f64; 4]>> = Vec::new();
-        for l in 0..nlanes {
-            scalar.reset(n);
-            for i in 0..n {
-                let mut d = seeded_mat::<4>((l * n + i) as u64 + 1);
-                d.add_diagonal(9.0);
-                *scalar.diag_mut(i) = d;
-                batch.set_diag(i, l, &d);
-                if i > 0 {
-                    let lo = seeded_mat::<4>((l * n + i) as u64 + 101);
-                    *scalar.lower_mut(i) = lo;
-                    batch.set_lower(i, l, &lo);
+    /// One line system: per row its diagonal block and RHS, and for all
+    /// but the last row the couplings `(U_i, L_{i+1})`.
+    struct LineSys<const N: usize> {
+        diag: Vec<BlockMat<N>>,
+        rhs: Vec<[f64; N]>,
+        couple: Vec<(BlockMat<N>, BlockMat<N>)>,
+    }
+
+    /// Solve up to `LANES` lines of any lengths as one streamed, padded
+    /// batch and each alone through the scalar oracle: the lane flags
+    /// must equal the scalar `is_ok`s and every solved lane must match
+    /// bit for bit. Returns the flags. The batch is solved twice, lanes
+    /// reversed first, so the checked solve runs on dirty scratch as a
+    /// level's reused solver does, and `+0.0` coupling entries are left
+    /// to the solver's reset.
+    fn check_against_scalar<const N: usize>(lines: &[LineSys<N>]) -> [bool; LANES] {
+        let n = lines.iter().map(|s| s.diag.len()).max().unwrap_or(0);
+        let mut xb = vec![vec_batch_zero::<N>(); n];
+        let mut tb = TridiagBatch::new();
+        let mut ok = [true; LANES];
+        for reversed in [true, false] {
+            ok = tb.solve(&mut xb, |i, row| {
+                for (l, s) in lines.iter().enumerate().filter(|(_, s)| i < s.diag.len()) {
+                    let l = if reversed { LANES - 1 - l } else { l };
+                    row.diag.set_lane(l, &s.diag[i]);
+                    for k in 0..N {
+                        row.rhs[k][l] = s.rhs[i][k];
+                    }
+                    // Couplings are written sparsely, as the RANS
+                    // assembly skips its structural zeros.
+                    let Some((u, lo)) = s.couple.get(i) else {
+                        continue;
+                    };
+                    for r in 0..N {
+                        for c in 0..N {
+                            if u.get(r, c).to_bits() != 0 {
+                                row.upper.set(r, c, l, u.get(r, c));
+                            }
+                            if lo.get(r, c).to_bits() != 0 {
+                                row.next_lower.set(r, c, l, lo.get(r, c));
+                            }
+                        }
+                    }
                 }
-                if i + 1 < n {
-                    let up = seeded_mat::<4>((l * n + i) as u64 + 201);
-                    *scalar.upper_mut(i) = up;
-                    batch.set_upper(i, l, &up);
-                }
-                let mut b = [0.0; 4];
-                for (k, v) in b.iter_mut().enumerate() {
-                    *v = (i as f64 - k as f64) * 0.21 + l as f64;
-                }
-                *scalar.rhs_mut(i) = b;
-                batch.set_rhs(i, l, &b);
-            }
-            let mut x = vec![[0.0; 4]; n];
-            scalar.solve_into(&mut x).unwrap();
-            scalar_x.push(x);
+            });
         }
-        let mut xb = vec![vec_batch_zero::<4>(); n];
-        let ok = batch.solve_into(&mut xb);
-        assert!(ok[..nlanes].iter().all(|&b| b));
-        for (l, xs) in scalar_x.iter().enumerate() {
-            for i in 0..n {
-                for k in 0..4 {
+        let mut scalar = BlockTridiag::<N>::new();
+        for (l, s) in lines.iter().enumerate() {
+            let m = s.diag.len();
+            scalar.reset(m);
+            for i in 0..m {
+                *scalar.diag_mut(i) = s.diag[i];
+                *scalar.rhs_mut(i) = s.rhs[i];
+            }
+            for (i, (u, lo)) in s.couple.iter().enumerate() {
+                *scalar.upper_mut(i) = *u;
+                *scalar.lower_mut(i + 1) = *lo;
+            }
+            let mut xs = vec![[0.0; N]; m];
+            let solved = scalar.solve_into(&mut xs).is_ok();
+            assert_eq!(ok[l], solved, "lane {l} flag");
+            for i in (0..m).filter(|_| solved) {
+                for k in 0..N {
                     assert_eq!(
                         xs[i][k].to_bits(),
                         xb[i][k][l].to_bits(),
@@ -868,28 +809,76 @@ mod tests {
                 }
             }
         }
+        ok
+    }
+
+    /// A seeded line of `m` dominant 4x4 rows.
+    fn seeded_line(m: usize, seed: u64) -> LineSys<4> {
+        let seed = seed * 1000;
+        let diag = (0..m as u64)
+            .map(|i| {
+                let mut d = seeded_mat::<4>(seed + i + 1);
+                d.add_diagonal(9.0);
+                d
+            })
+            .collect();
+        let rhs = (0..m)
+            .map(|i| std::array::from_fn(|k| (i as f64 - k as f64) * 0.21 + seed as f64))
+            .collect();
+        let couple = (1..m as u64)
+            .map(|i| (seeded_mat(seed + i + 200), seeded_mat(seed + i + 100)))
+            .collect();
+        LineSys { diag, rhs, couple }
+    }
+
+    #[test]
+    fn tridiag_batch_matches_scalar_bitwise() {
+        // Deliberately under-full: a padding lane in play.
+        let lines: Vec<_> = (0..3).map(|l| seeded_line(9, l)).collect();
+        assert_eq!(check_against_scalar(&lines), [true, true, true, true]);
     }
 
     #[test]
     fn tridiag_singular_lane_flags_only_that_lane() {
-        let mut batch = TridiagBatch::<2>::new();
-        batch.reset(2, 2);
-        // Lane 0: healthy. Lane 1: zero diagonal at row 1 => singular.
-        let d = BlockMat::<2>::scaled_identity(4.0);
-        for i in 0..2 {
-            batch.set_diag(i, 0, &d);
-            batch.set_rhs(i, 0, &[1.0, 2.0]);
-        }
-        batch.set_diag(0, 1, &d);
-        batch.set_diag(1, 1, &BlockMat::zero());
-        let mut x = vec![vec_batch_zero::<2>(); 2];
-        let ok = batch.solve_into(&mut x);
-        assert!(ok[0] && !ok[1]);
-        for row in &x {
-            for k in 0..2 {
-                assert!((row[k][0] - [0.25, 0.5][k]).abs() < 1e-12);
-            }
-        }
+        // Lane 1: zero diagonal at row 1 => singular; its neighbours have
+        // other lengths, so padding rows run beside the flagged lane.
+        let mut bad = seeded_line(2, 1);
+        bad.diag[1] = BlockMat::zero();
+        bad.couple[0].1 = BlockMat::zero();
+        let lines = [seeded_line(5, 0), bad, seeded_line(3, 2)];
+        assert_eq!(check_against_scalar(&lines), [true, false, true, true]);
+    }
+
+    /// The forward-elimination update skips a multiplier that is zero in
+    /// every lane, as the scalar matmul does, so an infinite `U'` entry
+    /// facing it stays out of `D'` (accumulating `0 * inf` would make it
+    /// NaN).
+    #[test]
+    fn all_lanes_zero_multiplier_skips_a_non_finite_entry() {
+        let line = |u: f64| LineSys::<1> {
+            diag: vec![BlockMat::identity(); 2],
+            rhs: vec![[1.0], [2.0]],
+            couple: vec![(BlockMat::scaled_identity(u), BlockMat::zero())],
+        };
+        check_against_scalar(&[line(f64::INFINITY), line(0.5)]);
+    }
+
+    /// The seven structural zeros of a RANS flux-Jacobian block.
+    const STRUCTURAL_ZEROS: [(usize, usize); 7] =
+        [(0, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 4)];
+
+    /// A Jacobian-shaped block: `+0.0` at the structural zeros, one entry
+    /// in eight a signed zero (a wall vertex's zero velocity), the rest in
+    /// `±scale / 2`, plus `d` on the diagonal.
+    fn jacobian_block(rng: &mut columbia_rt::Pcg32, scale: f64, d: f64) -> BlockMat<6> {
+        let mut m = BlockMat::from_fn(|r, c| match rng.gen_range(0u32..16) {
+            _ if STRUCTURAL_ZEROS.contains(&(r, c)) => 0.0,
+            0 => 0.0,
+            1 => -0.0,
+            _ => scale * (rng.gen_f64() - 0.5),
+        });
+        m.add_diagonal(d);
+        m
     }
 
     #[test]
@@ -961,6 +950,34 @@ mod tests {
     }
 
     columbia_rt::props! {
+        /// Streamed, padded batches of 1-4 Jacobian-shaped lines of mixed
+        /// lengths match the scalar oracle lane by lane, bit for bit.
+        fn prop_padded_jacobian_batches_match_scalar_bits(
+            lens in columbia_rt::props::array::<_, LANES>(2usize..41),
+            nlanes in 1usize..(LANES + 1),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = columbia_rt::Pcg32::seed_from_u64(seed);
+            let lines: Vec<LineSys<6>> = lens[..nlanes]
+                .iter()
+                .map(|&m| LineSys {
+                    diag: (0..m).map(|_| jacobian_block(&mut rng, 1.0, 4.0)).collect(),
+                    rhs: (0..m)
+                        .map(|_| std::array::from_fn(|_| match rng.gen_range(0u32..8) {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => rng.gen_f64() - 0.5,
+                        }))
+                        .collect(),
+                    couple: (1..m)
+                        .map(|_| (jacobian_block(&mut rng, 0.25, -0.1), jacobian_block(&mut rng, 0.25, -0.1)))
+                        .collect(),
+                })
+                .collect();
+            let ok = check_against_scalar(&lines);
+            assert!(ok[..nlanes].iter().all(|&b| b), "dominant lines must solve");
+        }
+
         /// Remainder-lane lengths (0, < LANES, non-multiples of LANES):
         /// from_aos/to_aos round-trips, gather/scatter of every point, the
         /// per-point views, and AXPY are all bit-identical to the AoS

@@ -20,6 +20,7 @@ use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, 
 use columbia_linalg::{BlockMat, BlockTridiag};
 use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
 use columbia_rt::env::KernelKind;
+use std::fmt;
 
 /// Edges per cache block of the plane-major Green-Gauss sweep: the
 /// gathered per-edge average-velocity and normal scratch (48 bytes/edge,
@@ -164,59 +165,33 @@ fn solve_line_scalar(
     fc.add(m as u64 * flops::TRIDIAG_ROW);
 }
 
-/// Batched line solve: up to [`LANES`] equal-length lines through one
-/// interleaved tridiagonal factorisation, using the level's persistent
-/// batch scratch.
-#[allow(clippy::too_many_arguments)]
-fn solve_line_batch(
-    mesh: &UnstructuredMesh,
-    prim: &[Prim],
-    mu: f64,
-    u: &mut SoaStates<NVARS>,
-    diag: &[BlockMat<NVARS>],
-    res: &SoaStates<NVARS>,
-    tb: &mut TridiagBatch<NVARS>,
-    line_x_batch: &mut Vec<VecBatch<NVARS>>,
-    fc: &mut FlopCounter,
-    chunk: &[u32],
-    lines: &[Vec<u32>],
-    line_edges: &[Vec<(u32, f64)>],
-) {
-    let m = lines[chunk[0] as usize].len();
-    let nl = chunk.len();
-    tb.reset(m, nl);
-    for (l, &li) in chunk.iter().enumerate() {
-        let line = &lines[li as usize];
-        let les = &line_edges[li as usize];
-        for (i, &v) in line.iter().enumerate() {
-            tb.set_diag(i, l, &diag[v as usize]);
-            tb.set_rhs(i, l, &res.get(v as usize));
+/// Why [`RansLevel::with_lines`] refused a line set. The batched line
+/// solve reorders lines and pads them into shared batches, which leaves
+/// every result bit-identical only when the lines are vertex-disjoint,
+/// name mesh vertices, and walk mesh edges. Line indices count the input
+/// lines, including the ones of fewer than two vertices that are dropped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LineError {
+    /// Line `line` names `vertex`, which is not a mesh vertex.
+    OutOfRange { line: usize, vertex: u32 },
+    /// `vertex` of line `line` is already in a line (an earlier one, or
+    /// earlier in the same line).
+    SharedVertex { line: usize, vertex: u32 },
+    /// Consecutive vertices `from`, `to` of line `line` share no mesh edge.
+    MissingEdge { line: usize, from: u32, to: u32 },
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::OutOfRange { line, vertex } => write!(f, "line {line}: no vertex {vertex}"),
+            Self::SharedVertex { line, vertex } => write!(f, "line {line}: {vertex} is shared"),
+            Self::MissingEdge { line, from, to } => write!(f, "line {line}: no edge {from}-{to}"),
         }
-        for (i, &le) in les.iter().enumerate() {
-            let ends = (line[i] as usize, line[i + 1] as usize);
-            let (upper, lower) = tb.couplings_mut(i);
-            let (up, lo) = (
-                |r, c, v| upper.set(r, c, l, v),
-                |r, c, v| lower.set(r, c, l, v),
-            );
-            line_edge_blocks(mesh, prim, u.plane(0), mu, ends, le, up, lo);
-        }
-    }
-    line_x_batch.clear();
-    line_x_batch.resize(m, vec_batch_zero());
-    let ok = tb.solve_into(line_x_batch);
-    for (l, &li) in chunk.iter().enumerate() {
-        let line = &lines[li as usize];
-        if ok[l] {
-            for (i, &v) in line.iter().enumerate() {
-                for k in 0..NVARS {
-                    *u.at_mut(k, v as usize) += line_x_batch[i][k][l];
-                }
-            }
-        }
-        fc.add(line.len() as u64 * flops::TRIDIAG_ROW);
     }
 }
+
+impl std::error::Error for LineError {}
 
 /// One solver level: the mesh dual plus all per-vertex solver state, held
 /// in resident [`SoaStates`] component planes.
@@ -252,12 +227,14 @@ pub struct RansLevel {
     line_x: Vec<State>,
     /// Resolved dense-kernel path (params override, else SIMD).
     pub kernel: KernelKind,
-    /// Line indices grouped by (length, index): equal-length lines are
-    /// adjacent so the SIMD path can solve up to [`LANES`] of them in
-    /// lockstep. Lines are vertex-disjoint, so solving them in this order
-    /// is bit-identical to the construction order.
+    /// Line indices in (length, index) order: each run of [`LANES`]
+    /// consecutive lines is one SIMD batch, padded to its longest line.
+    /// Lines are vertex-disjoint (checked by [`Self::with_lines`]), so
+    /// solving them in this order is bit-identical to the construction
+    /// order.
     line_order: Vec<u32>,
     tridiag_batch: TridiagBatch<NVARS>,
+    /// Batch solution rows, as long as the longest line.
     line_x_batch: Vec<VecBatch<NVARS>>,
     /// Per-block scratch of the plane-major gradient sweep: gathered edge
     /// average velocities and normals ([`EDGE_BLOCK`] entries, persistent
@@ -295,38 +272,46 @@ impl RansLevel {
     pub fn new(mesh: UnstructuredMesh, params: SolverParams) -> Self {
         let lines = extract_lines(&mesh, params.line_threshold).lines;
         Self::with_lines(mesh, params, lines)
+            .expect("extract_lines yields vertex-disjoint lines along mesh edges")
     }
 
     /// Build a level with an explicitly supplied line set (the
     /// domain-decomposed solver passes the restriction of the *global*
     /// lines so every rank smooths exactly what the serial solver would).
-    pub fn with_lines(mesh: UnstructuredMesh, params: SolverParams, lines: Vec<Vec<u32>>) -> Self {
-        // A line needs an edge: empty and one-vertex "lines" are point solves.
-        let lines: Vec<_> = lines.into_iter().filter(|l| l.len() >= 2).collect();
+    /// Lines of fewer than two vertices are point solves and are dropped;
+    /// the rest must be vertex-disjoint, name mesh vertices, and join each
+    /// consecutive pair by a mesh edge ([`LineError`]).
+    pub fn with_lines(
+        mesh: UnstructuredMesh,
+        params: SolverParams,
+        lines: Vec<Vec<u32>>,
+    ) -> Result<Self, LineError> {
         let n = mesh.nvertices();
-        let mut in_line = vec![false; n];
-        for line in &lines {
-            for &v in line {
-                in_line[v as usize] = true;
-            }
-        }
-        // Pre-resolve the edge joining each consecutive line pair.
         let ve = mesh.vertex_edges();
+        let mut in_line = vec![false; n];
+        let mut kept = Vec::with_capacity(lines.len());
         let mut line_edges = Vec::with_capacity(lines.len());
-        for line in &lines {
+        for (li, line) in lines.into_iter().enumerate().filter(|(_, l)| l.len() >= 2) {
+            for &vertex in &line {
+                let seen = in_line.get_mut(vertex as usize);
+                let seen = seen.ok_or(LineError::OutOfRange { line: li, vertex })?;
+                if std::mem::replace(seen, true) {
+                    return Err(LineError::SharedVertex { line: li, vertex });
+                }
+            }
+            // Pre-resolve the edge joining each consecutive line pair.
             let mut les = Vec::with_capacity(line.len() - 1);
             for w in line.windows(2) {
-                let mut found = None;
-                for r in ve.of(w[0] as usize) {
-                    if r.other == w[1] {
-                        found = Some((r.edge, r.sign));
-                        break;
-                    }
-                }
-                les.push(found.expect("line pair without mesh edge"));
+                let Some(r) = ve.of(w[0] as usize).iter().find(|r| r.other == w[1]) else {
+                    let (from, to) = (w[0], w[1]);
+                    return Err(LineError::MissingEdge { line: li, from, to });
+                };
+                les.push((r.edge, r.sign));
             }
             line_edges.push(les);
+            kept.push(line);
         }
+        let lines = kept;
         let fs = params.freestream();
         let mut line_order: Vec<u32> = (0..lines.len() as u32).collect();
         line_order.sort_by_key(|&i| (lines[i as usize].len(), i));
@@ -335,14 +320,15 @@ impl RansLevel {
         u.fill_with(&fs);
         let mut restricted_u = SoaStates::zeros(n);
         restricted_u.fill_with(&fs);
-        RansLevel {
+        let longest = lines.iter().map(Vec::len).max().unwrap_or(0);
+        Ok(RansLevel {
+            line_x_batch: vec![vec_batch_zero(); longest],
             lines,
             line_edges,
             in_line,
             kernel,
             line_order,
             tridiag_batch: TridiagBatch::new(),
-            line_x_batch: Vec::new(),
             u,
             forcing: SoaStates::zeros(n),
             restricted_u,
@@ -366,7 +352,7 @@ impl RansLevel {
             mesh,
             flops: FlopCounter::default(),
             active: vec![true; n],
-        }
+        })
     }
 
     /// Number of vertices.
@@ -377,6 +363,19 @@ impl RansLevel {
     /// Fraction of vertices covered by implicit lines.
     pub fn line_coverage(&self) -> f64 {
         self.in_line.iter().filter(|&&b| b).count() as f64 / self.nvertices().max(1) as f64
+    }
+
+    /// SIMD lane occupancy of the line solves: live line rows over
+    /// [`LANES`] times the padded rows of the batches (0 without lines).
+    /// Fixed at construction.
+    pub fn line_occupancy(&self) -> f64 {
+        let len = |li: &u32| self.lines[*li as usize].len();
+        let (mut live, mut padded) = (0, 0);
+        for chunk in self.line_order.chunks(LANES) {
+            live += chunk.iter().map(len).sum::<usize>();
+            padded += LANES * chunk.last().map_or(0, len);
+        }
+        live as f64 / padded.max(1) as f64
     }
 
     /// Assemble the full residual `r = forcing - N(u)` into `self.res`.
@@ -722,11 +721,12 @@ impl RansLevel {
     ///
     /// Dispatches on [`Self::kernel`]: the scalar path solves one block /
     /// one line at a time (the reference oracle); the SIMD path batches up
-    /// to [`LANES`] point blocks and equal-length lines through the
-    /// lane-interleaved kernels in `columbia_linalg::soa`. The two paths
-    /// are bit-identical, so every golden holds under either. All scratch
-    /// (tridiagonal systems, batch buffers) is level-owned, so the steady
-    /// state allocates nothing (asserted by `tests/kernel_parity.rs`).
+    /// to [`LANES`] point blocks, and runs of [`LANES`] lines padded to the
+    /// longest, through the lane-interleaved kernels in
+    /// `columbia_linalg::soa`. The two paths are bit-identical, so every
+    /// golden holds under either. All scratch (tridiagonal systems, batch
+    /// buffers) is level-owned, so the steady state allocates nothing
+    /// (asserted by `tests/kernel_parity.rs`).
     pub fn solve_implicit(&mut self) {
         match self.kernel {
             KernelKind::Scalar => {
@@ -812,18 +812,17 @@ impl RansLevel {
 
     fn flush_point_batch(&mut self, vs: &[usize]) {
         let mut mats = BlockBatch::<NVARS>::identity();
-        let mut rhs = vec_batch_zero::<NVARS>();
+        let mut du = vec_batch_zero::<NVARS>();
         for (l, &v) in vs.iter().enumerate() {
             mats.set_lane(l, &self.diag[v]);
             let r = self.res.get(v);
-            for (k, row) in rhs.iter_mut().enumerate() {
+            for (k, row) in du.iter_mut().enumerate() {
                 row[l] = r[k];
             }
         }
-        let lu = mats.lu();
-        let du = lu.solve(&rhs);
+        let ok = mats.lu_solve(&mut du);
         for (l, &v) in vs.iter().enumerate() {
-            if lu.ok()[l] {
+            if ok[l] {
                 for (k, row) in du.iter().enumerate() {
                     *self.u.at_mut(k, v) += row[l];
                 }
@@ -832,11 +831,14 @@ impl RansLevel {
         }
     }
 
-    /// Line-implicit solves in (length, index) order, batching up to
-    /// [`LANES`] equal-length lines per interleaved tridiagonal solve.
-    /// Lines are vertex-disjoint (proven by the mesh line-extraction
-    /// tests), so both the reordering and the batching leave every line's
-    /// arithmetic untouched.
+    /// Line-implicit solves in (length, index) order: [`LANES`]
+    /// consecutive lines per streamed batch, padded to its longest line.
+    /// Each row is assembled straight into the live lanes as the solve
+    /// reaches it — `diag[v]`, `res`, and the line edge's couplings from
+    /// [`line_edge_blocks`]. Lines are vertex-disjoint (checked by
+    /// [`Self::with_lines`]), so neither the reordering nor the batching
+    /// changes any line's arithmetic, and padding rows leave a shorter
+    /// line's solution bit-identical.
     fn solve_lines_simd(&mut self) {
         let Self {
             mesh,
@@ -854,31 +856,37 @@ impl RansLevel {
             ..
         } = self;
         let mu = params.mu_laminar();
-        let mut i = 0;
-        while i < line_order.len() {
-            let len = lines[line_order[i] as usize].len();
-            let mut j = i + 1;
-            while j < line_order.len()
-                && j - i < LANES
-                && lines[line_order[j] as usize].len() == len
-            {
-                j += 1;
+        for chunk in line_order.chunks(LANES) {
+            // Length-sorted: the chunk's last line is its longest.
+            let out = &mut line_x_batch[..lines[chunk[chunk.len() - 1] as usize].len()];
+            let rho = u.plane(0);
+            let ok = tridiag_batch.solve(out, |i, row| {
+                for (l, &li) in chunk.iter().enumerate() {
+                    let line = &lines[li as usize];
+                    let Some(&v) = line.get(i) else { continue };
+                    row.diag.set_lane(l, &diag[v as usize]);
+                    for (k, x) in res.get(v as usize).into_iter().enumerate() {
+                        row.rhs[k][l] = x;
+                    }
+                    if let Some(&le) = line_edges[li as usize].get(i) {
+                        let ends = (v as usize, line[i + 1] as usize);
+                        let up = |r, c, x| row.upper.set(r, c, l, x);
+                        let lo = |r, c, x| row.next_lower.set(r, c, l, x);
+                        line_edge_blocks(mesh, prim, rho, mu, ends, le, up, lo);
+                    }
+                }
+            });
+            for (l, &li) in chunk.iter().enumerate() {
+                let line = &lines[li as usize];
+                if ok[l] {
+                    for (i, &v) in line.iter().enumerate() {
+                        for k in 0..NVARS {
+                            *u.at_mut(k, v as usize) += out[i][k][l];
+                        }
+                    }
+                }
+                fc.add(line.len() as u64 * flops::TRIDIAG_ROW);
             }
-            solve_line_batch(
-                mesh,
-                prim,
-                mu,
-                u,
-                diag,
-                res,
-                tridiag_batch,
-                line_x_batch,
-                fc,
-                &line_order[i..j],
-                lines,
-                line_edges,
-            );
-            i = j;
         }
     }
 
@@ -1231,7 +1239,7 @@ mod tests {
             ..Default::default()
         };
         let line = if reversed { vec![1, 0] } else { vec![0, 1] };
-        RansLevel::with_lines(mesh, params, vec![line])
+        RansLevel::with_lines(mesh, params, vec![line]).expect("one edge, one line")
     }
 
     columbia_rt::props! {
@@ -1359,9 +1367,84 @@ mod tests {
     fn with_lines_drops_empty_and_single_vertex_lines() {
         let lvl = one_edge_level(Vec3::new(1.0, 0.0, 0.0), 1.0, false, KernelKind::Simd);
         let (mesh, params) = (lvl.mesh.clone(), lvl.params);
-        let mut lvl = RansLevel::with_lines(mesh, params, vec![vec![], vec![1], vec![0, 1]]);
+        let lines = vec![vec![], vec![1], vec![0, 1]];
+        let mut lvl = RansLevel::with_lines(mesh, params, lines).expect("valid lines");
         assert_eq!(lvl.lines, vec![vec![0, 1]]);
         lvl.smooth_sweep();
         assert!(lvl.u.to_aos().iter().flatten().all(|x| x.is_finite()));
+    }
+
+    fn box_level_error(lines: Vec<Vec<u32>>) -> Option<LineError> {
+        let mesh = isotropic_box_mesh(3, 3, 3);
+        RansLevel::with_lines(mesh, SolverParams::default(), lines).err()
+    }
+
+    #[test]
+    fn with_lines_rejects_a_vertex_outside_the_mesh() {
+        let n = isotropic_box_mesh(3, 3, 3).nvertices() as u32;
+        let err = box_level_error(vec![vec![0, n]]);
+        assert_eq!(err, Some(LineError::OutOfRange { line: 0, vertex: n }));
+    }
+
+    /// Line indices count the dropped short lines too.
+    #[test]
+    fn with_lines_rejects_a_vertex_in_two_lines() {
+        let e = isotropic_box_mesh(3, 3, 3).edges[0];
+        let (a, b) = (e.a, e.b);
+        let err = box_level_error(vec![vec![a], vec![a, b], vec![b, a]]);
+        assert_eq!(err, Some(LineError::SharedVertex { line: 2, vertex: b }));
+        let err = box_level_error(vec![vec![a, b, a]]);
+        assert_eq!(err, Some(LineError::SharedVertex { line: 0, vertex: a }));
+    }
+
+    #[test]
+    fn with_lines_rejects_a_pair_without_a_mesh_edge() {
+        let mesh = isotropic_box_mesh(3, 3, 3);
+        let far = mesh.nvertices() as u32 - 1;
+        assert!(mesh
+            .edges
+            .iter()
+            .all(|e| (e.a, e.b) != (0, far) && (e.b, e.a) != (0, far)));
+        let err = box_level_error(vec![vec![0, far]]);
+        assert_eq!(
+            err,
+            Some(LineError::MissingEdge {
+                line: 0,
+                from: 0,
+                to: far
+            })
+        );
+    }
+
+    /// Padding every batch to [`LANES`] lines fills more lanes than
+    /// batching equal-length runs only, on every level of the 8k-point
+    /// test wing.
+    #[test]
+    fn padded_line_batches_fill_the_lanes_on_every_level() {
+        let mesh = wing_mesh(&WingMeshSpec {
+            jitter: 0.0,
+            ..WingMeshSpec::with_target_points(8_000)
+        });
+        let params = SolverParams {
+            mach: 0.5,
+            ..Default::default()
+        };
+        let solver = crate::RansSolver::new(mesh, params, 5);
+        for (l, lvl) in solver.levels.iter().enumerate() {
+            let mut lens: Vec<usize> = lvl.lines.iter().map(Vec::len).collect();
+            lens.sort_unstable();
+            let (mut live, mut padded) = (0, 0);
+            for run in lens.chunk_by(|a, b| a == b) {
+                for batch in run.chunks(LANES) {
+                    live += batch.iter().sum::<usize>();
+                    padded += LANES * batch[0];
+                }
+            }
+            let equal_length = live as f64 / padded.max(1) as f64;
+            let occ = lvl.line_occupancy();
+            assert!(occ >= equal_length, "L{l}: {occ} < {equal_length}");
+        }
+        let fine = solver.levels[0].line_occupancy();
+        assert!(fine >= 0.9, "finest level occupancy {fine}");
     }
 }

@@ -125,7 +125,8 @@ pub fn build_local_levels(
                 .collect();
             lines.push(local_line);
         }
-        let mut level = RansLevel::with_lines(local_mesh, params, lines);
+        let mut level = RansLevel::with_lines(local_mesh, params, lines)
+            .expect("restricted global lines stay vertex-disjoint and edge-joined");
         for v in n_owned..nloc {
             level.active[v] = false;
         }

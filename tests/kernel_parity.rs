@@ -78,19 +78,17 @@ fn lu_parity_prop<const N: usize>(seed: u64) {
             let rhs: Vec<[f64; N]> = (0..LANES)
                 .map(|_| std::array::from_fn(|_| rng.gen_f64() - 0.5))
                 .collect();
-            let batch = BlockBatch::from_lanes(&mats);
-            let mut b = vec_batch_zero::<N>();
+            let mut x = vec_batch_zero::<N>();
             for l in 0..LANES {
                 for k in 0..N {
-                    b[k][l] = rhs[l][k];
+                    x[k][l] = rhs[l][k];
                 }
             }
-            let blu = batch.lu();
-            let x = blu.solve(&b);
+            let ok = BlockBatch::from_lanes(&mats).lu_solve(&mut x);
             for l in 0..LANES {
                 match mats[l].lu() {
                     Ok(slu) => {
-                        assert!(blu.ok()[l], "lane {l} flagged singular, scalar succeeded");
+                        assert!(ok[l], "lane {l} flagged singular, scalar succeeded");
                         let sx = slu.solve(&rhs[l]);
                         for k in 0..N {
                             assert_eq!(
@@ -101,7 +99,7 @@ fn lu_parity_prop<const N: usize>(seed: u64) {
                         }
                     }
                     Err(LinalgError::Singular { .. }) => {
-                        assert!(!blu.ok()[l], "lane {l} ok, scalar saw singular");
+                        assert!(!ok[l], "lane {l} ok, scalar saw singular");
                     }
                 }
             }
@@ -124,17 +122,15 @@ fn singular_lane_is_flagged_without_poisoning_its_neighbours() {
         let v = mats[2].get(0, c);
         mats[2].set(1, c, v);
     }
-    let batch = BlockBatch::from_lanes(&mats);
-    let blu = batch.lu();
-    assert!(!blu.ok()[2]);
+    let rhs = [1.0, -1.0, 0.5, 0.25, 2.0, -0.75];
+    let mut x = vec_batch_zero::<6>();
+    for (row, v) in x.iter_mut().zip(rhs) {
+        *row = [v; LANES];
+    }
+    let ok = BlockBatch::from_lanes(&mats).lu_solve(&mut x);
+    assert!(!ok[2]);
     for l in [0usize, 1, 3] {
-        assert!(blu.ok()[l]);
-        let rhs = [1.0, -1.0, 0.5, 0.25, 2.0, -0.75];
-        let mut b = vec_batch_zero::<6>();
-        for k in 0..6 {
-            b[k][l] = rhs[k];
-        }
-        let x = blu.solve(&b);
+        assert!(ok[l]);
         let sx = mats[l].lu().unwrap().solve(&rhs);
         for k in 0..6 {
             assert_eq!(sx[k].to_bits(), x[k][l].to_bits());
