@@ -469,7 +469,20 @@ pub fn decompose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_ranks;
+    use crate::runtime::{run_world, EXECUTORS};
+    use columbia_exec::ExecContext;
+
+    /// Each rank's result of one clean world, run on every executor: the
+    /// backends must agree exactly, and the agreed results come back.
+    fn world<T: Send + PartialEq + std::fmt::Debug>(
+        nranks: usize,
+        body: impl Fn(&mut Rank) -> T + Sync,
+    ) -> Vec<T> {
+        let [threads, events] = EXECUTORS
+            .map(|exec| run_world(nranks, &ExecContext::default().with_executor(exec), &body).0);
+        assert_eq!(threads, events, "the executors disagree");
+        threads
+    }
 
     /// 1-D chain of 6 vertices split into 3 partitions of 2.
     fn chain_decomp() -> Decomposition {
@@ -513,7 +526,7 @@ mod tests {
     #[test]
     fn exchange_copy_fills_ghosts_with_owner_values() {
         let d = chain_decomp();
-        let results = run_ranks(3, |rank| {
+        let results = world(3, |rank| {
             let p = rank.rank();
             let l2g = &d.local_to_global[p];
             // State = global id at owned vertices, NaN at ghosts.
@@ -542,7 +555,7 @@ mod tests {
     #[test]
     fn exchange_add_accumulates_at_owner_and_zeroes_ghosts() {
         let d = chain_decomp();
-        let results = run_ranks(3, |rank| {
+        let results = world(3, |rank| {
             let p = rank.rank();
             let n = d.local_to_global[p].len();
             // Every local slot (owned and ghost) holds 1.0.
@@ -642,7 +655,7 @@ mod tests {
                 let total_before: f64 = (0..nparts)
                     .flat_map(|p| d.local_to_global[p].iter().map(|&g| seed[g as usize % 16]))
                     .sum();
-                let results = run_ranks(nparts, move |rank| {
+                let results = world(nparts, move |rank| {
                     let p = rank.rank();
                     let mut data: Vec<[f64; 1]> = d2.local_to_global[p]
                         .iter()
@@ -662,7 +675,7 @@ mod tests {
                 let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
                 let part: Vec<u32> = (0..n).map(|v| ((v * nparts) / n) as u32).collect();
                 let d = decompose(n, &part, nparts, &edges);
-                let results = run_ranks(nparts, |rank| {
+                let results = world(nparts, |rank| {
                     let p = rank.rank();
                     let mut data: Vec<[f64; 2]> = d.local_to_global[p]
                         .iter()
@@ -713,7 +726,7 @@ mod tests {
         // partition owning its smaller endpoint.
         let d2 = d.clone();
         let edges2 = edges.clone();
-        let results = run_ranks(4, move |rank| {
+        let results = world(4, move |rank| {
             let p = rank.rank();
             let nloc = d2.local_to_global[p].len();
             let mut acc = vec![[0.0f64; 1]; nloc];

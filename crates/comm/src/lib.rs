@@ -36,10 +36,10 @@ mod sched;
 pub mod stats;
 pub mod workload;
 
-pub use columbia_exec::{ExecContext, Executor, ExecutorKind, FabricModel, PoolPolicy};
+pub use columbia_exec::{ExecContext, Executor, FabricModel, PoolPolicy};
 pub use columbia_rt::fault::{FaultConfig, FaultPlan, MessageAction};
 pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField};
 pub use fabric::{flows_from_traces, FabricClock};
 pub use hybrid::HybridLayout;
-pub use runtime::{run_ranks, run_world, Rank, RankTrace};
+pub use runtime::{run_world, Rank, RankTrace};
 pub use stats::{CommStats, FaultCounters, PoolCounters, WorldCommSummary};

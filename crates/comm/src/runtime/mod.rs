@@ -93,21 +93,6 @@ impl RankTrace {
     }
 }
 
-/// Run `nranks` rank bodies on OS threads in the clean regime (no faults,
-/// pool on); returns each body's result in rank order.
-///
-/// Convenience wrapper over [`run_world`] with a default [`ExecContext`],
-/// for raw comm workloads that need no capability and no teardown ledger.
-/// The body receives a mutable [`Rank`] context. Panics in any rank
-/// propagate after all threads complete or abort.
-pub fn run_ranks<T, F>(nranks: usize, body: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut Rank) -> T + Sync,
-{
-    run_world(nranks, &ExecContext::default(), body).0
-}
-
 /// Best-effort human-readable panic payload (for rank-id prefixing).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
@@ -134,8 +119,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// is independent of thread completion order — deterministic whenever the
 /// workload is.
 ///
-/// One OS thread carries each rank on either executor; a panicking rank
-/// is re-reported as `"rank {r} panicked: {message}"`.
+/// `ctx` names the executor ([`columbia_exec::Executor`], threads by
+/// default). One OS thread carries each rank on either executor; a
+/// panicking rank is re-reported as `"rank {r} panicked: {message}"`.
 pub fn run_world<T, F>(nranks: usize, ctx: &ExecContext, body: F) -> (Vec<T>, Vec<RankTrace>)
 where
     T: Send,
@@ -221,6 +207,14 @@ where
     })
 }
 
+/// Both `run_world` backends. Every comm test that pins a payload, a
+/// ledger or a panic message runs on each.
+#[cfg(test)]
+pub(crate) const EXECUTORS: [columbia_exec::Executor; 2] = [
+    columbia_exec::Executor::Threads,
+    columbia_exec::Executor::Events,
+];
+
 #[cfg(test)]
 mod tests {
     use super::wait::{spin_budget, SPIN_PULLS};
@@ -228,89 +222,107 @@ mod tests {
     use columbia_exec::Executor;
     use columbia_rt::fault::FaultConfig;
 
+    /// The clean context on `exec`.
+    fn on(exec: Executor) -> ExecContext {
+        ExecContext::default().with_executor(exec)
+    }
+
     #[test]
     fn ring_pass_accumulates() {
-        let results = run_ranks(4, |rank| {
-            let r = rank.rank();
-            let next = (r + 1) % 4;
-            let prev = (r + 3) % 4;
-            rank.send(next, 7, vec![r as f64]);
-            let got = rank.recv(prev, 7);
-            got[0]
-        });
-        assert_eq!(results, vec![3.0, 0.0, 1.0, 2.0]);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(4, &on(exec), |rank| {
+                let r = rank.rank();
+                let next = (r + 1) % 4;
+                let prev = (r + 3) % 4;
+                rank.send(next, 7, vec![r as f64]);
+                let got = rank.recv(prev, 7);
+                got[0]
+            });
+            assert_eq!(results, vec![3.0, 0.0, 1.0, 2.0], "{exec:?}");
+        }
     }
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let results = run_ranks(2, |rank| {
-            if rank.rank() == 0 {
-                rank.send(1, 1, vec![1.0]);
-                rank.send(1, 2, vec![2.0]);
-                0.0
-            } else {
-                // Receive in reverse tag order.
-                let b = rank.recv(0, 2);
-                let a = rank.recv(0, 1);
-                a[0] * 10.0 + b[0]
-            }
-        });
-        assert_eq!(results[1], 12.0);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(2, &on(exec), |rank| {
+                if rank.rank() == 0 {
+                    rank.send(1, 1, vec![1.0]);
+                    rank.send(1, 2, vec![2.0]);
+                    0.0
+                } else {
+                    // Receive in reverse tag order.
+                    let b = rank.recv(0, 2);
+                    let a = rank.recv(0, 1);
+                    a[0] * 10.0 + b[0]
+                }
+            });
+            assert_eq!(results[1], 12.0, "{exec:?}");
+        }
     }
 
     #[test]
     fn allreduce_sum_and_max() {
-        let results = run_ranks(5, |rank| {
-            let s = rank.allreduce_sum(rank.rank() as f64);
-            let m = rank.allreduce_max(rank.rank() as f64);
-            (s, m)
-        });
-        for (s, m) in results {
-            assert_eq!(s, 10.0);
-            assert_eq!(m, 4.0);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(5, &on(exec), |rank| {
+                let s = rank.allreduce_sum(rank.rank() as f64);
+                let m = rank.allreduce_max(rank.rank() as f64);
+                (s, m)
+            });
+            for (s, m) in results {
+                assert_eq!(s, 10.0, "{exec:?}");
+                assert_eq!(m, 4.0, "{exec:?}");
+            }
         }
     }
 
     #[test]
     fn single_rank_world_works() {
-        let results = run_ranks(1, |rank| rank.allreduce_sum(5.0));
-        assert_eq!(results, vec![5.0]);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(1, &on(exec), |rank| rank.allreduce_sum(5.0));
+            assert_eq!(results, vec![5.0], "{exec:?}");
+        }
     }
 
     #[test]
     fn stats_count_messages_and_bytes() {
-        let results = run_ranks(2, |rank| {
-            if rank.rank() == 0 {
-                rank.send(1, 3, vec![0.0; 10]);
-                rank.send(1, 4, vec![0.0; 5]);
-            } else {
-                rank.recv(0, 3);
-                rank.recv(0, 4);
-            }
-            rank.barrier();
-            rank.take_stats()
-        });
-        assert_eq!(results[0].total_msgs(), 2);
-        assert_eq!(results[0].total_bytes(), 15 * 8);
-        assert_eq!(results[1].total_msgs(), 0);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(2, &on(exec), |rank| {
+                if rank.rank() == 0 {
+                    rank.send(1, 3, vec![0.0; 10]);
+                    rank.send(1, 4, vec![0.0; 5]);
+                } else {
+                    rank.recv(0, 3);
+                    rank.recv(0, 4);
+                }
+                rank.barrier();
+                rank.take_stats()
+            });
+            assert_eq!(results[0].total_msgs(), 2, "{exec:?}");
+            assert_eq!(results[0].total_bytes(), 15 * 8, "{exec:?}");
+            assert_eq!(results[1].total_msgs(), 0, "{exec:?}");
+        }
     }
 
     #[test]
     fn send_to_self_is_delivered() {
-        let results = run_ranks(2, |rank| {
-            let me = rank.rank();
-            rank.send(me, 42, vec![me as f64 + 1.0]);
-            rank.recv(me, 42)[0]
-        });
-        assert_eq!(results, vec![1.0, 2.0]);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(2, &on(exec), |rank| {
+                let me = rank.rank();
+                rank.send(me, 42, vec![me as f64 + 1.0]);
+                rank.recv(me, 42)[0]
+            });
+            assert_eq!(results, vec![1.0, 2.0], "{exec:?}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "rank 0 panicked: rank 5 out of range")]
     fn send_out_of_range_panics() {
         // The offending rank panics with "rank 5 out of range"; the world
-        // re-reports it prefixed with the failing rank's id.
-        run_ranks(1, |rank| rank.send(5, 1, vec![]));
+        // re-reports it prefixed with the failing rank's id, in the same
+        // text on both backends (see the test after next).
+        run_world(1, &ExecContext::default(), |rank| rank.send(5, 1, vec![]));
     }
 
     #[test]
@@ -344,10 +356,9 @@ mod tests {
 
     #[test]
     fn launcher_reports_the_same_panic_text_on_both_backends() {
-        for exec in [Executor::Threads, Executor::Events] {
-            let ctx = ExecContext::default().with_executor(exec);
+        for exec in EXECUTORS {
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_world(1, &ctx, |_rank| {
+                run_world(1, &on(exec), |_rank| {
                     panic!("kaboom");
                 });
             }))
@@ -362,7 +373,7 @@ mod tests {
         // Rank 1 panics while rank 0 is parked in a recv: the poison
         // protocol must wake rank 0 (no hang) and run_world must report
         // the *first* panic with its rank id.
-        let ctx = ExecContext::default().with_executor(Executor::Events);
+        let ctx = on(Executor::Events);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_world(2, &ctx, |rank| {
                 if rank.rank() == 0 {
@@ -380,7 +391,7 @@ mod tests {
     #[test]
     fn event_backend_ring_pass_matches_threads() {
         let run = |exec: Executor| {
-            let ctx = ExecContext::default().with_executor(exec);
+            let ctx = on(exec);
             run_world(5, &ctx, |rank| {
                 let r = rank.rank();
                 let n = rank.nranks();
@@ -410,7 +421,7 @@ mod tests {
         // Rank 0 recvs a message nobody sends: the thread backend would
         // park forever, the event scheduler must detect the empty queue
         // with live ranks and panic with the status table.
-        let ctx = ExecContext::default().with_executor(Executor::Events);
+        let ctx = on(Executor::Events);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_world(2, &ctx, |rank| {
                 if rank.rank() == 0 {
@@ -431,7 +442,7 @@ mod tests {
         // the teardown barrier the world can never complete. The deadlock
         // report must carry one status row per rank — no omissions, no
         // duplicates.
-        let ctx = ExecContext::default().with_executor(Executor::Events);
+        let ctx = on(Executor::Events);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             run_world(4, &ctx, |rank| match rank.rank() {
                 0 | 1 => {
@@ -464,19 +475,25 @@ mod tests {
     #[test]
     fn barrier_orders_phases() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        run_ranks(4, |rank| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            rank.barrier();
-            // After the barrier everyone must see all 4 increments.
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
-        });
+        for exec in EXECUTORS {
+            let counter = AtomicUsize::new(0);
+            run_world(4, &on(exec), |rank| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                rank.barrier();
+                // After the barrier everyone must see all 4 increments.
+                assert_eq!(counter.load(Ordering::SeqCst), 4, "{exec:?}");
+            });
+        }
     }
 
     /// A messy mixed workload: ring pass, tagged cross-traffic, allreduce,
     /// barrier. Used to compare fault-free and faulty executions.
-    fn chaos_workload(nranks: usize, plan: Option<Arc<FaultPlan>>) -> Vec<(f64, CommStats)> {
-        run_world(nranks, &ExecContext::default().with_faults(plan), |rank| {
+    fn chaos_workload(
+        exec: Executor,
+        nranks: usize,
+        plan: Option<Arc<FaultPlan>>,
+    ) -> Vec<(f64, CommStats)> {
+        run_world(nranks, &on(exec).with_faults(plan), |rank| {
             let r = rank.rank();
             let n = rank.nranks();
             let next = (r + 1) % n;
@@ -504,44 +521,54 @@ mod tests {
                 FaultConfig::severe(),
             )))
         };
-        let a = chaos_workload(4, plan());
-        let b = chaos_workload(4, plan());
-        for ((va, sa), (vb, sb)) in a.iter().zip(&b) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "values diverged");
-            assert_eq!(sa, sb, "stats traces diverged");
+        for exec in EXECUTORS {
+            let a = chaos_workload(exec, 4, plan());
+            let b = chaos_workload(exec, 4, plan());
+            for ((va, sa), (vb, sb)) in a.iter().zip(&b) {
+                assert_eq!(va.to_bits(), vb.to_bits(), "{exec:?}: values diverged");
+                assert_eq!(sa, sb, "{exec:?}: stats traces diverged");
+            }
+            // The severe plan actually exercised the fault paths.
+            let f: Vec<_> = a.iter().map(|(_, s)| *s.faults()).collect();
+            assert!(f.iter().any(|c| c.retries > 0), "no retries recorded");
+            assert!(f.iter().any(|c| c.dup_sent > 0), "no duplicates recorded");
+            assert!(f.iter().any(|c| c.delayed_msgs > 0), "no delays recorded");
         }
-        // The severe plan actually exercised the fault paths.
-        let f: Vec<_> = a.iter().map(|(_, s)| *s.faults()).collect();
-        assert!(f.iter().any(|c| c.retries > 0), "no retries recorded");
-        assert!(f.iter().any(|c| c.dup_sent > 0), "no duplicates recorded");
-        assert!(f.iter().any(|c| c.delayed_msgs > 0), "no delays recorded");
     }
 
     #[test]
     fn faults_do_not_change_delivered_values() {
-        let clean = chaos_workload(4, None);
-        let faulty = chaos_workload(
-            4,
-            Some(Arc::new(FaultPlan::new(99, 4, FaultConfig::severe()))),
-        );
-        for ((vc, _), (vf, _)) in clean.iter().zip(&faulty) {
-            assert_eq!(
-                vc.to_bits(),
-                vf.to_bits(),
-                "retry/dedup/reorder protocol must hide faults from payloads"
+        for exec in EXECUTORS {
+            let clean = chaos_workload(exec, 4, None);
+            let faulty = chaos_workload(
+                exec,
+                4,
+                Some(Arc::new(FaultPlan::new(99, 4, FaultConfig::severe()))),
             );
+            for ((vc, _), (vf, _)) in clean.iter().zip(&faulty) {
+                assert_eq!(
+                    vc.to_bits(),
+                    vf.to_bits(),
+                    "{exec:?}: retry/dedup/reorder protocol must hide faults from payloads"
+                );
+            }
         }
     }
 
     #[test]
     fn fault_free_plan_matches_no_plan_exactly() {
-        let clean = chaos_workload(4, None);
-        for seed in [0u64, 7, 0xFEED] {
-            let plan = Arc::new(FaultPlan::new(seed, 4, FaultConfig::fault_free()));
-            let gated = chaos_workload(4, Some(plan));
-            for ((vc, sc), (vg, sg)) in clean.iter().zip(&gated) {
-                assert_eq!(vc.to_bits(), vg.to_bits());
-                assert_eq!(sc, sg, "zero-rate plan must leave the trace untouched");
+        for exec in EXECUTORS {
+            let clean = chaos_workload(exec, 4, None);
+            for seed in [0u64, 7, 0xFEED] {
+                let plan = Arc::new(FaultPlan::new(seed, 4, FaultConfig::fault_free()));
+                let gated = chaos_workload(exec, 4, Some(plan));
+                for ((vc, sc), (vg, sg)) in clean.iter().zip(&gated) {
+                    assert_eq!(vc.to_bits(), vg.to_bits(), "{exec:?}");
+                    assert_eq!(
+                        sc, sg,
+                        "{exec:?}: zero-rate plan must leave the trace untouched"
+                    );
+                }
             }
         }
     }
@@ -557,19 +584,24 @@ mod tests {
             max_delay_slots: 3,
             ..FaultConfig::fault_free()
         };
-        let plan = Arc::new(FaultPlan::new(3, 2, cfg));
-        let (results, _) = run_world(2, &ExecContext::faulty(plan), |rank| {
-            if rank.rank() == 0 {
-                for i in 0..20 {
-                    rank.send(1, 5, vec![i as f64]);
+        for exec in EXECUTORS {
+            let plan = Arc::new(FaultPlan::new(3, 2, cfg));
+            let (results, _) = run_world(2, &on(exec).with_faults(Some(plan)), |rank| {
+                if rank.rank() == 0 {
+                    for i in 0..20 {
+                        rank.send(1, 5, vec![i as f64]);
+                    }
+                    Vec::new()
+                } else {
+                    (0..20).map(|_| rank.recv(0, 5)[0]).collect::<Vec<f64>>()
                 }
-                Vec::new()
-            } else {
-                (0..20).map(|_| rank.recv(0, 5)[0]).collect::<Vec<f64>>()
-            }
-        });
-        let expect: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        assert_eq!(results[1], expect, "stream order broken by dup/delay");
+            });
+            let expect: Vec<f64> = (0..20).map(|i| i as f64).collect();
+            assert_eq!(
+                results[1], expect,
+                "{exec:?}: stream order broken by dup/delay"
+            );
+        }
     }
 
     #[test]
@@ -579,71 +611,84 @@ mod tests {
             max_retries: 3,
             ..FaultConfig::fault_free()
         };
-        let plan = Arc::new(FaultPlan::new(17, 2, cfg));
-        let (results, _) = run_world(2, &ExecContext::faulty(plan), |rank| {
-            if rank.rank() == 0 {
-                for i in 0..30 {
-                    rank.send(1, 1, vec![i as f64]);
+        for exec in EXECUTORS {
+            let plan = Arc::new(FaultPlan::new(17, 2, cfg));
+            let (results, _) = run_world(2, &on(exec).with_faults(Some(plan)), |rank| {
+                if rank.rank() == 0 {
+                    for i in 0..30 {
+                        rank.send(1, 1, vec![i as f64]);
+                    }
+                    rank.take_stats()
+                } else {
+                    for i in 0..30 {
+                        assert_eq!(rank.recv(0, 1)[0], i as f64);
+                    }
+                    rank.take_stats()
                 }
-                rank.take_stats()
-            } else {
-                for i in 0..30 {
-                    assert_eq!(rank.recv(0, 1)[0], i as f64);
-                }
-                rank.take_stats()
-            }
-        });
-        let f = results[0].faults();
-        assert!(f.retries > 0, "90% drop rate must trigger retries");
-        assert!(
-            f.timeouts > 0,
-            "0.9^3 per-message saturation must trigger timeouts"
-        );
-        // Every logical message was still delivered exactly once.
-        assert_eq!(results[0].total_msgs(), 30);
+            });
+            let f = results[0].faults();
+            assert!(
+                f.retries > 0,
+                "{exec:?}: 90% drop rate must trigger retries"
+            );
+            assert!(
+                f.timeouts > 0,
+                "{exec:?}: 0.9^3 per-message saturation must trigger timeouts"
+            );
+            // Every logical message was still delivered exactly once.
+            assert_eq!(results[0].total_msgs(), 30, "{exec:?}");
+        }
     }
 
     #[test]
     fn recvs_and_barriers_are_counted_at_delivery() {
-        let results = run_ranks(2, |rank| {
-            if rank.rank() == 0 {
-                rank.send(1, 3, vec![0.0; 10]);
-            } else {
-                rank.recv(0, 3);
-            }
-            rank.barrier();
-            rank.take_stats()
-        });
-        assert_eq!(results[0].total_recvs(), 0);
-        assert_eq!(results[1].total_recvs(), 1);
-        assert_eq!(results[1].total_recv_bytes(), 80);
-        assert_eq!(results[0].barriers(), 1);
-        assert_eq!(results[1].barriers(), 1);
+        for exec in EXECUTORS {
+            let (results, _) = run_world(2, &on(exec), |rank| {
+                if rank.rank() == 0 {
+                    rank.send(1, 3, vec![0.0; 10]);
+                } else {
+                    rank.recv(0, 3);
+                }
+                rank.barrier();
+                rank.take_stats()
+            });
+            assert_eq!(results[0].total_recvs(), 0, "{exec:?}");
+            assert_eq!(results[1].total_recvs(), 1, "{exec:?}");
+            assert_eq!(results[1].total_recv_bytes(), 80, "{exec:?}");
+            assert_eq!(results[0].barriers(), 1, "{exec:?}");
+            assert_eq!(results[1].barriers(), 1, "{exec:?}");
+        }
     }
 
     #[test]
     fn level_context_attributes_traffic() {
-        let (_, traces) = run_world(2, &ExecContext::default(), |rank| {
-            let peer = 1 - rank.rank();
-            rank.enter_level(0);
-            rank.send(peer, 1, vec![0.0; 4]);
-            rank.recv(peer, 1);
-            rank.enter_level(2); // nested: innermost wins
-            rank.send(peer, 2, vec![0.0; 2]);
-            rank.recv(peer, 2);
-            rank.exit_level();
-            rank.exit_level();
-            rank.send(peer, 3, vec![0.0]); // no context: global only
-            rank.recv(peer, 3);
-        });
-        for t in &traces {
-            assert_eq!(t.stats.total_msgs(), 3, "global ledger counts all");
-            assert_eq!(t.per_level.len(), 2);
-            assert_eq!(t.per_level[&0].total_msgs(), 1);
-            assert_eq!(t.per_level[&0].total_bytes(), 32);
-            assert_eq!(t.per_level[&0].total_recvs(), 1);
-            assert_eq!(t.per_level[&2].total_msgs(), 1);
-            assert_eq!(t.per_level[&2].total_bytes(), 16);
+        for exec in EXECUTORS {
+            let (_, traces) = run_world(2, &on(exec), |rank| {
+                let peer = 1 - rank.rank();
+                rank.enter_level(0);
+                rank.send(peer, 1, vec![0.0; 4]);
+                rank.recv(peer, 1);
+                rank.enter_level(2); // nested: innermost wins
+                rank.send(peer, 2, vec![0.0; 2]);
+                rank.recv(peer, 2);
+                rank.exit_level();
+                rank.exit_level();
+                rank.send(peer, 3, vec![0.0]); // no context: global only
+                rank.recv(peer, 3);
+            });
+            for t in &traces {
+                assert_eq!(
+                    t.stats.total_msgs(),
+                    3,
+                    "{exec:?}: global ledger counts all"
+                );
+                assert_eq!(t.per_level.len(), 2, "{exec:?}");
+                assert_eq!(t.per_level[&0].total_msgs(), 1, "{exec:?}");
+                assert_eq!(t.per_level[&0].total_bytes(), 32, "{exec:?}");
+                assert_eq!(t.per_level[&0].total_recvs(), 1, "{exec:?}");
+                assert_eq!(t.per_level[&2].total_msgs(), 1, "{exec:?}");
+                assert_eq!(t.per_level[&2].total_bytes(), 16, "{exec:?}");
+            }
         }
     }
 
@@ -651,15 +696,17 @@ mod tests {
     fn teardown_trace_captures_untaken_ledger() {
         // Body never calls take_stats: before the teardown sink existed
         // this ledger evaporated with the Rank.
-        let (_, traces) = run_world(2, &ExecContext::default(), |rank| {
-            let peer = 1 - rank.rank();
-            rank.send(peer, 9, vec![1.0, 2.0]);
-            rank.recv(peer, 9);
-        });
-        for t in &traces {
-            assert_eq!(t.stats.total_msgs(), 1);
-            assert_eq!(t.stats.total_bytes(), 16);
-            assert_eq!(t.stats.total_recvs(), 1);
+        for exec in EXECUTORS {
+            let (_, traces) = run_world(2, &on(exec), |rank| {
+                let peer = 1 - rank.rank();
+                rank.send(peer, 9, vec![1.0, 2.0]);
+                rank.recv(peer, 9);
+            });
+            for t in &traces {
+                assert_eq!(t.stats.total_msgs(), 1, "{exec:?}");
+                assert_eq!(t.stats.total_bytes(), 16, "{exec:?}");
+                assert_eq!(t.stats.total_recvs(), 1, "{exec:?}");
+            }
         }
     }
 
@@ -674,9 +721,9 @@ mod tests {
             max_delay_slots: 50,
             ..FaultConfig::fault_free()
         };
-        let plan = Arc::new(FaultPlan::new(5, 2, cfg));
-        let ((), ref traces) = {
-            let (r, t) = run_world(2, &ExecContext::faulty(plan), |rank| {
+        for exec in EXECUTORS {
+            let plan = Arc::new(FaultPlan::new(5, 2, cfg));
+            let (_, traces) = run_world(2, &on(exec).with_faults(Some(plan)), |rank| {
                 if rank.rank() == 0 {
                     let taken = rank.take_stats();
                     assert_eq!(taken.total_msgs(), 0);
@@ -687,21 +734,20 @@ mod tests {
                     assert_eq!(rank.recv(0, 4), vec![7.0; 3]);
                 }
             });
-            (r.into_iter().next().unwrap(), t.clone())
-        };
-        assert_eq!(
-            traces[0].stats.total_msgs(),
-            1,
-            "teardown-flushed send must land in the rank trace, not vanish"
-        );
-        assert_eq!(traces[0].stats.faults().delayed_msgs, 1);
+            assert_eq!(
+                traces[0].stats.total_msgs(),
+                1,
+                "{exec:?}: teardown-flushed send must land in the rank trace, not vanish"
+            );
+            assert_eq!(traces[0].stats.faults().delayed_msgs, 1, "{exec:?}");
+        }
     }
 
     #[test]
     fn rank_traces_are_deterministic_and_recordable() {
-        let run = || {
+        let run = |exec: Executor| {
             let plan = Some(Arc::new(FaultPlan::new(11, 4, FaultConfig::severe())));
-            run_world(4, &ExecContext::default().with_faults(plan), |rank| {
+            run_world(4, &on(exec).with_faults(plan), |rank| {
                 let n = rank.nranks();
                 let me = rank.rank();
                 for level in 0..3usize {
@@ -714,9 +760,6 @@ mod tests {
             })
             .1
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "rank traces must be bit-identical across runs");
         // And they serialize deterministically through the trace layer.
         let render = |traces: &[RankTrace]| {
             let mut t = Tracer::logical();
@@ -725,41 +768,51 @@ mod tests {
             }
             t.finish().to_json().render()
         };
-        assert_eq!(render(&a), render(&b));
-        assert!(render(&a).contains("comm.sends"));
+        for exec in EXECUTORS {
+            let a = run(exec);
+            let b = run(exec);
+            assert_eq!(
+                a, b,
+                "{exec:?}: rank traces must be bit-identical across runs"
+            );
+            assert_eq!(render(&a), render(&b), "{exec:?}");
+            assert!(render(&a).contains("comm.sends"));
+        }
     }
 
     #[test]
     fn buffer_pool_recycles_by_peer_and_capacity() {
         let parked = |rank: &Rank| rank.pool.buckets.values().map(Vec::len).sum::<usize>();
-        run_ranks(1, |rank| {
-            let b = rank.buffer(0, 10);
-            assert_eq!(b.capacity(), 10, "misses must allocate exactly");
-            rank.recycle(0, b);
-            // Best fit: a smaller request reuses the 10-capacity buffer...
-            let b2 = rank.buffer(0, 4);
-            assert_eq!(b2.capacity(), 10);
-            assert!(b2.is_empty(), "recycled buffers come back cleared");
-            rank.recycle(0, b2);
-            // ...a larger one cannot and allocates fresh.
-            let b3 = rank.buffer(0, 11);
-            assert_eq!(b3.capacity(), 11);
-            rank.recycle(0, b3);
-            assert_eq!(parked(rank), 2);
-            // Pools never cross peers: peer 1's request misses even though
-            // peer 0 has a fitting bucket parked.
-            let b4 = rank.buffer(1, 4);
-            assert_eq!(b4.capacity(), 4);
-            rank.recycle(1, b4);
-            assert_eq!(parked(rank), 3);
-            // Zero-size requests and returns bypass the pool silently.
-            assert_eq!(rank.buffer(0, 0).capacity(), 0);
-            rank.recycle(0, Vec::new());
-            let s = rank.take_stats();
-            assert_eq!(s.pool().hits, 1);
-            assert_eq!(s.pool().misses, 3);
-            assert_eq!(s.pool().recycled, 4);
-        });
+        for exec in EXECUTORS {
+            run_world(1, &on(exec), |rank| {
+                let b = rank.buffer(0, 10);
+                assert_eq!(b.capacity(), 10, "misses must allocate exactly");
+                rank.recycle(0, b);
+                // Best fit: a smaller request reuses the 10-capacity buffer...
+                let b2 = rank.buffer(0, 4);
+                assert_eq!(b2.capacity(), 10);
+                assert!(b2.is_empty(), "recycled buffers come back cleared");
+                rank.recycle(0, b2);
+                // ...a larger one cannot and allocates fresh.
+                let b3 = rank.buffer(0, 11);
+                assert_eq!(b3.capacity(), 11);
+                rank.recycle(0, b3);
+                assert_eq!(parked(rank), 2);
+                // Pools never cross peers: peer 1's request misses even though
+                // peer 0 has a fitting bucket parked.
+                let b4 = rank.buffer(1, 4);
+                assert_eq!(b4.capacity(), 4);
+                rank.recycle(1, b4);
+                assert_eq!(parked(rank), 3);
+                // Zero-size requests and returns bypass the pool silently.
+                assert_eq!(rank.buffer(0, 0).capacity(), 0);
+                rank.recycle(0, Vec::new());
+                let s = rank.take_stats();
+                assert_eq!(s.pool().hits, 1);
+                assert_eq!(s.pool().misses, 3);
+                assert_eq!(s.pool().recycled, 4);
+            });
+        }
     }
 
     #[test]
@@ -767,22 +820,28 @@ mod tests {
         // A recycled buffer's capacity survives the wire: the receiver
         // recycles what the sender checked out, and the second cycle is
         // all hits on both sides.
-        let stats = run_ranks(2, |rank| {
-            let peer = 1 - rank.rank();
-            for _ in 0..3 {
-                let mut buf = rank.buffer(peer, 8);
-                buf.extend_from_slice(&[rank.rank() as f64; 8]);
-                rank.send(peer, 4, buf);
-                let got = rank.recv(peer, 4);
-                assert_eq!(got[0], peer as f64);
-                rank.recycle(peer, got);
+        for exec in EXECUTORS {
+            let (stats, _) = run_world(2, &on(exec), |rank| {
+                let peer = 1 - rank.rank();
+                for _ in 0..3 {
+                    let mut buf = rank.buffer(peer, 8);
+                    buf.extend_from_slice(&[rank.rank() as f64; 8]);
+                    rank.send(peer, 4, buf);
+                    let got = rank.recv(peer, 4);
+                    assert_eq!(got[0], peer as f64);
+                    rank.recycle(peer, got);
+                }
+                rank.take_stats()
+            });
+            for s in &stats {
+                assert_eq!(
+                    s.pool().misses,
+                    1,
+                    "{exec:?}: only the first checkout allocates"
+                );
+                assert_eq!(s.pool().hits, 2, "{exec:?}");
+                assert_eq!(s.pool().recycled, 3, "{exec:?}");
             }
-            rank.take_stats()
-        });
-        for s in &stats {
-            assert_eq!(s.pool().misses, 1, "only the first checkout allocates");
-            assert_eq!(s.pool().hits, 2);
-            assert_eq!(s.pool().recycled, 3);
         }
     }
 
@@ -801,19 +860,25 @@ mod tests {
             }
             (out, rank.take_stats())
         };
-        let (pooled, _) = run_world(2, &ExecContext::default(), workload);
-        let off = ExecContext::default().with_pool(columbia_exec::PoolPolicy::disabled());
-        let (fresh, _) = run_world(2, &off, workload);
-        for ((pu, ps), (fu, fs)) in pooled.iter().zip(&fresh) {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(pu), bits(fu), "payloads must not depend on the pool");
-            assert_eq!(ps.pool().hits, 2);
-            assert_eq!(ps.pool().misses, 1);
-            assert_eq!(fs.pool().hits, 0, "pool off: no reuse");
-            assert_eq!(fs.pool().misses, 3, "pool off: every checkout allocates");
-            assert_eq!(fs.pool().recycled, 0, "pool off: recycles drop");
-            assert_eq!(ps.total_msgs(), fs.total_msgs());
-            assert_eq!(ps.total_bytes(), fs.total_bytes());
+        for exec in EXECUTORS {
+            let (pooled, _) = run_world(2, &on(exec), workload);
+            let off = on(exec).with_pool(columbia_exec::PoolPolicy::disabled());
+            let (fresh, _) = run_world(2, &off, workload);
+            for ((pu, ps), (fu, fs)) in pooled.iter().zip(&fresh) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(pu),
+                    bits(fu),
+                    "{exec:?}: payloads must not depend on the pool"
+                );
+                assert_eq!(ps.pool().hits, 2);
+                assert_eq!(ps.pool().misses, 1);
+                assert_eq!(fs.pool().hits, 0, "pool off: no reuse");
+                assert_eq!(fs.pool().misses, 3, "pool off: every checkout allocates");
+                assert_eq!(fs.pool().recycled, 0, "pool off: recycles drop");
+                assert_eq!(ps.total_msgs(), fs.total_msgs());
+                assert_eq!(ps.total_bytes(), fs.total_bytes());
+            }
         }
     }
 
@@ -831,29 +896,37 @@ mod tests {
             max_delay_slots: 3,
             ..FaultConfig::fault_free()
         };
-        let plan = Arc::new(FaultPlan::new(21, 3, cfg));
-        let (maxima, _) = run_world(3, &ExecContext::faulty(plan), |rank| {
-            let n = rank.nranks();
-            let me = rank.rank();
-            let mut worst = (0usize, 0usize, 0usize);
-            for cycle in 0..50u64 {
-                for t in 0..4u64 {
-                    let tag = cycle * 16 + t; // never reused
-                    rank.send((me + 1) % n, tag, vec![me as f64, cycle as f64]);
-                    let got = rank.recv((me + n - 1) % n, tag);
-                    assert_eq!(got[1], cycle as f64);
+        for exec in EXECUTORS {
+            let plan = Arc::new(FaultPlan::new(21, 3, cfg));
+            let (maxima, _) = run_world(3, &on(exec).with_faults(Some(plan)), |rank| {
+                let n = rank.nranks();
+                let me = rank.rank();
+                let mut worst = (0usize, 0usize, 0usize);
+                for cycle in 0..50u64 {
+                    for t in 0..4u64 {
+                        let tag = cycle * 16 + t; // never reused
+                        rank.send((me + 1) % n, tag, vec![me as f64, cycle as f64]);
+                        let got = rank.recv((me + n - 1) % n, tag);
+                        assert_eq!(got[1], cycle as f64);
+                    }
+                    rank.barrier();
+                    let w = &rank.wire;
+                    let (a, b, c) = (w.send_seq.len(), w.recv_next.len(), w.pending.len());
+                    worst = (worst.0.max(a), worst.1.max(b), worst.2.max(c));
                 }
-                rank.barrier();
-                let w = &rank.wire;
-                let (a, b, c) = (w.send_seq.len(), w.recv_next.len(), w.pending.len());
-                worst = (worst.0.max(a), worst.1.max(b), worst.2.max(c));
+                worst
+            });
+            for (send_seq, recv_next, pending) in maxima {
+                assert!(
+                    send_seq <= 8,
+                    "{exec:?}: send_seq map not bounded: {send_seq}"
+                );
+                assert!(
+                    recv_next <= 8,
+                    "{exec:?}: recv_next map not bounded: {recv_next}"
+                );
+                assert!(pending <= 8, "{exec:?}: pending map not bounded: {pending}");
             }
-            worst
-        });
-        for (send_seq, recv_next, pending) in maxima {
-            assert!(send_seq <= 8, "send_seq map not bounded: {send_seq}");
-            assert!(recv_next <= 8, "recv_next map not bounded: {recv_next}");
-            assert!(pending <= 8, "pending map not bounded: {pending}");
         }
     }
 
@@ -869,32 +942,37 @@ mod tests {
             max_delay_slots: 5,
             ..FaultConfig::fault_free()
         };
-        for seed in [2u64, 77, 0xABCD] {
-            let plan = Arc::new(FaultPlan::new(seed, 4, cfg));
-            let (results, _) = run_world(4, &ExecContext::faulty(plan), |rank| {
-                let r = rank.rank() as f64;
-                let mut out = Vec::new();
-                for round in 0..12 {
-                    let x = round as f64 + r;
-                    out.push(rank.allreduce_sum(x));
-                    out.push(rank.allreduce_max(x * 0.5));
-                    out.push(rank.allreduce_sum(-x));
+        let mut expect = Vec::new();
+        for round in 0..12 {
+            let sum: f64 = (0..4).map(|r| round as f64 + r as f64).sum();
+            let max = (0..4)
+                .map(|r| (round as f64 + r as f64) * 0.5)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let nsum: f64 = (0..4).map(|r| -(round as f64 + r as f64)).sum();
+            expect.extend([sum, max, nsum]);
+        }
+        let eb: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
+        for exec in EXECUTORS {
+            for seed in [2u64, 77, 0xABCD] {
+                let plan = Arc::new(FaultPlan::new(seed, 4, cfg));
+                let (results, _) = run_world(4, &on(exec).with_faults(Some(plan)), |rank| {
+                    let r = rank.rank() as f64;
+                    let mut out = Vec::new();
+                    for round in 0..12 {
+                        let x = round as f64 + r;
+                        out.push(rank.allreduce_sum(x));
+                        out.push(rank.allreduce_max(x * 0.5));
+                        out.push(rank.allreduce_sum(-x));
+                    }
+                    out
+                });
+                for (r, got) in results.iter().enumerate() {
+                    let gb: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        gb, eb,
+                        "{exec:?}: rank {r} crossed collective streams (seed {seed})"
+                    );
                 }
-                out
-            });
-            let mut expect = Vec::new();
-            for round in 0..12 {
-                let sum: f64 = (0..4).map(|r| round as f64 + r as f64).sum();
-                let max = (0..4)
-                    .map(|r| (round as f64 + r as f64) * 0.5)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let nsum: f64 = (0..4).map(|r| -(round as f64 + r as f64)).sum();
-                expect.extend([sum, max, nsum]);
-            }
-            for (r, got) in results.iter().enumerate() {
-                let gb: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-                let eb: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(gb, eb, "rank {r} crossed collective streams (seed {seed})");
             }
         }
     }
@@ -904,17 +982,19 @@ mod tests {
         // Both ranks violate quiescence symmetrically (a one-sided
         // violation would strand the innocent rank at the teardown
         // barrier once the guilty thread is down).
-        run_ranks(2, |rank| {
-            let peer = 1 - rank.rank();
-            rank.send(peer, 6, vec![1.0]);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rank.barrier()))
-                .expect_err("quiescence violation must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .expect("panic carries a message");
-            assert!(msg.contains("undelivered"), "{msg}");
-            assert!(msg.contains("6, 0, 0"), "stream coordinates missing: {msg}");
-        });
+        for exec in EXECUTORS {
+            run_world(2, &on(exec), |rank| {
+                let peer = 1 - rank.rank();
+                rank.send(peer, 6, vec![1.0]);
+                let err = catch_unwind(AssertUnwindSafe(|| rank.barrier()))
+                    .expect_err("quiescence violation must panic");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .expect("panic carries a message");
+                assert!(msg.contains("undelivered"), "{exec:?}: {msg}");
+                assert!(msg.contains("6, 0, 0"), "stream coordinates missing: {msg}");
+            });
+        }
     }
 
     #[test]

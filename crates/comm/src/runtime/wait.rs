@@ -14,7 +14,7 @@
 
 use crate::fabric::FabricClock;
 use crate::sched::EventSched;
-use columbia_exec::{ExecContext, ExecutorKind, FabricModel};
+use columbia_exec::{ExecContext, Executor, FabricModel};
 use columbia_rt::affinity;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Barrier};
@@ -75,18 +75,18 @@ pub(super) enum WaitBackend {
 impl WaitBackend {
     /// The backend `ctx` selects for a world of `nranks`.
     pub(super) fn for_world(nranks: usize, ctx: &ExecContext) -> Self {
-        match ctx.executor().resolve() {
+        match ctx.executor() {
             // The thread backend has no virtual clock, so the fabric model
             // selection is a documented no-op there: delivery cost lives
             // in the analytic report path either way.
-            ExecutorKind::Threads => {
+            Executor::Threads => {
                 let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
                 WaitBackend::Threads {
                     barrier: Arc::new(Barrier::new(nranks)),
                     spin: spin_budget(nranks, cores),
                 }
             }
-            ExecutorKind::Events => {
+            Executor::Events => {
                 let fabric = match ctx.fabric_model() {
                     FabricModel::Analytic => None,
                     FabricModel::Contention => Some(FabricClock::columbia_default(nranks)),
@@ -209,7 +209,6 @@ mod tests {
     use super::*;
     use crate::runtime::{launch, run_world, Rank, RankTrace};
     use crate::stats::CommStats;
-    use columbia_exec::Executor;
     use columbia_rt::trace::Tracer;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -221,6 +221,7 @@ fn ring_plan(r: usize, n: usize, m: usize) -> ExchangePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::EXECUTORS;
     use columbia_exec::Executor;
 
     #[test]
@@ -230,12 +231,15 @@ mod tests {
             levels: 3,
             cycles: 3,
         };
-        let a = spec.run(5, &ExecContext::default());
-        let b = spec.run(5, &ExecContext::default());
-        assert_eq!(bits(&a.rms_history), bits(&b.rms_history));
-        assert_eq!(a.rms_history.len(), 3);
-        assert!(a.summary.total_bytes > 0);
-        assert_eq!(a.traces.len(), 5);
+        for exec in EXECUTORS {
+            let ctx = ExecContext::default().with_executor(exec);
+            let a = spec.run(5, &ctx);
+            let b = spec.run(5, &ctx);
+            assert_eq!(bits(&a.rms_history), bits(&b.rms_history), "{exec:?}");
+            assert_eq!(a.rms_history.len(), 3);
+            assert!(a.summary.total_bytes > 0);
+            assert_eq!(a.traces.len(), 5);
+        }
     }
 
     #[test]
@@ -264,12 +268,14 @@ mod tests {
             levels: 2,
             cycles: 4,
         };
-        let report = spec.run(3, &ExecContext::default());
         // Injection "corrections" add energy, but repeated damped-Jacobi
         // smoothing of hash noise must still smooth: the history is finite
         // and positive throughout.
-        for rms in &report.rms_history {
-            assert!(rms.is_finite() && *rms > 0.0);
+        for exec in EXECUTORS {
+            let report = spec.run(3, &ExecContext::default().with_executor(exec));
+            for rms in &report.rms_history {
+                assert!(rms.is_finite() && *rms > 0.0, "{exec:?}");
+            }
         }
     }
 }

@@ -28,7 +28,7 @@ pub use database::{
     CaseStatus, DatabaseEntry, DatabaseFill, DatabaseSpec, ExecContext, FillPolicy,
 };
 pub use flight::{AeroDatabase, LookupError, RigidState, SixDof, TableError};
-pub use optimize::{golden_section, trim_bisection, Optimum};
+pub use optimize::{golden_section, trim_bisection, OptimizeError, Optimum};
 pub use server::{
     digest_responses, DatabaseServer, Fallback, Query, Response, ServePolicy, ServerStats,
 };

@@ -26,6 +26,11 @@
 //!   allocation behaviour.
 //! * **fill** — the [`FillPolicy`] retry/quarantine budget database fills
 //!   apply per case, including an optional chaos [`CasePlan`].
+//! * **executor** — the [`Executor`] that hosts a world's ranks, and the
+//!   [`FabricModel`] that times an event world's messages. Both are named
+//!   in code, never read from the environment: a run's regime is what
+//!   its context says, as the paper names MPI, OpenMP or hybrid and
+//!   NUMAlink4 or InfiniBand beside every result.
 //!
 //! The determinism contract is unchanged by any combination of
 //! capabilities: results, `CommStats` counters and rendered trace JSON are
@@ -37,44 +42,25 @@ use columbia_rt::fault::{CasePlan, FaultPlan};
 use columbia_rt::trace::{Trace, Tracer};
 use std::sync::Arc;
 
-pub use columbia_rt::env::ExecutorKind;
-
-/// Which `run_world` backend hosts the rank bodies.
+/// Which `run_world` backend hosts the rank bodies. Chosen in code only
+/// ([`ExecContext::with_executor`]); there is no environment knob.
 ///
-/// * [`Executor::Threads`] — one OS thread per rank, kernel-scheduled.
-///   The right choice for small worlds on a multi-core box (ranks really
-///   run in parallel).
+/// * [`Executor::Threads`] (the default) — one OS thread per rank,
+///   kernel-scheduled. Ranks really run in parallel, so a world no larger
+///   than the host's cores runs at the host's speed.
 /// * [`Executor::Events`] — every rank is a cooperative task; a single
 ///   deterministic `(time, rank, seq)` event queue decides who runs, and
 ///   ranks yield at every blocking point (recv, barrier, allreduce)
-///   instead of parking in the kernel. One machine hosts paper-scale
-///   worlds (512/1024/2016 ranks) this way, bit-identical to the thread
-///   backend.
-/// * [`Executor::Auto`] (the default) — consult the typed
-///   `COLUMBIA_EXECUTOR` env knob (`threads` | `events`), falling back to
-///   `Threads` when unset. This is what lets CI run the whole tier-1
-///   suite under the event backend without touching a single test.
+///   instead of parking in the kernel. Name it for worlds larger than the
+///   host: paper-scale worlds (512/1024/2016 ranks) run on one machine
+///   this way, bit-identical to the thread backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Executor {
-    /// Resolve from `COLUMBIA_EXECUTOR`, default [`Executor::Threads`].
-    #[default]
-    Auto,
     /// Rank-per-OS-thread backend.
+    #[default]
     Threads,
     /// Cooperative discrete-event backend.
     Events,
-}
-
-impl Executor {
-    /// The concrete backend this selection denotes, consulting the
-    /// environment only for [`Executor::Auto`].
-    pub fn resolve(self) -> ExecutorKind {
-        match self {
-            Executor::Threads => ExecutorKind::Threads,
-            Executor::Events => ExecutorKind::Events,
-            Executor::Auto => columbia_rt::env::executor().unwrap_or(ExecutorKind::Threads),
-        }
-    }
 }
 
 /// Which interconnect delivery model shapes the event executor's virtual
@@ -223,8 +209,7 @@ impl ExecContext {
     }
 
     /// Select the `run_world` backend (thread-per-rank vs cooperative
-    /// event executor). The default, [`Executor::Auto`], defers to the
-    /// `COLUMBIA_EXECUTOR` env knob.
+    /// event executor; default [`Executor::Threads`]).
     pub fn with_executor(mut self, executor: Executor) -> Self {
         self.executor = executor;
         self
@@ -257,8 +242,7 @@ impl ExecContext {
         &self.fill
     }
 
-    /// The selected `run_world` backend (unresolved; call
-    /// [`Executor::resolve`] for the concrete kind).
+    /// The selected `run_world` backend.
     pub fn executor(&self) -> Executor {
         self.executor
     }
@@ -330,16 +314,10 @@ mod tests {
 
     #[test]
     fn executor_selection_resolves_explicitly_without_the_environment() {
-        // Explicit selections never touch the environment.
-        assert_eq!(Executor::Threads.resolve(), ExecutorKind::Threads);
-        assert_eq!(Executor::Events.resolve(), ExecutorKind::Events);
         let ctx = ExecContext::default();
-        assert_eq!(ctx.executor(), Executor::Auto);
+        assert_eq!(ctx.executor(), Executor::Threads);
         let ctx = ctx.with_executor(Executor::Events);
         assert_eq!(ctx.executor(), Executor::Events);
-        // Auto is resolved from COLUMBIA_EXECUTOR at run_world time; its
-        // grammar is pinned in columbia_rt::env (no env mutation here —
-        // tests must not race over process state).
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! non-local fraction of these transfers is exactly what the machine model
 //! prices against InfiniBand's random-ring weakness.
 //!
-//! The implementation is SPMD: every rank runs the same W-cycle control
-//! flow over its local sub-levels; transfers and norms are collectives.
+//! The implementation is SPMD: every rank drives the one generic
+//! `mg::fas_cycle` over its local sub-levels, each seen through a
+//! [`MultigridLevel`] view whose transfers and norms are collectives.
 
 use crate::level::{RansLevel, SolverParams};
 use crate::parallel::{
@@ -20,9 +21,10 @@ use crate::parallel::{
 use crate::state::NVARS;
 use columbia_comm::{run_world, Decomposition, ExecContext, Rank, RankTrace};
 use columbia_mesh::{agglomerate_hierarchy, UnstructuredMesh};
-use columbia_mg::{ConvergenceHistory, CycleParams, CycleType};
+use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
 use columbia_partition::match_levels;
 use columbia_rt::trace::SpanKey;
+use std::cell::RefCell;
 use std::sync::Mutex;
 
 /// Packed restriction entry: `vol * u` (6), fine residual (6) — the fine
@@ -124,11 +126,7 @@ impl ParallelMg {
         let mut decomps = Vec::with_capacity(nlev);
         let mut locals = Vec::with_capacity(nlev);
         for l in 0..nlev {
-            let (d, mut ls) = build_local_levels(meshes[l], &parts[l], nparts, params);
-            // Attach the global->coarse map so ranks can see level sizes.
-            for lr in ls.iter_mut() {
-                lr.level.to_coarse = None;
-            }
+            let (d, ls) = build_local_levels(meshes[l], &parts[l], nparts, params);
             decomps.push(d);
             locals.push(ls);
         }
@@ -161,9 +159,7 @@ impl ParallelMg {
                 let cl = coarse_d
                     .local_index(cr, g)
                     .expect("owned coarse vertex must be local");
-                grouped.entry((fr, cr)).or_default().push((g, v as u32, 0));
-                let e = grouped.get_mut(&(fr, cr)).unwrap().last_mut().unwrap();
-                *e = (g, fl, cl);
+                grouped.entry((fr, cr)).or_default().push((g, fl, cl));
             }
             for ((fr, cr), mut pairs) in grouped {
                 pairs.sort_unstable();
@@ -254,17 +250,26 @@ impl ParallelMg {
                 decomps[l].plans[rank.rank()].exchange_copy_field(rank, 1, &mut lv.level.u);
                 rank.exit_level();
             }
+            let rank = RefCell::new(rank);
+            let mut views: Vec<RankLevel> = levels
+                .into_iter()
+                .enumerate()
+                .map(|(l, local)| RankLevel {
+                    local,
+                    l,
+                    decomps,
+                    transfers,
+                    rank: &rank,
+                })
+                .collect();
+            // The rank's own context: the caller's tracer records the
+            // world, not each rank's level visits.
+            let mut rank_ctx = ExecContext::default();
             let mut history = ConvergenceHistory::default();
-            rank.enter_level(0);
-            let r0 = parallel_residual_rms(&mut levels[0], &decomps[0], rank, 900);
-            history.residuals.push(r0);
-            rank.exit_level();
+            history.residuals.push(views[0].norm(900));
             for _cycle in 0..max_cycles {
-                mg_recurse(&mut levels, decomps, transfers, cp, 0, rank);
-                rank.enter_level(0);
-                let r = parallel_residual_rms(&mut levels[0], &decomps[0], rank, 901);
-                history.residuals.push(r);
-                rank.exit_level();
+                fas_cycle(&mut views, cp, &mut rank_ctx);
+                history.residuals.push(views[0].residual_norm());
             }
             // No take_stats: the teardown sink hands the whole ledger back.
             history
@@ -286,70 +291,73 @@ impl ParallelMg {
     }
 }
 
-/// Recursive SPMD FAS cycle over the rank's local levels.
-fn mg_recurse(
-    levels: &mut [LocalLevel],
-    decomps: &[Decomposition],
-    transfers: &[TransferSchedule],
-    cp: &CycleParams,
+/// One rank's view of level `l` of the distributed hierarchy: the unit
+/// `mg::fas_cycle` drives. All of a rank's levels share its comm context
+/// through one `RefCell`. Sweeps and the norm are attributed to level `l`,
+/// restriction and prolongation to the coarse level `l + 1` of their pair
+/// (the intergrid cost the paper charges against coarse grids).
+struct RankLevel<'a, 'r> {
+    local: LocalLevel,
     l: usize,
-    rank: &mut Rank,
-) {
-    let last = levels.len() - 1;
-    if l == last {
-        rank.enter_level(l);
-        for _ in 0..cp.coarse_sweeps {
-            let (head, _) = levels.split_at_mut(l + 1);
-            parallel_sweep(&mut head[l], &decomps[l], rank);
+    decomps: &'a [Decomposition],
+    transfers: &'a [TransferSchedule],
+    rank: &'a RefCell<&'r mut Rank>,
+}
+
+impl RankLevel<'_, '_> {
+    /// The collective residual norm on message tag `tag`.
+    fn norm(&mut self, tag: u64) -> f64 {
+        let mut rank = self.rank.borrow_mut();
+        rank.enter_level(self.l);
+        let r = parallel_residual_rms(&mut self.local, &self.decomps[self.l], &mut rank, tag);
+        rank.exit_level();
+        r
+    }
+}
+
+impl MultigridLevel for RankLevel<'_, '_> {
+    fn smooth(&mut self, sweeps: usize) {
+        let mut rank = self.rank.borrow_mut();
+        rank.enter_level(self.l);
+        for _ in 0..sweeps {
+            parallel_sweep(&mut self.local, &self.decomps[self.l], &mut rank);
         }
         rank.exit_level();
-        return;
     }
-    rank.enter_level(l);
-    for _ in 0..cp.pre_sweeps {
-        parallel_sweep(&mut levels[l], &decomps[l], rank);
+
+    /// Tag 901: the per-cycle norm (the initial one is 900).
+    fn residual_norm(&mut self) -> f64 {
+        self.norm(901)
     }
-    rank.exit_level();
-    // Intergrid transfers are charged to the coarse level of the pair —
-    // the same attribution the paper's per-level tables use.
-    rank.enter_level(l + 1);
-    parallel_restrict(levels, decomps, transfers, l, rank);
-    rank.exit_level();
-    let visits = match cp.cycle {
-        CycleType::V => 1,
-        CycleType::W => 2,
-    };
-    for _ in 0..visits {
-        mg_recurse(levels, decomps, transfers, cp, l + 1, rank);
+
+    fn restrict_into(&mut self, coarse: &mut Self) {
+        let mut rank = self.rank.borrow_mut();
+        rank.enter_level(coarse.l);
+        parallel_restrict(self, coarse, &mut rank);
+        rank.exit_level();
     }
-    rank.enter_level(l + 1);
-    parallel_prolong(levels, decomps, transfers, l, rank);
-    rank.exit_level();
-    rank.enter_level(l);
-    for _ in 0..cp.post_sweeps {
-        parallel_sweep(&mut levels[l], &decomps[l], rank);
+
+    fn prolong_from(&mut self, coarse: &Self) {
+        let mut rank = self.rank.borrow_mut();
+        rank.enter_level(coarse.l);
+        parallel_prolong(self, coarse, &mut rank);
+        rank.exit_level();
     }
-    rank.exit_level();
 }
 
 /// Distributed FAS restriction `l -> l+1`.
-fn parallel_restrict(
-    levels: &mut [LocalLevel],
-    decomps: &[Decomposition],
-    transfers: &[TransferSchedule],
-    l: usize,
-    rank: &mut Rank,
-) {
+fn parallel_restrict(fine: &mut RankLevel, coarse: &mut RankLevel, rank: &mut Rank) {
     let p = rank.rank();
+    let l = fine.l;
     let tag = 300 + 10 * l as u64;
+    let sched = &fine.transfers[l];
+    let plan_c = &coarse.decomps[coarse.l].plans[p];
 
     // Fine residual (complete at owners).
-    exchange_residual(&mut levels[l].level, &decomps[l].plans[p], rank, tag);
+    exchange_residual(&mut fine.local.level, &fine.decomps[l].plans[p], rank, tag);
 
-    let (fine_slice, coarse_slice) = levels.split_at_mut(l + 1);
-    let fine = &fine_slice[l];
-    let coarse = &mut coarse_slice[0];
-    let sched = &transfers[l];
+    let fine = &fine.local;
+    let coarse = &mut coarse.local;
 
     // Accumulators `[vol * u, r]` over the coarse rank's local vertices:
     // coarse-level-owned scratch, so steady-state cycles allocate nothing.
@@ -419,7 +427,6 @@ fn parallel_restrict(
         }
     }
     coarse.level.apply_bcs();
-    let plan_c = &decomps[l + 1].plans[p];
     plan_c.exchange_copy_field(rank, tag + 4, &mut coarse.level.u);
     let RansLevel {
         restricted_u, u, ..
@@ -440,19 +447,14 @@ fn parallel_restrict(
 
 /// Distributed FAS prolongation `l+1 -> l` with the same damping +
 /// positivity backtracking as the serial driver.
-fn parallel_prolong(
-    levels: &mut [LocalLevel],
-    decomps: &[Decomposition],
-    transfers: &[TransferSchedule],
-    l: usize,
-    rank: &mut Rank,
-) {
+fn parallel_prolong(fine: &mut RankLevel, coarse: &RankLevel, rank: &mut Rank) {
     let p = rank.rank();
+    let l = fine.l;
     let tag = 600 + 10 * l as u64;
-    let (fine_slice, coarse_slice) = levels.split_at_mut(l + 1);
-    let fine = &mut fine_slice[l];
-    let coarse = &coarse_slice[0];
-    let sched = &transfers[l];
+    let sched = &fine.transfers[l];
+    let plan_f = &fine.decomps[l].plans[p];
+    let fine = &mut fine.local;
+    let coarse = &coarse.local;
 
     // Remote: the coarse side sends one 6-vector per fine vertex in the
     // agreed order (reverse direction of the restriction lists). The
@@ -483,7 +485,7 @@ fn parallel_prolong(
         rank.recycle(*peer, buf);
     }
     fine.level.apply_bcs();
-    decomps[l].plans[p].exchange_copy_field(rank, tag + 1, &mut fine.level.u);
+    plan_f.exchange_copy_field(rank, tag + 1, &mut fine.level.u);
 }
 
 #[cfg(test)]

@@ -22,9 +22,9 @@
 //!   typed counters (replaces nothing — closes the instrumentation gap);
 //! * [`json`] — a byte-stable JSON writer for trace and scaling reports
 //!   (replaces `serde_json` where a repo would normally reach for it);
-//! * [`env`] — typed, unit-tested parsing of every `COLUMBIA_*`
-//!   environment knob (the property-test replay seed and the executor
-//!   backend), so no harness hand-rolls `std::env::var`;
+//! * [`env`] — typed, unit-tested parsing of the one `COLUMBIA_*`
+//!   environment knob (the property-test replay seed), so no harness
+//!   hand-rolls `std::env::var`;
 //! * [`fnv`] — byte-wise FNV-1a 64, the digest of the bit-identity
 //!   goldens and of the database server's response replay;
 //! * [`timeq`] — the deterministic `(time, key, seq)` discrete-event

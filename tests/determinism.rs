@@ -5,12 +5,20 @@
 //! artifacts. These tests lock that in at the public-API level: same seed
 //! means identical output down to the last bit, different seed means a
 //! different (but equally valid) artifact. The parallel-equals-serial
-//! checks run at 2, 4 and 8 ranks in every `cargo test`.
+//! checks run at 2, 4 and 8 ranks on both executors in every `cargo test`.
 
 use columbia_comm::{run_world, ExecContext, FaultConfig, FaultPlan};
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_partition::{graph::grid_graph, partition_graph, PartitionConfig};
 use std::sync::Arc;
+
+mod common;
+use common::{sphere_mesh, EXECUTORS};
+
+/// The clean-but-planned regime: a zero-rate fault plan on `exec`.
+fn zero_fault(exec: columbia_comm::Executor, nparts: usize) -> ExecContext {
+    ExecContext::faulty(Arc::new(FaultPlan::fault_free(nparts))).with_executor(exec)
+}
 
 /// Decomposition widths for the serial-parity tests.
 const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
@@ -142,66 +150,51 @@ fn rans_parallel_matches_serial_under_zero_fault_plan() {
     }
     let serial_rms = serial.residual_rms();
 
-    for nparts in PARITY_WIDTHS {
-        let plan = Arc::new(FaultPlan::fault_free(nparts));
-        let (u, rms, traces) =
-            run_parallel_smoothing(&m, params, nparts, 3, &mut ExecContext::faulty(plan));
-        let mut max_diff = 0.0f64;
-        for (v, su) in serial.u.to_aos().iter().enumerate() {
-            for k in 0..NVARS {
-                max_diff = max_diff.max((u[v][k] - su[k]).abs());
+    let serial_u = serial.u.to_aos();
+    let bits =
+        |u: &[[f64; NVARS]]| -> Vec<u64> { u.iter().flatten().map(|v| v.to_bits()).collect() };
+    let stats = |ts: &[columbia_comm::RankTrace]| -> Vec<columbia_comm::CommStats> {
+        ts.iter().map(|t| t.stats.clone()).collect()
+    };
+    for exec in EXECUTORS {
+        for nparts in PARITY_WIDTHS {
+            let (u, rms, traces) =
+                run_parallel_smoothing(&m, params, nparts, 3, &mut zero_fault(exec, nparts));
+            let mut max_diff = 0.0f64;
+            for (v, su) in serial_u.iter().enumerate() {
+                for k in 0..NVARS {
+                    max_diff = max_diff.max((u[v][k] - su[k]).abs());
+                }
             }
-        }
-        assert!(max_diff < 1e-8, "{nparts}-way RANS diverged: {max_diff}");
-        assert!((rms - serial_rms).abs() < 1e-10 * (1.0 + serial_rms));
-        assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
+            assert!(
+                max_diff < 1e-8,
+                "{nparts}-way RANS on {exec:?} diverged: {max_diff}"
+            );
+            assert!((rms - serial_rms).abs() < 1e-10 * (1.0 + serial_rms));
+            assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
 
-        // And the parallel run itself is bitwise repeatable.
-        let plan = Arc::new(FaultPlan::fault_free(nparts));
-        let (u2, rms2, traces2) =
-            run_parallel_smoothing(&m, params, nparts, 3, &mut ExecContext::faulty(plan));
-        let bits =
-            |u: &[[f64; NVARS]]| -> Vec<u64> { u.iter().flatten().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&u), bits(&u2), "{nparts}-way RANS not repeatable");
-        assert_eq!(rms.to_bits(), rms2.to_bits());
-        let stats = |ts: &[columbia_comm::RankTrace]| -> Vec<columbia_comm::CommStats> {
-            ts.iter().map(|t| t.stats.clone()).collect()
-        };
-        assert_eq!(stats(&traces), stats(&traces2));
+            // And the parallel run itself is bitwise repeatable.
+            let (u2, rms2, traces2) =
+                run_parallel_smoothing(&m, params, nparts, 3, &mut zero_fault(exec, nparts));
+            assert_eq!(
+                bits(&u),
+                bits(&u2),
+                "{nparts}-way RANS on {exec:?} not repeatable"
+            );
+            assert_eq!(rms.to_bits(), rms2.to_bits());
+            assert_eq!(stats(&traces), stats(&traces2));
+        }
     }
 }
 
 /// Same contract for the Cartesian Euler solver at every parity width.
-/// A small cut-cell mesh around a body of revolution (levels 3-4).
-fn cut_cell_mesh() -> columbia_cartesian::CartMesh {
-    use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
-    use columbia_mesh::Vec3;
-    use columbia_sfc::CurveKind;
-
-    let prof: Vec<(f64, f64)> = (0..=10)
-        .map(|i| {
-            let t = std::f64::consts::PI * i as f64 / 10.0;
-            (-0.3 * t.cos(), 0.3 * t.sin())
-        })
-        .collect();
-    let geom = Geometry::new(&[TriMesh::body_of_revolution(&prof, 10)]);
-    let config = CutCellConfig {
-        min_level: 3,
-        max_level: 4,
-        origin: Vec3::new(-1.0, -1.0, -1.0),
-        size: 2.0,
-    };
-    let tree = build_octree(&geom, &config);
-    extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1)
-}
-
 #[test]
 fn euler_parallel_matches_serial_under_zero_fault_plan() {
     use columbia_euler::level::EulerLevel;
     use columbia_euler::parallel::run_parallel_smoothing;
     use columbia_euler::state::{freestream5, NVARS5};
 
-    let mesh = cut_cell_mesh();
+    let mesh = sphere_mesh();
 
     let fs = freestream5(0.5, 0.0, 0.0);
     let mut serial = EulerLevel::new(mesh.clone(), fs, 1.5);
@@ -210,19 +203,24 @@ fn euler_parallel_matches_serial_under_zero_fault_plan() {
     }
     let serial_rms = serial.residual_rms();
 
-    for nparts in PARITY_WIDTHS {
-        let plan = Arc::new(FaultPlan::fault_free(nparts));
-        let (u, rms, traces) =
-            run_parallel_smoothing(&mesh, fs, 1.5, nparts, 3, &mut ExecContext::faulty(plan));
-        let mut max_diff = 0.0f64;
-        for (c, su) in serial.u.to_aos().iter().enumerate() {
-            for k in 0..NVARS5 {
-                max_diff = max_diff.max((u[c][k] - su[k]).abs());
+    let serial_u = serial.u.to_aos();
+    for exec in EXECUTORS {
+        for nparts in PARITY_WIDTHS {
+            let (u, rms, traces) =
+                run_parallel_smoothing(&mesh, fs, 1.5, nparts, 3, &mut zero_fault(exec, nparts));
+            let mut max_diff = 0.0f64;
+            for (c, su) in serial_u.iter().enumerate() {
+                for k in 0..NVARS5 {
+                    max_diff = max_diff.max((u[c][k] - su[k]).abs());
+                }
             }
+            assert!(
+                max_diff < 1e-9,
+                "{nparts}-way Euler on {exec:?} diverged: {max_diff}"
+            );
+            assert!((rms - serial_rms).abs() < 1e-10 * (1.0 + serial_rms));
+            assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
         }
-        assert!(max_diff < 1e-9, "{nparts}-way Euler diverged: {max_diff}");
-        assert!((rms - serial_rms).abs() < 1e-10 * (1.0 + serial_rms));
-        assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
     }
 }
 
@@ -234,7 +232,7 @@ fn euler_multigrid_solve_is_bit_identical_across_runs() {
     use columbia_euler::{EulerParams, EulerSolver};
     use columbia_mg::CycleParams;
 
-    let mesh = cut_cell_mesh();
+    let mesh = sphere_mesh();
     let run = || {
         let mut solver = EulerSolver::new(mesh.clone(), EulerParams::default());
         assert!(solver.levels.len() > 1, "case must exercise coarse levels");
@@ -251,8 +249,8 @@ columbia_rt::props! {
     /// at all, whatever its seed: the fault layer's zero-overhead path is
     /// genuinely zero-effect.
     fn prop_zero_rate_plan_is_inert_for_any_seed(seed in 0u64..u64::MAX, nranks in 2usize..6) {
-        let workload = |plan: Option<Arc<FaultPlan>>| {
-            let ctx = ExecContext::default().with_faults(plan);
+        let workload = |exec, plan: Option<Arc<FaultPlan>>| {
+            let ctx = ExecContext::default().with_faults(plan).with_executor(exec);
             run_world(nranks, &ctx, |rank| {
                 let n = rank.nranks();
                 let me = rank.rank();
@@ -264,15 +262,14 @@ columbia_rt::props! {
             })
             .0
         };
-        let clean = workload(None);
-        let planned = workload(Some(Arc::new(FaultPlan::new(
-            seed,
-            nranks,
-            FaultConfig::fault_free(),
-        ))));
-        for ((vc, sc), (vp, sp)) in clean.iter().zip(&planned) {
-            assert_eq!(vc.to_bits(), vp.to_bits(), "seed {seed} changed a payload");
-            assert_eq!(sc, sp, "seed {seed} changed the comm trace");
+        for exec in EXECUTORS {
+            let clean = workload(exec, None);
+            let plan = FaultPlan::new(seed, nranks, FaultConfig::fault_free());
+            let planned = workload(exec, Some(Arc::new(plan)));
+            for ((vc, sc), (vp, sp)) in clean.iter().zip(&planned) {
+                assert_eq!(vc.to_bits(), vp.to_bits(), "{exec:?}: seed {seed} changed a payload");
+                assert_eq!(sc, sp, "{exec:?}: seed {seed} changed the comm trace");
+            }
         }
     }
 }

@@ -12,10 +12,11 @@
 //!   steady-state exchange performs no payload allocations — for a
 //!   mixed-width comm workload, the RANS smoothing sweep, and full
 //!   multigrid cycles.
+//!
+//! Every world runs on both executors.
 
 use columbia_comm::{
-    decompose, run_ranks, run_world, Decomposition, ExchangePlan, ExecContext, FaultConfig,
-    FaultPlan, Rank,
+    decompose, run_world, Decomposition, ExchangePlan, FaultConfig, FaultPlan, Rank,
 };
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
@@ -26,6 +27,9 @@ use columbia_rans::parallel::{
 use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rt::rng::Pcg32;
 use std::sync::{Arc, Mutex};
+
+mod common;
+use common::{on, EXECUTORS};
 
 /// Random grid decomposition: an `nx x ny` grid graph with a seeded random
 /// partition (every rank guaranteed at least one vertex).
@@ -172,25 +176,26 @@ columbia_rt::props! {
     fn prop_pooled_exchange_matches_seed_path(seed in 0u64..u64::MAX) {
         for nparts in [2usize, 4, 8] {
             let decomp = Arc::new(random_decomp(seed, 10, 8, nparts));
-            let run = |pooled: bool, plan: Option<Arc<FaultPlan>>| {
+            let run = |exec, pooled: bool, plan: Option<Arc<FaultPlan>>| {
                 let d = Arc::clone(&decomp);
-                let ctx = ExecContext::default().with_faults(plan);
-                run_world(nparts, &ctx, move |rank| {
+                run_world(nparts, &on(exec).with_faults(plan), move |rank| {
                     exchange_workload(&d, rank, pooled, 3)
                 })
                 .0
             };
-            let reference = run(false, None);
-            let pooled_clean = run(true, None);
-            let pooled_chaos = run(true, Some(chaos_plan(seed ^ 0x5EED, nparts)));
-            assert_eq!(
-                reference, pooled_clean,
-                "seed {seed}: pooled exchange diverged at {nparts} ranks"
-            );
-            assert_eq!(
-                reference, pooled_chaos,
-                "seed {seed}: faulted pooled exchange diverged at {nparts} ranks"
-            );
+            for exec in EXECUTORS {
+                let reference = run(exec, false, None);
+                let pooled_clean = run(exec, true, None);
+                let pooled_chaos = run(exec, true, Some(chaos_plan(seed ^ 0x5EED, nparts)));
+                assert_eq!(
+                    reference, pooled_clean,
+                    "seed {seed}: pooled exchange diverged at {nparts} ranks on {exec:?}"
+                );
+                assert_eq!(
+                    reference, pooled_chaos,
+                    "seed {seed}: faulted pooled exchange diverged at {nparts} ranks on {exec:?}"
+                );
+            }
         }
     }
 }
@@ -201,42 +206,44 @@ fn pool_misses_stop_after_first_cycle_in_mixed_workload() {
     // after the warm-up cycle every payload comes from the pool.
     let nparts = 4;
     let decomp = Arc::new(random_decomp(99, 12, 9, nparts));
-    let plan = chaos_plan(1234, nparts);
-    let per_cycle = run_world(nparts, &ExecContext::faulty(plan), |rank| {
-        let p = rank.rank();
-        let plan = &decomp.plans[p];
-        let (mut a, mut b) = seed_fields(&decomp, p);
-        let mut stats_per_cycle = Vec::new();
-        for c in 0..5u64 {
-            let base = 10 * c;
-            plan.exchange_add_field(rank, base, &mut a[..]);
-            plan.exchange_copy_field(rank, base + 1, &mut a[..]);
-            plan.exchange_add2_field(rank, base + 2, &mut a[..], &mut b[..]);
-            plan.exchange_copy_field(rank, base + 3, &mut b[..]);
-            stats_per_cycle.push(rank.take_stats());
-        }
-        stats_per_cycle
-    })
-    .0;
-    for (r, cycles) in per_cycle.iter().enumerate() {
-        let warm = cycles[0].pool();
-        if decomp.plans[r].degree() > 0 {
-            assert!(warm.misses > 0, "rank {r}: warm-up cycle must allocate");
-            assert!(warm.coalesced_msgs > 0, "rank {r}: add2 must coalesce");
-        }
-        for (c, s) in cycles.iter().enumerate().skip(1) {
-            assert_eq!(
-                s.pool().misses,
-                0,
-                "rank {r} cycle {c}: steady-state exchange allocated"
-            );
+    for exec in EXECUTORS {
+        let plan = chaos_plan(1234, nparts);
+        let per_cycle = run_world(nparts, &on(exec).with_faults(Some(plan)), |rank| {
+            let p = rank.rank();
+            let plan = &decomp.plans[p];
+            let (mut a, mut b) = seed_fields(&decomp, p);
+            let mut stats_per_cycle = Vec::new();
+            for c in 0..5u64 {
+                let base = 10 * c;
+                plan.exchange_add_field(rank, base, &mut a[..]);
+                plan.exchange_copy_field(rank, base + 1, &mut a[..]);
+                plan.exchange_add2_field(rank, base + 2, &mut a[..], &mut b[..]);
+                plan.exchange_copy_field(rank, base + 3, &mut b[..]);
+                stats_per_cycle.push(rank.take_stats());
+            }
+            stats_per_cycle
+        })
+        .0;
+        for (r, cycles) in per_cycle.iter().enumerate() {
+            let warm = cycles[0].pool();
             if decomp.plans[r].degree() > 0 {
-                assert!(s.pool().hits > 0, "rank {r} cycle {c}: pool unused");
+                assert!(warm.misses > 0, "rank {r}: warm-up cycle must allocate");
+                assert!(warm.coalesced_msgs > 0, "rank {r}: add2 must coalesce");
+            }
+            for (c, s) in cycles.iter().enumerate().skip(1) {
                 assert_eq!(
-                    s.pool().recycled,
-                    s.pool().hits,
-                    "rank {r} cycle {c}: steady state must conserve buffers"
+                    s.pool().misses,
+                    0,
+                    "rank {r} cycle {c}: steady-state exchange allocated"
                 );
+                if decomp.plans[r].degree() > 0 {
+                    assert!(s.pool().hits > 0, "rank {r} cycle {c}: pool unused");
+                    assert_eq!(
+                        s.pool().recycled,
+                        s.pool().hits,
+                        "rank {r} cycle {c}: steady state must conserve buffers"
+                    );
+                }
             }
         }
     }
@@ -268,42 +275,44 @@ fn rans_sweep_reaches_zero_alloc_steady_state() {
     let m = small_wing();
     let nparts = 4;
     let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
-    let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
-    let locals = Mutex::new(
-        locals
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<LocalLevel>>>(),
-    );
-    let per_cycle = run_ranks(nparts, |rank| {
-        let mut local = locals.lock().unwrap()[rank.rank()]
-            .take()
-            .expect("local level already taken");
-        local.level.apply_bcs();
-        decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
-        let mut stats_per_cycle = Vec::new();
-        for _ in 0..4 {
-            parallel_sweep(&mut local, &decomp, rank);
-            stats_per_cycle.push(rank.take_stats());
-        }
-        stats_per_cycle
-    });
-    for (r, cycles) in per_cycle.iter().enumerate() {
-        assert!(
-            cycles[0].pool().hits > 0,
-            "rank {r}: sweep never hit the pool"
+    for exec in EXECUTORS {
+        let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
+        let locals = Mutex::new(
+            locals
+                .into_iter()
+                .map(Some)
+                .collect::<Vec<Option<LocalLevel>>>(),
         );
-        for (c, s) in cycles.iter().enumerate().skip(1) {
-            assert_eq!(
-                s.pool().misses,
-                0,
-                "rank {r} sweep {c}: steady-state sweep allocated a payload"
-            );
-            assert!(s.pool().hits > 0, "rank {r} sweep {c}: pool unused");
+        let (per_cycle, _) = run_world(nparts, &on(exec), |rank| {
+            let mut local = locals.lock().unwrap()[rank.rank()]
+                .take()
+                .expect("local level already taken");
+            local.level.apply_bcs();
+            decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
+            let mut stats_per_cycle = Vec::new();
+            for _ in 0..4 {
+                parallel_sweep(&mut local, &decomp, rank);
+                stats_per_cycle.push(rank.take_stats());
+            }
+            stats_per_cycle
+        });
+        for (r, cycles) in per_cycle.iter().enumerate() {
             assert!(
-                s.pool().coalesced_msgs > 0,
-                "rank {r} sweep {c}: no coalescing"
+                cycles[0].pool().hits > 0,
+                "rank {r}: sweep never hit the pool"
             );
+            for (c, s) in cycles.iter().enumerate().skip(1) {
+                assert_eq!(
+                    s.pool().misses,
+                    0,
+                    "rank {r} sweep {c}: steady-state sweep allocated a payload"
+                );
+                assert!(s.pool().hits > 0, "rank {r} sweep {c}: pool unused");
+                assert!(
+                    s.pool().coalesced_msgs > 0,
+                    "rank {r} sweep {c}: no coalescing"
+                );
+            }
         }
     }
 }
@@ -317,22 +326,24 @@ fn multigrid_cycles_allocate_only_during_warmup() {
     // buffers recycled during the first cycle.
     let m = small_wing();
     let cp = CycleParams::default();
-    let run = |cycles: usize| {
-        let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
-        let (_, traces) = pmg.solve(&cp, 4.0, cycles, &mut ExecContext::default());
-        traces
-    };
-    let one = run(1);
-    let three = run(3);
-    for (r, (t1, t3)) in one.iter().zip(&three).enumerate() {
-        assert_eq!(
-            t1.stats.pool().misses,
-            t3.stats.pool().misses,
-            "rank {r}: multigrid cycles 2-3 allocated payload buffers"
-        );
-        assert!(
-            t3.stats.pool().hits > t1.stats.pool().hits,
-            "rank {r}: later cycles must reuse pooled buffers"
-        );
+    for exec in EXECUTORS {
+        let run = |cycles: usize| {
+            let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
+            let (_, traces) = pmg.solve(&cp, 4.0, cycles, &mut on(exec));
+            traces
+        };
+        let one = run(1);
+        let three = run(3);
+        for (r, (t1, t3)) in one.iter().zip(&three).enumerate() {
+            assert_eq!(
+                t1.stats.pool().misses,
+                t3.stats.pool().misses,
+                "rank {r}: multigrid cycles 2-3 allocated payload buffers"
+            );
+            assert!(
+                t3.stats.pool().hits > t1.stats.pool().hits,
+                "rank {r}: later cycles must reuse pooled buffers"
+            );
+        }
     }
 }

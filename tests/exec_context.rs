@@ -6,9 +6,9 @@
 //! Every digest is an FNV-1a 64 over deterministic bytes — solver state
 //! bits, `CommStats` counters or rendered trace JSON — so these tests pin
 //! the refactor to bit-identical behaviour at 2/4/8 ranks, with and
-//! without fault plans, with and without tracing.
+//! without fault plans, with and without tracing — on both executors.
 
-use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
+use columbia_cartesian::{Geometry, TriMesh};
 use columbia_comm::{ExecContext, FaultConfig, FaultPlan, PoolPolicy, RankTrace};
 use columbia_core::{CartAnalysis, CaseStatus, DatabaseFill, DatabaseSpec, FillPolicy};
 use columbia_euler::state::freestream5;
@@ -18,11 +18,10 @@ use columbia_rans::level::SolverParams;
 use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rt::fault::CasePlan;
 use columbia_rt::fnv;
-use columbia_sfc::CurveKind;
 use std::sync::Arc;
 
 mod common;
-use common::{digest_f64s, digest_stats};
+use common::{digest_f64s, digest_stats, on, sphere_mesh, EXECUTORS};
 
 /// The run's total `CommStats` per rank (the per-level ledgers are not
 /// hashed; the parity suites' `digest_trace_ledgers` adds them).
@@ -46,24 +45,6 @@ fn rans_params() -> SolverParams {
         mach: 0.5,
         ..Default::default()
     }
-}
-
-fn sphere_mesh() -> columbia_cartesian::CartMesh {
-    let prof: Vec<(f64, f64)> = (0..=10)
-        .map(|i| {
-            let t = std::f64::consts::PI * i as f64 / 10.0;
-            (-0.3 * t.cos(), 0.3 * t.sin())
-        })
-        .collect();
-    let geom = Geometry::new(&[TriMesh::body_of_revolution(&prof, 10)]);
-    let config = CutCellConfig {
-        min_level: 3,
-        max_level: 4,
-        origin: Vec3::new(-1.0, -1.0, -1.0),
-        size: 2.0,
-    };
-    let tree = build_octree(&geom, &config);
-    extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1)
 }
 
 /// The three capability regimes the pre-refactor variants hard-coded:
@@ -235,29 +216,33 @@ const PMG_HIST_GOLDEN: u64 = 0x85e92c5166216061;
 const PMG_STATS_GOLDEN: u64 = 0x0fd8a654fcef687a;
 const PMG_TRACE_GOLDEN: (u64, usize) = (0x897adcc1f3ce1bb5, 3560);
 
+/// The plan of `regime` for a world of `nparts`.
+fn plan_of(nparts: usize, regime: &str) -> Option<Arc<FaultPlan>> {
+    regimes(nparts)
+        .into_iter()
+        .find(|(l, _)| *l == regime)
+        .unwrap()
+        .1
+}
+
 #[test]
 fn rans_unified_driver_matches_pre_refactor_goldens() {
     let m = rans_mesh();
-    for &(nparts, regime, gu, grms, gstats) in &RANS_GOLDEN {
-        let plan = regimes(nparts)
-            .into_iter()
-            .find(|(l, _)| *l == regime)
-            .unwrap()
-            .1;
-        let mut ctx = ExecContext::default().with_faults(plan);
-        let (u, rms, traces) =
-            columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), nparts, 3, &mut ctx);
-        assert_eq!(
-            digest_f64s(u.iter().flatten()),
-            gu,
-            "RANS {nparts} {regime}: state digest"
-        );
-        assert_eq!(rms.to_bits(), grms, "RANS {nparts} {regime}: rms bits");
-        assert_eq!(
-            digest_trace_totals(&traces),
-            gstats,
-            "RANS {nparts} {regime}: stats digest"
-        );
+    for exec in EXECUTORS {
+        for &(nparts, regime, gu, grms, gstats) in &RANS_GOLDEN {
+            let mut ctx = on(exec).with_faults(plan_of(nparts, regime));
+            let (u, rms, traces) = columbia_rans::parallel::run_parallel_smoothing(
+                &m,
+                rans_params(),
+                nparts,
+                3,
+                &mut ctx,
+            );
+            let at = format!("RANS {nparts} {regime} {exec:?}");
+            assert_eq!(digest_f64s(u.iter().flatten()), gu, "{at}: state digest");
+            assert_eq!(rms.to_bits(), grms, "{at}: rms bits");
+            assert_eq!(digest_trace_totals(&traces), gstats, "{at}: stats digest");
+        }
     }
 }
 
@@ -265,47 +250,38 @@ fn rans_unified_driver_matches_pre_refactor_goldens() {
 fn euler_unified_driver_matches_pre_refactor_goldens() {
     let cm = sphere_mesh();
     let fs = freestream5(0.5, 0.0, 0.0);
-    for &(nparts, regime, gu, grms, gstats) in &EULER_GOLDEN {
-        let plan = regimes(nparts)
-            .into_iter()
-            .find(|(l, _)| *l == regime)
-            .unwrap()
-            .1;
-        let mut ctx = ExecContext::default().with_faults(plan);
-        let (u, rms, traces) =
-            columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, nparts, 3, &mut ctx);
-        assert_eq!(
-            digest_f64s(u.iter().flatten()),
-            gu,
-            "EULER {nparts} {regime}: state digest"
-        );
-        assert_eq!(rms.to_bits(), grms, "EULER {nparts} {regime}: rms bits");
-        assert_eq!(
-            digest_trace_totals(&traces),
-            gstats,
-            "EULER {nparts} {regime}: stats digest"
-        );
+    for exec in EXECUTORS {
+        for &(nparts, regime, gu, grms, gstats) in &EULER_GOLDEN {
+            let mut ctx = on(exec).with_faults(plan_of(nparts, regime));
+            let (u, rms, traces) =
+                columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, nparts, 3, &mut ctx);
+            let at = format!("EULER {nparts} {regime} {exec:?}");
+            assert_eq!(digest_f64s(u.iter().flatten()), gu, "{at}: state digest");
+            assert_eq!(rms.to_bits(), grms, "{at}: rms bits");
+            assert_eq!(digest_trace_totals(&traces), gstats, "{at}: stats digest");
+        }
     }
 }
 
 #[test]
 fn rans_trace_json_matches_pre_refactor_goldens() {
     let m = rans_mesh();
-    for &(regime, gdigest, glen) in &RANS_TRACE_GOLDEN {
-        let plan = regimes(2)
-            .into_iter()
-            .find(|(l, _)| *l == regime)
-            .unwrap()
-            .1;
-        let mut ctx = ExecContext::traced().with_faults(plan);
-        let _ = columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, &mut ctx);
-        let json = ctx.finish_trace().to_json().render();
-        assert_eq!(json.len(), glen, "RANS trace {regime}: JSON length");
-        assert_eq!(
-            fnv::bytes(fnv::OFFSET, json.as_bytes()),
-            gdigest,
-            "RANS trace {regime}: JSON digest"
-        );
+    for exec in EXECUTORS {
+        for &(regime, gdigest, glen) in &RANS_TRACE_GOLDEN {
+            let mut ctx = ExecContext::traced()
+                .with_faults(plan_of(2, regime))
+                .with_executor(exec);
+            let _ =
+                columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, &mut ctx);
+            let json = ctx.finish_trace().to_json().render();
+            let at = format!("RANS trace {regime} {exec:?}");
+            assert_eq!(json.len(), glen, "{at}: JSON length");
+            assert_eq!(
+                fnv::bytes(fnv::OFFSET, json.as_bytes()),
+                gdigest,
+                "{at}: JSON digest"
+            );
+        }
     }
 }
 
@@ -313,21 +289,21 @@ fn rans_trace_json_matches_pre_refactor_goldens() {
 fn euler_trace_json_matches_pre_refactor_goldens() {
     let cm = sphere_mesh();
     let fs = freestream5(0.5, 0.0, 0.0);
-    for &(regime, gdigest, glen) in &EULER_TRACE_GOLDEN {
-        let plan = regimes(2)
-            .into_iter()
-            .find(|(l, _)| *l == regime)
-            .unwrap()
-            .1;
-        let mut ctx = ExecContext::traced().with_faults(plan);
-        let _ = columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, 2, 3, &mut ctx);
-        let json = ctx.finish_trace().to_json().render();
-        assert_eq!(json.len(), glen, "EULER trace {regime}: JSON length");
-        assert_eq!(
-            fnv::bytes(fnv::OFFSET, json.as_bytes()),
-            gdigest,
-            "EULER trace {regime}: JSON digest"
-        );
+    for exec in EXECUTORS {
+        for &(regime, gdigest, glen) in &EULER_TRACE_GOLDEN {
+            let mut ctx = ExecContext::traced()
+                .with_faults(plan_of(2, regime))
+                .with_executor(exec);
+            let _ = columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, 2, 3, &mut ctx);
+            let json = ctx.finish_trace().to_json().render();
+            let at = format!("EULER trace {regime} {exec:?}");
+            assert_eq!(json.len(), glen, "{at}: JSON length");
+            assert_eq!(
+                fnv::bytes(fnv::OFFSET, json.as_bytes()),
+                gdigest,
+                "{at}: JSON digest"
+            );
+        }
     }
 }
 
@@ -345,52 +321,60 @@ fn pmg_mesh() -> columbia_mesh::UnstructuredMesh {
 #[test]
 fn parallel_mg_unified_solve_matches_pre_refactor_goldens() {
     let m = pmg_mesh();
-    // Clean context: history and stats match both legacy entry points
-    // (`solve` and `solve_traced` were already stats-identical).
-    let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
-    let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ExecContext::default());
-    assert_eq!(digest_f64s(h.residuals.iter()), PMG_HIST_GOLDEN);
-    assert_eq!(digest_trace_totals(&traces), PMG_STATS_GOLDEN);
+    for exec in EXECUTORS {
+        // Clean context: history and stats match both legacy entry points
+        // (`solve` and `solve_traced` were already stats-identical).
+        let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
+        let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut on(exec));
+        assert_eq!(digest_f64s(h.residuals.iter()), PMG_HIST_GOLDEN, "{exec:?}");
+        assert_eq!(digest_trace_totals(&traces), PMG_STATS_GOLDEN, "{exec:?}");
 
-    // Traced context: same history and stats, byte-stable trace JSON.
-    let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
-    let mut ctx = ExecContext::traced();
-    let (ht, tt) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ctx);
-    let json = ctx.finish_trace().to_json().render();
-    assert_eq!(digest_f64s(ht.residuals.iter()), PMG_HIST_GOLDEN);
-    assert_eq!(digest_trace_totals(&tt), PMG_STATS_GOLDEN);
-    assert_eq!(json.len(), PMG_TRACE_GOLDEN.1);
-    assert_eq!(fnv::bytes(fnv::OFFSET, json.as_bytes()), PMG_TRACE_GOLDEN.0);
+        // Traced context: same history and stats, byte-stable trace JSON.
+        let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
+        let mut ctx = ExecContext::traced().with_executor(exec);
+        let (ht, tt) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ctx);
+        let json = ctx.finish_trace().to_json().render();
+        assert_eq!(
+            digest_f64s(ht.residuals.iter()),
+            PMG_HIST_GOLDEN,
+            "{exec:?}"
+        );
+        assert_eq!(digest_trace_totals(&tt), PMG_STATS_GOLDEN, "{exec:?}");
+        assert_eq!(json.len(), PMG_TRACE_GOLDEN.1, "{exec:?}");
+        assert_eq!(
+            fnv::bytes(fnv::OFFSET, json.as_bytes()),
+            PMG_TRACE_GOLDEN.0,
+            "{exec:?}"
+        );
+    }
 }
 
 #[test]
 fn disabled_pool_changes_no_payload_bit() {
     let m = rans_mesh();
-    let (u, rms, pooled) = columbia_rans::parallel::run_parallel_smoothing(
-        &m,
-        rans_params(),
-        2,
-        3,
-        &mut ExecContext::default(),
-    );
-    let mut ctx = ExecContext::default().with_pool(PoolPolicy::disabled());
-    let (u2, rms2, unpooled) =
-        columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, &mut ctx);
-    assert_eq!(
-        digest_f64s(u.iter().flatten()),
-        digest_f64s(u2.iter().flatten())
-    );
-    assert_eq!(rms.to_bits(), rms2.to_bits());
-    // Identical traffic, different allocation behaviour: pool-off takes a
-    // miss per checkout and recycles nothing.
-    for (a, b) in pooled.iter().zip(&unpooled) {
-        assert_eq!(a.stats.total_msgs(), b.stats.total_msgs());
-        assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
-        assert_eq!(b.stats.pool().hits, 0);
-        assert_eq!(b.stats.pool().recycled, 0);
-        assert!(b.stats.pool().misses >= a.stats.pool().misses);
+    for exec in EXECUTORS {
+        let (u, rms, pooled) =
+            columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, &mut on(exec));
+        let mut ctx = on(exec).with_pool(PoolPolicy::disabled());
+        let (u2, rms2, unpooled) =
+            columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, &mut ctx);
+        assert_eq!(
+            digest_f64s(u.iter().flatten()),
+            digest_f64s(u2.iter().flatten()),
+            "{exec:?}"
+        );
+        assert_eq!(rms.to_bits(), rms2.to_bits(), "{exec:?}");
+        // Identical traffic, different allocation behaviour: pool-off takes a
+        // miss per checkout and recycles nothing.
+        for (a, b) in pooled.iter().zip(&unpooled) {
+            assert_eq!(a.stats.total_msgs(), b.stats.total_msgs());
+            assert_eq!(a.stats.total_bytes(), b.stats.total_bytes());
+            assert_eq!(b.stats.pool().hits, 0);
+            assert_eq!(b.stats.pool().recycled, 0);
+            assert!(b.stats.pool().misses >= a.stats.pool().misses);
+        }
+        assert!(pooled.iter().any(|t| t.stats.pool().hits > 0), "{exec:?}");
     }
-    assert!(pooled.iter().any(|t| t.stats.pool().hits > 0));
 }
 
 /// 1-D damped-Jacobi Poisson level, just enough of a [`MultigridLevel`] to

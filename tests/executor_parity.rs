@@ -6,17 +6,21 @@
 //! thread backend, because the comm protocol makes all three functions of
 //! the logical program order, never of the interleaving. These tests pin
 //! that claim with FNV-1a digests at 2/4/8 ranks, clean and under seeded
-//! fault-plan chaos.
+//! fault-plan chaos, for the raw comm layer and for every distributed
+//! solver: RANS smoothing, RANS multigrid and Euler smoothing.
 
 use columbia_comm::workload::HaloWorkload;
 use columbia_comm::{run_world, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
+use columbia_euler::state::freestream5;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
+use columbia_mg::CycleParams;
 use columbia_rans::level::SolverParams;
+use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rt::fnv;
 use std::sync::Arc;
 
 mod common;
-use common::{digest_f64s, digest_stats};
+use common::{digest_f64s, digest_stats, sphere_mesh};
 
 /// The run's total `CommStats` per rank, then every rank's per-level
 /// ledger.
@@ -149,6 +153,83 @@ fn rans_solver_parity_across_executors() {
     }
 }
 
+/// The clean world and one severe chaos plan at width `n`.
+fn clean_and_severe(n: usize) -> [Option<Arc<FaultPlan>>; 2] {
+    [
+        None,
+        Some(Arc::new(FaultPlan::new(
+            CHAOS_SEEDS[3],
+            n,
+            FaultConfig::severe(),
+        ))),
+    ]
+}
+
+#[test]
+fn parallel_mg_parity_across_executors() {
+    let m = rans_mesh();
+    let params = SolverParams {
+        mach: 0.5,
+        ..Default::default()
+    };
+    for n in PARITY_WIDTHS {
+        for plan in clean_and_severe(n) {
+            let run = |exec: Executor| {
+                let mut ctx = ExecContext::default()
+                    .with_faults(plan.clone())
+                    .with_executor(exec);
+                let pmg = ParallelMg::new(&m, params, n, 3);
+                pmg.solve(&CycleParams::default(), 4.0, 1, &mut ctx)
+            };
+            let (th, tt) = run(Executor::Threads);
+            let (eh, et) = run(Executor::Events);
+            assert_eq!(
+                digest_f64s(th.residuals.iter()),
+                digest_f64s(eh.residuals.iter()),
+                "multigrid history diverged at n={n}"
+            );
+            assert_eq!(
+                digest_trace_ledgers(&tt),
+                digest_trace_ledgers(&et),
+                "multigrid ledgers diverged at n={n}"
+            );
+        }
+    }
+}
+
+#[test]
+fn euler_solver_parity_across_executors() {
+    let cm = sphere_mesh();
+    let fs = freestream5(0.5, 0.0, 0.0);
+    for n in PARITY_WIDTHS {
+        for plan in clean_and_severe(n) {
+            let run = |exec: Executor| {
+                let mut ctx = ExecContext::default()
+                    .with_faults(plan.clone())
+                    .with_executor(exec);
+                columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, n, 3, &mut ctx)
+            };
+            let (tu, trms, tt) = run(Executor::Threads);
+            let (eu, erms, et) = run(Executor::Events);
+            assert_eq!(
+                digest_f64s(tu.iter().flatten()),
+                digest_f64s(eu.iter().flatten()),
+                "Euler state digest diverged at n={n}"
+            );
+            assert_eq!(
+                trms.to_bits(),
+                erms.to_bits(),
+                "Euler rms diverged at n={n}"
+            );
+            assert_eq!(
+                digest_trace_ledgers(&tt),
+                digest_trace_ledgers(&et),
+                "Euler stats digest diverged at n={n}"
+            );
+        }
+    }
+}
+
 #[test]
 fn trace_json_is_byte_identical_across_executors() {
     let m = rans_mesh();
@@ -177,9 +258,9 @@ fn trace_json_is_byte_identical_across_executors() {
 
 #[test]
 fn event_executor_double_run_is_bit_identical() {
-    // The CI executor-matrix leg re-runs the suite twice under
-    // COLUMBIA_EXECUTOR=events; this is the in-tree pin of the same
-    // property on the chaos workload.
+    // Two event-executor runs of one chaos plan give the same bits: CI
+    // also runs this suite twice in two processes, and this is the
+    // in-process pin of the same property.
     for n in PARITY_WIDTHS {
         let plan = Some(Arc::new(FaultPlan::new(
             CHAOS_SEEDS[2],

@@ -13,12 +13,13 @@
 //!    drops never change the values collectives deliver.
 //!
 //! Claim 1 is checked on a fixed table of (seed, severity) cells and on a
-//! property over random seeds under both profiles. To pin a new schedule,
-//! add a row to [`CHAOS_CELLS`]; a failing property case prints its seed
-//! and replays alone with `COLUMBIA_PT_REPLAY=<seed>`.
+//! property over random seeds under both profiles, each on both executors.
+//! To pin a new schedule, add a row to [`CHAOS_CELLS`]; a failing property
+//! case prints its seed and replays alone with `COLUMBIA_PT_REPLAY=<seed>`.
 
 use columbia_comm::{
-    run_world, CommStats, ExecContext, FaultConfig, FaultPlan, RankTrace, WorldCommSummary,
+    run_world, CommStats, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace,
+    WorldCommSummary,
 };
 use columbia_core::{CartAnalysis, CaseStatus, DatabaseFill, DatabaseSpec, FillPolicy};
 use columbia_machine::{fabric_fault_config, Fabric};
@@ -28,6 +29,9 @@ use columbia_rans::parallel::run_parallel_smoothing;
 use columbia_rans::state::NVARS;
 use columbia_rt::fault::CasePlan;
 use std::sync::Arc;
+
+mod common;
+use common::{on, EXECUTORS};
 
 fn rans_mesh() -> columbia_mesh::UnstructuredMesh {
     wing_mesh(&WingMeshSpec {
@@ -89,12 +93,13 @@ const CHAOS_CELLS: [(u64, Severity); 10] = [
 
 /// Acceptance (a): same fault seed ⇒ bit-identical solver output and
 /// communication trace, retry counters included.
-fn assert_chaos_replays_bit_identically(seed: u64, severity: Severity) {
-    eprintln!("chaos replay: seed {seed:#x}, {severity:?}");
+fn assert_chaos_replays_bit_identically(exec: Executor, seed: u64, severity: Severity) {
+    eprintln!("chaos replay: seed {seed:#x}, {severity:?}, {exec:?}");
     let mesh = rans_mesh();
+    let faulty = |plan: FaultPlan| on(exec).with_faults(Some(Arc::new(plan)));
     let run = || {
-        let plan = Arc::new(FaultPlan::new(seed, 4, severity.config()));
-        run_parallel_smoothing(&mesh, rans_params(), 4, 2, &mut ExecContext::faulty(plan))
+        let plan = FaultPlan::new(seed, 4, severity.config());
+        run_parallel_smoothing(&mesh, rans_params(), 4, 2, &mut faulty(plan))
     };
     let (ua, rmsa, sa) = run();
     let (ub, rmsb, sb) = run();
@@ -107,13 +112,12 @@ fn assert_chaos_replays_bit_identically(seed: u64, severity: Severity) {
     );
     // And the payloads match the fault-free run exactly: the protocol hides
     // the injected chaos from the solver.
-    let clean_plan = Arc::new(FaultPlan::fault_free(4));
     let (uc, rmsc, sc) = run_parallel_smoothing(
         &mesh,
         rans_params(),
         4,
         2,
-        &mut ExecContext::faulty(clean_plan),
+        &mut faulty(FaultPlan::fault_free(4)),
     );
     assert_eq!(
         state_bits(&ua),
@@ -126,8 +130,10 @@ fn assert_chaos_replays_bit_identically(seed: u64, severity: Severity) {
 
 #[test]
 fn same_fault_seed_is_bit_identical_across_runs() {
-    for (seed, severity) in CHAOS_CELLS {
-        assert_chaos_replays_bit_identically(seed, severity);
+    for exec in EXECUTORS {
+        for (seed, severity) in CHAOS_CELLS {
+            assert_chaos_replays_bit_identically(exec, seed, severity);
+        }
     }
 }
 
@@ -139,7 +145,9 @@ columbia_rt::props! {
         seed in 0u64..u64::MAX,
         severe in 0u32..2,
     ) {
-        assert_chaos_replays_bit_identically(seed, if severe == 1 { Severe } else { Mild });
+        for exec in EXECUTORS {
+            assert_chaos_replays_bit_identically(exec, seed, if severe == 1 { Severe } else { Mild });
+        }
     }
 }
 
@@ -148,21 +156,25 @@ columbia_rt::props! {
 #[test]
 fn severe_chaos_exercises_retry_dup_and_delay_paths() {
     let mesh = rans_mesh();
-    let plan = || Arc::new(FaultPlan::new(0xBAD_CAB1E, 4, FaultConfig::severe()));
-    let run =
-        || run_parallel_smoothing(&mesh, rans_params(), 4, 2, &mut ExecContext::faulty(plan()));
-    let (ua, _, sa) = run();
-    let (ub, _, sb) = run();
-    assert_eq!(state_bits(&ua), state_bits(&ub));
-    assert_eq!(stats_of(&sa), stats_of(&sb));
-    let world = WorldCommSummary::from_ranks(&stats_of(&sa));
-    assert!(
-        world.faults.retries > 0,
-        "no retries recorded: {:?}",
-        world.faults
-    );
-    assert!(world.faults.dup_sent > 0, "no duplicates recorded");
-    assert!(world.faults.delayed_msgs > 0, "no delays recorded");
+    for exec in EXECUTORS {
+        let run = || {
+            let plan = FaultPlan::new(0xBAD_CAB1E, 4, FaultConfig::severe());
+            let mut ctx = on(exec).with_faults(Some(Arc::new(plan)));
+            run_parallel_smoothing(&mesh, rans_params(), 4, 2, &mut ctx)
+        };
+        let (ua, _, sa) = run();
+        let (ub, _, sb) = run();
+        assert_eq!(state_bits(&ua), state_bits(&ub), "{exec:?}");
+        assert_eq!(stats_of(&sa), stats_of(&sb), "{exec:?}");
+        let world = WorldCommSummary::from_ranks(&stats_of(&sa));
+        assert!(
+            world.faults.retries > 0,
+            "{exec:?}: no retries recorded: {:?}",
+            world.faults
+        );
+        assert!(world.faults.dup_sent > 0, "no duplicates recorded");
+        assert!(world.faults.delayed_msgs > 0, "no delays recorded");
+    }
 }
 
 /// Acceptance (b): a fill with an injected always-failing case completes,
@@ -215,45 +227,47 @@ fn poisoned_fill_case_is_quarantined_and_reported() {
 /// heavy duplication and reordering (and simulated drops).
 #[test]
 fn collectives_converge_under_duplication_and_reordering() {
-    let workload = |plan: Option<Arc<FaultPlan>>| -> Vec<(f64, CommStats)> {
-        let ctx = ExecContext::default().with_faults(plan);
-        run_world(5, &ctx, |rank| {
-            let r = rank.rank() as f64;
-            let mut acc = rank.allreduce_sum(r * 1.25 + 0.5);
-            acc += rank.allreduce_max(acc * (r + 1.0));
-            rank.barrier();
-            acc += rank.allreduce_sum(1.0 / (r + 1.0));
-            (acc, rank.take_stats())
-        })
-        .0
-    };
-    let clean = workload(None);
-    let cfg = FaultConfig {
-        dup_rate: 0.9,
-        max_dups: 3,
-        delay_rate: 0.7,
-        max_delay_slots: 4,
-        drop_rate: 0.4,
-        max_retries: 3,
-        ..FaultConfig::fault_free()
-    };
-    for seed in [1u64, 42, 0xD00F] {
-        let chaotic = workload(Some(Arc::new(FaultPlan::new(seed, 5, cfg))));
-        for ((vc, sc), (vf, sf)) in clean.iter().zip(&chaotic) {
-            assert_eq!(
-                vc.to_bits(),
-                vf.to_bits(),
-                "collective result changed under chaos (seed {seed})"
+    for exec in EXECUTORS {
+        let workload = |plan: Option<Arc<FaultPlan>>| -> Vec<(f64, CommStats)> {
+            let ctx = on(exec).with_faults(plan);
+            run_world(5, &ctx, |rank| {
+                let r = rank.rank() as f64;
+                let mut acc = rank.allreduce_sum(r * 1.25 + 0.5);
+                acc += rank.allreduce_max(acc * (r + 1.0));
+                rank.barrier();
+                acc += rank.allreduce_sum(1.0 / (r + 1.0));
+                (acc, rank.take_stats())
+            })
+            .0
+        };
+        let clean = workload(None);
+        let cfg = FaultConfig {
+            dup_rate: 0.9,
+            max_dups: 3,
+            delay_rate: 0.7,
+            max_delay_slots: 4,
+            drop_rate: 0.4,
+            max_retries: 3,
+            ..FaultConfig::fault_free()
+        };
+        for seed in [1u64, 42, 0xD00F] {
+            let chaotic = workload(Some(Arc::new(FaultPlan::new(seed, 5, cfg))));
+            for ((vc, sc), (vf, sf)) in clean.iter().zip(&chaotic) {
+                assert_eq!(
+                    vc.to_bits(),
+                    vf.to_bits(),
+                    "{exec:?}: collective result changed under chaos (seed {seed})"
+                );
+                // Same message/byte ledger as the clean run: injected copies
+                // and retries are accounted separately in the fault counters.
+                assert_eq!(sf.total_msgs(), sc.total_msgs());
+                assert_eq!(sf.total_bytes(), sc.total_bytes());
+            }
+            let world = WorldCommSummary::from_ranks(
+                &chaotic.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
             );
-            // Same message/byte ledger as the clean run: injected copies
-            // and retries are accounted separately in the fault counters.
-            assert_eq!(sf.total_msgs(), sc.total_msgs());
-            assert_eq!(sf.total_bytes(), sc.total_bytes());
+            assert!(world.faults.dup_sent > 0 && world.faults.delayed_msgs > 0);
         }
-        let world = WorldCommSummary::from_ranks(
-            &chaotic.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>(),
-        );
-        assert!(world.faults.dup_sent > 0 && world.faults.delayed_msgs > 0);
     }
 }
 
@@ -269,17 +283,21 @@ fn golden_trace_fabric_ranking_holds_under_delay_faults() {
     let config = fabric_fault_config(Fabric::InfiniBand, 4);
     assert!(config.delay_rate > 0.0, "IB severity must inject delays");
     let plan = Arc::new(FaultPlan::new(0x90_1D, 4, config));
-    let stats = run_world(4, &ExecContext::faulty(plan), |rank| {
-        let n = rank.nranks();
-        let me = rank.rank();
-        for round in 0..8u64 {
-            rank.send((me + 1) % n, round, vec![me as f64; 16]);
-            rank.recv((me + n - 1) % n, round);
-        }
-        rank.allreduce_sum(me as f64);
-        rank.take_stats()
-    })
-    .0;
+    let record = |exec| {
+        run_world(4, &on(exec).with_faults(Some(plan.clone())), |rank| {
+            let n = rank.nranks();
+            let me = rank.rank();
+            for round in 0..8u64 {
+                rank.send((me + 1) % n, round, vec![me as f64; 16]);
+                rank.recv((me + n - 1) % n, round);
+            }
+            rank.allreduce_sum(me as f64);
+            rank.take_stats()
+        })
+        .0
+    };
+    let [stats, on_events] = EXECUTORS.map(record);
+    assert_eq!(stats, on_events, "the executors recorded different traces");
     let world = WorldCommSummary::from_ranks(&stats);
     assert!(
         world.faults.delayed_msgs > 0,
@@ -324,8 +342,8 @@ columbia_rt::props! {
     /// comm trace exactly — the plan machinery itself is free of side
     /// effects.
     fn prop_zero_rate_plan_reproduces_fault_free_trace(seed in 0u64..u64::MAX) {
-        let workload = |plan: Option<Arc<FaultPlan>>| {
-            let ctx = ExecContext::default().with_faults(plan);
+        let workload = |exec: Executor, plan: Option<Arc<FaultPlan>>| {
+            let ctx = on(exec).with_faults(plan);
             run_world(3, &ctx, |rank| {
                 let n = rank.nranks();
                 let me = rank.rank();
@@ -337,11 +355,14 @@ columbia_rt::props! {
             })
             .0
         };
-        let clean = workload(None);
-        let gated = workload(Some(Arc::new(FaultPlan::new(seed, 3, FaultConfig::fault_free()))));
-        for ((vc, sc), (vg, sg)) in clean.iter().zip(&gated) {
-            assert_eq!(vc.to_bits(), vg.to_bits());
-            assert_eq!(sc, sg, "zero-rate plan perturbed the trace (seed {seed})");
+        for exec in EXECUTORS {
+            let clean = workload(exec, None);
+            let plan = FaultPlan::new(seed, 3, FaultConfig::fault_free());
+            let gated = workload(exec, Some(Arc::new(plan)));
+            for ((vc, sc), (vg, sg)) in clean.iter().zip(&gated) {
+                assert_eq!(vc.to_bits(), vg.to_bits(), "{exec:?}");
+                assert_eq!(sc, sg, "{exec:?}: zero-rate plan perturbed the trace (seed {seed})");
+            }
         }
     }
 }
@@ -356,14 +377,19 @@ fn default_context_driver_matches_serial_reference() {
     for _ in 0..2 {
         serial.smooth_sweep();
     }
-    let (u, _, traces) =
-        run_parallel_smoothing(&mesh, rans_params(), 4, 2, &mut ExecContext::default());
-    let mut max_diff = 0.0f64;
-    for (v, su) in serial.u.to_aos().iter().enumerate() {
-        for k in 0..NVARS {
-            max_diff = max_diff.max((u[v][k] - su[k]).abs());
+    let serial_u = serial.u.to_aos();
+    for exec in EXECUTORS {
+        let (u, _, traces) = run_parallel_smoothing(&mesh, rans_params(), 4, 2, &mut on(exec));
+        let mut max_diff = 0.0f64;
+        for (v, su) in serial_u.iter().enumerate() {
+            for k in 0..NVARS {
+                max_diff = max_diff.max((u[v][k] - su[k]).abs());
+            }
         }
+        assert!(
+            max_diff < 1e-8,
+            "{exec:?}: no-plan run diverged: {max_diff}"
+        );
+        assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
     }
-    assert!(max_diff < 1e-8, "no-plan driver diverged: {max_diff}");
-    assert!(traces.iter().all(|t| t.stats.faults().is_clean()));
 }

@@ -69,7 +69,7 @@ fn database_flight_and_trim_workflow() {
     // the optimiser must guarantee is a bracketed optimum no worse than
     // the endpoints, within the analysis budget.
     let drag = |d: f64| db.lookup(d, 2.0, 0.0).0.x;
-    let opt = golden_section(-0.3, 0.3, 1e-3, 50, drag);
+    let opt = golden_section(-0.3, 0.3, 1e-3, 50, drag).expect("a valid bracket and budget");
     assert!((-0.3..=0.3).contains(&opt.x));
     assert!(opt.value <= drag(-0.3).min(drag(0.3)) + 1e-12);
     assert!(opt.analysis_cycles <= 50);
@@ -79,7 +79,7 @@ fn database_flight_and_trim_workflow() {
     let m_at = |d: f64| db.lookup(d, 2.0, 0.05).1.y;
     let (mlo, mhi) = (m_at(-0.3), m_at(0.3));
     if mlo * mhi < 0.0 {
-        let trim = trim_bisection(-0.3, 0.3, 1e-4, 60, m_at);
+        let trim = trim_bisection(-0.3, 0.3, 1e-4, 60, m_at).expect("the bracket straddles zero");
         assert!(trim.x > -0.3 && trim.x < 0.3);
         assert!(m_at(trim.x).abs() < m_at(-0.3).abs());
     }

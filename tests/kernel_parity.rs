@@ -10,7 +10,6 @@
 
 use columbia_bench::kernels::{self, digest_states};
 use columbia_cartesian::{build_octree, extract_mesh, CartMesh, CutCellConfig, Geometry, TriMesh};
-use columbia_comm::ExecContext;
 use columbia_euler::state::freestream5;
 use columbia_euler::{EulerLevel, EulerParams, EulerSolver};
 use columbia_linalg::soa::vec_batch_zero;
@@ -24,6 +23,9 @@ use columbia_rt::Pcg32;
 use columbia_sfc::CurveKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+mod common;
+use common::{on, EXECUTORS};
 
 /// Counting allocator wrapping [`System`]: per-thread allocation counters
 /// so the zero-alloc steady-state assertion below is immune to the test
@@ -382,22 +384,18 @@ fn two_rank_parallel_smoothing_agrees_across_kernel_paths() {
         jitter: 0.0,
         ..WingMeshSpec::with_target_points(900)
     });
-    let run = |kernel| {
+    let run = |exec, kernel| {
         let params = SolverParams {
             mach: 0.5,
             kernel: Some(kernel),
             ..Default::default()
         };
-        columbia_rans::parallel::run_parallel_smoothing(
-            &mesh,
-            params,
-            2,
-            3,
-            &mut ExecContext::default(),
-        )
+        columbia_rans::parallel::run_parallel_smoothing(&mesh, params, 2, 3, &mut on(exec))
     };
-    let (u_scalar, rms_scalar, _) = run(KernelKind::Scalar);
-    let (u_simd, rms_simd, _) = run(KernelKind::Simd);
-    assert_eq!(rms_scalar.to_bits(), rms_simd.to_bits());
-    assert_eq!(digest_states(&u_scalar), digest_states(&u_simd));
+    for exec in EXECUTORS {
+        let (u_scalar, rms_scalar, _) = run(exec, KernelKind::Scalar);
+        let (u_simd, rms_simd, _) = run(exec, KernelKind::Simd);
+        assert_eq!(rms_scalar.to_bits(), rms_simd.to_bits(), "{exec:?}");
+        assert_eq!(digest_states(&u_scalar), digest_states(&u_simd), "{exec:?}");
+    }
 }
