@@ -26,11 +26,12 @@ pub struct EulerLevel {
     pub mesh: CartMesh,
     /// Conservative state, one plane per component.
     pub u: SoaStates<NVARS5>,
-    /// FAS forcing (zero on the finest level).
+    /// FAS forcing: empty until the first `restrict_into` that targets
+    /// this level sizes it, so the finest level never carries one; an
+    /// empty plane reads as zero.
     pub forcing: SoaStates<NVARS5>,
-    /// Restricted state stored at restriction time: empty until the first
-    /// `restrict_into` that targets this level sizes it (the finest level
-    /// never reads one).
+    /// Restricted state stored at restriction time, sized with `forcing`
+    /// (the finest level never reads one).
     pub restricted_u: SoaStates<NVARS5>,
     /// Residual scratch `r = forcing - N(u)`.
     pub res: SoaStates<NVARS5>,
@@ -75,7 +76,7 @@ impl EulerLevel {
         filled.fill_with(&fs);
         EulerLevel {
             u: filled.clone(),
-            forcing: SoaStates::zeros(n),
+            forcing: SoaStates::zeros(0),
             restricted_u: SoaStates::zeros(0),
             res: SoaStates::zeros(n),
             u0: filled,
@@ -179,7 +180,8 @@ impl EulerLevel {
         }
     }
 
-    /// Add forcing and zero inactive rows.
+    /// Add forcing and zero inactive rows. An empty forcing (finest level)
+    /// adds a literal +0.0: the same operation as the zero plane.
     pub fn finalize_residual(&mut self) {
         let Self {
             mesh,
@@ -188,6 +190,7 @@ impl EulerLevel {
             active,
             ..
         } = self;
+        let forced = !forcing.is_empty();
         let mut rp = res.planes_mut();
         for c in 0..mesh.ncells() {
             if !active[c] {
@@ -197,7 +200,7 @@ impl EulerLevel {
                 continue;
             }
             for (k, rk) in rp.iter_mut().enumerate() {
-                rk[c] += forcing.at(k, c);
+                rk[c] += if forced { forcing.at(k, c) } else { 0.0 };
             }
         }
     }

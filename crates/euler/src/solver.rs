@@ -80,11 +80,13 @@ impl MultigridLevel for EulerLevel {
             }
             coarse.guard_state(g);
         }
-        if coarse.restricted_u.len() != nc {
+        if coarse.forcing.len() == nc {
+            coarse.forcing.fill_zero();
+        } else {
+            coarse.forcing = SoaStates::zeros(nc);
             coarse.restricted_u = SoaStates::zeros(nc);
         }
         coarse.restricted_u.copy_from(&coarse.u);
-        coarse.forcing.fill_zero();
         coarse.compute_residual(); // res = -N_c(u_hat)
         for g in 0..nc {
             for k in 0..NVARS5 {

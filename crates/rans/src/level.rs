@@ -16,6 +16,7 @@
 use crate::flops::{self, FlopCounter};
 use crate::prim::{half_jacobian_shifted, prim_of, vel, EdgeScalars, Prim};
 use crate::state::{freestream, sa, State, GAMMA, NVARS};
+use columbia_comm::HaloField;
 use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, VecBatch, LANES};
 use columbia_linalg::{BlockMat, BlockTridiag};
 use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
@@ -206,9 +207,12 @@ pub struct RansLevel {
     in_line: Vec<bool>,
     /// Conservative state, one plane per component.
     pub u: SoaStates<NVARS>,
-    /// FAS forcing (zero on the finest level).
+    /// FAS forcing. Empty until the first restriction that targets this
+    /// level sizes it, so the finest level never carries one; an empty
+    /// plane reads as zero.
     pub forcing: SoaStates<NVARS>,
-    /// State stored at restriction time (for the coarse-grid correction).
+    /// State stored at restriction time (for the coarse-grid correction);
+    /// sized with `forcing`, so empty on the finest level.
     pub restricted_u: SoaStates<NVARS>,
     /// Residual scratch `r = forcing - N(u)`.
     pub res: SoaStates<NVARS>,
@@ -243,10 +247,11 @@ pub struct RansLevel {
     edge_nrm: Vec<[f64; 3]>,
     /// Per-block inverse control volumes of the finalisation sweep.
     vol_inv: Vec<f64>,
-    /// Persistent pack buffer for the diagonal + lamsum ghost exchange
-    /// (36 Jacobian entries + lamsum per vertex); level-owned so the
-    /// parallel sweep's coalesced exchange is allocation-free.
-    pub(crate) diag_pack: Vec<[f64; 37]>,
+    /// Pack buffer of the scratch route of the diagonal exchange
+    /// ([`Self::pack_diag_scratch`]): empty until that route first runs.
+    /// The solver's own sweeps never size it; they exchange the blocks in
+    /// place through [`DiagHalo`].
+    diag_pack: Vec<[f64; 37]>,
     /// Restriction accumulators `[sum vol u, sum r]` of this level as the
     /// *coarse* side of a transfer; sized on first use, then reused.
     pub(crate) restrict_acc: Vec<[State; 2]>,
@@ -318,8 +323,6 @@ impl RansLevel {
         let kernel = params.kernel.unwrap_or(KernelKind::Simd);
         let mut u = SoaStates::zeros(n);
         u.fill_with(&fs);
-        let mut restricted_u = SoaStates::zeros(n);
-        restricted_u.fill_with(&fs);
         let longest = lines.iter().map(Vec::len).max().unwrap_or(0);
         Ok(RansLevel {
             line_x_batch: vec![vec_batch_zero(); longest],
@@ -330,8 +333,8 @@ impl RansLevel {
             line_order,
             tridiag_batch: TridiagBatch::new(),
             u,
-            forcing: SoaStates::zeros(n),
-            restricted_u,
+            forcing: SoaStates::zeros(0),
+            restricted_u: SoaStates::zeros(0),
             res: SoaStates::zeros(n),
             grad: SoaStates::zeros(n),
             prim: vec![[0.0; 8]; n],
@@ -343,7 +346,7 @@ impl RansLevel {
             edge_avg: vec![[0.0; 3]; EDGE_BLOCK],
             edge_nrm: vec![[0.0; 3]; EDGE_BLOCK],
             vol_inv: vec![0.0; VBLOCK],
-            diag_pack: vec![[0.0; 37]; n],
+            diag_pack: Vec::new(),
             restrict_acc: Vec::new(),
             cfl_now: params.cfl_start.min(params.cfl),
             params,
@@ -532,41 +535,79 @@ impl RansLevel {
     }
 
     /// Phase 4: accumulate convective and diffusive edge fluxes into
-    /// `res = -N` (flux part). Endpoint states are gathered per edge, their
-    /// primitives read from the cache; residual updates scatter straight
-    /// into the component planes.
+    /// `res = -N` (flux part), for residual-only evaluations.
     pub fn accumulate_fluxes(&mut self) {
+        self.edge_pass::<true, false>();
+    }
+
+    /// Phase 4 and diagonal phase 1 in one edge pass, bit-identical to
+    /// [`Self::accumulate_fluxes`] then [`Self::accumulate_diagonal`].
+    pub fn accumulate_fluxes_and_diagonal(&mut self) {
+        self.edge_pass::<true, true>();
+    }
+
+    /// The one edge loop of the flux and diagonal accumulations: one
+    /// primitive gather and one [`EdgeScalars`] per edge serve both.
+    /// `res` and `diag`/`lamsum` are disjoint accumulators, each still fed
+    /// in global edge order (DESIGN §16, rule 2). `diag` and `lamsum` are
+    /// zeroed first; the seven structural zeros of `A` off the diagonal
+    /// are never touched, as they would only ever receive `+0.0`.
+    fn edge_pass<const FLUX: bool, const DIAG: bool>(&mut self) {
         self.debug_assert_cache_fresh();
         let Self {
             mesh,
             u,
             prim,
             res,
+            diag,
+            lamsum,
             params,
             flops: fc,
             ..
         } = self;
+        if DIAG {
+            diag.fill(BlockMat::zero());
+            lamsum.fill(0.0);
+        }
         let mu = params.mu_laminar();
+        let rho = u.plane(0);
         let mut rp = res.planes_mut();
         for e in &mesh.edges {
             let (a, b) = (e.a as usize, e.b as usize);
-            let (ua, ub) = (u.get(a), u.get(b));
+            let s = e.normal;
             let (pa, pb) = (&prim[a], &prim[b]);
-            let es = EdgeScalars::new(pa, pb, e.normal, e.length, mu);
-            let (f, d) = es.fluxes((pa, &ua), (pb, &ub), e.normal, mu);
-            for (k, rk) in rp.iter_mut().enumerate() {
-                // res = -N: flux out of a decreases res[a].
-                rk[a] -= f[k];
-                rk[b] += f[k];
+            let es = EdgeScalars::new(pa, pb, s, e.length, mu);
+            if FLUX {
+                let (ua, ub) = (u.get(a), u.get(b));
+                let (f, d) = es.fluxes((pa, &ua), (pb, &ub), s, mu);
+                for (k, rk) in rp.iter_mut().enumerate() {
+                    // res = -N: flux out of a decreases res[a].
+                    rk[a] -= f[k];
+                    rk[b] += f[k];
+                }
+                // Edge-based diffusion (viscous + turbulence transport): the
+                // diffusive flux out of a is -d, so N[a] -= d.
+                for (k, rk) in rp[1..].iter_mut().enumerate() {
+                    rk[a] += d[k];
+                    rk[b] -= d[k];
+                }
             }
-            // Edge-based diffusion (viscous + turbulence transport): the
-            // diffusive flux out of a is -d, so N[a] -= d.
-            for (k, rk) in rp[1..].iter_mut().enumerate() {
-                rk[a] += d[k];
-                rk[b] -= d[k];
+            if DIAG {
+                let visc = es.visc(rho[a], rho[b]);
+                let d = 0.5 * es.lam + visc;
+                // Row a: +0.5 A(u_a, S) + (0.5 lam + visc) I.
+                let da = &mut diag[a];
+                half_jacobian_shifted(pa, s, d, |r, c, v| *da.get_mut(r, c) += v);
+                // Row b: outward normal is -S.
+                let db = &mut diag[b];
+                half_jacobian_shifted(pb, -s, d, |r, c, v| *db.get_mut(r, c) += v);
+                lamsum[a] += es.lam + visc;
+                lamsum[b] += es.lam + visc;
             }
         }
-        fc.add(mesh.nedges() as u64 * (flops::FLUX + flops::VISCOUS));
+        let per_edge =
+            FLUX as u64 * (flops::FLUX + flops::VISCOUS) + DIAG as u64 * flops::JACOBIAN_EDGE;
+        fc.add(mesh.nedges() as u64 * per_edge);
     }
 
     /// Phase 5: turbulence sources, FAS forcing, boundary-row zeroing.
@@ -584,6 +625,7 @@ impl RansLevel {
             ..
         } = self;
         let n = mesh.nvertices();
+        let forced = !forcing.is_empty();
         let mut rp = res.planes_mut();
         for v in 0..n {
             if !active[v] {
@@ -624,8 +666,10 @@ impl RansLevel {
                     rp[5][v] += (prod - dest) * vol;
                 }
             }
+            // An empty forcing (finest level) adds a literal +0.0: the same
+            // operation as the zero plane, so a -0.0 row still turns +0.0.
             for (k, rk) in rp.iter_mut().enumerate() {
-                rk[v] += forcing.at(k, v);
+                rk[v] += if forced { forcing.at(k, v) } else { 0.0 };
             }
             // BC rows of the forcing must not leak into constrained rows.
             match mesh.bc[v] {
@@ -708,11 +752,17 @@ impl RansLevel {
         }
     }
 
-    /// One implicit smoothing sweep: residual assembly, block-diagonal
-    /// (and block-tridiagonal along lines) solve, state update, BCs.
+    /// One implicit smoothing sweep: residual and diagonal assembly (one
+    /// edge pass; `finalize_diagonal` reads neither `res` nor the
+    /// gradients), block-diagonal (and block-tridiagonal along lines)
+    /// solve, state update, BCs.
     pub fn smooth_sweep(&mut self) {
-        self.compute_residual();
-        self.assemble_diagonal();
+        self.begin_residual();
+        self.accumulate_gradients();
+        self.finalize_gradients();
+        self.accumulate_fluxes_and_diagonal();
+        self.finalize_residual();
+        self.finalize_diagonal();
         self.solve_implicit();
     }
 
@@ -890,53 +940,11 @@ impl RansLevel {
         }
     }
 
-    /// Assemble the implicit diagonal blocks and local time steps
-    /// (phases public for the domain-decomposed solver).
-    pub fn assemble_diagonal(&mut self) {
-        self.accumulate_diagonal();
-        self.finalize_diagonal();
-    }
-
-    /// Diagonal phase 1: per-edge Jacobian contributions, accumulated
-    /// entry by entry. The seven structural zeros of `A` off the diagonal
-    /// are never touched: `diag[v]` is zeroed here and those entries would
-    /// only ever receive `+0.0`.
+    /// Diagonal phase 1 alone: per-edge Jacobian contributions and
+    /// time-step sums (the replay runs it; a sweep runs
+    /// [`Self::accumulate_fluxes_and_diagonal`]).
     pub fn accumulate_diagonal(&mut self) {
-        self.debug_assert_cache_fresh();
-        let Self {
-            mesh,
-            u,
-            prim,
-            diag,
-            lamsum,
-            params,
-            flops: fc,
-            ..
-        } = self;
-        let n = mesh.nvertices();
-        for v in 0..n {
-            diag[v] = BlockMat::zero();
-            lamsum[v] = 0.0;
-        }
-        let mu = params.mu_laminar();
-        let rho = u.plane(0);
-        for e in &mesh.edges {
-            let (a, b) = (e.a as usize, e.b as usize);
-            let s = e.normal;
-            let (pa, pb) = (&prim[a], &prim[b]);
-            let es = EdgeScalars::new(pa, pb, s, e.length, mu);
-            let visc = es.visc(rho[a], rho[b]);
-            let d = 0.5 * es.lam + visc;
-            // Row a: +0.5 A(u_a, S) + (0.5 lam + visc) I.
-            let da = &mut diag[a];
-            half_jacobian_shifted(pa, s, d, |r, c, v| *da.get_mut(r, c) += v);
-            // Row b: outward normal is -S.
-            let db = &mut diag[b];
-            half_jacobian_shifted(pb, -s, d, |r, c, v| *db.get_mut(r, c) += v);
-            lamsum[a] += es.lam + visc;
-            lamsum[b] += es.lam + visc;
-        }
-        fc.add(mesh.nedges() as u64 * flops::JACOBIAN_EDGE);
+        self.edge_pass::<false, true>();
     }
 
     /// Diagonal phase 2: time-step and source-Jacobian terms.
@@ -955,44 +963,77 @@ impl RansLevel {
         }
     }
 
-    /// Pack the implicit diagonal blocks + time-step accumulators into the
-    /// level-owned flat per-vertex buffer (36 Jacobian entries + lamsum)
-    /// for ghost exchange. Persistent scratch: no allocation per sweep.
+    /// The residual planes and the implicit diagonal as a halo field,
+    /// borrowed together so one coalesced exchange carries both.
+    pub fn res_and_diag(&mut self) -> (&mut SoaStates<NVARS>, DiagHalo<'_>) {
+        let (diag, lamsum) = (&mut self.diag, &mut self.lamsum);
+        (&mut self.res, DiagHalo { diag, lamsum })
+    }
+
+    /// Copy the diagonal into a flat per-vertex buffer in the [`DiagHalo`]
+    /// wire layout, sized on first use. The solver exchanges the blocks in
+    /// place; this scratch route and its two companions stay public only
+    /// for `bench_e2e`'s sweep replay, and go when the benchmark reads
+    /// spans recorded inside the crates instead (ROADMAP.md).
     pub fn pack_diag_scratch(&mut self) {
-        let Self {
-            diag,
-            lamsum,
-            diag_pack,
-            ..
-        } = self;
-        for (v, row) in diag_pack.iter_mut().enumerate() {
-            for r in 0..NVARS {
-                for c in 0..NVARS {
-                    row[r * NVARS + c] = diag[v].get(r, c);
-                }
+        let (diag, lamsum) = (&self.diag, &self.lamsum);
+        self.diag_pack.resize(diag.len(), [0.0; 37]);
+        for (v, row) in self.diag_pack.iter_mut().enumerate() {
+            for (k, x) in row[..36].iter_mut().enumerate() {
+                *x = diag[v].get(k / NVARS, k % NVARS);
             }
             row[36] = lamsum[v];
         }
     }
 
-    /// Inverse of [`Self::pack_diag_scratch`].
+    /// Inverse of [`Self::pack_diag_scratch`] (kept for the replay only).
     pub fn unpack_diag_scratch(&mut self) {
-        let Self {
-            diag,
-            lamsum,
-            diag_pack,
-            ..
-        } = self;
-        for (v, row) in diag_pack.iter().enumerate() {
-            diag[v] = BlockMat::from_fn(|r, c| row[r * NVARS + c]);
-            lamsum[v] = row[36];
+        let (diag, lamsum) = (&mut self.diag, &mut self.lamsum);
+        let mut halo = DiagHalo { diag, lamsum };
+        for (v, row) in self.diag_pack.iter().enumerate() {
+            halo.set_entry(v, row);
         }
     }
 
-    /// The diagonal exchange buffer as a mutable slice (coalesced halo
-    /// exchange rides it together with the residual planes).
+    /// The scratch route's buffer as a mutable slice (kept for the replay
+    /// only); empty until [`Self::pack_diag_scratch`] first runs.
     pub fn diag_pack_mut(&mut self) -> &mut [[f64; 37]] {
         &mut self.diag_pack
+    }
+}
+
+/// A level's implicit diagonal blocks and time-step sums seen as one halo
+/// field ([`RansLevel::res_and_diag`]): per vertex the 36 block entries
+/// row-major, then `lamsum` — 37 values, the wire format the exchange has
+/// always carried.
+pub struct DiagHalo<'a> {
+    diag: &'a mut [BlockMat<NVARS>],
+    lamsum: &'a mut [f64],
+}
+
+impl HaloField for DiagHalo<'_> {
+    const WIDTH: usize = NVARS * NVARS + 1;
+
+    fn pack_entry(&self, i: usize, buf: &mut Vec<f64>) {
+        buf.extend((0..NVARS * NVARS).map(|k| self.diag[i].get(k / NVARS, k % NVARS)));
+        buf.push(self.lamsum[i]);
+    }
+
+    fn set_entry(&mut self, i: usize, vals: &[f64]) {
+        self.diag[i] = BlockMat::from_fn(|r, c| vals[r * NVARS + c]);
+        self.lamsum[i] = vals[NVARS * NVARS];
+    }
+
+    fn add_entry(&mut self, i: usize, vals: &[f64]) {
+        for (k, x) in vals[..NVARS * NVARS].iter().enumerate() {
+            *self.diag[i].get_mut(k / NVARS, k % NVARS) += x;
+        }
+        self.lamsum[i] += vals[NVARS * NVARS];
+    }
+
+    fn zero_entry(&mut self, i: usize) {
+        self.diag[i] = BlockMat::zero();
+        self.lamsum[i] = 0.0;
     }
 }
 
@@ -1242,6 +1283,101 @@ mod tests {
         RansLevel::with_lines(mesh, params, vec![line]).expect("one edge, one line")
     }
 
+    /// Endpoints `(rho, velocity, p, nu_tilde)` of a drawn edge.
+    type DrawnEnds = [(f64, [f64; 3], f64, f64); 2];
+
+    /// The one-edge level of a drawn case, its endpoint states and its
+    /// normal. `pick` bits: wall state at a / b (2, 3), the zeroed
+    /// component of `s` (`pick & 3`; 3 = none), line orientation (4),
+    /// kernel path (5).
+    fn drawn_edge_level(
+        ends: DrawnEnds,
+        s: [f64; 3],
+        length: f64,
+        pick: u32,
+    ) -> (RansLevel, [State; 2], Vec3) {
+        let mut sv = s;
+        if pick & 3 < 3 {
+            sv[(pick & 3) as usize] = 0.0;
+        }
+        let s = Vec3::new(sv[0], sv[1], sv[2] + if sv == [0.0; 3] { 0.5 } else { 0.0 });
+        let states = [0, 1].map(|i| {
+            let (rho, v, p, nt) = ends[i];
+            state_from(rho, v, p, nt, pick >> (2 + i) & 1 == 1)
+        });
+        let reversed = pick >> 4 & 1 == 1;
+        let kernel = if pick >> 5 & 1 == 1 {
+            KernelKind::Scalar
+        } else {
+            KernelKind::Simd
+        };
+        let mut lvl = one_edge_level(s, length, reversed, kernel);
+        lvl.u.set(0, &states[0]);
+        lvl.u.set(1, &states[1]);
+        (lvl, states, s)
+    }
+
+    /// `res`, `diag` and `lamsum` bits and the flop count of one edge-pass
+    /// route (`fused` or flux-then-diagonal), run from a dirty diagonal so
+    /// a pass that skips or misplaces the zeroing shows.
+    fn edge_pass_bits(lvl: &mut RansLevel, fused: bool) -> [Vec<u64>; 4] {
+        lvl.diag.fill(BlockMat::scaled_identity(-7.0));
+        lvl.lamsum.fill(3.0);
+        lvl.begin_residual();
+        lvl.flops.take();
+        if fused {
+            lvl.accumulate_fluxes_and_diagonal();
+        } else {
+            lvl.accumulate_fluxes();
+            lvl.accumulate_diagonal();
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        [
+            (0..NVARS).flat_map(|k| bits(lvl.res.plane(k))).collect(),
+            lvl.diag.iter().flat_map(block_bits).collect(),
+            bits(&lvl.lamsum),
+            vec![lvl.flops.total()],
+        ]
+    }
+
+    fn assert_one_edge_pass_equals_two(lvl: &mut RansLevel) {
+        let two = edge_pass_bits(lvl, false);
+        let one = edge_pass_bits(lvl, true);
+        for (name, (a, b)) in ["res", "diag", "lamsum", "flops"]
+            .iter()
+            .zip(one.iter().zip(&two))
+        {
+            assert_eq!(a, b, "{name}: fused pass differs from flux then diagonal");
+        }
+    }
+
+    columbia_rt::props! {
+        /// `accumulate_fluxes_and_diagonal` equals `accumulate_fluxes`
+        /// then `accumulate_diagonal` bit for bit on one edge: all six
+        /// `res` planes, all 36 entries of both `diag` blocks (signed
+        /// zeros included), `lamsum` and the flop counter — over both
+        /// orientations, ν̃ < 0, wall states and zero normal components.
+        fn prop_one_edge_pass_equals_two(
+            ends in array::<_, 2>((0.3f64..3.0, array::<_, 3>(-1.5f64..1.5), 0.05f64..3.0, -2e-4f64..1e-3)),
+            s in array::<_, 3>(-1.0f64..1.0),
+            length in 1e-3f64..1.0,
+            pick in 0u32..128,
+        ) {
+            let (mut lvl, _, _) = drawn_edge_level(ends, s, length, pick);
+            assert_one_edge_pass_equals_two(&mut lvl);
+        }
+    }
+
+    #[test]
+    fn one_edge_pass_equals_two_on_the_wing_after_three_sweeps() {
+        let mut lvl = small_wing();
+        lvl.apply_bcs();
+        for _ in 0..3 {
+            lvl.smooth_sweep();
+        }
+        assert_one_edge_pass_equals_two(&mut lvl);
+    }
+
     columbia_rt::props! {
         /// Every output of the cached edge kernels — Rusanov flux, the five
         /// diffusion terms, `lam`, `visc`, the gradient products, all 36
@@ -1254,23 +1390,8 @@ mod tests {
             length in 1e-3f64..1.0,
             pick in 0u32..128,
         ) {
-            // `pick` bits: wall state at a / b, zero component of S (3 =
-            // none), line orientation, kernel path.
-            let mut sv = s;
-            if pick & 3 < 3 {
-                sv[(pick & 3) as usize] = 0.0;
-            }
-            let s = Vec3::new(sv[0], sv[1], sv[2] + if sv == [0.0; 3] { 0.5 } else { 0.0 });
-            let [ua, ub] = [0, 1].map(|i| {
-                let (rho, v, p, nt) = ends[i];
-                state_from(rho, v, p, nt, pick >> (2 + i) & 1 == 1)
-            });
-            let reversed = pick >> 4 & 1 == 1;
-            let kernel = if pick >> 5 & 1 == 1 { KernelKind::Scalar } else { KernelKind::Simd };
-            let mut lvl = one_edge_level(s, length, reversed, kernel);
+            let (mut lvl, [ua, ub], s) = drawn_edge_level(ends, s, length, pick);
             let mu = lvl.params.mu_laminar();
-            lvl.u.set(0, &ua);
-            lvl.u.set(1, &ub);
             lvl.begin_residual();
             lvl.accumulate_gradients();
             lvl.accumulate_fluxes();

@@ -8,9 +8,11 @@
 //! kernel phases with packed ghost exchanges:
 //!
 //! 1. gradient accumulation → add ghosts to owners → copy back,
-//! 2. flux + implicit-diagonal accumulation → one **coalesced** add per
-//!    peer carrying ghost residuals and diagonal blocks together
-//!    (`ExchangePlan::exchange_add2_field`) → copy diagonal blocks back,
+//! 2. flux + implicit-diagonal accumulation in one edge pass → one
+//!    **coalesced** add per peer carrying ghost residuals and diagonal
+//!    blocks together (`ExchangePlan::exchange_add2_field` over `res` and
+//!    the [`crate::level::DiagHalo`] view of the blocks) → copy diagonal
+//!    blocks back, in place,
 //! 3. local line/point solves (lines are rank-local by construction),
 //! 4. state update → copy owners to ghosts.
 //!
@@ -151,24 +153,18 @@ pub fn parallel_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut
     plan.exchange_add_field(rank, 10, lvl.grad_mut());
     lvl.finalize_gradients();
     plan.exchange_copy_field(rank, 11, lvl.grad_mut());
-    lvl.accumulate_fluxes();
 
     // Residual + implicit-diagonal ghost contributions travel in ONE
-    // coalesced message per peer (6 + 37 values per exchanged vertex).
-    // `accumulate_diagonal`/`pack_diag_scratch` read only the state and
-    // edge coefficients — never the residual — so hoisting them before
-    // `finalize_residual` leaves every accumulated value bit-identical
-    // to the per-field schedule. The pack buffer is level-owned scratch:
-    // the steady-state sweep allocates nothing.
-    lvl.accumulate_diagonal();
-    lvl.pack_diag_scratch();
-    {
-        let RansLevel { res, diag_pack, .. } = lvl;
-        plan.exchange_add2_field(rank, 12, res, &mut diag_pack[..]);
-    }
+    // coalesced message per peer (6 + 37 values per exchanged vertex),
+    // packed from and added into the blocks themselves. The diagonal
+    // reads only the state and edge coefficients and `finalize_residual`
+    // never reads the diagonal, so one edge pass feeds both and the
+    // residual is finalised between the add and the diagonal's copy-back.
+    lvl.accumulate_fluxes_and_diagonal();
+    let (res, mut diag) = lvl.res_and_diag();
+    plan.exchange_add2_field(rank, 12, res, &mut diag);
     lvl.finalize_residual();
-    plan.exchange_copy_field(rank, 14, lvl.diag_pack_mut());
-    lvl.unpack_diag_scratch();
+    plan.exchange_copy_field(rank, 14, &mut lvl.res_and_diag().1);
     lvl.finalize_diagonal();
 
     // Local solves + update, then refresh ghosts.

@@ -13,7 +13,7 @@
 //! `mg::fas_cycle` over its local sub-levels, each seen through a
 //! [`MultigridLevel`] view whose transfers and norms are collectives.
 
-use crate::level::{RansLevel, SolverParams};
+use crate::level::SolverParams;
 use crate::parallel::{
     build_local_levels, exchange_residual, parallel_residual_rms, parallel_sweep,
     partition_mesh_line_aware, LocalLevel,
@@ -362,8 +362,7 @@ fn parallel_restrict(fine: &mut RankLevel, coarse: &mut RankLevel, rank: &mut Ra
     // Accumulators `[vol * u, r]` over the coarse rank's local vertices:
     // coarse-level-owned scratch, so steady-state cycles allocate nothing.
     let nc = coarse.level.nvertices();
-    coarse.level.restrict_acc.clear();
-    coarse.level.restrict_acc.resize(nc, [[0.0; NVARS]; 2]);
+    coarse.level.begin_restriction();
 
     // Send packed (vol*u, r, vol) per remote coarse rank. Payloads come
     // from the rank's pool, sized for the wider (restrict) direction so
@@ -428,21 +427,11 @@ fn parallel_restrict(fine: &mut RankLevel, coarse: &mut RankLevel, rank: &mut Ra
     }
     coarse.level.apply_bcs();
     plan_c.exchange_copy_field(rank, tag + 4, &mut coarse.level.u);
-    let RansLevel {
-        restricted_u, u, ..
-    } = &mut coarse.level;
-    restricted_u.copy_from(u);
 
-    // FAS forcing: f_c = N_c(u_hat) + R(r_f) — compute N_c with zero
-    // forcing via the parallel residual phases.
-    coarse.level.forcing.fill_zero();
+    // FAS forcing: f_c = N_c(u_hat) + R(r_f) — N_c with zero forcing via
+    // the parallel residual phases.
     exchange_residual(&mut coarse.level, plan_c, rank, tag + 5);
-    for c in 0..nc {
-        for k in 0..NVARS {
-            *coarse.level.forcing.at_mut(k, c) =
-                -coarse.level.res.at(k, c) + coarse.level.restrict_acc[c][1][k];
-        }
-    }
+    coarse.level.finish_restriction();
 }
 
 /// Distributed FAS prolongation `l+1 -> l` with the same damping +
@@ -586,6 +575,51 @@ mod tests {
         assert_eq!(json, json2, "traced solve must be deterministic");
         assert!(json.contains("\"mg_solve\""));
         assert!(json.contains("\"comm_level\""));
+    }
+
+    /// The finest rank levels hold no restricted state and no forcing
+    /// after a cycle; every coarser rank level has both, sized by its
+    /// restrictions.
+    #[test]
+    fn finest_rank_levels_carry_no_fas_fields() {
+        let mut pmg = ParallelMg::new(&mesh(), params(), 3, 3);
+        let mut bundles: Vec<Option<Vec<LocalLevel>>> = (0..3).map(|_| Some(Vec::new())).collect();
+        for lvl in pmg.locals.drain(..) {
+            for (r, local) in lvl.into_iter().enumerate() {
+                bundles[r].as_mut().unwrap().push(local);
+            }
+        }
+        let bundles = Mutex::new(bundles);
+        let (decomps, transfers) = (&pmg.decomps, &pmg.transfers);
+        // Per rank and level: (restricted_u, forcing, vertices) after a
+        // cycle of the views `ParallelMg::solve` drives.
+        let (sizes, _) = run_world(3, &ExecContext::default(), |rank| {
+            let levels = bundles.lock().unwrap()[rank.rank()].take().unwrap();
+            let rank = RefCell::new(rank);
+            let view = |(l, local)| RankLevel {
+                local,
+                l,
+                decomps,
+                transfers,
+                rank: &rank,
+            };
+            let mut views: Vec<RankLevel> = levels.into_iter().enumerate().map(view).collect();
+            fas_cycle(
+                &mut views,
+                &CycleParams::default(),
+                &mut ExecContext::default(),
+            );
+            let lens = |v: &RankLevel| {
+                let lvl = &v.local.level;
+                (lvl.restricted_u.len(), lvl.forcing.len(), lvl.nvertices())
+            };
+            views.iter().map(lens).collect::<Vec<_>>()
+        });
+        for rank in sizes {
+            let (fine, coarse) = rank.split_first().expect("three levels");
+            assert_eq!((fine.0, fine.1), (0, 0), "finest level");
+            assert!(coarse.iter().all(|&(r, f, n)| r == n && f == n));
+        }
     }
 
     #[test]

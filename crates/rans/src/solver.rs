@@ -4,6 +4,7 @@ use crate::level::RansLevel;
 pub use crate::level::SolverParams;
 use crate::state::{pressure, State, NVARS};
 use columbia_comm::ExecContext;
+use columbia_linalg::soa::SoaStates;
 use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
 use columbia_mg::{fas_cycle, solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
 
@@ -25,8 +26,7 @@ impl MultigridLevel for RansLevel {
             .as_ref()
             .expect("level has no coarse map; cannot restrict");
         let nc = coarse.nvertices();
-        coarse.restrict_acc.clear();
-        coarse.restrict_acc.resize(nc, [[0.0; NVARS]; 2]);
+        coarse.begin_restriction();
         for (v, &c) in map.iter().enumerate() {
             let vol = self.mesh.volumes[v];
             let [acc, racc] = &mut coarse.restrict_acc[c as usize];
@@ -44,16 +44,8 @@ impl MultigridLevel for RansLevel {
         // The coarse state must satisfy the same strong BCs, and the stored
         // restricted state must match it so the correction is consistent.
         coarse.apply_bcs();
-        coarse.restricted_u.copy_from(&coarse.u);
-        // FAS forcing: f_c = N_c(u_hat) + R(r_fine); compute N_c with zero
-        // forcing first.
-        coarse.forcing.fill_zero();
         coarse.compute_residual(); // res = -N_c(u_hat) (BC rows zeroed)
-        for c in 0..nc {
-            for k in 0..NVARS {
-                *coarse.forcing.at_mut(k, c) = -coarse.res.at(k, c) + coarse.restrict_acc[c][1][k];
-            }
-        }
+        coarse.finish_restriction();
     }
 
     fn prolong_from(&mut self, coarse: &Self) {
@@ -67,6 +59,33 @@ impl MultigridLevel for RansLevel {
 }
 
 impl RansLevel {
+    /// Start a restriction into this level: clear the accumulators and
+    /// zero `forcing`, so the next residual is `-N(u_hat)`. The first one
+    /// sizes `forcing` and `restricted_u`; the finest level, never a
+    /// target, keeps both empty.
+    pub(crate) fn begin_restriction(&mut self) {
+        let n = self.nvertices();
+        self.restrict_acc.clear();
+        self.restrict_acc.resize(n, [[0.0; NVARS]; 2]);
+        if self.forcing.len() == n {
+            self.forcing.fill_zero();
+        } else {
+            self.forcing = SoaStates::zeros(n);
+            self.restricted_u = SoaStates::zeros(n);
+        }
+    }
+
+    /// End it, given `u = u_hat` and `res = -N(u_hat)`: store `u_hat` for
+    /// the correction and set the FAS forcing `f = N(u_hat) + R(r_fine)`.
+    pub(crate) fn finish_restriction(&mut self) {
+        self.restricted_u.copy_from(&self.u);
+        for c in 0..self.nvertices() {
+            for k in 0..NVARS {
+                *self.forcing.at_mut(k, c) = -self.res.at(k, c) + self.restrict_acc[c][1][k];
+            }
+        }
+    }
+
     /// Coarse-grid correction carried by vertex `c`: state minus the state
     /// stored at restriction time.
     pub(crate) fn correction(&self, c: usize) -> State {

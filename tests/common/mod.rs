@@ -16,6 +16,10 @@ use columbia_sfc::CurveKind;
 /// it on each; nothing selects the backend outside the code.
 pub const EXECUTORS: [Executor; 2] = [Executor::Threads, Executor::Events];
 
+/// Four fixed seeds for the severe fault profile: the comm-chaos suites
+/// run all of them, the solver suites one each.
+pub const CHAOS_SEEDS: [u64; 4] = [0xC0FFEE, 1, 0xBADC0DE, 0x5EED_2016];
+
 /// The clean context on `exec`.
 pub fn on(exec: Executor) -> ExecContext {
     ExecContext::default().with_executor(exec)

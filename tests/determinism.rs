@@ -13,7 +13,7 @@ use columbia_partition::{graph::grid_graph, partition_graph, PartitionConfig};
 use std::sync::Arc;
 
 mod common;
-use common::{sphere_mesh, EXECUTORS};
+use common::{on, sphere_mesh, EXECUTORS};
 
 /// The clean-but-planned regime: a zero-rate fault plan on `exec`.
 fn zero_fault(exec: columbia_comm::Executor, nparts: usize) -> ExecContext {
@@ -183,6 +183,51 @@ fn rans_parallel_matches_serial_under_zero_fault_plan() {
             );
             assert_eq!(rms.to_bits(), rms2.to_bits());
             assert_eq!(stats(&traces), stats(&traces2));
+        }
+    }
+}
+
+/// More ranks than a level has units to partition (vertices, or whole
+/// implicit lines): at 16 and 64 ranks some rank owns nothing on some
+/// level of a 3-level hierarchy, and the
+/// distributed multigrid still follows the 1-rank history to 1e-9
+/// relative (`bench_e2e`'s rank tolerance), on both executors.
+#[test]
+fn parallel_mg_runs_with_ranks_that_own_no_vertex() {
+    use columbia_mg::CycleParams;
+    use columbia_rans::{ParallelMg, SolverParams};
+
+    let mesh = wing_mesh(&WingMeshSpec {
+        ni: 24,
+        nj: 5,
+        nk: 12,
+        nk_bl: 6,
+        jitter: 0.0,
+        ..Default::default()
+    });
+    let params = SolverParams {
+        mach: 0.5,
+        ..Default::default()
+    };
+    let solve = |pmg: ParallelMg, exec| {
+        let cp = CycleParams::default();
+        pmg.solve(&cp, 4.0, 2, &mut on(exec)).0.residuals
+    };
+    let reference = solve(ParallelMg::new(&mesh, params, 1, 3), EXECUTORS[0]);
+    for nparts in [16, 64] {
+        for exec in EXECUTORS {
+            let pmg = ParallelMg::new(&mesh, params, nparts, 3);
+            let mut owned = pmg.decomps.iter().flat_map(|d| &d.n_owned);
+            assert!(owned.any(|&n| n == 0), "{nparts} ranks: no empty rank");
+            let history = solve(pmg, exec);
+            assert_eq!(history.len(), reference.len());
+            for (a, b) in history.iter().zip(&reference) {
+                let agree = (a - b).abs() <= 1e-9 * a.abs().max(b.abs());
+                assert!(
+                    agree,
+                    "{nparts} ranks on {exec:?}: {history:?} vs {reference:?}"
+                );
+            }
         }
     }
 }

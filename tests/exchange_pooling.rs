@@ -11,13 +11,16 @@
 //! * after one warm-up cycle the pool-miss counter stays at zero — the
 //!   steady-state exchange performs no payload allocations — for a
 //!   mixed-width comm workload, the RANS smoothing sweep, and full
-//!   multigrid cycles.
+//!   multigrid cycles;
+//! * the RANS sweep's diagonal, exchanged in place on the blocks, moves
+//!   exactly what the level's pack-scratch route moves.
 //!
 //! Every world runs on both executors.
 
 use columbia_comm::{
-    decompose, run_world, Decomposition, ExchangePlan, FaultConfig, FaultPlan, Rank,
+    decompose, run_world, Decomposition, ExchangePlan, FaultConfig, FaultPlan, HaloField, Rank,
 };
+use columbia_linalg::SoaStates;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::level::SolverParams;
@@ -25,11 +28,12 @@ use columbia_rans::parallel::{
     build_local_levels, parallel_sweep, partition_mesh_line_aware, LocalLevel,
 };
 use columbia_rans::parallel_mg::ParallelMg;
+use columbia_rans::{RansSolver, NVARS};
 use columbia_rt::rng::Pcg32;
 use std::sync::{Arc, Mutex};
 
 mod common;
-use common::{on, EXECUTORS};
+use common::{on, CHAOS_SEEDS, EXECUTORS};
 
 /// Random grid decomposition: an `nx x ny` grid graph with a seeded random
 /// partition (every rank guaranteed at least one vertex).
@@ -345,5 +349,108 @@ fn multigrid_cycles_allocate_only_during_warmup() {
                 "rank {r}: later cycles must reuse pooled buffers"
             );
         }
+    }
+}
+
+/// `parallel_sweep` as it ran before the diagonal was exchanged in place,
+/// kept as the reference: flux and diagonal in two edge passes, and the
+/// diagonal copied out to the level's pack scratch, exchanged there, and
+/// copied back.
+fn scratch_route_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut Rank) {
+    let plan = &decomp.plans[rank.rank()];
+    let lvl = &mut local.level;
+    lvl.begin_residual();
+    lvl.accumulate_gradients();
+    plan.exchange_add_field(rank, 10, lvl.grad_mut());
+    lvl.finalize_gradients();
+    plan.exchange_copy_field(rank, 11, lvl.grad_mut());
+    lvl.accumulate_fluxes();
+    lvl.accumulate_diagonal();
+    lvl.pack_diag_scratch();
+    let mut res = std::mem::replace(&mut lvl.res, SoaStates::zeros(0));
+    plan.exchange_add2_field(rank, 12, &mut res, lvl.diag_pack_mut());
+    lvl.res = res;
+    lvl.finalize_residual();
+    plan.exchange_copy_field(rank, 14, lvl.diag_pack_mut());
+    lvl.unpack_diag_scratch();
+    lvl.finalize_diagonal();
+    lvl.solve_implicit();
+    plan.exchange_copy_field(rank, 15, &mut lvl.u);
+}
+
+/// What one sweep leaves on a rank: `u` bits (owned and ghost), the owned
+/// diagonal blocks and `lamsum` as their wire values, and whether the
+/// pack scratch is still empty.
+type SweepBits = (Vec<u64>, Vec<u64>, bool);
+
+#[test]
+fn in_place_diagonal_exchange_matches_the_pack_scratch_route() {
+    let m = small_wing();
+    for nparts in [2usize, 4, 8] {
+        let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
+        let severe = Arc::new(FaultPlan::new(
+            CHAOS_SEEDS[0],
+            nparts,
+            FaultConfig::severe(),
+        ));
+        for exec in EXECUTORS {
+            for plan in [None, Some(Arc::clone(&severe))] {
+                let run = |in_place: bool| {
+                    let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
+                    let locals = Mutex::new(locals.into_iter().map(Some).collect::<Vec<_>>());
+                    run_world(nparts, &on(exec).with_faults(plan.clone()), |rank| {
+                        let mut local = locals.lock().unwrap()[rank.rank()]
+                            .take()
+                            .expect("local level already taken");
+                        local.level.apply_bcs();
+                        decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
+                        if in_place {
+                            parallel_sweep(&mut local, &decomp, rank);
+                        } else {
+                            scratch_route_sweep(&mut local, &decomp, rank);
+                        }
+                        let lvl = &mut local.level;
+                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let u = (0..NVARS).flat_map(|k| bits(lvl.u.plane(k))).collect();
+                        let pack_empty = lvl.diag_pack_mut().is_empty();
+                        let (_, diag) = lvl.res_and_diag();
+                        let mut wire = Vec::new();
+                        for v in 0..local.n_owned {
+                            diag.pack_entry(v, &mut wire);
+                        }
+                        let out: SweepBits = (u, bits(&wire), pack_empty);
+                        out
+                    })
+                };
+                let label = format!("{nparts} ranks, {exec:?}, faults: {}", plan.is_some());
+                let (in_place, in_place_traces) = run(true);
+                let (scratch, scratch_traces) = run(false);
+                for (p, (a, b)) in in_place.iter().zip(&scratch).enumerate() {
+                    assert!(a.0 == b.0, "{label}: rank {p}: u differs");
+                    assert!(a.1 == b.1, "{label}: rank {p}: owned diag/lamsum differ");
+                    assert!(
+                        a.2,
+                        "{label}: rank {p}: the solver's sweep sized the pack scratch"
+                    );
+                    assert!(!b.2, "{label}: rank {p}: the scratch route left it empty");
+                }
+                for (a, b) in in_place_traces.iter().zip(&scratch_traces) {
+                    assert!(a.stats.total_bytes() > 0 && a.stats.pool().coalesced_msgs > 0);
+                    assert_eq!(a.stats, b.stats, "{label}: rank {} CommStats", a.rank);
+                }
+            }
+        }
+    }
+
+    // The finest level of a serial solve holds no restricted state and no
+    // forcing; every coarser level has both, sized by its restrictions.
+    let mut solver = RansSolver::new(m, rans_params(), 3);
+    solver.solve(&CycleParams::default(), 0.0, 2);
+    let (fine, coarse) = solver.levels.split_first_mut().expect("three levels");
+    assert!(fine.restricted_u.is_empty() && fine.forcing.is_empty());
+    assert!(fine.diag_pack_mut().is_empty());
+    for lvl in coarse {
+        assert_eq!(lvl.restricted_u.len(), lvl.nvertices());
+        assert_eq!(lvl.forcing.len(), lvl.nvertices());
     }
 }

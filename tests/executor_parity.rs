@@ -20,7 +20,7 @@ use columbia_rt::fnv;
 use std::sync::Arc;
 
 mod common;
-use common::{digest_f64s, digest_stats, sphere_mesh};
+use common::{digest_f64s, digest_stats, sphere_mesh, CHAOS_SEEDS};
 
 /// The run's total `CommStats` per rank, then every rank's per-level
 /// ledger.
@@ -37,10 +37,6 @@ fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
 
 /// The world sizes every parity test covers.
 const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
-
-/// Four fixed seeds for the severe fault profile; the comm-chaos test runs
-/// all of them, the other tests one each.
-const CHAOS_SEEDS: [u64; 4] = [0xC0FFEE, 1, 0xBADC0DE, 0x5EED_2016];
 
 fn rans_mesh() -> columbia_mesh::UnstructuredMesh {
     wing_mesh(&WingMeshSpec {

@@ -27,7 +27,7 @@ use columbia_machine::{
 use columbia_rt::{fnv, Pcg32};
 
 mod common;
-use common::{digest_f64s, digest_stats};
+use common::{digest_f64s, digest_stats, CHAOS_SEEDS};
 
 fn digest_deliveries(deliveries: &[Delivery]) -> u64 {
     let mut h = fnv::OFFSET;
@@ -54,9 +54,6 @@ fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
     }
     h
 }
-
-/// Four fixed chaos seeds (the set `tests/executor_parity.rs` uses).
-const CHAOS_SEEDS: [u64; 4] = [0xC0FFEE, 1, 0xBADC0DE, 0x5EED_2016];
 
 const ALL_FABRICS: [Fabric; 3] = [Fabric::NumaLink4, Fabric::InfiniBand, Fabric::TenGigE];
 const ALL_ARBITERS: [Arbiter; 3] = [Arbiter::RoundRobin, Arbiter::Priority, Arbiter::FairShare];
