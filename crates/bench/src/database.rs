@@ -88,6 +88,8 @@ pub fn synthetic_entries() -> Vec<DatabaseEntry> {
                     beta: 0.0,
                     forces: Forces { force, moment },
                     orders: 6.0,
+                    cycles: 0,
+                    guard_trips: 0,
                     status: CaseStatus::Converged,
                 });
             }

@@ -12,6 +12,7 @@ use crate::mesh::{CartFace, CartMesh, CellKind, CUT_CELL_WEIGHT};
 use columbia_mesh::Vec3;
 use columbia_sfc::{split_weighted_curve, CurvePartition};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One coarsening step.
 #[derive(Clone, Debug)]
@@ -224,6 +225,58 @@ pub fn coarsen_hierarchy(fine: &CartMesh, max_levels: usize, min_cells: usize) -
     steps
 }
 
+/// A configuration's multigrid geometry, built once and shared: the fine
+/// mesh and its SFC-coarsened levels, each behind an `Arc`, and the
+/// fine → coarse maps between them. Every wind case of a database fill
+/// borrows the same hierarchy; only the flow state is per case.
+#[derive(Clone, Debug)]
+pub struct CartHierarchy {
+    meshes: Vec<Arc<CartMesh>>,
+    to_coarse: Vec<Arc<[u32]>>,
+}
+
+impl CartHierarchy {
+    /// A level with at most this many cells is not coarsened further.
+    pub const MIN_CELLS: usize = 8;
+
+    /// Coarsen `fine` into at most `max_levels` levels with
+    /// [`coarsen_hierarchy`]; the first `k` levels of a deeper hierarchy
+    /// are the levels of a `k`-level one.
+    pub fn new(fine: impl Into<Arc<CartMesh>>, max_levels: usize) -> Self {
+        let fine = fine.into();
+        let steps = coarsen_hierarchy(&fine, max_levels, Self::MIN_CELLS);
+        let mut meshes = Vec::with_capacity(steps.len() + 1);
+        let mut to_coarse = Vec::with_capacity(steps.len());
+        meshes.push(fine);
+        for step in steps {
+            meshes.push(Arc::new(step.coarse));
+            to_coarse.push(step.fine_to_coarse.into());
+        }
+        CartHierarchy { meshes, to_coarse }
+    }
+
+    /// Number of levels.
+    pub fn nlevels(&self) -> usize {
+        self.meshes.len()
+    }
+
+    /// The finest mesh.
+    pub fn fine(&self) -> &CartMesh {
+        &self.meshes[0]
+    }
+
+    /// Meshes, finest first.
+    pub fn meshes(&self) -> &[Arc<CartMesh>] {
+        &self.meshes
+    }
+
+    /// Fine → coarse maps: entry `l` maps the cells of `meshes()[l]` to
+    /// those of `meshes()[l + 1]`, so there is one fewer than meshes.
+    pub fn to_coarse(&self) -> &[Arc<[u32]>] {
+        &self.to_coarse
+    }
+}
+
 /// Partition the (SFC-ordered) cells into `nparts` contiguous curve
 /// segments, cut cells weighted 2.1x (paper Figure 12).
 pub fn partition_cells(mesh: &CartMesh, nparts: usize) -> CurvePartition {
@@ -322,6 +375,28 @@ mod tests {
             assert!(s.coarse.ncells() < prev);
             prev = s.coarse.ncells();
         }
+    }
+
+    #[test]
+    fn shared_hierarchy_holds_the_coarsening_steps_and_nests_shallower_ones() {
+        let m = sphere_mesh(4);
+        let steps = coarsen_hierarchy(&m, 4, CartHierarchy::MIN_CELLS);
+        let deep = CartHierarchy::new(m.clone(), 4);
+        assert_eq!(deep.nlevels(), steps.len() + 1);
+        assert_eq!(deep.fine().ncells(), m.ncells());
+        let bits = |v: V| [v.x, v.y, v.z].map(f64::to_bits);
+        for (l, s) in steps.iter().enumerate() {
+            assert_eq!(deep.to_coarse()[l][..], s.fine_to_coarse[..]);
+            let (a, b) = (&deep.meshes()[l + 1], &s.coarse);
+            assert_eq!(a.ncells(), b.ncells());
+            assert_eq!(a.nfaces(), b.nfaces());
+            for (x, y) in a.faces.iter().zip(&b.faces) {
+                assert_eq!((x.a, x.b, bits(x.normal)), (y.a, y.b, bits(y.normal)));
+            }
+        }
+        let shallow = CartHierarchy::new(m, 2);
+        assert_eq!(shallow.nlevels(), 2);
+        assert_eq!(shallow.to_coarse(), &deep.to_coarse()[..1]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod mesh;
 pub mod octree;
 pub mod tri;
 
-pub use coarsen::{coarsen_hierarchy, coarsen_mesh, partition_cells, Coarsening};
+pub use coarsen::{coarsen_hierarchy, coarsen_mesh, partition_cells, CartHierarchy, Coarsening};
 pub use mesh::{extract_mesh, CartFace, CartMesh, CellKind};
 pub use octree::{build_octree, CutCellConfig, Octree};
 pub use tri::{sslv_geometry, Bvh, Geometry, TriMesh};

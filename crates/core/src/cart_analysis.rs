@@ -1,6 +1,8 @@
 //! Automated Cartesian (Cart3D-style) analysis: geometry in, loads out.
 
-use columbia_cartesian::{build_octree, extract_mesh, CartMesh, CutCellConfig, Geometry};
+use columbia_cartesian::{
+    build_octree, extract_mesh, CartHierarchy, CartMesh, CutCellConfig, Geometry,
+};
 use columbia_euler::{EulerParams, EulerSolver, Forces};
 use columbia_mg::{ConvergenceHistory, CycleParams};
 use columbia_sfc::CurveKind;
@@ -64,18 +66,29 @@ impl CartAnalysis {
         extract_mesh(&tree, geom, self.curve, 0.1)
     }
 
-    /// Run on a pre-built mesh (database fills reuse one mesh for hundreds
-    /// of wind-space cases).
+    /// Coarsen a mesh into the multigrid hierarchy this analysis solves on
+    /// (reusable across wind cases, like the mesh).
+    pub fn hierarchy(&self, mesh: CartMesh) -> CartHierarchy {
+        CartHierarchy::new(mesh, self.params.nlevels)
+    }
+
+    /// Run on a pre-built mesh, coarsening it first.
     pub fn run_on_mesh(&self, mesh: CartMesh, max_cycles: usize) -> CartReport {
-        let ncells = mesh.ncells();
-        let ncut = mesh.ncut();
-        let mut solver = EulerSolver::new(mesh, self.params);
+        self.run_on_hierarchy(&self.hierarchy(mesh), max_cycles)
+    }
+
+    /// Run on a pre-built hierarchy (database fills share one hierarchy
+    /// across hundreds of wind-space cases; a case allocates only its
+    /// flow state).
+    pub fn run_on_hierarchy(&self, hierarchy: &CartHierarchy, max_cycles: usize) -> CartReport {
+        let mut solver = EulerSolver::on_hierarchy(hierarchy, self.params);
         let history = solver.solve(&self.cycle, 1e-12, max_cycles);
         CartReport {
             forces: solver.forces(),
+            guard_trips: solver.guard_trips(),
             history,
-            ncells,
-            ncut,
+            ncells: hierarchy.fine().ncells(),
+            ncut: hierarchy.fine().ncut(),
             level_sizes: solver.level_sizes(),
             mesh_seconds: 0.0,
             cells_per_minute: 0.0,
@@ -102,6 +115,10 @@ pub struct CartReport {
     pub forces: Forces,
     /// Residual history.
     pub history: ConvergenceHistory,
+    /// Positivity-guard trips over the whole solve
+    /// ([`EulerSolver::guard_trips`]); zero on a run that stayed inside
+    /// the guard's envelope.
+    pub guard_trips: u64,
     /// Fine-mesh cell count.
     pub ncells: usize,
     /// Cut-cell count.

@@ -6,15 +6,19 @@
 //! Jobs are arranged hierarchically: geometry instances at the top level,
 //! wind cases below, so the cost of meshing each configuration is
 //! amortised over all its wind-space runs; independent cases run on
-//! separate threads ("computational efficiency dictates running as many
-//! cases simultaneously as memory permits").
+//! worker threads that pull them from one queue. A configuration is
+//! meshed and coarsened once into a shared [`CartHierarchy`] (237 B per
+//! fine cell, all levels), and a running case adds only its flow state
+//! (276 B per fine cell): two concurrent cases on a 29.5k-cell SSLV
+//! configuration hold 22 MiB (DESIGN.md §16).
 
 use crate::cart_analysis::CartAnalysis;
-use columbia_cartesian::Geometry;
+use columbia_cartesian::{CartHierarchy, Geometry};
 use columbia_euler::Forces;
 pub use columbia_exec::{ExecContext, FillPolicy};
-use columbia_rt::trace::SpanKey;
+use columbia_rt::trace::{SpanKey, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Parameter grid of a database fill.
 #[derive(Clone, Debug)]
@@ -85,6 +89,13 @@ pub struct DatabaseEntry {
     pub forces: Forces,
     /// Orders of residual reduction achieved.
     pub orders: f64,
+    /// Multigrid cycles the successful attempt ran, fewer than asked when
+    /// it met the solver's tolerance (0 when quarantined).
+    pub cycles: usize,
+    /// Positivity-guard trips of the successful attempt (0 when
+    /// quarantined): a non-zero count marks loads computed on a clamped
+    /// state.
+    pub guard_trips: u64,
     /// Outcome of the case under the fill's retry policy.
     pub status: CaseStatus,
 }
@@ -113,6 +124,12 @@ impl DatabaseFill {
     /// Run the fill; wind cases of each geometry instance run concurrently
     /// on `threads_per_config` OS threads.
     ///
+    /// Each configuration is meshed and coarsened once, into one
+    /// [`CartHierarchy`] that every case borrows; a case allocates only its
+    /// flow state. The workers pull the next case from one queue, so a slow
+    /// or retried case never leaves another worker idle, and the entries
+    /// are put back in global-case-id order.
+    ///
     /// The context's [`FillPolicy`] governs retry/quarantine: every case is
     /// attempted up to `max_attempts` times; a case that fails every
     /// attempt (solver panic, non-finite loads, or an injected chaos
@@ -124,10 +141,10 @@ impl DatabaseFill {
     ///
     /// With tracing enabled on `ctx`, the fill is recorded under a
     /// `database_fill` span with outcome totals and one `case` child span
-    /// per global case id (attempt count, outcome, convergence gauge).
-    /// Case spans are recorded serially from the ordered entry list
-    /// *after* the threaded fill (output order is global-case-id order by
-    /// construction), so the trace is deterministic for any thread count.
+    /// per global case id (attempt count, outcome, cycles, guard trips,
+    /// convergence gauge). Case spans are recorded serially from the
+    /// ordered entry list *after* the threaded fill, so the trace is
+    /// deterministic for any thread count.
     pub fn run(
         &self,
         spec: &DatabaseSpec,
@@ -135,13 +152,11 @@ impl DatabaseFill {
         ctx: &mut ExecContext,
     ) -> Vec<DatabaseEntry> {
         let policy = ctx.fill().clone();
-        let policy = &policy;
         let nwind = spec.machs.len() * spec.alphas.len() * spec.betas.len();
         let mut out = Vec::with_capacity(spec.ncases());
         for (defl_idx, &defl) in spec.deflections.iter().enumerate() {
-            // One geometry + one mesh per configuration instance.
-            let geom = (self.geometry)(defl);
-            let mesh = self.analysis.mesh(&geom);
+            // One geometry, one mesh and one hierarchy per configuration.
+            let hierarchy = self.hierarchy(defl);
             // Wind-space case list with global case ids.
             let mut cases = Vec::new();
             for &m in &spec.machs {
@@ -152,50 +167,53 @@ impl DatabaseFill {
                     }
                 }
             }
-            // Fan out across threads, chunked.
-            let chunk = cases.len().div_ceil(threads_per_config.max(1));
-            let entries = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for batch in cases.chunks(chunk.max(1)) {
-                    let mesh = mesh.clone();
-                    let analysis = self.analysis.clone();
-                    handles.push(scope.spawn(move || {
-                        batch
-                            .iter()
-                            .map(|&(id, m, a, b)| {
-                                run_case(&analysis, &mesh, policy, id, defl, m, a, b, spec.cycles)
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
+            let solve = |&(id, m, a, b): &(u64, f64, f64, f64)| {
+                let e = run_case(
+                    &self.analysis,
+                    &hierarchy,
+                    &policy,
+                    id,
+                    defl,
+                    m,
+                    a,
+                    b,
+                    spec.cycles,
+                );
+                (id, e)
+            };
+            // The one case queue. The counter publishes no other data (the
+            // entries come back through `join`), so `Relaxed` suffices.
+            let next = AtomicUsize::new(0);
+            let claim = || cases.get(next.fetch_add(1, Ordering::Relaxed));
+            let mut entries: Vec<_> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads_per_config.clamp(1, cases.len().max(1)))
+                    .map(|_| {
+                        scope.spawn(|| std::iter::from_fn(claim).map(solve).collect::<Vec<_>>())
+                    })
+                    .collect();
+                workers
                     .into_iter()
-                    .flat_map(|h| h.join().expect("database worker panicked"))
-                    .collect::<Vec<_>>()
+                    .flat_map(|w| w.join().expect("database worker panicked"))
+                    .collect()
             });
-            out.extend(entries);
+            entries.sort_unstable_by_key(|&(id, _)| id);
+            out.extend(entries.into_iter().map(|(_, e)| e));
         }
         if ctx.tracing_enabled() {
             ctx.tracer().scoped(SpanKey::new("database_fill"), |t| {
                 t.add("cases", out.len() as u64);
                 for (id, e) in out.iter().enumerate() {
-                    let (outcome, attempts) = match &e.status {
-                        CaseStatus::Converged => ("converged", 1),
-                        CaseStatus::Recovered { attempts } => ("recovered", *attempts),
-                        CaseStatus::Quarantined { attempts, .. } => ("quarantined", *attempts),
-                    };
-                    t.scoped(SpanKey::new("case").case_id(id), |t| {
-                        t.add(outcome, 1);
-                        t.add("attempts", attempts as u64);
-                        t.gauge("orders_reduced", e.orders);
-                    });
-                    // Fill-level rollups of the same outcomes.
-                    t.add(outcome, 1);
-                    t.add("attempts", attempts as u64);
+                    record_case(t, id, e);
                 }
             });
         }
         out
+    }
+
+    /// Mesh and coarsen the geometry instance of one deflection.
+    fn hierarchy(&self, defl: f64) -> CartHierarchy {
+        let mesh = self.analysis.mesh(&(self.geometry)(defl));
+        self.analysis.hierarchy(mesh)
     }
 
     /// Re-run a single case on demand ("virtual database": it is often
@@ -214,9 +232,8 @@ impl DatabaseFill {
     /// index.
     ///
     /// With tracing enabled on `ctx`, the re-run is recorded under a
-    /// `database_rerun` span with one `case` child (attempt count,
-    /// outcome, convergence gauge) — the same shape as fill-time case
-    /// spans.
+    /// `database_rerun` span with one `case` child — the same shape as
+    /// fill-time case spans.
     #[allow(clippy::too_many_arguments)] // case coordinates + context, as for run_case
     pub fn rerun(
         &self,
@@ -229,11 +246,9 @@ impl DatabaseFill {
         ctx: &mut ExecContext,
     ) -> DatabaseEntry {
         let policy = ctx.fill().clone();
-        let geom = (self.geometry)(defl);
-        let mesh = self.analysis.mesh(&geom);
         let entry = run_case(
             &self.analysis,
-            &mesh,
+            &self.hierarchy(defl),
             &policy,
             case_id,
             defl,
@@ -244,22 +259,31 @@ impl DatabaseFill {
         );
         if ctx.tracing_enabled() {
             ctx.tracer().scoped(SpanKey::new("database_rerun"), |t| {
-                let (outcome, attempts) = match &entry.status {
-                    CaseStatus::Converged => ("converged", 1),
-                    CaseStatus::Recovered { attempts } => ("recovered", *attempts),
-                    CaseStatus::Quarantined { attempts, .. } => ("quarantined", *attempts),
-                };
-                t.scoped(SpanKey::new("case").case_id(case_id as usize), |t| {
-                    t.add(outcome, 1);
-                    t.add("attempts", attempts as u64);
-                    t.gauge("orders_reduced", entry.orders);
-                });
-                t.add(outcome, 1);
-                t.add("attempts", attempts as u64);
+                record_case(t, case_id as usize, &entry);
             });
         }
         entry
     }
+}
+
+/// One `case` span (outcome, attempts, cycles, guard trips, orders
+/// reduced) under the open fill or re-run span, plus the parent's rollups
+/// of the outcome and attempts.
+fn record_case(t: &mut Tracer, id: usize, e: &DatabaseEntry) {
+    let (outcome, attempts) = match &e.status {
+        CaseStatus::Converged => ("converged", 1),
+        CaseStatus::Recovered { attempts } => ("recovered", *attempts),
+        CaseStatus::Quarantined { attempts, .. } => ("quarantined", *attempts),
+    };
+    t.scoped(SpanKey::new("case").case_id(id), |t| {
+        t.add(outcome, 1);
+        t.add("attempts", attempts as u64);
+        t.add("cycles", e.cycles as u64);
+        t.add("guard_trips", e.guard_trips);
+        t.gauge("orders_reduced", e.orders);
+    });
+    t.add(outcome, 1);
+    t.add("attempts", attempts as u64);
 }
 
 /// Render a panic payload as a quarantine reason.
@@ -279,7 +303,7 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 #[allow(clippy::too_many_arguments)] // case coordinates + context, no natural struct
 fn run_case(
     analysis: &CartAnalysis,
-    mesh: &columbia_cartesian::CartMesh,
+    hierarchy: &CartHierarchy,
     policy: &FillPolicy,
     case_id: u64,
     defl: f64,
@@ -290,7 +314,7 @@ fn run_case(
 ) -> DatabaseEntry {
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 0u32;
-    let (forces, orders, status) = loop {
+    let ((forces, orders, cycles_run, guard_trips), status) = loop {
         let injected = policy
             .chaos
             .as_ref()
@@ -302,21 +326,20 @@ fn run_case(
                 analysis
                     .clone()
                     .wind(mach, alpha, beta)
-                    .run_on_mesh(mesh.clone(), cycles)
+                    .run_on_hierarchy(hierarchy, cycles)
             }))
             .map_err(panic_reason)
             .and_then(|report| {
                 let f = report.forces;
-                let orders = report.history.orders_reduced();
                 let finite = f.force.x.is_finite()
                     && f.force.y.is_finite()
                     && f.force.z.is_finite()
                     && f.moment.x.is_finite()
                     && f.moment.y.is_finite()
                     && f.moment.z.is_finite()
-                    && orders.is_finite();
+                    && report.history.orders_reduced().is_finite();
                 if finite {
-                    Ok((f, orders))
+                    Ok(report)
                 } else {
                     Err("non-finite loads or residual history".to_string())
                 }
@@ -324,18 +347,26 @@ fn run_case(
         };
         attempt += 1;
         match result {
-            Ok((f, o)) => {
+            Ok(report) => {
                 let status = if attempt > 1 {
                     CaseStatus::Recovered { attempts: attempt }
                 } else {
                     CaseStatus::Converged
                 };
-                break (f, o, status);
+                let orders = report.history.orders_reduced();
+                break (
+                    (
+                        report.forces,
+                        orders,
+                        report.history.cycles(),
+                        report.guard_trips,
+                    ),
+                    status,
+                );
             }
             Err(reason) if attempt >= max_attempts => {
                 break (
-                    Forces::default(),
-                    0.0,
+                    (Forces::default(), 0.0, 0, 0),
                     CaseStatus::Quarantined {
                         attempts: attempt,
                         reason,
@@ -352,6 +383,8 @@ fn run_case(
         beta,
         forces,
         orders,
+        cycles: cycles_run,
+        guard_trips,
         status,
     }
 }
@@ -381,6 +414,12 @@ mod tests {
             cycles: 15,
         };
         (fill, spec)
+    }
+
+    /// The six load components and the orders reduced, as bits.
+    fn load_bits(e: &DatabaseEntry) -> [u64; 7] {
+        let (f, m) = (e.forces.force, e.forces.moment);
+        [f.x, f.y, f.z, m.x, m.y, m.z, e.orders].map(f64::to_bits)
     }
 
     #[test]
@@ -429,9 +468,7 @@ mod tests {
         for (e, c) in db.iter().zip(&clean) {
             if e.status.is_ok() {
                 assert_eq!(e.status, CaseStatus::Converged);
-                // The cut-cell solver is deterministic to roundoff but not
-                // to the last ulp across runs (see `rerun` test tolerance).
-                assert!((e.forces.force.x - c.forces.force.x).abs() < 1e-12);
+                assert_eq!(load_bits(e), load_bits(c));
             }
         }
     }
@@ -454,7 +491,7 @@ mod tests {
         // statuses are identical across runs and across thread counts.
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.status, y.status);
-            assert!((x.forces.force.x - y.forces.force.x).abs() < 1e-12);
+            assert_eq!(load_bits(x), load_bits(y));
         }
         // With a 50% per-attempt failure rate over 4 cases, this seed sees
         // at least one first-attempt failure; recovery must be recorded.
@@ -478,21 +515,18 @@ mod tests {
             fill.run(&spec, threads, &mut ctx);
             ctx.finish_trace()
         };
-        let mut t2 = run(2);
-        let mut t1 = run(1);
-        // Outcome spans are keyed by global case id, so the trace shape is
-        // identical whatever the thread count. Gauges are excluded: the
-        // cut-cell solver is deterministic to roundoff, not to the ulp
-        // (same caveat as the `rerun` test tolerance).
-        fn scrub(spans: &mut [columbia_rt::trace::Span]) {
-            for s in spans {
-                s.gauges.clear();
-                scrub(&mut s.children);
-            }
+        let t2 = run(2);
+        // Outcome spans are keyed by global case id and every case is
+        // bit-identical whichever worker ran it, so the traces are
+        // byte-equal whatever the thread count, `orders_reduced` gauges
+        // included.
+        for threads in [1, 3] {
+            assert_eq!(
+                run(threads).to_json().render(),
+                t2.to_json().render(),
+                "{threads} workers"
+            );
         }
-        scrub(&mut t2.spans);
-        scrub(&mut t1.spans);
-        assert_eq!(t2.to_json().render(), t1.to_json().render());
         let fill_span = t2.find("database_fill").unwrap();
         assert_eq!(fill_span.counters["cases"], 4);
         assert_eq!(fill_span.counters["quarantined"], 1);
@@ -502,6 +536,9 @@ mod tests {
         assert_eq!(fill_span.children.len(), 4);
         assert_eq!(fill_span.children[3].key.case_id, Some(3));
         assert_eq!(fill_span.children[3].counters["quarantined"], 1);
+        // A case span carries its cost; a quarantined case ran no cycle.
+        assert_eq!(fill_span.children[0].counters["cycles"], spec.cycles as u64);
+        assert!(!fill_span.children[3].counters.contains_key("cycles"));
     }
 
     #[test]
@@ -522,7 +559,11 @@ mod tests {
             .iter()
             .find(|e| e.deflection == 0.2 && e.mach == 2.0)
             .unwrap();
-        assert!((again.forces.force.x - orig.forces.force.x).abs() < 1e-12);
+        assert_eq!(load_bits(&again), load_bits(orig));
+        assert_eq!(
+            (again.cycles, again.guard_trips),
+            (orig.cycles, orig.guard_trips)
+        );
     }
 
     #[test]

@@ -727,6 +727,8 @@ mod tests {
                             moment: Vec3::new(0.0, 0.5 * d - a, 0.0),
                         },
                         orders: 5.0,
+                        cycles: 0,
+                        guard_trips: 0,
                         status: CaseStatus::Converged,
                     });
                 }
@@ -907,6 +909,8 @@ mod tests {
                     moment: Vec3::ZERO,
                 },
                 orders: 1.0,
+                cycles: 0,
+                guard_trips: 0,
                 status: CaseStatus::Converged,
             });
         }
@@ -932,6 +936,8 @@ mod tests {
                 beta: 0.0,
                 forces: Forces::default(),
                 orders: 1.0,
+                cycles: 0,
+                guard_trips: 0,
                 status: CaseStatus::Converged,
             });
         }
@@ -942,6 +948,8 @@ mod tests {
             beta: 0.0,
             forces: Forces::default(),
             orders: 1.0,
+            cycles: 0,
+            guard_trips: 0,
             status: CaseStatus::Converged,
         });
         let _ = AeroDatabase::from_entries(&entries);
@@ -969,6 +977,8 @@ mod tests {
                             }
                         },
                         orders: if poisoned { 0.0 } else { 5.0 },
+                        cycles: 0,
+                        guard_trips: 0,
                         status: if poisoned {
                             CaseStatus::Quarantined {
                                 attempts: 3,

@@ -595,6 +595,8 @@ mod tests {
                         beta: 0.0,
                         forces: Default::default(),
                         orders: 0.0,
+                        cycles: 0,
+                        guard_trips: 0,
                         status: CaseStatus::Quarantined {
                             attempts: 3,
                             reason: "injected".into(),

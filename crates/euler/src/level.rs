@@ -5,6 +5,7 @@ use crate::state::{pressure, State5, GAMMA, NVARS5};
 use columbia_cartesian::CartMesh;
 use columbia_linalg::soa::{SoaStates, LANES};
 use columbia_rt::env::KernelKind;
+use std::sync::Arc;
 
 /// Jameson-style five-stage Runge-Kutta coefficients.
 pub const RK5: [f64; 5] = [0.25, 1.0 / 6.0, 0.375, 0.5, 1.0];
@@ -22,8 +23,10 @@ pub mod flops {
 
 /// One Euler solver level.
 pub struct EulerLevel {
-    /// Mesh geometry (fine: extracted; coarse: SFC-coarsened).
-    pub mesh: CartMesh,
+    /// Mesh geometry (fine: extracted; coarse: SFC-coarsened), shared
+    /// read-only with every other solver built on the same
+    /// [`columbia_cartesian::CartHierarchy`].
+    pub mesh: Arc<CartMesh>,
     /// Conservative state, one plane per component.
     pub u: SoaStates<NVARS5>,
     /// FAS forcing: empty until the first `restrict_into` that targets
@@ -46,8 +49,8 @@ pub struct EulerLevel {
     pub cfl: f64,
     /// Under-relaxation of the prolonged correction.
     pub prolong_relax: f64,
-    /// Map to the next coarser level (if any).
-    pub to_coarse: Option<Vec<u32>>,
+    /// Map to the next coarser level (if any), shared like `mesh`.
+    pub to_coarse: Option<Arc<[u32]>>,
     /// Software FLOP counter.
     pub flops: u64,
     /// Calls of [`Self::guard_state`] that clamped a density or floored a
@@ -69,8 +72,10 @@ pub struct EulerLevel {
 }
 
 impl EulerLevel {
-    /// Build a level with the given free stream.
-    pub fn new(mesh: CartMesh, fs: State5, cfl: f64) -> Self {
+    /// Build a level with the given free stream; the state is per level,
+    /// the mesh may be shared.
+    pub fn new(mesh: impl Into<Arc<CartMesh>>, fs: State5, cfl: f64) -> Self {
+        let mesh = mesh.into();
         let n = mesh.ncells();
         let mut filled = SoaStates::zeros(n);
         filled.fill_with(&fs);

@@ -2,11 +2,12 @@
 
 use crate::level::{guard, EulerLevel};
 use crate::state::{freestream5, pressure, State5, NVARS5};
-use columbia_cartesian::{coarsen_hierarchy, CartMesh};
+use columbia_cartesian::{CartHierarchy, CartMesh};
 use columbia_comm::ExecContext;
 use columbia_linalg::soa::SoaStates;
 use columbia_mesh::Vec3;
 use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
+use std::sync::Arc;
 
 /// Flow and numerical parameters of a Cart3D-style analysis.
 #[derive(Clone, Copy, Debug)]
@@ -127,18 +128,25 @@ pub struct EulerSolver {
 }
 
 impl EulerSolver {
-    /// Build a solver from a fine mesh.
+    /// Build a solver from a fine mesh: coarsen it into its own
+    /// hierarchy of `params.nlevels` levels.
     pub fn new(mesh: CartMesh, params: EulerParams) -> Self {
+        Self::on_hierarchy(&CartHierarchy::new(mesh, params.nlevels), params)
+    }
+
+    /// Build a solver on a shared hierarchy, using its first
+    /// `params.nlevels` levels (at least one). The levels borrow the
+    /// hierarchy's meshes and maps; only the flow state is allocated.
+    pub fn on_hierarchy(hierarchy: &CartHierarchy, params: EulerParams) -> Self {
         let fs = freestream5(params.mach, params.alpha, params.beta);
-        let steps = coarsen_hierarchy(&mesh, params.nlevels, 8);
-        let mut levels = Vec::with_capacity(steps.len() + 1);
-        let mut fine = EulerLevel::new(mesh, fs, params.cfl);
-        for step in steps {
-            fine.to_coarse = Some(step.fine_to_coarse);
-            levels.push(fine);
-            fine = EulerLevel::new(step.coarse, fs, params.cfl);
-        }
-        levels.push(fine);
+        let n = hierarchy.nlevels().min(params.nlevels.max(1));
+        let levels = (0..n)
+            .map(|l| {
+                let mut level = EulerLevel::new(Arc::clone(&hierarchy.meshes()[l]), fs, params.cfl);
+                level.to_coarse = (l + 1 < n).then(|| Arc::clone(&hierarchy.to_coarse()[l]));
+                level
+            })
+            .collect();
         EulerSolver { levels, params }
     }
 

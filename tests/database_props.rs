@@ -79,6 +79,8 @@ fn random_masked_db(rng: &mut Pcg32) -> AeroDatabase {
                     beta: 0.0,
                     forces: Forces { force, moment },
                     orders: 6.0,
+                    cycles: 0,
+                    guard_trips: 0,
                     status: CaseStatus::Converged,
                 });
             }
