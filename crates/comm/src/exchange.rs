@@ -14,8 +14,8 @@
 //! pool with a capacity request of `width * max(send entries, recv entries)`
 //! per peer, so both directions of a peer pair ping-pong the same buffer and
 //! the pool reaches a zero-miss fixed point after one warm-up cycle.
-//! [`ExchangePlan::exchange_add2_field`] coalesces two fields into one
-//! message per peer (the paper's "fewer larger messages").
+//! A pair of fields is itself a [`HaloField`]: one message per peer carries
+//! both (the paper's "fewer larger messages").
 //!
 //! Fields are addressed through the [`HaloField`] trait, so the same
 //! schedule packs AoS block slices (`[[f64; N]]`), scalar planes
@@ -45,6 +45,36 @@ pub trait HaloField {
     fn add_entry(&mut self, i: usize, vals: &[f64]);
     /// Zero entry `i` (ghost reset after an accumulation pack).
     fn zero_entry(&mut self, i: usize);
+    /// Fields one entry carries: an add exchange of more than one counts
+    /// each of its messages as coalesced in the pool counters.
+    const FIELDS: u64 = 1;
+}
+
+/// Two fields coalesced into one, of any layouts: per entry `A`'s values,
+/// then `B`'s, packed, set, added and zeroed `A` first. Pairs nest.
+impl<A: HaloField + ?Sized, B: HaloField + ?Sized> HaloField for (&mut A, &mut B) {
+    const WIDTH: usize = A::WIDTH + B::WIDTH;
+    const FIELDS: u64 = A::FIELDS + B::FIELDS;
+
+    fn pack_entry(&self, i: usize, buf: &mut Vec<f64>) {
+        self.0.pack_entry(i, buf);
+        self.1.pack_entry(i, buf);
+    }
+
+    fn set_entry(&mut self, i: usize, vals: &[f64]) {
+        self.0.set_entry(i, &vals[..A::WIDTH]);
+        self.1.set_entry(i, &vals[A::WIDTH..]);
+    }
+
+    fn add_entry(&mut self, i: usize, vals: &[f64]) {
+        self.0.add_entry(i, &vals[..A::WIDTH]);
+        self.1.add_entry(i, &vals[A::WIDTH..]);
+    }
+
+    fn zero_entry(&mut self, i: usize) {
+        self.0.zero_entry(i);
+        self.1.zero_entry(i);
+    }
 }
 
 impl<const N: usize> HaloField for [[f64; N]] {
@@ -281,6 +311,9 @@ impl ExchangePlan {
                 data.zero_entry(i as usize);
             }
             rank.send(pr.peer, tag, buf);
+            if F::FIELDS > 1 {
+                rank.record_coalesced(F::FIELDS);
+            }
         }
         for pr in &self.send {
             let idx = pr.of(&self.send_idx);
@@ -293,16 +326,8 @@ impl ExchangePlan {
         }
     }
 
-    /// Coalesced two-field accumulation: one message per peer carries
-    /// field `a` (width `A`) and field `b` (width `B`) interleaved per
-    /// entry — `A + B` values per exchanged vertex — halving the
-    /// per-sweep message count relative to two back-to-back
-    /// [`ExchangePlan::exchange_add_field`] calls. Peers are walked in the
-    /// same sorted order as the per-field path, so per-slot addition order
-    /// — and therefore every bit of the result — is identical. The two
-    /// fields may use different [`HaloField`] layouts (e.g. plane-resident
-    /// state riding with an AoS scratch block) — the interleaved wire
-    /// format is unchanged.
+    /// [`ExchangePlan::exchange_add_field`] over the pair `(a, b)`: one
+    /// message per peer, `A + B` values per exchanged vertex.
     pub fn exchange_add2_field<FA: HaloField + ?Sized, FB: HaloField + ?Sized>(
         &self,
         rank: &mut Rank,
@@ -310,30 +335,7 @@ impl ExchangePlan {
         a: &mut FA,
         b: &mut FB,
     ) {
-        let (wa, wb) = (FA::WIDTH, FB::WIDTH);
-        let w = wa + wb;
-        for pr in &self.recv {
-            let mut buf = rank.buffer(pr.peer, w * pr.max_n as usize);
-            for &i in pr.of(&self.recv_idx) {
-                a.pack_entry(i as usize, &mut buf);
-                b.pack_entry(i as usize, &mut buf);
-                a.zero_entry(i as usize);
-                b.zero_entry(i as usize);
-            }
-            rank.send(pr.peer, tag, buf);
-            rank.record_coalesced(2);
-        }
-        for pr in &self.send {
-            let idx = pr.of(&self.send_idx);
-            let buf = rank.recv(pr.peer, tag);
-            check_len(rank, pr.peer, tag, idx.len(), w, buf.len());
-            for (k, &i) in idx.iter().enumerate() {
-                let base = k * w;
-                a.add_entry(i as usize, &buf[base..base + wa]);
-                b.add_entry(i as usize, &buf[base + wa..base + w]);
-            }
-            rank.recycle(pr.peer, buf);
-        }
+        self.exchange_add_field(rank, tag, &mut (a, b));
     }
 
     /// Number of peer partitions.

@@ -244,6 +244,25 @@ mod tests {
     }
 
     #[test]
+    fn a_step_sends_what_the_profile_charges() {
+        let mesh = sphere_mesh();
+        let fs = freestream5(0.5, 0.0, 0.0);
+        let sends = |steps| {
+            let ctx = &mut ExecContext::default();
+            let (_, _, traces) = run_parallel_smoothing(&mesh, fs, 1.5, 2, steps, ctx);
+            traces
+                .iter()
+                .map(|t| t.stats.total_msgs())
+                .collect::<Vec<_>>()
+        };
+        let (one, two) = (sends(1), sends(2));
+        for p in 0..2 {
+            let step = two[p] - one[p];
+            assert_eq!(step, crate::profile::EXCHANGES_PER_STEP as u64, "rank {p}");
+        }
+    }
+
+    #[test]
     fn traced_smoothing_matches_untraced() {
         let mesh = sphere_mesh();
         let fs = freestream5(0.5, 0.0, 0.0);

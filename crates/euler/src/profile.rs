@@ -14,6 +14,10 @@ use columbia_machine::profile::{CodeConstants, SurfaceLaw, CART3D_PAPER};
 use columbia_machine::CycleProfile;
 use columbia_mg::{level_visits, CycleParams};
 
+/// Halo exchanges per peer in one parallel RK step: a state copy and a
+/// coalesced residual + `lam` add per stage, then a closing state copy.
+pub const EXCHANGES_PER_STEP: usize = 2 * crate::level::RK5.len() + 1;
+
 /// Ghosts per partition for an SFC decomposition of `mesh` into `p` parts.
 pub fn measure_ghosts(mesh: &CartMesh, p: usize) -> (f64, usize) {
     let cp = partition_cells(mesh, p);
@@ -110,8 +114,7 @@ pub fn measure_profile(
     let code = CodeConstants {
         // Working set: u, u0, forcing, res, primitive cache (5x40B) + lam + mesh.
         state_bytes_per_point: (5 * NVARS5 * 8 + 8 + 100) as f64,
-        // RK5: 5 state copies + 5 residual adds + 5 lam adds per step.
-        exchanges_per_visit: 15.0 * sweeps,
+        exchanges_per_visit: EXCHANGES_PER_STEP as f64 * sweeps,
         intergrid_bytes_per_fine_point: 60.0,
         ..CART3D_PAPER
     };

@@ -12,8 +12,8 @@
 pub const FLUX: u64 = 150;
 /// FLOPs per edge for the viscous/diffusion terms.
 pub const VISCOUS: u64 = 40;
-/// FLOPs per edge for the Green-Gauss gradient accumulation.
-pub const GRADIENT_EDGE: u64 = 42;
+/// FLOPs per edge for the Green-Gauss gradient: 6 + 4 per kept plane.
+pub const GRADIENT_EDGE: u64 = 6 + 6 * 4;
 /// FLOPs per vertex for the turbulence source terms.
 pub const SOURCE: u64 = 60;
 /// FLOPs to assemble one edge's contribution to the implicit diagonal

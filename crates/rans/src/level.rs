@@ -25,14 +25,18 @@ use std::fmt;
 
 /// Edges per cache block of the plane-major Green-Gauss sweep: the
 /// gathered per-edge average-velocity and normal scratch (48 bytes/edge,
-/// ~24 KiB per block) stays cache-resident while the nine gradient
+/// ~24 KiB per block) stays cache-resident while the six gradient
 /// component planes stream over it one at a time.
 pub const EDGE_BLOCK: usize = 512;
 
 /// Vertices per cache block of the gradient-finalisation sweep: the
 /// inverse control volumes (8 KiB per block) are computed once and reused
-/// by all nine plane passes.
+/// by all six plane passes.
 pub const VBLOCK: usize = 1024;
+
+/// The velocity gradients `(i, j)` = `d v_i / d x_j` kept, one plane each
+/// in this order: the off-diagonal six, all the vorticity reads.
+const GRAD_PLANES: [(usize, usize); 6] = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)];
 
 /// Physical and numerical parameters shared by all levels.
 #[derive(Clone, Copy, Debug)]
@@ -216,9 +220,9 @@ pub struct RansLevel {
     pub restricted_u: SoaStates<NVARS>,
     /// Residual scratch `r = forcing - N(u)`.
     pub res: SoaStates<NVARS>,
-    /// Green-Gauss velocity-gradient accumulators (nine planes,
-    /// row-major `3 i + j` = `d v_i / d x_j`).
-    grad: SoaStates<9>,
+    /// Green-Gauss velocity-gradient accumulators, one plane per
+    /// [`GRAD_PLANES`] component.
+    grad: SoaStates<6>,
     /// Per-vertex primitive cache (64 B/vertex), valid from
     /// [`Self::begin_residual`] until `u` is next written; every edge
     /// kernel reads it instead of re-deriving primitives per edge.
@@ -269,6 +273,9 @@ pub struct RansLevel {
     /// Vertices this instance is responsible for updating. All-true for the
     /// serial solver; the domain-decomposed solver marks ghosts inactive.
     pub active: Vec<bool>,
+    /// Test builds: NaN ghost rows after each add exchange (`parallel::tests`).
+    #[cfg(test)]
+    pub(crate) poison_ghosts: bool,
 }
 
 impl RansLevel {
@@ -355,6 +362,8 @@ impl RansLevel {
             mesh,
             flops: FlopCounter::default(),
             active: vec![true; n],
+            #[cfg(test)]
+            poison_ghosts: false,
         })
     }
 
@@ -431,7 +440,7 @@ impl RansLevel {
     ///
     /// The SIMD path is a cache-blocked plane-major sweep: per
     /// [`EDGE_BLOCK`] of edges it gathers the average edge velocity and
-    /// normal once, then streams each of the nine gradient planes over
+    /// normal once, then streams each of the six gradient planes over
     /// the block. Every accumulator still receives its incident-edge
     /// contributions in global edge order and each product is computed
     /// exactly once, so the result is bit-identical to the scalar
@@ -456,12 +465,10 @@ impl RansLevel {
                     let s = e.normal;
                     let comp = [avg.x, avg.y, avg.z];
                     let sv = [s.x, s.y, s.z];
-                    for i in 0..3 {
-                        for j in 0..3 {
-                            let c = comp[i] * sv[j];
-                            *grad.at_mut(3 * i + j, a) += c;
-                            *grad.at_mut(3 * i + j, b) -= c;
-                        }
+                    for (k, &(i, j)) in GRAD_PLANES.iter().enumerate() {
+                        let c = comp[i] * sv[j];
+                        *grad.at_mut(k, a) += c;
+                        *grad.at_mut(k, b) -= c;
                     }
                 }
             }
@@ -472,14 +479,12 @@ impl RansLevel {
                         edge_avg[t] = [avg.x, avg.y, avg.z];
                         edge_nrm[t] = [e.normal.x, e.normal.y, e.normal.z];
                     }
-                    for i in 0..3 {
-                        for j in 0..3 {
-                            let p = grad.plane_mut(3 * i + j);
-                            for (t, e) in chunk.iter().enumerate() {
-                                let c = edge_avg[t][i] * edge_nrm[t][j];
-                                p[e.a as usize] += c;
-                                p[e.b as usize] -= c;
-                            }
+                    for (k, &(i, j)) in GRAD_PLANES.iter().enumerate() {
+                        let p = grad.plane_mut(k);
+                        for (t, e) in chunk.iter().enumerate() {
+                            let c = edge_avg[t][i] * edge_nrm[t][j];
+                            p[e.a as usize] += c;
+                            p[e.b as usize] -= c;
                         }
                     }
                 }
@@ -490,7 +495,7 @@ impl RansLevel {
 
     /// Phase 3: divide gradient sums by the control volumes. The SIMD
     /// path computes [`VBLOCK`] inverse volumes once per block and reuses
-    /// them across all nine plane passes — the same single divide per
+    /// them across all six plane passes — the same single divide per
     /// vertex the scalar path performs.
     pub fn finalize_gradients(&mut self) {
         let Self {
@@ -505,7 +510,7 @@ impl RansLevel {
             KernelKind::Scalar => {
                 for v in 0..n {
                     let inv = 1.0 / mesh.volumes[v];
-                    for k in 0..9 {
+                    for k in 0..GRAD_PLANES.len() {
                         *grad.at_mut(k, v) *= inv;
                     }
                 }
@@ -517,7 +522,7 @@ impl RansLevel {
                     for v in start..end {
                         vol_inv[v - start] = 1.0 / mesh.volumes[v];
                     }
-                    for k in 0..9 {
+                    for k in 0..GRAD_PLANES.len() {
                         let p = grad.plane_mut(k);
                         for v in start..end {
                             p[v] *= vol_inv[v - start];
@@ -530,7 +535,7 @@ impl RansLevel {
     }
 
     /// Direct access to the raw gradient planes (ghost exchange).
-    pub fn grad_mut(&mut self) -> &mut SoaStates<9> {
+    pub fn grad_mut(&mut self) -> &mut SoaStates<6> {
         &mut self.grad
     }
 
@@ -650,11 +655,11 @@ impl RansLevel {
                     rp[5][v] = 0.0;
                 }
                 BoundaryKind::Interior => {
-                    // Vorticity from the velocity-gradient tensor
-                    // (row-major g[3i + j] = d v_i / d x_j).
-                    let wx = grad.at(7, v) - grad.at(5, v);
-                    let wy = grad.at(2, v) - grad.at(6, v);
-                    let wz = grad.at(3, v) - grad.at(1, v);
+                    // Vorticity from the off-diagonal velocity gradients
+                    // (planes in `GRAD_PLANES` order).
+                    let wx = grad.at(5, v) - grad.at(3, v);
+                    let wy = grad.at(1, v) - grad.at(4, v);
+                    let wz = grad.at(2, v) - grad.at(0, v);
                     let omega = (wx * wx + wy * wy + wz * wz).sqrt();
                     let rho = u.at(0, v);
                     let rnt = u.at(5, v).max(0.0);
@@ -963,11 +968,12 @@ impl RansLevel {
         }
     }
 
-    /// The residual planes and the implicit diagonal as a halo field,
-    /// borrowed together so one coalesced exchange carries both.
-    pub fn res_and_diag(&mut self) -> (&mut SoaStates<NVARS>, DiagHalo<'_>) {
+    /// The raw gradient, the residual and the implicit diagonal as halo
+    /// fields (6 + 6 + 37 values per vertex), borrowed together so one
+    /// coalesced add carries all the ghost contributions of a sweep.
+    pub fn residual_halo(&mut self) -> (&mut SoaStates<6>, &mut SoaStates<NVARS>, DiagHalo<'_>) {
         let (diag, lamsum) = (&mut self.diag, &mut self.lamsum);
-        (&mut self.res, DiagHalo { diag, lamsum })
+        (&mut self.grad, &mut self.res, DiagHalo { diag, lamsum })
     }
 
     /// Copy the diagonal into a flat per-vertex buffer in the [`DiagHalo`]
@@ -1003,7 +1009,7 @@ impl RansLevel {
 }
 
 /// A level's implicit diagonal blocks and time-step sums seen as one halo
-/// field ([`RansLevel::res_and_diag`]): per vertex the 36 block entries
+/// field ([`RansLevel::residual_halo`]): per vertex the 36 block entries
 /// row-major, then `lamsum` — 37 values, the wire format the exchange has
 /// always carried.
 pub struct DiagHalo<'a> {
@@ -1207,7 +1213,7 @@ mod tests {
         visc: f64,
         flux: State,
         diffusion: [f64; NVARS - 1],
-        grad: [f64; 9],
+        grad: [f64; 6],
     }
 
     fn edge_oracle(ua: &State, ub: &State, s: Vec3, length: f64, mu: f64) -> EdgeOracle {
@@ -1234,7 +1240,7 @@ mod tests {
                 me * coef * (hb - ha),
                 mtr / sa::SIGMA * coef * (ub[5] / ub[0] - ua[5] / ua[0]),
             ],
-            grad: std::array::from_fn(|k| comp[k / 3] * sv[k % 3]),
+            grad: GRAD_PLANES.map(|(i, j)| comp[i] * sv[j]),
         }
     }
 
@@ -1413,7 +1419,7 @@ mod tests {
                 assert_eq!(lvl.res.at(k, 0).to_bits(), ra.to_bits(), "res[a][{k}]");
                 assert_eq!(lvl.res.at(k, 1).to_bits(), rb.to_bits(), "res[b][{k}]");
             }
-            for k in 0..9 {
+            for k in 0..GRAD_PLANES.len() {
                 assert_eq!(lvl.grad.at(k, 0).to_bits(), (0.0 + want.grad[k]).to_bits(), "grad {k}");
                 assert_eq!(lvl.grad.at(k, 1).to_bits(), (0.0 - want.grad[k]).to_bits(), "grad {k}");
             }

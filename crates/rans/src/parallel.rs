@@ -5,16 +5,19 @@
 //! multilevel k-way partitioner, and each rank builds a local sub-level
 //! containing its owned vertices, the ghost images of off-rank neighbours,
 //! and the edges it owns. A smoothing sweep then interleaves the serial
-//! kernel phases with packed ghost exchanges:
+//! kernel phases with two packed ghost exchanges per peer:
 //!
-//! 1. gradient accumulation → add ghosts to owners → copy back,
-//! 2. flux + implicit-diagonal accumulation in one edge pass → one
-//!    **coalesced** add per peer carrying ghost residuals and diagonal
-//!    blocks together (`ExchangePlan::exchange_add2_field` over `res` and
-//!    the [`crate::level::DiagHalo`] view of the blocks) → copy diagonal
-//!    blocks back, in place,
+//! 1. gradient accumulation, then flux + implicit-diagonal accumulation in
+//!    one edge pass,
+//! 2. one **coalesced** add per peer carrying the ghosts' gradient,
+//!    residual and diagonal contributions together, 6 + 6 + 37 values per
+//!    vertex ([`RansLevel::residual_halo`]), then the three finalisations
+//!    at owners,
 //! 3. local line/point solves (lines are rank-local by construction),
 //! 4. state update → copy owners to ghosts.
+//!
+//! Nothing copies the add's ghost rows back: no kernel reads them before
+//! the next accumulation clears them (DESIGN.md §10).
 //!
 //! All exchange payloads are recycled through the rank's buffer pool, so
 //! the steady-state sweep performs no payload allocations.
@@ -147,24 +150,18 @@ pub fn parallel_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut
     let plan = &decomp.plans[p];
     let lvl = &mut local.level;
 
-    // Residual with exchanges.
+    // Gradient, residual and diagonal ghost contributions travel in ONE
+    // coalesced message per peer (6 + 6 + 37 values per vertex). The edge
+    // pass never reads the gradient, so all three accumulate before the add.
     lvl.begin_residual();
     lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, 10, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, 11, lvl.grad_mut());
-
-    // Residual + implicit-diagonal ghost contributions travel in ONE
-    // coalesced message per peer (6 + 37 values per exchanged vertex),
-    // packed from and added into the blocks themselves. The diagonal
-    // reads only the state and edge coefficients and `finalize_residual`
-    // never reads the diagonal, so one edge pass feeds both and the
-    // residual is finalised between the add and the diagonal's copy-back.
     lvl.accumulate_fluxes_and_diagonal();
-    let (res, mut diag) = lvl.res_and_diag();
-    plan.exchange_add2_field(rank, 12, res, &mut diag);
+    let (grad, res, mut diag) = lvl.residual_halo();
+    plan.exchange_add_field(rank, 12, &mut (grad, &mut (res, &mut diag)));
+    #[cfg(test)]
+    tests::poison_ghost_rows(lvl);
+    lvl.finalize_gradients();
     lvl.finalize_residual();
-    plan.exchange_copy_field(rank, 14, &mut lvl.res_and_diag().1);
     lvl.finalize_diagonal();
 
     // Local solves + update, then refresh ghosts.
@@ -172,9 +169,10 @@ pub fn parallel_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut
     plan.exchange_copy_field(rank, 15, &mut lvl.u);
 }
 
-/// `RansLevel::compute_residual` with ghost exchanges on tags `tag`,
-/// `tag + 1`, `tag + 2`: complete at owners on return. `begin_residual`
-/// comes first, so the primitive cache is fresh for both edge kernels.
+/// `RansLevel::compute_residual` with one coalesced add of the ghosts'
+/// gradient and residual (6 + 6 values per vertex) on tag `tag`: complete
+/// at owners on return. `begin_residual` comes first, so the primitive
+/// cache is fresh for both edge kernels.
 pub(crate) fn exchange_residual(
     lvl: &mut RansLevel,
     plan: &ExchangePlan,
@@ -183,15 +181,16 @@ pub(crate) fn exchange_residual(
 ) {
     lvl.begin_residual();
     lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, tag, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, tag + 1, lvl.grad_mut());
     lvl.accumulate_fluxes();
-    plan.exchange_add_field(rank, tag + 2, &mut lvl.res);
+    let (grad, res, _) = lvl.residual_halo();
+    plan.exchange_add_field(rank, tag, &mut (grad, res));
+    #[cfg(test)]
+    tests::poison_ghost_rows(lvl);
+    lvl.finalize_gradients();
     lvl.finalize_residual();
 }
 
-/// Parallel residual norm (collective), exchanging on `tag..tag + 3`.
+/// Parallel residual norm (collective), exchanging on tag `tag`.
 pub fn parallel_residual_rms(
     local: &mut LocalLevel,
     decomp: &Decomposition,
@@ -277,7 +276,10 @@ pub fn run_parallel_smoothing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel_mg::ParallelMg;
+    use columbia_comm::{Executor, HaloField};
     use columbia_mesh::{wing_mesh, WingMeshSpec};
+    use columbia_mg::CycleParams;
 
     fn mesh() -> UnstructuredMesh {
         wing_mesh(&WingMeshSpec {
@@ -348,6 +350,69 @@ mod tests {
         let span = trace.find("rans_smoothing").unwrap();
         assert!(span.gauges.contains_key("residual_rms"));
         assert!(trace.counter_total("comm.sends") > 0);
+    }
+
+    /// With `poison_ghosts` set, overwrite the ghost rows of the gradient,
+    /// the residual, the diagonal and `lamsum` with NaN.
+    pub(super) fn poison_ghost_rows(lvl: &mut RansLevel) {
+        let n = lvl.nvertices();
+        let first_ghost = lvl.active.iter().position(|a| !a).unwrap_or(n);
+        if lvl.poison_ghosts {
+            let (grad, res, mut diag) = lvl.residual_halo();
+            let mut halo = (grad, &mut (res, &mut diag));
+            for v in first_ghost..n {
+                halo.set_entry(v, &[f64::NAN; 49]);
+            }
+        }
+    }
+
+    /// The proof that the add exchanges need no copy-back: with the ghost
+    /// rows of the gradient, the diagonal and `lamsum` overwritten with NaN
+    /// right after every add, sweeps leave the same owned state and norm
+    /// bits, and multigrid solves the same residual history, at 2, 4 and 8
+    /// ranks on both executors. A kernel that starts reading such a row
+    /// fails here and must bring its copy-back with it.
+    #[test]
+    fn ghost_rows_are_never_read() {
+        let m = mesh();
+        for nparts in [2, 4, 8] {
+            let part = partition_mesh_line_aware(&m, nparts, params().line_threshold);
+            for exec in [Executor::Threads, Executor::Events] {
+                let ctx = || ExecContext::default().with_executor(exec);
+                let sweeps = |poison: bool| {
+                    let (decomp, mut locals) = build_local_levels(&m, &part, nparts, params());
+                    for local in &mut locals {
+                        local.level.poison_ghosts = poison;
+                    }
+                    let locals: Vec<_> = locals.into_iter().map(Some).collect();
+                    let locals = std::sync::Mutex::new(locals);
+                    let (per_rank, _) = run_world(nparts, &ctx(), |rank| {
+                        let mut local = locals.lock().unwrap()[rank.rank()].take().unwrap();
+                        local.level.apply_bcs();
+                        decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
+                        for _ in 0..3 {
+                            parallel_sweep(&mut local, &decomp, rank);
+                        }
+                        let rms = parallel_residual_rms(&mut local, &decomp, rank, 20);
+                        let owned = (0..NVARS)
+                            .flat_map(|k| local.level.u.plane(k)[..local.n_owned].to_vec());
+                        (owned.map(f64::to_bits).collect::<Vec<_>>(), rms.to_bits())
+                    });
+                    per_rank
+                };
+                let solve = |poison: bool| {
+                    let mut pmg = ParallelMg::new(&m, params(), nparts, 3);
+                    for local in pmg.locals.iter_mut().flatten() {
+                        local.level.poison_ghosts = poison;
+                    }
+                    let (h, _) = pmg.solve(&CycleParams::default(), 4.0, 2, &mut ctx());
+                    h.residuals.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+                };
+                let at = format!("{nparts} ranks, {exec:?}");
+                assert_eq!(sweeps(true), sweeps(false), "{at}: sweeps");
+                assert_eq!(solve(true), solve(false), "{at}: multigrid history");
+            }
+        }
     }
 
     #[test]

@@ -482,6 +482,7 @@ mod tests {
     use super::*;
     use crate::solver::RansSolver;
     use columbia_mesh::{wing_mesh, WingMeshSpec};
+    use columbia_mg::{level_visits, CycleType};
 
     fn mesh() -> UnstructuredMesh {
         wing_mesh(&WingMeshSpec {
@@ -619,6 +620,47 @@ mod tests {
             let (fine, coarse) = rank.split_first().expect("three levels");
             assert_eq!((fine.0, fine.1), (0, 0), "finest level");
             assert!(coarse.iter().all(|&(r, f, n)| r == n && f == n));
+        }
+    }
+
+    #[test]
+    fn halo_exchanges_per_visit_is_what_the_solve_sends() {
+        let m = mesh();
+        for cycle in [CycleType::V, CycleType::W] {
+            let cp = CycleParams {
+                cycle,
+                ..Default::default()
+            };
+            // Per rank of a 2-rank world: total sends of a `cycles`-cycle
+            // solve, and the transfer messages of one cycle.
+            let run = |cycles| {
+                let pmg = ParallelMg::new(&m, params(), 2, 3);
+                let visits = level_visits(pmg.nlevels(), cycle);
+                let transfers: Vec<usize> = (0..2)
+                    .map(|p| {
+                        let pairs = pmg.transfers.iter().zip(&visits);
+                        pairs
+                            .map(|(t, v)| v * (t.sends[p].len() + t.recvs[p].len()))
+                            .sum()
+                    })
+                    .collect();
+                let nlevels = pmg.nlevels();
+                let (_, traces) = pmg.solve(&cp, 4.0, cycles, &mut ExecContext::default());
+                let sends: Vec<u64> = traces.iter().map(|t| t.stats.total_msgs()).collect();
+                (sends, transfers, visits.iter().sum::<usize>(), nlevels)
+            };
+            let (one, _, _, _) = run(1);
+            let (two, transfers, visits, nlevels) = run(2);
+            for p in 0..2 {
+                // One cycle's sends less its transfers and the norm's two
+                // collectives (rank 0 broadcasts, rank 1 contributes).
+                let halo = (two[p] - one[p]) as usize - transfers[p] - 2;
+                assert_eq!(
+                    halo as f64 / visits as f64,
+                    crate::profile::halo_exchanges_per_visit(&cp, nlevels),
+                    "{cycle:?} rank {p}"
+                );
+            }
         }
     }
 

@@ -31,6 +31,18 @@ pub fn fit_surface_law(solver: &RansSolver, level: usize, parts: &[usize]) -> Su
     })
 }
 
+/// Halo exchanges per peer per level visit of the distributed multigrid,
+/// averaged over a cycle: 2 per sweep (the add, the state copy), 4 per
+/// restriction (fine residual, coarse state, coarse residual, prolonged
+/// state) and 1 per cycle (the norm's residual).
+pub fn halo_exchanges_per_visit(cycle: &CycleParams, nlevels: usize) -> f64 {
+    let visits = level_visits(nlevels, cycle.cycle);
+    let (coarsest, finer) = visits.split_last().expect("at least one level");
+    let finer: usize = finer.iter().sum();
+    let sweeps = finer * (cycle.pre_sweeps + cycle.post_sweeps) + coarsest * cycle.coarse_sweeps;
+    (2 * sweeps + 4 * finer + 1) as f64 / (finer + coarsest) as f64
+}
+
 /// Measure the non-local fraction of inter-grid transfers between level
 /// `l` and `l + 1` when both are partitioned independently into `p` parts
 /// and greedily matched (the paper's strategy).
@@ -75,15 +87,11 @@ pub fn measure_profile(
     let nonlocal: Vec<f64> = (0..solver.nlevels() - 1)
         .map(|l| measure_intergrid_nonlocal(solver, l, match_parts).max(0.05))
         .collect();
-    let sweeps = (cycle.pre_sweeps + cycle.post_sweeps) as f64 / 2.0 + 1.0;
     let code = CodeConstants {
         // Working set per point: 4 state-sized arrays + gradients + diagonal
         // blocks + mesh metrics (edges amortised per vertex).
-        state_bytes_per_point: (4 * NVARS * 8 + 72 + 296 + 200) as f64,
-        // Each smoothing sweep needs gradient add+copy, residual add,
-        // diagonal add, state copy = 5; plus the residual assembly for the
-        // transfer.
-        exchanges_per_visit: 5.0 * sweeps + 2.0,
+        state_bytes_per_point: (4 * NVARS * 8 + 48 + 296 + 200) as f64,
+        exchanges_per_visit: halo_exchanges_per_visit(cycle, solver.nlevels()),
         // Restriction ships state+residual (13 doubles), prolongation
         // ships the correction (6): ~ (13 + 6) * 8 / 2 per transfer.
         intergrid_bytes_per_fine_point: 76.0,

@@ -12,8 +12,11 @@
 //!   steady-state exchange performs no payload allocations — for a
 //!   mixed-width comm workload, the RANS smoothing sweep, and full
 //!   multigrid cycles;
-//! * the RANS sweep's diagonal, exchanged in place on the blocks, moves
-//!   exactly what the level's pack-scratch route moves.
+//! * the RANS sweep's one coalesced add, made in place on the level's
+//!   gradient, residual and diagonal, moves exactly what the level's
+//!   pack-scratch route moves;
+//! * the RANS sweep's traffic contract in exact numbers: two messages per
+//!   peer per sweep, one per residual evaluation, of known sizes.
 //!
 //! Every world runs on both executors.
 
@@ -25,7 +28,8 @@ use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::level::SolverParams;
 use columbia_rans::parallel::{
-    build_local_levels, parallel_sweep, partition_mesh_line_aware, LocalLevel,
+    build_local_levels, parallel_residual_rms, parallel_sweep, partition_mesh_line_aware,
+    LocalLevel,
 };
 use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rans::{RansSolver, NVARS};
@@ -273,9 +277,9 @@ fn rans_params() -> SolverParams {
 
 #[test]
 fn rans_sweep_reaches_zero_alloc_steady_state() {
-    // The real smoothing sweep: gradients (9-wide), coalesced residual +
-    // diagonal (6+37), diagonal copy (37), state copy (6). From the second
-    // sweep on, the pool serves every payload.
+    // The real smoothing sweep: one coalesced add of gradient, residual
+    // and diagonal (6+6+37), one state copy (6). From the second sweep on,
+    // the pool serves every payload.
     let m = small_wing();
     let nparts = 4;
     let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
@@ -352,27 +356,29 @@ fn multigrid_cycles_allocate_only_during_warmup() {
     }
 }
 
-/// `parallel_sweep` as it ran before the diagonal was exchanged in place,
-/// kept as the reference: flux and diagonal in two edge passes, and the
-/// diagonal copied out to the level's pack scratch, exchanged there, and
-/// copied back.
+/// `parallel_sweep` by the pack-scratch route, kept as the reference:
+/// flux and diagonal in two edge passes, and the diagonal copied out to
+/// the level's pack scratch, sent from there in the sweep's one coalesced
+/// add beside the gradient and the residual, and copied back.
 fn scratch_route_sweep(local: &mut LocalLevel, decomp: &Decomposition, rank: &mut Rank) {
     let plan = &decomp.plans[rank.rank()];
     let lvl = &mut local.level;
     lvl.begin_residual();
     lvl.accumulate_gradients();
-    plan.exchange_add_field(rank, 10, lvl.grad_mut());
-    lvl.finalize_gradients();
-    plan.exchange_copy_field(rank, 11, lvl.grad_mut());
     lvl.accumulate_fluxes();
     lvl.accumulate_diagonal();
     lvl.pack_diag_scratch();
+    // The pack buffer is only reachable through `&mut RansLevel`, so the
+    // gradient and `res` step out of the level for the call.
+    let mut grad = std::mem::replace(lvl.grad_mut(), SoaStates::zeros(0));
     let mut res = std::mem::replace(&mut lvl.res, SoaStates::zeros(0));
-    plan.exchange_add2_field(rank, 12, &mut res, lvl.diag_pack_mut());
+    let diag = lvl.diag_pack_mut();
+    plan.exchange_add_field(rank, 12, &mut (&mut grad, &mut (&mut res, diag)));
+    *lvl.grad_mut() = grad;
     lvl.res = res;
-    lvl.finalize_residual();
-    plan.exchange_copy_field(rank, 14, lvl.diag_pack_mut());
     lvl.unpack_diag_scratch();
+    lvl.finalize_gradients();
+    lvl.finalize_residual();
     lvl.finalize_diagonal();
     lvl.solve_implicit();
     plan.exchange_copy_field(rank, 15, &mut lvl.u);
@@ -413,7 +419,7 @@ fn in_place_diagonal_exchange_matches_the_pack_scratch_route() {
                         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         let u = (0..NVARS).flat_map(|k| bits(lvl.u.plane(k))).collect();
                         let pack_empty = lvl.diag_pack_mut().is_empty();
-                        let (_, diag) = lvl.res_and_diag();
+                        let (_, _, diag) = lvl.residual_halo();
                         let mut wire = Vec::new();
                         for v in 0..local.n_owned {
                             diag.pack_entry(v, &mut wire);
@@ -452,5 +458,70 @@ fn in_place_diagonal_exchange_matches_the_pack_scratch_route() {
     for lvl in coarse {
         assert_eq!(lvl.restricted_u.len(), lvl.nvertices());
         assert_eq!(lvl.forcing.len(), lvl.nvertices());
+    }
+}
+
+/// One rank's ledger as `(peer, messages, bytes)` rows, from expected
+/// `(peer, messages, values)` contributions summed per peer.
+fn ledger_rows(parts: impl IntoIterator<Item = (usize, u64, usize)>) -> Vec<(usize, u64, u64)> {
+    let mut rows = std::collections::BTreeMap::new();
+    for (peer, msgs, values) in parts {
+        let row = rows.entry(peer).or_insert((0, 0));
+        row.0 += msgs;
+        row.1 += 8 * values as u64;
+    }
+    rows.into_iter().map(|(p, (m, b))| (p, m, b)).collect()
+}
+
+#[test]
+fn rans_sweep_traffic_contract_in_exact_numbers() {
+    // Per rank and peer, one sweep sends exactly two messages: the
+    // coalesced add of gradient, residual and diagonal (6 + 6 + 37 = 49
+    // values per ghost the rank holds of the peer) and the state copy (6
+    // per owned vertex the rank sends the peer). The residual evaluation
+    // behind a norm sends one add of gradient and residual (12 per ghost),
+    // beside the norm's two gather-and-broadcast collectives (one value
+    // per message, between rank 0 and every other rank).
+    let m = small_wing();
+    for nparts in [2usize, 4, 8] {
+        let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
+        for exec in EXECUTORS {
+            let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
+            let locals = Mutex::new(locals.into_iter().map(Some).collect::<Vec<_>>());
+            let (ledgers, _) = run_world(nparts, &on(exec), |rank| {
+                let mut local = locals.lock().unwrap()[rank.rank()]
+                    .take()
+                    .expect("local level already taken");
+                local.level.apply_bcs();
+                decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
+                rank.take_stats();
+                let rows = |rank: &mut Rank| rank.take_stats().peers().collect::<Vec<_>>();
+                parallel_sweep(&mut local, &decomp, rank);
+                let sweep = rows(rank);
+                parallel_sweep(&mut local, &decomp, rank);
+                let second = rows(rank);
+                parallel_residual_rms(&mut local, &decomp, rank, 20);
+                (sweep, second, rows(rank))
+            });
+            for (p, (sweep, second, norm)) in ledgers.iter().enumerate() {
+                let at = format!("{nparts} ranks, {exec:?}, rank {p}");
+                let plan = &decomp.plans[p];
+                let ghosts = || plan.recv_peers().map(|(q, idx)| (q, idx.len()));
+                let adds = ghosts().map(|(q, n)| (q, 1, 49 * n));
+                let copies = plan.send_peers().map(|(q, idx)| (q, 1, 6 * idx.len()));
+                let want = ledger_rows(adds.chain(copies));
+                assert!(
+                    want.iter().all(|&(_, msgs, _)| msgs == 2),
+                    "{at}: 2 per peer"
+                );
+                assert_eq!(sweep, &want, "{at}: first sweep");
+                assert_eq!(second, &want, "{at}: second sweep");
+                let collectives = (0..nparts)
+                    .filter(|&q| q != p && (p == 0 || q == 0))
+                    .map(|q| (q, 2, 2));
+                let adds = ghosts().map(|(q, n)| (q, 1, 12 * n));
+                assert_eq!(norm, &ledger_rows(adds.chain(collectives)), "{at}: norm");
+            }
+        }
     }
 }

@@ -68,69 +68,70 @@ fn regimes(nparts: usize) -> Vec<(&'static str, Option<Arc<FaultPlan>>)> {
 /// digest). State and rms are fault-invariant (the protocol hides every
 /// injected fault from payloads); the stats digests differ under faults
 /// because the protocol counters record the recoveries.
+/// Stats column re-pinned: dead ghost copy-backs dropped, one coalesced add.
 const RANS_GOLDEN: [(usize, &str, u64, u64, u64); 9] = [
     (
         2,
         "none",
         0x7812e6edbe1f1cad,
         0x3fb727f2bfa5094b,
-        0x4b8cc53bc6ddbb2c,
+        0x536e6f38375ebbea,
     ),
     (
         2,
         "free",
         0x7812e6edbe1f1cad,
         0x3fb727f2bfa5094b,
-        0x4b8cc53bc6ddbb2c,
+        0x536e6f38375ebbea,
     ),
     (
         2,
         "severe",
         0x7812e6edbe1f1cad,
         0x3fb727f2bfa5094b,
-        0xe769a42448199cdc,
+        0x3ed3809557bc36bd,
     ),
     (
         4,
         "none",
         0xe07d036eda60a750,
         0x3fb727f2bfa5094e,
-        0xd7682acb728f7f6f,
+        0xdbe39356f1fe9898,
     ),
     (
         4,
         "free",
         0xe07d036eda60a750,
         0x3fb727f2bfa5094e,
-        0xd7682acb728f7f6f,
+        0xdbe39356f1fe9898,
     ),
     (
         4,
         "severe",
         0xe07d036eda60a750,
         0x3fb727f2bfa5094e,
-        0xf5067c404dab9bb5,
+        0xfbe019a8952fe13e,
     ),
     (
         8,
         "none",
         0x7ffd4a7dc1083885,
         0x3fb727f2bfa5094e,
-        0xa20c06c4ffba766d,
+        0x3f941b9420ffe995,
     ),
     (
         8,
         "free",
         0x7ffd4a7dc1083885,
         0x3fb727f2bfa5094e,
-        0xa20c06c4ffba766d,
+        0x3f941b9420ffe995,
     ),
     (
         8,
         "severe",
         0x7ffd4a7dc1083885,
         0x3fb727f2bfa5094e,
-        0x8972e960e7771c90,
+        0xdfa135795f1b0c60,
     ),
 ];
 
@@ -201,9 +202,10 @@ const EULER_GOLDEN: [(usize, &str, u64, u64, u64); 9] = [
 ];
 
 /// Pre-refactor trace goldens at 2 ranks: (regime, JSON digest, JSON len).
+/// RANS re-pinned: dead ghost copy-backs dropped, one coalesced add.
 const RANS_TRACE_GOLDEN: [(&str, u64, usize); 2] = [
-    ("none", 0xf2930604290d9a3f, 709),
-    ("severe", 0xf6ef4cdaaffe9598, 877),
+    ("none", 0xf12197ee1da45d09, 707),
+    ("severe", 0x4d2523b938820358, 872),
 ];
 const EULER_TRACE_GOLDEN: [(&str, u64, usize); 2] = [
     ("none", 0x26f1f1ac972a8f13, 718),
@@ -213,8 +215,10 @@ const EULER_TRACE_GOLDEN: [(&str, u64, usize); 2] = [
 /// Distributed multigrid goldens (3 ranks, 3 levels, 3 cycles): history
 /// and stats are tracer-invariant, and the trace JSON is byte-stable.
 const PMG_HIST_GOLDEN: u64 = 0x85e92c5166216061;
-const PMG_STATS_GOLDEN: u64 = 0x0fd8a654fcef687a;
-const PMG_TRACE_GOLDEN: (u64, usize) = (0x897adcc1f3ce1bb5, 3560);
+// Re-pinned: dead ghost copy-backs dropped, one coalesced add.
+const PMG_STATS_GOLDEN: u64 = 0x5feea04f366c33fe;
+// Re-pinned: dead ghost copy-backs dropped, one coalesced add.
+const PMG_TRACE_GOLDEN: (u64, usize) = (0xeb8cb190b152e853, 3566);
 
 /// The plan of `regime` for a world of `nparts`.
 fn plan_of(nparts: usize, regime: &str) -> Option<Arc<FaultPlan>> {
