@@ -26,12 +26,14 @@
 use crate::sections::{Opts, Rendered};
 use crate::table::{line, rows};
 use crate::{mach_half, wing};
-use columbia_comm::workload::HaloWorkload;
-use columbia_comm::{flows_from_traces, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
+use columbia_comm::{
+    flows_from_traces, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace, WorldCommSummary,
+};
 use columbia_machine::{
     analytic_makespan, makespan, simulate, simulate_cycle, Arbiter, CycleProfile, Fabric,
     MachineConfig, RunConfig, Topology,
 };
+use columbia_mesh::UnstructuredMesh;
 use columbia_mg::CycleParams;
 use columbia_rans::parallel::run_parallel_smoothing;
 use columbia_rans::ParallelMg;
@@ -243,28 +245,30 @@ pub fn chaos_section(spec: &MeasuredSpec) -> Json {
 /// Rank counts of the discrete-event fabric section.
 pub const FABRIC_RANK_COUNTS: [usize; 4] = [2, 4, 8, 16];
 
+/// Target points, levels and W-cycles of the solve whose traffic the
+/// fabric section replays (2,744 vertices).
+const FABRIC_WING: (usize, usize, usize) = (2500, 3, 2);
+
 /// Discrete-event fabric comparison over real traced traffic.
 ///
-/// Every rank count runs the synthetic multigrid halo workload on the
+/// Every rank count runs a `ParallelMg` solve ([`FABRIC_WING`]) on the
 /// event executor, replays its teardown ledgers as a packet burst
 /// ([`flows_from_traces`]) through the contended Columbia topology of
 /// each fabric, and compares the emergent makespan against the analytic
 /// closed form ([`analytic_makespan`]). The InfiniBand degradation the
 /// paper's fig15/fig21 measure shows up as `ib_slowdown` exceeding
-/// `analytic_ib_slowdown` from 8 ranks on: queueing on the shared
+/// `analytic_ib_slowdown` from 4 ranks on: queueing on the shared
 /// HCA-pool uplinks, not a fitted curve. Every number derives from the
 /// deterministic simulator over deterministic traces, so the section is
 /// byte-stable across runs. This is `--fabric` at [`FABRIC_RANK_COUNTS`].
 pub fn fabric_contention_section(rank_counts: &[usize]) -> Rendered {
-    let spec = HaloWorkload {
-        points_per_rank: 64,
-        levels: 3,
-        cycles: 2,
-    };
-    let ctx = ExecContext::default().with_executor(Executor::Events);
+    let (points, nlevels, cycles) = FABRIC_WING;
+    let mesh = wing(points);
     let json = Json::arr(rank_counts.iter().map(|&n| {
-        let report = spec.run(n, &ctx);
-        let flows = flows_from_traces(&report.traces);
+        let pmg = ParallelMg::new(&mesh, mach_half(), n, nlevels);
+        let mut ctx = ExecContext::default().with_executor(Executor::Events);
+        let (_, traces) = pmg.solve(&CycleParams::default(), 4.0, cycles, &mut ctx);
+        let flows = flows_from_traces(&traces);
         let nodes = if n >= 2 { 2 } else { 1 };
         let price = |fabric: Fabric| {
             let topo = Topology::columbia(fabric, n, nodes);
@@ -312,7 +316,7 @@ pub fn fabric_contention_section(rank_counts: &[usize]) -> Rendered {
         ])
     }));
     let text =
-        String::from("contended fabric replay (traced halo traffic, round-robin arbiter):\n")
+        String::from("contended fabric replay (traced solver traffic, round-robin arbiter):\n")
             + &rows(
                 "  {ranks:>3} ranks: IB {infiniband.contended_s:>9.1*1e6}us vs NL \
                  {numalink.contended_s:>8.1*1e6}us -> slowdown {ib_slowdown:>5.2}x \
@@ -326,40 +330,71 @@ pub fn fabric_contention_section(rank_counts: &[usize]) -> Rendered {
 /// the event executor hosts as *real rank programs* on one machine.
 pub const PAPER_WORLD_SIZES: [usize; 3] = [512, 1024, 2016];
 
+/// Target points, levels and W-cycles of every paper-scale world: the
+/// jitter-free 27k wing, 5 levels, one cycle. The three worlds, built and
+/// solved, take about 10 s of a release build on a 2-vCPU Xeon host.
+const PAPER_WING: (usize, usize, usize) = (27_000, 5, 1);
+
 /// Real event-executor runs at paper scale — not the machine model:
-/// every world runs the synthetic multigrid halo workload through the
-/// production comm runtime (packed exchanges, buffer pool, collectives,
-/// barriers, per-level attribution) with one cooperative task per rank.
-/// Residual bits are recorded verbatim, so the section doubles as a
-/// cross-run (and cross-executor) bit-identity pin inside the report
-/// artifact itself. This is `--paper-scale` at [`PAPER_WORLD_SIZES`].
+/// every world is a `ParallelMg` solve of [`PAPER_WING`] with one
+/// cooperative task per rank, so its traffic is the solver's own (packed
+/// exchanges, buffer pool, collectives, per-level attribution). Each
+/// level row states its global `points` and how many ranks own at least
+/// one of them (`owning_ranks`, counted before the solve): at these rank
+/// counts the line-aware partitioner leaves ranks empty. Residual bits
+/// are recorded verbatim, so the section doubles as a cross-run
+/// bit-identity pin inside the report artifact itself. This is
+/// `--paper-scale` at [`PAPER_WORLD_SIZES`].
 pub fn paper_scale_section(sizes: &[usize]) -> Rendered {
-    let spec = HaloWorkload::paper_default();
-    let ctx = ExecContext::default().with_executor(Executor::Events);
+    let (points, nlevels, cycles) = PAPER_WING;
+    paper_scale_worlds(&wing(points), nlevels, cycles, sizes)
+}
+
+/// [`paper_scale_section`] over any mesh and cycle shape.
+fn paper_scale_worlds(
+    mesh: &UnstructuredMesh,
+    nlevels: usize,
+    cycles: usize,
+    sizes: &[usize],
+) -> Rendered {
     let json = Json::arr(sizes.iter().map(|&n| {
-        let report = spec.run(n, &ctx);
-        let agg = aggregate_levels(&report.traces);
-        let levels = Json::arr(agg.iter().map(|(&l, &(m, b))| level_row(l, m, b)));
+        let pmg = ParallelMg::new(mesh, mach_half(), n, nlevels);
+        let shape: Vec<(usize, usize)> = pmg
+            .locals
+            .iter()
+            .map(|ranks| {
+                let points = ranks.iter().map(|r| r.n_owned).sum();
+                (points, ranks.iter().filter(|r| r.n_owned > 0).count())
+            })
+            .collect();
+        let mut ctx = ExecContext::default().with_executor(Executor::Events);
+        let (history, traces) = pmg.solve(&CycleParams::default(), 4.0, cycles, &mut ctx);
+        let summary = WorldCommSummary::from_ranks(
+            &traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>(),
+        );
+        let agg = aggregate_levels(&traces);
+        let levels = Json::arr(shape.iter().enumerate().map(|(l, &(points, owning))| {
+            let (msgs, bytes) = agg.get(&l).copied().unwrap_or_default();
+            let mut row = level_row(l, msgs, bytes);
+            row.set("points", Json::UInt(points as u64));
+            row.set("owning_ranks", Json::UInt(owning as u64));
+            row
+        }));
         Json::obj([
             ("ranks", Json::UInt(n as u64)),
             ("executor", Json::Str("events".into())),
-            ("points_per_rank", Json::UInt(spec.points_per_rank as u64)),
-            ("mg_levels", Json::UInt(spec.levels as u64)),
-            ("cycles", Json::UInt(spec.cycles as u64)),
+            ("cycles", Json::UInt(cycles as u64)),
             (
                 "rms_bits",
-                Json::arr(report.rms_history.iter().map(|r| Json::UInt(r.to_bits()))),
+                Json::arr(history.residuals.iter().map(|r| Json::UInt(r.to_bits()))),
             ),
-            ("total_bytes", Json::UInt(report.summary.total_bytes)),
-            (
-                "max_bytes_per_rank",
-                Json::UInt(report.summary.max_bytes_per_rank),
-            ),
-            ("max_degree", Json::UInt(report.summary.max_degree as u64)),
+            ("total_bytes", Json::UInt(summary.total_bytes)),
+            ("max_bytes_per_rank", Json::UInt(summary.max_bytes_per_rank)),
+            ("max_degree", Json::UInt(summary.max_degree as u64)),
             ("levels", levels),
         ])
     }));
-    let text = String::from("paper-scale worlds (event executor, real rank programs):\n")
+    let text = String::from("paper-scale worlds (event executor, ParallelMg rank programs):\n")
         + &rows(
             "  {ranks:>5} ranks: {total_bytes:>9} payload bytes, {cycles} cycles, \
              max degree {max_degree}",
@@ -591,11 +626,12 @@ mod tests {
 
     #[test]
     fn paper_scale_section_is_deterministic_and_shaped() {
-        // Small world sizes: the section's *shape* and byte-stability are
-        // what's pinned here; the real 512/1024/2016 runs happen in CI's
-        // scaling-report artifact and the paper_scale test.
-        let a = paper_scale_section(&[4, 9]).json;
-        let b = paper_scale_section(&[4, 9]).json;
+        // Small worlds on a small wing: the section's *shape* and
+        // byte-stability are what's pinned here; the real 512/1024/2016
+        // runs happen in CI's scaling-report artifact.
+        let mesh = wing(900);
+        let a = paper_scale_worlds(&mesh, 3, 1, &[4, 9]).json;
+        let b = paper_scale_worlds(&mesh, 3, 1, &[4, 9]).json;
         assert_eq!(a.render(), b.render(), "section must be byte-stable");
         let rows = match &a {
             Json::Arr(rows) => rows,
@@ -612,6 +648,21 @@ mod tests {
             match row.get("total_bytes") {
                 Some(Json::UInt(n)) => assert!(*n > 0),
                 other => panic!("missing total_bytes: {other:?}"),
+            }
+            // One row per level, each with its points and between one
+            // and `ranks` owning ranks.
+            let levels = match row.get("levels") {
+                Some(Json::Arr(levels)) => levels,
+                other => panic!("missing levels: {other:?}"),
+            };
+            assert_eq!(levels.len(), 3);
+            for lv in levels {
+                match (lv.get("points"), lv.get("owning_ranks")) {
+                    (Some(Json::UInt(p)), Some(Json::UInt(o))) => {
+                        assert!(*p > 0 && (1..=expect_n).contains(o), "{lv:?}")
+                    }
+                    other => panic!("missing points/owning_ranks: {other:?}"),
+                }
             }
         }
     }

@@ -15,11 +15,6 @@
 //!   per-level communication profiles the Columbia machine model replays at
 //!   paper scale.
 //!
-//! [`hybrid`] describes MPI x OpenMP layouts: several partitions share one
-//! rank, intra-rank exchanges become shared-memory copies, and inter-rank
-//! messages from all threads of a rank pair are aggregated into a single
-//! master-thread message.
-//!
 //! [`runtime`] injects deterministic faults on demand: a seeded
 //! [`FaultPlan`] decides per message occurrence whether it is dropped,
 //! duplicated, delayed or reordered, and per barrier whether a rank stalls
@@ -30,16 +25,13 @@
 
 pub mod exchange;
 pub mod fabric;
-pub mod hybrid;
 pub mod runtime;
 mod sched;
 pub mod stats;
-pub mod workload;
 
 pub use columbia_exec::{ExecContext, Executor, FabricModel, PoolPolicy};
 pub use columbia_rt::fault::{FaultConfig, FaultPlan, MessageAction};
 pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField};
 pub use fabric::{flows_from_traces, FabricClock};
-pub use hybrid::HybridLayout;
 pub use runtime::{run_world, Rank, RankTrace};
 pub use stats::{CommStats, FaultCounters, PoolCounters, WorldCommSummary};

@@ -109,20 +109,6 @@ impl CommStats {
         e.1 += bytes as u64;
     }
 
-    /// Record `msgs` messages totalling `bytes` to `peer` in one go (bulk
-    /// accumulation when re-attributing measured traffic).
-    pub fn record_sends(&mut self, peer: usize, msgs: u64, bytes: u64) {
-        let e = self.per_peer.entry(peer).or_insert((0, 0));
-        e.0 += msgs;
-        e.1 += bytes;
-    }
-
-    /// Accumulate fault-protocol counters from another trace without
-    /// touching the per-peer message table.
-    pub fn absorb_faults(&mut self, other: &FaultCounters) {
-        self.faults.merge(other);
-    }
-
     /// Record `n` dropped-and-retried send attempts.
     pub fn record_retries(&mut self, n: u64) {
         self.faults.retries += n;
@@ -169,13 +155,6 @@ impl CommStats {
     pub fn record_coalesced(&mut self, fields: u64) {
         self.pool.coalesced_msgs += 1;
         self.pool.coalesced_fields += fields;
-    }
-
-    /// Accumulate pool counters from another trace without touching the
-    /// per-peer message table (hybrid aggregation: pool events are per
-    /// sending thread and must not vanish when threads merge into a rank).
-    pub fn absorb_pool(&mut self, other: &PoolCounters) {
-        self.pool.merge(other);
     }
 
     /// Buffer-pool and coalescing counters.
@@ -235,8 +214,8 @@ impl CommStats {
         self.per_peer.iter().map(|(&p, &(m, b))| (p, m, b))
     }
 
-    /// Merge another rank's stats (for aggregating threads into a hybrid
-    /// rank, or accumulating over cycles). Overlapping peer sets are
+    /// Merge another rank's stats (for world totals, or accumulating over
+    /// cycles). Overlapping peer sets are
     /// summed per peer; fault counters accumulate.
     pub fn merge(&mut self, other: &CommStats) {
         for (&p, &(m, b)) in &other.per_peer {
@@ -458,13 +437,9 @@ mod tests {
         assert_eq!(a.pool().recycled, 1);
         assert_eq!(a.pool().coalesced_msgs, 2);
         assert_eq!(a.pool().coalesced_fields, 5);
-        // absorb_pool carries pool events without touching the send table.
-        let mut c = CommStats::default();
-        c.absorb_pool(a.pool());
-        assert_eq!(c.total_msgs(), 0);
-        assert_eq!(c.pool().hits, 3);
         // Pool counters participate in equality and the counter view.
-        assert_ne!(c, CommStats::default());
+        assert_eq!(a.total_msgs(), 0);
+        assert_ne!(a, CommStats::default());
         let pairs = a.counter_pairs();
         let get = |n: &str| pairs.iter().find(|(k, _)| *k == n).unwrap().1;
         assert_eq!(get("pool.hits"), 3);

@@ -455,17 +455,6 @@ impl<const N: usize> SoaStates<N> {
         }
     }
 
-    /// Transpose from array-of-blocks layout.
-    pub fn from_aos(aos: &[[f64; N]]) -> Self {
-        let mut s = Self::zeros(aos.len());
-        for (i, blk) in aos.iter().enumerate() {
-            for k in 0..N {
-                s.data[k * s.len + i] = blk[k];
-            }
-        }
-        s
-    }
-
     /// Transpose back into array-of-blocks layout.
     pub fn to_aos(&self) -> Vec<[f64; N]> {
         let mut out = vec![[0.0; N]; self.len];
@@ -637,6 +626,19 @@ mod tests {
     use super::*;
     use crate::block::LinalgError;
     use crate::tridiag::BlockTridiag;
+
+    impl<const N: usize> SoaStates<N> {
+        /// Transpose from array-of-blocks layout.
+        fn from_aos(aos: &[[f64; N]]) -> Self {
+            let mut s = Self::zeros(aos.len());
+            for (i, blk) in aos.iter().enumerate() {
+                for k in 0..N {
+                    s.data[k * s.len + i] = blk[k];
+                }
+            }
+            s
+        }
+    }
 
     fn bits<const N: usize>(v: &[f64; N]) -> [u64; N] {
         let mut out = [0u64; N];

@@ -9,7 +9,6 @@
 //! fault-plan chaos, for the raw comm layer and for every distributed
 //! solver: RANS smoothing, RANS multigrid and Euler smoothing.
 
-use columbia_comm::workload::HaloWorkload;
 use columbia_comm::{run_world, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
 use columbia_euler::state::freestream5;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
@@ -267,28 +266,5 @@ fn event_executor_double_run_is_bit_identical() {
         let (v2, t2) = chaos_world(n, plan, Executor::Events);
         assert_eq!(digest_f64s(v1.iter()), digest_f64s(v2.iter()));
         assert_eq!(t1, t2, "event-executor traces diverged across runs");
-    }
-}
-
-#[test]
-fn multigrid_workload_parity_includes_per_level_ledgers() {
-    let spec = HaloWorkload {
-        points_per_rank: 16,
-        levels: 3,
-        cycles: 2,
-    };
-    for n in PARITY_WIDTHS {
-        let t = spec.run(n, &ExecContext::default().with_executor(Executor::Threads));
-        let e = spec.run(n, &ExecContext::default().with_executor(Executor::Events));
-        assert_eq!(
-            digest_f64s(t.rms_history.iter()),
-            digest_f64s(e.rms_history.iter()),
-            "residual history diverged at n={n}"
-        );
-        assert_eq!(
-            digest_trace_ledgers(&t.traces),
-            digest_trace_ledgers(&e.traces),
-            "per-level ledgers diverged at n={n}"
-        );
     }
 }

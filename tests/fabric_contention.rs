@@ -15,15 +15,18 @@
 //!    chaos seeds;
 //! 4. **Executor integration** — selecting the contention regime reshapes
 //!    only the event executor's virtual clock: payloads, `CommStats` and
-//!    traces stay bit-identical to the analytic regime, and the emergent
-//!    InfiniBand degradation exceeds the analytic ratio on real traced
-//!    halo traffic.
+//!    traces of a `ParallelMg` solve stay bit-identical to the analytic
+//!    regime, and the emergent InfiniBand degradation exceeds the analytic
+//!    ratio on the solver's traced traffic.
 
-use columbia_comm::workload::HaloWorkload;
+use columbia_bench::{mach_half, wing};
 use columbia_comm::{flows_from_traces, ExecContext, Executor, FabricModel, RankTrace};
 use columbia_machine::{
     analytic_makespan, makespan, simulate, Arbiter, Delivery, Fabric, LinkSpec, Packet, Topology,
 };
+use columbia_mesh::UnstructuredMesh;
+use columbia_mg::CycleParams;
+use columbia_rans::ParallelMg;
 use columbia_rt::{fnv, Pcg32};
 
 mod common;
@@ -387,33 +390,45 @@ fn simulator_double_run_is_bit_identical_under_chaos_seeds() {
 /// The world sizes every integration test covers.
 const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
 
+/// `cycles` W-cycles of a `levels`-level `ParallelMg` solve of `mesh` on
+/// `n` ranks under `ctx`: the residual history and the teardown ledgers.
+fn solve(
+    mesh: &UnstructuredMesh,
+    levels: usize,
+    cycles: usize,
+    n: usize,
+    mut ctx: ExecContext,
+) -> (Vec<f64>, Vec<RankTrace>) {
+    let pmg = ParallelMg::new(mesh, mach_half(), n, levels);
+    let (history, traces) = pmg.solve(&CycleParams::default(), 4.0, cycles, &mut ctx);
+    (history.residuals, traces)
+}
+
 /// Selecting `FabricModel::Contention` must not change a single payload,
 /// counter or ledger bit — only the event executor's virtual wakeup
 /// times. On the thread backend the selection is a documented no-op.
 #[test]
 fn contention_regime_is_payload_identical_to_analytic() {
-    let spec = HaloWorkload {
-        points_per_rank: 16,
-        levels: 3,
-        cycles: 2,
-    };
+    let mesh = wing(900);
     for n in PARITY_WIDTHS {
         for exec in [Executor::Events, Executor::Threads] {
-            let analytic = spec.run(n, &ExecContext::default().with_executor(exec));
-            let contended = spec.run(
+            let ctx = || ExecContext::default().with_executor(exec);
+            let analytic = solve(&mesh, 3, 2, n, ctx());
+            let contended = solve(
+                &mesh,
+                3,
+                2,
                 n,
-                &ExecContext::default()
-                    .with_executor(exec)
-                    .with_fabric_model(FabricModel::Contention),
+                ctx().with_fabric_model(FabricModel::Contention),
             );
             assert_eq!(
-                digest_f64s(analytic.rms_history.iter()),
-                digest_f64s(contended.rms_history.iter()),
+                digest_f64s(analytic.0.iter()),
+                digest_f64s(contended.0.iter()),
                 "residual history diverged under contention ({exec:?}, n={n})"
             );
             assert_eq!(
-                digest_trace_ledgers(&analytic.traces),
-                digest_trace_ledgers(&contended.traces),
+                digest_trace_ledgers(&analytic.1),
+                digest_trace_ledgers(&contended.1),
                 "ledgers diverged under contention ({exec:?}, n={n})"
             );
         }
@@ -425,47 +440,40 @@ fn contention_regime_is_payload_identical_to_analytic() {
 /// pure function of the send history).
 #[test]
 fn contention_regime_double_run_is_bit_identical() {
-    let spec = HaloWorkload {
-        points_per_rank: 16,
-        levels: 2,
-        cycles: 2,
-    };
+    let mesh = wing(900);
     let ctx = || {
         ExecContext::default()
             .with_executor(Executor::Events)
             .with_fabric_model(FabricModel::Contention)
     };
     for n in PARITY_WIDTHS {
-        let a = spec.run(n, &ctx());
-        let b = spec.run(n, &ctx());
+        let a = solve(&mesh, 2, 2, n, ctx());
+        let b = solve(&mesh, 2, 2, n, ctx());
         assert_eq!(
-            digest_f64s(a.rms_history.iter()),
-            digest_f64s(b.rms_history.iter()),
+            digest_f64s(a.0.iter()),
+            digest_f64s(b.0.iter()),
             "contention double run diverged at n={n}"
         );
         assert_eq!(
-            digest_trace_ledgers(&a.traces),
-            digest_trace_ledgers(&b.traces),
+            digest_trace_ledgers(&a.1),
+            digest_trace_ledgers(&b.1),
             "contention double-run ledgers diverged at n={n}"
         );
     }
 }
 
-/// The acceptance pin on *real traced traffic*: replaying an 8-rank halo
-/// workload's ledgers through the contended Columbia topologies, the
-/// InfiniBand-vs-NUMAlink slowdown must exceed what the analytic
-/// closed form predicts — the paper's fig15/fig21 degradation emerges
-/// from uplink queueing, it is not fitted.
+/// The acceptance pin on *real traced traffic*: replaying the ledgers of
+/// an 8-rank `ParallelMg` solve (2,744-point wing, 3 levels, 2 W-cycles)
+/// through the contended Columbia topologies, the InfiniBand-vs-NUMAlink
+/// slowdown must exceed what the analytic closed form predicts — the
+/// paper's fig15/fig21 degradation emerges from uplink queueing, it is
+/// not fitted.
 #[test]
 fn traced_halo_traffic_shows_emergent_infiniband_degradation() {
-    let spec = HaloWorkload {
-        points_per_rank: 64,
-        levels: 3,
-        cycles: 2,
-    };
-    let report = spec.run(8, &ExecContext::default().with_executor(Executor::Events));
-    let flows = flows_from_traces(&report.traces);
-    assert!(!flows.is_empty(), "traced workload produced no traffic");
+    let ctx = ExecContext::default().with_executor(Executor::Events);
+    let (_, traces) = solve(&wing(2500), 3, 2, 8, ctx);
+    let flows = flows_from_traces(&traces);
+    assert!(!flows.is_empty(), "traced solve produced no traffic");
 
     let contended = |fabric: Fabric| {
         let topo = Topology::columbia(fabric, 8, 2);

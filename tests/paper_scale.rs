@@ -3,65 +3,79 @@
 //! The paper's headline runs use 502–2016 CPUs of the Columbia machine;
 //! the event executor's job is to host those rank counts *as real rank
 //! programs* (not analytic models) on one development machine. Both
-//! worlds run in every `cargo test`: a 512-rank multigrid world, and the
-//! full 2016-rank configuration (the paper's largest NSU3D run) twice,
-//! under a wall-clock sanity bound.
+//! worlds are `ParallelMg` solves of a 2,744-point wing (3 levels, one
+//! W-cycle) and run in every `cargo test`: a 512-rank world, and the full
+//! 2016-rank configuration (the paper's largest NSU3D run) twice, under a
+//! wall-clock sanity bound.
 
-use columbia_comm::workload::HaloWorkload;
-use columbia_comm::{ExecContext, Executor};
+use columbia_bench::{mach_half, wing};
+use columbia_comm::{ExecContext, Executor, RankTrace};
+use columbia_mg::CycleParams;
+use columbia_rans::ParallelMg;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// Run one paper-scale world and sanity-check the report shape.
-fn run_world_of(nranks: usize, spec: HaloWorkload) -> columbia_comm::workload::WorkloadReport {
-    let ctx = ExecContext::default().with_executor(Executor::Events);
-    let report = spec.run(nranks, &ctx);
-    assert_eq!(
-        report.traces.len(),
-        nranks,
-        "every rank must hand in a ledger"
-    );
-    assert_eq!(report.rms_history.len(), spec.cycles);
-    assert!(report.summary.total_bytes > 0, "halo traffic must flow");
+const POINTS: usize = 2500;
+const LEVELS: usize = 3;
+const CYCLES: usize = 1;
+
+/// Run one paper-scale world and sanity-check its residuals and ledgers.
+fn run_world_of(nranks: usize) -> (Vec<f64>, Vec<RankTrace>) {
+    let pmg = ParallelMg::new(&wing(POINTS), mach_half(), nranks, LEVELS);
+    let nlevels = pmg.nlevels();
+    let mut ctx = ExecContext::default().with_executor(Executor::Events);
+    let (history, traces) = pmg.solve(&CycleParams::default(), 4.0, CYCLES, &mut ctx);
+    assert_eq!(traces.len(), nranks, "every rank must hand in a ledger");
+    let rms = history.residuals;
+    assert_eq!(rms.len(), CYCLES + 1, "initial norm plus one per cycle");
     assert!(
-        report.rms_history.iter().all(|r| r.is_finite() && *r > 0.0),
-        "residual history degenerate: {:?}",
-        report.rms_history
+        rms.iter().all(|r| r.is_finite() && *r > 0.0),
+        "residual history degenerate: {rms:?}"
     );
-    // Every rank barriers once per cycle plus once at teardown, so the
-    // world really ran the full multigrid cycle structure everywhere.
-    for t in &report.traces {
-        assert_eq!(t.stats.barriers() as usize, spec.cycles, "{:?}", t.rank);
+    let bytes: u64 = traces.iter().map(|t| t.stats.total_bytes()).sum();
+    assert!(bytes > 0, "halo traffic must flow");
+    // Every rank took part in every collective norm (a rank's share of
+    // the gather goes to rank 0), so the world really ran the cycle
+    // structure everywhere, empty ranks included.
+    for t in &traces[1..] {
+        let to_root = t.stats.peers().find(|&(p, _, _)| p == 0).map(|p| p.1);
+        assert!(
+            to_root.unwrap_or(0) >= rms.len() as u64,
+            "rank {} skipped a norm: {to_root:?}",
+            t.rank
+        );
         assert!(!t.per_level.is_empty(), "per-level attribution missing");
     }
-    report
+    // And every level of the hierarchy carries traffic of its own.
+    let levels: BTreeSet<usize> = traces
+        .iter()
+        .flat_map(|t| t.per_level.iter())
+        .filter(|(_, s)| s.total_msgs() > 0)
+        .map(|(&l, _)| l)
+        .collect();
+    assert_eq!(levels, (0..nlevels).collect(), "per-level attribution");
+    (rms, traces)
 }
 
 #[test]
 fn event_executor_hosts_a_512_rank_world() {
-    let report = run_world_of(512, HaloWorkload::smoke());
-    // 512 ranks × 3 levels × 3 smooths/cycle × 2 one-cell halo messages,
-    // plus collectives: the world moved real traffic (~80 KB of payload).
-    assert!(report.summary.total_bytes > 50_000);
+    let (_, traces) = run_world_of(512);
+    // 512 ranks of a W-cycle on three levels: the world moved real halo
+    // traffic, not just the collectives.
+    let bytes: u64 = traces.iter().map(|t| t.stats.total_bytes()).sum();
+    assert!(bytes > 50_000, "{bytes}");
 }
 
 #[test]
 fn event_executor_hosts_the_2016_rank_paper_world() {
     let start = Instant::now();
-    let report = run_world_of(2016, HaloWorkload::smoke());
+    let (rms, _) = run_world_of(2016);
     let elapsed = start.elapsed();
     // Identical residuals on re-run: the paper world is replayable.
-    let again = run_world_of(2016, HaloWorkload::smoke());
+    let (again, _) = run_world_of(2016);
     assert_eq!(
-        report
-            .rms_history
-            .iter()
-            .map(|r| r.to_bits())
-            .collect::<Vec<_>>(),
-        again
-            .rms_history
-            .iter()
-            .map(|r| r.to_bits())
-            .collect::<Vec<_>>()
+        rms.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+        again.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
     );
     // Wall-clock sanity: a cooperative 2016-rank world is thousands of
     // context hand-offs, not thousands of busy threads. Slower-than-usual
