@@ -66,9 +66,6 @@ pub struct EulerLevel {
     /// Per-cell primitives of `u`, refreshed by every
     /// [`Self::accumulate_residual`] before its face loops read them.
     prim: Vec<Prim>,
-    /// `[sum vol * u, sum r]` per cell of this level while the next finer
-    /// level restricts into it; sized by the first restriction.
-    pub(crate) restrict_acc: Vec<[State5; 2]>,
 }
 
 impl EulerLevel {
@@ -95,7 +92,6 @@ impl EulerLevel {
             active: vec![true; n],
             kernel: KernelKind::Simd,
             prim: vec![[0.0; 5]; n],
-            restrict_acc: Vec::new(),
             mesh,
         }
     }

@@ -64,36 +64,37 @@ impl MultigridLevel for EulerLevel {
             .as_ref()
             .expect("level has no coarse map; cannot restrict");
         let nc = coarse.ncells();
-        coarse.restrict_acc.clear();
-        coarse.restrict_acc.resize(nc, [[0.0; NVARS5]; 2]);
+        if coarse.forcing.len() == nc {
+            coarse.forcing.fill_zero();
+            coarse.restricted_u.fill_zero();
+        } else {
+            coarse.forcing = SoaStates::zeros(nc);
+            coarse.restricted_u = SoaStates::zeros(nc);
+        }
+        // `sum vol u` accumulates into the coarse state and `sum r` into
+        // `restricted_u`, which the coarse residual does not read.
+        coarse.u.fill_zero();
         for (c, &g) in map.iter().enumerate() {
-            let vol = self.mesh.volumes[c];
-            let [acc, racc] = &mut coarse.restrict_acc[g as usize];
+            let (vol, g) = (self.mesh.volumes[c], g as usize);
             for k in 0..NVARS5 {
-                acc[k] += vol * self.u.at(k, c);
-                racc[k] += self.res.at(k, c);
+                *coarse.u.at_mut(k, g) += vol * self.u.at(k, c);
+                *coarse.restricted_u.at_mut(k, g) += self.res.at(k, c);
             }
         }
         for g in 0..nc {
             let iv = 1.0 / coarse.mesh.volumes[g];
             for k in 0..NVARS5 {
-                *coarse.u.at_mut(k, g) = coarse.restrict_acc[g][0][k] * iv;
+                *coarse.u.at_mut(k, g) *= iv;
             }
             coarse.guard_state(g);
         }
-        if coarse.forcing.len() == nc {
-            coarse.forcing.fill_zero();
-        } else {
-            coarse.forcing = SoaStates::zeros(nc);
-            coarse.restricted_u = SoaStates::zeros(nc);
-        }
-        coarse.restricted_u.copy_from(&coarse.u);
         coarse.compute_residual(); // res = -N_c(u_hat)
         for g in 0..nc {
             for k in 0..NVARS5 {
-                *coarse.forcing.at_mut(k, g) = -coarse.res.at(k, g) + coarse.restrict_acc[g][1][k];
+                *coarse.forcing.at_mut(k, g) = -coarse.res.at(k, g) + coarse.restricted_u.at(k, g);
             }
         }
+        coarse.restricted_u.copy_from(&coarse.u);
     }
 
     fn prolong_from(&mut self, coarse: &Self) {

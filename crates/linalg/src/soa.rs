@@ -368,6 +368,11 @@ impl<const N: usize> TridiagBatch<N> {
         Self::default()
     }
 
+    /// Heap bytes of the row scratch.
+    pub fn heap_bytes(&self) -> usize {
+        self.upper.capacity() * size_of::<BlockBatch<N>>()
+    }
+
     /// Solve one batch of `out.len()` rows, writing lane-interleaved
     /// solutions through `out`. `row(i, ..)` fills row `i` (see
     /// [`BatchRow`]) and is called once per row, in order.
@@ -440,7 +445,13 @@ impl<const N: usize> TridiagBatch<N> {
 /// `[f64; N]` in component order — reading a gathered block and operating
 /// on it is bit-identical to the old AoS access, so kernels migrated from
 /// `Vec<[f64; N]>` keep their digests.
-#[derive(Clone, Debug)]
+///
+/// The logical length may be shorter than the storage
+/// ([`SoaStates::set_len`]): the planes then lie stride `len` apart at
+/// the front of the buffer, and every method sees only those `N * len`
+/// values. A scratch buffer handed between hierarchy levels of different
+/// sizes changes length without being rewritten.
+#[derive(Clone, Debug, Default)]
 pub struct SoaStates<const N: usize> {
     data: Vec<f64>,
     len: usize,
@@ -476,6 +487,21 @@ impl<const N: usize> SoaStates<N> {
         self.len == 0
     }
 
+    /// Set the number of points. Storage grows (zero-filled) when `len`
+    /// needs more and never shrinks; plane contents after a change of
+    /// length are unspecified.
+    pub fn set_len(&mut self, len: usize) {
+        if N * len > self.data.len() {
+            self.data.resize(N * len, 0.0);
+        }
+        self.len = len;
+    }
+
+    /// Heap bytes held, the storage beyond the logical length included.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Component plane `k` (contiguous over points).
     pub fn plane(&self, k: usize) -> &[f64] {
         &self.data[k * self.len..(k + 1) * self.len]
@@ -491,7 +517,7 @@ impl<const N: usize> SoaStates<N> {
     /// order; the layouts differ only in memory-stream behaviour.
     pub fn axpy(&mut self, a: f64, x: &SoaStates<N>) {
         assert_eq!(self.len, x.len, "SoA axpy length mismatch");
-        crate::vecops::axpy_flat(a, &x.data, &mut self.data);
+        crate::vecops::axpy_flat(a, &x.data[..N * x.len], &mut self.data[..N * self.len]);
     }
 
     /// Gather point `i` as a block, in component order.
@@ -537,13 +563,13 @@ impl<const N: usize> SoaStates<N> {
 
     /// Zero every plane.
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        self.data[..N * self.len].fill(0.0);
     }
 
     /// Plane-wise memcpy from another container of the same length.
     pub fn copy_from(&mut self, other: &SoaStates<N>) {
         assert_eq!(self.len, other.len, "SoA copy length mismatch");
-        self.data.copy_from_slice(&other.data);
+        self.data[..N * self.len].copy_from_slice(&other.data[..N * other.len]);
     }
 
     /// All `N` planes at once as disjoint mutable slices, for sweeps that
@@ -554,7 +580,7 @@ impl<const N: usize> SoaStates<N> {
         if len == 0 {
             return out;
         }
-        for (k, chunk) in self.data.chunks_exact_mut(len).enumerate() {
+        for (k, chunk) in self.data[..N * len].chunks_exact_mut(len).enumerate() {
             out[k] = chunk;
         }
         out
@@ -908,6 +934,33 @@ mod tests {
                 assert_eq!(back[i][k].to_bits(), aos_y[i][k].to_bits());
             }
         }
+    }
+
+    /// A container shortened below its storage behaves as one of the
+    /// shorter length: planes, bulk fills, copies and AXPY see only the
+    /// first `N * len` values, and growing back keeps the storage.
+    #[test]
+    fn logical_length_below_storage_is_honoured_by_every_method() {
+        let aos: Vec<[f64; 3]> = (0..5).map(|i| [i as f64, -(i as f64), 0.5]).collect();
+        let mut s = SoaStates::<3>::zeros(11);
+        s.fill_with(&[7.0; 3]);
+        let bytes = s.heap_bytes();
+        s.set_len(5);
+        assert_eq!((s.len(), s.heap_bytes()), (5, bytes));
+        assert!((0..3).all(|k| s.plane(k).len() == 5));
+        s.copy_from(&SoaStates::from_aos(&aos));
+        assert_eq!(s.to_aos(), aos);
+        s.axpy(2.0, &SoaStates::from_aos(&aos));
+        assert_eq!(s.get(4), [12.0, -12.0, 1.5]);
+        assert!(s.planes_mut().iter().all(|p| p.len() == 5));
+        s.fill_zero();
+        assert!(s.to_aos().iter().flatten().all(|&x| x == 0.0));
+        // Values past the logical end were not touched.
+        assert_eq!(s.data[15..], [7.0; 18]);
+        s.set_len(11);
+        assert_eq!(s.heap_bytes(), bytes);
+        s.set_len(12);
+        assert_eq!((s.len(), s.data.len()), (12, 36));
     }
 
     /// Deterministic edge lengths: empty and shorter-than-LANES containers

@@ -52,6 +52,15 @@ impl<const N: usize> BlockTridiag<N> {
         }
     }
 
+    /// Heap bytes held by the system and its factorisation scratch.
+    pub fn heap_bytes(&self) -> usize {
+        let blocks = [&self.lower, &self.diag, &self.upper, &self.upper_mod];
+        let blocks: usize = blocks.iter().map(|v| v.capacity()).sum();
+        blocks * size_of::<BlockMat<N>>()
+            + (self.rhs.capacity() + self.y.capacity()) * size_of::<[f64; N]>()
+            + self.diag_lu.capacity() * size_of::<Option<BlockLu<N>>>()
+    }
+
     /// Reset to a system of length `n` with zero blocks and zero RHS.
     pub fn reset(&mut self, n: usize) {
         self.lower.clear();

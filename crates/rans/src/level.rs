@@ -21,6 +21,7 @@ use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, 
 use columbia_linalg::{BlockMat, BlockTridiag};
 use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
 use columbia_rt::env::KernelKind;
+use std::cell::Cell;
 use std::fmt;
 
 /// Edges per cache block of the plane-major Green-Gauss sweep: the
@@ -198,6 +199,57 @@ impl fmt::Display for LineError {
 
 impl std::error::Error for LineError {}
 
+/// The per-sweep scratch of a level: the gradient accumulators, the
+/// primitive cache, the implicit diagonal and the time-step sums. Every
+/// sweep and every residual evaluation writes these before it reads them
+/// ([`RansLevel::begin_residual`] and the edge pass), and only one level
+/// of a hierarchy is ever being smoothed, so a hierarchy holds one
+/// scratch and lends it down through restriction ([`RansLevel::borrow_scratch`]).
+/// The vertex arrays keep the length of the largest level they served
+/// and are sliced to the current level; none is rewritten on a hand-over.
+#[derive(Default)]
+pub(crate) struct SweepScratch {
+    /// Green-Gauss velocity-gradient accumulators, one plane per
+    /// [`GRAD_PLANES`] component.
+    grad: SoaStates<6>,
+    /// Per-vertex primitive cache (64 B/vertex), valid from
+    /// [`RansLevel::begin_residual`] until `u` is next written; every edge
+    /// kernel reads it instead of re-deriving primitives per edge.
+    prim: Vec<Prim>,
+    diag: Vec<BlockMat<NVARS>>,
+    lamsum: Vec<f64>,
+    /// Test builds: NaN the scratch at every hand-over.
+    #[cfg(test)]
+    pub(crate) poison: bool,
+}
+
+impl SweepScratch {
+    /// Fit to a level of `n` vertices: the gradient takes length `n`.
+    /// Arrays shorter than `n` are replaced by fresh zero-filled ones, not
+    /// resized: a zeroed allocation from a fresh mapping costs no page until
+    /// a sweep first writes it. Nothing shrinks.
+    fn fit(&mut self, n: usize) -> &mut Self {
+        if self.prim.len() < n {
+            self.grad = SoaStates::zeros(n);
+            self.prim = vec![[0.0; 8]; n];
+            self.diag = vec![BlockMat::zero(); n];
+            self.lamsum = vec![0.0; n];
+        }
+        self.grad.set_len(n);
+        self
+    }
+}
+
+/// Heap bytes of a vector's allocation.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Heap bytes of a vector of vectors, inner allocations included.
+fn nested_bytes<T>(v: &Vec<Vec<T>>) -> usize {
+    vec_bytes(v) + v.iter().map(vec_bytes).sum::<usize>()
+}
+
 /// One solver level: the mesh dual plus all per-vertex solver state, held
 /// in resident [`SoaStates`] component planes.
 pub struct RansLevel {
@@ -220,17 +272,12 @@ pub struct RansLevel {
     pub restricted_u: SoaStates<NVARS>,
     /// Residual scratch `r = forcing - N(u)`.
     pub res: SoaStates<NVARS>,
-    /// Green-Gauss velocity-gradient accumulators, one plane per
-    /// [`GRAD_PLANES`] component.
-    grad: SoaStates<6>,
-    /// Per-vertex primitive cache (64 B/vertex), valid from
-    /// [`Self::begin_residual`] until `u` is next written; every edge
-    /// kernel reads it instead of re-deriving primitives per edge.
-    prim: Vec<Prim>,
+    /// The sweep scratch while this level holds it: a `Cell`, so
+    /// `prolong_from` can take it back from the coarse level it only
+    /// borrows shared. Empty until lent or first used.
+    pub(crate) scratch: Cell<SweepScratch>,
     /// Rotating vertex of the debug cache-freshness check.
     probe: usize,
-    diag: Vec<BlockMat<NVARS>>,
-    lamsum: Vec<f64>,
     tridiag: BlockTridiag<NVARS>,
     line_x: Vec<State>,
     /// Resolved dense-kernel path (params override, else SIMD).
@@ -256,9 +303,6 @@ pub struct RansLevel {
     /// The solver's own sweeps never size it; they exchange the blocks in
     /// place through [`DiagHalo`].
     diag_pack: Vec<[f64; 37]>,
-    /// Restriction accumulators `[sum vol u, sum r]` of this level as the
-    /// *coarse* side of a transfer; sized on first use, then reused.
-    pub(crate) restrict_acc: Vec<[State; 2]>,
     /// Solver parameters.
     pub params: SolverParams,
     /// Free-stream state (BC and initialisation).
@@ -343,18 +387,14 @@ impl RansLevel {
             forcing: SoaStates::zeros(0),
             restricted_u: SoaStates::zeros(0),
             res: SoaStates::zeros(n),
-            grad: SoaStates::zeros(n),
-            prim: vec![[0.0; 8]; n],
+            scratch: Cell::default(),
             probe: 0,
-            diag: vec![BlockMat::zero(); n],
-            lamsum: vec![0.0; n],
             tridiag: BlockTridiag::new(),
             line_x: Vec::new(),
             edge_avg: vec![[0.0; 3]; EDGE_BLOCK],
             edge_nrm: vec![[0.0; 3]; EDGE_BLOCK],
             vol_inv: vec![0.0; VBLOCK],
             diag_pack: Vec::new(),
-            restrict_acc: Vec::new(),
             cfl_now: params.cfl_start.min(params.cfl),
             params,
             fs,
@@ -370,6 +410,52 @@ impl RansLevel {
     /// Number of vertices.
     pub fn nvertices(&self) -> usize {
         self.mesh.nvertices()
+    }
+
+    /// Heap bytes this level holds, one `(array, bytes)` row per array or
+    /// group of arrays, from capacities: what the allocator handed out.
+    /// The four sweep-scratch rows are non-zero only on the level that
+    /// holds the hierarchy's scratch.
+    pub fn resident_bytes(&self) -> Vec<(&'static str, usize)> {
+        let m = &self.mesh;
+        let mesh = vec_bytes(&m.points)
+            + vec_bytes(&m.edges)
+            + vec_bytes(&m.volumes)
+            + vec_bytes(&m.bc)
+            + vec_bytes(&m.wall_distance);
+        let lines = nested_bytes(&self.lines) + nested_bytes(&self.line_edges);
+        let line_solve = self.tridiag.heap_bytes()
+            + self.tridiag_batch.heap_bytes()
+            + vec_bytes(&self.line_x)
+            + vec_bytes(&self.line_x_batch);
+        let edge_blocks =
+            vec_bytes(&self.edge_avg) + vec_bytes(&self.edge_nrm) + vec_bytes(&self.vol_inv);
+        let sc = self.scratch.take();
+        let scratch = [
+            ("grad", sc.grad.heap_bytes()),
+            ("prim", vec_bytes(&sc.prim)),
+            ("diag", vec_bytes(&sc.diag)),
+            ("lamsum", vec_bytes(&sc.lamsum)),
+        ];
+        self.scratch.set(sc);
+        let mut rows = vec![
+            ("mesh", mesh),
+            ("lines", lines + vec_bytes(&self.line_order)),
+            ("in_line", vec_bytes(&self.in_line)),
+            ("active", vec_bytes(&self.active)),
+            ("to_coarse", self.to_coarse.as_ref().map_or(0, vec_bytes)),
+            ("u", self.u.heap_bytes()),
+            ("res", self.res.heap_bytes()),
+            ("forcing", self.forcing.heap_bytes()),
+            ("restricted_u", self.restricted_u.heap_bytes()),
+        ];
+        rows.extend(scratch);
+        rows.extend([
+            ("line_solve", line_solve),
+            ("edge_blocks", edge_blocks),
+            ("diag_pack", vec_bytes(&self.diag_pack)),
+        ]);
+        rows
     }
 
     /// Fraction of vertices covered by implicit lines.
@@ -410,12 +496,30 @@ impl RansLevel {
     /// including the line assembly of [`Self::solve_implicit`] reads the
     /// cache, so `u` must not be written between this call and them.
     pub fn begin_residual(&mut self) {
+        let n = self.nvertices();
+        let s = self.scratch.get_mut().fit(n);
         self.res.fill_zero();
-        self.grad.fill_zero();
+        s.grad.fill_zero();
         let mu = self.params.mu_laminar();
-        for (v, p) in self.prim.iter_mut().enumerate() {
+        for (v, p) in s.prim[..n].iter_mut().enumerate() {
             *p = prim_of(&self.u.get(v), mu);
         }
+    }
+
+    /// Size this level's own sweep scratch for `n` vertices, so the
+    /// allocation happens on the calling thread (DESIGN §16).
+    pub(crate) fn reserve_scratch(&mut self, n: usize) {
+        self.scratch.get_mut().fit(n);
+    }
+
+    /// Swap sweep scratch with `other`: restriction lends the finer
+    /// level's scratch to the coarse one, prolongation takes it back, so
+    /// one scratch serves a whole hierarchy. `other` is borrowed shared
+    /// because `prolong_from` sees the coarse level that way.
+    pub(crate) fn borrow_scratch(&mut self, other: &Self) {
+        self.scratch.swap(&other.scratch);
+        #[cfg(test)]
+        tests::poison_scratch(self);
     }
 
     /// Debug builds re-derive one cache entry per reader kernel (rotating
@@ -423,11 +527,13 @@ impl RansLevel {
     /// [`Self::begin_residual`] trips here instead of smoothing with
     /// stale primitives.
     fn debug_assert_cache_fresh(&mut self) {
-        if cfg!(debug_assertions) && !self.prim.is_empty() {
-            let v = (self.probe + 1) % self.prim.len();
+        let n = self.nvertices();
+        if cfg!(debug_assertions) && n > 0 {
+            let v = (self.probe + 1) % n;
             self.probe = v;
             let fresh = prim_of(&self.u.get(v), self.params.mu_laminar());
-            let stale = fresh.map(f64::to_bits) != self.prim[v].map(f64::to_bits);
+            let cached = self.scratch.get_mut().fit(n).prim[v];
+            let stale = fresh.map(f64::to_bits) != cached.map(f64::to_bits);
             assert!(
                 !stale,
                 "primitive cache of vertex {v} is stale: u written after begin_residual"
@@ -447,16 +553,17 @@ impl RansLevel {
     /// edge-at-a-time oracle.
     pub fn accumulate_gradients(&mut self) {
         self.debug_assert_cache_fresh();
+        let n = self.nvertices();
         let Self {
             mesh,
-            prim,
-            grad,
+            scratch,
             edge_avg,
             edge_nrm,
             kernel,
             flops: fc,
             ..
         } = self;
+        let SweepScratch { prim, grad, .. } = scratch.get_mut().fit(n);
         match *kernel {
             KernelKind::Scalar => {
                 for e in &mesh.edges {
@@ -498,14 +605,15 @@ impl RansLevel {
     /// them across all six plane passes — the same single divide per
     /// vertex the scalar path performs.
     pub fn finalize_gradients(&mut self) {
+        let n = self.nvertices();
         let Self {
             mesh,
-            grad,
+            scratch,
             vol_inv,
             kernel,
             ..
         } = self;
-        let n = mesh.nvertices();
+        let grad = &mut scratch.get_mut().fit(n).grad;
         match *kernel {
             KernelKind::Scalar => {
                 for v in 0..n {
@@ -534,9 +642,10 @@ impl RansLevel {
         }
     }
 
-    /// Direct access to the raw gradient planes (ghost exchange).
+    /// Direct access to the raw gradient planes (ghost exchange), as the
+    /// last [`Self::begin_residual`] sized them.
     pub fn grad_mut(&mut self) -> &mut SoaStates<6> {
-        &mut self.grad
+        &mut self.scratch.get_mut().grad
     }
 
     /// Phase 4: accumulate convective and diffusive edge fluxes into
@@ -559,20 +668,22 @@ impl RansLevel {
     /// are never touched, as they would only ever receive `+0.0`.
     fn edge_pass<const FLUX: bool, const DIAG: bool>(&mut self) {
         self.debug_assert_cache_fresh();
+        let n = self.nvertices();
         let Self {
             mesh,
             u,
-            prim,
             res,
-            diag,
-            lamsum,
+            scratch,
             params,
             flops: fc,
             ..
         } = self;
+        let SweepScratch {
+            prim, diag, lamsum, ..
+        } = scratch.get_mut().fit(n);
         if DIAG {
-            diag.fill(BlockMat::zero());
-            lamsum.fill(0.0);
+            diag[..n].fill(BlockMat::zero());
+            lamsum[..n].fill(0.0);
         }
         let mu = params.mu_laminar();
         let rho = u.plane(0);
@@ -619,17 +730,18 @@ impl RansLevel {
     /// Inactive (ghost) rows are zeroed — their flux contributions have
     /// already been shipped to the owning rank.
     pub fn finalize_residual(&mut self) {
+        let n = self.nvertices();
         let Self {
             mesh,
             u,
             res,
-            grad,
+            scratch,
             forcing,
             active,
             flops: fc,
             ..
         } = self;
-        let n = mesh.nvertices();
+        let grad = &scratch.get_mut().fit(n).grad;
         let forced = !forcing.is_empty();
         let mut rp = res.planes_mut();
         for v in 0..n {
@@ -783,6 +895,10 @@ impl RansLevel {
     /// buffers) is level-owned, so the steady state allocates nothing
     /// (asserted by `tests/kernel_parity.rs`).
     pub fn solve_implicit(&mut self) {
+        // The scratch steps out of its cell for the solve, so the solve's
+        // helpers can borrow the level whole beside it.
+        let n = self.nvertices();
+        let sc = std::mem::take(self.scratch.get_mut().fit(n));
         match self.kernel {
             KernelKind::Scalar => {
                 let Self {
@@ -791,37 +907,36 @@ impl RansLevel {
                     line_edges,
                     tridiag,
                     line_x,
-                    diag,
                     res,
                     u,
-                    prim,
                     params,
                     flops: fc,
                     ..
                 } = self;
-                let mu = params.mu_laminar();
+                let (prim, diag, mu) = (&sc.prim, &sc.diag, params.mu_laminar());
                 for (line, les) in lines.iter().zip(line_edges.iter()) {
                     solve_line_scalar(mesh, prim, mu, u, diag, res, tridiag, line_x, fc, line, les);
                 }
-                self.solve_points_scalar();
+                self.solve_points_scalar(&sc);
             }
             KernelKind::Simd => {
-                self.solve_lines_simd();
-                self.solve_points_simd();
+                self.solve_lines_simd(&sc);
+                self.solve_points_simd(&sc);
             }
         }
+        *self.scratch.get_mut() = sc;
         self.apply_bcs();
     }
 
     /// Point-implicit update for everything not in a line, one block at a
     /// time. Vertices with no incident edges (possible on degenerate
     /// coarsest levels) have no physics to advance and are skipped.
-    fn solve_points_scalar(&mut self) {
+    fn solve_points_scalar(&mut self, sc: &SweepScratch) {
         for v in 0..self.nvertices() {
-            if !self.point_eligible(v) {
+            if !self.point_eligible(v, &sc.lamsum) {
                 continue;
             }
-            if let Ok(lu) = self.diag[v].lu() {
+            if let Ok(lu) = sc.diag[v].lu() {
                 let du = lu.solve(&self.res.get(v));
                 for (k, d) in du.iter().enumerate() {
                     *self.u.at_mut(k, v) += d;
@@ -832,10 +947,10 @@ impl RansLevel {
     }
 
     #[inline]
-    fn point_eligible(&self, v: usize) -> bool {
+    fn point_eligible(&self, v: usize, lamsum: &[f64]) -> bool {
         !(self.in_line[v]
             || !self.active[v]
-            || self.lamsum[v] <= 0.0
+            || lamsum[v] <= 0.0
             || self.mesh.bc[v] == BoundaryKind::FarField)
     }
 
@@ -845,31 +960,31 @@ impl RansLevel {
     /// their own vertex, so batching cannot change any result bit; lanes
     /// whose block is singular are discarded exactly as the scalar path
     /// skips `Err` factorisations.
-    fn solve_points_simd(&mut self) {
+    fn solve_points_simd(&mut self, sc: &SweepScratch) {
         let n = self.nvertices();
         let mut batch = [0usize; LANES];
         let mut count = 0usize;
         for v in 0..n {
-            if !self.point_eligible(v) {
+            if !self.point_eligible(v, &sc.lamsum) {
                 continue;
             }
             batch[count] = v;
             count += 1;
             if count == LANES {
-                self.flush_point_batch(&batch[..count]);
+                self.flush_point_batch(&batch[..count], &sc.diag);
                 count = 0;
             }
         }
         if count > 0 {
-            self.flush_point_batch(&batch[..count]);
+            self.flush_point_batch(&batch[..count], &sc.diag);
         }
     }
 
-    fn flush_point_batch(&mut self, vs: &[usize]) {
+    fn flush_point_batch(&mut self, vs: &[usize], diag: &[BlockMat<NVARS>]) {
         let mut mats = BlockBatch::<NVARS>::identity();
         let mut du = vec_batch_zero::<NVARS>();
         for (l, &v) in vs.iter().enumerate() {
-            mats.set_lane(l, &self.diag[v]);
+            mats.set_lane(l, &diag[v]);
             let r = self.res.get(v);
             for (k, row) in du.iter_mut().enumerate() {
                 row[l] = r[k];
@@ -894,7 +1009,7 @@ impl RansLevel {
     /// [`Self::with_lines`]), so neither the reordering nor the batching
     /// changes any line's arithmetic, and padding rows leave a shorter
     /// line's solution bit-identical.
-    fn solve_lines_simd(&mut self) {
+    fn solve_lines_simd(&mut self, sc: &SweepScratch) {
         let Self {
             mesh,
             lines,
@@ -902,14 +1017,13 @@ impl RansLevel {
             line_order,
             tridiag_batch,
             line_x_batch,
-            diag,
             res,
             u,
-            prim,
             params,
             flops: fc,
             ..
         } = self;
+        let (prim, diag) = (&sc.prim, &sc.diag);
         let mu = params.mu_laminar();
         for chunk in line_order.chunks(LANES) {
             // Length-sorted: the chunk's last line is its longest.
@@ -955,16 +1069,24 @@ impl RansLevel {
     /// Diagonal phase 2: time-step and source-Jacobian terms.
     pub fn finalize_diagonal(&mut self) {
         let n = self.nvertices();
+        let Self {
+            mesh,
+            u,
+            scratch,
+            cfl_now,
+            ..
+        } = self;
+        let SweepScratch { diag, lamsum, .. } = scratch.get_mut().fit(n);
         for v in 0..n {
             // V/dt = lamsum / CFL.
-            let vdt = self.lamsum[v] / self.cfl_now;
-            self.diag[v].add_diagonal(vdt.max(1e-300));
+            let vdt = lamsum[v] / *cfl_now;
+            diag[v].add_diagonal(vdt.max(1e-300));
             // Turbulence destruction Jacobian (stabilising, positive).
-            let rho = self.u.at(0, v);
-            let nt = (self.u.at(5, v) / rho).max(0.0);
-            let d = self.mesh.wall_distance[v].max(1e-12);
-            let dj = 2.0 * sa::CW1 * nt / (d * d) * self.mesh.volumes[v];
-            *self.diag[v].get_mut(5, 5) += dj;
+            let rho = u.at(0, v);
+            let nt = (u.at(5, v) / rho).max(0.0);
+            let d = mesh.wall_distance[v].max(1e-12);
+            let dj = 2.0 * sa::CW1 * nt / (d * d) * mesh.volumes[v];
+            *diag[v].get_mut(5, 5) += dj;
         }
     }
 
@@ -972,8 +1094,15 @@ impl RansLevel {
     /// fields (6 + 6 + 37 values per vertex), borrowed together so one
     /// coalesced add carries all the ghost contributions of a sweep.
     pub fn residual_halo(&mut self) -> (&mut SoaStates<6>, &mut SoaStates<NVARS>, DiagHalo<'_>) {
-        let (diag, lamsum) = (&mut self.diag, &mut self.lamsum);
-        (&mut self.grad, &mut self.res, DiagHalo { diag, lamsum })
+        let n = self.nvertices();
+        let SweepScratch {
+            grad, diag, lamsum, ..
+        } = self.scratch.get_mut().fit(n);
+        let halo = DiagHalo {
+            diag: &mut diag[..n],
+            lamsum: &mut lamsum[..n],
+        };
+        (grad, &mut self.res, halo)
     }
 
     /// Copy the diagonal into a flat per-vertex buffer in the [`DiagHalo`]
@@ -982,19 +1111,22 @@ impl RansLevel {
     /// for `bench_e2e`'s sweep replay, and go when the benchmark reads
     /// spans recorded inside the crates instead (ROADMAP.md).
     pub fn pack_diag_scratch(&mut self) {
-        let (diag, lamsum) = (&self.diag, &self.lamsum);
-        self.diag_pack.resize(diag.len(), [0.0; 37]);
+        let n = self.nvertices();
+        let sc = self.scratch.get_mut().fit(n);
+        self.diag_pack.resize(n, [0.0; 37]);
         for (v, row) in self.diag_pack.iter_mut().enumerate() {
             for (k, x) in row[..36].iter_mut().enumerate() {
-                *x = diag[v].get(k / NVARS, k % NVARS);
+                *x = sc.diag[v].get(k / NVARS, k % NVARS);
             }
-            row[36] = lamsum[v];
+            row[36] = sc.lamsum[v];
         }
     }
 
     /// Inverse of [`Self::pack_diag_scratch`] (kept for the replay only).
     pub fn unpack_diag_scratch(&mut self) {
-        let (diag, lamsum) = (&mut self.diag, &mut self.lamsum);
+        let n = self.nvertices();
+        let sc = self.scratch.get_mut().fit(n);
+        let (diag, lamsum) = (&mut sc.diag[..n], &mut sc.lamsum[..n]);
         let mut halo = DiagHalo { diag, lamsum };
         for (v, row) in self.diag_pack.iter().enumerate() {
             halo.set_entry(v, row);
@@ -1051,6 +1183,25 @@ mod tests {
     };
     use columbia_mesh::{isotropic_box_mesh, wing_mesh, Edge, Vec3, WingMeshSpec};
     use columbia_rt::props::array;
+
+    /// The level's sweep scratch, fitted to it.
+    fn scratch(lvl: &mut RansLevel) -> &mut SweepScratch {
+        let n = lvl.nvertices();
+        lvl.scratch.get_mut().fit(n)
+    }
+
+    /// With the scratch's `poison` set, overwrite every row the level
+    /// sees with NaN (`parallel_mg::tests`).
+    pub(super) fn poison_scratch(lvl: &mut RansLevel) {
+        let n = lvl.nvertices();
+        let s = scratch(lvl);
+        if s.poison {
+            s.grad.fill_with(&[f64::NAN; 6]);
+            s.prim[..n].fill([f64::NAN; 8]);
+            s.diag[..n].fill(BlockMat::from_fn(|_, _| f64::NAN));
+            s.lamsum[..n].fill(f64::NAN);
+        }
+    }
 
     fn small_wing() -> RansLevel {
         let spec = WingMeshSpec {
@@ -1327,8 +1478,9 @@ mod tests {
     /// route (`fused` or flux-then-diagonal), run from a dirty diagonal so
     /// a pass that skips or misplaces the zeroing shows.
     fn edge_pass_bits(lvl: &mut RansLevel, fused: bool) -> [Vec<u64>; 4] {
-        lvl.diag.fill(BlockMat::scaled_identity(-7.0));
-        lvl.lamsum.fill(3.0);
+        let sc = scratch(lvl);
+        sc.diag.fill(BlockMat::scaled_identity(-7.0));
+        sc.lamsum.fill(3.0);
         lvl.begin_residual();
         lvl.flops.take();
         if fused {
@@ -1338,11 +1490,14 @@ mod tests {
             lvl.accumulate_diagonal();
         }
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let res = (0..NVARS).flat_map(|k| bits(lvl.res.plane(k))).collect();
+        let flops = vec![lvl.flops.total()];
+        let sc = scratch(lvl);
         [
-            (0..NVARS).flat_map(|k| bits(lvl.res.plane(k))).collect(),
-            lvl.diag.iter().flat_map(block_bits).collect(),
-            bits(&lvl.lamsum),
-            vec![lvl.flops.total()],
+            res,
+            sc.diag.iter().flat_map(block_bits).collect(),
+            bits(&sc.lamsum),
+            flops,
         ]
     }
 
@@ -1402,12 +1557,13 @@ mod tests {
             lvl.accumulate_gradients();
             lvl.accumulate_fluxes();
             lvl.accumulate_diagonal();
+            let sc = std::mem::take(scratch(&mut lvl));
 
             let want = edge_oracle(&ua, &ub, s, length, mu);
-            let es = EdgeScalars::new(&lvl.prim[0], &lvl.prim[1], s, length, mu);
+            let es = EdgeScalars::new(&sc.prim[0], &sc.prim[1], s, length, mu);
             assert_eq!(es.lam.to_bits(), want.lam.to_bits(), "lam");
             assert_eq!(es.visc(ua[0], ub[0]).to_bits(), want.visc.to_bits(), "visc");
-            let (flux, diff) = es.fluxes((&lvl.prim[0], &ua), (&lvl.prim[1], &ub), s, mu);
+            let (flux, diff) = es.fluxes((&sc.prim[0], &ua), (&sc.prim[1], &ub), s, mu);
             assert_eq!(flux.map(f64::to_bits), want.flux.map(f64::to_bits), "rusanov");
             assert_eq!(diff.map(f64::to_bits), want.diffusion.map(f64::to_bits), "diffusion");
 
@@ -1420,18 +1576,18 @@ mod tests {
                 assert_eq!(lvl.res.at(k, 1).to_bits(), rb.to_bits(), "res[b][{k}]");
             }
             for k in 0..GRAD_PLANES.len() {
-                assert_eq!(lvl.grad.at(k, 0).to_bits(), (0.0 + want.grad[k]).to_bits(), "grad {k}");
-                assert_eq!(lvl.grad.at(k, 1).to_bits(), (0.0 - want.grad[k]).to_bits(), "grad {k}");
+                assert_eq!(sc.grad.at(k, 0).to_bits(), (0.0 + want.grad[k]).to_bits(), "grad {k}");
+                assert_eq!(sc.grad.at(k, 1).to_bits(), (0.0 - want.grad[k]).to_bits(), "grad {k}");
             }
             let d = 0.5 * want.lam + want.visc;
             let mut ja = BlockMat::zero();
             ja += shifted_half_jacobian(&ua, s, d);
             let mut jb = BlockMat::zero();
             jb += shifted_half_jacobian(&ub, -s, d);
-            assert_eq!(block_bits(&lvl.diag[0]), block_bits(&ja), "diag[a]");
-            assert_eq!(block_bits(&lvl.diag[1]), block_bits(&jb), "diag[b]");
+            assert_eq!(block_bits(&sc.diag[0]), block_bits(&ja), "diag[a]");
+            assert_eq!(block_bits(&sc.diag[1]), block_bits(&jb), "diag[b]");
             for v in 0..2 {
-                assert_eq!(lvl.lamsum[v].to_bits(), (0.0 + (want.lam + want.visc)).to_bits());
+                assert_eq!(sc.lamsum[v].to_bits(), (0.0 + (want.lam + want.visc)).to_bits());
             }
 
             // Line couplings, oriented line[0] -> line[1].
@@ -1442,7 +1598,7 @@ mod tests {
             let lam = spectral_radius(&ui, so).max(spectral_radius(&uj, so));
             let (mut upper, mut lower) = (BlockMat::zero(), BlockMat::zero());
             line_edge_blocks(
-                &lvl.mesh, &lvl.prim, lvl.u.plane(0), mu, (vi, vj), le,
+                &lvl.mesh, &sc.prim, lvl.u.plane(0), mu, (vi, vj), le,
                 |r, c, v| upper.set(r, c, v),
                 |r, c, v| lower.set(r, c, v),
             );
@@ -1468,7 +1624,7 @@ mod tests {
         }
         lvl.begin_residual();
         lvl.accumulate_diagonal();
-        for (v, d) in lvl.diag.iter().enumerate() {
+        for (v, d) in scratch(&mut lvl).diag.iter().enumerate() {
             for (r, c) in [(0, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 4)] {
                 assert_eq!(d.get(r, c).to_bits(), 0, "diag[{v}]({r},{c})");
             }

@@ -227,7 +227,11 @@ pub fn run_parallel_smoothing(
     ctx: &mut ExecContext,
 ) -> (Vec<State>, f64, Vec<RankTrace>) {
     let part = partition_mesh_line_aware(mesh, nparts, params.line_threshold);
-    let (decomp, locals) = build_local_levels(mesh, &part, nparts, params);
+    let (decomp, mut locals) = build_local_levels(mesh, &part, nparts, params);
+    for local in &mut locals {
+        let n = local.level.nvertices();
+        local.level.reserve_scratch(n);
+    }
     let locals = std::sync::Mutex::new(
         locals
             .into_iter()

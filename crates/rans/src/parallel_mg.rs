@@ -130,6 +130,13 @@ impl ParallelMg {
             decomps.push(d);
             locals.push(ls);
         }
+        // Each rank's one sweep scratch, sized here on the building thread
+        // for the largest level of the rank's column: sized lazily on a
+        // rank thread it would land in that thread's malloc arena.
+        for r in 0..nparts {
+            let largest = locals.iter().map(|ls| ls[r].level.nvertices()).max();
+            locals[0][r].level.reserve_scratch(largest.unwrap_or(0));
+        }
 
         // Transfer schedules between adjacent levels.
         let mut transfers = Vec::with_capacity(nlev.saturating_sub(1));
@@ -359,9 +366,8 @@ fn parallel_restrict(fine: &mut RankLevel, coarse: &mut RankLevel, rank: &mut Ra
     let fine = &fine.local;
     let coarse = &mut coarse.local;
 
-    // Accumulators `[vol * u, r]` over the coarse rank's local vertices:
-    // coarse-level-owned scratch, so steady-state cycles allocate nothing.
-    let nc = coarse.level.nvertices();
+    // `sum vol u` accumulates into the coarse state and `sum r` into
+    // `restricted_u`, so steady-state cycles allocate nothing.
     coarse.level.begin_restriction();
 
     // Send packed (vol*u, r, vol) per remote coarse rank. Payloads come
@@ -385,14 +391,8 @@ fn parallel_restrict(fine: &mut RankLevel, coarse: &mut RankLevel, rank: &mut Ra
     }
     // Local pairs accumulate directly.
     for pr in &sched.local[p] {
-        let v = pr.fine_local as usize;
-        let c = pr.coarse_local as usize;
-        let vol = fine.level.mesh.volumes[v];
-        let [acc_u, acc_r] = &mut coarse.level.restrict_acc[c];
-        for k in 0..NVARS {
-            acc_u[k] += vol * fine.level.u.at(k, v);
-            acc_r[k] += fine.level.res.at(k, v);
-        }
+        let (c, v) = (pr.coarse_local as usize, pr.fine_local as usize);
+        coarse.level.restrict_vertex(c, &fine.level, v);
     }
     // Receive remote contributions.
     for (peer, targets) in &sched.recvs[p] {
@@ -404,27 +404,18 @@ fn parallel_restrict(fine: &mut RankLevel, coarse: &mut RankLevel, rank: &mut Ra
             tag + 3
         );
         for (i, &cl) in targets.iter().enumerate() {
-            let base = i * RESTRICT_WIDTH;
-            let [acc_u, acc_r] = &mut coarse.level.restrict_acc[cl as usize];
+            let entry = &buf[i * RESTRICT_WIDTH..];
             for k in 0..NVARS {
-                acc_u[k] += buf[base + k];
-                acc_r[k] += buf[base + NVARS + k];
+                *coarse.level.u.at_mut(k, cl as usize) += entry[k];
+                *coarse.level.restricted_u.at_mut(k, cl as usize) += entry[NVARS + k];
             }
         }
         rank.recycle(*peer, buf);
     }
 
-    // Coarse state = volume-weighted average (coarse volume is the exact
-    // sum of child volumes by construction of the agglomeration).
-    for c in 0..nc {
-        if !coarse.level.active[c] {
-            continue;
-        }
-        let iv = 1.0 / coarse.level.mesh.volumes[c];
-        for k in 0..NVARS {
-            *coarse.level.u.at_mut(k, c) = coarse.level.restrict_acc[c][0][k] * iv;
-        }
-    }
+    // The fine residual has been read: the sweep scratch goes down.
+    coarse.level.borrow_scratch(&fine.level);
+    coarse.level.average_restricted_state();
     coarse.level.apply_bcs();
     plan_c.exchange_copy_field(rank, tag + 4, &mut coarse.level.u);
 
@@ -444,6 +435,7 @@ fn parallel_prolong(fine: &mut RankLevel, coarse: &RankLevel, rank: &mut Rank) {
     let plan_f = &fine.decomps[l].plans[p];
     let fine = &mut fine.local;
     let coarse = &coarse.local;
+    fine.level.borrow_scratch(&coarse.level);
 
     // Remote: the coarse side sends one 6-vector per fine vertex in the
     // agreed order (reverse direction of the restriction lists). The
@@ -481,6 +473,7 @@ fn parallel_prolong(fine: &mut RankLevel, coarse: &RankLevel, rank: &mut Rank) {
 mod tests {
     use super::*;
     use crate::solver::RansSolver;
+    use columbia_comm::Executor;
     use columbia_mesh::{wing_mesh, WingMeshSpec};
     use columbia_mg::{level_visits, CycleType};
 
@@ -620,6 +613,45 @@ mod tests {
             let (fine, coarse) = rank.split_first().expect("three levels");
             assert_eq!((fine.0, fine.1), (0, 0), "finest level");
             assert!(coarse.iter().all(|&(r, f, n)| r == n && f == n));
+        }
+    }
+
+    /// The proof that one sweep scratch can serve a hierarchy: with the
+    /// scratch overwritten with NaN at every hand-over (restriction and
+    /// prolongation), a serial 5-level W-cycle and a 4-rank 3-level solve
+    /// on both executors leave the same residual history and state bits as
+    /// unpoisoned runs. A kernel that reads the scratch before writing it
+    /// fails here. The 22k-point wing is about the smallest that
+    /// agglomerates to five levels.
+    #[test]
+    fn lent_scratch_is_never_read_before_it_is_written() {
+        let m = wing_mesh(&WingMeshSpec {
+            jitter: 0.0,
+            ..WingMeshSpec::with_target_points(20_000)
+        });
+        let cp = CycleParams::default();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let serial = |poison: bool| {
+            let mut s = RansSolver::new(m.clone(), params(), 5);
+            assert_eq!(s.nlevels(), 5);
+            s.levels[0].scratch.get_mut().poison = poison;
+            let mut out = bits(&s.solve(&cp, 0.0, 1).residuals);
+            for lvl in &s.levels {
+                out.extend((0..NVARS).flat_map(|k| bits(lvl.u.plane(k))));
+            }
+            out
+        };
+        assert_eq!(serial(true), serial(false), "serial W-cycles");
+        for exec in [Executor::Threads, Executor::Events] {
+            let solve = |poison: bool| {
+                let mut pmg = ParallelMg::new(&mesh(), params(), 4, 3);
+                for local in &mut pmg.locals[0] {
+                    local.level.scratch.get_mut().poison = poison;
+                }
+                let mut ctx = ExecContext::default().with_executor(exec);
+                bits(&pmg.solve(&cp, 4.0, 2, &mut ctx).0.residuals)
+            };
+            assert_eq!(solve(true), solve(false), "4 ranks, {exec:?}");
         }
     }
 

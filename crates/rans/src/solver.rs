@@ -25,22 +25,13 @@ impl MultigridLevel for RansLevel {
             .to_coarse
             .as_ref()
             .expect("level has no coarse map; cannot restrict");
-        let nc = coarse.nvertices();
         coarse.begin_restriction();
         for (v, &c) in map.iter().enumerate() {
-            let vol = self.mesh.volumes[v];
-            let [acc, racc] = &mut coarse.restrict_acc[c as usize];
-            for k in 0..NVARS {
-                acc[k] += vol * self.u.at(k, v);
-                racc[k] += self.res.at(k, v);
-            }
+            coarse.restrict_vertex(c as usize, self, v);
         }
-        for c in 0..nc {
-            let iv = 1.0 / coarse.mesh.volumes[c];
-            for k in 0..NVARS {
-                *coarse.u.at_mut(k, c) = coarse.restrict_acc[c][0][k] * iv;
-            }
-        }
+        // The fine residual has been read: the sweep scratch goes down.
+        coarse.borrow_scratch(self);
+        coarse.average_restricted_state();
         // The coarse state must satisfy the same strong BCs, and the stored
         // restricted state must match it so the correction is consistent.
         coarse.apply_bcs();
@@ -49,6 +40,7 @@ impl MultigridLevel for RansLevel {
     }
 
     fn prolong_from(&mut self, coarse: &Self) {
+        self.borrow_scratch(coarse);
         for v in 0..self.nvertices() {
             let map = self.to_coarse.as_ref();
             let c = map.expect("level has no coarse map; cannot prolongate")[v] as usize;
@@ -59,31 +51,59 @@ impl MultigridLevel for RansLevel {
 }
 
 impl RansLevel {
-    /// Start a restriction into this level: clear the accumulators and
-    /// zero `forcing`, so the next residual is `-N(u_hat)`. The first one
-    /// sizes `forcing` and `restricted_u`; the finest level, never a
-    /// target, keeps both empty.
+    /// Start a restriction into this level. The owned rows of `u` and all
+    /// of `restricted_u` are zeroed to accumulate `sum vol u` and `sum r`
+    /// in place, and `forcing` is zeroed so the next residual is
+    /// `-N(u_hat)`. The first one sizes `forcing` and `restricted_u`; the
+    /// finest level, never a target, keeps both empty.
     pub(crate) fn begin_restriction(&mut self) {
         let n = self.nvertices();
-        self.restrict_acc.clear();
-        self.restrict_acc.resize(n, [[0.0; NVARS]; 2]);
         if self.forcing.len() == n {
             self.forcing.fill_zero();
+            self.restricted_u.fill_zero();
         } else {
             self.forcing = SoaStates::zeros(n);
             self.restricted_u = SoaStates::zeros(n);
         }
-    }
-
-    /// End it, given `u = u_hat` and `res = -N(u_hat)`: store `u_hat` for
-    /// the correction and set the FAS forcing `f = N(u_hat) + R(r_fine)`.
-    pub(crate) fn finish_restriction(&mut self) {
-        self.restricted_u.copy_from(&self.u);
-        for c in 0..self.nvertices() {
+        for c in (0..n).filter(|&c| self.active[c]) {
             for k in 0..NVARS {
-                *self.forcing.at_mut(k, c) = -self.res.at(k, c) + self.restrict_acc[c][1][k];
+                *self.u.at_mut(k, c) = 0.0;
             }
         }
+    }
+
+    /// Add vertex `v` of the finer level `fine` to vertex `c`: its
+    /// `vol u` to `u`, its residual to `restricted_u`.
+    #[inline]
+    pub(crate) fn restrict_vertex(&mut self, c: usize, fine: &Self, v: usize) {
+        let vol = fine.mesh.volumes[v];
+        for k in 0..NVARS {
+            *self.u.at_mut(k, c) += vol * fine.u.at(k, v);
+            *self.restricted_u.at_mut(k, c) += fine.res.at(k, v);
+        }
+    }
+
+    /// Divide the owned rows' `sum vol u` by the coarse volume (the exact
+    /// sum of its children's by construction of the agglomeration).
+    pub(crate) fn average_restricted_state(&mut self) {
+        for c in (0..self.nvertices()).filter(|&c| self.active[c]) {
+            let iv = 1.0 / self.mesh.volumes[c];
+            for k in 0..NVARS {
+                *self.u.at_mut(k, c) *= iv;
+            }
+        }
+    }
+
+    /// End it, given `u = u_hat`, `res = -N(u_hat)` and `restricted_u =
+    /// R(r_fine)`: set the FAS forcing `f = N(u_hat) + R(r_fine)`, then
+    /// store `u_hat` for the correction.
+    pub(crate) fn finish_restriction(&mut self) {
+        for c in 0..self.nvertices() {
+            for k in 0..NVARS {
+                *self.forcing.at_mut(k, c) = -self.res.at(k, c) + self.restricted_u.at(k, c);
+            }
+        }
+        self.restricted_u.copy_from(&self.u);
     }
 
     /// Coarse-grid correction carried by vertex `c`: state minus the state
@@ -140,6 +160,9 @@ impl RansSolver {
             fine = RansLevel::new(step.coarse, params);
         }
         levels.push(fine);
+        // No scratch yet: the finest level's first residual or sweep sizes
+        // the hierarchy's one sweep scratch, on the thread that runs it
+        // (DESIGN §16).
         let mut solver = RansSolver { levels };
         solver.initialize();
         solver
@@ -158,6 +181,21 @@ impl RansSolver {
     /// Number of levels actually built.
     pub fn nlevels(&self) -> usize {
         self.levels.len()
+    }
+
+    /// Heap bytes of the hierarchy: [`RansLevel::resident_bytes`] summed
+    /// over the levels row by row, then the `levels` row, the vector that
+    /// holds the levels themselves.
+    pub fn resident_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut rows = self.levels[0].resident_bytes();
+        for lvl in &self.levels[1..] {
+            for (row, (_, bytes)) in rows.iter_mut().zip(lvl.resident_bytes()) {
+                row.1 += bytes;
+            }
+        }
+        let slots = self.levels.capacity() * std::mem::size_of::<RansLevel>();
+        rows.push(("levels", slots));
+        rows
     }
 
     /// Vertex counts per level, finest first.

@@ -234,8 +234,9 @@ fn steady_state_smoothing_sweeps_allocate_nothing() {
 }
 
 /// The same contract one layer up: after a warm-up cycle has sized the
-/// restriction accumulators (coarse-level-owned scratch: no per-call
-/// vectors, no clone of the fine-to-coarse map), the levels of a full
+/// coarse levels' FAS fields (restriction accumulates into them in place:
+/// no per-call vectors, no clone of the fine-to-coarse map, and the one
+/// sweep scratch is lent down and back, not copied), the levels of a full
 /// `RansSolver::cycle` — smoothing, restriction, prolongation — allocate
 /// nothing, and neither does `fas_cycle` itself: with the tracer off it
 /// builds no span key.
@@ -337,7 +338,7 @@ fn euler_level(kernel: KernelKind) -> EulerLevel {
 }
 
 /// The Cart3D side of the same contract: after a warm-up cycle has sized
-/// each coarse level's restriction accumulators and restricted state, the
+/// each coarse level's forcing and restricted state, the
 /// levels of a full `EulerSolver::cycle` — RK smoothing with the per-cell
 /// primitive cache, restriction, prolongation — allocate nothing (no
 /// clone of the fine-to-coarse map, no per-call accumulators), and
