@@ -26,7 +26,7 @@ use columbia_rans::level::SolverParams;
 use columbia_rans::state::NVARS;
 use columbia_rans::RansLevel;
 use columbia_rt::env::KernelKind;
-use columbia_rt::{derive_seed, Pcg32};
+use columbia_rt::{derive_seed, fnv, Pcg32};
 
 /// Block size: the RANS mean-flow + turbulence system (6 variables).
 pub const NB: usize = 6;
@@ -47,9 +47,9 @@ pub const AXPY_SIZES: [usize; 3] = [4096, 65536, 1_048_576];
 
 /// FNV-1a over the raw bits of a state array; the parity digest.
 pub fn digest_states<const N: usize>(xs: &[[f64; N]]) -> u64 {
-    xs.iter().flatten().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    xs.iter()
+        .flatten()
+        .fold(fnv::OFFSET, |h, v| fnv::word(h, v.to_bits()))
 }
 
 /// Roofline-predicted sustained GFLOP/s of one Columbia CPU at the given

@@ -2,10 +2,10 @@
 //!
 //! Each digest is an FNV-1a 64 over every field of the flow mesh (centers,
 //! volumes, kinds, weights, wall normals, faces, SFC keys, levels, coords)
-//! plus the face lists of its `coarsen_hierarchy`. The values were computed
-//! on the mesher *before* its ray casts and lookups were made faster, so a
-//! change to any `contains` / `intersects_box` boolean, any face, or any
-//! cell order fails here.
+//! plus the face lists of its `coarsen_hierarchy`, checked with the cell
+//! count against the golden registry (`tests/goldens.txt`). A change to any
+//! `contains` / `intersects_box` boolean, any face, or any cell order fails
+//! here.
 
 use columbia_cartesian::{
     build_octree, coarsen_hierarchy, extract_mesh, sslv_geometry, CartMesh, CellKind, Coarsening,
@@ -14,6 +14,9 @@ use columbia_cartesian::{
 use columbia_mesh::Vec3;
 use columbia_rt::fnv;
 use columbia_sfc::CurveKind;
+
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
 
 fn fnv_vec(h: u64, v: Vec3) -> u64 {
     [v.x, v.y, v.z]
@@ -75,56 +78,25 @@ fn validate_levels(fine: &CartMesh, hierarchy: &[Coarsening]) {
     }
 }
 
-const DEFLECTIONS: [f64; 4] = [-0.09, -0.0731, 0.0, 0.05];
-
-fn check(min_level: u32, golden: [(usize, u64); 4]) {
-    let got: Vec<(usize, u64)> = DEFLECTIONS
-        .iter()
-        .map(|&d| {
-            let m = sslv_mesh(min_level, 8, d);
-            let hierarchy = coarsen_hierarchy(&m, 4, 8);
-            validate_levels(&m, &hierarchy);
-            (m.ncells(), mesh_digest(&m, &hierarchy))
-        })
-        .collect();
-    let shown: Vec<String> = got
-        .iter()
-        .map(|(n, h)| format!("({n}, {h:#018x})"))
-        .collect();
-    for (i, &d) in DEFLECTIONS.iter().enumerate() {
-        assert_eq!(
-            got[i],
-            golden[i],
-            "SSLV ({min_level},8) mesh at deflection {d} moved: got [{}]",
-            shown.join(", ")
-        );
+/// The `(min_level, 8)` mesh and its hierarchy at each pinned deflection.
+fn check(g: golden::Group, min_level: u32) {
+    for d in [-0.09, -0.0731, 0.0, 0.05] {
+        let m = sslv_mesh(min_level, 8, d);
+        let hierarchy = coarsen_hierarchy(&m, 4, 8);
+        validate_levels(&m, &hierarchy);
+        g.check(&format!("d{d}.cells"), m.ncells() as u64);
+        g.check(&format!("d{d}.digest"), mesh_digest(&m, &hierarchy));
     }
 }
 
 #[test]
 fn sslv_mesh_5_8_is_bit_identical() {
-    check(
-        5,
-        [
-            (57319, 0xb5ff487484dd9ce5),
-            (57319, 0x8a0fe1cc513ef8e2),
-            (57414, 0x762de189555d30be),
-            (57398, 0xb261c95ee2af52ef),
-        ],
-    );
+    check(golden::group("sslv_mesh_golden.5_8"), 5);
 }
 
 #[test]
 fn sslv_mesh_4_8_is_bit_identical() {
-    check(
-        4,
-        [
-            (29431, 0xeb2fae07dcc6e30b),
-            (29431, 0xe9f4c552600e5ef4),
-            (29526, 0x2ef8d9c70c2ef217),
-            (29510, 0x9805fcb610bd495d),
-        ],
-    );
+    check(golden::group("sslv_mesh_golden.4_8"), 4);
 }
 
 /// Coarsening down to a handful of cells keeps every face axis-aligned:

@@ -1,13 +1,13 @@
 //! What the suites share. The digests serve the bit-identity suites
-//! (`exec_context`, `executor_parity`, `fabric_contention`); their goldens
-//! were recorded with exactly these byte orders and on [`sphere_mesh`], so
-//! none of the three may change. [`EXECUTORS`] drives every suite whose
-//! worlds must hold on both backends. Each suite uses a subset, hence the
+//! (`exec_context`, `executor_parity`, `fabric_contention`); the golden
+//! registry's values (`tests/goldens.txt`) were recorded with exactly these
+//! byte orders and on [`sphere_mesh`], so none of them may change.
+//! [`EXECUTORS`] drives every suite whose worlds must hold on both backends. Each suite uses a subset, hence the
 //! `dead_code` allowance.
 #![allow(dead_code)]
 
 use columbia_cartesian::{build_octree, extract_mesh, CartMesh, CutCellConfig, Geometry, TriMesh};
-use columbia_comm::{CommStats, ExecContext, Executor};
+use columbia_comm::{CommStats, ExecContext, Executor, RankTrace};
 use columbia_mesh::Vec3;
 use columbia_rt::fnv;
 use columbia_sfc::CurveKind;
@@ -42,6 +42,23 @@ pub fn digest_stats(stats: &[CommStats]) -> u64 {
             h = fnv::word(h, peer as u64);
             h = fnv::word(h, msgs);
             h = fnv::word(h, bytes);
+        }
+    }
+    h
+}
+
+/// The run's total `CommStats` per rank.
+pub fn digest_trace_totals(traces: &[RankTrace]) -> u64 {
+    digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>())
+}
+
+/// [`digest_trace_totals`], then every rank's per-level ledger.
+pub fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
+    let mut h = digest_trace_totals(traces);
+    for t in traces {
+        for (&level, s) in &t.per_level {
+            h = fnv::word(h, level as u64);
+            h = fnv::word(h, digest_stats(std::slice::from_ref(s)));
         }
     }
     h

@@ -1,12 +1,11 @@
 //! Equivalence suite for the unified [`ExecContext`] drivers.
 //!
-//! The goldens below were captured from the pre-refactor driver variants
-//! (`run_parallel_smoothing_faulty` / `_traced`, `ParallelMg::solve_traced`)
-//! immediately before their removal, on the exact inputs reproduced here.
 //! Every digest is an FNV-1a 64 over deterministic bytes — solver state
-//! bits, `CommStats` counters or rendered trace JSON — so these tests pin
-//! the refactor to bit-identical behaviour at 2/4/8 ranks, with and
-//! without fault plans, with and without tracing — on both executors.
+//! bits, `CommStats` counters or rendered trace JSON — checked against its
+//! row of the golden registry (`tests/goldens.txt`, which records the commit
+//! and reason that set each value) at 2/4/8 ranks, with and without fault
+//! plans, with and without tracing, on both executors. The registry's own
+//! self-check runs here too.
 
 use columbia_cartesian::{Geometry, TriMesh};
 use columbia_comm::{ExecContext, FaultConfig, FaultPlan, PoolPolicy, RankTrace};
@@ -21,12 +20,17 @@ use columbia_rt::fnv;
 use std::sync::Arc;
 
 mod common;
-use common::{digest_f64s, digest_stats, on, sphere_mesh, EXECUTORS};
+use common::{digest_f64s, digest_trace_totals, on, sphere_mesh, EXECUTORS};
+#[path = "common/golden.rs"]
+mod golden;
 
-/// The run's total `CommStats` per rank (the per-level ledgers are not
-/// hashed; the parity suites' `digest_trace_ledgers` adds them).
-fn digest_trace_totals(traces: &[RankTrace]) -> u64 {
-    digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>())
+#[test]
+fn golden_registry_is_well_formed_and_every_row_has_a_check_site() {
+    golden::self_check(&[
+        include_str!("exec_context.rs"),
+        include_str!("../crates/bench/tests/sections.rs"),
+        include_str!("../crates/cartesian/tests/sslv_mesh_golden.rs"),
+    ]);
 }
 
 fn rans_mesh() -> columbia_mesh::UnstructuredMesh {
@@ -49,266 +53,90 @@ fn rans_params() -> SolverParams {
 
 /// The three capability regimes the pre-refactor variants hard-coded:
 /// clean, fault-free plan (must equal clean), seeded severe plan.
-fn regimes(nparts: usize) -> Vec<(&'static str, Option<Arc<FaultPlan>>)> {
-    vec![
+fn regimes(nparts: usize) -> [(&'static str, Option<Arc<FaultPlan>>); 3] {
+    let severe = FaultPlan::new(0xBADC0DE, nparts, FaultConfig::severe());
+    let free = FaultPlan::fault_free(nparts);
+    [
         ("none", None),
-        ("free", Some(Arc::new(FaultPlan::fault_free(nparts)))),
-        (
-            "severe",
-            Some(Arc::new(FaultPlan::new(
-                0xBADC0DE,
-                nparts,
-                FaultConfig::severe(),
-            ))),
-        ),
+        ("free", Some(Arc::new(free))),
+        ("severe", Some(Arc::new(severe))),
     ]
 }
 
-/// Pre-refactor goldens: (nparts, regime, state digest, rms bits, stats
-/// digest). State and rms are fault-invariant (the protocol hides every
-/// injected fault from payloads); the stats digests differ under faults
-/// because the protocol counters record the recoveries.
-/// Stats column re-pinned: dead ghost copy-backs dropped, one coalesced add.
-const RANS_GOLDEN: [(usize, &str, u64, u64, u64); 9] = [
-    (
-        2,
-        "none",
-        0x7812e6edbe1f1cad,
-        0x3fb727f2bfa5094b,
-        0x536e6f38375ebbea,
-    ),
-    (
-        2,
-        "free",
-        0x7812e6edbe1f1cad,
-        0x3fb727f2bfa5094b,
-        0x536e6f38375ebbea,
-    ),
-    (
-        2,
-        "severe",
-        0x7812e6edbe1f1cad,
-        0x3fb727f2bfa5094b,
-        0x3ed3809557bc36bd,
-    ),
-    (
-        4,
-        "none",
-        0xe07d036eda60a750,
-        0x3fb727f2bfa5094e,
-        0xdbe39356f1fe9898,
-    ),
-    (
-        4,
-        "free",
-        0xe07d036eda60a750,
-        0x3fb727f2bfa5094e,
-        0xdbe39356f1fe9898,
-    ),
-    (
-        4,
-        "severe",
-        0xe07d036eda60a750,
-        0x3fb727f2bfa5094e,
-        0xfbe019a8952fe13e,
-    ),
-    (
-        8,
-        "none",
-        0x7ffd4a7dc1083885,
-        0x3fb727f2bfa5094e,
-        0x3f941b9420ffe995,
-    ),
-    (
-        8,
-        "free",
-        0x7ffd4a7dc1083885,
-        0x3fb727f2bfa5094e,
-        0x3f941b9420ffe995,
-    ),
-    (
-        8,
-        "severe",
-        0x7ffd4a7dc1083885,
-        0x3fb727f2bfa5094e,
-        0xdfa135795f1b0c60,
-    ),
-];
+/// Smoothing runs at 2/4/8 ranks under every regime on both executors.
+/// State and rms are fault-invariant (the protocol hides every injected
+/// fault from payloads); the stats record the recoveries, so the severe
+/// plan has a row of its own.
+fn smoothing_goldens<const N: usize>(
+    g: golden::Group,
+    run: impl Fn(usize, &mut ExecContext) -> (Vec<[f64; N]>, f64, Vec<RankTrace>),
+) {
+    for exec in EXECUTORS {
+        for nparts in [2, 4, 8] {
+            for (regime, plan) in regimes(nparts) {
+                let (u, rms, traces) = run(nparts, &mut on(exec).with_faults(plan));
+                let severe = if regime == "severe" { "_severe" } else { "" };
+                g.check(&format!("w{nparts}.state"), digest_f64s(u.iter().flatten()));
+                g.check(&format!("w{nparts}.rms"), rms.to_bits());
+                g.check(
+                    &format!("w{nparts}.stats{severe}"),
+                    digest_trace_totals(&traces),
+                );
+            }
+        }
+    }
+}
 
-const EULER_GOLDEN: [(usize, &str, u64, u64, u64); 9] = [
-    (
-        2,
-        "none",
-        0x03298dec36b71559,
-        0x3f4c7aaa359e8ca5,
-        0x9fe51fd93712af82,
-    ),
-    (
-        2,
-        "free",
-        0x03298dec36b71559,
-        0x3f4c7aaa359e8ca5,
-        0x9fe51fd93712af82,
-    ),
-    (
-        2,
-        "severe",
-        0x03298dec36b71559,
-        0x3f4c7aaa359e8ca5,
-        0xdf451a53a709f883,
-    ),
-    (
-        4,
-        "none",
-        0x158548443cee0577,
-        0x3f4c7aaa359e8caa,
-        0xbb6bad3d7f2a4913,
-    ),
-    (
-        4,
-        "free",
-        0x158548443cee0577,
-        0x3f4c7aaa359e8caa,
-        0xbb6bad3d7f2a4913,
-    ),
-    (
-        4,
-        "severe",
-        0x158548443cee0577,
-        0x3f4c7aaa359e8caa,
-        0x685592c49b29087a,
-    ),
-    (
-        8,
-        "none",
-        0x6b3e20350076d800,
-        0x3f4c7aaa359e8caa,
-        0x0f749ad5ce94b66c,
-    ),
-    (
-        8,
-        "free",
-        0x6b3e20350076d800,
-        0x3f4c7aaa359e8caa,
-        0x0f749ad5ce94b66c,
-    ),
-    (
-        8,
-        "severe",
-        0x6b3e20350076d800,
-        0x3f4c7aaa359e8caa,
-        0x46a5d75ae1914ff4,
-    ),
-];
+/// Traced 2-rank runs, clean and severe, on both executors.
+fn trace_goldens(g: golden::Group, run: impl Fn(&mut ExecContext)) {
+    for exec in EXECUTORS {
+        for (regime, plan) in regimes(2).into_iter().filter(|(r, _)| *r != "free") {
+            let mut ctx = ExecContext::traced().with_faults(plan).with_executor(exec);
+            run(&mut ctx);
+            check_json(&g, regime, &ctx.finish_trace().to_json().render());
+        }
+    }
+}
 
-/// Pre-refactor trace goldens at 2 ranks: (regime, JSON digest, JSON len).
-/// RANS re-pinned: dead ghost copy-backs dropped, one coalesced add.
-const RANS_TRACE_GOLDEN: [(&str, u64, usize); 2] = [
-    ("none", 0xf12197ee1da45d09, 707),
-    ("severe", 0x4d2523b938820358, 872),
-];
-const EULER_TRACE_GOLDEN: [(&str, u64, usize); 2] = [
-    ("none", 0x26f1f1ac972a8f13, 718),
-    ("severe", 0x7e4f846e49450209, 885),
-];
-
-/// Distributed multigrid goldens (3 ranks, 3 levels, 3 cycles): history
-/// and stats are tracer-invariant, and the trace JSON is byte-stable.
-const PMG_HIST_GOLDEN: u64 = 0x85e92c5166216061;
-// Re-pinned: dead ghost copy-backs dropped, one coalesced add.
-const PMG_STATS_GOLDEN: u64 = 0x5feea04f366c33fe;
-// Re-pinned: dead ghost copy-backs dropped, one coalesced add.
-const PMG_TRACE_GOLDEN: (u64, usize) = (0xeb8cb190b152e853, 3566);
-
-/// The plan of `regime` for a world of `nparts`.
-fn plan_of(nparts: usize, regime: &str) -> Option<Arc<FaultPlan>> {
-    regimes(nparts)
-        .into_iter()
-        .find(|(l, _)| *l == regime)
-        .unwrap()
-        .1
+/// A rendered trace's byte length and digest.
+fn check_json(g: &golden::Group, name: &str, json: &str) {
+    g.check(&format!("{name}.len"), json.len() as u64);
+    g.check(
+        &format!("{name}.json"),
+        fnv::bytes(fnv::OFFSET, json.as_bytes()),
+    );
 }
 
 #[test]
 fn rans_unified_driver_matches_pre_refactor_goldens() {
     let m = rans_mesh();
-    for exec in EXECUTORS {
-        for &(nparts, regime, gu, grms, gstats) in &RANS_GOLDEN {
-            let mut ctx = on(exec).with_faults(plan_of(nparts, regime));
-            let (u, rms, traces) = columbia_rans::parallel::run_parallel_smoothing(
-                &m,
-                rans_params(),
-                nparts,
-                3,
-                &mut ctx,
-            );
-            let at = format!("RANS {nparts} {regime} {exec:?}");
-            assert_eq!(digest_f64s(u.iter().flatten()), gu, "{at}: state digest");
-            assert_eq!(rms.to_bits(), grms, "{at}: rms bits");
-            assert_eq!(digest_trace_totals(&traces), gstats, "{at}: stats digest");
-        }
-    }
+    smoothing_goldens(golden::group("exec_context.rans"), |nparts, ctx| {
+        columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), nparts, 3, ctx)
+    });
 }
 
 #[test]
 fn euler_unified_driver_matches_pre_refactor_goldens() {
-    let cm = sphere_mesh();
-    let fs = freestream5(0.5, 0.0, 0.0);
-    for exec in EXECUTORS {
-        for &(nparts, regime, gu, grms, gstats) in &EULER_GOLDEN {
-            let mut ctx = on(exec).with_faults(plan_of(nparts, regime));
-            let (u, rms, traces) =
-                columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, nparts, 3, &mut ctx);
-            let at = format!("EULER {nparts} {regime} {exec:?}");
-            assert_eq!(digest_f64s(u.iter().flatten()), gu, "{at}: state digest");
-            assert_eq!(rms.to_bits(), grms, "{at}: rms bits");
-            assert_eq!(digest_trace_totals(&traces), gstats, "{at}: stats digest");
-        }
-    }
+    let (cm, fs) = (sphere_mesh(), freestream5(0.5, 0.0, 0.0));
+    smoothing_goldens(golden::group("exec_context.euler"), |nparts, ctx| {
+        columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, nparts, 3, ctx)
+    });
 }
 
 #[test]
 fn rans_trace_json_matches_pre_refactor_goldens() {
     let m = rans_mesh();
-    for exec in EXECUTORS {
-        for &(regime, gdigest, glen) in &RANS_TRACE_GOLDEN {
-            let mut ctx = ExecContext::traced()
-                .with_faults(plan_of(2, regime))
-                .with_executor(exec);
-            let _ =
-                columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, &mut ctx);
-            let json = ctx.finish_trace().to_json().render();
-            let at = format!("RANS trace {regime} {exec:?}");
-            assert_eq!(json.len(), glen, "{at}: JSON length");
-            assert_eq!(
-                fnv::bytes(fnv::OFFSET, json.as_bytes()),
-                gdigest,
-                "{at}: JSON digest"
-            );
-        }
-    }
+    trace_goldens(golden::group("exec_context.rans_trace"), |ctx| {
+        columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), 2, 3, ctx);
+    });
 }
 
 #[test]
 fn euler_trace_json_matches_pre_refactor_goldens() {
-    let cm = sphere_mesh();
-    let fs = freestream5(0.5, 0.0, 0.0);
-    for exec in EXECUTORS {
-        for &(regime, gdigest, glen) in &EULER_TRACE_GOLDEN {
-            let mut ctx = ExecContext::traced()
-                .with_faults(plan_of(2, regime))
-                .with_executor(exec);
-            let _ = columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, 2, 3, &mut ctx);
-            let json = ctx.finish_trace().to_json().render();
-            let at = format!("EULER trace {regime} {exec:?}");
-            assert_eq!(json.len(), glen, "{at}: JSON length");
-            assert_eq!(
-                fnv::bytes(fnv::OFFSET, json.as_bytes()),
-                gdigest,
-                "{at}: JSON digest"
-            );
-        }
-    }
+    let (cm, fs) = (sphere_mesh(), freestream5(0.5, 0.0, 0.0));
+    trace_goldens(golden::group("exec_context.euler_trace"), |ctx| {
+        columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, 2, 3, ctx);
+    });
 }
 
 fn pmg_mesh() -> columbia_mesh::UnstructuredMesh {
@@ -322,34 +150,27 @@ fn pmg_mesh() -> columbia_mesh::UnstructuredMesh {
     })
 }
 
+/// Distributed multigrid (3 ranks, 3 levels, 3 cycles): history and stats
+/// are tracer-invariant, and the trace JSON is byte-stable.
 #[test]
 fn parallel_mg_unified_solve_matches_pre_refactor_goldens() {
     let m = pmg_mesh();
+    let g = golden::group("exec_context.pmg");
     for exec in EXECUTORS {
-        // Clean context: history and stats match both legacy entry points
-        // (`solve` and `solve_traced` were already stats-identical).
-        let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
-        let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut on(exec));
-        assert_eq!(digest_f64s(h.residuals.iter()), PMG_HIST_GOLDEN, "{exec:?}");
-        assert_eq!(digest_trace_totals(&traces), PMG_STATS_GOLDEN, "{exec:?}");
-
-        // Traced context: same history and stats, byte-stable trace JSON.
-        let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
-        let mut ctx = ExecContext::traced().with_executor(exec);
-        let (ht, tt) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ctx);
-        let json = ctx.finish_trace().to_json().render();
-        assert_eq!(
-            digest_f64s(ht.residuals.iter()),
-            PMG_HIST_GOLDEN,
-            "{exec:?}"
-        );
-        assert_eq!(digest_trace_totals(&tt), PMG_STATS_GOLDEN, "{exec:?}");
-        assert_eq!(json.len(), PMG_TRACE_GOLDEN.1, "{exec:?}");
-        assert_eq!(
-            fnv::bytes(fnv::OFFSET, json.as_bytes()),
-            PMG_TRACE_GOLDEN.0,
-            "{exec:?}"
-        );
+        for traced in [false, true] {
+            let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
+            let mut ctx = if traced {
+                ExecContext::traced().with_executor(exec)
+            } else {
+                on(exec)
+            };
+            let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ctx);
+            g.check("hist", digest_f64s(h.residuals.iter()));
+            g.check("stats", digest_trace_totals(&traces));
+            if traced {
+                check_json(&g, "trace", &ctx.finish_trace().to_json().render());
+            }
+        }
     }
 }
 

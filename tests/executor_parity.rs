@@ -15,24 +15,10 @@ use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::level::SolverParams;
 use columbia_rans::parallel_mg::ParallelMg;
-use columbia_rt::fnv;
 use std::sync::Arc;
 
 mod common;
-use common::{digest_f64s, digest_stats, sphere_mesh, CHAOS_SEEDS};
-
-/// The run's total `CommStats` per rank, then every rank's per-level
-/// ledger.
-fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
-    let mut h = digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>());
-    for t in traces {
-        for (&level, s) in &t.per_level {
-            h = fnv::word(h, level as u64);
-            h = fnv::word(h, digest_stats(std::slice::from_ref(s)));
-        }
-    }
-    h
-}
+use common::{digest_f64s, digest_trace_ledgers, sphere_mesh, CHAOS_SEEDS};
 
 /// The world sizes every parity test covers.
 const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];

@@ -30,7 +30,7 @@ use columbia_rans::ParallelMg;
 use columbia_rt::{fnv, Pcg32};
 
 mod common;
-use common::{digest_f64s, digest_stats, CHAOS_SEEDS};
+use common::{digest_f64s, digest_trace_ledgers, CHAOS_SEEDS};
 
 fn digest_deliveries(deliveries: &[Delivery]) -> u64 {
     let mut h = fnv::OFFSET;
@@ -41,19 +41,6 @@ fn digest_deliveries(deliveries: &[Delivery]) -> u64 {
         h = fnv::word(h, d.packet.inject_s.to_bits());
         h = fnv::word(h, d.deliver_s.to_bits());
         h = fnv::word(h, d.order as u64);
-    }
-    h
-}
-
-/// The run's total `CommStats` per rank, then every rank's per-level
-/// ledger.
-fn digest_trace_ledgers(traces: &[RankTrace]) -> u64 {
-    let mut h = digest_stats(&traces.iter().map(|t| t.stats.clone()).collect::<Vec<_>>());
-    for t in traces {
-        for (&level, s) in &t.per_level {
-            h = fnv::word(h, level as u64);
-            h = fnv::word(h, digest_stats(std::slice::from_ref(s)));
-        }
     }
     h
 }
