@@ -1,7 +1,9 @@
 //! Domain decomposition and ghost exchange (paper Figure 6(a)).
 //!
-//! For each partition, edges straddling two partitions are assigned to one
-//! side, and a **ghost vertex** mirrors the off-partition endpoint. During a
+//! [`Decomposition`] is the one owner of what a rank holds: its owned
+//! vertices, a **ghost vertex** for every off-partition endpoint of an edge
+//! touching them, and the elements (edges, faces) it assembles, each on
+//! the rank that owns its `a` end ([`Decomposition::localize`]). During a
 //! residual evaluation fluxes accumulate at ghosts and are sent back to be
 //! **added** at the owning vertex ([`ExchangePlan::exchange_add_field`]);
 //! updated state is then **copied** owner → ghost
@@ -344,7 +346,8 @@ impl ExchangePlan {
     }
 }
 
-/// A full domain decomposition over `nparts` partitions.
+/// A full domain decomposition over `nparts` partitions: what each rank
+/// holds, the exact halo it mirrors, and the plans that keep it current.
 #[derive(Clone, Debug)]
 pub struct Decomposition {
     /// Per partition: global ids, owned vertices first, then ghosts
@@ -364,6 +367,26 @@ impl Decomposition {
         self.local_to_global.len()
     }
 
+    /// The rank that owns global vertex `g`.
+    pub fn owner(&self, g: u32) -> usize {
+        self.part[g as usize] as usize
+    }
+
+    /// Ghosts rank `p` mirrors: the distinct off-rank endpoints of the
+    /// edges that touch its owned vertices, each counted once.
+    pub fn ghosts(&self, p: usize) -> usize {
+        self.local_to_global[p].len() - self.n_owned[p]
+    }
+
+    /// The exact halo as a surface-law sample: `(mean ghosts per rank that
+    /// owns a vertex, largest number of peers a rank exchanges with)`.
+    pub fn halo(&self) -> (f64, usize) {
+        let holding = self.n_owned.iter().filter(|&&n| n > 0).count().max(1);
+        let ghosts: usize = (0..self.nparts()).map(|p| self.ghosts(p)).sum();
+        let degree = self.plans.iter().map(ExchangePlan::degree).max();
+        (ghosts as f64 / holding as f64, degree.unwrap_or(0))
+    }
+
     /// Local index of global vertex `g` in partition `p` (linear scan of the
     /// ghost section is avoided by binary search in each sorted class).
     pub fn local_index(&self, p: usize, g: u32) -> Option<u32> {
@@ -373,6 +396,42 @@ impl Decomposition {
             return Some(i as u32);
         }
         l2g[no..].binary_search(&g).ok().map(|i| (no + i) as u32)
+    }
+
+    /// THE ownership rule: an element (edge or face) with ends `(a, b)`
+    /// belongs to the rank that owns `a`, and so does a boundary face
+    /// (`b = None`). One pass over `ends` buckets every element on its
+    /// rank, in global order, as `local(element index, local a, local b)`.
+    pub fn localize<T>(
+        &self,
+        ends: impl IntoIterator<Item = (u32, Option<u32>)>,
+        mut local: impl FnMut(usize, u32, Option<u32>) -> T,
+    ) -> Vec<Vec<T>> {
+        let mut out: Vec<Vec<T>> = (0..self.nparts()).map(|_| Vec::new()).collect();
+        for (e, (a, b)) in ends.into_iter().enumerate() {
+            let p = self.owner(a);
+            let at = |g| {
+                self.local_index(p, g)
+                    .expect("an element's ends are on its rank")
+            };
+            out[p].push(local(e, at(a), b.map(at)));
+        }
+        out
+    }
+
+    /// The global array whose owned rows rank `p` holds as `owned[p]`, in
+    /// its local order.
+    pub fn gather_owned<T: Copy + Default>(
+        &self,
+        owned: impl IntoIterator<Item = Vec<T>>,
+    ) -> Vec<T> {
+        let mut global = vec![T::default(); self.part.len()];
+        for ((l2g, &no), rows) in self.local_to_global.iter().zip(&self.n_owned).zip(owned) {
+            for (&g, row) in l2g[..no].iter().zip(rows) {
+                global[g as usize] = row;
+            }
+        }
+        global
     }
 }
 
@@ -581,6 +640,25 @@ mod tests {
     }
 
     #[test]
+    fn ghost_counted_once_per_part() {
+        // Star: center 0 in part 0, leaves in part 1. Center is one ghost
+        // for part 1 even though three leaves touch it.
+        let d = decompose(4, &[0, 1, 1, 1], 2, &[(0, 1), (0, 2), (0, 3)]);
+        assert_eq!((d.ghosts(0), d.ghosts(1)), (3, 1));
+        assert_eq!(d.halo(), (2.0, 1));
+    }
+
+    /// A ghost whose neighbours lie in parts 1, 2, 1 in element order is
+    /// still one ghost of part 1: a per-vertex stamp of the last part that
+    /// counted it would count it twice.
+    #[test]
+    fn interleaved_parts_count_a_ghost_once() {
+        let d = decompose(4, &[0, 1, 2, 1], 3, &[(0, 1), (0, 2), (0, 3)]);
+        assert_eq!([d.ghosts(0), d.ghosts(1), d.ghosts(2)], [3, 1, 1]);
+        assert_eq!(d.halo(), (5.0 / 3.0, 2));
+    }
+
+    #[test]
     fn local_index_lookup() {
         let d = chain_decomp();
         assert_eq!(d.local_index(1, 2), Some(0));
@@ -723,26 +801,19 @@ mod tests {
             serial[b as usize] += a as f64;
         }
 
-        // Parallel: each partition owns the edges whose "a" endpoint it owns
-        // or whose "a" is a ghost but "b" owned... assign each edge to the
-        // partition owning its smaller endpoint.
-        let d2 = d.clone();
-        let edges2 = edges.clone();
-        let results = world(4, move |rank| {
+        // Parallel: each partition assembles the edges `localize` gives it.
+        let ends = edges.iter().map(|&(a, b)| (a, Some(b)));
+        let local_edges = d.localize(ends, |e, la, lb| (e, la, lb.unwrap()));
+        let results = world(4, |rank| {
             let p = rank.rank();
-            let nloc = d2.local_to_global[p].len();
+            let nloc = d.local_to_global[p].len();
             let mut acc = vec![[0.0f64; 1]; nloc];
-            for &(a, b) in &edges2 {
-                let owner = d2.part[a.min(b) as usize] as usize;
-                if owner != p {
-                    continue;
-                }
-                let la = d2.local_index(p, a).expect("edge endpoint not local");
-                let lb = d2.local_index(p, b).expect("edge endpoint not local");
+            for &(e, la, lb) in &local_edges[p] {
+                let (a, b) = edges[e];
                 acc[la as usize][0] += b as f64;
                 acc[lb as usize][0] += a as f64;
             }
-            d2.plans[p].exchange_add_field(rank, 9, &mut acc[..]);
+            d.plans[p].exchange_add_field(rank, 9, &mut acc[..]);
             acc
         });
         for (p, res) in results.iter().enumerate() {

@@ -127,21 +127,39 @@ where
     T: Send,
     F: Fn(&mut Rank) -> T + Sync,
 {
-    assert!(nranks > 0);
-    launch(WaitBackend::for_world(nranks, ctx), nranks, ctx, body)
+    run_world_with(vec![(); nranks], ctx, |rank, ()| body(rank))
 }
 
-/// [`run_world`] on an already-built wait backend.
-fn launch<T, F>(
-    world: WaitBackend,
-    nranks: usize,
+/// [`run_world`] with one state per rank: rank `r`'s body receives
+/// `states[r]` by value, on its own carrier thread (a rank's sub-levels,
+/// say), and the world has `states.len()` ranks.
+pub fn run_world_with<S, T, F>(
+    states: Vec<S>,
     ctx: &ExecContext,
     body: F,
 ) -> (Vec<T>, Vec<RankTrace>)
 where
+    S: Send,
     T: Send,
-    F: Fn(&mut Rank) -> T + Sync,
+    F: Fn(&mut Rank, S) -> T + Sync,
 {
+    assert!(!states.is_empty());
+    launch(WaitBackend::for_world(states.len(), ctx), states, ctx, body)
+}
+
+/// [`run_world_with`] on an already-built wait backend.
+fn launch<S, T, F>(
+    world: WaitBackend,
+    states: Vec<S>,
+    ctx: &ExecContext,
+    body: F,
+) -> (Vec<T>, Vec<RankTrace>)
+where
+    S: Send,
+    T: Send,
+    F: Fn(&mut Rank, S) -> T + Sync,
+{
+    let nranks = states.len();
     let plan = ctx.clone_faults();
     let pool_on = ctx.pool().enabled;
     if let Some(p) = &plan {
@@ -158,7 +176,7 @@ where
 
     std::thread::scope(|scope| {
         let mut carriers = Vec::with_capacity(nranks);
-        for (r, rx) in receivers.into_iter().enumerate() {
+        for ((r, rx), state) in receivers.into_iter().enumerate().zip(states) {
             let wire = Wire::new(r, senders.clone(), rx);
             let faults = plan.clone();
             let wait = world.clone();
@@ -175,7 +193,7 @@ where
                     barrier_count: 0,
                 };
                 let done = catch_unwind(AssertUnwindSafe(|| {
-                    let out = body(&mut rank);
+                    let out = body(&mut rank, state);
                     (out, rank.finish())
                 }));
                 match done {

@@ -208,6 +208,19 @@ impl Rank {
         self.allreduce(value, |a, b| a + b)
     }
 
+    /// Root mean square over all ranks of values whose squares sum to
+    /// `sumsq` on `count` of them here: the squares are summed across
+    /// ranks, then the counts; 0 where there are no values anywhere.
+    pub fn allreduce_rms(&mut self, sumsq: f64, count: usize) -> f64 {
+        let sumsq = self.allreduce_sum(sumsq);
+        let count = self.allreduce_sum(count as f64);
+        if count == 0.0 {
+            0.0
+        } else {
+            (sumsq / count).sqrt()
+        }
+    }
+
     /// Max of `value` across all ranks.
     pub fn allreduce_max(&mut self, value: f64) -> f64 {
         self.allreduce(value, f64::max)

@@ -317,7 +317,7 @@ mod tests {
             home: None,
         };
         let launcher = allowed_list();
-        let homeless = outcome(launch(world, NRANKS, &events(), |rank| {
+        let homeless = outcome(launch(world, vec![(); NRANKS], &events(), |rank, ()| {
             let out = ring(rank, || ());
             assert_eq!(allowed_list(), launcher, "no home, no pin");
             out

@@ -7,28 +7,14 @@
 //! residual/spectral-radius accumulation → stage update of owned cells.
 
 use crate::level::{EulerLevel, RK5};
-use crate::state::{State5, NVARS5};
+use crate::state::State5;
 use columbia_cartesian::{partition_cells, CartFace, CartMesh};
-use columbia_comm::{decompose, run_world, Decomposition, ExecContext, Rank, RankTrace};
+use columbia_comm::{decompose, run_world_with, Decomposition, ExecContext, Rank, RankTrace};
 use columbia_rt::trace::SpanKey;
 
-/// Per-rank local mesh + level.
-pub struct LocalEuler {
-    /// Local level (owned + ghost cells).
-    pub level: EulerLevel,
-    /// Owned-cell count (prefix of local numbering).
-    pub n_owned: usize,
-    /// Local → global cell map.
-    pub local_to_global: Vec<u32>,
-}
-
-/// SFC-partition a mesh and build per-rank local levels.
-pub fn build_local_levels(
-    mesh: &CartMesh,
-    nparts: usize,
-    fs: State5,
-    cfl: f64,
-) -> (Decomposition, Vec<LocalEuler>) {
+/// The decomposition of `mesh`'s SFC partition into `nparts` segments:
+/// the halo its ranks exchange, over the interior faces.
+pub fn decompose_cells(mesh: &CartMesh, nparts: usize) -> Decomposition {
     let cp = partition_cells(mesh, nparts);
     let part: Vec<u32> = (0..mesh.ncells()).map(|c| cp.owner(c) as u32).collect();
     let pairs: Vec<(u32, u32)> = mesh
@@ -37,17 +23,37 @@ pub fn build_local_levels(
         .filter(|f| !f.is_boundary())
         .map(|f| (f.a, f.b))
         .collect();
-    let decomp = decompose(mesh.ncells(), &part, nparts, &pairs);
+    decompose(mesh.ncells(), &part, nparts, &pairs)
+}
+
+/// SFC-partition a mesh and build per-rank local levels (owned cells,
+/// then ghosts, as the decomposition numbers them): each rank gathers its
+/// cells and takes the faces [`Decomposition::localize`] gives it.
+pub fn build_local_levels(
+    mesh: &CartMesh,
+    nparts: usize,
+    fs: State5,
+    cfl: f64,
+) -> (Decomposition, Vec<EulerLevel>) {
+    let decomp = decompose_cells(mesh, nparts);
+    let ends = mesh
+        .faces
+        .iter()
+        .map(|f| (f.a, (!f.is_boundary()).then_some(f.b)));
+    let faces = decomp.localize(ends, |f, a, b| CartFace {
+        a,
+        b: b.unwrap_or(u32::MAX),
+        normal: mesh.faces[f].normal,
+    });
 
     let mut locals = Vec::with_capacity(nparts);
-    for p in 0..nparts {
-        let l2g = &decomp.local_to_global[p];
-        let n_owned = decomp.n_owned[p];
+    for (p, faces) in faces.into_iter().enumerate() {
         let mut local = CartMesh {
             max_level: mesh.max_level,
+            faces,
             ..Default::default()
         };
-        for &g in l2g {
+        for &g in &decomp.local_to_global[p] {
             let g = g as usize;
             local.centers.push(mesh.centers[g]);
             local.volumes.push(mesh.volumes[g]);
@@ -58,41 +64,16 @@ pub fn build_local_levels(
             local.levels.push(mesh.levels[g]);
             local.coords.push(mesh.coords[g]);
         }
-        for f in &mesh.faces {
-            if part[f.a as usize] as usize != p {
-                continue;
-            }
-            let la = decomp.local_index(p, f.a).expect("owned cell missing");
-            let lb = if f.is_boundary() {
-                u32::MAX
-            } else {
-                decomp
-                    .local_index(p, f.b)
-                    .expect("face endpoint neither owned nor ghost")
-            };
-            local.faces.push(CartFace {
-                a: la,
-                b: lb,
-                normal: f.normal,
-            });
-        }
         let mut level = EulerLevel::new(local, fs, cfl);
-        for c in n_owned..l2g.len() {
-            level.active[c] = false;
-        }
-        locals.push(LocalEuler {
-            level,
-            n_owned,
-            local_to_global: l2g.clone(),
-        });
+        level.active[decomp.n_owned[p]..].fill(false);
+        locals.push(level);
     }
     (decomp, locals)
 }
 
 /// One parallel RK smoothing step.
-pub fn parallel_rk_step(local: &mut LocalEuler, decomp: &Decomposition, rank: &mut Rank) {
+pub fn parallel_rk_step(lvl: &mut EulerLevel, decomp: &Decomposition, rank: &mut Rank) {
     let plan = &decomp.plans[rank.rank()];
-    let lvl = &mut local.level;
     lvl.u0.copy_from(&lvl.u);
     for (stage, &alpha) in RK5.iter().enumerate() {
         let tag = 100 + 10 * stage as u64;
@@ -109,30 +90,18 @@ pub fn parallel_rk_step(local: &mut LocalEuler, decomp: &Decomposition, rank: &m
         lvl.finalize_residual();
         lvl.apply_stage(alpha);
     }
-    let plan = &decomp.plans[rank.rank()];
-    plan.exchange_copy_field(rank, 99, &mut local.level.u);
+    plan.exchange_copy_field(rank, 99, &mut lvl.u);
 }
 
 /// Parallel residual RMS (collective).
-pub fn parallel_residual_rms(
-    local: &mut LocalEuler,
-    decomp: &Decomposition,
-    rank: &mut Rank,
-) -> f64 {
+pub fn parallel_residual_rms(lvl: &mut EulerLevel, decomp: &Decomposition, rank: &mut Rank) -> f64 {
     let plan = &decomp.plans[rank.rank()];
-    let lvl = &mut local.level;
     plan.exchange_copy_field(rank, 200, &mut lvl.u);
     lvl.accumulate_residual();
     plan.exchange_add_field(rank, 201, &mut lvl.res);
     lvl.finalize_residual();
     let (ss, cnt) = lvl.residual_sumsq();
-    let gss = rank.allreduce_sum(ss);
-    let gcnt = rank.allreduce_sum(cnt as f64);
-    if gcnt == 0.0 {
-        0.0
-    } else {
-        (gss / gcnt).sqrt()
-    }
+    rank.allreduce_rms(ss, cnt)
 }
 
 /// Run `steps` parallel RK steps; returns the assembled global state, the
@@ -154,33 +123,17 @@ pub fn run_parallel_smoothing(
     ctx: &mut ExecContext,
 ) -> (Vec<State5>, f64, Vec<RankTrace>) {
     let (decomp, locals) = build_local_levels(mesh, nparts, fs, cfl);
-    let locals = std::sync::Mutex::new(
-        locals
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<LocalEuler>>>(),
-    );
-    let (results, traces) = run_world(nparts, ctx, |rank| {
-        let mut local = locals.lock().unwrap()[rank.rank()]
-            .take()
-            .expect("local level already taken");
+    let (results, traces) = run_world_with(locals, ctx, |rank, mut lvl| {
         for _ in 0..steps {
-            parallel_rk_step(&mut local, &decomp, rank);
+            parallel_rk_step(&mut lvl, &decomp, rank);
         }
-        let rms = parallel_residual_rms(&mut local, &decomp, rank);
-        let owned: Vec<(u32, State5)> = (0..local.n_owned)
-            .map(|c| (local.local_to_global[c], local.level.u.get(c)))
-            .collect();
-        (owned, rms)
+        let rms = parallel_residual_rms(&mut lvl, &decomp, rank);
+        let owned = (0..decomp.n_owned[rank.rank()]).map(|c| lvl.u.get(c));
+        (owned.collect::<Vec<State5>>(), rms)
     });
-    let mut u = vec![[0.0; NVARS5]; mesh.ncells()];
-    let mut rms = 0.0;
-    for (owned, r) in results {
-        for (g, v) in owned {
-            u[g as usize] = v;
-        }
-        rms = r;
-    }
+    let (owned, rms): (Vec<_>, Vec<f64>) = results.into_iter().unzip();
+    let u = decomp.gather_owned(owned);
+    let rms = rms.last().copied().unwrap_or(0.0);
     let tracer = ctx.tracer();
     tracer.scoped(SpanKey::new("euler_smoothing"), |t| {
         t.add("rk_steps", steps as u64);
@@ -196,7 +149,7 @@ pub fn run_parallel_smoothing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::freestream5;
+    use crate::state::{freestream5, NVARS5};
     use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
     use columbia_mesh::Vec3;
     use columbia_sfc::CurveKind;
@@ -285,10 +238,10 @@ mod tests {
     fn decomposition_covers_all_cells_and_faces() {
         let mesh = sphere_mesh();
         let fs = freestream5(0.5, 0.0, 0.0);
-        let (_, locals) = build_local_levels(&mesh, 4, fs, 1.5);
-        let owned: usize = locals.iter().map(|l| l.n_owned).sum();
+        let (decomp, locals) = build_local_levels(&mesh, 4, fs, 1.5);
+        let owned: usize = decomp.n_owned.iter().sum();
         assert_eq!(owned, mesh.ncells());
-        let faces: usize = locals.iter().map(|l| l.level.mesh.nfaces()).sum();
+        let faces: usize = locals.iter().map(|l| l.mesh.nfaces()).sum();
         assert_eq!(faces, mesh.nfaces());
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Mirrors `columbia_rans::profile` for the cell-centred solver: FLOPs per
 //! cell per visit from instrumented cycles, SFC-partition ghost surfaces
-//! measured from real decompositions, and inter-grid locality from the
-//! natural (same-curve) overlap of independently partitioned levels —
-//! fitted and assembled by `columbia_machine::profile`.
+//! read off the decompositions the parallel solver runs, and inter-grid
+//! locality from the natural (same-curve) overlap of independently
+//! partitioned levels — fitted and assembled by `columbia_machine::profile`.
 
+use crate::parallel::decompose_cells;
 use crate::solver::EulerSolver;
 use crate::state::NVARS5;
 use columbia_cartesian::{partition_cells, CartMesh};
@@ -18,41 +19,10 @@ use columbia_mg::{level_visits, CycleParams};
 /// coalesced residual + `lam` add per stage, then a closing state copy.
 pub const EXCHANGES_PER_STEP: usize = 2 * crate::level::RK5.len() + 1;
 
-/// Ghosts per partition for an SFC decomposition of `mesh` into `p` parts.
+/// `(mean ghosts per rank, largest peer degree)` of the decomposition a
+/// `p`-rank world runs on `mesh`: SFC segments, exact halo.
 pub fn measure_ghosts(mesh: &CartMesh, p: usize) -> (f64, usize) {
-    let cp = partition_cells(mesh, p);
-    let owner: Vec<usize> = (0..mesh.ncells()).map(|c| cp.owner(c)).collect();
-    // Distinct off-part neighbour cells per part, and peer sets.
-    let mut ghost_stamp = vec![usize::MAX; mesh.ncells()];
-    let mut ghosts = vec![0usize; p];
-    let mut peers: Vec<Vec<usize>> = vec![Vec::new(); p];
-    for f in &mesh.faces {
-        if f.is_boundary() {
-            continue;
-        }
-        let (a, b) = (f.a as usize, f.b as usize);
-        let (pa, pb) = (owner[a], owner[b]);
-        if pa != pb {
-            if ghost_stamp[b] != pa {
-                ghost_stamp[b] = pa;
-                ghosts[pa] += 1;
-            }
-            if ghost_stamp[a] != pb {
-                ghost_stamp[a] = pb;
-                ghosts[pb] += 1;
-            }
-            if !peers[pa].contains(&pb) {
-                peers[pa].push(pb);
-            }
-            if !peers[pb].contains(&pa) {
-                peers[pb].push(pa);
-            }
-        }
-    }
-    let nonempty = (0..p).filter(|&q| !cp.range(q).is_empty()).count().max(1);
-    let mean = ghosts.iter().sum::<usize>() as f64 / nonempty as f64;
-    let max_degree = peers.iter().map(|v| v.len()).max().unwrap_or(0);
-    (mean, max_degree)
+    decompose_cells(mesh, p).halo()
 }
 
 /// Fit the SFC-partition surface law of `mesh` over the partition counts

@@ -1,5 +1,6 @@
-//! Partition quality metrics: edge cut, imbalance, ghost counts, and the
-//! communication-graph statistics the machine model consumes.
+//! Partition quality metrics: edge cut, imbalance, and the
+//! communication-graph degrees the machine model consumes. The exact halo
+//! a partition makes is `columbia_comm::Decomposition`'s to count.
 
 use crate::graph::Graph;
 
@@ -12,10 +13,6 @@ pub struct PartitionQuality {
     pub imbalance: f64,
     /// Number of parts containing at least one vertex.
     pub nonempty_parts: usize,
-    /// Per-part vertex weight.
-    pub part_weights: Vec<f64>,
-    /// Per-part number of ghost vertices (off-part neighbours it must mirror).
-    pub ghosts_per_part: Vec<usize>,
     /// Per-part number of neighbouring parts (degree of the communication
     /// graph; the paper reports max degree 18 for the 72M-point fine grid).
     pub comm_degree: Vec<usize>,
@@ -30,10 +27,6 @@ impl PartitionQuality {
             part_weights[p as usize] += g.vwgt[v];
         }
         let mut edge_cut = 0.0;
-        // ghosts[p] = set of off-part vertices adjacent to p; we count
-        // distinct vertices using a stamp array.
-        let mut ghost_stamp = vec![u32::MAX; g.nvertices()];
-        let mut ghosts_per_part = vec![0usize; k];
         let mut neigh_stamp = vec![vec![]; k]; // neighbour part lists
         for v in 0..g.nvertices() {
             let pv = part[v];
@@ -42,11 +35,6 @@ impl PartitionQuality {
                 if pu != pv {
                     if (u as usize) > v {
                         edge_cut += w;
-                    }
-                    // u is a ghost of part pv.
-                    if ghost_stamp[u as usize] != pv {
-                        ghost_stamp[u as usize] = pv;
-                        ghosts_per_part[pv as usize] += 1;
                     }
                     let np: &mut Vec<u32> = &mut neigh_stamp[pv as usize];
                     if !np.contains(&pu) {
@@ -67,8 +55,6 @@ impl PartitionQuality {
             edge_cut,
             imbalance,
             nonempty_parts,
-            part_weights,
-            ghosts_per_part,
             comm_degree,
         }
     }
@@ -76,14 +62,6 @@ impl PartitionQuality {
     /// Maximum communication degree over parts.
     pub fn max_comm_degree(&self) -> usize {
         self.comm_degree.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean ghosts per non-empty part (communication surface).
-    pub fn mean_ghosts(&self) -> f64 {
-        if self.nonempty_parts == 0 {
-            return 0.0;
-        }
-        self.ghosts_per_part.iter().sum::<usize>() as f64 / self.nonempty_parts as f64
     }
 }
 
@@ -100,7 +78,6 @@ mod tests {
         assert_eq!(q.edge_cut, 1.0);
         assert_eq!(q.imbalance, 1.0);
         assert_eq!(q.nonempty_parts, 2);
-        assert_eq!(q.ghosts_per_part, vec![1, 1]);
         assert_eq!(q.comm_degree, vec![1, 1]);
     }
 
@@ -112,16 +89,6 @@ mod tests {
         assert_eq!(q.nonempty_parts, 1);
         assert_eq!(q.edge_cut, 0.0);
         assert!((q.imbalance - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ghost_counted_once_per_part() {
-        // Star: center 0 in part 0, leaves in part 1. Center is one ghost
-        // for part 1 even though three leaves touch it.
-        let g = Graph::unweighted(4, &[(0, 1), (0, 2), (0, 3)]);
-        let q = PartitionQuality::measure(&g, &[0, 1, 1, 1], 2);
-        assert_eq!(q.ghosts_per_part[1], 1);
-        assert_eq!(q.ghosts_per_part[0], 3);
     }
 
     #[test]

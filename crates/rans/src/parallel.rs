@@ -26,9 +26,9 @@
 //! point summation order; tests check parity to tight tolerances.
 
 use crate::level::{RansLevel, SolverParams};
-use crate::state::{State, NVARS};
+use crate::state::State;
 use columbia_comm::{
-    decompose, run_world, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
+    decompose, run_world_with, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
 };
 use columbia_mesh::{extract_lines, Edge, UnstructuredMesh};
 use columbia_partition::{contract_lines, expand_line_partition, partition_graph, PartitionConfig};
@@ -58,86 +58,62 @@ pub struct LocalLevel {
     pub local_to_global: Vec<u32>,
 }
 
-/// Build the per-rank sub-levels of a mesh under partition `part`.
-///
-/// Edge ownership: a cut edge belongs to the rank owning its `a` endpoint,
-/// so each edge is assembled exactly once globally.
+/// The decomposition of `mesh` under partition `part`: the halo its
+/// ranks exchange, over the mesh's edges.
+pub fn decompose_mesh(mesh: &UnstructuredMesh, part: &[u32], nparts: usize) -> Decomposition {
+    let pairs: Vec<(u32, u32)> = mesh.edges.iter().map(|e| (e.a, e.b)).collect();
+    decompose(mesh.nvertices(), part, nparts, &pairs)
+}
+
+/// Build the per-rank sub-levels of a mesh under partition `part`: each
+/// rank gathers its vertices and takes the edges [`Decomposition::localize`]
+/// gives it, and the lines that start at a vertex it owns.
 pub fn build_local_levels(
     mesh: &UnstructuredMesh,
     part: &[u32],
     nparts: usize,
     params: SolverParams,
 ) -> (Decomposition, Vec<LocalLevel>) {
-    let pairs: Vec<(u32, u32)> = mesh.edges.iter().map(|e| (e.a, e.b)).collect();
-    let decomp = decompose(mesh.nvertices(), part, nparts, &pairs);
+    let decomp = decompose_mesh(mesh, part, nparts);
+    let ends = mesh.edges.iter().map(|e| (e.a, Some(e.b)));
+    let edges = decomp.localize(ends, |e, a, b| Edge {
+        a,
+        b: b.expect("an edge has two ends"),
+        ..mesh.edges[e]
+    });
 
-    // Global line set, restricted per rank (lines never cross ranks when
-    // the partition came from `partition_mesh_line_aware`).
-    let global_lines = extract_lines(mesh, params.line_threshold).lines;
+    // Global lines, restricted per rank (lines never cross ranks when the
+    // partition came from `partition_mesh_line_aware`).
+    let mut lines = vec![Vec::new(); nparts];
+    for line in extract_lines(mesh, params.line_threshold).lines {
+        let p = decomp.owner(line[0]);
+        let local = line.iter().map(|&v| {
+            decomp
+                .local_index(p, v)
+                .expect("line crosses rank boundary")
+        });
+        lines[p].push(local.collect::<Vec<u32>>());
+    }
 
     let mut locals = Vec::with_capacity(nparts);
-    for p in 0..nparts {
+    for (p, (edges, lines)) in edges.into_iter().zip(lines).enumerate() {
         let l2g = &decomp.local_to_global[p];
-        let n_owned = decomp.n_owned[p];
-        let nloc = l2g.len();
-        let mut points = Vec::with_capacity(nloc);
-        let mut volumes = Vec::with_capacity(nloc);
-        let mut bc = Vec::with_capacity(nloc);
-        let mut wall = Vec::with_capacity(nloc);
-        for &g in l2g {
-            let g = g as usize;
-            points.push(mesh.points[g]);
-            volumes.push(mesh.volumes[g]);
-            bc.push(mesh.bc[g]);
-            wall.push(mesh.wall_distance[g]);
-        }
-        let mut edges = Vec::new();
-        for e in &mesh.edges {
-            if part[e.a as usize] as usize != p {
-                continue;
-            }
-            let la = decomp.local_index(p, e.a).expect("owned endpoint missing");
-            let lb = decomp
-                .local_index(p, e.b)
-                .expect("edge endpoint neither owned nor ghost");
-            edges.push(Edge {
-                a: la,
-                b: lb,
-                normal: e.normal,
-                length: e.length,
-            });
-        }
         let local_mesh = UnstructuredMesh {
-            points,
+            points: l2g.iter().map(|&g| mesh.points[g as usize]).collect(),
             edges,
-            volumes,
-            bc,
-            wall_distance: wall,
-        };
-        // Restrict global lines: lines whose first vertex is owned by p.
-        let mut lines = Vec::new();
-        for line in &global_lines {
-            if part[line[0] as usize] as usize != p {
-                continue;
-            }
-            let local_line: Vec<u32> = line
+            volumes: l2g.iter().map(|&g| mesh.volumes[g as usize]).collect(),
+            bc: l2g.iter().map(|&g| mesh.bc[g as usize]).collect(),
+            wall_distance: l2g
                 .iter()
-                .map(|&v| {
-                    decomp
-                        .local_index(p, v)
-                        .expect("line crosses rank boundary")
-                })
-                .collect();
-            lines.push(local_line);
-        }
+                .map(|&g| mesh.wall_distance[g as usize])
+                .collect(),
+        };
         let mut level = RansLevel::with_lines(local_mesh, params, lines)
             .expect("restricted global lines stay vertex-disjoint and edge-joined");
-        for v in n_owned..nloc {
-            level.active[v] = false;
-        }
+        level.active[decomp.n_owned[p]..].fill(false);
         locals.push(LocalLevel {
             level,
-            n_owned,
+            n_owned: decomp.n_owned[p],
             local_to_global: l2g.clone(),
         });
     }
@@ -199,13 +175,7 @@ pub fn parallel_residual_rms(
 ) -> f64 {
     exchange_residual(&mut local.level, &decomp.plans[rank.rank()], rank, tag);
     let (ss, cnt) = local.level.residual_sumsq();
-    let gss = rank.allreduce_sum(ss);
-    let gcnt = rank.allreduce_sum(cnt as f64);
-    if gcnt == 0.0 {
-        0.0
-    } else {
-        (gss / gcnt).sqrt()
-    }
+    rank.allreduce_rms(ss, cnt)
 }
 
 /// Run `sweeps` parallel smoothing sweeps on `nparts` ranks; returns the
@@ -232,17 +202,8 @@ pub fn run_parallel_smoothing(
         let n = local.level.nvertices();
         local.level.reserve_scratch(n);
     }
-    let locals = std::sync::Mutex::new(
-        locals
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<LocalLevel>>>(),
-    );
 
-    let (results, traces) = run_world(nparts, ctx, |rank| {
-        let mut local = locals.lock().unwrap()[rank.rank()]
-            .take()
-            .expect("local level already taken");
+    let (results, traces) = run_world_with(locals, ctx, |rank, mut local| {
         // Apply BCs and make ghosts consistent before starting (mirrors
         // the serial driver's initialisation).
         local.level.apply_bcs();
@@ -251,20 +212,13 @@ pub fn run_parallel_smoothing(
             parallel_sweep(&mut local, &decomp, rank);
         }
         let rms = parallel_residual_rms(&mut local, &decomp, rank, 20);
-        let owned_u: Vec<(u32, State)> = (0..local.n_owned)
-            .map(|i| (local.local_to_global[i], local.level.u.get(i)))
-            .collect();
-        (owned_u, rms)
+        let owned: Vec<State> = (0..local.n_owned).map(|i| local.level.u.get(i)).collect();
+        (owned, rms)
     });
 
-    let mut global_u = vec![[0.0; NVARS]; mesh.nvertices()];
-    let mut rms = 0.0;
-    for (owned, r) in results {
-        for (g, u) in owned {
-            global_u[g as usize] = u;
-        }
-        rms = r;
-    }
+    let (owned, rms): (Vec<_>, Vec<f64>) = results.into_iter().unzip();
+    let global_u = decomp.gather_owned(owned);
+    let rms = rms.last().copied().unwrap_or(0.0);
     let tracer = ctx.tracer();
     tracer.scoped(SpanKey::new("rans_smoothing"), |t| {
         t.add("sweeps", sweeps as u64);
@@ -281,6 +235,7 @@ pub fn run_parallel_smoothing(
 mod tests {
     use super::*;
     use crate::parallel_mg::ParallelMg;
+    use crate::state::NVARS;
     use columbia_comm::{Executor, HaloField};
     use columbia_mesh::{wing_mesh, WingMeshSpec};
     use columbia_mg::CycleParams;
@@ -388,10 +343,7 @@ mod tests {
                     for local in &mut locals {
                         local.level.poison_ghosts = poison;
                     }
-                    let locals: Vec<_> = locals.into_iter().map(Some).collect();
-                    let locals = std::sync::Mutex::new(locals);
-                    let (per_rank, _) = run_world(nparts, &ctx(), |rank| {
-                        let mut local = locals.lock().unwrap()[rank.rank()].take().unwrap();
+                    let (per_rank, _) = run_world_with(locals, &ctx(), |rank, mut local| {
                         local.level.apply_bcs();
                         decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
                         for _ in 0..3 {

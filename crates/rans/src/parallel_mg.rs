@@ -19,13 +19,12 @@ use crate::parallel::{
     partition_mesh_line_aware, LocalLevel,
 };
 use crate::state::NVARS;
-use columbia_comm::{run_world, Decomposition, ExecContext, Rank, RankTrace};
+use columbia_comm::{run_world_with, Decomposition, ExecContext, Rank, RankTrace};
 use columbia_mesh::{agglomerate_hierarchy, UnstructuredMesh};
 use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
 use columbia_partition::match_levels;
 use columbia_rt::trace::SpanKey;
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// Packed restriction entry: `vol * u` (6), fine residual (6) — the fine
 /// volume rides along as entry 12 for the volume-weighted average.
@@ -72,16 +71,12 @@ impl TransferSchedule {
 
 /// The distributed multigrid solver state (builder side).
 pub struct ParallelMg {
-    /// Per level: the partition vector over global vertices.
-    pub parts: Vec<Vec<u32>>,
-    /// Per level: decomposition (ghost plans etc.).
+    /// Per level: decomposition (partition, ghost plans etc.).
     pub decomps: Vec<Decomposition>,
     /// Per level, per rank: local sub-level.
     pub locals: Vec<Vec<LocalLevel>>,
     /// Per level pair `l -> l+1`: transfer schedule.
     pub transfers: Vec<TransferSchedule>,
-    /// Number of ranks.
-    pub nparts: usize,
 }
 
 impl ParallelMg {
@@ -102,31 +97,20 @@ impl ParallelMg {
         }
         let nlev = meshes.len();
 
-        // Partition each level independently (all line-aware), then
+        // Partition each level independently (all line-aware: implicit
+        // lines exist on agglomerated levels too and must not be broken),
         // relabel each coarse partition for overlap with the next finer
-        // level (the paper's greedy matching).
-        let mut parts: Vec<Vec<u32>> = Vec::with_capacity(nlev);
-        parts.push(partition_mesh_line_aware(
-            mesh,
-            nparts,
-            params.line_threshold,
-        ));
-        for l in 1..nlev {
-            // Coarse levels are also partitioned line-aware (implicit lines
-            // exist on agglomerated levels too and must not be broken).
-            let raw = partition_mesh_line_aware(meshes[l], nparts, params.line_threshold);
-            let map = &steps[l - 1].fine_to_coarse;
-            let w = vec![1.0; meshes[l - 1].nvertices()];
-            let (matched, _aligned) = match_levels(&parts[l - 1], map, &raw, nparts, &w);
-            parts.push(matched);
-        }
-
-        // Local levels per (level, rank); coarse levels use generic line
-        // extraction on their local meshes via build_local_levels.
-        let mut decomps = Vec::with_capacity(nlev);
+        // level (the paper's greedy matching), and build its sub-levels.
+        let mut decomps: Vec<Decomposition> = Vec::with_capacity(nlev);
         let mut locals = Vec::with_capacity(nlev);
-        for l in 0..nlev {
-            let (d, ls) = build_local_levels(meshes[l], &parts[l], nparts, params);
+        for (l, level) in meshes.iter().enumerate() {
+            let mut part = partition_mesh_line_aware(level, nparts, params.line_threshold);
+            if let Some(finer) = l.checked_sub(1) {
+                let w = vec![1.0; meshes[finer].nvertices()];
+                let map = &steps[finer].fine_to_coarse;
+                part = match_levels(&decomps[finer].part, map, &part, nparts, &w).0;
+            }
+            let (d, ls) = build_local_levels(level, &part, nparts, params);
             decomps.push(d);
             locals.push(ls);
         }
@@ -142,8 +126,6 @@ impl ParallelMg {
         let mut transfers = Vec::with_capacity(nlev.saturating_sub(1));
         for l in 0..nlev - 1 {
             let map = &steps[l].fine_to_coarse;
-            let fine_part = &parts[l];
-            let coarse_part = &parts[l + 1];
             let fine_d = &decomps[l];
             let coarse_d = &decomps[l + 1];
             let mut sched = TransferSchedule {
@@ -152,14 +134,15 @@ impl ParallelMg {
                 recvs: vec![Vec::new(); nparts],
             };
             // Group pairs by (fine_rank, coarse_rank), ordered by
-            // (coarse_global, fine_global) so both sides agree on layout.
+            // (coarse_global, fine_global) so both sides agree on layout;
+            // the map's key order puts every rank's peers in ascending order.
             // Entry: (coarse_global, fine_local, coarse_local).
             type PairsByRanks = std::collections::BTreeMap<(usize, usize), Vec<(u32, u32, u32)>>;
             let mut grouped: PairsByRanks = PairsByRanks::new();
             for v in 0..meshes[l].nvertices() {
                 let g = map[v];
-                let fr = fine_part[v] as usize;
-                let cr = coarse_part[g as usize] as usize;
+                let fr = fine_d.owner(v as u32);
+                let cr = coarse_d.owner(g);
                 let fl = fine_d
                     .local_index(fr, v as u32)
                     .expect("owned fine vertex must be local");
@@ -184,28 +167,32 @@ impl ParallelMg {
                     sched.sends[fr].push((cr, tp));
                 }
             }
-            // Deterministic peer order.
-            for s in sched.sends.iter_mut() {
-                s.sort_by_key(|(p, _)| *p);
-            }
-            for r in sched.recvs.iter_mut() {
-                r.sort_by_key(|(p, _)| *p);
-            }
             transfers.push(sched);
         }
 
         ParallelMg {
-            parts,
             decomps,
             locals,
             transfers,
-            nparts,
         }
     }
 
     /// Number of levels built.
     pub fn nlevels(&self) -> usize {
         self.locals.len()
+    }
+
+    /// Each rank's column of sub-levels, finest first, moved out of
+    /// `locals`.
+    fn rank_columns(&mut self) -> Vec<Vec<LocalLevel>> {
+        let mut columns: Vec<Vec<LocalLevel>> =
+            (0..self.decomps[0].nparts()).map(|_| Vec::new()).collect();
+        for level in self.locals.drain(..) {
+            for (column, local) in columns.iter_mut().zip(level) {
+                column.push(local);
+            }
+        }
+        columns
     }
 
     /// Measured non-local transfer fractions per level pair.
@@ -233,23 +220,11 @@ impl ParallelMg {
         max_cycles: usize,
         ctx: &mut ExecContext,
     ) -> (ConvergenceHistory, Vec<RankTrace>) {
-        let nparts = self.nparts;
-        // Move each rank's column of levels into a per-rank bundle.
-        let mut bundles: Vec<Option<Vec<LocalLevel>>> =
-            (0..nparts).map(|_| Some(Vec::new())).collect();
-        for lvl in self.locals.drain(..) {
-            for (r, local) in lvl.into_iter().enumerate() {
-                bundles[r].as_mut().unwrap().push(local);
-            }
-        }
-        let bundles = Mutex::new(bundles);
+        let columns = self.rank_columns();
         let decomps = &self.decomps;
         let transfers = &self.transfers;
 
-        let (results, traces) = run_world(nparts, ctx, |rank| {
-            let mut levels = bundles.lock().unwrap()[rank.rank()]
-                .take()
-                .expect("bundle already taken");
+        let (results, traces) = run_world_with(columns, ctx, |rank, mut levels| {
             for (l, lv) in levels.iter_mut().enumerate() {
                 rank.enter_level(l);
                 lv.level.cfl_now = cfl;
@@ -577,18 +552,11 @@ mod tests {
     #[test]
     fn finest_rank_levels_carry_no_fas_fields() {
         let mut pmg = ParallelMg::new(&mesh(), params(), 3, 3);
-        let mut bundles: Vec<Option<Vec<LocalLevel>>> = (0..3).map(|_| Some(Vec::new())).collect();
-        for lvl in pmg.locals.drain(..) {
-            for (r, local) in lvl.into_iter().enumerate() {
-                bundles[r].as_mut().unwrap().push(local);
-            }
-        }
-        let bundles = Mutex::new(bundles);
+        let columns = pmg.rank_columns();
         let (decomps, transfers) = (&pmg.decomps, &pmg.transfers);
         // Per rank and level: (restricted_u, forcing, vertices) after a
         // cycle of the views `ParallelMg::solve` drives.
-        let (sizes, _) = run_world(3, &ExecContext::default(), |rank| {
-            let levels = bundles.lock().unwrap()[rank.rank()].take().unwrap();
+        let (sizes, _) = run_world_with(columns, &ExecContext::default(), |rank, levels| {
             let rank = RefCell::new(rank);
             let view = |(l, local)| RankLevel {
                 local,

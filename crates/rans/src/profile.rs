@@ -8,26 +8,31 @@
 //! `columbia_machine::profile`, which fits the surface law and extrapolates
 //! to the paper's 72M-point problem.
 
-use crate::parallel::partition_mesh_line_aware;
+use crate::parallel::{decompose_mesh, partition_mesh_line_aware};
+use crate::parallel_mg::ParallelMg;
 use crate::solver::RansSolver;
 use crate::state::NVARS;
 use columbia_comm::ExecContext;
 use columbia_machine::profile::{CodeConstants, SurfaceLaw, NSU3D_PAPER};
 use columbia_machine::CycleProfile;
+use columbia_mesh::UnstructuredMesh;
 use columbia_mg::{level_visits, CycleParams};
-use columbia_partition::{match_levels, partition_graph, PartitionConfig, PartitionQuality};
 
-/// Fit the ghost-surface law of a mesh level by partitioning its
-/// (line-contracted) graph at each count in `parts`; the fallback is
-/// NSU3D's canonical `6 q^(2/3)`, degree 18.
+/// `(mean ghosts per rank, largest peer degree)` of the decomposition a
+/// `p`-rank world runs on `mesh`: line-aware partition, exact halo.
+pub fn measure_ghosts(mesh: &UnstructuredMesh, p: usize, line_threshold: f64) -> (f64, usize) {
+    let part = partition_mesh_line_aware(mesh, p, line_threshold);
+    decompose_mesh(mesh, &part, p).halo()
+}
+
+/// Fit the ghost-surface law of a mesh level from its decompositions at
+/// each count in `parts`; the fallback is NSU3D's canonical `6 q^(2/3)`,
+/// degree 18.
 pub fn fit_surface_law(solver: &RansSolver, level: usize, parts: &[usize]) -> SurfaceLaw {
     let lvl = &solver.levels[level];
-    let graph = lvl.mesh.dual_graph();
     let canonical = NSU3D_PAPER.canonical_law();
     SurfaceLaw::fit(lvl.nvertices(), parts, &canonical, |p| {
-        let part = partition_mesh_line_aware(&lvl.mesh, p, lvl.params.line_threshold);
-        let q = PartitionQuality::measure(&graph, &part, p);
-        (q.mean_ghosts(), q.max_comm_degree())
+        measure_ghosts(&lvl.mesh, p, lvl.params.line_threshold)
     })
 }
 
@@ -43,30 +48,13 @@ pub fn halo_exchanges_per_visit(cycle: &CycleParams, nlevels: usize) -> f64 {
     (2 * sweeps + 4 * finer + 1) as f64 / (finer + coarsest) as f64
 }
 
-/// Measure the non-local fraction of inter-grid transfers between level
-/// `l` and `l + 1` when both are partitioned independently into `p` parts
-/// and greedily matched (the paper's strategy).
-pub fn measure_intergrid_nonlocal(solver: &RansSolver, level: usize, p: usize) -> f64 {
-    let fine = &solver.levels[level];
-    let coarse = &solver.levels[level + 1];
-    let map = fine.to_coarse.as_ref().expect("no map");
-    if p < 2 || coarse.nvertices() < p {
-        return 0.0;
-    }
-    let cfg = PartitionConfig::default();
-    let fine_part = partition_graph(&fine.mesh.dual_graph(), p, &cfg);
-    let coarse_part = partition_graph(&coarse.mesh.dual_graph(), p, &cfg);
-    let w = vec![1.0; fine.nvertices()];
-    let (_, aligned) = match_levels(&fine_part, map, &coarse_part, p, &w);
-    1.0 - aligned
-}
-
 /// Measure a full [`CycleProfile`] from an instrumented solver.
 ///
 /// * Runs one cycle with FLOP counters to get per-level FLOPs/point/visit.
 /// * Fits the ghost-surface law on the finest level (`parts` samples) and
 ///   reuses it for coarser levels (same mesh family).
-/// * Measures inter-grid non-locality with `match_parts`-way partitions.
+/// * Reads inter-grid non-locality off the transfer schedules of the
+///   `match_parts`-rank [`ParallelMg`] over the same hierarchy.
 /// * Rescales the level sizes so the finest level has `target_points`
 ///   (the paper's 72M), preserving the measured coarsening ratios.
 ///
@@ -84,8 +72,12 @@ pub fn measure_profile(
     solver.take_flops();
     solver.cycle(cycle);
     let law = fit_surface_law(solver, 0, parts);
-    let nonlocal: Vec<f64> = (0..solver.nlevels() - 1)
-        .map(|l| measure_intergrid_nonlocal(solver, l, match_parts).max(0.05))
+    let fine = &solver.levels[0];
+    let pmg = ParallelMg::new(&fine.mesh, fine.params, match_parts, solver.nlevels());
+    let nonlocal: Vec<f64> = pmg
+        .nonlocal_fractions()
+        .iter()
+        .map(|f| f.max(0.05))
         .collect();
     let code = CodeConstants {
         // Working set per point: 4 state-sized arrays + gradients + diagonal
@@ -193,11 +185,16 @@ mod tests {
         assert!(span.counters.get("profile.flops").copied().unwrap_or(0) > 0);
     }
 
+    /// The profile prices the transfers of the world its hierarchy would
+    /// run: the same level count, every fraction a fraction.
     #[test]
     fn intergrid_nonlocality_in_unit_range() {
         let s = solver(4000, 3);
-        let f = measure_intergrid_nonlocal(&s, 0, 8);
-        assert!((0.0..=1.0).contains(&f), "fraction {f}");
+        let pmg = ParallelMg::new(&s.levels[0].mesh, s.levels[0].params, 8, s.nlevels());
+        assert_eq!(pmg.nlevels(), s.nlevels());
+        for f in pmg.nonlocal_fractions() {
+            assert!((0.0..=1.0).contains(&f), "fraction {f}");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! Every world runs on both executors.
 
 use columbia_comm::{
-    decompose, run_world, Decomposition, ExchangePlan, FaultConfig, FaultPlan, HaloField, Rank,
+    decompose, run_world, run_world_with, Decomposition, ExchangePlan, FaultConfig, FaultPlan,
+    HaloField, Rank,
 };
 use columbia_linalg::SoaStates;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
@@ -34,7 +35,7 @@ use columbia_rans::parallel::{
 use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rans::{RansSolver, NVARS};
 use columbia_rt::rng::Pcg32;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 mod common;
 use common::{on, CHAOS_SEEDS, EXECUTORS};
@@ -285,16 +286,7 @@ fn rans_sweep_reaches_zero_alloc_steady_state() {
     let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
     for exec in EXECUTORS {
         let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
-        let locals = Mutex::new(
-            locals
-                .into_iter()
-                .map(Some)
-                .collect::<Vec<Option<LocalLevel>>>(),
-        );
-        let (per_cycle, _) = run_world(nparts, &on(exec), |rank| {
-            let mut local = locals.lock().unwrap()[rank.rank()]
-                .take()
-                .expect("local level already taken");
+        let (per_cycle, _) = run_world_with(locals, &on(exec), |rank, mut local| {
             local.level.apply_bcs();
             decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
             let mut stats_per_cycle = Vec::new();
@@ -403,11 +395,8 @@ fn in_place_diagonal_exchange_matches_the_pack_scratch_route() {
             for plan in [None, Some(Arc::clone(&severe))] {
                 let run = |in_place: bool| {
                     let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
-                    let locals = Mutex::new(locals.into_iter().map(Some).collect::<Vec<_>>());
-                    run_world(nparts, &on(exec).with_faults(plan.clone()), |rank| {
-                        let mut local = locals.lock().unwrap()[rank.rank()]
-                            .take()
-                            .expect("local level already taken");
+                    let ctx = on(exec).with_faults(plan.clone());
+                    run_world_with(locals, &ctx, |rank, mut local| {
                         local.level.apply_bcs();
                         decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
                         if in_place {
@@ -487,11 +476,7 @@ fn rans_sweep_traffic_contract_in_exact_numbers() {
         let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
         for exec in EXECUTORS {
             let (decomp, locals) = build_local_levels(&m, &part, nparts, rans_params());
-            let locals = Mutex::new(locals.into_iter().map(Some).collect::<Vec<_>>());
-            let (ledgers, _) = run_world(nparts, &on(exec), |rank| {
-                let mut local = locals.lock().unwrap()[rank.rank()]
-                    .take()
-                    .expect("local level already taken");
+            let (ledgers, _) = run_world_with(locals, &on(exec), |rank, mut local| {
                 local.level.apply_bcs();
                 decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
                 rank.take_stats();

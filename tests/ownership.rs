@@ -1,0 +1,186 @@
+//! What a rank holds has one owner, `columbia_comm::Decomposition`:
+//!
+//! * its ownership rule puts every edge or face, boundary faces included,
+//!   on the rank that owns its `a` end, in global order, with local ends
+//!   that map back to the element's global ends;
+//! * both profiles sample their surface laws from the exact halo of the
+//!   decomposition their world runs, so a ghost is counted once however
+//!   its neighbours' parts interleave.
+
+use columbia_cartesian::{
+    build_octree, extract_mesh, CartFace, CartMesh, CutCellConfig, Geometry, TriMesh,
+};
+use columbia_comm::{decompose, Decomposition};
+use columbia_euler::freestream5;
+use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
+use columbia_rans::parallel::{build_local_levels, partition_mesh_line_aware};
+use columbia_rans::SolverParams;
+use columbia_rt::rng::Pcg32;
+use columbia_sfc::CurveKind;
+
+fn jittered_wing() -> columbia_mesh::UnstructuredMesh {
+    wing_mesh(&WingMeshSpec {
+        ni: 16,
+        nj: 4,
+        nk: 10,
+        nk_bl: 5,
+        jitter: 0.15,
+        ..Default::default()
+    })
+}
+
+fn sphere_mesh() -> CartMesh {
+    let prof: Vec<(f64, f64)> = (0..=10)
+        .map(|i| {
+            let t = std::f64::consts::PI * i as f64 / 10.0;
+            (-0.3 * t.cos(), 0.3 * t.sin())
+        })
+        .collect();
+    let geom = Geometry::new(&[TriMesh::body_of_revolution(&prof, 10)]);
+    let config = CutCellConfig {
+        min_level: 3,
+        max_level: 4,
+        origin: Vec3::new(-1.0, -1.0, -1.0),
+        size: 2.0,
+    };
+    extract_mesh(
+        &build_octree(&geom, &config),
+        &geom,
+        CurveKind::Hilbert,
+        0.1,
+    )
+}
+
+/// A random partition of `n` vertices into `1..9` parts.
+fn random_part(seed: u64, n: usize) -> (Vec<u32>, usize) {
+    let mut rng = Pcg32::seed_from_u64(seed);
+    let nparts = rng.gen_range(1usize..9);
+    let part = (0..n).map(|_| rng.gen_range(0..nparts as u32)).collect();
+    (part, nparts)
+}
+
+/// Every element of `ends` lands on exactly one rank, the owner of its
+/// `a` end, in global order, and its local ends map back through
+/// `local_to_global` to its global ends.
+fn assert_one_owner(d: &Decomposition, ends: &[(u32, Option<u32>)]) {
+    let buckets = d.localize(ends.iter().copied(), |e, a, b| (e, a, b));
+    let mut seen = vec![0u32; ends.len()];
+    for (p, bucket) in buckets.iter().enumerate() {
+        assert!(
+            bucket.windows(2).all(|w| w[0].0 < w[1].0),
+            "rank {p}: order"
+        );
+        let l2g = &d.local_to_global[p];
+        for &(e, la, lb) in bucket {
+            let (a, b) = ends[e];
+            seen[e] += 1;
+            assert_eq!(d.owner(a), p, "element {e}");
+            assert!((la as usize) < d.n_owned[p], "element {e}: a is owned");
+            assert_eq!(l2g[la as usize], a, "element {e}: a");
+            assert_eq!(lb.map(|lb| l2g[lb as usize]), b, "element {e}: b");
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n == 1),
+        "an element on no or two ranks"
+    );
+}
+
+columbia_rt::props! {
+    config: columbia_rt::props::Config::with_cases(32);
+
+    /// Edges of a jittered wing under random partitions.
+    fn prop_wing_edges_live_on_the_owner_of_a(seed in 0u64..u64::MAX) {
+        let mesh = jittered_wing();
+        let (part, nparts) = random_part(seed, mesh.nvertices());
+        let pairs: Vec<(u32, u32)> = mesh.edges.iter().map(|e| (e.a, e.b)).collect();
+        let d = decompose(mesh.nvertices(), &part, nparts, &pairs);
+        let ends: Vec<_> = pairs.iter().map(|&(a, b)| (a, Some(b))).collect();
+        assert_one_owner(&d, &ends);
+    }
+
+    /// Interior and boundary faces of the sphere cut-cell mesh under
+    /// random partitions.
+    fn prop_sphere_faces_live_on_the_owner_of_a(seed in 0u64..u64::MAX) {
+        let mesh = sphere_mesh();
+        let (part, nparts) = random_part(seed, mesh.ncells());
+        let interior: Vec<(u32, u32)> = mesh
+            .faces
+            .iter()
+            .filter(|f| !f.is_boundary())
+            .map(|f| (f.a, f.b))
+            .collect();
+        let d = decompose(mesh.ncells(), &part, nparts, &interior);
+        let ends: Vec<_> = mesh
+            .faces
+            .iter()
+            .map(|f| (f.a, (!f.is_boundary()).then_some(f.b)))
+            .collect();
+        assert!(ends.iter().any(|e| e.1.is_none()), "boundary faces too");
+        assert_one_owner(&d, &ends);
+    }
+}
+
+/// `(mean ghosts per rank that owns anything, largest peer degree)`
+/// counted off the ranks' sub-levels: `(local vertices, owned vertices)`
+/// per rank.
+fn halo_of(d: &Decomposition, sizes: &[(usize, usize)]) -> (f64, usize) {
+    let ghosts: usize = sizes.iter().map(|(local, owned)| local - owned).sum();
+    let holding = sizes.iter().filter(|&&(_, owned)| owned > 0).count();
+    let degree = d.plans.iter().map(|plan| plan.degree()).max().unwrap();
+    (ghosts as f64 / holding as f64, degree)
+}
+
+#[test]
+fn rans_surface_samples_are_the_worlds_halo() {
+    let mesh = jittered_wing();
+    let params = SolverParams::default();
+    for p in [2, 4, 8, 16] {
+        let part = partition_mesh_line_aware(&mesh, p, params.line_threshold);
+        let (d, locals) = build_local_levels(&mesh, &part, p, params);
+        let sizes: Vec<_> = locals
+            .iter()
+            .map(|l| (l.level.nvertices(), l.n_owned))
+            .collect();
+        let sample = columbia_rans::profile::measure_ghosts(&mesh, p, params.line_threshold);
+        assert_eq!(sample, halo_of(&d, &sizes), "{p} ranks");
+    }
+}
+
+#[test]
+fn euler_surface_samples_are_the_worlds_halo() {
+    let mesh = sphere_mesh();
+    let fs = freestream5(0.5, 0.0, 0.0);
+    for p in [2, 4, 8, 16] {
+        let (d, locals) = columbia_euler::parallel::build_local_levels(&mesh, p, fs, 1.5);
+        let sizes: Vec<_> = locals
+            .iter()
+            .zip(&d.n_owned)
+            .map(|(l, &owned)| (l.mesh.ncells(), owned))
+            .collect();
+        let sample = columbia_euler::profile::measure_ghosts(&mesh, p);
+        assert_eq!(sample, halo_of(&d, &sizes), "{p} ranks");
+    }
+}
+
+/// Six unit-weight cells in SFC order, split 2/2/2 into parts 0, 1, 2.
+/// Cell 0 borders cells 2, 4, 3 in face order: parts 1, 2, 1. It is one
+/// ghost of part 1, not two.
+#[test]
+fn a_ghost_bordering_interleaved_parts_is_counted_once() {
+    let face = |a, b| CartFace {
+        a,
+        b,
+        normal: Vec3::new(1.0, 0.0, 0.0),
+    };
+    let mesh = CartMesh {
+        centers: vec![Vec3::ZERO; 6],
+        weights: vec![1.0; 6],
+        faces: vec![face(0, 2), face(0, 4), face(0, 3), face(5, u32::MAX)],
+        ..Default::default()
+    };
+    // Ghosts: part 0 mirrors 2, 3, 4; parts 1 and 2 mirror 0 each.
+    // Part 0 talks to two peers.
+    let (mean, degree) = columbia_euler::profile::measure_ghosts(&mesh, 3);
+    assert_eq!((mean, degree), (5.0 / 3.0, 2));
+}
