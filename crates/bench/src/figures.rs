@@ -321,7 +321,7 @@ const FABRIC_NOTES: [&str; 4] = [
      the InfiniBand-specific collapse appears only with inter-grid transfers.\n",
 ];
 
-/// Figure `number` (16-19): its two [`FABRIC_PANELS`] and its note.
+/// Figure `number` (16-19): its two `FABRIC_PANELS` and its note.
 pub fn fabric_figure(number: usize, o: &Opts) -> Rendered {
     let base = nsu3d_profile(o.flag("--measured"));
     let mut text = String::new();

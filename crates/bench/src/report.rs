@@ -251,7 +251,7 @@ const FABRIC_WING: (usize, usize, usize) = (2500, 3, 2);
 
 /// Discrete-event fabric comparison over real traced traffic.
 ///
-/// Every rank count runs a `ParallelMg` solve ([`FABRIC_WING`]) on the
+/// Every rank count runs a `ParallelMg` solve (`FABRIC_WING`) on the
 /// event executor, replays its teardown ledgers as a packet burst
 /// ([`flows_from_traces`]) through the contended Columbia topology of
 /// each fabric, and compares the emergent makespan against the analytic
@@ -336,7 +336,7 @@ pub const PAPER_WORLD_SIZES: [usize; 3] = [512, 1024, 2016];
 const PAPER_WING: (usize, usize, usize) = (27_000, 5, 1);
 
 /// Real event-executor runs at paper scale — not the machine model:
-/// every world is a `ParallelMg` solve of [`PAPER_WING`] with one
+/// every world is a `ParallelMg` solve of `PAPER_WING` with one
 /// cooperative task per rank, so its traffic is the solver's own (packed
 /// exchanges, buffer pool, collectives, per-level attribution). Each
 /// level row states its global `points` and how many ranks own at least
@@ -403,22 +403,24 @@ fn paper_scale_worlds(
     Rendered { json, text }
 }
 
-/// Deterministic kernel-roofline section: one pass of each SoA/SIMD
-/// kernel at each working-set size, reporting closed-form FLOP counts
-/// (`columbia_linalg::flops`; the sweep's from the level's own counter),
-/// parity digests (scalar and batch outputs — equal by construction),
-/// and the machine model's roofline-predicted sustained GFLOP/s. No
-/// wall-clock numbers, so the section is byte-stable across runs; the
-/// achieved rate is `bench_e2e`'s `linalg.gflops` row. This is `--kernels`.
+/// Deterministic kernel-roofline section: one pass of the RANS smoothing
+/// sweep (`resident_sweep6`) at each working-set size, reporting the FLOPs
+/// the level's own counter reads, a digest of the state it leaves, and the
+/// machine model's roofline-predicted sustained GFLOP/s. No wall-clock
+/// numbers, so the section is byte-stable across runs; the achieved rate
+/// is `bench_e2e`'s `linalg.gflops` row. This is `--kernels`.
 pub fn kernel_roofline(_: &Opts) -> Rendered {
-    use crate::kernels::{self, LINE_LEN, NB};
-    use columbia_linalg::{flops, BlockTridiag, TridiagBatch};
-    let seed = 0xC01D_B10C;
+    use crate::kernels;
     let mut data = Vec::new();
-    let mut push = |kernel: &str, size: usize, ws: u64, fl: u64, digest: u64| {
+    for &target in &kernels::SWEEP_POINTS {
+        let mut lvl = kernels::sweep_level(target);
+        let n = lvl.mesh.nvertices();
+        let ws = kernels::sweep_working_set_bytes(&lvl);
+        let fl = kernels::sweep_pass_flops(&mut lvl);
+        let digest = kernels::digest_states(&lvl.u.to_aos());
         data.push(Json::obj([
-            ("kernel", Json::Str(kernel.into())),
-            ("size", Json::UInt(size as u64)),
+            ("kernel", Json::Str("resident_sweep6".into())),
+            ("size", Json::UInt(n as u64)),
             ("working_set_bytes", Json::UInt(ws)),
             ("flops_per_pass", Json::UInt(fl)),
             ("digest", Json::Str(format!("{digest:016x}"))),
@@ -427,53 +429,10 @@ pub fn kernel_roofline(_: &Opts) -> Rendered {
                 Json::Num(kernels::predicted_gflops(ws as f64)),
             ),
         ]));
-    };
-    for &n in &kernels::POINT_SIZES {
-        let set = kernels::point_set(n, seed);
-        let mut a = vec![[0.0; NB]; n];
-        let mut b = vec![[0.0; NB]; n];
-        kernels::point_lu_scalar(&set, &mut a);
-        kernels::point_lu_simd(&set, &mut b);
-        let fl = n as u64 * (flops::lu_flops(NB as u64) + flops::solve_flops(NB as u64));
-        let digest = kernels::digest_states(&a);
-        assert_eq!(digest, kernels::digest_states(&b));
-        push("point_lu6", n, set.working_set_bytes(), fl, digest);
-    }
-    for &nlines in &kernels::LINE_COUNTS {
-        let set = kernels::line_set(nlines, seed);
-        let mut a = vec![vec![[0.0; NB]; LINE_LEN]; nlines];
-        let mut b = vec![vec![[0.0; NB]; LINE_LEN]; nlines];
-        let mut sc = BlockTridiag::new();
-        let mut bc = TridiagBatch::new();
-        kernels::line_tridiag_scalar(&set, &mut sc, &mut a);
-        kernels::line_tridiag_simd(&set, &mut bc, &mut b);
-        let fl = nlines as u64 * flops::tridiag_solve_flops(NB as u64, LINE_LEN as u64);
-        let digest = kernels::digest_lines(&a);
-        assert_eq!(digest, kernels::digest_lines(&b));
-        push("line_tridiag6", nlines, set.working_set_bytes(), fl, digest);
-    }
-    for &n in &kernels::AXPY_SIZES {
-        let set = kernels::axpy_set(n, seed);
-        let mut a = set.y0.clone();
-        let mut b = set.y0.clone();
-        kernels::axpy_scalar(0.37, &set.x, &mut a);
-        kernels::axpy_simd(0.37, &set.x, &mut b);
-        let fl = flops::axpy_flops((n * kernels::NVARS5) as u64);
-        let digest = kernels::digest_states(&a);
-        assert_eq!(digest, kernels::digest_states(&b));
-        push("rk_axpy", n, set.working_set_bytes(), fl, digest);
-    }
-    for &target in &kernels::SWEEP_POINTS {
-        let mut lvl = kernels::sweep_level(target);
-        let n = lvl.mesh.nvertices();
-        let ws = kernels::sweep_working_set_bytes(&lvl);
-        let fl = kernels::sweep_pass_flops(&mut lvl);
-        let digest = kernels::digest_states(&lvl.u.to_aos());
-        push("resident_sweep6", n, ws, fl, digest);
     }
     let json = Json::Arr(data);
     let text = String::from(
-        "kernel roofline (deterministic: flops, parity digests, predicted rate):\n  \
+        "kernel roofline (deterministic: flops, state digests, predicted rate):\n  \
          kernel                size     ws_bytes   flops/pass  pred GF/s  digest\n",
     ) + &rows(
         "  {kernel:<16} {size:>9} {working_set_bytes:>12} {flops_per_pass:>12} \

@@ -67,7 +67,7 @@ pub fn line(template: &str, row: &Json) -> String {
     out
 }
 
-/// One [`line`] plus a newline per element of the array `rows`.
+/// One [`line()`] plus a newline per element of the array `rows`.
 pub fn rows(template: &str, rows: &Json) -> String {
     match rows {
         Json::Arr(items) => items.iter().map(|r| line(template, r) + "\n").collect(),

@@ -219,7 +219,7 @@ impl DatabaseFill {
     /// Re-run a single case on demand ("virtual database": it is often
     /// faster to re-run a case than to retrieve it from mass storage").
     ///
-    /// The re-run goes through exactly the same [`run_case`] path as the
+    /// The re-run goes through exactly the same `run_case` path as the
     /// fill, so it obeys the context's [`FillPolicy`] — retry budget,
     /// chaos schedule, finite-load validation — and honestly reports
     /// [`CaseStatus::Recovered`]/[`CaseStatus::Quarantined`] instead of

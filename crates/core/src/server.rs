@@ -8,17 +8,19 @@
 //! three things in front of an [`AeroDatabase`], which does all the
 //! interpolation itself ([`AeroDatabase::cell`] + [`AeroDatabase::blend`]):
 //!
-//! * **batch dedup** — identical queries inside one [`Self::serve_batch`]
-//!   call (bit-exact coordinates) are answered once and copied;
+//! * **batch dedup** — identical queries inside one
+//!   [`DatabaseServer::serve_batch`] call (bit-exact coordinates) are
+//!   answered once and copied;
 //! * **quarantine policy** — a query whose stencil touches a masked hole is
 //!   a typed [`LookupError::QuarantinedRegion`] under the strict policy, or
 //!   a nearest-valid-node answer flagged [`Response::degraded`] under the
 //!   opt-in [`Fallback::Nearest`] policy — never a silent blend of
 //!   placeholder loads;
 //! * **refinement queue** — blocked queries enqueue their hole nodes;
-//!   [`Self::drain_refinement`] schedules them by observed query density so
-//!   an incremental [`DatabaseFill::rerun`] ([`Self::refine_with`]) repairs
-//!   the holes that actually gate the query stream first.
+//!   [`DatabaseServer::drain_refinement`] schedules them by observed query
+//!   density so an incremental [`DatabaseFill::rerun`]
+//!   ([`DatabaseServer::refine_with`]) repairs the holes that actually gate
+//!   the query stream first.
 //!
 //! There is no cell cache: the table is a dense in-memory array, and
 //! `bench_e2e` measured a copy of it in front of it as a loss (DESIGN.md

@@ -6,7 +6,7 @@ use columbia_cartesian::{CartHierarchy, CartMesh};
 use columbia_comm::ExecContext;
 use columbia_linalg::soa::SoaStates;
 use columbia_mesh::Vec3;
-use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
+use columbia_mg::{fas_cycle, solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
 use std::sync::Arc;
 
 /// Flow and numerical parameters of a Cart3D-style analysis.
@@ -168,16 +168,13 @@ impl EulerSolver {
 
     /// Run cycles until `tol` or `max_cycles`.
     pub fn solve(&mut self, cp: &CycleParams, tol: f64, max_cycles: usize) -> ConvergenceHistory {
-        let mut h = ConvergenceHistory::default();
-        h.residuals.push(self.levels[0].residual_rms());
-        for _ in 0..max_cycles {
-            if *h.residuals.last().unwrap() <= tol {
-                break;
-            }
-            fas_cycle(&mut self.levels, cp, &mut ExecContext::default());
-            h.residuals.push(self.levels[0].residual_rms());
-        }
-        h
+        solve_to_tolerance(
+            &mut self.levels,
+            cp,
+            tol,
+            max_cycles,
+            &mut ExecContext::default(),
+        )
     }
 
     /// Integrated surface loads on the fine level.

@@ -21,7 +21,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately catches NaNs
 
 pub mod block;
-pub mod flops;
 pub mod soa;
 pub mod tridiag;
 pub mod vecops;

@@ -706,23 +706,26 @@ mod tests {
 
     #[test]
     fn batched_lu_solve_is_bit_identical_per_lane() {
-        let mats: Vec<BlockMat<6>> = (0..LANES as u64)
-            .map(|s| {
-                let mut m = seeded_mat::<6>(s + 1);
-                m.add_diagonal(6.0);
-                m
-            })
-            .collect();
-        let rhs_scalar: Vec<[f64; 6]> = (0..LANES)
-            .map(|l| std::array::from_fn(|k| (l as f64 + 1.0) * 0.37 - k as f64))
-            .collect();
-        let mut x = rhs_batch(&rhs_scalar);
-        let ok = BlockBatch::from_lanes(&mats).lu_solve(&mut x);
-        assert_eq!(ok, [true; LANES]);
-        for l in 0..LANES {
-            let xs = mats[l].lu().unwrap().solve(&rhs_scalar[l]);
-            let xb: [f64; 6] = std::array::from_fn(|r| x[r][l]);
-            assert_eq!(bits(&xs), bits(&xb), "lane {l} diverged");
+        // Every lane count, so under-full batches (identity padding) too.
+        for nl in 1..=LANES {
+            let mats: Vec<BlockMat<6>> = (0..nl as u64)
+                .map(|s| {
+                    let mut m = seeded_mat::<6>(s + 1);
+                    m.add_diagonal(6.0);
+                    m
+                })
+                .collect();
+            let rhs_scalar: Vec<[f64; 6]> = (0..nl)
+                .map(|l| std::array::from_fn(|k| (l as f64 + 1.0) * 0.37 - k as f64))
+                .collect();
+            let mut x = rhs_batch(&rhs_scalar);
+            let ok = BlockBatch::from_lanes(&mats).lu_solve(&mut x);
+            assert_eq!(ok, [true; LANES], "{nl} lanes");
+            for l in 0..nl {
+                let xs = mats[l].lu().unwrap().solve(&rhs_scalar[l]);
+                let xb: [f64; 6] = std::array::from_fn(|r| x[r][l]);
+                assert_eq!(bits(&xs), bits(&xb), "lane {l} of {nl} diverged");
+            }
         }
     }
 
@@ -861,9 +864,11 @@ mod tests {
 
     #[test]
     fn tridiag_batch_matches_scalar_bitwise() {
-        // Deliberately under-full: a padding lane in play.
-        let lines: Vec<_> = (0..3).map(|l| seeded_line(9, l)).collect();
-        assert_eq!(check_against_scalar(&lines), [true, true, true, true]);
+        // Every lane count, so under-full batches (padding lanes) too.
+        for nl in 1..=LANES as u64 {
+            let lines: Vec<_> = (0..nl).map(|l| seeded_line(9, l)).collect();
+            assert_eq!(check_against_scalar(&lines), [true; LANES], "{nl} lanes");
+        }
     }
 
     #[test]

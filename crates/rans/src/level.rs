@@ -7,7 +7,7 @@
 //! chunks ([`EDGE_BLOCK`] edges / [`VBLOCK`] vertices per block). Per-edge
 //! physics (Rusanov fluxes, Jacobians) reads the endpoints' primitives
 //! from a per-vertex cache that [`RansLevel::begin_residual`] refreshes
-//! from `u` (see [`crate::prim`]) and gathers the conservative blocks in
+//! from `u` (see `crate::prim`) and gathers the conservative blocks in
 //! component order — bit-identical to the historical per-edge AoS
 //! evaluation — so every digest pinned against the AoS goldens still
 //! holds, on either kernel path (`KernelKind::Scalar` keeps the

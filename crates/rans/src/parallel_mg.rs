@@ -450,7 +450,7 @@ mod tests {
     use crate::solver::RansSolver;
     use columbia_comm::Executor;
     use columbia_mesh::{wing_mesh, WingMeshSpec};
-    use columbia_mg::{level_visits, CycleType};
+    use columbia_mg::{level_visits, solve_to_tolerance, CycleType};
 
     fn mesh() -> UnstructuredMesh {
         wing_mesh(&WingMeshSpec {
@@ -499,7 +499,7 @@ mod tests {
         // Serial reference at fixed CFL.
         let mut serial = RansSolver::new(m.clone(), params(), 3);
         serial.set_cfl(cfl);
-        let sh = serial.solve_fixed_cfl(&cp, 0.0, 3);
+        let sh = solve_to_tolerance(&mut serial.levels, &cp, 0.0, 3, &mut ExecContext::default());
 
         let pmg = ParallelMg::new(&m, params(), 3, 3);
         let (ph, traces) = pmg.solve(&cp, cfl, 3, &mut ExecContext::default());
@@ -662,6 +662,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The measured profile's halo price: on a one-level 2-rank world, a
+    /// cycle's halo bytes are the priced bytes per ghost per exchange times
+    /// the exchanges times the ghosts.
+    #[test]
+    fn halo_bytes_per_exchange_is_what_the_solve_sends() {
+        let m = mesh();
+        let cp = CycleParams::default();
+        let run = |cycles| {
+            let pmg = ParallelMg::new(&m, params(), 2, 1);
+            assert_eq!(pmg.nlevels(), 1);
+            let ghosts: usize = (0..2).map(|p| pmg.decomps[0].ghosts(p)).sum();
+            let (_, traces) = pmg.solve(&cp, 4.0, cycles, &mut ExecContext::default());
+            let bytes: u64 = traces.iter().map(|t| t.stats.total_bytes()).sum();
+            (bytes, ghosts)
+        };
+        let (one, _) = run(1);
+        let (two, ghosts) = run(2);
+        // One cycle's bytes less the norm's two one-value collectives per
+        // rank.
+        let collectives = 2 * 2 * std::mem::size_of::<f64>() as u64;
+        let halo = two - one - collectives;
+        let exchanges = crate::profile::halo_exchanges_per_visit(&cp, 1);
+        let priced = crate::profile::halo_bytes_per_exchange(&cp, 1) * exchanges * ghosts as f64;
+        assert!(ghosts > 0);
+        assert_eq!(priced.round() as u64, halo);
     }
 
     #[test]

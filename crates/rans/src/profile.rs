@@ -8,11 +8,13 @@
 //! `columbia_machine::profile`, which fits the surface law and extrapolates
 //! to the paper's 72M-point problem.
 
+use crate::level::DiagHalo;
 use crate::parallel::{decompose_mesh, partition_mesh_line_aware};
 use crate::parallel_mg::ParallelMg;
 use crate::solver::RansSolver;
 use crate::state::NVARS;
-use columbia_comm::ExecContext;
+use columbia_comm::{ExecContext, HaloField};
+use columbia_linalg::SoaStates;
 use columbia_machine::profile::{CodeConstants, SurfaceLaw, NSU3D_PAPER};
 use columbia_machine::CycleProfile;
 use columbia_mesh::UnstructuredMesh;
@@ -36,16 +38,41 @@ pub fn fit_surface_law(solver: &RansSolver, level: usize, parts: &[usize]) -> Su
     })
 }
 
-/// Halo exchanges per peer per level visit of the distributed multigrid,
-/// averaged over a cycle: 2 per sweep (the add, the state copy), 4 per
-/// restriction (fine residual, coarse state, coarse residual, prolonged
-/// state) and 1 per cycle (the norm's residual).
-pub fn halo_exchanges_per_visit(cycle: &CycleParams, nlevels: usize) -> f64 {
+/// Values per ghost of each halo exchange the distributed multigrid sends,
+/// from the fields it packs: a state copy, a residual add (gradient +
+/// residual) and a sweep's coalesced add (gradient + residual + implicit
+/// diagonal).
+const STATE: usize = <SoaStates<NVARS> as HaloField>::WIDTH;
+const RESIDUAL: usize = <SoaStates<6> as HaloField>::WIDTH + STATE;
+const SWEEP_ADD: usize = RESIDUAL + <DiagHalo<'static> as HaloField>::WIDTH;
+
+/// One cycle's halo exchanges on `nlevels` levels: `(level visits,
+/// exchanges, values per ghost summed over the exchanges)`. Each sweep
+/// sends its add and a state copy; each restriction the fine residual,
+/// the coarse state, the coarse residual and the prolonged state; each
+/// cycle the norm's residual.
+fn halo_traffic(cycle: &CycleParams, nlevels: usize) -> (usize, usize, usize) {
     let visits = level_visits(nlevels, cycle.cycle);
     let (coarsest, finer) = visits.split_last().expect("at least one level");
     let finer: usize = finer.iter().sum();
     let sweeps = finer * (cycle.pre_sweeps + cycle.post_sweeps) + coarsest * cycle.coarse_sweeps;
-    (2 * sweeps + 4 * finer + 1) as f64 / (finer + coarsest) as f64
+    let exchanges = 2 * sweeps + 4 * finer + 1;
+    let values = sweeps * (SWEEP_ADD + STATE) + 2 * finer * (RESIDUAL + STATE) + RESIDUAL;
+    (finer + coarsest, exchanges, values)
+}
+
+/// Halo exchanges per peer per level visit of the distributed multigrid,
+/// averaged over a cycle.
+pub fn halo_exchanges_per_visit(cycle: &CycleParams, nlevels: usize) -> f64 {
+    let (visits, exchanges, _) = halo_traffic(cycle, nlevels);
+    exchanges as f64 / visits as f64
+}
+
+/// Bytes per ghost per halo exchange of the distributed multigrid,
+/// averaged over a cycle's exchanges.
+pub(crate) fn halo_bytes_per_exchange(cycle: &CycleParams, nlevels: usize) -> f64 {
+    let (_, exchanges, values) = halo_traffic(cycle, nlevels);
+    (values * std::mem::size_of::<f64>()) as f64 / exchanges as f64
 }
 
 /// Measure a full [`CycleProfile`] from an instrumented solver.
@@ -83,6 +110,7 @@ pub fn measure_profile(
         // Working set per point: 4 state-sized arrays + gradients + diagonal
         // blocks + mesh metrics (edges amortised per vertex).
         state_bytes_per_point: (4 * NVARS * 8 + 48 + 296 + 200) as f64,
+        exchange_bytes_per_entry: halo_bytes_per_exchange(cycle, solver.nlevels()),
         exchanges_per_visit: halo_exchanges_per_visit(cycle, solver.nlevels()),
         // Restriction ships state+residual (13 doubles), prolongation
         // ships the correction (6): ~ (13 + 6) * 8 / 2 per transfer.

@@ -6,7 +6,7 @@ use crate::state::{pressure, State, NVARS};
 use columbia_comm::ExecContext;
 use columbia_linalg::soa::SoaStates;
 use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
-use columbia_mg::{fas_cycle, solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
+use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
 
 impl MultigridLevel for RansLevel {
     fn smooth(&mut self, sweeps: usize) {
@@ -238,23 +238,6 @@ impl RansSolver {
             cfl = (cfl * 1.6).min(sp.cfl);
         }
         history
-    }
-
-    /// Run cycles at a fixed CFL (no ramping) — used by tests and by the
-    /// generic driver parity checks.
-    pub fn solve_fixed_cfl(
-        &mut self,
-        params: &CycleParams,
-        tol: f64,
-        max_cycles: usize,
-    ) -> ConvergenceHistory {
-        solve_to_tolerance(
-            &mut self.levels,
-            params,
-            tol,
-            max_cycles,
-            &mut ExecContext::default(),
-        )
     }
 
     /// Total software-counted FLOPs across all levels (and reset counters).

@@ -4,9 +4,9 @@
 //! documented grammar — test files and harnesses must not hand-roll
 //! `std::env::var` calls. The full set:
 //!
-//! | Variable             | Grammar                 | Default | Consumer                            |
-//! |----------------------|-------------------------|---------|-------------------------------------|
-//! | `COLUMBIA_PT_REPLAY` | decimal or `0x`-hex u64 | unset   | [`crate::props`] single-case replay |
+//! | Variable             | Grammar                 | Default | Consumer                                |
+//! |----------------------|-------------------------|---------|-----------------------------------------|
+//! | `COLUMBIA_PT_REPLAY` | decimal or `0x`-hex u64 | unset   | [`mod@crate::props`] single-case replay |
 //!
 //! [`KNOBS`] lists the same name; `tests/hermetic.rs` fails if the
 //! repository mentions a `COLUMBIA_*` name outside it or stops mentioning

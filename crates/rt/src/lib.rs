@@ -10,7 +10,7 @@
 //! * [`rng`] — SplitMix64-seeded PCG32 with the `seed_from_u64` /
 //!   `gen_range` / `shuffle` surface the mesh generator, partitioner and
 //!   tests use (replaces `rand`);
-//! * [`props`] — a deterministic property-testing harness with seeded case
+//! * [`mod@props`] — a deterministic property-testing harness with seeded case
 //!   generation, fixed case counts and failure-seed replay (replaces
 //!   `proptest`);
 //! * [`fault`] — seeded, stateless fault schedules (message drop /
@@ -22,7 +22,7 @@
 //!   typed counters (replaces nothing — closes the instrumentation gap);
 //! * [`json`] — a byte-stable JSON writer for trace and scaling reports
 //!   (replaces `serde_json` where a repo would normally reach for it);
-//! * [`env`] — typed, unit-tested parsing of the one `COLUMBIA_*`
+//! * [`mod@env`] — typed, unit-tested parsing of the one `COLUMBIA_*`
 //!   environment knob (the property-test replay seed), so no harness
 //!   hand-rolls `std::env::var`;
 //! * [`fnv`] — byte-wise FNV-1a 64, the digest of the bit-identity

@@ -1,21 +1,22 @@
 //! Scalar-vs-SIMD kernel parity: the lane-interleaved batch kernels of
 //! `columbia_linalg::soa` must be *bit-identical* to the scalar
-//! references, at every layer — raw LU/tridiagonal solves, the bench
-//! harness's kernel runners, a full `RansLevel` smoothing sweep, the
-//! Cart3D Runge-Kutta stage, and a 2-rank domain-decomposed run.
+//! references, at every layer — raw LU solves, a full `RansLevel`
+//! smoothing sweep, the Cart3D Runge-Kutta stage, and a 2-rank
+//! domain-decomposed run.
 //!
 //! This is the contract that lets the SIMD path be the default while
 //! every FNV golden in `tests/exec_context.rs` (recorded on the scalar
 //! path) keeps holding verbatim.
 
-use columbia_bench::kernels::{self, digest_states};
+use columbia_bench::kernels::digest_states;
 use columbia_cartesian::{build_octree, extract_mesh, CartMesh, CutCellConfig, Geometry, TriMesh};
+use columbia_comm::ExecContext;
 use columbia_euler::state::freestream5;
 use columbia_euler::{EulerLevel, EulerParams, EulerSolver};
 use columbia_linalg::soa::vec_batch_zero;
 use columbia_linalg::{BlockBatch, BlockMat, LinalgError, LANES};
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
-use columbia_mg::CycleParams;
+use columbia_mg::{solve_to_tolerance, CycleParams};
 use columbia_rans::level::SolverParams;
 use columbia_rans::{RansLevel, RansSolver};
 use columbia_rt::env::KernelKind;
@@ -140,34 +141,6 @@ fn singular_lane_is_flagged_without_poisoning_its_neighbours() {
     }
 }
 
-#[test]
-fn bench_kernel_runners_agree_at_awkward_sizes() {
-    // Partial final batches (n % LANES != 0) are where scatter/gather
-    // bugs live; sweep the remainders.
-    for n in [1usize, 3, 5, 9, 17] {
-        let set = kernels::point_set(n, 99);
-        let mut a = vec![[0.0; kernels::NB]; n];
-        let mut b = vec![[0.0; kernels::NB]; n];
-        kernels::point_lu_scalar(&set, &mut a);
-        kernels::point_lu_simd(&set, &mut b);
-        assert_eq!(digest_states(&a), digest_states(&b), "n = {n}");
-    }
-    for nlines in [1usize, 2, 5] {
-        let set = kernels::line_set(nlines, 99);
-        let mut a = vec![vec![[0.0; kernels::NB]; kernels::LINE_LEN]; nlines];
-        let mut b = a.clone();
-        let mut sc = columbia_linalg::BlockTridiag::new();
-        let mut bc = columbia_linalg::TridiagBatch::new();
-        kernels::line_tridiag_scalar(&set, &mut sc, &mut a);
-        kernels::line_tridiag_simd(&set, &mut bc, &mut b);
-        assert_eq!(
-            kernels::digest_lines(&a),
-            kernels::digest_lines(&b),
-            "nlines = {nlines}"
-        );
-    }
-}
-
 fn rans_level(kernel: KernelKind) -> RansLevel {
     let mesh = wing_mesh(&WingMeshSpec {
         jitter: 0.0,
@@ -284,7 +257,7 @@ fn untraced_solve_allocates_only_its_history() {
         let cp = CycleParams::default();
         solver.cycle(&cp);
         let before = alloc_calls_on_this_thread();
-        let h = solver.solve_fixed_cfl(&cp, 0.0, 4);
+        let h = solve_to_tolerance(&mut solver.levels, &cp, 0.0, 4, &mut ExecContext::default());
         let solve = alloc_calls_on_this_thread() - before;
         // The same pushes into a fresh vector: what the history costs.
         let before = alloc_calls_on_this_thread();
