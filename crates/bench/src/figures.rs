@@ -104,18 +104,20 @@ pub fn fig14a(o: &Opts) -> Rendered {
         ..Default::default()
     };
     let mesh = wing(parse("--points", 24_000));
-    const LEVELS: [usize; 4] = [1, 4, 5, 6];
-    let mut runs = Vec::new();
-    let mut histories = Vec::new();
-    for nlevels in LEVELS {
-        let mut solver = RansSolver::new(mesh.clone(), mach_half(), nlevels);
+    // A depth the mesh cannot reach builds a shallower one, run once.
+    const ASKED: [usize; 4] = [1, 4, 5, 6];
+    let (mut built, mut runs, mut histories) = (Vec::new(), Vec::new(), Vec::new());
+    for asked in ASKED {
+        let mut solver = RansSolver::new(mesh.clone(), mach_half(), asked);
+        if built.contains(&solver.nlevels()) {
+            continue;
+        }
+        built.push(solver.nlevels());
         let h = solver.solve(&cp, 1e-13, cycles);
+        let sizes = Json::arr(solver.level_sizes().into_iter().map(uint));
         runs.push(Json::obj([
-            ("levels", uint(nlevels)),
-            (
-                "sizes",
-                Json::arr(solver.level_sizes().into_iter().map(uint)),
-            ),
+            ("levels", uint(solver.nlevels())),
+            ("sizes", sizes),
             ("orders", num(h.orders_reduced())),
             ("cycles", uint(h.cycles())),
             ("mean_factor", num(h.mean_reduction_factor())),
@@ -126,19 +128,21 @@ pub fn fig14a(o: &Opts) -> Rendered {
     let len = histories.iter().map(Vec::len).max().unwrap();
     let history = Json::arr((0..len).step_by(5).map(|c| {
         let mut row = Json::obj([("cycle", uint(c))]);
-        for (nlevels, h) in LEVELS.iter().zip(&histories) {
+        for (nlevels, h) in built.iter().zip(&histories) {
             if let Some(&r) = h.get(c) {
                 row.set(format!("l{nlevels}"), num(r));
             }
         }
         row
     }));
+    let columns: String = built.iter().map(|l| format!("{l:>8}-level")).collect();
+    let template: String = built.iter().map(|l| format!("{{l{l}:>14.3e}}")).collect();
     let runs = Json::Arr(runs);
     let text = header(
         "Figure 14(a)",
         "NSU3D multigrid convergence, 4/5/6 levels (W-cycle)",
     ) + &format!(
-        "mesh: {} points, {} edges ({} unknowns)\n",
+        "mesh: {} points, {} edges ({} unknowns); levels asked {ASKED:?}, built {built:?}\n",
         mesh.nvertices(),
         mesh.nedges(),
         6 * mesh.nvertices()
@@ -146,12 +150,8 @@ pub fn fig14a(o: &Opts) -> Rendered {
         "{levels} level(s): sizes {sizes}, {orders:.2} orders in {cycles} cycles \
          (mean factor {mean_factor:.3})",
         &runs,
-    ) + "\nresidual history (RMS, every 5 cycles):\n   \
-         cycle       1-level       4-level       5-level       6-level\n"
-        + &rows(
-            "{cycle:>8}{l1:>14.3e}{l4:>14.3e}{l5:>14.3e}{l6:>14.3e}",
-            &history,
-        )
+    ) + &format!("\nresidual history (RMS, every 5 cycles):\n   cycle{columns}\n")
+        + &rows(&format!("{{cycle:>8}}{template}"), &history)
         + "\npaper shape: 5/6-level converge fastest and nearly identically;\n\
            4-level lags; single grid is impractically slow. Paper scale:\n\
            ~800 W-cycles to convergence on 72M points.\n";

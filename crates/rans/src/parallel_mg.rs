@@ -28,7 +28,7 @@ use std::cell::RefCell;
 
 /// Packed restriction entry: `vol * u` (6), fine residual (6) — the fine
 /// volume rides along as entry 12 for the volume-weighted average.
-const RESTRICT_WIDTH: usize = 13;
+pub(crate) const RESTRICT_WIDTH: usize = 13;
 
 /// One fine→coarse transfer pair, local indices on both sides.
 #[derive(Clone, Debug)]
@@ -49,7 +49,7 @@ pub struct TransferSchedule {
     sends: Vec<Vec<(usize, Vec<TransferPair>)>>,
     /// `recvs[coarse_rank]`: per peer fine rank, the coarse-local targets
     /// in the exact order the fine side packs them.
-    recvs: Vec<Vec<(usize, Vec<u32>)>>,
+    pub recvs: Vec<Vec<(usize, Vec<u32>)>>,
 }
 
 impl TransferSchedule {

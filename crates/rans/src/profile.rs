@@ -10,7 +10,7 @@
 
 use crate::level::DiagHalo;
 use crate::parallel::{decompose_mesh, partition_mesh_line_aware};
-use crate::parallel_mg::ParallelMg;
+use crate::parallel_mg::{ParallelMg, RESTRICT_WIDTH};
 use crate::solver::RansSolver;
 use crate::state::NVARS;
 use columbia_comm::{ExecContext, HaloField};
@@ -112,9 +112,9 @@ pub fn measure_profile(
         state_bytes_per_point: (4 * NVARS * 8 + 48 + 296 + 200) as f64,
         exchange_bytes_per_entry: halo_bytes_per_exchange(cycle, solver.nlevels()),
         exchanges_per_visit: halo_exchanges_per_visit(cycle, solver.nlevels()),
-        // Restriction ships state+residual (13 doubles), prolongation
-        // ships the correction (6): ~ (13 + 6) * 8 / 2 per transfer.
-        intergrid_bytes_per_fine_point: 76.0,
+        // Restriction ships `RESTRICT_WIDTH` doubles per pair, prolongation
+        // the correction (`NVARS`): half their bytes per transfer.
+        intergrid_bytes_per_fine_point: ((RESTRICT_WIDTH + NVARS) * 8 / 2) as f64,
         ..NSU3D_PAPER
     };
     CycleProfile::measured(

@@ -15,18 +15,19 @@
 //! * the RANS sweep's one coalesced add, made in place on the level's
 //!   gradient, residual and diagonal, moves exactly what the level's
 //!   pack-scratch route moves;
-//! * the RANS sweep's traffic contract in exact numbers: two messages per
-//!   peer per sweep, one per residual evaluation, of known sizes.
+//! * the RANS sweep's traffic contract in exact numbers: a sweep and a
+//!   norm send what the traffic oracle (`tests/common/traffic.rs`)
+//!   predicts, per rank and peer.
 //!
 //! Every world runs on both executors.
 
 use columbia_comm::{
     decompose, run_world, run_world_with, Decomposition, ExchangePlan, FaultConfig, FaultPlan,
-    HaloField, Rank,
+    HaloField, Rank, RankTrace,
 };
 use columbia_linalg::SoaStates;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
-use columbia_mg::CycleParams;
+use columbia_mg::{level_visits, CycleParams};
 use columbia_rans::level::SolverParams;
 use columbia_rans::parallel::{
     build_local_levels, parallel_residual_rms, parallel_sweep, partition_mesh_line_aware,
@@ -39,6 +40,9 @@ use std::sync::Arc;
 
 mod common;
 use common::{on, CHAOS_SEEDS, EXECUTORS};
+#[path = "common/traffic.rs"]
+mod traffic;
+use traffic::{assert_ledgers, parallel_mg_with, RansWire, Traffic, RANS};
 
 /// Random grid decomposition: an `nx x ny` grid graph with a seeded random
 /// partition (every rank guaranteed at least one vertex).
@@ -450,27 +454,11 @@ fn in_place_diagonal_exchange_matches_the_pack_scratch_route() {
     }
 }
 
-/// One rank's ledger as `(peer, messages, bytes)` rows, from expected
-/// `(peer, messages, values)` contributions summed per peer.
-fn ledger_rows(parts: impl IntoIterator<Item = (usize, u64, usize)>) -> Vec<(usize, u64, u64)> {
-    let mut rows = std::collections::BTreeMap::new();
-    for (peer, msgs, values) in parts {
-        let row = rows.entry(peer).or_insert((0, 0));
-        row.0 += msgs;
-        row.1 += 8 * values as u64;
-    }
-    rows.into_iter().map(|(p, (m, b))| (p, m, b)).collect()
-}
-
 #[test]
 fn rans_sweep_traffic_contract_in_exact_numbers() {
-    // Per rank and peer, one sweep sends exactly two messages: the
-    // coalesced add of gradient, residual and diagonal (6 + 6 + 37 = 49
-    // values per ghost the rank holds of the peer) and the state copy (6
-    // per owned vertex the rank sends the peer). The residual evaluation
-    // behind a norm sends one add of gradient and residual (12 per ghost),
-    // beside the norm's two gather-and-broadcast collectives (one value
-    // per message, between rank 0 and every other rank).
+    // Per phase, each rank's ledger is the oracle's: a sweep is one
+    // coalesced add and one state copy per peer, a norm one residual add
+    // per peer beside its two gather-and-broadcast collectives.
     let m = small_wing();
     for nparts in [2usize, 4, 8] {
         let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
@@ -480,33 +468,150 @@ fn rans_sweep_traffic_contract_in_exact_numbers() {
                 local.level.apply_bcs();
                 decomp.plans[rank.rank()].exchange_copy_field(rank, 1, &mut local.level.u);
                 rank.take_stats();
-                let rows = |rank: &mut Rank| rank.take_stats().peers().collect::<Vec<_>>();
+                let phase = |rank: &mut Rank| RankTrace {
+                    rank: rank.rank(),
+                    stats: rank.take_stats(),
+                    ..Default::default()
+                };
                 parallel_sweep(&mut local, &decomp, rank);
-                let sweep = rows(rank);
+                let sweep = phase(rank);
                 parallel_sweep(&mut local, &decomp, rank);
-                let second = rows(rank);
+                let second = phase(rank);
                 parallel_residual_rms(&mut local, &decomp, rank, 20);
-                (sweep, second, rows(rank))
+                [sweep, second, phase(rank)]
             });
-            for (p, (sweep, second, norm)) in ledgers.iter().enumerate() {
-                let at = format!("{nparts} ranks, {exec:?}, rank {p}");
-                let plan = &decomp.plans[p];
-                let ghosts = || plan.recv_peers().map(|(q, idx)| (q, idx.len()));
-                let adds = ghosts().map(|(q, n)| (q, 1, 49 * n));
-                let copies = plan.send_peers().map(|(q, idx)| (q, 1, 6 * idx.len()));
-                let want = ledger_rows(adds.chain(copies));
-                assert!(
-                    want.iter().all(|&(_, msgs, _)| msgs == 2),
-                    "{at}: 2 per peer"
+            let sweep = Traffic::new(nparts).sweeps(&decomp, &RANS, 1).finish();
+            let norm = Traffic::new(nparts)
+                .residual(&decomp, &RANS)
+                .norm()
+                .finish();
+            for (i, (phase, want)) in [("sweep", &sweep), ("sweep", &sweep), ("norm", &norm)]
+                .into_iter()
+                .enumerate()
+            {
+                let got: Vec<RankTrace> = ledgers.iter().map(|l| l[i].clone()).collect();
+                assert_ledgers(
+                    &got,
+                    want,
+                    &format!("{nparts} ranks, {exec:?}, {phase} {i}"),
                 );
-                assert_eq!(sweep, &want, "{at}: first sweep");
-                assert_eq!(second, &want, "{at}: second sweep");
-                let collectives = (0..nparts)
-                    .filter(|&q| q != p && (p == 0 || q == 0))
-                    .map(|q| (q, 2, 2));
-                let adds = ghosts().map(|(q, n)| (q, 1, 12 * n));
-                assert_eq!(norm, &ledger_rows(adds.chain(collectives)), "{at}: norm");
             }
+        }
+    }
+}
+
+/// `d` with every dead ghost dropped from its plans: a ghost no local edge
+/// of its rank touches is never read, so neither end need send it.
+fn live_ghosts_only(d: &Decomposition, locals: &[LocalLevel]) -> Decomposition {
+    let mut sends = vec![Vec::new(); d.nparts()];
+    let mut recvs = sends.clone();
+    for (p, (plan, local)) in d.plans.iter().zip(locals).enumerate() {
+        let mut live = vec![false; local.level.nvertices()];
+        for e in &local.level.mesh.edges {
+            live[e.a as usize] = true;
+            live[e.b as usize] = true;
+        }
+        for (q, idx) in plan.recv_peers() {
+            let (_, back) = d.plans[q].send_peers().find(|&(to, _)| to == p).unwrap();
+            let kept = idx.iter().zip(back).filter(|(&i, _)| live[i as usize]);
+            let (mine, theirs): (Vec<u32>, Vec<u32>) = kept.unzip();
+            if !mine.is_empty() {
+                recvs[p].push((q, mine));
+                sends[q].push((p, theirs));
+            }
+        }
+    }
+    let plans = sends.into_iter().zip(recvs);
+    Decomposition {
+        plans: plans.map(|(s, r)| ExchangePlan::new(s, r)).collect(),
+        ..d.clone()
+    }
+}
+
+/// The probe behind EXPERIMENTS.md's "Traffic predicted": per W(2,1) cycle
+/// on `rans27k_r8_events`'s and `rans100k_r2_threads`'s meshes (6 levels
+/// asked), the messages and bytes of (a) today's schedule, (b) today's
+/// without the dead ghosts and (c) owner-computes (every edge incident to
+/// an owned vertex assembled on its rank, so each sweep and residual sends
+/// a 6-value gradient copy where today it adds 49 or 12 values, and every
+/// cut edge is assembled twice), and what the unread 13th restriction
+/// value costs. Prints markdown rows:
+/// `cargo test --release --test exchange_pooling -- --ignored --nocapture traffic_schedules`.
+#[test]
+#[ignore = "a probe that prints EXPERIMENTS.md's traffic table"]
+fn traffic_schedules_on_the_benchmark_meshes() {
+    let cp = CycleParams::default();
+    let world = |pmg: &ParallelMg, wire: &RansWire| {
+        let sum = |cycles| {
+            let traces = parallel_mg_with(pmg, &cp, cycles, wire);
+            let stats = traces.iter().map(|t| &t.stats);
+            stats.fold((0, 0), |(m, b), s| {
+                (m + s.total_msgs(), b + s.total_bytes())
+            })
+        };
+        let ((m1, b1), (m2, b2)) = (sum(1), sum(2));
+        (m2 - m1, b2 - b1)
+    };
+    let owner_computes = RansWire {
+        sweep: 6,
+        residual: 6,
+        ..RANS
+    };
+    println!("| mesh | seed | (a) msgs / MB | (b) msgs / MB | (c) msgs / MB | (c) extra edge work | dead L0 ghosts | 13th value |");
+    for (name, points, nranks) in [
+        ("rans27k_r8_events", 25_000, 8),
+        ("rans100k_r2_threads", 100_000, 2),
+    ] {
+        for seed in [42, 20050512] {
+            let mesh = wing_mesh(&WingMeshSpec {
+                seed,
+                ..WingMeshSpec::with_target_points(points)
+            });
+            let mut pmg = ParallelMg::new(&mesh, rans_params(), nranks, 6);
+            let (today, owner) = (world(&pmg, &RANS), world(&pmg, &owner_computes));
+            let restrict12 = world(
+                &pmg,
+                &RansWire {
+                    restrict: 12,
+                    ..RANS
+                },
+            );
+            // Edge passes per cycle on level `l`: per visit its sweeps and
+            // (above the coarsest) the residual it restricts, plus the
+            // coarse residual of each restriction into it (level 0: the
+            // norm). Owner-computes assembles each cut edge twice a pass.
+            let (n, visits) = (pmg.nlevels(), level_visits(pmg.nlevels(), cp.cycle));
+            let (mut edges, mut cut) = (0, 0);
+            for (l, locals) in pmg.locals.iter().enumerate() {
+                let own = if l + 1 == n {
+                    cp.coarse_sweeps
+                } else {
+                    cp.pre_sweeps + cp.post_sweeps + 1
+                };
+                let passes = visits[l] * own + if l == 0 { 1 } else { visits[l - 1] };
+                for local in locals {
+                    let es = &local.level.mesh.edges;
+                    edges += passes * es.len();
+                    cut += passes * es.iter().filter(|e| e.b as usize >= local.n_owned).count();
+                }
+            }
+            let ghosts: usize = (0..nranks).map(|p| pmg.decomps[0].ghosts(p)).sum();
+            for l in 0..n {
+                pmg.decomps[l] = live_ghosts_only(&pmg.decomps[l], &pmg.locals[l]);
+            }
+            let live = pmg.decomps[0].plans.iter().flat_map(|p| p.recv_peers());
+            let live: usize = live.map(|(_, idx)| idx.len()).sum();
+            let dead = world(&pmg, &RANS);
+            let mb = |(m, b): (u64, u64)| format!("{m} / {:.3}", b as f64 / 1e6);
+            println!(
+                "| {name} ({n} levels) | {seed} | {} | {} | {} | {:.1} % | {} of {ghosts} | {} B |",
+                mb(today),
+                mb(dead),
+                mb(owner),
+                100.0 * cut as f64 / edges as f64,
+                ghosts - live,
+                today.1 - restrict12.1,
+            );
         }
     }
 }

@@ -4,25 +4,33 @@
 //! bits, `CommStats` counters or rendered trace JSON — checked against its
 //! row of the golden registry (`tests/goldens.txt`, which records the commit
 //! and reason that set each value) at 2/4/8 ranks, with and without fault
-//! plans, with and without tracing, on both executors. The registry's own
-//! self-check runs here too.
+//! plans, with and without tracing, on both executors. A fault-free run's
+//! traffic is no digest: its ledgers must equal the traffic oracle's
+//! prediction (`tests/common/traffic.rs`), and only its pool misses, which
+//! follow buffer-capacity history rather than the wire, keep a row. The
+//! registry's own self-check runs here too.
 
 use columbia_cartesian::{Geometry, TriMesh};
 use columbia_comm::{ExecContext, FaultConfig, FaultPlan, PoolPolicy, RankTrace};
 use columbia_core::{CartAnalysis, CaseStatus, DatabaseFill, DatabaseSpec, FillPolicy};
+use columbia_euler::parallel::decompose_cells;
 use columbia_euler::state::freestream5;
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
 use columbia_mg::{solve_to_tolerance, CycleParams, CycleType, MultigridLevel};
 use columbia_rans::level::SolverParams;
+use columbia_rans::parallel::{decompose_mesh, partition_mesh_line_aware};
 use columbia_rans::parallel_mg::ParallelMg;
 use columbia_rt::fault::CasePlan;
 use columbia_rt::fnv;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod common;
 use common::{digest_f64s, digest_trace_totals, on, sphere_mesh, EXECUTORS};
 #[path = "common/golden.rs"]
 mod golden;
+#[path = "common/traffic.rs"]
+mod traffic;
 
 #[test]
 fn golden_registry_is_well_formed_and_every_row_has_a_check_site() {
@@ -65,24 +73,38 @@ fn regimes(nparts: usize) -> [(&'static str, Option<Arc<FaultPlan>>); 3] {
 
 /// Smoothing runs at 2/4/8 ranks under every regime on both executors.
 /// State and rms are fault-invariant (the protocol hides every injected
-/// fault from payloads); the stats record the recoveries, so the severe
-/// plan has a row of its own.
+/// fault from payloads). A fault-free run's ledgers are `predict(nparts)`;
+/// each rank's pool misses at 2, 4 and 8 ranks, in rank order, make one
+/// `pool_misses` digest. The severe plan's stats record the recoveries
+/// and keep a digest row per width.
 fn smoothing_goldens<const N: usize>(
     g: golden::Group,
+    predict: impl Fn(usize) -> Vec<RankTrace>,
     run: impl Fn(usize, &mut ExecContext) -> (Vec<[f64; N]>, f64, Vec<RankTrace>),
 ) {
     for exec in EXECUTORS {
+        let mut misses = BTreeMap::new();
         for nparts in [2, 4, 8] {
+            let want = predict(nparts);
             for (regime, plan) in regimes(nparts) {
                 let (u, rms, traces) = run(nparts, &mut on(exec).with_faults(plan));
-                let severe = if regime == "severe" { "_severe" } else { "" };
                 g.check(&format!("w{nparts}.state"), digest_f64s(u.iter().flatten()));
                 g.check(&format!("w{nparts}.rms"), rms.to_bits());
-                g.check(
-                    &format!("w{nparts}.stats{severe}"),
-                    digest_trace_totals(&traces),
-                );
+                if regime == "severe" {
+                    let stats = digest_trace_totals(&traces);
+                    g.check(&format!("w{nparts}.stats_severe"), stats);
+                    continue;
+                }
+                let at = format!("{exec:?}, {regime}, {nparts} ranks");
+                traffic::assert_ledgers(&traces, &want, &at);
+                let h = misses.entry(regime).or_insert(fnv::OFFSET);
+                for t in &traces {
+                    *h = fnv::word(*h, t.stats.pool().misses);
+                }
             }
+        }
+        for h in misses.into_values() {
+            g.check("pool_misses", h);
         }
     }
 }
@@ -110,17 +132,30 @@ fn check_json(g: &golden::Group, name: &str, json: &str) {
 #[test]
 fn rans_unified_driver_matches_pre_refactor_goldens() {
     let m = rans_mesh();
-    smoothing_goldens(golden::group("exec_context.rans"), |nparts, ctx| {
-        columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), nparts, 3, ctx)
-    });
+    let predict = |nparts| {
+        let part = partition_mesh_line_aware(&m, nparts, rans_params().line_threshold);
+        traffic::rans_smoothing(&decompose_mesh(&m, &part, nparts), 3)
+    };
+    smoothing_goldens(
+        golden::group("exec_context.rans"),
+        predict,
+        |nparts, ctx| {
+            columbia_rans::parallel::run_parallel_smoothing(&m, rans_params(), nparts, 3, ctx)
+        },
+    );
 }
 
 #[test]
 fn euler_unified_driver_matches_pre_refactor_goldens() {
     let (cm, fs) = (sphere_mesh(), freestream5(0.5, 0.0, 0.0));
-    smoothing_goldens(golden::group("exec_context.euler"), |nparts, ctx| {
-        columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, nparts, 3, ctx)
-    });
+    let predict = |nparts| traffic::euler_smoothing(&decompose_cells(&cm, nparts), 3);
+    smoothing_goldens(
+        golden::group("exec_context.euler"),
+        predict,
+        |nparts, ctx| {
+            columbia_euler::parallel::run_parallel_smoothing(&cm, fs, 1.5, nparts, 3, ctx)
+        },
+    );
 }
 
 #[test]
@@ -150,26 +185,62 @@ fn pmg_mesh() -> columbia_mesh::UnstructuredMesh {
     })
 }
 
-/// Distributed multigrid (3 ranks, 3 levels, 3 cycles): history and stats
-/// are tracer-invariant, and the trace JSON is byte-stable.
+/// Distributed multigrid (3 ranks, 3 levels, 3 cycles): history, ledgers
+/// and pool misses are tracer-invariant, the ledgers are the oracle's,
+/// and the trace JSON is byte-stable.
 #[test]
 fn parallel_mg_unified_solve_matches_pre_refactor_goldens() {
     let m = pmg_mesh();
+    let cp = CycleParams::default();
     let g = golden::group("exec_context.pmg");
     for exec in EXECUTORS {
         for traced in [false, true] {
             let pmg = ParallelMg::new(&m, rans_params(), 3, 3);
+            let want = traffic::parallel_mg(&pmg, &cp, 3);
             let mut ctx = if traced {
                 ExecContext::traced().with_executor(exec)
             } else {
                 on(exec)
             };
-            let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 3, &mut ctx);
+            let (h, traces) = pmg.solve(&cp, 4.0, 3, &mut ctx);
             g.check("hist", digest_f64s(h.residuals.iter()));
-            g.check("stats", digest_trace_totals(&traces));
+            traffic::assert_ledgers(&traces, &want, &format!("{exec:?}, traced {traced}"));
+            let misses = traces.iter().map(|t| t.stats.pool().misses);
+            g.check("pool_misses", misses.fold(fnv::OFFSET, fnv::word));
             if traced {
                 check_json(&g, "trace", &ctx.finish_trace().to_json().render());
             }
+        }
+    }
+}
+
+/// The oracle holds for any rank count, depth, cycle type and cycle
+/// count: a V-cycle on the five levels of the smallest wing that builds
+/// them, a W-cycle on eight ranks, and one level alone, on both
+/// executors.
+#[test]
+fn parallel_mg_ledgers_are_the_wire_contract_at_any_depth() {
+    let deep = wing_mesh(&WingMeshSpec {
+        jitter: 0.0,
+        ..WingMeshSpec::with_target_points(20_000)
+    });
+    let cases = [
+        (&deep, 2, 5, CycleType::V, 1),
+        (&pmg_mesh(), 8, 3, CycleType::W, 1),
+        (&pmg_mesh(), 4, 1, CycleType::W, 2),
+    ];
+    for (m, nparts, nlevels, cycle, cycles) in cases {
+        let cp = CycleParams {
+            cycle,
+            ..Default::default()
+        };
+        for exec in EXECUTORS {
+            let pmg = ParallelMg::new(m, rans_params(), nparts, nlevels);
+            assert_eq!(pmg.nlevels(), nlevels, "the mesh agglomerates that deep");
+            let want = traffic::parallel_mg(&pmg, &cp, cycles);
+            let (_, traces) = pmg.solve(&cp, 4.0, cycles, &mut on(exec));
+            let at = format!("{exec:?}, {nparts} ranks, {nlevels} levels, {cycle:?}");
+            traffic::assert_ledgers(&traces, &want, &at);
         }
     }
 }

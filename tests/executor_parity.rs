@@ -7,18 +7,38 @@
 //! the logical program order, never of the interleaving. These tests pin
 //! that claim with FNV-1a digests at 2/4/8 ranks, clean and under seeded
 //! fault-plan chaos, for the raw comm layer and for every distributed
-//! solver: RANS smoothing, RANS multigrid and Euler smoothing.
+//! solver: RANS smoothing, RANS multigrid and Euler smoothing. A clean
+//! solver world's ledgers must also be the traffic oracle's prediction on
+//! both executors.
 
 use columbia_comm::{run_world, ExecContext, Executor, FaultConfig, FaultPlan, RankTrace};
+use columbia_euler::parallel::decompose_cells;
 use columbia_euler::state::freestream5;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_mg::CycleParams;
 use columbia_rans::level::SolverParams;
+use columbia_rans::parallel::{decompose_mesh, partition_mesh_line_aware};
 use columbia_rans::parallel_mg::ParallelMg;
 use std::sync::Arc;
 
 mod common;
 use common::{digest_f64s, digest_trace_ledgers, sphere_mesh, CHAOS_SEEDS};
+#[path = "common/traffic.rs"]
+mod traffic;
+
+/// On a clean world (`plan` is `None`), both executors' ledgers are `want`.
+fn check_clean(
+    plan: &Option<Arc<FaultPlan>>,
+    runs: [&[RankTrace]; 2],
+    want: &[RankTrace],
+    at: &str,
+) {
+    if plan.is_none() {
+        for (exec, got) in ["threads", "events"].into_iter().zip(runs) {
+            traffic::assert_ledgers(got, want, &format!("{at}, {exec}"));
+        }
+    }
+}
 
 /// The world sizes every parity test covers.
 const PARITY_WIDTHS: [usize; 3] = [2, 4, 8];
@@ -103,6 +123,8 @@ fn rans_solver_parity_across_executors() {
         ..Default::default()
     };
     for n in PARITY_WIDTHS {
+        let part = partition_mesh_line_aware(&m, n, params.line_threshold);
+        let want = traffic::rans_smoothing(&decompose_mesh(&m, &part, n), 3);
         for plan in [
             None,
             Some(Arc::new(FaultPlan::new(
@@ -130,6 +152,7 @@ fn rans_solver_parity_across_executors() {
                 digest_trace_ledgers(&et),
                 "RANS stats digest diverged at n={n}"
             );
+            check_clean(&plan, [&tt, &et], &want, &format!("RANS, {n} ranks"));
         }
     }
 }
@@ -160,10 +183,12 @@ fn parallel_mg_parity_across_executors() {
                     .with_faults(plan.clone())
                     .with_executor(exec);
                 let pmg = ParallelMg::new(&m, params, n, 3);
-                pmg.solve(&CycleParams::default(), 4.0, 1, &mut ctx)
+                let want = traffic::parallel_mg(&pmg, &CycleParams::default(), 1);
+                let (h, traces) = pmg.solve(&CycleParams::default(), 4.0, 1, &mut ctx);
+                (h, traces, want)
             };
-            let (th, tt) = run(Executor::Threads);
-            let (eh, et) = run(Executor::Events);
+            let (th, tt, want) = run(Executor::Threads);
+            let (eh, et, _) = run(Executor::Events);
             assert_eq!(
                 digest_f64s(th.residuals.iter()),
                 digest_f64s(eh.residuals.iter()),
@@ -174,6 +199,7 @@ fn parallel_mg_parity_across_executors() {
                 digest_trace_ledgers(&et),
                 "multigrid ledgers diverged at n={n}"
             );
+            check_clean(&plan, [&tt, &et], &want, &format!("multigrid, {n} ranks"));
         }
     }
 }
@@ -183,6 +209,7 @@ fn euler_solver_parity_across_executors() {
     let cm = sphere_mesh();
     let fs = freestream5(0.5, 0.0, 0.0);
     for n in PARITY_WIDTHS {
+        let want = traffic::euler_smoothing(&decompose_cells(&cm, n), 3);
         for plan in clean_and_severe(n) {
             let run = |exec: Executor| {
                 let mut ctx = ExecContext::default()
@@ -207,6 +234,7 @@ fn euler_solver_parity_across_executors() {
                 digest_trace_ledgers(&et),
                 "Euler stats digest diverged at n={n}"
             );
+            check_clean(&plan, [&tt, &et], &want, &format!("Euler, {n} ranks"));
         }
     }
 }
