@@ -107,6 +107,7 @@ pub fn fig14a(o: &Opts) -> Rendered {
     // A depth the mesh cannot reach builds a shallower one, run once.
     const ASKED: [usize; 4] = [1, 4, 5, 6];
     let (mut built, mut runs, mut histories) = (Vec::new(), Vec::new(), Vec::new());
+    let mut measured = Vec::new();
     for asked in ASKED {
         let mut solver = RansSolver::new(mesh.clone(), mach_half(), asked);
         if built.contains(&solver.nlevels()) {
@@ -114,11 +115,13 @@ pub fn fig14a(o: &Opts) -> Rendered {
         }
         built.push(solver.nlevels());
         let h = solver.solve(&cp, 1e-13, cycles);
+        let orders = h.orders_reduced();
+        measured.push(format!("{}-level {orders:.2}", solver.nlevels()));
         let sizes = Json::arr(solver.level_sizes().into_iter().map(uint));
         runs.push(Json::obj([
             ("levels", uint(solver.nlevels())),
             ("sizes", sizes),
-            ("orders", num(h.orders_reduced())),
+            ("orders", num(orders)),
             ("cycles", uint(h.cycles())),
             ("mean_factor", num(h.mean_reduction_factor())),
         ]));
@@ -152,9 +155,9 @@ pub fn fig14a(o: &Opts) -> Rendered {
         &runs,
     ) + &format!("\nresidual history (RMS, every 5 cycles):\n   cycle{columns}\n")
         + &rows(&format!("{{cycle:>8}}{template}"), &history)
-        + "\npaper shape: 5/6-level converge fastest and nearly identically;\n\
-           4-level lags; single grid is impractically slow. Paper scale:\n\
-           ~800 W-cycles to convergence on 72M points.\n";
+        + "\npaper: 5/6-level converge fastest and nearly identically; 4-level\n\
+           lags; single grid is impractically slow (~800 W-cycles on 72M points).\n"
+        + &format!("measured: orders by depth built: {}\n", measured.join(", "));
     let json = Json::obj([
         ("points", uint(mesh.nvertices())),
         ("edges", uint(mesh.nedges())),
@@ -175,9 +178,9 @@ pub fn fig14b(o: &Opts) -> Rendered {
     let profile6 = nsu3d_profile(o.flag("--measured"));
     let vortex = MachineConfig::columbia_vortex();
     let series = [
-        ("single grid", profile6.truncated(1, true)),
-        ("4-level multigrid", profile6.truncated(4, true)),
-        ("5-level multigrid", profile6.truncated(5, true)),
+        ("single grid", profile6.truncated(1)),
+        ("4-level multigrid", profile6.truncated(4)),
+        ("5-level multigrid", profile6.truncated(5)),
         ("6-level multigrid", profile6.clone()),
     ]
     .map(|(name, p)| {
@@ -287,23 +290,23 @@ type FabricPanel = (&'static str, fn(&CycleProfile) -> CycleProfile);
 ///   kills InfiniBand multigrid; the non-nested inter-grid transfers are.
 const FABRIC_PANELS: [FabricPanel; 8] = [
     ("single-grid scalability, NUMAlink vs InfiniBand", |p| {
-        p.truncated(1, true)
+        p.truncated(1)
     }),
     (
         "six-level multigrid scalability, NUMAlink vs InfiniBand",
         |p| p.clone(),
     ),
     ("two-level multigrid, NUMAlink vs InfiniBand", |p| {
-        p.truncated(2, true)
+        p.truncated(2)
     }),
     ("three-level multigrid, NUMAlink vs InfiniBand", |p| {
-        p.truncated(3, true)
+        p.truncated(3)
     }),
     ("four-level multigrid, NUMAlink vs InfiniBand", |p| {
-        p.truncated(4, true)
+        p.truncated(4)
     }),
     ("five-level multigrid, NUMAlink vs InfiniBand", |p| {
-        p.truncated(5, true)
+        p.truncated(5)
     }),
     ("second grid level alone (~9M points)", |p| {
         p.single_level(1)
@@ -408,7 +411,7 @@ fn cart3d_series(label: &str, profile: &CycleProfile, fabric: Fabric) -> StudyRo
 /// 2.4 TFLOP/s.
 pub fn fig21(o: &Opts) -> Rendered {
     let p = cart3d_profile(o.flag("--measured"));
-    let series = [("sg", p.truncated(1, true)), ("mg", p)]
+    let series = [("sg", p.truncated(1)), ("mg", p)]
         .map(|(label, p)| cart3d_series(label, &p, Fabric::NumaLink4));
     let json = by_cpus(&series);
     let mut text = header(
@@ -494,11 +497,7 @@ Hybrid efficiency, 4 OMP threads (%)                          87.2{omp_efficienc
         num(base as f64 * nl(p, base).seconds / nl(p, n).seconds)
     };
     let tflops = |p: &CycleProfile, n: usize| num(nl(p, n).flops_per_second() / 1e12);
-    let (sg, p4, p5) = (
-        p6.truncated(1, true),
-        p6.truncated(4, true),
-        p6.truncated(5, true),
-    );
+    let (sg, p4, p5) = (p6.truncated(1), p6.truncated(4), p6.truncated(5));
     let cycle_2008 = nl(&p6, 2008).seconds;
     // 1e9-point projection (paper: 4-5 hours on 2008 CPUs).
     let mut big = p6.clone();
@@ -529,7 +528,7 @@ Hybrid efficiency, 4 OMP threads (%)                          87.2{omp_efficienc
         ("cart3d_speedup_2016", speedup(&c4, 32, 2016)),
         (
             "cart3d_single_grid_speedup_2016",
-            speedup(&c4.truncated(1, true), 32, 2016),
+            speedup(&c4.truncated(1), 32, 2016),
         ),
         ("ib_rank_limit_4_nodes", uint(ib_rank_limit(4))),
         ("omp_efficiency_2", num(m.omp_efficiency(2))),

@@ -90,16 +90,20 @@ pub fn cart3d_body_octree() -> (columbia_cartesian::Octree, columbia_cartesian::
     (build_octree(&geom, &config), geom)
 }
 
+/// The Euler solver on [`cart3d_body_octree`]'s mesh.
+fn cart3d_solver() -> columbia_euler::EulerSolver {
+    let (tree, geom) = cart3d_body_octree();
+    let mesh =
+        columbia_cartesian::extract_mesh(&tree, &geom, columbia_sfc::CurveKind::Hilbert, 0.1);
+    columbia_euler::EulerSolver::new(mesh, Default::default())
+}
+
 /// The Cart3D-style workload profile.
 pub fn cart3d_profile(measured: bool) -> CycleProfile {
     if !measured {
         return paper_cart3d_25m();
     }
-    use columbia_euler::{EulerParams, EulerSolver};
-    let (tree, geom) = cart3d_body_octree();
-    let mesh =
-        columbia_cartesian::extract_mesh(&tree, &geom, columbia_sfc::CurveKind::Hilbert, 0.1);
-    let mut solver = EulerSolver::new(mesh, EulerParams::default());
+    let mut solver = cart3d_solver();
     solver.solve(&CycleParams::default(), 0.0, 2);
     columbia_euler::measure_profile(
         &mut solver,
@@ -126,5 +130,14 @@ mod tests {
     fn both_profile_flavours_validate() {
         nsu3d_profile(false).validate().unwrap();
         cart3d_profile(false).validate().unwrap();
+    }
+
+    /// Every level of the measured Cart3D hierarchy has more cells than
+    /// the 16 ranks its transfer schedules are built for (7,328 down to
+    /// 168), so no coarse level leaves a rank without cells.
+    #[test]
+    fn cart3d_levels_outnumber_the_profile_ranks() {
+        let sizes = cart3d_solver().level_sizes();
+        assert!(sizes.iter().all(|&n| n >= 16), "{sizes:?}");
     }
 }

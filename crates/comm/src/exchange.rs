@@ -435,6 +435,81 @@ impl Decomposition {
     }
 }
 
+/// One fine→coarse transfer pair, local indices on both sides.
+#[derive(Clone, Copy, Debug)]
+pub struct TransferPair {
+    /// Owned fine vertex (local index on the fine rank).
+    pub fine_local: u32,
+    /// Target coarse vertex (local index on the coarse rank).
+    pub coarse_local: u32,
+}
+
+/// The inter-grid transfer schedule between two decomposed levels: every
+/// fine vertex goes from its fine owner to the owner of its coarse vertex.
+#[derive(Clone, Debug, Default)]
+pub struct TransferSchedule {
+    /// `local[rank]`: same-rank pairs.
+    pub local: Vec<Vec<TransferPair>>,
+    /// `sends[fine_rank]`: per peer coarse rank, ordered pairs (the fine
+    /// side packs `fine_local` in list order).
+    pub sends: Vec<Vec<(usize, Vec<TransferPair>)>>,
+    /// `recvs[coarse_rank]`: per peer fine rank, the coarse-local targets
+    /// in the exact order the fine side packs them.
+    pub recvs: Vec<Vec<(usize, Vec<u32>)>>,
+}
+
+impl TransferSchedule {
+    /// The schedule from `fine` to `coarse`, where fine vertex `v` maps to
+    /// coarse vertex `fine_to_coarse[v]`. Pairs are grouped by (fine rank,
+    /// coarse rank) and ordered by (coarse global, fine global), so both
+    /// sides agree on layout and every rank's peers ascend.
+    pub fn new(fine: &Decomposition, coarse: &Decomposition, fine_to_coarse: &[u32]) -> Self {
+        let nparts = fine.nparts();
+        let mut sched = TransferSchedule {
+            local: vec![Vec::new(); nparts],
+            sends: vec![Vec::new(); nparts],
+            recvs: vec![Vec::new(); nparts],
+        };
+        // Key: (fine rank, coarse rank); entry: (coarse global, fine
+        // local, coarse local).
+        let mut grouped: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        for (v, &g) in fine_to_coarse.iter().enumerate() {
+            let (fr, cr) = (fine.owner(v as u32), coarse.owner(g));
+            let fl = fine.local_index(fr, v as u32).expect("owned fine vertex");
+            let cl = coarse.local_index(cr, g).expect("owned coarse vertex");
+            grouped.entry((fr, cr)).or_default().push((g, fl, cl));
+        }
+        for ((fr, cr), mut pairs) in grouped {
+            pairs.sort_unstable();
+            let tp: Vec<TransferPair> = pairs
+                .iter()
+                .map(|&(_, fine_local, coarse_local)| TransferPair {
+                    fine_local,
+                    coarse_local,
+                })
+                .collect();
+            if fr == cr {
+                sched.local[fr] = tp;
+            } else {
+                sched.recvs[cr].push((fr, tp.iter().map(|p| p.coarse_local).collect()));
+                sched.sends[fr].push((cr, tp));
+            }
+        }
+        sched
+    }
+
+    /// Fraction of fine vertices whose transfer crosses ranks.
+    pub fn nonlocal_fraction(&self) -> f64 {
+        let local: usize = self.local.iter().map(Vec::len).sum();
+        let remote: usize = self.sends.iter().flatten().map(|(_, v)| v.len()).sum();
+        if local + remote == 0 {
+            0.0
+        } else {
+            remote as f64 / (local + remote) as f64
+        }
+    }
+}
+
 /// Build a decomposition from a partition vector and the global edge list.
 ///
 /// Ghosts of partition `p` are all off-partition endpoints of edges with one

@@ -31,7 +31,7 @@ pub mod stats;
 
 pub use columbia_exec::{ExecContext, Executor, FabricModel, PoolPolicy};
 pub use columbia_rt::fault::{FaultConfig, FaultPlan, MessageAction};
-pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField};
+pub use exchange::{decompose, Decomposition, ExchangePlan, HaloField, TransferSchedule};
 pub use fabric::{flows_from_traces, FabricClock};
-pub use runtime::{run_world, run_world_with, Rank, RankTrace};
+pub use runtime::{run_smoothing_world, run_world, run_world_with, Rank, RankTrace};
 pub use stats::{CommStats, FaultCounters, PoolCounters, WorldCommSummary};

@@ -36,6 +36,7 @@ mod rank;
 mod wait;
 mod wire;
 
+use crate::exchange::Decomposition;
 use crate::stats::CommStats;
 use columbia_exec::ExecContext;
 use columbia_rt::fault::FaultPlan;
@@ -145,6 +146,30 @@ where
 {
     assert!(!states.is_empty());
     launch(WaitBackend::for_world(states.len(), ctx), states, ctx, body)
+}
+
+/// A smoothing world over `decomp` and its tail. Rank `r`'s body gets
+/// `locals[r]` and returns its owned rows and the world norm; the rows
+/// come back gathered, with the norm and the ledgers. An enabled tracer
+/// records the run under a `name` span: the step counter, `ranks`, the
+/// norm as `residual_rms` and one `comm` child span per rank.
+pub fn run_smoothing_world<S: Send, T: Copy + Default + Send>(
+    decomp: &Decomposition,
+    locals: Vec<S>,
+    ctx: &mut ExecContext,
+    (name, counter, steps): (&str, &str, usize),
+    body: impl Fn(&mut Rank, S) -> (Vec<T>, f64) + Sync,
+) -> (Vec<T>, f64, Vec<RankTrace>) {
+    let (results, traces) = run_world_with(locals, ctx, body);
+    let (owned, rms): (Vec<_>, Vec<f64>) = results.into_iter().unzip();
+    let rms = rms.last().copied().unwrap_or(0.0);
+    ctx.tracer().scoped(SpanKey::new(name), |t| {
+        t.add(counter, steps as u64);
+        t.add("ranks", decomp.nparts() as u64);
+        t.gauge("residual_rms", rms);
+        traces.iter().for_each(|tr| tr.record_to(t));
+    });
+    (decomp.gather_owned(owned), rms, traces)
 }
 
 /// [`run_world_with`] on an already-built wait backend.

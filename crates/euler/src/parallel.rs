@@ -9,8 +9,7 @@
 use crate::level::{EulerLevel, RK5};
 use crate::state::State5;
 use columbia_cartesian::{partition_cells, CartFace, CartMesh};
-use columbia_comm::{decompose, run_world_with, Decomposition, ExecContext, Rank, RankTrace};
-use columbia_rt::trace::SpanKey;
+use columbia_comm::{decompose, run_smoothing_world, Decomposition, ExecContext, Rank, RankTrace};
 
 /// The decomposition of `mesh`'s SFC partition into `nparts` segments:
 /// the halo its ranks exchange, over the interior faces.
@@ -123,27 +122,15 @@ pub fn run_parallel_smoothing(
     ctx: &mut ExecContext,
 ) -> (Vec<State5>, f64, Vec<RankTrace>) {
     let (decomp, locals) = build_local_levels(mesh, nparts, fs, cfl);
-    let (results, traces) = run_world_with(locals, ctx, |rank, mut lvl| {
+    let span = ("euler_smoothing", "rk_steps", steps);
+    run_smoothing_world(&decomp, locals, ctx, span, |rank, mut lvl| {
         for _ in 0..steps {
             parallel_rk_step(&mut lvl, &decomp, rank);
         }
         let rms = parallel_residual_rms(&mut lvl, &decomp, rank);
         let owned = (0..decomp.n_owned[rank.rank()]).map(|c| lvl.u.get(c));
         (owned.collect::<Vec<State5>>(), rms)
-    });
-    let (owned, rms): (Vec<_>, Vec<f64>) = results.into_iter().unzip();
-    let u = decomp.gather_owned(owned);
-    let rms = rms.last().copied().unwrap_or(0.0);
-    let tracer = ctx.tracer();
-    tracer.scoped(SpanKey::new("euler_smoothing"), |t| {
-        t.add("rk_steps", steps as u64);
-        t.add("ranks", nparts as u64);
-        t.gauge("residual_rms", rms);
-        for tr in &traces {
-            tr.record_to(t);
-        }
-    });
-    (u, rms, traces)
+    })
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 use crate::parallel::decompose_cells;
 use crate::solver::EulerSolver;
 use crate::state::NVARS5;
-use columbia_cartesian::{partition_cells, CartMesh};
-use columbia_comm::ExecContext;
+use columbia_cartesian::CartMesh;
+use columbia_comm::{ExecContext, TransferSchedule};
 use columbia_machine::profile::{CodeConstants, SurfaceLaw, CART3D_PAPER};
 use columbia_machine::CycleProfile;
 use columbia_mg::{level_visits, CycleParams};
@@ -34,26 +34,15 @@ pub fn fit_surface_law(mesh: &CartMesh, parts: &[usize]) -> SurfaceLaw {
     })
 }
 
-/// Fraction of fine cells whose SFC-partition owner differs between the
-/// fine level and the (independently partitioned) coarse level.
-pub fn measure_intergrid_nonlocal(
-    fine: &CartMesh,
-    coarse: &CartMesh,
-    map: &[u32],
-    p: usize,
-) -> f64 {
-    if p < 2 || coarse.ncells() < p {
-        return 0.0;
-    }
-    let fp = partition_cells(fine, p);
-    let cpp = partition_cells(coarse, p);
-    let mut nonlocal = 0usize;
-    for (c, &g) in map.iter().enumerate() {
-        if fp.owner(c) != cpp.owner(g as usize) {
-            nonlocal += 1;
-        }
-    }
-    nonlocal as f64 / map.len().max(1) as f64
+/// The transfer schedule between each pair of adjacent levels when every
+/// level is SFC-partitioned into `p` segments on its own.
+pub fn intergrid_schedules(solver: &EulerSolver, p: usize) -> Vec<TransferSchedule> {
+    let levels = &solver.levels;
+    let d: Vec<_> = levels.iter().map(|l| decompose_cells(&l.mesh, p)).collect();
+    let map = |l: usize| levels[l].to_coarse.as_deref().expect("no map");
+    (0..d.len() - 1)
+        .map(|l| TransferSchedule::new(&d[l], &d[l + 1], map(l)))
+        .collect()
 }
 
 /// Measure a full Cart3D cycle profile, rescaled so the fine level has
@@ -72,13 +61,9 @@ pub fn measure_profile(
     solver.take_flops();
     solver.cycle(cycle);
     let law = fit_surface_law(&solver.levels[0].mesh, parts);
-    let nonlocal: Vec<f64> = solver
-        .levels
-        .windows(2)
-        .map(|w| {
-            let map = w[0].to_coarse.as_ref().expect("no map");
-            measure_intergrid_nonlocal(&w[0].mesh, &w[1].mesh, map, match_parts).max(0.02)
-        })
+    let nonlocal: Vec<f64> = intergrid_schedules(solver, match_parts)
+        .iter()
+        .map(|t| t.nonlocal_fraction().max(0.02))
         .collect();
     let sweeps = (cycle.pre_sweeps + cycle.post_sweeps) as f64 / 2.0 + 1.0;
     let code = CodeConstants {
@@ -181,8 +166,7 @@ mod tests {
         // Both levels split along the SAME SFC: overlap is naturally good
         // (paper: "generally very good overlap ... not perfectly nested").
         let s = sphere_solver(4);
-        let map = s.levels[0].to_coarse.as_ref().unwrap();
-        let f = measure_intergrid_nonlocal(&s.levels[0].mesh, &s.levels[1].mesh, map, 8);
+        let f = intergrid_schedules(&s, 8)[0].nonlocal_fraction();
         assert!((0.0..=0.5).contains(&f), "nonlocal fraction {f}");
     }
 

@@ -27,7 +27,6 @@
 
 pub mod columbia;
 pub mod contention;
-pub mod faults;
 pub mod interconnect;
 pub mod model;
 pub mod profile;
@@ -37,7 +36,6 @@ pub use columbia::MachineConfig;
 pub use contention::{
     analytic_makespan, makespan, simulate, Arbiter, Delivery, LinkSpec, Packet, Topology,
 };
-pub use faults::{fabric_fault_config, fabric_severity};
 pub use interconnect::{ib_rank_limit, Fabric};
 pub use model::{check_run, ProgModel, SimError};
 pub use model::{simulate_cycle, CycleBreakdown, RunConfig};

@@ -409,7 +409,7 @@ mod tests {
     fn infiniband_multigrid_degrades_far_more_than_single_grid() {
         let m = MachineConfig::columbia_vortex();
         let p = nsu3d_72m();
-        let single = p.truncated(1, true);
+        let single = p.truncated(1);
         // 2 OpenMP threads to respect the IB rank limit at 2008 CPUs.
         let nl_mg = simulate_cycle(&p, &m, &RunConfig::hybrid(2008, Fabric::NumaLink4, 2))
             .unwrap()
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn pure_openmp_limited_to_one_node() {
         let m = MachineConfig::columbia_vortex();
-        let p = nsu3d_72m().truncated(4, true);
+        let p = nsu3d_72m().truncated(4);
         let run = RunConfig {
             ncpus: 504,
             fabric: Fabric::NumaLink4,
@@ -594,8 +594,8 @@ mod tests {
             128.0 * a / b
         };
         let s6 = speedup(&p);
-        let s4 = speedup(&p.truncated(4, true));
-        let s1 = speedup(&p.truncated(1, true));
+        let s4 = speedup(&p.truncated(4));
+        let s1 = speedup(&p.truncated(1));
         assert!(
             s1 > s4 && s4 > s6,
             "speedups should order single > 4-level > 6-level: {s1} {s4} {s6}"

@@ -8,6 +8,7 @@
 //! counts come from software FLOP accounting in the solver kernels (the
 //! paper used Itanium `pfmon` hardware counters).
 
+use columbia_mg::{level_visits, CycleType};
 use columbia_rt::trace::{SpanKey, Tracer};
 
 /// Per-multigrid-level workload description.
@@ -87,15 +88,6 @@ pub struct CycleProfile {
     pub levels: Vec<LevelProfile>,
     /// Inter-grid transfers, `levels.len() - 1` entries.
     pub intergrid: Vec<IntergridProfile>,
-}
-
-/// Visits per level in one cycle, finest first: a W-cycle visits level
-/// `l` `2^l` times, a V-cycle every level once. (`columbia_mg::level_visits`
-/// is the solvers' copy of this rule; this crate cannot depend on `mg`.)
-pub fn cycle_visits(nlevels: usize, w_cycle: bool) -> Vec<usize> {
-    (0..nlevels)
-        .map(|l| if w_cycle { 1usize << l } else { 1 })
-        .collect()
 }
 
 /// What is fixed per code (NSU3D / Cart3D) rather than measured per level.
@@ -238,22 +230,15 @@ impl CycleProfile {
     }
 
     /// Keep only the finest `nlevels` levels (used to sweep 1..6-level
-    /// multigrid variants from one measured 6-level profile), recomputing
-    /// the visit counts.
-    pub fn truncated(&self, nlevels: usize, w_cycle: bool) -> CycleProfile {
+    /// multigrid variants from one measured 6-level profile). A level's
+    /// visits per cycle do not depend on how many levels lie below it
+    /// ([`level_visits`]), so the kept levels and transfers are unchanged.
+    pub fn truncated(&self, nlevels: usize) -> CycleProfile {
         assert!(nlevels >= 1 && nlevels <= self.levels.len());
-        let mut levels = self.levels[..nlevels].to_vec();
-        let mut intergrid = self.intergrid[..nlevels - 1].to_vec();
-        for (l, &v) in cycle_visits(nlevels, w_cycle).iter().enumerate() {
-            levels[l].visits = v as f64;
-            if l > 0 {
-                intergrid[l - 1].transfers_per_cycle = v as f64;
-            }
-        }
         CycleProfile {
             name: format!("{} [{} levels]", self.name, nlevels),
-            levels,
-            intergrid,
+            levels: self.levels[..nlevels].to_vec(),
+            intergrid: self.intergrid[..nlevels - 1].to_vec(),
         }
     }
 
@@ -452,7 +437,7 @@ pub fn paper_nsu3d_72m() -> CycleProfile {
         "NSU3D 72M-point 6-level W-cycle",
         &NSU3D_PAPER,
         &sizes.map(|n| (n, 56_700.0)),
-        &cycle_visits(sizes.len(), true),
+        &level_visits(sizes.len(), CycleType::W),
         &NSU3D_PAPER.canonical_law(),
         &[0.4; 5],
         sizes[0],
@@ -468,7 +453,7 @@ pub fn paper_cart3d_25m() -> CycleProfile {
         "Cart3D SSLV 25M-cell 4-level W-cycle",
         &CART3D_PAPER,
         &sizes.map(|n| (n, 29_000.0)),
-        &cycle_visits(sizes.len(), true),
+        &level_visits(sizes.len(), CycleType::W),
         &CART3D_PAPER.canonical_law(),
         &[0.3; 3],
         sizes[0],
@@ -491,7 +476,7 @@ mod tests {
             "demo",
             &code,
             &levels,
-            &cycle_visits(nlevels, true),
+            &level_visits(nlevels, CycleType::W),
             &code.canonical_law(),
             &vec![0.4; nlevels - 1],
             1.0e6,
@@ -585,16 +570,26 @@ mod tests {
         assert!((p.total_flops() - expect).abs() / expect < 1e-12);
     }
 
+    /// A truncated W-cycle profile has the visits a profile built that deep
+    /// computes: every kept level's visits and every kept transfer's
+    /// count, bit for bit.
     #[test]
     fn truncation_recomputes_visits() {
         let p = demo_profile(5);
-        let t = p.truncated(2, true);
-        assert_eq!(t.levels.len(), 2);
-        assert_eq!(t.levels[1].visits, 2.0);
-        assert_eq!(t.intergrid.len(), 1);
-        let v = p.truncated(3, false);
-        assert!(v.levels.iter().all(|l| l.visits == 1.0));
-        t.validate().unwrap();
+        for n in 1..=5 {
+            let (t, built) = (p.truncated(n), demo_profile(n));
+            assert_eq!((t.levels.len(), t.intergrid.len()), (n, n - 1));
+            for (a, b) in t.levels.iter().zip(&built.levels) {
+                assert_eq!(a.visits.to_bits(), b.visits.to_bits());
+            }
+            for (a, b) in t.intergrid.iter().zip(&built.intergrid) {
+                assert_eq!(
+                    a.transfers_per_cycle.to_bits(),
+                    b.transfers_per_cycle.to_bits()
+                );
+            }
+            t.validate().unwrap();
+        }
     }
 
     #[test]

@@ -43,18 +43,6 @@ impl LineSet {
     pub fn max_len(&self) -> usize {
         self.lines.iter().map(|l| l.len()).max().unwrap_or(0)
     }
-
-    /// Vector groups (paper §III): "the lines are sorted based on their
-    /// length, and grouped into sets of 64 lines of similar length, over
-    /// which vectorization may then take place at each stage in the line
-    /// solver algorithm." Returns line indices grouped `group_size` at a
-    /// time in descending length order.
-    pub fn vector_groups(&self, group_size: usize) -> Vec<Vec<u32>> {
-        assert!(group_size > 0);
-        let mut order: Vec<u32> = (0..self.lines.len() as u32).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.lines[i as usize].len()));
-        order.chunks(group_size).map(|c| c.to_vec()).collect()
-    }
 }
 
 /// Extract implicit lines from `mesh`.
@@ -232,25 +220,6 @@ mod tests {
             for w in line.windows(2) {
                 let key = (w[0].min(w[1]), w[0].max(w[1]));
                 assert!(eset.contains(&key), "line jumps over non-edge {key:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn vector_groups_sort_by_length_and_cover_all_lines() {
-        let m = wing_mesh(&WingMeshSpec::default());
-        let ls = extract_lines(&m, 10.0);
-        let groups = ls.vector_groups(64);
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, ls.nlines());
-        // Descending length across group boundaries.
-        let mut prev = usize::MAX;
-        for g in &groups {
-            assert!(g.len() <= 64);
-            for &i in g {
-                let len = ls.lines[i as usize].len();
-                assert!(len <= prev);
-                prev = len;
             }
         }
     }

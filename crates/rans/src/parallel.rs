@@ -28,11 +28,10 @@
 use crate::level::{RansLevel, SolverParams};
 use crate::state::State;
 use columbia_comm::{
-    decompose, run_world_with, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
+    decompose, run_smoothing_world, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
 };
 use columbia_mesh::{extract_lines, Edge, UnstructuredMesh};
 use columbia_partition::{contract_lines, expand_line_partition, partition_graph, PartitionConfig};
-use columbia_rt::trace::SpanKey;
 
 /// Partition a mesh without breaking implicit lines.
 pub fn partition_mesh_line_aware(
@@ -203,7 +202,8 @@ pub fn run_parallel_smoothing(
         local.level.reserve_scratch(n);
     }
 
-    let (results, traces) = run_world_with(locals, ctx, |rank, mut local| {
+    let span = ("rans_smoothing", "sweeps", sweeps);
+    run_smoothing_world(&decomp, locals, ctx, span, |rank, mut local| {
         // Apply BCs and make ghosts consistent before starting (mirrors
         // the serial driver's initialisation).
         local.level.apply_bcs();
@@ -214,21 +214,7 @@ pub fn run_parallel_smoothing(
         let rms = parallel_residual_rms(&mut local, &decomp, rank, 20);
         let owned: Vec<State> = (0..local.n_owned).map(|i| local.level.u.get(i)).collect();
         (owned, rms)
-    });
-
-    let (owned, rms): (Vec<_>, Vec<f64>) = results.into_iter().unzip();
-    let global_u = decomp.gather_owned(owned);
-    let rms = rms.last().copied().unwrap_or(0.0);
-    let tracer = ctx.tracer();
-    tracer.scoped(SpanKey::new("rans_smoothing"), |t| {
-        t.add("sweeps", sweeps as u64);
-        t.add("ranks", nparts as u64);
-        t.gauge("residual_rms", rms);
-        for tr in &traces {
-            tr.record_to(t);
-        }
-    });
-    (global_u, rms, traces)
+    })
 }
 
 #[cfg(test)]
@@ -236,7 +222,7 @@ mod tests {
     use super::*;
     use crate::parallel_mg::ParallelMg;
     use crate::state::NVARS;
-    use columbia_comm::{Executor, HaloField};
+    use columbia_comm::{run_world_with, Executor, HaloField};
     use columbia_mesh::{wing_mesh, WingMeshSpec};
     use columbia_mg::CycleParams;
 

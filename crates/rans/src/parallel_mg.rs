@@ -9,9 +9,10 @@
 //! non-local fraction of these transfers is exactly what the machine model
 //! prices against InfiniBand's random-ring weakness.
 //!
-//! The implementation is SPMD: every rank drives the one generic
-//! `mg::fas_cycle` over its local sub-levels, each seen through a
-//! [`MultigridLevel`] view whose transfers and norms are collectives.
+//! The implementation is SPMD: every rank drives the one generic cycle
+//! loop, `mg::solve_to_tolerance`, over its local sub-levels, each seen
+//! through a [`MultigridLevel`] view whose transfers and norms are
+//! collectives. The schedules are `columbia_comm`'s [`TransferSchedule`]s.
 
 use crate::level::SolverParams;
 use crate::parallel::{
@@ -19,9 +20,11 @@ use crate::parallel::{
     partition_mesh_line_aware, LocalLevel,
 };
 use crate::state::NVARS;
-use columbia_comm::{run_world_with, Decomposition, ExecContext, Rank, RankTrace};
+use columbia_comm::{
+    run_world_with, Decomposition, ExecContext, Rank, RankTrace, TransferSchedule,
+};
 use columbia_mesh::{agglomerate_hierarchy, UnstructuredMesh};
-use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
+use columbia_mg::{solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
 use columbia_partition::match_levels;
 use columbia_rt::trace::SpanKey;
 use std::cell::RefCell;
@@ -29,45 +32,6 @@ use std::cell::RefCell;
 /// Packed restriction entry: `vol * u` (6), fine residual (6) — the fine
 /// volume rides along as entry 12 for the volume-weighted average.
 pub(crate) const RESTRICT_WIDTH: usize = 13;
-
-/// One fine→coarse transfer pair, local indices on both sides.
-#[derive(Clone, Debug)]
-struct TransferPair {
-    /// Owned fine vertex (local index on the fine rank).
-    fine_local: u32,
-    /// Target coarse vertex (local index on the coarse rank).
-    coarse_local: u32,
-}
-
-/// Transfer schedule between two adjacent levels for all ranks.
-#[derive(Clone, Debug, Default)]
-pub struct TransferSchedule {
-    /// `local[rank]`: same-rank pairs.
-    local: Vec<Vec<TransferPair>>,
-    /// `sends[fine_rank]`: per peer coarse rank, ordered pairs (the fine
-    /// side packs `fine_local` in list order).
-    sends: Vec<Vec<(usize, Vec<TransferPair>)>>,
-    /// `recvs[coarse_rank]`: per peer fine rank, the coarse-local targets
-    /// in the exact order the fine side packs them.
-    pub recvs: Vec<Vec<(usize, Vec<u32>)>>,
-}
-
-impl TransferSchedule {
-    /// Fraction of fine vertices whose transfer crosses ranks.
-    pub fn nonlocal_fraction(&self) -> f64 {
-        let local: usize = self.local.iter().map(|v| v.len()).sum();
-        let remote: usize = self
-            .sends
-            .iter()
-            .flat_map(|peers| peers.iter().map(|(_, v)| v.len()))
-            .sum();
-        if local + remote == 0 {
-            0.0
-        } else {
-            remote as f64 / (local + remote) as f64
-        }
-    }
-}
 
 /// The distributed multigrid solver state (builder side).
 pub struct ParallelMg {
@@ -123,52 +87,9 @@ impl ParallelMg {
         }
 
         // Transfer schedules between adjacent levels.
-        let mut transfers = Vec::with_capacity(nlev.saturating_sub(1));
-        for l in 0..nlev - 1 {
-            let map = &steps[l].fine_to_coarse;
-            let fine_d = &decomps[l];
-            let coarse_d = &decomps[l + 1];
-            let mut sched = TransferSchedule {
-                local: vec![Vec::new(); nparts],
-                sends: vec![Vec::new(); nparts],
-                recvs: vec![Vec::new(); nparts],
-            };
-            // Group pairs by (fine_rank, coarse_rank), ordered by
-            // (coarse_global, fine_global) so both sides agree on layout;
-            // the map's key order puts every rank's peers in ascending order.
-            // Entry: (coarse_global, fine_local, coarse_local).
-            type PairsByRanks = std::collections::BTreeMap<(usize, usize), Vec<(u32, u32, u32)>>;
-            let mut grouped: PairsByRanks = PairsByRanks::new();
-            for v in 0..meshes[l].nvertices() {
-                let g = map[v];
-                let fr = fine_d.owner(v as u32);
-                let cr = coarse_d.owner(g);
-                let fl = fine_d
-                    .local_index(fr, v as u32)
-                    .expect("owned fine vertex must be local");
-                let cl = coarse_d
-                    .local_index(cr, g)
-                    .expect("owned coarse vertex must be local");
-                grouped.entry((fr, cr)).or_default().push((g, fl, cl));
-            }
-            for ((fr, cr), mut pairs) in grouped {
-                pairs.sort_unstable();
-                let tp: Vec<TransferPair> = pairs
-                    .iter()
-                    .map(|&(_, fl, cl)| TransferPair {
-                        fine_local: fl,
-                        coarse_local: cl,
-                    })
-                    .collect();
-                if fr == cr {
-                    sched.local[fr].extend(tp);
-                } else {
-                    sched.recvs[cr].push((fr, tp.iter().map(|p| p.coarse_local).collect()));
-                    sched.sends[fr].push((cr, tp));
-                }
-            }
-            transfers.push(sched);
-        }
+        let transfers = (0..nlev - 1)
+            .map(|l| TransferSchedule::new(&decomps[l], &decomps[l + 1], &steps[l].fine_to_coarse))
+            .collect();
 
         ParallelMg {
             decomps,
@@ -244,17 +165,12 @@ impl ParallelMg {
                     rank: &rank,
                 })
                 .collect();
-            // The rank's own context: the caller's tracer records the
-            // world, not each rank's level visits.
-            let mut rank_ctx = ExecContext::default();
-            let mut history = ConvergenceHistory::default();
-            history.residuals.push(views[0].norm(900));
-            for _cycle in 0..max_cycles {
-                fas_cycle(&mut views, cp, &mut rank_ctx);
-                history.residuals.push(views[0].residual_norm());
-            }
-            // No take_stats: the teardown sink hands the whole ledger back.
-            history
+            // The serial cycle loop at tolerance 0, on the rank's own
+            // context: the caller's tracer records the world, not each
+            // rank's cycles. The norm is a collective, so every rank stops
+            // on the same cycle. No take_stats: the teardown sink hands the
+            // whole ledger back.
+            solve_to_tolerance(&mut views, cp, 0.0, max_cycles, &mut ExecContext::default())
         });
 
         let history = results.into_iter().next_back().unwrap_or_default();
@@ -286,17 +202,6 @@ struct RankLevel<'a, 'r> {
     rank: &'a RefCell<&'r mut Rank>,
 }
 
-impl RankLevel<'_, '_> {
-    /// The collective residual norm on message tag `tag`.
-    fn norm(&mut self, tag: u64) -> f64 {
-        let mut rank = self.rank.borrow_mut();
-        rank.enter_level(self.l);
-        let r = parallel_residual_rms(&mut self.local, &self.decomps[self.l], &mut rank, tag);
-        rank.exit_level();
-        r
-    }
-}
-
 impl MultigridLevel for RankLevel<'_, '_> {
     fn smooth(&mut self, sweeps: usize) {
         let mut rank = self.rank.borrow_mut();
@@ -307,9 +212,13 @@ impl MultigridLevel for RankLevel<'_, '_> {
         rank.exit_level();
     }
 
-    /// Tag 901: the per-cycle norm (the initial one is 900).
+    /// The collective norm, on tag 901.
     fn residual_norm(&mut self) -> f64 {
-        self.norm(901)
+        let mut rank = self.rank.borrow_mut();
+        rank.enter_level(self.l);
+        let r = parallel_residual_rms(&mut self.local, &self.decomps[self.l], &mut rank, 901);
+        rank.exit_level();
+        r
     }
 
     fn restrict_into(&mut self, coarse: &mut Self) {
@@ -450,7 +359,7 @@ mod tests {
     use crate::solver::RansSolver;
     use columbia_comm::Executor;
     use columbia_mesh::{wing_mesh, WingMeshSpec};
-    use columbia_mg::{level_visits, solve_to_tolerance, CycleType};
+    use columbia_mg::{fas_cycle, level_visits, CycleType};
 
     fn mesh() -> UnstructuredMesh {
         wing_mesh(&WingMeshSpec {

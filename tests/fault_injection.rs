@@ -22,7 +22,7 @@ use columbia_comm::{
     WorldCommSummary,
 };
 use columbia_core::{CartAnalysis, CaseStatus, DatabaseFill, DatabaseSpec, FillPolicy};
-use columbia_machine::{fabric_fault_config, Fabric};
+use columbia_machine::Fabric;
 use columbia_mesh::{wing_mesh, WingMeshSpec};
 use columbia_rans::level::{RansLevel, SolverParams};
 use columbia_rans::parallel::run_parallel_smoothing;
@@ -278,11 +278,8 @@ fn collectives_converge_under_duplication_and_reordering() {
 /// extra time on every fabric.
 #[test]
 fn golden_trace_fabric_ranking_holds_under_delay_faults() {
-    // Record the trace under the InfiniBand-derived severity (the machine
-    // layer supplies the fault profile; the comm layer executes it).
-    let config = fabric_fault_config(Fabric::InfiniBand, 4);
-    assert!(config.delay_rate > 0.0, "IB severity must inject delays");
-    let plan = Arc::new(FaultPlan::new(0x90_1D, 4, config));
+    // Record the trace under the severe profile (delay rate 0.35).
+    let plan = Arc::new(FaultPlan::new(0x90_1D, 4, FaultConfig::severe()));
     let record = |exec| {
         run_world(4, &on(exec).with_faults(Some(plan.clone())), |rank| {
             let n = rank.nranks();

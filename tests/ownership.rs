@@ -5,13 +5,18 @@
 //!   that map back to the element's global ends;
 //! * both profiles sample their surface laws from the exact halo of the
 //!   decomposition their world runs, so a ghost is counted once however
-//!   its neighbours' parts interleave.
+//!   its neighbours' parts interleave;
+//! * a transfer schedule joins two decompositions: every fine carrier goes
+//!   from its owner to the owner of its coarse carrier, once.
 
 use columbia_cartesian::{
-    build_octree, extract_mesh, CartFace, CartMesh, CutCellConfig, Geometry, TriMesh,
+    build_octree, extract_mesh, partition_cells, CartFace, CartMesh, CutCellConfig, Geometry,
+    TriMesh,
 };
+use columbia_comm::exchange::TransferPair;
 use columbia_comm::{decompose, Decomposition};
-use columbia_euler::freestream5;
+use columbia_euler::parallel::decompose_cells;
+use columbia_euler::{freestream5, EulerParams, EulerSolver};
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
 use columbia_rans::parallel::{build_local_levels, partition_mesh_line_aware};
 use columbia_rans::SolverParams;
@@ -183,4 +188,52 @@ fn a_ghost_bordering_interleaved_parts_is_counted_once() {
     // Part 0 talks to two peers.
     let (mean, degree) = columbia_euler::profile::measure_ghosts(&mesh, 3);
     assert_eq!((mean, degree), (5.0 / 3.0, 2));
+}
+
+/// Cart3D's transfer schedules over each level's own SFC decomposition
+/// (what the measured profile prices), on the sphere's hierarchy: every
+/// fine cell goes to its coarse cell exactly once, the coarse side expects
+/// what the fine side packs, and the non-local fraction is the share of
+/// fine cells whose SFC owner is not their coarse cell's.
+#[test]
+fn cart3d_schedules_cover_every_cell_once_and_count_owner_changes() {
+    let solver = EulerSolver::new(sphere_mesh(), EulerParams::default());
+    assert!(solver.nlevels() >= 3);
+    for p in [2, 4, 8, 16] {
+        let schedules = columbia_euler::profile::intergrid_schedules(&solver, p);
+        assert_eq!(schedules.len() + 1, solver.nlevels());
+        for (l, t) in schedules.iter().enumerate() {
+            let (fine, coarse) = (&solver.levels[l].mesh, &solver.levels[l + 1].mesh);
+            let map = solver.levels[l].to_coarse.as_ref().unwrap();
+            let (fd, cd) = (decompose_cells(fine, p), decompose_cells(coarse, p));
+            let mut seen = vec![0u32; fine.ncells()];
+            let mut visit = |fr: usize, cr: usize, pair: &TransferPair| {
+                let v = fd.local_to_global[fr][pair.fine_local as usize] as usize;
+                let c = cd.local_to_global[cr][pair.coarse_local as usize];
+                assert_eq!(c, map[v], "{p} ranks, level {l}: cell {v}");
+                seen[v] += 1;
+            };
+            for (r, pairs) in t.local.iter().enumerate() {
+                pairs.iter().for_each(|pair| visit(r, r, pair));
+            }
+            for (fr, peers) in t.sends.iter().enumerate() {
+                for (cr, pairs) in peers {
+                    pairs.iter().for_each(|pair| visit(fr, *cr, pair));
+                    let targets: Vec<u32> = pairs.iter().map(|pair| pair.coarse_local).collect();
+                    assert!(t.recvs[*cr].contains(&(fr, targets)), "{fr} -> {cr}");
+                }
+            }
+            assert!(seen.iter().all(|&n| n == 1), "{p} ranks, level {l}");
+            let recvs: usize = t.recvs.iter().map(Vec::len).sum();
+            let sends: usize = t.sends.iter().map(Vec::len).sum();
+            assert_eq!(recvs, sends, "{p} ranks, level {l}: peer pairs");
+            // The oracle: compare the two SFC partitions cell by cell.
+            let (fp, cp) = (partition_cells(fine, p), partition_cells(coarse, p));
+            let moved = (0..fine.ncells())
+                .filter(|&v| fp.owner(v) != cp.owner(map[v] as usize))
+                .count();
+            let want = moved as f64 / fine.ncells() as f64;
+            assert_eq!(t.nonlocal_fraction(), want, "{p} ranks, level {l}");
+        }
+    }
 }

@@ -33,8 +33,8 @@ fn fig14b_headline_cycle_times_and_speedups() {
     );
     // Ordering: single > 4-level > 6-level.
     let s = |prof: &columbia_machine::CycleProfile| 128.0 * nl(prof, 128) / nl(prof, 2008);
-    let single = s(&p.truncated(1, true));
-    let four = s(&p.truncated(4, true));
+    let single = s(&p.truncated(1));
+    let four = s(&p.truncated(4));
     assert!(
         single > four && four > speedup6,
         "{single} {four} {speedup6}"
@@ -87,7 +87,7 @@ fn fig16_ib_collapse_is_multigrid_specific() {
         simulate_cycle(prof, &m(), &run_ib).unwrap().seconds
             / simulate_cycle(prof, &m(), &run_nl).unwrap().seconds
     };
-    let single = ratio(&p.truncated(1, true));
+    let single = ratio(&p.truncated(1));
     let mg = ratio(&p);
     assert!(single < 1.10, "single grid IB/NL {single}");
     assert!(mg > 1.30, "multigrid IB/NL {mg}");
@@ -100,7 +100,7 @@ fn fig17_18_degradation_grows_with_levels() {
     let run_ib = RunConfig::hybrid(2008, Fabric::InfiniBand, 2);
     let mut prev = 1.0;
     for nlev in [2usize, 3, 4, 5, 6] {
-        let prof = p.truncated(nlev, true);
+        let prof = p.truncated(nlev);
         let r = simulate_cycle(&prof, &m(), &run_ib).unwrap().seconds
             / simulate_cycle(&prof, &m(), &run_nl).unwrap().seconds;
         assert!(
@@ -177,7 +177,7 @@ fn fig20_openmp_breaks_slope_at_128() {
 #[test]
 fn fig21_cart3d_multigrid_rolls_off() {
     let p = paper_cart3d_25m();
-    let sg = p.truncated(1, true);
+    let sg = p.truncated(1);
     let speedup =
         |prof: &columbia_machine::CycleProfile, n: usize| 32.0 * nl(prof, 32) / nl(prof, n);
     let mg2016 = speedup(&p, 2016);
@@ -241,7 +241,7 @@ fn fig14b_superlinear_speedup_shrinks_with_levels() {
     let speedup = |prof: &columbia_machine::CycleProfile| 128.0 * nl(prof, 128) / nl(prof, 2008);
     let mut prev = f64::INFINITY;
     for nlev in [1usize, 4, 6] {
-        let s = speedup(&p.truncated(nlev, true));
+        let s = speedup(&p.truncated(nlev));
         assert!(
             s > 2008.0,
             "{nlev}-level speedup {s} at 2008 CPUs must stay superlinear"
