@@ -360,11 +360,11 @@ fn paper_scale_worlds(
     let json = Json::arr(sizes.iter().map(|&n| {
         let pmg = ParallelMg::new(mesh, mach_half(), n, nlevels);
         let shape: Vec<(usize, usize)> = pmg
-            .locals
+            .decomps
             .iter()
-            .map(|ranks| {
-                let points = ranks.iter().map(|r| r.n_owned).sum();
-                (points, ranks.iter().filter(|r| r.n_owned > 0).count())
+            .map(|d| {
+                let points = d.n_owned.iter().sum();
+                (points, d.n_owned.iter().filter(|&&n| n > 0).count())
             })
             .collect();
         let mut ctx = ExecContext::default().with_executor(Executor::Events);

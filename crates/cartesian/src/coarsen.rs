@@ -9,7 +9,7 @@
 //! the on-the-fly partitioner that splits the weighted curve.
 
 use crate::mesh::{CartFace, CartMesh, CellKind, CUT_CELL_WEIGHT};
-use columbia_mesh::Vec3;
+use columbia_mesh::{merge_coarse_pairs, Vec3};
 use columbia_sfc::{split_weighted_curve, CurvePartition};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,30 +129,16 @@ pub fn coarsen_mesh(fine: &CartMesh) -> Coarsening {
     // Aggregate faces between coarse groups; intra-group faces vanish.
     // Boundary faces aggregate per (cell, direction) so that opposite
     // domain faces never cancel.
-    let mut interior: HashMap<(u32, u32), Vec3> = HashMap::new();
+    let c = |cell: u32| fine_to_coarse[cell as usize];
+    let interior = fine.faces.iter().filter(|f| !f.is_boundary());
+    let interior = interior.map(|f| (c(f.a), c(f.b), f.normal));
+    let face = |a, b, normal| CartFace { a, b, normal };
+    let mut faces = merge_coarse_pairs(interior, face, |f| (f.a, f.b));
     let mut boundary: HashMap<(u32, i8), Vec3> = HashMap::new();
-    for f in &fine.faces {
-        let ca = fine_to_coarse[f.a as usize];
-        if f.is_boundary() {
-            let dir = dominant_direction(f.normal);
-            *boundary.entry((ca, dir)).or_insert(Vec3::ZERO) += f.normal;
-            continue;
-        }
-        let cb = fine_to_coarse[f.b as usize];
-        if ca == cb {
-            continue;
-        }
-        let (key, sign) = if ca < cb {
-            ((ca, cb), 1.0)
-        } else {
-            ((cb, ca), -1.0)
-        };
-        *interior.entry(key).or_insert(Vec3::ZERO) += f.normal * sign;
+    for f in fine.faces.iter().filter(|f| f.is_boundary()) {
+        let key = (c(f.a), dominant_direction(f.normal));
+        *boundary.entry(key).or_insert(Vec3::ZERO) += f.normal;
     }
-    let mut faces: Vec<CartFace> = interior
-        .into_iter()
-        .map(|((a, b), normal)| CartFace { a, b, normal })
-        .collect();
     faces.extend(boundary.into_iter().map(|((a, _), normal)| CartFace {
         a,
         b: u32::MAX,

@@ -184,11 +184,10 @@ mod tests {
         );
         p.validate().unwrap();
         assert!((p.levels[0].points - 25.0e6).abs() / 25.0e6 < 1e-9);
-        for l in &p.levels {
+        for (i, l) in p.levels.iter().enumerate() {
             assert!(
                 l.flops_per_point > 100.0 && l.flops_per_point < 1e6,
-                "{}: {}",
-                l.name,
+                "level {i}: {}",
                 l.flops_per_point
             );
         }

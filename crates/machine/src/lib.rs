@@ -40,8 +40,8 @@ pub use interconnect::{ib_rank_limit, Fabric};
 pub use model::{check_run, ProgModel, SimError};
 pub use model::{simulate_cycle, CycleBreakdown, RunConfig};
 pub use profile::{paper_cart3d_25m, paper_nsu3d_72m};
-pub use profile::{CycleProfile, IntergridProfile, LevelProfile};
+pub use profile::{CycleProfile, LevelProfile};
 pub use scaling::{
-    cart3d_node_span, fabric_thread_matrix, relative_efficiency, series, speedup_series,
-    ScalingPoint, StudyRow, CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
+    cart3d_node_span, fabric_thread_matrix, relative_efficiency, series, ScalingPoint, StudyRow,
+    CART3D_CPU_COUNTS, NSU3D_CPU_COUNTS,
 };

@@ -248,11 +248,32 @@ pub fn simulate_cycle(
     check_run(machine, run)?;
     profile.validate().expect("invalid profile");
 
+    let code = &profile.code;
     let ncpus = run.ncpus as f64;
     let span = machine.nodes_spanned(run.ncpus).max(run.min_nodes);
     let ranks = run.ranks() as f64;
     let threads = run.threads();
     let pure_openmp = run.model == ProgModel::PureOpenMp;
+    let degree = profile.level_degree();
+
+    // One round of messages: each rank pays latency + MPI overhead per peer
+    // (at most `max_degree`, and fewer than the ranks holding one of
+    // `points`), sync jitter and `rank_bytes` over the fabric bandwidth x
+    // `derate`; a job spanning nodes is also bound by `crossnode` bytes over
+    // the derated bisection.
+    let per_msg = run.fabric.latency(span) + machine.mpi_msg_overhead;
+    let sync = machine.sync_jitter * (ranks.max(2.0)).ln();
+    let bw = run.fabric.bandwidth(span);
+    let round = |max_degree: f64, points: f64, rank_bytes: f64, crossnode: f64, derate: f64| {
+        let peers = max_degree.min((ranks.min(points) - 1.0).max(0.0));
+        let rank_term = peers * per_msg + sync + rank_bytes / (bw * derate);
+        let bis = if span > 1 {
+            crossnode / (bisection_bandwidth(run.fabric, span) * derate)
+        } else {
+            0.0
+        };
+        rank_term.max(bis)
+    };
 
     let mut compute_total = 0.0;
     let mut comm_total = 0.0;
@@ -261,12 +282,13 @@ pub fn simulate_cycle(
     for lev in &profile.levels {
         // --- compute ---
         let q = lev.points / ncpus;
-        let ws = q * lev.state_bytes_per_point;
+        let ws = q * code.state_bytes_per_point;
         // Cache boost applies only to the profile's cache-sensitive
         // fraction of the kernel.
         let base_rate = machine.base_efficiency * machine.peak_flops();
         let full_rate = machine.effective_rate(ws);
-        let mut rate = (base_rate + (full_rate - base_rate) * lev.cache_fraction) * lev.rate_scale;
+        let mut rate =
+            (base_rate + (full_rate - base_rate) * code.cache_fraction) * code.rate_scale;
         if pure_openmp && run.ncpus > 128 {
             rate *= machine.coarse_mode_derate;
         }
@@ -278,29 +300,18 @@ pub fn simulate_cycle(
         let comm_visit = if pure_openmp {
             // Shared-memory copy of the partition surfaces; no messages,
             // but OpenMP barriers still pay synchronisation jitter.
-            let surf = lev.ghosts_per_partition(q) * lev.exchange_bytes_per_entry;
+            let surf = profile.ghosts_per_partition(q) * code.exchange_bytes_per_entry;
             let sync = machine.sync_jitter * (ncpus.max(2.0)).ln();
-            lev.exchanges_per_visit * (surf / 4.0e9 + sync)
+            code.exchanges_per_visit * (surf / 4.0e9 + sync)
         } else {
-            // Rank-level surface (threads of one rank aggregate).
-            let q_rank = q * threads as f64;
-            let surf_rank = lev.ghosts_per_partition(q_rank) * lev.exchange_bytes_per_entry;
-            // Occupied ranks bound the communication graph degree.
-            let occupied = ranks.min(lev.points);
-            let degree = lev.max_degree.min((occupied - 1.0).max(0.0));
-            let per_msg = run.fabric.latency(span) + machine.mpi_msg_overhead;
-            let sync = machine.sync_jitter * (ranks.max(2.0)).ln();
-            let rank_term = degree * per_msg + sync + surf_rank / run.fabric.bandwidth(span);
-            // Cross-node aggregate volume vs bisection capacity.
-            let bis = if span > 1 {
-                let crossnode_surface = lev.ghosts_per_partition(lev.points / span as f64)
-                    * span as f64
-                    * lev.exchange_bytes_per_entry;
-                crossnode_surface / bisection_bandwidth(run.fabric, span)
-            } else {
-                0.0
-            };
-            lev.exchanges_per_visit * rank_term.max(bis)
+            // Rank-level surface (threads of one rank aggregate) against
+            // the cross-node aggregate surface.
+            let surf_rank =
+                profile.ghosts_per_partition(q * threads as f64) * code.exchange_bytes_per_entry;
+            let crossnode = profile.ghosts_per_partition(lev.points / span as f64)
+                * span as f64
+                * code.exchange_bytes_per_entry;
+            code.exchanges_per_visit * round(degree, lev.points, surf_rank, crossnode, 1.0)
         };
 
         let c = lev.visits * compute_visit;
@@ -310,33 +321,21 @@ pub fn simulate_cycle(
         per_level.push((c, m));
     }
 
-    // --- inter-grid transfers ---
+    // --- inter-grid transfers: off the fine level's points, once per
+    // visit of the coarse level, at the random-ring derated bandwidth ---
     let mut intergrid_total = 0.0;
-    if !pure_openmp {
-        for ig in &profile.intergrid {
-            let bytes_total = ig.bytes_per_fine_point * ig.fine_points * ig.nonlocal_fraction;
-            let bytes_rank = bytes_total / ranks;
-            let occupied = ranks.min(ig.fine_points);
-            let degree = ig.max_degree.min((occupied - 1.0).max(0.0));
-            let per_msg = run.fabric.latency(span) + machine.mpi_msg_overhead;
+    for (l, &nonlocal) in profile.nonlocal.iter().enumerate() {
+        let fine = profile.levels[l].points;
+        let count = profile.levels[l + 1].visits;
+        let bytes_total = code.intergrid_bytes_per_fine_point * fine * nonlocal;
+        intergrid_total += if pure_openmp {
+            // Shared-memory restriction/prolongation copies.
+            count * (bytes_total / ncpus) / 4.0e9
+        } else {
+            let crossnode = bytes_total * (span as f64 - 1.0) / span as f64;
             let derate = run.fabric.random_ring_derate(span);
-            let sync = machine.sync_jitter * (ranks.max(2.0)).ln();
-            let rank_term =
-                degree * per_msg + sync + bytes_rank / (run.fabric.bandwidth(span) * derate);
-            let bis = if span > 1 {
-                let crossnode = bytes_total * (span as f64 - 1.0) / span as f64;
-                crossnode / (bisection_bandwidth(run.fabric, span) * derate)
-            } else {
-                0.0
-            };
-            intergrid_total += ig.transfers_per_cycle * rank_term.max(bis);
-        }
-    } else {
-        // Shared-memory restriction/prolongation copies.
-        for ig in &profile.intergrid {
-            let bytes = ig.bytes_per_fine_point * ig.fine_points * ig.nonlocal_fraction / ncpus;
-            intergrid_total += ig.transfers_per_cycle * bytes / 4.0e9;
-        }
+            count * round(degree + 1.0, fine, bytes_total / ranks, crossnode, derate)
+        };
     }
 
     let mut seconds = compute_total + comm_total + intergrid_total;
@@ -434,6 +433,29 @@ mod tests {
             "IB single-grid should be near NUMAlink: ratio {sg_ratio}"
         );
         assert!(mg_ratio > sg_ratio + 0.2);
+    }
+
+    /// A transfer is priced off the fine level's points and the coarse
+    /// level's visits: doubling the coarse level's visits doubles the
+    /// inter-grid time exactly, halving its points changes nothing, and
+    /// neither touches the fine level's own cost.
+    #[test]
+    fn transfers_take_fine_points_and_coarse_visits() {
+        let m = MachineConfig::columbia_vortex();
+        let run = RunConfig::mpi(1004, Fabric::NumaLink4);
+        let p = nsu3d_72m().truncated(2);
+        let base = simulate_cycle(&p, &m, &run).unwrap();
+        assert!(base.intergrid_seconds > 0.0);
+        let mut visits = p.clone();
+        visits.levels[1].visits *= 2.0;
+        let b = simulate_cycle(&visits, &m, &run).unwrap();
+        assert_eq!(b.intergrid_seconds, 2.0 * base.intergrid_seconds);
+        assert_eq!(b.per_level[0], base.per_level[0]);
+        let mut points = p.clone();
+        points.levels[1].points *= 0.5;
+        let b = simulate_cycle(&points, &m, &run).unwrap();
+        assert_eq!(b.intergrid_seconds, base.intergrid_seconds);
+        assert_eq!(b.per_level[0], base.per_level[0]);
     }
 
     #[test]

@@ -11,16 +11,41 @@
 use columbia_mg::{level_visits, CycleType};
 use columbia_rt::trace::{SpanKey, Tracer};
 
-/// Per-multigrid-level workload description.
-#[derive(Clone, Debug)]
+/// One multigrid level's workload: the facts that differ level to level.
+#[derive(Clone, Copy, Debug)]
 pub struct LevelProfile {
-    /// Human-readable tag ("fine 72M", "level 2 (9M)").
-    pub name: String,
     /// Global number of unknown carriers (points / cells) on this level.
     pub points: f64,
     /// FLOPs executed per point per level visit (smoothing + residual +
     /// transfers attributed to the level).
     pub flops_per_point: f64,
+    /// Visits per multigrid cycle (W-cycle: 2^level).
+    pub visits: f64,
+}
+
+/// Full multigrid cycle workload, each fact stated once. The transfers
+/// between levels `l` and `l + 1` move
+/// [`CodeConstants::intergrid_bytes_per_fine_point`] per point of level
+/// `l`, once per visit of level `l + 1`.
+#[derive(Clone, Debug)]
+pub struct CycleProfile {
+    /// Descriptive name ("NSU3D 72M-pt 6-level W-cycle").
+    pub name: String,
+    /// What is fixed per code rather than measured per level.
+    pub code: CodeConstants,
+    /// Ghost surface law of every level's partitions.
+    pub law: SurfaceLaw,
+    /// Per-level workloads, finest first.
+    pub levels: Vec<LevelProfile>,
+    /// Per pair of levels `l`, `l + 1`: the fraction of the transfer volume
+    /// crossing partition boundaries (non-nested coarse/fine partitions;
+    /// measured by the inter-level matcher).
+    pub nonlocal: Vec<f64>,
+}
+
+/// What is fixed per code (NSU3D / Cart3D) rather than measured per level.
+#[derive(Clone, Copy, Debug)]
+pub struct CodeConstants {
     /// Working-set bytes per point (state + residual + metrics + Jacobian
     /// scratch) — drives the cache model.
     pub state_bytes_per_point: f64,
@@ -29,17 +54,16 @@ pub struct LevelProfile {
     /// Ghost exchanges per level visit (residual accumulation + state
     /// copies x smoothing sweeps).
     pub exchanges_per_visit: f64,
-    /// Surface law: ghost entries per partition ~ coeff * q^exponent where
-    /// q = points per partition. Measured by partitioning real meshes.
-    pub surface_coeff: f64,
-    /// Surface law exponent (~2/3 for 3-D).
-    pub surface_exponent: f64,
-    /// Asymptotic communication-graph degree (paper: 18 on the fine grid).
-    pub max_degree: f64,
-    /// Visits per multigrid cycle (W-cycle: 2^level).
-    pub visits: f64,
-    /// Per-code single-CPU tuning factor on the sustained rate (1.0 for
-    /// NSU3D's calibration; Cart3D's "somewhat better than 1.5 GFLOP/s"
+    /// Prefactor `c` of the code's canonical surface law `c q^(2/3)`.
+    pub canonical_coeff: f64,
+    /// Floor on the communication-graph degree of a level (the asymptotic
+    /// degree of the paper's fine grids); the inter-grid graph has one
+    /// peer more (paper: 18 and 19).
+    pub min_degree: f64,
+    /// Bytes moved per fine point per transfer pair (restrict + prolong).
+    pub intergrid_bytes_per_fine_point: f64,
+    /// Single-CPU tuning factor on the sustained rate (1.0 for NSU3D's
+    /// calibration; Cart3D's "somewhat better than 1.5 GFLOP/s"
     /// cell-centred kernels use ~1.10).
     pub rate_scale: f64,
     /// Fraction of the kernel that speeds up when the working set fits in
@@ -47,69 +71,6 @@ pub struct LevelProfile {
     /// source of its superlinear speedups; Cart3D's structured-stencil
     /// kernels are already cache-blocked and show near-ideal, not
     /// superlinear, scaling: ~0.2).
-    pub cache_fraction: f64,
-}
-
-impl LevelProfile {
-    /// Ghost entries per partition of `q` points (capped: a partition can
-    /// never ghost more than ~all its points' neighbours).
-    pub fn ghosts_per_partition(&self, q: f64) -> f64 {
-        if q <= 0.0 {
-            return 0.0;
-        }
-        (self.surface_coeff * q.powf(self.surface_exponent)).min(6.0 * q)
-    }
-}
-
-/// Inter-grid (restriction/prolongation) transfer description between a
-/// level and the next coarser one.
-#[derive(Clone, Debug)]
-pub struct IntergridProfile {
-    /// Bytes moved per fine point per transfer pair (restrict + prolong).
-    pub bytes_per_fine_point: f64,
-    /// Transfer pairs per cycle (= visits of the coarser level).
-    pub transfers_per_cycle: f64,
-    /// Fraction of the volume crossing partition boundaries (non-nested
-    /// coarse/fine partitions; measured by the inter-level matcher).
-    pub nonlocal_fraction: f64,
-    /// Degree of the inter-grid communication graph (paper: 19).
-    pub max_degree: f64,
-    /// Fine points of the finer of the two levels.
-    pub fine_points: f64,
-}
-
-/// Full multigrid cycle workload: `levels[0]` is the finest;
-/// `intergrid[l]` couples level `l` and `l + 1`.
-#[derive(Clone, Debug)]
-pub struct CycleProfile {
-    /// Descriptive name ("NSU3D 72M-pt 6-level W-cycle").
-    pub name: String,
-    /// Per-level profiles, finest first.
-    pub levels: Vec<LevelProfile>,
-    /// Inter-grid transfers, `levels.len() - 1` entries.
-    pub intergrid: Vec<IntergridProfile>,
-}
-
-/// What is fixed per code (NSU3D / Cart3D) rather than measured per level.
-#[derive(Clone, Copy, Debug)]
-pub struct CodeConstants {
-    /// [`LevelProfile::state_bytes_per_point`].
-    pub state_bytes_per_point: f64,
-    /// [`LevelProfile::exchange_bytes_per_entry`].
-    pub exchange_bytes_per_entry: f64,
-    /// [`LevelProfile::exchanges_per_visit`].
-    pub exchanges_per_visit: f64,
-    /// Prefactor `c` of the code's canonical surface law `c q^(2/3)`.
-    pub canonical_coeff: f64,
-    /// Floor on the communication-graph degree of a level (the asymptotic
-    /// degree of the paper's fine grids); the inter-grid graph has one
-    /// peer more (paper: 18 and 19).
-    pub min_degree: f64,
-    /// [`IntergridProfile::bytes_per_fine_point`].
-    pub intergrid_bytes_per_fine_point: f64,
-    /// [`LevelProfile::rate_scale`].
-    pub rate_scale: f64,
-    /// [`LevelProfile::cache_fraction`].
     pub cache_fraction: f64,
 }
 
@@ -129,8 +90,8 @@ impl CycleProfile {
     /// The one constructor. `levels[l]` is `(carriers, FLOPs per carrier
     /// per visit)` of level `l` as measured, `visits[l]` its visits per
     /// cycle, `nonlocal[l]` the non-local fraction of the transfers
-    /// between levels `l` and `l + 1`. Level sizes are rescaled so the
-    /// finest has `target_points`, preserving the coarsening ratios.
+    /// between levels `l` and `l + 1`. The profile is
+    /// [`rescaled`](CycleProfile::rescaled) to `target_points`.
     pub fn build(
         name: &str,
         code: &CodeConstants,
@@ -142,34 +103,19 @@ impl CycleProfile {
     ) -> CycleProfile {
         assert_eq!(levels.len(), visits.len());
         assert_eq!(nonlocal.len() + 1, levels.len());
-        let scale = target_points / levels[0].0;
-        let max_degree = law.max_degree.max(code.min_degree);
-        let level = |l: usize| LevelProfile {
-            name: format!("level {l}"),
-            points: levels[l].0 * scale,
-            flops_per_point: levels[l].1,
-            state_bytes_per_point: code.state_bytes_per_point,
-            exchange_bytes_per_entry: code.exchange_bytes_per_entry,
-            exchanges_per_visit: code.exchanges_per_visit,
-            surface_coeff: law.coeff,
-            surface_exponent: law.exponent,
-            max_degree,
-            visits: visits[l] as f64,
-            rate_scale: code.rate_scale,
-            cache_fraction: code.cache_fraction,
-        };
-        let transfer = |l: usize| IntergridProfile {
-            bytes_per_fine_point: code.intergrid_bytes_per_fine_point,
-            transfers_per_cycle: visits[l + 1] as f64,
-            nonlocal_fraction: nonlocal[l],
-            max_degree: max_degree + 1.0,
-            fine_points: levels[l].0 * scale,
+        let level = |(&(points, flops_per_point), &visits): (&(f64, f64), &usize)| LevelProfile {
+            points,
+            flops_per_point,
+            visits: visits as f64,
         };
         CycleProfile {
             name: name.to_string(),
-            levels: (0..levels.len()).map(level).collect(),
-            intergrid: (0..nonlocal.len()).map(transfer).collect(),
+            code: *code,
+            law: law.clone(),
+            levels: levels.iter().zip(visits).map(level).collect(),
+            nonlocal: nonlocal.to_vec(),
         }
+        .rescaled(target_points)
     }
 
     /// [`CycleProfile::build`] from one instrumented cycle: level `l` has
@@ -202,6 +148,32 @@ impl CycleProfile {
         Self::build(name, code, &levels, visits, law, nonlocal, target_points)
     }
 
+    /// The same workload with its finest level at `points`: every level's
+    /// points scaled by one factor, so the coarsening ratios are kept.
+    pub fn rescaled(&self, points: f64) -> CycleProfile {
+        let scale = points / self.levels[0].points;
+        let mut p = self.clone();
+        for l in &mut p.levels {
+            l.points *= scale;
+        }
+        p
+    }
+
+    /// Communication-graph degree of every level: the law's, floored at
+    /// the code's. The inter-grid graph has one peer more.
+    pub fn level_degree(&self) -> f64 {
+        self.law.max_degree.max(self.code.min_degree)
+    }
+
+    /// Ghost entries per partition of `q` points (capped: a partition can
+    /// never ghost more than ~all its points' neighbours).
+    pub fn ghosts_per_partition(&self, q: f64) -> f64 {
+        if q <= 0.0 {
+            return 0.0;
+        }
+        (self.law.coeff * q.powf(self.law.exponent)).min(6.0 * q)
+    }
+
     /// Total FLOPs of one full cycle.
     pub fn total_flops(&self) -> f64 {
         self.levels
@@ -215,8 +187,8 @@ impl CycleProfile {
         if self.levels.is_empty() {
             return Err("no levels".into());
         }
-        if self.intergrid.len() + 1 != self.levels.len() {
-            return Err("intergrid count must be levels - 1".into());
+        if self.nonlocal.len() + 1 != self.levels.len() {
+            return Err("nonlocal count must be levels - 1".into());
         }
         for (i, l) in self.levels.iter().enumerate() {
             if !(l.points > 0.0) || !(l.flops_per_point > 0.0) || !(l.visits >= 1.0) {
@@ -235,23 +207,24 @@ impl CycleProfile {
     /// ([`level_visits`]), so the kept levels and transfers are unchanged.
     pub fn truncated(&self, nlevels: usize) -> CycleProfile {
         assert!(nlevels >= 1 && nlevels <= self.levels.len());
-        CycleProfile {
-            name: format!("{} [{} levels]", self.name, nlevels),
-            levels: self.levels[..nlevels].to_vec(),
-            intergrid: self.intergrid[..nlevels - 1].to_vec(),
-        }
+        let mut p = self.clone();
+        p.name = format!("{} [{} levels]", self.name, nlevels);
+        p.levels.truncate(nlevels);
+        p.nonlocal.truncate(nlevels - 1);
+        p
     }
 
     /// Extract a single level as a standalone single-grid profile (paper
     /// Figure 19 runs coarse levels alone).
     pub fn single_level(&self, level: usize) -> CycleProfile {
-        let mut l = self.levels[level].clone();
-        l.visits = 1.0;
-        CycleProfile {
-            name: format!("{} [level {level} alone]", self.name),
-            levels: vec![l],
-            intergrid: vec![],
-        }
+        let mut p = self.clone();
+        p.name = format!("{} [level {level} alone]", self.name);
+        p.levels = vec![LevelProfile {
+            visits: 1.0,
+            ..self.levels[level]
+        }];
+        p.nonlocal.clear();
+        p
     }
 }
 
@@ -556,7 +529,7 @@ mod tests {
     #[test]
     fn validate_rejects_broken_hierarchies() {
         let mut p = demo_profile(3);
-        p.intergrid.pop();
+        p.nonlocal.pop();
         assert!(p.validate().is_err());
         let mut p2 = demo_profile(3);
         p2.levels[2].points = p2.levels[0].points * 2.0;
@@ -571,25 +544,37 @@ mod tests {
     }
 
     /// A truncated W-cycle profile has the visits a profile built that deep
-    /// computes: every kept level's visits and every kept transfer's
-    /// count, bit for bit.
+    /// computes, bit for bit, on every kept level (and so every kept
+    /// transfer's count, its coarse level's visits).
     #[test]
     fn truncation_recomputes_visits() {
         let p = demo_profile(5);
         for n in 1..=5 {
             let (t, built) = (p.truncated(n), demo_profile(n));
-            assert_eq!((t.levels.len(), t.intergrid.len()), (n, n - 1));
+            assert_eq!((t.levels.len(), t.nonlocal.len()), (n, n - 1));
             for (a, b) in t.levels.iter().zip(&built.levels) {
                 assert_eq!(a.visits.to_bits(), b.visits.to_bits());
             }
-            for (a, b) in t.intergrid.iter().zip(&built.intergrid) {
-                assert_eq!(
-                    a.transfers_per_cycle.to_bits(),
-                    b.transfers_per_cycle.to_bits()
-                );
-            }
             t.validate().unwrap();
         }
+    }
+
+    /// `rescaled` multiplies every level's points by one factor and keeps
+    /// every other fact bit for bit (`Debug` prints each `f64` so that it
+    /// parses back to the same bits).
+    #[test]
+    fn rescaling_scales_only_the_points() {
+        let p = demo_profile(4);
+        let r = p.rescaled(3.0e9);
+        let scale = 3.0e9 / p.levels[0].points;
+        assert_eq!(r.levels[0].points, 3.0e9);
+        for (a, b) in p.levels.iter().zip(&r.levels) {
+            assert_eq!(b.points.to_bits(), (a.points * scale).to_bits());
+            assert_eq!(b.flops_per_point.to_bits(), a.flops_per_point.to_bits());
+            assert_eq!(b.visits.to_bits(), a.visits.to_bits());
+        }
+        let facts = |p: &CycleProfile| format!("{:?}", (p.code, &p.law, &p.nonlocal));
+        assert_eq!(facts(&r), facts(&p));
     }
 
     #[test]
@@ -598,16 +583,16 @@ mod tests {
         let s = p.single_level(2);
         assert_eq!(s.levels.len(), 1);
         assert_eq!(s.levels[0].visits, 1.0);
-        assert!(s.intergrid.is_empty());
+        assert!(s.nonlocal.is_empty());
         s.validate().unwrap();
     }
 
     #[test]
     fn ghost_law_is_capped() {
-        let l = &demo_profile(1).levels[0];
-        assert!(l.ghosts_per_partition(1e6) > 0.0);
+        let p = demo_profile(1);
+        assert!(p.ghosts_per_partition(1e6) > 0.0);
         // Tiny partitions: ghosts bounded by a multiple of the points.
-        assert!(l.ghosts_per_partition(2.0) <= 12.0);
-        assert_eq!(l.ghosts_per_partition(0.0), 0.0);
+        assert!(p.ghosts_per_partition(2.0) <= 12.0);
+        assert_eq!(p.ghosts_per_partition(0.0), 0.0);
     }
 }

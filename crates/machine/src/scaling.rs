@@ -24,25 +24,32 @@ pub struct ScalingPoint {
     pub error: Option<SimError>,
 }
 
-/// Produce a speedup series over `cpu_counts`, normalised so that the first
-/// *feasible* count achieves perfect speedup (the paper assumes ideal
-/// speedup at its smallest CPU count: 128 for NSU3D, 32 for Cart3D).
-pub fn speedup_series(
+/// One labelled series of a study table.
+#[derive(Clone, Debug)]
+pub struct StudyRow {
+    /// Series label ("NUMAlink, 1 OMP thread").
+    pub label: String,
+    /// Scaling points over the CPU counts.
+    pub points: Vec<ScalingPoint>,
+}
+
+/// A speedup series over `cpu_counts` under `label`, normalised so that
+/// the first *feasible* count achieves perfect speedup (the paper assumes
+/// ideal speedup at its smallest CPU count: 128 for NSU3D, 32 for Cart3D).
+pub fn series(
+    label: &str,
     profile: &CycleProfile,
     machine: &MachineConfig,
     cpu_counts: &[usize],
     make_run: impl Fn(usize) -> RunConfig,
-) -> Vec<ScalingPoint> {
+) -> StudyRow {
     let mut reference: Option<(usize, f64)> = None;
     let mut points = Vec::with_capacity(cpu_counts.len());
     for &n in cpu_counts {
         let run = make_run(n);
         match simulate_cycle(profile, machine, &run) {
             Ok(b) => {
-                if reference.is_none() {
-                    reference = Some((n, b.seconds));
-                }
-                let (rn, rt) = reference.unwrap();
+                let (rn, rt) = *reference.get_or_insert((n, b.seconds));
                 points.push(ScalingPoint {
                     ncpus: n,
                     seconds: Some(b.seconds),
@@ -60,29 +67,9 @@ pub fn speedup_series(
             }),
         }
     }
-    points
-}
-
-/// One labelled series of a study table.
-#[derive(Clone, Debug)]
-pub struct StudyRow {
-    /// Series label ("NUMAlink, 1 OMP thread").
-    pub label: String,
-    /// Scaling points over the CPU counts.
-    pub points: Vec<ScalingPoint>,
-}
-
-/// [`speedup_series`] under a label.
-pub fn series(
-    label: &str,
-    profile: &CycleProfile,
-    machine: &MachineConfig,
-    cpu_counts: &[usize],
-    make_run: impl Fn(usize) -> RunConfig,
-) -> StudyRow {
     StudyRow {
         label: label.to_string(),
-        points: speedup_series(profile, machine, cpu_counts, make_run),
+        points,
     }
 }
 
@@ -153,9 +140,10 @@ mod tests {
     fn series_normalises_to_first_feasible() {
         let m = MachineConfig::columbia_vortex();
         let p = nsu3d_72m_profile();
-        let pts = speedup_series(&p, &m, &NSU3D_CPU_COUNTS, |n| {
+        let pts = series("NUMAlink", &p, &m, &NSU3D_CPU_COUNTS, |n| {
             RunConfig::mpi(n, Fabric::NumaLink4)
-        });
+        })
+        .points;
         assert_eq!(pts.len(), 5);
         assert!((pts[0].speedup.unwrap() - 128.0).abs() < 1e-9);
         // Monotone increasing speedups on NUMAlink.
@@ -168,9 +156,10 @@ mod tests {
     fn infeasible_points_reported_not_skipped() {
         let m = MachineConfig::columbia_vortex();
         let p = nsu3d_72m_profile();
-        let pts = speedup_series(&p, &m, &[1004, 2008], |n| {
+        let pts = series("InfiniBand", &p, &m, &[1004, 2008], |n| {
             RunConfig::mpi(n, Fabric::InfiniBand)
-        });
+        })
+        .points;
         assert!(pts[0].speedup.is_some());
         assert!(pts[1].speedup.is_none());
         assert!(pts[1].error.is_some());

@@ -174,36 +174,18 @@ pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
     }
 
     // Coarse edges: sum fine dual-face normals between distinct agglomerates.
-    let mut acc: HashMap<(u32, u32), Vec3> = HashMap::new();
-    for e in &fine.edges {
-        let ca = cmap[e.a as usize];
-        let cb = cmap[e.b as usize];
-        if ca == cb {
-            continue;
+    let c = |v: u32| cmap[v as usize];
+    let pairs = fine.edges.iter().map(|e| (c(e.a), c(e.b), e.normal));
+    let edge = |a: u32, b: u32, normal| {
+        let length = (centroid[a as usize] - centroid[b as usize]).norm();
+        Edge {
+            a,
+            b,
+            normal,
+            length: length.max(1e-300),
         }
-        let (key, sign) = if ca < cb {
-            ((ca, cb), 1.0)
-        } else {
-            ((cb, ca), -1.0)
-        };
-        *acc.entry(key).or_insert(Vec3::ZERO) += e.normal * sign;
-    }
-    let mut edges: Vec<Edge> = acc
-        .into_iter()
-        .map(|((a, b), normal)| {
-            let length = (centroid[a as usize] - centroid[b as usize])
-                .norm()
-                .max(1e-300);
-            Edge {
-                a,
-                b,
-                normal,
-                length,
-            }
-        })
-        .collect();
-    // Deterministic ordering (HashMap iteration order is not).
-    edges.sort_unstable_by_key(|e| (e.a, e.b));
+    };
+    let edges = merge_coarse_pairs(pairs, edge, |e| (e.a, e.b));
 
     let coarse = UnstructuredMesh {
         points: centroid,
@@ -216,6 +198,32 @@ pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
         coarse,
         fine_to_coarse: cmap,
     }
+}
+
+/// Merge fine faces into the faces between coarse groups: each
+/// `(a, b, normal)` of coarse ids adds its normal to the pair `(a, b)`,
+/// or its negation to `(b, a)` when `a > b`, and a face inside one group
+/// (`a == b`) vanishes. Each pair sums its faces in input order and
+/// `make(a, b, normal)` builds its coarse face; the faces come back sorted
+/// by `ends`, which must return the `(a, b)` they were made from (hash
+/// order is not deterministic). Built straight from the map, so no second
+/// copy of the pairs is held beside the faces.
+pub fn merge_coarse_pairs<T>(
+    faces: impl IntoIterator<Item = (u32, u32, Vec3)>,
+    make: impl Fn(u32, u32, Vec3) -> T,
+    ends: impl Fn(&T) -> (u32, u32),
+) -> Vec<T> {
+    let mut acc: HashMap<(u32, u32), Vec3> = HashMap::new();
+    for (a, b, normal) in faces {
+        if a == b {
+            continue;
+        }
+        let (key, sign) = if a < b { ((a, b), 1.0) } else { ((b, a), -1.0) };
+        *acc.entry(key).or_insert(Vec3::ZERO) += normal * sign;
+    }
+    let mut merged: Vec<T> = acc.into_iter().map(|((a, b), n)| make(a, b, n)).collect();
+    merged.sort_unstable_by_key(ends);
+    merged
 }
 
 /// Build a sequence of agglomerated levels.

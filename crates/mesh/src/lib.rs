@@ -29,7 +29,7 @@ pub mod lines;
 pub mod mesh;
 pub mod rcm;
 
-pub use agglomerate::{agglomerate, agglomerate_hierarchy, Agglomeration};
+pub use agglomerate::{agglomerate, agglomerate_hierarchy, merge_coarse_pairs, Agglomeration};
 pub use generator::{isotropic_box_mesh, wing_mesh, WingMeshSpec};
 pub use geom::{Aabb, Triangle, Vec3};
 pub use lines::{extract_lines, LineSet};

@@ -49,10 +49,9 @@ pub fn partition_mesh_line_aware(
 
 /// Everything one rank needs to run its sub-level.
 pub struct LocalLevel {
-    /// The local solver level (owned + ghost vertices).
+    /// The local solver level (owned + ghost vertices; the decomposition's
+    /// `n_owned[p]` of them, a prefix, are owned).
     pub level: RansLevel,
-    /// Number of owned vertices (prefix of the local numbering).
-    pub n_owned: usize,
     /// Local → global vertex map.
     pub local_to_global: Vec<u32>,
 }
@@ -112,7 +111,6 @@ pub fn build_local_levels(
         level.active[decomp.n_owned[p]..].fill(false);
         locals.push(LocalLevel {
             level,
-            n_owned: decomp.n_owned[p],
             local_to_global: l2g.clone(),
         });
     }
@@ -212,8 +210,8 @@ pub fn run_parallel_smoothing(
             parallel_sweep(&mut local, &decomp, rank);
         }
         let rms = parallel_residual_rms(&mut local, &decomp, rank, 20);
-        let owned: Vec<State> = (0..local.n_owned).map(|i| local.level.u.get(i)).collect();
-        (owned, rms)
+        let owned = (0..decomp.n_owned[rank.rank()]).map(|i| local.level.u.get(i));
+        (owned.collect::<Vec<State>>(), rms)
     })
 }
 
@@ -336,8 +334,8 @@ mod tests {
                             parallel_sweep(&mut local, &decomp, rank);
                         }
                         let rms = parallel_residual_rms(&mut local, &decomp, rank, 20);
-                        let owned = (0..NVARS)
-                            .flat_map(|k| local.level.u.plane(k)[..local.n_owned].to_vec());
+                        let n = decomp.n_owned[rank.rank()];
+                        let owned = (0..NVARS).flat_map(|k| local.level.u.plane(k)[..n].to_vec());
                         (owned.map(f64::to_bits).collect::<Vec<_>>(), rms.to_bits())
                     });
                     per_rank
@@ -373,7 +371,7 @@ mod tests {
         let m = mesh();
         let part = partition_mesh_line_aware(&m, 4, 10.0);
         let (decomp, locals) = build_local_levels(&m, &part, 4, params());
-        let total_owned: usize = locals.iter().map(|l| l.n_owned).sum();
+        let total_owned: usize = decomp.n_owned.iter().sum();
         assert_eq!(total_owned, m.nvertices());
         // Every local mesh is structurally valid.
         for (p, l) in locals.iter().enumerate() {

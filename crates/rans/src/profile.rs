@@ -241,11 +241,10 @@ mod tests {
         assert!((p.levels[0].points - 72.0e6).abs() / 72.0e6 < 1e-9);
         // FLOPs per point per visit should be in a physically sensible band
         // for a 6-variable implicit solver (10^3..10^6).
-        for l in &p.levels {
+        for (i, l) in p.levels.iter().enumerate() {
             assert!(
                 l.flops_per_point > 1e3 && l.flops_per_point < 1e6,
-                "{}: {}",
-                l.name,
+                "level {i}: {}",
                 l.flops_per_point
             );
         }

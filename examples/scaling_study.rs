@@ -52,14 +52,7 @@ fn main() {
     println!("== outlook beyond 2048 CPUs (paper §VI) ==");
     // NUMAlink cannot span more than 4 nodes; InfiniBand requires hybrid
     // ranks. A 1e9-point 7-level case at 4016 CPUs:
-    let mut big = paper_nsu3d_72m();
-    let scale = 1.0e9 / big.levels[0].points;
-    for l in big.levels.iter_mut() {
-        l.points *= scale;
-    }
-    for ig in big.intergrid.iter_mut() {
-        ig.fine_points *= scale;
-    }
+    let big = paper_nsu3d_72m().rescaled(1.0e9);
     let machine = columbia_machine::MachineConfig::columbia_full();
     for (label, run) in [
         (

@@ -414,7 +414,7 @@ fn in_place_diagonal_exchange_matches_the_pack_scratch_route() {
                         let pack_empty = lvl.diag_pack_mut().is_empty();
                         let (_, _, diag) = lvl.residual_halo();
                         let mut wire = Vec::new();
-                        for v in 0..local.n_owned {
+                        for v in 0..decomp.n_owned[rank.rank()] {
                             diag.pack_entry(v, &mut wire);
                         }
                         let out: SweepBits = (u, bits(&wire), pack_empty);
@@ -589,10 +589,10 @@ fn traffic_schedules_on_the_benchmark_meshes() {
                     cp.pre_sweeps + cp.post_sweeps + 1
                 };
                 let passes = visits[l] * own + if l == 0 { 1 } else { visits[l - 1] };
-                for local in locals {
+                for (local, &owned) in locals.iter().zip(&pmg.decomps[l].n_owned) {
                     let es = &local.level.mesh.edges;
                     edges += passes * es.len();
-                    cut += passes * es.iter().filter(|e| e.b as usize >= local.n_owned).count();
+                    cut += passes * es.iter().filter(|e| e.b as usize >= owned).count();
                 }
             }
             let ghosts: usize = (0..nranks).map(|p| pmg.decomps[0].ghosts(p)).sum();

@@ -145,7 +145,8 @@ fn rans_surface_samples_are_the_worlds_halo() {
         let (d, locals) = build_local_levels(&mesh, &part, p, params);
         let sizes: Vec<_> = locals
             .iter()
-            .map(|l| (l.level.nvertices(), l.n_owned))
+            .zip(&d.n_owned)
+            .map(|(l, &owned)| (l.level.nvertices(), owned))
             .collect();
         let sample = columbia_rans::profile::measure_ghosts(&mesh, p, params.line_threshold);
         assert_eq!(sample, halo_of(&d, &sizes), "{p} ranks");
