@@ -11,7 +11,6 @@
 use crate::mesh::{CartFace, CartMesh, CellKind, CUT_CELL_WEIGHT};
 use columbia_mesh::{merge_coarse_pairs, Vec3};
 use columbia_sfc::{split_weighted_curve, CurvePartition};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One coarsening step.
@@ -127,28 +126,25 @@ pub fn coarsen_mesh(fine: &CartMesh) -> Coarsening {
     }
 
     // Aggregate faces between coarse groups; intra-group faces vanish.
-    // Boundary faces aggregate per (cell, direction) so that opposite
-    // domain faces never cancel.
+    // Boundary faces aggregate per (cell, direction), so that opposite
+    // domain faces never cancel: keyed past every cell id by direction,
+    // they follow their cell's interior faces.
+    const FIRST_BOUNDARY: u32 = u32::MAX - 6;
     let c = |cell: u32| fine_to_coarse[cell as usize];
-    let interior = fine.faces.iter().filter(|f| !f.is_boundary());
-    let interior = interior.map(|f| (c(f.a), c(f.b), f.normal));
-    let face = |a, b, normal| CartFace { a, b, normal };
-    let mut faces = merge_coarse_pairs(interior, face, |f| (f.a, f.b));
-    let mut boundary: HashMap<(u32, i8), Vec3> = HashMap::new();
-    for f in fine.faces.iter().filter(|f| f.is_boundary()) {
-        let key = (c(f.a), dominant_direction(f.normal));
-        *boundary.entry(key).or_insert(Vec3::ZERO) += f.normal;
-    }
-    faces.extend(boundary.into_iter().map(|((a, _), normal)| CartFace {
+    let fine_face = |i: usize| {
+        let f = &fine.faces[i];
+        let b = match f.is_boundary() {
+            true => FIRST_BOUNDARY + (dominant_direction(f.normal) + 3) as u32,
+            false => c(f.b),
+        };
+        (c(f.a), b, f.normal)
+    };
+    let face = |a, b, normal| CartFace {
         a,
-        b: u32::MAX,
+        b: if b >= FIRST_BOUNDARY { u32::MAX } else { b },
         normal,
-    }));
-    // Hash-iteration order is arbitrary, so sort on a total key: the
-    // boundary faces of one cell all share `(a, u32::MAX)` and are told
-    // apart by their direction (normals are axis-aligned, so the summed
-    // normal still points along the direction it was accumulated under).
-    faces.sort_unstable_by_key(|f| (f.a, f.b, dominant_direction(f.normal)));
+    };
+    let faces = merge_coarse_pairs(fine.faces.len(), fine_face, face);
 
     let coarse = CartMesh {
         centers,
@@ -400,8 +396,8 @@ mod tests {
     #[test]
     fn coarsening_twice_gives_identical_face_lists() {
         // Cells on the domain boundary carry up to three far-field faces
-        // that tie on `(a, u32::MAX)`; their order must not depend on
-        // hash-iteration order.
+        // that tie on `(a, u32::MAX)`; they come out in one order, by
+        // direction.
         let m = sphere_mesh(5);
         let a = coarsen_mesh(&m).coarse;
         let b = coarsen_mesh(&m).coarse;

@@ -9,8 +9,9 @@
 //! discretisation conserves exactly what the fine one does.
 
 use crate::geom::Vec3;
-use crate::mesh::{BoundaryKind, Edge, UnstructuredMesh};
-use std::collections::{HashMap, VecDeque};
+use crate::mesh::{BoundaryKind, Edge, UnstructuredMesh, VertexEdges};
+use std::collections::VecDeque;
+use std::ops::AddAssign;
 
 /// One agglomeration step: the coarse mesh plus the fine→coarse map.
 #[derive(Clone, Debug)]
@@ -30,8 +31,12 @@ impl Agglomeration {
 
 /// Perform one seed-based agglomeration pass.
 pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
+    agglomerate_with(fine, &fine.vertex_edges())
+}
+
+/// [`agglomerate`] over `ve`, the prebuilt adjacency of `fine`.
+fn agglomerate_with(fine: &UnstructuredMesh, ve: &VertexEdges) -> Agglomeration {
     let n = fine.nvertices();
-    let ve = fine.vertex_edges();
     let mut cmap = vec![u32::MAX; n];
     let mut ncoarse = 0u32;
 
@@ -91,24 +96,22 @@ pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
         }
         c
     }
-    // Precompute coarse adjacency (neighbour, coupling) lists once.
-    // BTreeMap keeps the tie-breaking of "strongest neighbour" fully
-    // deterministic across runs (HashMap iteration order is seeded).
+    // Coarse adjacency (neighbour, coupling) lists, built once. The pairs
+    // come in ascending order, so the tie-breaking of "strongest
+    // neighbour" is fixed.
     let mut cadj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); nc0];
-    {
-        let mut accw: std::collections::BTreeMap<(u32, u32), f64> = Default::default();
-        for e in &fine.edges {
-            let ca = cmap[e.a as usize];
-            let cb = cmap[e.b as usize];
-            if ca != cb {
-                let key = (ca.min(cb), ca.max(cb));
-                *accw.entry(key).or_insert(0.0) += e.normal.norm();
-            }
-        }
-        for ((a, b), w) in accw {
-            cadj[a as usize].push((b, w));
-            cadj[b as usize].push((a, w));
-        }
+    let ends = |i: usize| {
+        let e = &fine.edges[i];
+        (cmap[e.a as usize], cmap[e.b as usize])
+    };
+    let key = |i| {
+        let (ca, cb) = ends(i);
+        (ca != cb).then(|| (ca.min(cb), ca.max(cb)))
+    };
+    let coupling = |i: usize| fine.edges[i].normal.norm();
+    for (a, b, w) in sum_by_pair(fine.edges.len(), key, coupling, |a, b, w| (a, b, w)) {
+        cadj[a as usize].push((b, w));
+        cadj[b as usize].push((a, w));
     }
     for small in 0..nc0 as u32 {
         let sroot = find(&mut parent, small);
@@ -175,7 +178,10 @@ pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
 
     // Coarse edges: sum fine dual-face normals between distinct agglomerates.
     let c = |v: u32| cmap[v as usize];
-    let pairs = fine.edges.iter().map(|e| (c(e.a), c(e.b), e.normal));
+    let face = |i: usize| {
+        let e = &fine.edges[i];
+        (c(e.a), c(e.b), e.normal)
+    };
     let edge = |a: u32, b: u32, normal| {
         let length = (centroid[a as usize] - centroid[b as usize]).norm();
         Edge {
@@ -185,7 +191,7 @@ pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
             length: length.max(1e-300),
         }
     };
-    let edges = merge_coarse_pairs(pairs, edge, |e| (e.a, e.b));
+    let edges = merge_coarse_pairs(fine.edges.len(), face, edge);
 
     let coarse = UnstructuredMesh {
         points: centroid,
@@ -200,30 +206,84 @@ pub fn agglomerate(fine: &UnstructuredMesh) -> Agglomeration {
     }
 }
 
-/// Merge fine faces into the faces between coarse groups: each
-/// `(a, b, normal)` of coarse ids adds its normal to the pair `(a, b)`,
-/// or its negation to `(b, a)` when `a > b`, and a face inside one group
-/// (`a == b`) vanishes. Each pair sums its faces in input order and
-/// `make(a, b, normal)` builds its coarse face; the faces come back sorted
-/// by `ends`, which must return the `(a, b)` they were made from (hash
-/// order is not deterministic). Built straight from the map, so no second
-/// copy of the pairs is held beside the faces.
+/// Merge fine faces into the faces between coarse groups: face `i` of
+/// `0..nfaces` is `face(i) = (a, b, normal)` in coarse ids, and adds its
+/// normal to the pair `(a, b)`, or its negation to `(b, a)` when `a > b`;
+/// a face inside one group (`a == b`) vanishes. Each pair sums its faces
+/// in input order from zero, as a map of sums would, and `make(a, b,
+/// normal)` builds its coarse face, pairs ascending.
 pub fn merge_coarse_pairs<T>(
-    faces: impl IntoIterator<Item = (u32, u32, Vec3)>,
-    make: impl Fn(u32, u32, Vec3) -> T,
-    ends: impl Fn(&T) -> (u32, u32),
+    nfaces: usize,
+    face: impl Fn(usize) -> (u32, u32, Vec3),
+    make: impl FnMut(u32, u32, Vec3) -> T,
 ) -> Vec<T> {
-    let mut acc: HashMap<(u32, u32), Vec3> = HashMap::new();
-    for (a, b, normal) in faces {
-        if a == b {
-            continue;
+    let key = |i| {
+        let (a, b, _) = face(i);
+        (a != b).then(|| (a.min(b), a.max(b)))
+    };
+    let term = |i| {
+        let (a, b, normal) = face(i);
+        normal * if a < b { 1.0 } else { -1.0 }
+    };
+    sum_by_pair(nfaces, key, term, make)
+}
+
+/// Sum items per pair of ids in linear passes: `key(i)` names the pair
+/// `(lo, hi)` of item `i` of `0..count` (`None` drops it), and `make(lo,
+/// hi, sum)` is called per pair, pairs ascending, with the sum of `term`
+/// over its items in input order from `V::default()`. A counting sort
+/// buckets the item indices by `lo`; each small bucket is sorted by `hi`.
+fn sum_by_pair<V: Default + AddAssign, T>(
+    count: usize,
+    key: impl Fn(usize) -> Option<(u32, u32)>,
+    term: impl Fn(usize) -> V,
+    mut make: impl FnMut(u32, u32, V) -> T,
+) -> Vec<T> {
+    // Bucket sizes by `lo`, then each bucket's start, which placement
+    // advances to the bucket's end.
+    let mut ends: Vec<usize> = Vec::new();
+    for (lo, _) in (0..count).filter_map(&key) {
+        let lo = lo as usize;
+        if lo >= ends.len() {
+            ends.resize(lo + 1, 0);
         }
-        let (key, sign) = if a < b { ((a, b), 1.0) } else { ((b, a), -1.0) };
-        *acc.entry(key).or_insert(Vec3::ZERO) += normal * sign;
+        ends[lo] += 1;
     }
-    let mut merged: Vec<T> = acc.into_iter().map(|((a, b), n)| make(a, b, n)).collect();
-    merged.sort_unstable_by_key(ends);
-    merged
+    let mut total = 0;
+    for end in &mut ends {
+        (*end, total) = (total, total + *end);
+    }
+    let mut items = vec![(0u32, 0u32); total];
+    for i in 0..count {
+        if let Some((lo, hi)) = key(i) {
+            let at = &mut ends[lo as usize];
+            items[*at] = (hi, i as u32);
+            *at += 1;
+        }
+    }
+    // Indices are unique, so a bucket sorted on `(hi, index)` keeps each
+    // pair's items in input order.
+    let mut start = 0;
+    let mut npairs = 0;
+    for &end in &ends {
+        let bucket = &mut items[start..end];
+        bucket.sort_unstable();
+        npairs += bucket.chunk_by(|x, y| x.0 == y.0).count();
+        start = end;
+    }
+    let mut out = Vec::with_capacity(npairs);
+    start = 0;
+    for (lo, &end) in ends.iter().enumerate() {
+        for group in items[start..end].chunk_by(|x, y| x.0 == y.0) {
+            let mut sum = V::default();
+            for &(_, i) in group {
+                sum += term(i as usize);
+            }
+            out.push(make(lo as u32, group[0].0, sum));
+        }
+        start = end;
+    }
+    out
 }
 
 /// Build a sequence of agglomerated levels.
@@ -236,23 +296,35 @@ pub fn agglomerate_hierarchy(
     max_levels: usize,
     min_vertices: usize,
 ) -> Vec<Agglomeration> {
+    agglomerate_levels(fine, max_levels, min_vertices).0
+}
+
+/// [`agglomerate_hierarchy`], and the adjacency of every level, finest
+/// first: each is built once, agglomerates its level and is handed back
+/// for the level's other uses.
+pub fn agglomerate_levels(
+    fine: &UnstructuredMesh,
+    max_levels: usize,
+    min_vertices: usize,
+) -> (Vec<Agglomeration>, Vec<VertexEdges>) {
     let mut steps: Vec<Agglomeration> = Vec::new();
-    let mut current = fine;
+    let mut adjacency = vec![fine.vertex_edges()];
     for _ in 1..max_levels {
+        let current = steps.last().map_or(fine, |s| &s.coarse);
         if current.nvertices() <= min_vertices {
             break;
         }
-        let step = agglomerate(current);
+        let step = agglomerate_with(current, adjacency.last().unwrap());
         // No progress, or a degenerate coarsest level (too few control
         // volumes to carry a meaningful operator): stop without the step.
         if step.coarse.nvertices() >= current.nvertices() || step.coarse.nvertices() < min_vertices
         {
             break;
         }
+        adjacency.push(step.coarse.vertex_edges());
         steps.push(step);
-        current = &steps.last().unwrap().coarse;
     }
-    steps
+    (steps, adjacency)
 }
 
 #[cfg(test)]
@@ -357,5 +429,91 @@ mod tests {
             }
         }
         assert!((fine_sum - coarse_sum).norm() < 1e-12);
+    }
+
+    /// The map-based merge [`merge_coarse_pairs`] replaced: a hash map of
+    /// sums in input order, then a sort by pair.
+    fn map_merge(faces: &[(u32, u32, Vec3)]) -> Vec<(u32, u32, Vec3)> {
+        let mut acc: std::collections::HashMap<(u32, u32), Vec3> = Default::default();
+        for &(a, b, normal) in faces {
+            if a == b {
+                continue;
+            }
+            let (key, sign) = if a < b { ((a, b), 1.0) } else { ((b, a), -1.0) };
+            *acc.entry(key).or_insert(Vec3::ZERO) += normal * sign;
+        }
+        let mut merged: Vec<_> = acc.into_iter().map(|((a, b), n)| (a, b, n)).collect();
+        merged.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        merged
+    }
+
+    /// Components whose sums depend on the order they are added in, and
+    /// both zeros: `-0.0` alone sums to `+0.0` from a `+0.0` start.
+    const COMPONENTS: [f64; 7] = [0.0, -0.0, 0.1, -0.7, 1e16, -3.0e-5, 2.5];
+
+    #[test]
+    fn hierarchy_is_the_same_with_a_prebuilt_adjacency() {
+        // Each level agglomerated on its own, building its own adjacency,
+        // against the hierarchy that builds each level's adjacency once.
+        let m = wing_mesh(&WingMeshSpec::with_target_points(8_000));
+        let (steps, adjacency) = agglomerate_levels(&m, 6, 10);
+        assert!(steps.len() >= 3, "only {} levels", steps.len());
+        assert_eq!(adjacency.len(), steps.len() + 1, "one adjacency per level");
+        let bits = |v: Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut fine = &m;
+        for (step, ve) in steps.iter().zip(&adjacency) {
+            let own = fine.vertex_edges();
+            for v in 0..fine.nvertices() {
+                let refs = |r: &crate::mesh::VertexEdgeRef| (r.edge, r.other, r.sign.to_bits());
+                let got: Vec<_> = ve.of(v).iter().map(refs).collect();
+                assert_eq!(got, own.of(v).iter().map(refs).collect::<Vec<_>>());
+            }
+            let alone = agglomerate(fine);
+            assert_eq!(step.fine_to_coarse, alone.fine_to_coarse);
+            let (p, h) = (&step.coarse, &alone.coarse);
+            assert_eq!(
+                p.points.iter().map(|&x| bits(x)).collect::<Vec<_>>(),
+                h.points.iter().map(|&x| bits(x)).collect::<Vec<_>>()
+            );
+            assert_eq!(p.edges.len(), h.edges.len());
+            for (x, y) in p.edges.iter().zip(&h.edges) {
+                assert_eq!(
+                    (x.a, x.b, bits(x.normal), x.length.to_bits()),
+                    (y.a, y.b, bits(y.normal), y.length.to_bits())
+                );
+            }
+            assert_eq!(f(&p.volumes), f(&h.volumes));
+            assert_eq!(f(&p.wall_distance), f(&h.wall_distance));
+            assert_eq!(p.bc, h.bc);
+            fine = p;
+        }
+        assert_eq!(adjacency.last().unwrap().nvertices(), fine.nvertices());
+    }
+
+    columbia_rt::props! {
+        /// The grouped pair sum is the map's, bit for bit: pairs given
+        /// either way round, faces inside one group, repeated pairs,
+        /// one-face pairs and signed zeros.
+        fn prop_grouped_pair_sum_matches_map_reference(
+            faces in columbia_rt::props::vec(
+                (0u32..7, 0u32..7, columbia_rt::props::array::<_, 3>(0usize..COMPONENTS.len())),
+                1..48,
+            ),
+        ) {
+            let faces: Vec<(u32, u32, Vec3)> = faces
+                .into_iter()
+                .map(|(a, b, c)| {
+                    let [x, y, z] = c.map(|i| COMPONENTS[i]);
+                    (a, b, Vec3::new(x, y, z))
+                })
+                .collect();
+            let grouped = merge_coarse_pairs(faces.len(), |i| faces[i], |a, b, n| (a, b, n));
+            let reference = map_merge(&faces);
+            let bits = |v: &[(u32, u32, Vec3)]| -> Vec<_> {
+                v.iter().map(|&(a, b, n)| (a, b, [n.x, n.y, n.z].map(f64::to_bits))).collect()
+            };
+            assert_eq!(bits(&grouped), bits(&reference));
+        }
     }
 }

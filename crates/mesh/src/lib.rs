@@ -29,9 +29,11 @@ pub mod lines;
 pub mod mesh;
 pub mod rcm;
 
-pub use agglomerate::{agglomerate, agglomerate_hierarchy, merge_coarse_pairs, Agglomeration};
+pub use agglomerate::{
+    agglomerate, agglomerate_hierarchy, agglomerate_levels, merge_coarse_pairs, Agglomeration,
+};
 pub use generator::{isotropic_box_mesh, wing_mesh, WingMeshSpec};
 pub use geom::{Aabb, Triangle, Vec3};
-pub use lines::{extract_lines, LineSet};
-pub use mesh::{BoundaryKind, Edge, UnstructuredMesh};
+pub use lines::{extract_lines, extract_lines_with, LineSet};
+pub use mesh::{BoundaryKind, Edge, UnstructuredMesh, VertexEdges};
 pub use rcm::reverse_cuthill_mckee;

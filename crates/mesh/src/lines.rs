@@ -9,7 +9,7 @@
 //! strongest-coupled unused edge. In isotropic regions the line structure
 //! degenerates to single points and the point-implicit scheme is recovered.
 
-use crate::mesh::UnstructuredMesh;
+use crate::mesh::{UnstructuredMesh, VertexEdges};
 
 /// A set of non-intersecting implicit lines over a mesh.
 #[derive(Clone, Debug)]
@@ -51,8 +51,16 @@ impl LineSet {
 ///   at a vertex for it to participate in a line (typical: 10). Values this
 ///   large only occur in stretched boundary-layer regions.
 pub fn extract_lines(mesh: &UnstructuredMesh, aniso_threshold: f64) -> LineSet {
+    extract_lines_with(mesh, &mesh.vertex_edges(), aniso_threshold)
+}
+
+/// [`extract_lines`] over `ve`, the prebuilt adjacency of `mesh`.
+pub fn extract_lines_with(
+    mesh: &UnstructuredMesh,
+    ve: &VertexEdges,
+    aniso_threshold: f64,
+) -> LineSet {
     let n = mesh.nvertices();
-    let ve = mesh.vertex_edges();
     // Edge coupling = dual face area / length.
     let coupling: Vec<f64> = mesh
         .edges

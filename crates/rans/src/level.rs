@@ -19,7 +19,7 @@ use crate::state::{freestream, sa, State, GAMMA, NVARS};
 use columbia_comm::HaloField;
 use columbia_linalg::soa::{vec_batch_zero, BlockBatch, SoaStates, TridiagBatch, VecBatch, LANES};
 use columbia_linalg::{BlockMat, BlockTridiag};
-use columbia_mesh::{extract_lines, BoundaryKind, UnstructuredMesh};
+use columbia_mesh::{extract_lines_with, BoundaryKind, UnstructuredMesh, VertexEdges};
 use columbia_rt::env::KernelKind;
 use std::cell::Cell;
 use std::fmt;
@@ -326,8 +326,9 @@ impl RansLevel {
     /// Build a level from a mesh. Lines are extracted here; state starts at
     /// free stream.
     pub fn new(mesh: UnstructuredMesh, params: SolverParams) -> Self {
-        let lines = extract_lines(&mesh, params.line_threshold).lines;
-        Self::with_lines(mesh, params, lines)
+        let ve = mesh.vertex_edges();
+        let lines = extract_lines_with(&mesh, &ve, params.line_threshold).lines;
+        Self::with_adjacency(mesh, params, lines, &ve)
             .expect("extract_lines yields vertex-disjoint lines along mesh edges")
     }
 
@@ -342,8 +343,18 @@ impl RansLevel {
         params: SolverParams,
         lines: Vec<Vec<u32>>,
     ) -> Result<Self, LineError> {
-        let n = mesh.nvertices();
         let ve = mesh.vertex_edges();
+        Self::with_adjacency(mesh, params, lines, &ve)
+    }
+
+    /// [`Self::with_lines`] over `ve`, the prebuilt adjacency of `mesh`.
+    pub(crate) fn with_adjacency(
+        mesh: UnstructuredMesh,
+        params: SolverParams,
+        lines: Vec<Vec<u32>>,
+        ve: &VertexEdges,
+    ) -> Result<Self, LineError> {
+        let n = mesh.nvertices();
         let mut in_line = vec![false; n];
         let mut kept = Vec::with_capacity(lines.len());
         let mut line_edges = Vec::with_capacity(lines.len());

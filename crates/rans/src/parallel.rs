@@ -30,7 +30,7 @@ use crate::state::State;
 use columbia_comm::{
     decompose, run_smoothing_world, Decomposition, ExchangePlan, ExecContext, Rank, RankTrace,
 };
-use columbia_mesh::{extract_lines, Edge, UnstructuredMesh};
+use columbia_mesh::{extract_lines, Edge, LineSet, UnstructuredMesh};
 use columbia_partition::{contract_lines, expand_line_partition, partition_graph, PartitionConfig};
 
 /// Partition a mesh without breaking implicit lines.
@@ -39,8 +39,12 @@ pub fn partition_mesh_line_aware(
     nparts: usize,
     line_threshold: f64,
 ) -> Vec<u32> {
+    partition_along_lines(mesh, nparts, &extract_lines(mesh, line_threshold))
+}
+
+/// Partition a mesh without breaking the lines of `ls`, the mesh's own.
+pub fn partition_along_lines(mesh: &UnstructuredMesh, nparts: usize, ls: &LineSet) -> Vec<u32> {
     let graph = mesh.dual_graph();
-    let ls = extract_lines(mesh, line_threshold);
     let cover = ls.covering_lines();
     let lc = contract_lines(&graph, &cover);
     let lp = partition_graph(&lc.contracted, nparts, &PartitionConfig::default());
@@ -72,6 +76,18 @@ pub fn build_local_levels(
     nparts: usize,
     params: SolverParams,
 ) -> (Decomposition, Vec<LocalLevel>) {
+    let ls = extract_lines(mesh, params.line_threshold);
+    build_local_levels_along(mesh, part, nparts, params, &ls)
+}
+
+/// [`build_local_levels`] with the mesh's lines `ls` already extracted.
+pub fn build_local_levels_along(
+    mesh: &UnstructuredMesh,
+    part: &[u32],
+    nparts: usize,
+    params: SolverParams,
+    ls: &LineSet,
+) -> (Decomposition, Vec<LocalLevel>) {
     let decomp = decompose_mesh(mesh, part, nparts);
     let ends = mesh.edges.iter().map(|e| (e.a, Some(e.b)));
     let edges = decomp.localize(ends, |e, a, b| Edge {
@@ -81,9 +97,9 @@ pub fn build_local_levels(
     });
 
     // Global lines, restricted per rank (lines never cross ranks when the
-    // partition came from `partition_mesh_line_aware`).
+    // partition came from `partition_along_lines`).
     let mut lines = vec![Vec::new(); nparts];
-    for line in extract_lines(mesh, params.line_threshold).lines {
+    for line in &ls.lines {
         let p = decomp.owner(line[0]);
         let local = line.iter().map(|&v| {
             decomp
@@ -193,8 +209,9 @@ pub fn run_parallel_smoothing(
     sweeps: usize,
     ctx: &mut ExecContext,
 ) -> (Vec<State>, f64, Vec<RankTrace>) {
-    let part = partition_mesh_line_aware(mesh, nparts, params.line_threshold);
-    let (decomp, mut locals) = build_local_levels(mesh, &part, nparts, params);
+    let ls = extract_lines(mesh, params.line_threshold);
+    let part = partition_along_lines(mesh, nparts, &ls);
+    let (decomp, mut locals) = build_local_levels_along(mesh, &part, nparts, params, &ls);
     for local in &mut locals {
         let n = local.level.nvertices();
         local.level.reserve_scratch(n);

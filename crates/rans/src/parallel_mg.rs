@@ -16,14 +16,14 @@
 
 use crate::level::SolverParams;
 use crate::parallel::{
-    build_local_levels, exchange_residual, parallel_residual_rms, parallel_sweep,
-    partition_mesh_line_aware, LocalLevel,
+    build_local_levels_along, exchange_residual, parallel_residual_rms, parallel_sweep,
+    partition_along_lines, LocalLevel,
 };
 use crate::state::NVARS;
 use columbia_comm::{
     run_world_with, Decomposition, ExecContext, Rank, RankTrace, TransferSchedule,
 };
-use columbia_mesh::{agglomerate_hierarchy, UnstructuredMesh};
+use columbia_mesh::{agglomerate_levels, extract_lines_with, UnstructuredMesh};
 use columbia_mg::{solve_to_tolerance, ConvergenceHistory, CycleParams, MultigridLevel};
 use columbia_partition::match_levels;
 use columbia_rt::trace::SpanKey;
@@ -45,7 +45,7 @@ pub struct ParallelMg {
 
 impl ParallelMg {
     /// Build the distributed hierarchy: agglomerate, partition every level
-    /// independently (line-aware on the finest), greedily match coarse to
+    /// independently along its implicit lines, greedily match coarse to
     /// fine partition labels, and precompute the transfer schedules.
     pub fn new(
         mesh: &UnstructuredMesh,
@@ -53,7 +53,9 @@ impl ParallelMg {
         nparts: usize,
         nlevels: usize,
     ) -> Self {
-        let steps = agglomerate_hierarchy(mesh, nlevels, 10);
+        // One adjacency per level mesh agglomerates it and finds its lines,
+        // which both the partitioner and the sub-levels take.
+        let (steps, adjacency) = agglomerate_levels(mesh, nlevels, 10);
         // Global meshes per level (level 0 borrows the caller's).
         let mut meshes: Vec<&UnstructuredMesh> = vec![mesh];
         for s in &steps {
@@ -67,16 +69,18 @@ impl ParallelMg {
         // level (the paper's greedy matching), and build its sub-levels.
         let mut decomps: Vec<Decomposition> = Vec::with_capacity(nlev);
         let mut locals = Vec::with_capacity(nlev);
-        for (l, level) in meshes.iter().enumerate() {
-            let mut part = partition_mesh_line_aware(level, nparts, params.line_threshold);
+        for (l, (level, ve)) in meshes.iter().zip(adjacency).enumerate() {
+            let ls = extract_lines_with(level, &ve, params.line_threshold);
+            drop(ve); // the level's last use of its adjacency
+            let mut part = partition_along_lines(level, nparts, &ls);
             if let Some(finer) = l.checked_sub(1) {
                 let w = vec![1.0; meshes[finer].nvertices()];
                 let map = &steps[finer].fine_to_coarse;
                 part = match_levels(&decomps[finer].part, map, &part, nparts, &w).0;
             }
-            let (d, ls) = build_local_levels(level, &part, nparts, params);
+            let (d, level_locals) = build_local_levels_along(level, &part, nparts, params, &ls);
             decomps.push(d);
-            locals.push(ls);
+            locals.push(level_locals);
         }
         // Each rank's one sweep scratch, sized here on the building thread
         // for the largest level of the rank's column: sized lazily on a

@@ -5,7 +5,7 @@ pub use crate::level::SolverParams;
 use crate::state::{pressure, State, NVARS};
 use columbia_comm::ExecContext;
 use columbia_linalg::soa::SoaStates;
-use columbia_mesh::{agglomerate_hierarchy, BoundaryKind, UnstructuredMesh};
+use columbia_mesh::{agglomerate_levels, extract_lines_with, BoundaryKind, UnstructuredMesh};
 use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
 
 impl MultigridLevel for RansLevel {
@@ -151,13 +151,22 @@ impl RansSolver {
     /// stops early if a level would drop below ~10 vertices).
     pub fn new(mesh: UnstructuredMesh, params: SolverParams, nlevels: usize) -> Self {
         assert!(nlevels >= 1);
-        let steps = agglomerate_hierarchy(&mesh, nlevels, 10);
+        // One adjacency per level mesh: it agglomerates the level, finds
+        // its lines and resolves their edges.
+        let (steps, adjacency) = agglomerate_levels(&mesh, nlevels, 10);
+        let mut adjacency = adjacency.into_iter();
+        let mut level = |mesh: UnstructuredMesh| {
+            let ve = adjacency.next().expect("one adjacency per level");
+            let lines = extract_lines_with(&mesh, &ve, params.line_threshold).lines;
+            RansLevel::with_adjacency(mesh, params, lines, &ve)
+                .expect("extract_lines yields vertex-disjoint lines along mesh edges")
+        };
         let mut levels = Vec::with_capacity(steps.len() + 1);
-        let mut fine = RansLevel::new(mesh, params);
+        let mut fine = level(mesh);
         for step in steps {
             fine.to_coarse = Some(step.fine_to_coarse);
             levels.push(fine);
-            fine = RansLevel::new(step.coarse, params);
+            fine = level(step.coarse);
         }
         levels.push(fine);
         // No scratch yet: the finest level's first residual or sweep sizes
