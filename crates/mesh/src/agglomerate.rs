@@ -263,17 +263,18 @@ fn sum_by_pair<V: Default + AddAssign, T>(
     }
     // Indices are unique, so a bucket sorted on `(hi, index)` keeps each
     // pair's items in input order.
-    let mut start = 0;
+    let buckets = || {
+        std::iter::once(0)
+            .chain(ends.iter().copied())
+            .zip(ends.iter().copied())
+    };
     let mut npairs = 0;
-    for &end in &ends {
-        let bucket = &mut items[start..end];
-        bucket.sort_unstable();
-        npairs += bucket.chunk_by(|x, y| x.0 == y.0).count();
-        start = end;
+    for (start, end) in buckets() {
+        items[start..end].sort_unstable();
+        npairs += items[start..end].chunk_by(|x, y| x.0 == y.0).count();
     }
     let mut out = Vec::with_capacity(npairs);
-    start = 0;
-    for (lo, &end) in ends.iter().enumerate() {
+    for (lo, (start, end)) in buckets().enumerate() {
         for group in items[start..end].chunk_by(|x, y| x.0 == y.0) {
             let mut sum = V::default();
             for &(_, i) in group {
@@ -281,7 +282,6 @@ fn sum_by_pair<V: Default + AddAssign, T>(
             }
             out.push(make(lo as u32, group[0].0, sum));
         }
-        start = end;
     }
     out
 }
@@ -314,7 +314,7 @@ pub fn agglomerate_levels(
         if current.nvertices() <= min_vertices {
             break;
         }
-        let step = agglomerate_with(current, adjacency.last().unwrap());
+        let step = agglomerate_with(current, &adjacency[steps.len()]);
         // No progress, or a degenerate coarsest level (too few control
         // volumes to carry a meaningful operator): stop without the step.
         if step.coarse.nvertices() >= current.nvertices() || step.coarse.nvertices() < min_vertices

@@ -327,8 +327,17 @@ impl RansLevel {
     /// free stream.
     pub fn new(mesh: UnstructuredMesh, params: SolverParams) -> Self {
         let ve = mesh.vertex_edges();
-        let lines = extract_lines_with(&mesh, &ve, params.line_threshold).lines;
-        Self::with_adjacency(mesh, params, lines, &ve)
+        Self::with_adjacency(mesh, params, &ve)
+    }
+
+    /// [`Self::new`] over `ve`, the prebuilt adjacency of `mesh`.
+    pub(crate) fn with_adjacency(
+        mesh: UnstructuredMesh,
+        params: SolverParams,
+        ve: &VertexEdges,
+    ) -> Self {
+        let lines = extract_lines_with(&mesh, ve, params.line_threshold).lines;
+        Self::with_lines_over(mesh, params, lines, ve)
             .expect("extract_lines yields vertex-disjoint lines along mesh edges")
     }
 
@@ -344,11 +353,11 @@ impl RansLevel {
         lines: Vec<Vec<u32>>,
     ) -> Result<Self, LineError> {
         let ve = mesh.vertex_edges();
-        Self::with_adjacency(mesh, params, lines, &ve)
+        Self::with_lines_over(mesh, params, lines, &ve)
     }
 
     /// [`Self::with_lines`] over `ve`, the prebuilt adjacency of `mesh`.
-    pub(crate) fn with_adjacency(
+    fn with_lines_over(
         mesh: UnstructuredMesh,
         params: SolverParams,
         lines: Vec<Vec<u32>>,

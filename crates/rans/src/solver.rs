@@ -5,7 +5,7 @@ pub use crate::level::SolverParams;
 use crate::state::{pressure, State, NVARS};
 use columbia_comm::ExecContext;
 use columbia_linalg::soa::SoaStates;
-use columbia_mesh::{agglomerate_levels, extract_lines_with, BoundaryKind, UnstructuredMesh};
+use columbia_mesh::{agglomerate_levels, BoundaryKind, UnstructuredMesh};
 use columbia_mg::{fas_cycle, ConvergenceHistory, CycleParams, MultigridLevel};
 
 impl MultigridLevel for RansLevel {
@@ -157,9 +157,7 @@ impl RansSolver {
         let mut adjacency = adjacency.into_iter();
         let mut level = |mesh: UnstructuredMesh| {
             let ve = adjacency.next().expect("one adjacency per level");
-            let lines = extract_lines_with(&mesh, &ve, params.line_threshold).lines;
-            RansLevel::with_adjacency(mesh, params, lines, &ve)
-                .expect("extract_lines yields vertex-disjoint lines along mesh edges")
+            RansLevel::with_adjacency(mesh, params, &ve)
         };
         let mut levels = Vec::with_capacity(steps.len() + 1);
         let mut fine = level(mesh);
