@@ -378,8 +378,8 @@ impl Decomposition {
         self.local_to_global[p].len() - self.n_owned[p]
     }
 
-    /// The exact halo as a surface-law sample: `(mean ghosts per rank that
-    /// owns a vertex, largest number of peers a rank exchanges with)`.
+    /// The exact halo: `(mean ghosts per rank that owns a vertex, largest
+    /// number of peers a rank exchanges with)`.
     pub fn halo(&self) -> (f64, usize) {
         let holding = self.n_owned.iter().filter(|&&n| n > 0).count().max(1);
         let ghosts: usize = (0..self.nparts()).map(|p| self.ghosts(p)).sum();

@@ -1,17 +1,19 @@
 //! Measured Cart3D workload profiles for the Columbia machine model.
 //!
 //! Mirrors `columbia_rans::profile` for the cell-centred solver: FLOPs per
-//! cell per visit from instrumented cycles, SFC-partition ghost surfaces
-//! read off the decompositions the parallel solver runs, and inter-grid
-//! locality from the natural (same-curve) overlap of independently
-//! partitioned levels — fitted and assembled by `columbia_machine::profile`.
+//! cell per visit from instrumented cycles and inter-grid locality from the
+//! natural (same-curve) overlap of independently partitioned levels —
+//! assembled by `columbia_machine::profile`. Ghosts per rank follow
+//! Cart3D's own `5 q^(2/3)` law and degree 14; [`measure_ghosts`] is the
+//! exact count of the SFC decomposition the parallel solver runs, which
+//! that law is checked against.
 
 use crate::parallel::decompose_cells;
 use crate::solver::EulerSolver;
 use crate::state::NVARS5;
 use columbia_cartesian::CartMesh;
 use columbia_comm::{ExecContext, TransferSchedule};
-use columbia_machine::profile::{CodeConstants, SurfaceLaw, CART3D_PAPER};
+use columbia_machine::profile::{CodeConstants, CART3D_PAPER};
 use columbia_machine::CycleProfile;
 use columbia_mg::{level_visits, CycleParams};
 
@@ -23,15 +25,6 @@ pub const EXCHANGES_PER_STEP: usize = 2 * crate::level::RK5.len() + 1;
 /// `p`-rank world runs on `mesh`: SFC segments, exact halo.
 pub fn measure_ghosts(mesh: &CartMesh, p: usize) -> (f64, usize) {
     decompose_cells(mesh, p).halo()
-}
-
-/// Fit the SFC-partition surface law of `mesh` over the partition counts
-/// `parts`; the fallback is Cart3D's canonical `5 q^(2/3)`, degree 14.
-pub fn fit_surface_law(mesh: &CartMesh, parts: &[usize]) -> SurfaceLaw {
-    let canonical = CART3D_PAPER.canonical_law();
-    SurfaceLaw::fit(mesh.ncells(), parts, &canonical, |p| {
-        measure_ghosts(mesh, p)
-    })
 }
 
 /// The transfer schedule between each pair of adjacent levels when every
@@ -47,12 +40,11 @@ pub fn intergrid_schedules(solver: &EulerSolver, p: usize) -> Vec<TransferSchedu
 
 /// Measure a full Cart3D cycle profile, rescaled so the fine level has
 /// `target_cells` (the paper's 25M-cell SSLV benchmark). With tracing
-/// enabled on `ctx`, the fit provenance and per-level FLOP counts are
-/// recorded under a `profile_measure` span.
+/// enabled on `ctx`, the per-level FLOP counts are recorded under a
+/// `profile_measure` span.
 pub fn measure_profile(
     solver: &mut EulerSolver,
     cycle: &CycleParams,
-    parts: &[usize],
     match_parts: usize,
     target_cells: f64,
     name: &str,
@@ -60,7 +52,6 @@ pub fn measure_profile(
 ) -> CycleProfile {
     solver.take_flops();
     solver.cycle(cycle);
-    let law = fit_surface_law(&solver.levels[0].mesh, parts);
     let nonlocal: Vec<f64> = intergrid_schedules(solver, match_parts)
         .iter()
         .map(|t| t.nonlocal_fraction().max(0.02))
@@ -80,7 +71,6 @@ pub fn measure_profile(
         &solver.level_sizes(),
         &solver.level_flops(),
         &level_visits(solver.nlevels(), cycle.cycle),
-        &law,
         &nonlocal,
         target_cells,
     )
@@ -91,7 +81,6 @@ mod tests {
     use super::*;
     use crate::solver::EulerParams;
     use columbia_cartesian::{build_octree, extract_mesh, CutCellConfig, Geometry, TriMesh};
-    use columbia_machine::profile::FitFallback;
     use columbia_mesh::Vec3;
     use columbia_sfc::CurveKind;
 
@@ -115,49 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn sfc_surface_law_is_sublinear() {
-        let s = sphere_solver(5);
-        let law = fit_surface_law(&s.levels[0].mesh, &[4, 8, 16, 32]);
-        assert!(
-            (0.3..=1.0).contains(&law.exponent),
-            "exponent {}",
-            law.exponent
-        );
-        assert!(law.coeff > 0.1);
-        assert_eq!(law.provenance.samples_used, 4);
-        assert_eq!(law.provenance.fallback, None);
-    }
-
-    #[test]
-    fn fit_provenance_reports_skips_and_fallback() {
-        // Oversized part counts are skipped (p * 4 > ncells) and the fit
-        // falls back to Cart3D's canonical law, saying why.
-        let s = sphere_solver(4);
-        let mesh = &s.levels[0].mesh;
-        let n = mesh.ncells();
-        let law = fit_surface_law(mesh, &[n, 2 * n]);
-        assert_eq!(law.provenance.parts_requested, 2);
-        assert_eq!(law.provenance.parts_skipped_small, 2);
-        assert_eq!(law.provenance.samples_used, 0);
-        assert_eq!(law.provenance.fallback, Some(FitFallback::TooFewSamples));
-        assert_eq!((law.coeff, law.max_degree), (5.0, 14.0));
-    }
-
-    #[test]
-    fn measure_profile_records_fit_provenance() {
+    fn measure_profile_records_level_flops() {
         let mut s = sphere_solver(4);
         let mut ctx = ExecContext::traced();
         let cycle = CycleParams::default();
-        measure_profile(&mut s, &cycle, &[4, 8, 16], 8, 25.0e6, "traced", &mut ctx);
+        measure_profile(&mut s, &cycle, 8, 25.0e6, "traced", &mut ctx);
         let trace = ctx.finish_trace();
         let span = trace.find("profile_measure").expect("profile span");
-        let fit = span
-            .children
-            .iter()
-            .find(|c| c.key.name == "surface_fit")
-            .expect("surface_fit child span");
-        assert_eq!(fit.counters.get("fit.parts_requested"), Some(&3));
-        assert_eq!(fit.counters.get("fit.fallback.none"), Some(&1));
         assert!(span.counters.get("profile.flops").copied().unwrap_or(0) > 0);
     }
 
@@ -176,7 +129,6 @@ mod tests {
         let p = measure_profile(
             &mut s,
             &CycleParams::default(),
-            &[4, 8, 16],
             8,
             25.0e6,
             "measured Cart3D",

@@ -9,16 +9,17 @@
 //! 2. **interconnect latency/bandwidth**, per fabric and per node span,
 //!    including InfiniBand's degradation across nodes and its MPI
 //!    connection limit (paper eq. 1, practical limit 1524 ranks on 4 nodes),
-//! 3. **communication volume scaling** of domain-decomposed meshes
-//!    (surface-to-volume laws measured from real partitions of real meshes
-//!    by the solver crates),
+//! 3. **communication volume scaling** of domain-decomposed meshes (each
+//!    code's `c q^(2/3)` ghost law and peer degree, checked against exact
+//!    decompositions of real meshes at the paper's points per rank),
 //! 4. **multigrid cycling structure** (a W-cycle visits the coarsest of
 //!    `L` levels `2^(L-1)` times; coarse levels have almost no work but the
 //!    full communication graph).
 //!
-//! Solver crates *measure* ingredients 3-4 on real meshes at laptop scale
-//! and extrapolate the surface laws; this crate supplies 1-2 from the
-//! paper's published hardware parameters and composes everything into
+//! Solver crates *measure* ingredient 4 (and each level's work and
+//! inter-grid locality) on real meshes at laptop scale and rescale it to
+//! paper size; this crate supplies 1-3 from the paper's published hardware
+//! parameters and the codes' constants, and composes everything into
 //! wall-clock-per-cycle predictions at 32-4016 CPUs.
 
 #![forbid(unsafe_code)]

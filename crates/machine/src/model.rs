@@ -254,7 +254,7 @@ pub fn simulate_cycle(
     let ranks = run.ranks() as f64;
     let threads = run.threads();
     let pure_openmp = run.model == ProgModel::PureOpenMp;
-    let degree = profile.level_degree();
+    let degree = code.degree;
 
     // One round of messages: each rank pays latency + MPI overhead per peer
     // (at most `max_degree`, and fewer than the ranks holding one of

@@ -1,12 +1,14 @@
 //! Workload profiles: what a multigrid cycle *is*, measured by the solvers.
 //!
-//! The solver crates run real partitioning experiments on real (smaller)
-//! meshes and hand the samples to this module, the one road from a
-//! measured cycle to a paper-scale workload: [`SurfaceLaw::fit`] regresses
-//! the surface-to-volume law and [`CycleProfile::build`] packages it with
-//! the per-level work into the [`CycleProfile`] this crate prices. FLOP
-//! counts come from software FLOP accounting in the solver kernels (the
-//! paper used Itanium `pfmon` hardware counters).
+//! The solver crates run instrumented cycles on real (smaller) meshes and
+//! hand the counts to this module, the one road from a measured cycle to a
+//! paper-scale workload: [`CycleProfile::build`] packages the per-level
+//! work with the code's constants into the [`CycleProfile`] this crate
+//! prices. The halo has one law, the code's own
+//! ([`CycleProfile::ghosts_per_partition`] and [`CodeConstants::degree`]),
+//! checked against exact decompositions at the paper's points per rank by
+//! `tests/ownership.rs`. FLOP counts come from software FLOP accounting in
+//! the solver kernels (the paper used Itanium `pfmon` hardware counters).
 
 use columbia_mg::{level_visits, CycleType};
 use columbia_rt::trace::{SpanKey, Tracer};
@@ -33,8 +35,6 @@ pub struct CycleProfile {
     pub name: String,
     /// What is fixed per code rather than measured per level.
     pub code: CodeConstants,
-    /// Ghost surface law of every level's partitions.
-    pub law: SurfaceLaw,
     /// Per-level workloads, finest first.
     pub levels: Vec<LevelProfile>,
     /// Per pair of levels `l`, `l + 1`: the fraction of the transfer volume
@@ -54,12 +54,13 @@ pub struct CodeConstants {
     /// Ghost exchanges per level visit (residual accumulation + state
     /// copies x smoothing sweeps).
     pub exchanges_per_visit: f64,
-    /// Prefactor `c` of the code's canonical surface law `c q^(2/3)`.
+    /// Prefactor `c` of the code's surface law: a partition of `q` points
+    /// ghosts `c q^(2/3)` entries on every level
+    /// ([`CycleProfile::ghosts_per_partition`]).
     pub canonical_coeff: f64,
-    /// Floor on the communication-graph degree of a level (the asymptotic
-    /// degree of the paper's fine grids); the inter-grid graph has one
-    /// peer more (paper: 18 and 19).
-    pub min_degree: f64,
+    /// Communication-graph degree of every level (the paper's fine-grid
+    /// degree); the inter-grid graph has one peer more (paper: 18 and 19).
+    pub degree: f64,
     /// Bytes moved per fine point per transfer pair (restrict + prolong).
     pub intergrid_bytes_per_fine_point: f64,
     /// Single-CPU tuning factor on the sustained rate (1.0 for NSU3D's
@@ -74,18 +75,6 @@ pub struct CodeConstants {
     pub cache_fraction: f64,
 }
 
-impl CodeConstants {
-    /// The code's canonical 3-D law, the fallback of [`SurfaceLaw::fit`].
-    pub fn canonical_law(&self) -> SurfaceLaw {
-        SurfaceLaw {
-            coeff: self.canonical_coeff,
-            exponent: 2.0 / 3.0,
-            max_degree: self.min_degree,
-            provenance: FitProvenance::default(),
-        }
-    }
-}
-
 impl CycleProfile {
     /// The one constructor. `levels[l]` is `(carriers, FLOPs per carrier
     /// per visit)` of level `l` as measured, `visits[l]` its visits per
@@ -97,7 +86,6 @@ impl CycleProfile {
         code: &CodeConstants,
         levels: &[(f64, f64)],
         visits: &[usize],
-        law: &SurfaceLaw,
         nonlocal: &[f64],
         target_points: f64,
     ) -> CycleProfile {
@@ -111,7 +99,6 @@ impl CycleProfile {
         CycleProfile {
             name: name.to_string(),
             code: *code,
-            law: law.clone(),
             levels: levels.iter().zip(visits).map(level).collect(),
             nonlocal: nonlocal.to_vec(),
         }
@@ -120,8 +107,8 @@ impl CycleProfile {
 
     /// [`CycleProfile::build`] from one instrumented cycle: level `l` has
     /// `carriers[l]` points and executed `flops[l]` FLOPs in it. The
-    /// per-level counts and the fit provenance of `law` are recorded on
-    /// `tracer` under a `profile_measure` span instead of dropped.
+    /// per-level counts are recorded on `tracer` under a `profile_measure`
+    /// span instead of dropped.
     #[allow(clippy::too_many_arguments)]
     pub fn measured(
         tracer: &mut Tracer,
@@ -130,7 +117,6 @@ impl CycleProfile {
         carriers: &[usize],
         flops: &[u64],
         visits: &[usize],
-        law: &SurfaceLaw,
         nonlocal: &[f64],
         target_points: f64,
     ) -> CycleProfile {
@@ -142,10 +128,9 @@ impl CycleProfile {
             tracer.gauge(&format!("profile.flops_per_point.level{l}"), per_visit);
             levels.push((n as f64, per_visit));
         }
-        law.record_to(tracer, 0);
         tracer.add("profile.levels", levels.len() as u64);
         tracer.end();
-        Self::build(name, code, &levels, visits, law, nonlocal, target_points)
+        Self::build(name, code, &levels, visits, nonlocal, target_points)
     }
 
     /// The same workload with its finest level at `points`: every level's
@@ -159,19 +144,14 @@ impl CycleProfile {
         p
     }
 
-    /// Communication-graph degree of every level: the law's, floored at
-    /// the code's. The inter-grid graph has one peer more.
-    pub fn level_degree(&self) -> f64 {
-        self.law.max_degree.max(self.code.min_degree)
-    }
-
-    /// Ghost entries per partition of `q` points (capped: a partition can
-    /// never ghost more than ~all its points' neighbours).
+    /// Ghost entries per partition of `q` points on any level: the code's
+    /// law `canonical_coeff * q^(2/3)`, capped (a partition can never ghost
+    /// more than ~all its points' neighbours).
     pub fn ghosts_per_partition(&self, q: f64) -> f64 {
         if q <= 0.0 {
             return 0.0;
         }
-        (self.law.coeff * q.powf(self.law.exponent)).min(6.0 * q)
+        (self.code.canonical_coeff * q.powf(2.0 / 3.0)).min(6.0 * q)
     }
 
     /// Total FLOPs of one full cycle.
@@ -228,145 +208,6 @@ impl CycleProfile {
     }
 }
 
-/// Surface-law fit: `ghosts_per_part = coeff * q^exponent`.
-#[derive(Clone, Debug)]
-pub struct SurfaceLaw {
-    /// Prefactor.
-    pub coeff: f64,
-    /// Exponent (~2/3 in 3-D).
-    pub exponent: f64,
-    /// Largest communication degree observed while fitting.
-    pub max_degree: f64,
-    /// How the fit was obtained (samples used, skips, fallback reason).
-    pub provenance: FitProvenance,
-}
-
-/// Provenance of a [`SurfaceLaw`] fit: which of the requested part counts
-/// actually contributed regression points, and why the fit fell back to the
-/// canonical law if it did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FitProvenance {
-    /// Part counts the caller asked for.
-    pub parts_requested: usize,
-    /// Part counts skipped because the level is too small
-    /// (`p < 2` or `p * 4 > carriers`).
-    pub parts_skipped_small: usize,
-    /// Partitions that produced no ghosts and so contributed nothing to
-    /// the regression.
-    pub parts_zero_ghosts: usize,
-    /// Regression points actually used.
-    pub samples_used: usize,
-    /// `None` for a genuine least-squares fit; otherwise the reason the
-    /// canonical law was substituted.
-    pub fallback: Option<FitFallback>,
-}
-
-/// Reason a surface-law fit fell back to the code's canonical law.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FitFallback {
-    /// Fewer than two usable regression points survived the skips.
-    TooFewSamples,
-    /// The regression matrix was singular (all samples at one abscissa).
-    DegenerateRegression,
-}
-
-impl FitFallback {
-    /// Stable label used in trace counters and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FitFallback::TooFewSamples => "too_few_samples",
-            FitFallback::DegenerateRegression => "degenerate_regression",
-        }
-    }
-}
-
-impl SurfaceLaw {
-    /// Fit the ghost-surface law of a level of `carriers` points:
-    /// `sample(p)` partitions it into `p` parts the code's own way and
-    /// returns `(mean ghosts per part, largest communication degree)`;
-    /// `ln(ghosts)` is regressed on `ln(carriers / p)` over `parts`. Part
-    /// counts the level is too small for are skipped unsampled, and with
-    /// fewer than two usable points, or all at one abscissa, the result is
-    /// `canonical` (with the reason in the provenance).
-    pub fn fit(
-        carriers: usize,
-        parts: &[usize],
-        canonical: &SurfaceLaw,
-        mut sample: impl FnMut(usize) -> (f64, usize),
-    ) -> SurfaceLaw {
-        let mut provenance = FitProvenance {
-            parts_requested: parts.len(),
-            ..FitProvenance::default()
-        };
-        let (mut xs, mut ys) = (Vec::new(), Vec::new());
-        let mut max_degree = 0.0f64;
-        for &p in parts {
-            if p < 2 || p * 4 > carriers {
-                provenance.parts_skipped_small += 1;
-                continue;
-            }
-            let (ghosts, degree) = sample(p);
-            if ghosts > 0.0 {
-                xs.push((carriers as f64 / p as f64).ln());
-                ys.push(ghosts.ln());
-            } else {
-                provenance.parts_zero_ghosts += 1;
-            }
-            max_degree = max_degree.max(degree as f64);
-        }
-        provenance.samples_used = xs.len();
-        // Least squares on ln y = ln c + e ln x.
-        let n = xs.len() as f64;
-        let sx: f64 = xs.iter().sum();
-        let sy: f64 = ys.iter().sum();
-        let sxx: f64 = xs.iter().map(|x| x * x).sum();
-        let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
-        let denom = n * sxx - sx * sx;
-        provenance.fallback = if xs.len() < 2 {
-            Some(FitFallback::TooFewSamples)
-        } else if denom.abs() < 1e-12 {
-            Some(FitFallback::DegenerateRegression)
-        } else {
-            None
-        };
-        if provenance.fallback.is_some() {
-            return SurfaceLaw {
-                max_degree: max_degree.max(canonical.max_degree),
-                provenance,
-                ..*canonical
-            };
-        }
-        // Clamp the slope to the physical range first, then take the
-        // intercept for the clamped slope, so the law still passes through
-        // the sample centroid.
-        let exponent = ((n * sxy - sx * sy) / denom).clamp(0.3, 1.0);
-        SurfaceLaw {
-            coeff: ((sy - exponent * sx) / n).exp(),
-            exponent,
-            max_degree: max_degree.max(1.0),
-            provenance,
-        }
-    }
-
-    /// Record the fit on `tracer` as a `surface_fit` span for `level`, so
-    /// skipped part counts and fallbacks are visible instead of silently
-    /// discarded.
-    pub fn record_to(&self, tracer: &mut Tracer, level: usize) {
-        let p = &self.provenance;
-        tracer.begin(SpanKey::new("surface_fit").level(level));
-        tracer.add("fit.parts_requested", p.parts_requested as u64);
-        tracer.add("fit.parts_skipped_small", p.parts_skipped_small as u64);
-        tracer.add("fit.parts_zero_ghosts", p.parts_zero_ghosts as u64);
-        tracer.add("fit.samples_used", p.samples_used as u64);
-        let outcome = p.fallback.map_or("none", |f| f.label());
-        tracer.add(&format!("fit.fallback.{outcome}"), 1);
-        tracer.gauge("fit.coeff", self.coeff);
-        tracer.gauge("fit.exponent", self.exponent);
-        tracer.gauge("fit.max_degree", self.max_degree);
-        tracer.end();
-    }
-}
-
 /// NSU3D's constants at paper scale: 6 unknowns per point, fine
 /// communication-graph degree 18 (inter-grid 19), memory-bound edge
 /// kernels.
@@ -375,7 +216,7 @@ pub const NSU3D_PAPER: CodeConstants = CodeConstants {
     exchange_bytes_per_entry: 48.0,
     exchanges_per_visit: 8.0,
     canonical_coeff: 6.0,
-    min_degree: 18.0,
+    degree: 18.0,
     intergrid_bytes_per_fine_point: 48.0,
     rate_scale: 1.0,
     cache_fraction: 1.0,
@@ -391,7 +232,7 @@ pub const CART3D_PAPER: CodeConstants = CodeConstants {
     // + time-step accumulators per stage.
     exchanges_per_visit: 16.0,
     canonical_coeff: 5.0,
-    min_degree: 14.0,
+    degree: 14.0,
     intergrid_bytes_per_fine_point: 40.0,
     rate_scale: 1.10,
     cache_fraction: 0.2,
@@ -411,7 +252,6 @@ pub fn paper_nsu3d_72m() -> CycleProfile {
         &NSU3D_PAPER,
         &sizes.map(|n| (n, 56_700.0)),
         &level_visits(sizes.len(), CycleType::W),
-        &NSU3D_PAPER.canonical_law(),
         &[0.4; 5],
         sizes[0],
     )
@@ -427,7 +267,6 @@ pub fn paper_cart3d_25m() -> CycleProfile {
         &CART3D_PAPER,
         &sizes.map(|n| (n, 29_000.0)),
         &level_visits(sizes.len(), CycleType::W),
-        &CART3D_PAPER.canonical_law(),
         &[0.3; 3],
         sizes[0],
     )
@@ -450,75 +289,9 @@ mod tests {
             &code,
             &levels,
             &level_visits(nlevels, CycleType::W),
-            &code.canonical_law(),
             &vec![0.4; nlevels - 1],
             1.0e6,
         )
-    }
-
-    /// A level of 4096 carriers whose `p`-way partitions have exactly
-    /// `coeff * q^exponent` ghosts per part, `q = 4096 / p`.
-    fn fit_exact(parts: &[usize], canonical: &SurfaceLaw, coeff: f64, exponent: f64) -> SurfaceLaw {
-        SurfaceLaw::fit(4096, parts, canonical, |p| {
-            (coeff * (4096.0 / p as f64).powf(exponent), 7)
-        })
-    }
-
-    #[test]
-    fn healthy_fit_recovers_the_law_and_reports_no_fallback() {
-        let law = fit_exact(&[4, 8, 16, 32], &NSU3D_PAPER.canonical_law(), 3.0, 0.6);
-        assert!((law.coeff - 3.0).abs() < 1e-9 && (law.exponent - 0.6).abs() < 1e-12);
-        assert_eq!(law.max_degree, 7.0);
-        assert_eq!(law.provenance.samples_used, 4);
-        assert_eq!(law.provenance.fallback, None);
-    }
-
-    #[test]
-    fn clamped_slope_keeps_the_law_through_the_sample_centroid() {
-        // Three samples exactly on y = 2 q^1.4: the slope clamps to 1.0 and
-        // the intercept must be refitted for the clamped slope, not kept
-        // from the raw one.
-        let parts = [4usize, 8, 16];
-        let law = fit_exact(&parts, &NSU3D_PAPER.canonical_law(), 2.0, 1.4);
-        let ln_q = parts.map(|p| (4096.0 / p as f64).ln());
-        let mean_x = ln_q.iter().sum::<f64>() / 3.0;
-        let mean_y = ln_q.iter().map(|x| 2f64.ln() + 1.4 * x).sum::<f64>() / 3.0;
-        assert_eq!(law.exponent, 1.0);
-        let expect = (mean_y - 1.0 * mean_x).exp();
-        assert!((law.coeff / expect - 1.0).abs() < 1e-12, "{}", law.coeff);
-        // The raw slope's intercept would be the line's own 2.0; through
-        // the centroid (q = 512) at slope 1 it is 2 * 512^0.4 = 24.25.
-        assert!((law.coeff - 24.25).abs() < 0.01, "{}", law.coeff);
-    }
-
-    #[test]
-    fn fallbacks_return_the_passed_canonical_law_with_the_reason() {
-        for code in [NSU3D_PAPER, CART3D_PAPER] {
-            let canonical = code.canonical_law();
-            // 2048 and 4096 parts of 4096 carriers are too small to sample;
-            // one usable count is one point short of a regression.
-            let few = fit_exact(&[8, 2048, 4096], &canonical, 3.0, 0.6);
-            assert_eq!(few.provenance.parts_requested, 3);
-            assert_eq!(few.provenance.parts_skipped_small, 2);
-            assert_eq!(few.provenance.samples_used, 1);
-            assert_eq!(few.provenance.fallback, Some(FitFallback::TooFewSamples));
-            // The same part count twice: two samples at one abscissa.
-            let flat = fit_exact(&[8, 8], &canonical, 3.0, 0.6);
-            assert_eq!(flat.provenance.samples_used, 2);
-            assert_eq!(
-                flat.provenance.fallback,
-                Some(FitFallback::DegenerateRegression)
-            );
-            for law in [few, flat] {
-                assert_eq!(law.coeff, code.canonical_coeff);
-                assert_eq!(law.exponent, 2.0 / 3.0);
-                assert_eq!(law.max_degree, code.min_degree);
-            }
-        }
-        // Partitions without ghosts contribute nothing.
-        let none = SurfaceLaw::fit(4096, &[4, 8], &NSU3D_PAPER.canonical_law(), |_| (0.0, 0));
-        assert_eq!(none.provenance.parts_zero_ghosts, 2);
-        assert_eq!(none.provenance.fallback, Some(FitFallback::TooFewSamples));
     }
 
     #[test]
@@ -573,7 +346,7 @@ mod tests {
             assert_eq!(b.flops_per_point.to_bits(), a.flops_per_point.to_bits());
             assert_eq!(b.visits.to_bits(), a.visits.to_bits());
         }
-        let facts = |p: &CycleProfile| format!("{:?}", (p.code, &p.law, &p.nonlocal));
+        let facts = |p: &CycleProfile| format!("{:?}", (p.code, &p.nonlocal));
         assert_eq!(facts(&r), facts(&p));
     }
 

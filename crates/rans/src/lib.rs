@@ -39,6 +39,6 @@ pub mod state;
 
 pub use level::RansLevel;
 pub use parallel_mg::ParallelMg;
-pub use profile::{fit_surface_law, measure_profile};
+pub use profile::measure_profile;
 pub use solver::{RansSolver, SolverParams};
 pub use state::{freestream, State, NVARS};

@@ -1,12 +1,14 @@
 //! Measured workload profiles for the Columbia machine model.
 //!
 //! The scalability figures need, per multigrid level: FLOPs per point per
-//! visit, the ghost-surface scaling law, communication-graph degrees, and
-//! inter-grid transfer locality. All of these are *measured* here on real
-//! meshes — by running instrumented cycles and by partitioning the actual
-//! level graphs at several CPU counts — then handed to
-//! `columbia_machine::profile`, which fits the surface law and extrapolates
-//! to the paper's 72M-point problem.
+//! visit, the halo traffic of an exchange, and inter-grid transfer
+//! locality. These are *measured* here on real meshes — by running an
+//! instrumented cycle, by counting the fields the distributed multigrid
+//! packs and by reading the transfer schedules of its world — then handed
+//! to `columbia_machine::profile`, which rescales them to the paper's
+//! 72M-point problem. Ghosts per rank follow NSU3D's own `6 q^(2/3)` law
+//! and degree 18; [`measure_ghosts`] is the exact count it is checked
+//! against.
 
 use crate::level::DiagHalo;
 use crate::parallel::{decompose_mesh, partition_mesh_line_aware};
@@ -15,7 +17,7 @@ use crate::solver::RansSolver;
 use crate::state::NVARS;
 use columbia_comm::{ExecContext, HaloField};
 use columbia_linalg::SoaStates;
-use columbia_machine::profile::{CodeConstants, SurfaceLaw, NSU3D_PAPER};
+use columbia_machine::profile::{CodeConstants, NSU3D_PAPER};
 use columbia_machine::CycleProfile;
 use columbia_mesh::UnstructuredMesh;
 use columbia_mg::{level_visits, CycleParams};
@@ -25,17 +27,6 @@ use columbia_mg::{level_visits, CycleParams};
 pub fn measure_ghosts(mesh: &UnstructuredMesh, p: usize, line_threshold: f64) -> (f64, usize) {
     let part = partition_mesh_line_aware(mesh, p, line_threshold);
     decompose_mesh(mesh, &part, p).halo()
-}
-
-/// Fit the ghost-surface law of a mesh level from its decompositions at
-/// each count in `parts`; the fallback is NSU3D's canonical `6 q^(2/3)`,
-/// degree 18.
-pub fn fit_surface_law(solver: &RansSolver, level: usize, parts: &[usize]) -> SurfaceLaw {
-    let lvl = &solver.levels[level];
-    let canonical = NSU3D_PAPER.canonical_law();
-    SurfaceLaw::fit(lvl.nvertices(), parts, &canonical, |p| {
-        measure_ghosts(&lvl.mesh, p, lvl.params.line_threshold)
-    })
 }
 
 /// Values per ghost of each halo exchange the distributed multigrid sends,
@@ -78,19 +69,18 @@ pub(crate) fn halo_bytes_per_exchange(cycle: &CycleParams, nlevels: usize) -> f6
 /// Measure a full [`CycleProfile`] from an instrumented solver.
 ///
 /// * Runs one cycle with FLOP counters to get per-level FLOPs/point/visit.
-/// * Fits the ghost-surface law on the finest level (`parts` samples) and
-///   reuses it for coarser levels (same mesh family).
+/// * Prices each halo exchange from the fields the distributed multigrid
+///   packs; ghosts per rank and peers follow NSU3D's law (`NSU3D_PAPER`).
 /// * Reads inter-grid non-locality off the transfer schedules of the
 ///   `match_parts`-rank [`ParallelMg`] over the same hierarchy.
 /// * Rescales the level sizes so the finest level has `target_points`
 ///   (the paper's 72M), preserving the measured coarsening ratios.
 ///
-/// With tracing enabled on `ctx`, the fit provenance and per-level FLOP
-/// counts are recorded under a `profile_measure` span instead of dropped.
+/// With tracing enabled on `ctx`, the per-level FLOP counts are recorded
+/// under a `profile_measure` span instead of dropped.
 pub fn measure_profile(
     solver: &mut RansSolver,
     cycle: &CycleParams,
-    parts: &[usize],
     match_parts: usize,
     target_points: f64,
     name: &str,
@@ -98,7 +88,6 @@ pub fn measure_profile(
 ) -> CycleProfile {
     solver.take_flops();
     solver.cycle(cycle);
-    let law = fit_surface_law(solver, 0, parts);
     let fine = &solver.levels[0];
     let pmg = ParallelMg::new(&fine.mesh, fine.params, match_parts, solver.nlevels());
     let nonlocal: Vec<f64> = pmg
@@ -124,7 +113,6 @@ pub fn measure_profile(
         &solver.level_sizes(),
         &solver.level_flops(),
         &level_visits(solver.nlevels(), cycle.cycle),
-        &law,
         &nonlocal,
         target_points,
     )
@@ -134,7 +122,6 @@ pub fn measure_profile(
 mod tests {
     use super::*;
     use crate::solver::SolverParams;
-    use columbia_machine::profile::FitFallback;
     use columbia_mesh::{wing_mesh, WingMeshSpec};
 
     fn solver(points: usize, levels: usize) -> RansSolver {
@@ -153,48 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn surface_law_is_sublinear() {
-        let s = solver(12000, 1);
-        let law = fit_surface_law(&s, 0, &[4, 8, 16, 32]);
-        assert!(
-            (0.3..=1.0).contains(&law.exponent),
-            "exponent {}",
-            law.exponent
-        );
-        assert!(law.coeff > 0.1, "coeff {}", law.coeff);
-        assert!(law.max_degree >= 2.0);
-    }
-
-    #[test]
-    fn fit_provenance_reports_skips_and_fallback() {
-        let s = solver(12000, 1);
-        // Healthy fit: every requested count usable, no fallback.
-        let law = fit_surface_law(&s, 0, &[4, 8, 16, 32]);
-        assert_eq!(law.provenance.parts_requested, 4);
-        assert_eq!(law.provenance.parts_skipped_small, 0);
-        assert_eq!(law.provenance.samples_used, 4);
-        assert_eq!(law.provenance.fallback, None);
-
-        // Oversized part counts are skipped (p * 4 > nvertices) and the
-        // fallback reason is recorded instead of silently dropped.
-        let n = s.levels[0].nvertices();
-        let law = fit_surface_law(&s, 0, &[n, 2 * n]);
-        assert_eq!(law.provenance.parts_requested, 2);
-        assert_eq!(law.provenance.parts_skipped_small, 2);
-        assert_eq!(law.provenance.samples_used, 0);
-        assert_eq!(law.provenance.fallback, Some(FitFallback::TooFewSamples));
-        assert_eq!(law.provenance.fallback.unwrap().label(), "too_few_samples");
-        assert!((law.exponent - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn measure_profile_records_fit_provenance() {
+    fn measure_profile_records_level_flops() {
         let mut s = solver(4000, 2);
         let mut ctx = ExecContext::traced();
         let p = measure_profile(
             &mut s,
             &CycleParams::default(),
-            &[4, 8, 16],
             8,
             72.0e6,
             "traced",
@@ -203,13 +154,6 @@ mod tests {
         p.validate().unwrap();
         let trace = ctx.finish_trace();
         let span = trace.find("profile_measure").expect("profile span");
-        let fit = span
-            .children
-            .iter()
-            .find(|c| c.key.name == "surface_fit")
-            .expect("surface_fit child span");
-        assert_eq!(fit.counters.get("fit.parts_requested"), Some(&3));
-        assert!(fit.gauges.contains_key("fit.exponent"));
         assert!(span.counters.get("profile.flops").copied().unwrap_or(0) > 0);
     }
 
@@ -231,7 +175,6 @@ mod tests {
         let p = measure_profile(
             &mut s,
             &CycleParams::default(),
-            &[4, 8, 16],
             8,
             72.0e6,
             "measured NSU3D",

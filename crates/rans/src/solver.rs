@@ -288,6 +288,28 @@ mod tests {
         }
     }
 
+    /// The coarsest level's correction reaches the fine grid: on four
+    /// levels (the coarsest of 17 points), the first cycle's residual
+    /// differs from that of the same cycle with the coarsest level left
+    /// unsmoothed, whose correction is exactly zero. Against a solver one
+    /// level shallower it would differ anyway: the shared levels' sweeps
+    /// and boundary passes are not the same.
+    #[test]
+    fn the_coarsest_correction_reaches_the_fine_grid() {
+        let mesh = wing(4000);
+        let [with, without] = [CycleParams::default().coarse_sweeps, 0].map(|coarse_sweeps| {
+            let mut s = RansSolver::new(mesh.clone(), params(), 4);
+            assert_eq!(s.nlevels(), 4);
+            let cycle = CycleParams {
+                coarse_sweeps,
+                ..Default::default()
+            };
+            s.solve(&cycle, 0.0, 1).residuals
+        });
+        assert_eq!(with[0], without[0]);
+        assert_ne!(with[1], without[1]);
+    }
+
     #[test]
     fn multigrid_drives_residual_down() {
         let mut s = RansSolver::new(wing(3000), params(), 4);

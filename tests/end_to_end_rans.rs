@@ -142,7 +142,6 @@ fn measured_profile_drives_machine_model() {
     let profile = columbia_rans::measure_profile(
         &mut solver,
         &CycleParams::default(),
-        &[8, 16, 32],
         8,
         72.0e6,
         "measured",

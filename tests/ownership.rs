@@ -3,9 +3,10 @@
 //! * its ownership rule puts every edge or face, boundary faces included,
 //!   on the rank that owns its `a` end, in global order, with local ends
 //!   that map back to the element's global ends;
-//! * both profiles sample their surface laws from the exact halo of the
-//!   decomposition their world runs, so a ghost is counted once however
-//!   its neighbours' parts interleave;
+//! * both codes' halo samples are the exact halo of the decomposition
+//!   their world runs, so a ghost is counted once however its neighbours'
+//!   parts interleave, and the halo law each profile prices stays within a
+//!   factor of 1.5 of that exact halo at the paper's points per rank;
 //! * a transfer schedule joins two decompositions: every fine carrier goes
 //!   from its owner to the owner of its coarse carrier, once.
 
@@ -17,6 +18,7 @@ use columbia_comm::exchange::TransferPair;
 use columbia_comm::{decompose, Decomposition};
 use columbia_euler::parallel::decompose_cells;
 use columbia_euler::{freestream5, EulerParams, EulerSolver};
+use columbia_machine::{paper_cart3d_25m, paper_nsu3d_72m, CycleProfile};
 use columbia_mesh::{wing_mesh, Vec3, WingMeshSpec};
 use columbia_rans::parallel::{build_local_levels, partition_mesh_line_aware};
 use columbia_rans::SolverParams;
@@ -166,6 +168,53 @@ fn euler_surface_samples_are_the_worlds_halo() {
             .collect();
         let sample = columbia_euler::profile::measure_ghosts(&mesh, p);
         assert_eq!(sample, halo_of(&d, &sizes), "{p} ranks");
+    }
+}
+
+/// `law / exact` of ghosts per rank and of peer degree, for the `p`-rank
+/// decomposition of an `n`-point mesh whose exact halo is `exact`, lies
+/// within a factor of 1.5 either way.
+fn assert_law_prices_the_halo(
+    profile: &CycleProfile,
+    n: usize,
+    p: usize,
+    (ghosts, degree): (f64, usize),
+) {
+    let q = n as f64 / p as f64;
+    let within = |law: f64, exact: f64| (1.0 / 1.5..=1.5).contains(&(law / exact));
+    let law = profile.ghosts_per_partition(q);
+    assert!(
+        within(law, ghosts),
+        "{}, {p} ranks (q = {q:.0}): law {law:.0} ghosts, exact {ghosts:.0}",
+        profile.name
+    );
+    assert!(
+        within(profile.code.degree, degree as f64),
+        "{}, {p} ranks: law degree {}, exact {degree}",
+        profile.name,
+        profile.code.degree
+    );
+}
+
+/// The halo law both profiles price (`ghosts_per_partition` and the code's
+/// degree), at the paper's points per rank (NSU3D's 72M points on 128-2008
+/// CPUs is 36k-560k per rank): the jitter-free 1M-point wing and the
+/// (6, 9) octree around the Cart3D body, at 32-128 ranks, against the
+/// exact halo of the decomposition each code's world runs.
+#[test]
+#[ignore = "1M-point wing and 461k-cell octree; run with --include-ignored"]
+fn halo_law_holds_at_the_papers_points_per_rank() {
+    let mesh = columbia_bench::wing(1_000_000);
+    let threshold = columbia_bench::mach_half().line_threshold;
+    for p in [32, 64, 128] {
+        let exact = columbia_rans::profile::measure_ghosts(&mesh, p, threshold);
+        assert_law_prices_the_halo(&paper_nsu3d_72m(), mesh.nvertices(), p, exact);
+    }
+    let (tree, geom) = columbia_bench::cart3d_body_octree(6, 9);
+    let mesh = extract_mesh(&tree, &geom, CurveKind::Hilbert, 0.1);
+    for p in [32, 64, 128] {
+        let exact = columbia_euler::profile::measure_ghosts(&mesh, p);
+        assert_law_prices_the_halo(&paper_cart3d_25m(), mesh.ncells(), p, exact);
     }
 }
 
